@@ -79,9 +79,77 @@ from .ensemble import (
     derive_seed,
     run_continuous_ensemble,
     run_hitting_ensemble,
-    run_multistream_hitting_ensemble,
 )
 from .config import ScenarioConfig, load_config, load_preset
 from .scenarios import BuiltScenario, build_scenario
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "ConfigError",
+    "DimensionMismatchError",
+    "InsufficientEventsError",
+    "MissingSnapshotError",
+    "NonCommutingError",
+    "NonHermitianError",
+    "NonRealExpectationError",
+    "QReduceError",
+    "StepRejectedError",
+    "VanishingNormError",
+    "Hamiltonian",
+    "QuantitySet",
+    "StateVector",
+    "born_weights",
+    "expectation",
+    "quantum_covariance",
+    "validate_quantity_set",
+    "EventLog",
+    "HittingEvent",
+    "TrajectoryRecord",
+    "HitStream",
+    "HittingConfig",
+    "Schedule",
+    "apply_hitting",
+    "hitting_density",
+    "sample_hitting_centre",
+    "schedule_hittings",
+    "sharpening_operator",
+    "simulate_hitting_trajectory",
+    "simulate_multistream_hitting_trajectory",
+    "ContinuousConfig",
+    "WienerIncrement",
+    "sde_step",
+    "simulate_continuous_trajectory",
+    "strength_from_hitting",
+    "suggested_dt",
+    "DensityMatrix",
+    "EnsembleStats",
+    "collapse_statistics",
+    "convergence_sweep",
+    "db_statistics",
+    "ensemble_density_matrix",
+    "ensemble_stats",
+    "exact_hitting_map",
+    "factorization_check",
+    "hitting_master_evolution",
+    "lindblad_evolution",
+    "sample_factorized_db_windows",
+    "trace_norm_distance",
+    "wilson_interval",
+    "FockLattice",
+    "Species",
+    "build_fock_lattice",
+    "build_mass_density",
+    "build_number_density",
+    "profile_probability",
+    "scenario_identical_particles",
+    "smearing_kernel",
+    "derive_seed",
+    "run_continuous_ensemble",
+    "run_hitting_ensemble",
+    "ScenarioConfig",
+    "load_config",
+    "load_preset",
+    "BuiltScenario",
+    "build_scenario",
+]

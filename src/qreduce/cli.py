@@ -20,7 +20,6 @@ from .ensemble import (
     HITTING_STREAM,
     run_continuous_ensemble,
     run_hitting_ensemble,
-    run_multistream_hitting_ensemble,
 )
 from .equivalence import (
     collapse_statistics,
@@ -37,6 +36,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# The writers below format the Python floats of .tolist() with %r, which
+# is exactly _fmt of each value, without a numpy scalar per value.
+
+
 def _write_trajectories_csv(path: Path, engine_records: dict[str, list[TrajectoryRecord]]):
     first = next(iter(engine_records.values()))[0]
     d = first.dim
@@ -46,31 +49,33 @@ def _write_trajectories_csv(path: Path, engine_records: dict[str, list[Trajector
         + [f"w_{i}" for i in range(d)]
         + [f"exp_{p}" for p in range(k)]
     )
+    row = "%r,%d" + ",%r" * (d + k) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for engine in sorted(engine_records):
             for idx, rec in enumerate(engine_records[engine]):
-                previous = -np.inf
-                for s, t in enumerate(rec.sample_times):
-                    flag = rec.events_between(previous, t)
-                    previous = t
-                    row = [engine, str(idx), _fmt(t), str(flag)]
-                    row += [_fmt(x) for x in rec.born_weights[s]]
-                    row += [_fmt(x) for x in rec.expectations[s]]
-                    fh.write(",".join(row) + "\n")
+                fmt = f"{engine},{idx}," + row
+                columns = zip(
+                    rec.sample_times.tolist(),
+                    rec.event_flags().tolist(),
+                    *rec.born_weights.T.tolist(),
+                    *rec.expectations.T.tolist(),
+                )
+                fh.writelines(fmt % fields for fields in columns)
 
 
 def _write_events_csv(path: Path, engine_records: dict[str, list[TrajectoryRecord]]):
     first = next(iter(engine_records.values()))[0]
     k = first.expectations.shape[1]
     header = ["engine", "trajectory", "time"] + [f"a_{p}" for p in range(k)]
+    row = "%r" + ",%r" * k + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for engine in sorted(engine_records):
             for idx, rec in enumerate(engine_records[engine]):
-                for t, centre in zip(rec.events.times, rec.events.centres):
-                    row = [engine, str(idx), _fmt(t)] + [_fmt(a) for a in centre]
-                    fh.write(",".join(row) + "\n")
+                fmt = f"{engine},{idx}," + row
+                columns = zip(rec.events.times.tolist(), *rec.events.centres.T.tolist())
+                fh.writelines(fmt % fields for fields in columns)
 
 
 def _collapse_json(report) -> dict:
@@ -155,31 +160,18 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     engine_records: dict[str, list[TrajectoryRecord]] = {}
     store = config.store_states or need_states
     if config.engine in ("hitting", "both"):
-        if built.streams is not None:
-            engine_records["hitting"] = run_multistream_hitting_ensemble(
-                built.psi0,
-                built.hamiltonian,
-                built.quantities,
-                built.streams,
-                config.t_end,
-                config.record_interval,
-                config.n_trajectories,
-                config.seed,
-                workers=workers,
-                store_states=store,
-                stream_tag=HITTING_STREAM,
-            )
-        else:
-            engine_records["hitting"] = run_hitting_ensemble(
-                built.psi0,
-                built.hamiltonian,
-                built.quantities,
-                built.hitting_config(),
-                config.n_trajectories,
-                config.seed,
-                workers=workers,
-                store_states=store,
-            )
+        engine_records["hitting"] = run_hitting_ensemble(
+            built.psi0,
+            built.hamiltonian,
+            built.quantities,
+            built.hitting_config(),
+            config.n_trajectories,
+            config.seed,
+            streams=built.streams,
+            workers=workers,
+            store_states=store,
+            stream_tag=HITTING_STREAM,
+        )
     if config.engine in ("continuous", "both"):
         engine_records["continuous"] = run_continuous_ensemble(
             built.psi0,

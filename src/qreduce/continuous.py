@@ -176,13 +176,7 @@ class _DiffusionKernel:
         self.h_joint = None
         self.h_prop = None
         if hamiltonian is not None:
-            if hamiltonian.dim != quantities.dim:
-                raise DimensionMismatchError(
-                    "hamiltonian dimension does not match the quantity set"
-                )
-            basis = quantities.joint_basis
-            hj = basis.conj().T @ hamiltonian.matrix @ basis
-            hj = (hj + hj.conj().T) / 2.0
+            hj = quantities.joint_hamiltonian(hamiltonian)
             if self.split:
                 w, u = np.linalg.eigh(hj)
                 phases = np.exp(-1j * w * config.dt / hamiltonian.hbar)

@@ -5,6 +5,11 @@ per-trajectory seed is derived by hashing (master seed, stream tag,
 trajectory index). Work is split into fixed-size chunks independent of
 the worker count and reassembled in index order, so results are
 bit-identical for any number of workers.
+
+Each hitting trajectory draws from ``default_rng`` of its own seed: its
+hit times, then one uniform per hit as one block, then its (hits, K)
+Gaussian noise as one block. A chunk then runs as one lockstep kernel
+call, so a trajectory also does not depend on the chunk it lands in.
 """
 
 from __future__ import annotations
@@ -15,12 +20,7 @@ import numpy as np
 
 from .continuous import ContinuousConfig, simulate_continuous_batch
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .hitting import (
-    HitStream,
-    HittingConfig,
-    simulate_hitting_trajectory,
-    simulate_multistream_hitting_trajectory,
-)
+from .hitting import HitStream, HittingConfig, simulate_hitting_batch
 from .trajectory import EventLog, TrajectoryRecord
 
 # One chunk is the unit of parallel work; constant so that chunk
@@ -36,7 +36,6 @@ __all__ = [
     "derive_seed",
     "trajectory_seeds",
     "run_hitting_ensemble",
-    "run_multistream_hitting_ensemble",
     "run_continuous_ensemble",
 ]
 
@@ -71,13 +70,18 @@ def _run_chunked(worker, payloads, workers: int):
 
 
 def _hitting_chunk(payload) -> list[TrajectoryRecord]:
-    psi0, hamiltonian, quantities, config, seeds, store_states = payload
-    return [
-        simulate_hitting_trajectory(
-            psi0, hamiltonian, quantities, config, int(seed), store_states=store_states
-        )
-        for seed in seeds
-    ]
+    psi0, hamiltonian, quantities, streams, t_end, record_interval, seeds, store = payload
+    return simulate_hitting_batch(
+        psi0,
+        hamiltonian,
+        quantities,
+        streams,
+        t_end,
+        record_interval,
+        [np.random.default_rng(int(s)) for s in seeds],
+        store_states=store,
+        seeds=seeds,
+    )
 
 
 def run_hitting_ensemble(
@@ -88,57 +92,26 @@ def run_hitting_ensemble(
     n_trajectories: int,
     master_seed: int,
     *,
+    streams: list[HitStream] | None = None,
     workers: int = 1,
     store_states: bool = False,
     stream_tag: int = HITTING_STREAM,
 ) -> list[TrajectoryRecord]:
-    """Independent hitting trajectories with derived per-trajectory seeds."""
+    """Independent hitting trajectories with derived per-trajectory seeds.
+
+    ``config`` fixes the time window and the record grid. Its beta, mu
+    and schedule make the one stream that hits every quantity, unless
+    ``streams`` lists the streams instead.
+    """
+    if streams is None:
+        streams = [config.stream(quantities.num_quantities)]
     seeds = trajectory_seeds(master_seed, stream_tag, n_trajectories)
     payloads = [
-        (psi0, hamiltonian, quantities, config, seeds[a:b], store_states)
-        for a, b in _chunks(n_trajectories)
-    ]
-    return _run_chunked(_hitting_chunk, payloads, workers)
-
-
-def _multistream_chunk(payload) -> list[TrajectoryRecord]:
-    psi0, hamiltonian, quantities, streams, t_end, record_interval, seeds, store_states = payload
-    return [
-        simulate_multistream_hitting_trajectory(
-            psi0,
-            hamiltonian,
-            quantities,
-            streams,
-            t_end,
-            record_interval,
-            int(seed),
-            store_states=store_states,
-        )
-        for seed in seeds
-    ]
-
-
-def run_multistream_hitting_ensemble(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
-    streams: list[HitStream],
-    t_end: float,
-    record_interval: float,
-    n_trajectories: int,
-    master_seed: int,
-    *,
-    workers: int = 1,
-    store_states: bool = False,
-    stream_tag: int = HITTING_STREAM,
-) -> list[TrajectoryRecord]:
-    seeds = trajectory_seeds(master_seed, stream_tag, n_trajectories)
-    payloads = [
-        (psi0, hamiltonian, quantities, streams, t_end, record_interval,
+        (psi0, hamiltonian, quantities, streams, config.t_end, config.record_interval,
          seeds[a:b], store_states)
         for a, b in _chunks(n_trajectories)
     ]
-    return _run_chunked(_multistream_chunk, payloads, workers)
+    return _run_chunked(_hitting_chunk, payloads, workers)
 
 
 def _continuous_chunk(payload) -> list[TrajectoryRecord]:

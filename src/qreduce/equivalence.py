@@ -24,7 +24,7 @@ from .errors import (
     MissingSnapshotError,
 )
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .hitting import run_hitting_chain_batch
+from .hitting import HitStream, run_hitting_chain_batch
 from .continuous import ContinuousConfig, simulate_continuous_batch, suggested_dt
 from .trajectory import TrajectoryRecord
 
@@ -189,8 +189,7 @@ def _deterministic_series(
         series = [back(np.exp(-rate_matrix * t) * rho_joint) for t in times]
         return times, series
 
-    h_joint = basis.conj().T @ hamiltonian.matrix @ basis
-    h_joint = (h_joint + h_joint.conj().T) / 2.0
+    h_joint = quantities.joint_hamiltonian(hamiltonian)
     hbar = hamiltonian.hbar
 
     def rhs(m: np.ndarray) -> np.ndarray:
@@ -639,6 +638,24 @@ def _bootstrap_distance(
     return float(dists.std(ddof=1))
 
 
+def _lockstep_draws(
+    rng: np.random.Generator, counts: np.ndarray, num_quantities: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel draws taken hit by hit across the rows still hitting.
+
+    For each hit index: one uniform per active row, then K normals per
+    active row. One generator serves the whole sweep batch.
+    """
+    max_hits = int(counts.max()) if counts.size else 0
+    uniforms = np.zeros((counts.size, max_hits))
+    noise = np.zeros((counts.size, max_hits, num_quantities))
+    for h in range(max_hits):
+        active = np.nonzero(counts > h)[0]
+        uniforms[active, h] = rng.random(active.size)
+        noise[active, h] = rng.standard_normal((active.size, num_quantities))
+    return uniforms, noise
+
+
 def convergence_sweep(
     psi0: StateVector,
     quantities: QuantitySet,
@@ -689,6 +706,7 @@ def convergence_sweep(
     _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe)
     rho_lind = lind[-1]
 
+    all_quantities = tuple(range(quantities.num_quantities))
     rows = []
     coeffs0 = np.tile(quantities.to_joint(psi0), (n_trajectories, 1))
     basis = quantities.joint_basis
@@ -699,7 +717,9 @@ def convergence_sweep(
 
         hit_rng = np.random.default_rng(derive_seed(master_seed, i))
         counts = hit_rng.poisson(mu * t_probe, size=n_trajectories)
-        chain = run_hitting_chain_batch(coeffs0, quantities, beta, counts, hit_rng)
+        uniforms, noise = _lockstep_draws(hit_rng, counts, quantities.num_quantities)
+        stream = HitStream(all_quantities, beta, mu)
+        chain = run_hitting_chain_batch(coeffs0, quantities, [stream], counts, uniforms, noise)
         hit_rows = chain.coeffs @ basis.T
         mc = trace_norm_distance(DensityMatrix.from_state_rows(hit_rows), rho_cont)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))

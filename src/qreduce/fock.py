@@ -76,6 +76,20 @@ def _occupation_vectors(total: int, sites: int, cap: int):
             yield (first,) + rest
 
 
+def _count_occupation_vectors(total: int, sites: int, cap: int) -> int:
+    """len(list(_occupation_vectors(total, sites, cap))), in closed form.
+
+    Bounded compositions by inclusion-exclusion over the sites forced
+    above ``cap``: sum_j (-1)^j C(sites, j) C(total - j(cap+1) + sites-1, sites-1).
+    """
+    return sum(
+        (-1) ** j
+        * math.comb(sites, j)
+        * math.comb(total - j * (cap + 1) + sites - 1, sites - 1)
+        for j in range(min(sites, total // (cap + 1)) + 1)
+    )
+
+
 class FockLattice:
     """Occupation-number basis for one or more species on a 1D lattice.
 
@@ -160,21 +174,23 @@ def build_fock_lattice(
     species = tuple(species)
     if not species:
         raise ValueError("need at least one species")
-    per_species = []
+    dim = 1
     for sp in species:
-        vectors = list(_occupation_vectors(sp.count, n_sites, sp.max_occupation))
-        if not vectors:
+        count = _count_occupation_vectors(sp.count, n_sites, sp.max_occupation)
+        if count == 0:
             raise ValueError(
                 f"species {sp.name!r} cannot place {sp.count} particles on "
                 f"{n_sites} sites with max occupation {sp.max_occupation}"
             )
-        per_species.append(vectors)
-    dim = math.prod(len(v) for v in per_species)
+        dim *= count
     if dim > dimension_cap:
         raise ValueError(
             f"Fock dimension {dim} exceeds the cap {dimension_cap}; "
             "shrink the lattice or the particle counts"
         )
+    per_species = [
+        list(_occupation_vectors(sp.count, n_sites, sp.max_occupation)) for sp in species
+    ]
     configs = np.array(
         [np.stack(combo) for combo in itertools.product(*per_species)], dtype=np.int64
     )

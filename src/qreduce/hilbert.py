@@ -250,6 +250,16 @@ class QuantitySet:
     def from_joint(self, coeffs: np.ndarray) -> np.ndarray:
         return self.joint_basis @ coeffs
 
+    def joint_hamiltonian(self, hamiltonian: Hamiltonian) -> np.ndarray:
+        """The Hamiltonian's matrix in the joint eigenbasis, re-symmetrized."""
+        if hamiltonian.dim != self.dim:
+            raise DimensionMismatchError(
+                "hamiltonian dimension does not match the quantity set"
+            )
+        basis = self.joint_basis
+        h_joint = basis.conj().T @ hamiltonian.matrix @ basis
+        return (h_joint + h_joint.conj().T) / 2.0
+
     def born_weights(self, psi: StateVector) -> np.ndarray:
         """Squared overlaps with each joint eigenvector, in basis order."""
         return born_weights(psi, self)

@@ -4,6 +4,21 @@ Gaussian sharpening operators act on the state at scheduled times; the
 centre of each hit is drawn from the exact quadratic-form density, which
 is a mixture of Gaussians over the joint eigenvectors. Between hits the
 state evolves unitarily (exactly, via the Hamiltonian eigensystem).
+
+One kernel, :func:`run_hitting_chain_batch`, advances a batch of
+trajectories hit by hit in lockstep. A trajectory's random draws do not
+depend on its state, so each trajectory takes them up front from its own
+generator, in this order:
+
+1. the hit times, stream by stream, from :func:`schedule_hittings` (for
+   a Poisson stream the count, then the times);
+2. one uniform per hit, as one block; it picks the joint eigenvector;
+3. K standard normals per hit, as one (hits, K) block; a hit uses the
+   columns of its stream's quantities as the centre's Gaussian offset.
+
+A trajectory therefore depends only on its generator, never on the batch
+it runs in. :func:`apply_hitting` and :func:`sample_hitting_centre` are
+the one-hit textbook formulas, kept as oracles for the kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import EventLog, TrajectoryRecord, record_grid
+from .trajectory import EventLog, TrajectoryRecord, events_up_to, record_grid
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -31,6 +46,8 @@ __all__ = [
     "schedule_hittings",
     "simulate_hitting_trajectory",
     "simulate_multistream_hitting_trajectory",
+    "simulate_hitting_batch",
+    "run_hitting_chain_batch",
 ]
 
 
@@ -65,6 +82,10 @@ class HittingConfig:
             raise ValueError("record_interval must not exceed t_end")
         if not isinstance(self.schedule, Schedule):
             object.__setattr__(self, "schedule", Schedule(self.schedule))
+
+    def stream(self, num_quantities: int) -> "HitStream":
+        """This process as the one stream that hits every quantity."""
+        return HitStream(tuple(range(num_quantities)), self.beta, self.mu, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -198,116 +219,235 @@ def _coerce_rng(rng, seed):
     raise TypeError("rng must be an integer seed or a numpy Generator")
 
 
-class _JointWorkspace:
-    """Per-simulation cache: joint-basis Hamiltonian eigensystem."""
+@dataclass
+class ChainResult:
+    """Output of the hitting kernel.
 
-    def __init__(self, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
-        self.quantities = quantities
-        self.table = quantities.eigenvalue_table
-        if hamiltonian is not None:
-            if hamiltonian.dim != quantities.dim:
-                raise DimensionMismatchError(
-                    "hamiltonian dimension does not match the quantity set"
+    ``coeffs`` are the final joint-basis rows. ``centres`` is the
+    (batch, max_hits, K) centre tensor, NaN past each row's hit count and
+    outside the quantities of each hit's stream. With record times the
+    kernel also returns Born ``weights`` (batch, R, d), ``expectations``
+    (batch, R, K) and, when asked, computational-basis ``states``
+    (batch, R, d).
+    """
+
+    coeffs: np.ndarray
+    centres: np.ndarray
+    weights: np.ndarray | None = None
+    expectations: np.ndarray | None = None
+    states: np.ndarray | None = None
+
+
+class _StreamKernel:
+    """Per-stream constants of the sharpening update."""
+
+    def __init__(self, stream: HitStream, table: np.ndarray):
+        self.cols = np.array(stream.quantity_indices, dtype=int)
+        # C order, as every operand below: the layout fixes the order in
+        # which numpy sums, and so the last bit of each row
+        self.table = np.ascontiguousarray(table[:, self.cols])
+        self.beta = float(stream.beta)
+        self.sigma = math.sqrt(1.0 / (2.0 * self.beta))
+        # squared prefactor of the sharpening operator, as in apply_hitting
+        self.pref2 = (self.beta / math.pi) ** (self.cols.size / 2.0)
+
+
+def _propagator(quantities: QuantitySet, hamiltonian: Hamiltonian):
+    """Exact unitary evolution of joint-basis rows, each over its own dt.
+
+    einsum rather than matmul: BLAS may round a row differently depending
+    on how many rows share the call, and a trajectory must not depend on
+    its batch.
+    """
+    energies, vecs = np.linalg.eigh(quantities.joint_hamiltonian(hamiltonian))
+    rate = -1j / hamiltonian.hbar
+
+    def evolve(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        eig = np.einsum("bj,jk->bk", rows, vecs.conj())
+        eig *= np.exp(rate * dt[:, np.newaxis] * energies[np.newaxis, :])
+        return np.einsum("bk,jk->bj", eig, vecs)
+
+    return evolve
+
+
+def run_hitting_chain_batch(
+    coeffs: np.ndarray,
+    quantities: QuantitySet,
+    streams: list[HitStream],
+    n_hits,
+    uniforms: np.ndarray,
+    noise: np.ndarray,
+    *,
+    hit_streams: np.ndarray | None = None,
+    hit_times: np.ndarray | None = None,
+    hamiltonian: Hamiltonian | None = None,
+    record_times: np.ndarray | None = None,
+    store_states: bool = False,
+    seeds=None,
+) -> ChainResult:
+    """Advance a batch of hitting trajectories hit by hit in lockstep.
+
+    ``coeffs`` holds one joint-basis row per trajectory and ``n_hits`` a
+    scalar or per-row hit count; a row past its count stays frozen. Hit h
+    of row b picks an eigenvector with ``uniforms[b, h]`` and offsets the
+    centre by ``sigma * noise[b, h, cols]`` (sigma = 1/sqrt(2 beta)), for
+    the stream ``hit_streams[b, h]`` (default 0) with quantity columns
+    ``cols``. ``hit_times[b, h]`` is needed with a Hamiltonian, which
+    evolves each row exactly over its own interval between hits, and with
+    ``record_times``: record slot r of row b is the state after the last
+    hit at or before ``record_times[r]`` (on the clock of
+    :func:`~qreduce.trajectory.events_up_to`), evolved to that time.
+
+    Raises
+    ------
+    VanishingNormError
+        If a hit leaves a squared norm below 1e-300, prefactor included as
+        in :func:`apply_hitting`. It carries ``seeds[b]`` of the row.
+    """
+    coeffs = np.array(coeffs, dtype=np.complex128)
+    table = quantities.eigenvalue_table
+    batch, num_q = coeffs.shape[0], table.shape[1]
+    counts = np.broadcast_to(np.asarray(n_hits, dtype=int), (batch,))
+    max_hits = int(counts.max()) if batch else 0
+    kernels = [_StreamKernel(stream, table) for stream in streams]
+    evolve = None if hamiltonian is None else _propagator(quantities, hamiltonian)
+    last = np.zeros(batch)  # time of each row's latest hit
+    centres_out = np.full((batch, max_hits, num_q), np.nan)
+
+    if record_times is not None:
+        record_times = np.asarray(record_times, dtype=float)
+        slot_hits = np.array(
+            [events_up_to(hit_times[b, : counts[b]], record_times) for b in range(batch)]
+        ).reshape(batch, record_times.size)
+        snaps = np.empty((batch, record_times.size, quantities.dim), dtype=np.complex128)
+        snap_last = np.zeros((batch, record_times.size))
+
+    for h in range(max_hits + 1):
+        if record_times is not None:
+            due, slots = np.nonzero(slot_hits == h)
+            snaps[due, slots] = coeffs[due]
+            snap_last[due, slots] = last[due]
+        if h == max_hits:
+            break
+        active = np.nonzero(counts > h)[0]
+        if evolve is not None:
+            now = hit_times[active, h]
+            coeffs[active] = evolve(coeffs[active], now - last[active])
+            last[active] = now
+        rows = coeffs[active]
+        cum = np.cumsum(np.abs(rows) ** 2, axis=1)
+        cum /= cum[:, -1:]
+        picks = (uniforms[active, h][:, np.newaxis] > cum).sum(axis=1)
+        ids = None if len(kernels) == 1 else hit_streams[active, h]
+        for s, kern in enumerate(kernels):
+            local = slice(None) if ids is None else np.nonzero(ids == s)[0]
+            where = active[local]
+            offsets = noise[where[:, np.newaxis], h, kern.cols]
+            centres = kern.table[picks[local]] + offsets * kern.sigma
+            diff = kern.table[np.newaxis, :, :] - centres[:, np.newaxis, :]
+            dist2 = np.sum(diff**2, axis=2)
+            sharpened = np.exp(-0.5 * kern.beta * dist2) * rows[local]
+            norm2 = (np.abs(sharpened) ** 2).sum(axis=1)
+            chi2 = kern.pref2 * norm2
+            if (chi2 < VANISHING_NORM_THRESHOLD).any():
+                i = int(np.argmin(chi2))
+                b = int(where[i])
+                when = "" if hit_times is None else f" at t={hit_times[b, h]!r}"
+                raise VanishingNormError(
+                    f"hit {h + 1}{when} annihilated the state (|chi|^2 = {chi2[i]!r})",
+                    seed=None if seeds is None else int(seeds[b]),
                 )
-            basis = quantities.joint_basis
-            h_joint = basis.conj().T @ hamiltonian.matrix @ basis
-            h_joint = (h_joint + h_joint.conj().T) / 2.0
-            self.h_vals, self.h_vecs = np.linalg.eigh(h_joint)
-            self.hbar = hamiltonian.hbar
-        else:
-            self.h_vals = None
+            coeffs[where] = sharpened / np.sqrt(norm2)[:, np.newaxis]
+            centres_out[where[:, np.newaxis], h, kern.cols] = centres
 
-    def evolve(self, coeffs: np.ndarray, dt: float) -> np.ndarray:
-        if self.h_vals is None or dt == 0.0:
-            return coeffs
-        phases = np.exp(-1j * self.h_vals * dt / self.hbar)
-        return self.h_vecs @ (phases * (self.h_vecs.conj().T @ coeffs))
+    result = ChainResult(coeffs=coeffs, centres=centres_out)
+    if record_times is not None:
+        if evolve is not None:
+            dt = (record_times[np.newaxis, :] - snap_last).reshape(-1)
+            snaps = evolve(snaps.reshape(-1, quantities.dim), dt).reshape(snaps.shape)
+        weights = np.abs(snaps) ** 2
+        weights /= weights.sum(axis=2)[:, :, np.newaxis]
+        result.weights = weights
+        result.expectations = np.einsum("brd,dk->brk", weights, table)
+        if store_states:
+            result.states = np.einsum("brk,dk->brd", snaps, quantities.joint_basis)
+    return result
 
 
-def _simulate_hitting(
+def _draw_randoms(rng: np.random.Generator, streams, t_end, record_interval, num_q):
+    """One trajectory's hit times, stream ids, uniforms and noise, in draw order."""
+    parts = [
+        schedule_hittings(
+            HittingConfig(s.beta, s.mu, t_end, record_interval, s.schedule), rng
+        )
+        for s in streams
+    ]
+    times = np.concatenate(parts)
+    ids = np.repeat(np.arange(len(streams)), [p.size for p in parts])
+    order = np.argsort(times, kind="stable")
+    times, ids = times[order], ids[order]
+    return times, ids, rng.random(times.size), rng.standard_normal((times.size, num_q))
+
+
+def simulate_hitting_batch(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
     quantities: QuantitySet,
-    hit_times: np.ndarray,
-    hit_streams: np.ndarray,
     streams: list[HitStream],
     t_end: float,
     record_interval: float,
-    rng: np.random.Generator,
-    store_states: bool,
-    seed: int | None,
-) -> TrajectoryRecord:
-    """Shared core: chronological sweep over hits and record times.
+    generators: list[np.random.Generator],
+    *,
+    store_states: bool = False,
+    seeds=None,
+) -> list[TrajectoryRecord]:
+    """One trajectory per generator, all advanced by one kernel call.
 
-    At equal times the hit is applied first, so a record at time t
-    reflects every event with time <= t.
+    Each trajectory takes its draws from its own generator in the order
+    given in the module docstring; ``seeds`` (one per generator) are
+    stored on the records and reported by a :class:`VanishingNormError`.
     """
-    ws = _JointWorkspace(quantities, hamiltonian)
-    table = quantities.eigenvalue_table
     num_q = quantities.num_quantities
-    coeffs = quantities.to_joint(psi0)
+    draws = [_draw_randoms(g, streams, t_end, record_interval, num_q) for g in generators]
+    batch = len(draws)
+    counts = np.array([d[0].size for d in draws], dtype=int)
+    width = int(counts.max()) if batch else 0
+    times = np.full((batch, width), np.inf)
+    ids = np.zeros((batch, width), dtype=int)
+    uniforms = np.zeros((batch, width))
+    noise = np.zeros((batch, width, num_q))
+    for b, (t, i, u, z) in enumerate(draws):
+        n = t.size
+        times[b, :n], ids[b, :n], uniforms[b, :n], noise[b, :n] = t, i, u, z
+
     rec_times = record_grid(t_end, record_interval)
-
-    sigma = {i: math.sqrt(1.0 / (2.0 * s.beta)) for i, s in enumerate(streams)}
-    stream_cols = {i: np.array(s.quantity_indices, dtype=int) for i, s in enumerate(streams)}
-
-    weights_out = np.empty((rec_times.size, quantities.dim))
-    expect_out = np.empty((rec_times.size, num_q))
-    states_out: list[np.ndarray] | None = [] if store_states else None
-    centres_out = np.full((hit_times.size, num_q), np.nan)
-
-    def record(slot: int):
-        w = np.abs(coeffs) ** 2
-        w /= w.sum()
-        weights_out[slot] = w
-        expect_out[slot] = w @ table
-        if states_out is not None:
-            snap = quantities.from_joint(coeffs)
-            snap.flags.writeable = False
-            states_out.append(snap)
-
-    now = 0.0
-    rec_idx = 0
-    hit_idx = 0
-    while rec_idx < rec_times.size or hit_idx < hit_times.size:
-        next_rec = rec_times[rec_idx] if rec_idx < rec_times.size else math.inf
-        next_hit = hit_times[hit_idx] if hit_idx < hit_times.size else math.inf
-        if next_hit <= next_rec:
-            coeffs = ws.evolve(coeffs, next_hit - now)
-            now = next_hit
-            s = int(hit_streams[hit_idx])
-            cols = stream_cols[s]
-            w = np.abs(coeffs) ** 2
-            w_sum = w.sum()
-            k = int(np.searchsorted(np.cumsum(w), rng.random() * w_sum))
-            k = min(k, quantities.dim - 1)
-            centre = table[k, cols] + sigma[s] * rng.standard_normal(cols.size)
-            centres_out[hit_idx, cols] = centre
-            offsets = table[:, cols] - centre[np.newaxis, :]
-            beta = streams[s].beta
-            pref2 = (beta / math.pi) ** (cols.size / 2.0)
-            sharpened = np.exp(-0.5 * beta * np.sum(offsets**2, axis=1)) * coeffs
-            norm2 = float(np.sum(np.abs(sharpened) ** 2))
-            if pref2 * norm2 < VANISHING_NORM_THRESHOLD:
-                raise VanishingNormError(
-                    f"hitting at t={now} annihilated the state", seed=seed
-                )
-            coeffs = sharpened / math.sqrt(norm2)
-            hit_idx += 1
-        else:
-            coeffs = ws.evolve(coeffs, next_rec - now)
-            now = next_rec
-            record(rec_idx)
-            rec_idx += 1
-
-    return TrajectoryRecord(
-        sample_times=rec_times,
-        born_weights=weights_out,
-        expectations=expect_out,
-        events=EventLog(hit_times, centres_out, num_quantities=num_q),
-        seed=seed,
-        states=states_out,
+    out = run_hitting_chain_batch(
+        np.tile(quantities.to_joint(psi0), (batch, 1)),
+        quantities,
+        streams,
+        counts,
+        uniforms,
+        noise,
+        hit_streams=ids,
+        hit_times=times,
+        hamiltonian=hamiltonian,
+        record_times=rec_times,
+        store_states=store_states,
+        seeds=seeds,
     )
+    if out.states is not None:
+        out.states.flags.writeable = False
+    return [
+        TrajectoryRecord(
+            sample_times=rec_times,
+            born_weights=out.weights[b],
+            expectations=out.expectations[b],
+            events=EventLog(draws[b][0], out.centres[b, : counts[b]]),
+            seed=None if seeds is None else int(seeds[b]),
+            states=None if out.states is None else list(out.states[b]),
+        )
+        for b in range(batch)
+    ]
 
 
 def simulate_hitting_trajectory(
@@ -328,26 +468,16 @@ def simulate_hitting_trajectory(
     process. ``rng`` may be an integer seed (stored on the record) or a
     ``numpy.random.Generator``.
     """
-    rng, seed = _coerce_rng(rng, seed)
-    hit_times = schedule_hittings(config, rng)
-    stream = HitStream(
-        quantity_indices=tuple(range(quantities.num_quantities)),
-        beta=config.beta,
-        mu=config.mu,
-        schedule=config.schedule,
-    )
-    return _simulate_hitting(
+    return simulate_multistream_hitting_trajectory(
         psi0,
         hamiltonian,
         quantities,
-        hit_times,
-        np.zeros(hit_times.size, dtype=int),
-        [stream],
+        [config.stream(quantities.num_quantities)],
         config.t_end,
         config.record_interval,
         rng,
-        store_states,
-        seed,
+        store_states=store_states,
+        seed=seed,
     )
 
 
@@ -371,185 +501,14 @@ def simulate_multistream_hitting_trajectory(
     rows with NaN outside the hit stream's quantities.
     """
     rng, seed = _coerce_rng(rng, seed)
-    all_times: list[np.ndarray] = []
-    all_ids: list[np.ndarray] = []
-    for i, stream in enumerate(streams):
-        cfg = HittingConfig(
-            beta=stream.beta,
-            mu=stream.mu,
-            t_end=t_end,
-            record_interval=record_interval,
-            schedule=stream.schedule,
-        )
-        times = schedule_hittings(cfg, rng)
-        all_times.append(times)
-        all_ids.append(np.full(times.size, i, dtype=int))
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    ids = np.concatenate(all_ids) if all_ids else np.empty(0, dtype=int)
-    order = np.argsort(times, kind="stable")
-    return _simulate_hitting(
+    return simulate_hitting_batch(
         psi0,
         hamiltonian,
         quantities,
-        times[order],
-        ids[order],
         streams,
         t_end,
         record_interval,
-        rng,
-        store_states,
-        seed,
-    )
-
-
-# -- vectorized chain helpers -------------------------------------------------
-#
-# Statistical harnesses need millions of sharpenings; these operate on a
-# batch of joint-basis coefficient rows at once. They are exactly the
-# per-trajectory updates above, restricted to the no-Hamiltonian case.
-
-
-def _sample_centres_batch(
-    weights: np.ndarray, table: np.ndarray, beta: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One centre per row of ``weights``; exact mixture sampling."""
-    cum = np.cumsum(weights, axis=1)
-    cum /= cum[:, -1:]
-    u = rng.random((weights.shape[0], 1))
-    k = (u > cum).sum(axis=1)
-    noise = rng.standard_normal((weights.shape[0], table.shape[1]))
-    return table[k] + noise * math.sqrt(1.0 / (2.0 * beta))
-
-
-def _apply_hittings_batch(
-    coeffs: np.ndarray, table: np.ndarray, centres: np.ndarray, beta: float
-) -> np.ndarray:
-    """Sharpen and renormalize each row; prefactors cancel on renormalization."""
-    dist2 = np.sum((table[np.newaxis, :, :] - centres[:, np.newaxis, :]) ** 2, axis=2)
-    sharpened = np.exp(-0.5 * beta * dist2) * coeffs
-    norm2 = np.sum(np.abs(sharpened) ** 2, axis=1)
-    if np.any(norm2 < VANISHING_NORM_THRESHOLD):
-        raise VanishingNormError("a batched hitting annihilated a state")
-    return sharpened / np.sqrt(norm2)[:, np.newaxis]
-
-
-@dataclass
-class ChainResult:
-    """Output of a batched hitting chain."""
-
-    coeffs: np.ndarray
-    centres: np.ndarray | None = None
-    recorded_weights: np.ndarray | None = None
-
-
-def run_hitting_chain_batch(
-    coeffs: np.ndarray,
-    quantities: QuantitySet,
-    beta: float,
-    n_hits,
-    rng: np.random.Generator,
-    *,
-    collect_centres: bool = False,
-    record_every: int | None = None,
-) -> ChainResult:
-    """Run many independent hitting chains in lockstep (no Hamiltonian).
-
-    ``coeffs`` holds one joint-basis row per chain; ``n_hits`` is a scalar
-    or per-chain array of hit counts (rows past their count stay frozen,
-    covering Poisson-distributed counts at a fixed probe time).
-    ``collect_centres`` returns the (batch, max_hits, K) centre tensor,
-    NaN-padded; ``record_every`` additionally snapshots Born weights
-    after every that many hits (including hit 0).
-    """
-    coeffs = np.array(coeffs, dtype=np.complex128)
-    table = quantities.eigenvalue_table
-    batch = coeffs.shape[0]
-    counts = np.broadcast_to(np.asarray(n_hits, dtype=int), (batch,))
-    max_hits = int(counts.max()) if batch else 0
-
-    centres_out = (
-        np.full((batch, max_hits, table.shape[1]), np.nan) if collect_centres else None
-    )
-    recorded = []
-    if record_every is not None:
-        recorded.append(np.abs(coeffs) ** 2)
-
-    for h in range(max_hits):
-        active = np.nonzero(counts > h)[0]
-        rows = coeffs[active]
-        weights = np.abs(rows) ** 2
-        centres = _sample_centres_batch(weights, table, beta, rng)
-        coeffs[active] = _apply_hittings_batch(rows, table, centres, beta)
-        if centres_out is not None:
-            centres_out[active, h, :] = centres
-        if record_every is not None and (h + 1) % record_every == 0:
-            recorded.append(np.abs(coeffs) ** 2)
-
-    return ChainResult(
-        coeffs=coeffs,
-        centres=centres_out,
-        recorded_weights=np.stack(recorded) if record_every is not None else None,
-    )
-
-
-def run_evenly_spaced_ensemble(
-    psi0: StateVector,
-    quantities: QuantitySet,
-    beta: float,
-    mu: float,
-    t_end: float,
-    record_interval: float,
-    n_trajectories: int,
-    rng,
-    *,
-    collect_events: bool = True,
-) -> list[TrajectoryRecord]:
-    """Fast ensemble for the evenly spaced schedule without a Hamiltonian.
-
-    Every trajectory shares the hitting grid k/mu, so the whole ensemble
-    advances in lockstep through one batched chain; the statistics match
-    the per-trajectory engine exactly in distribution. One generator
-    drives the batch, so results are deterministic given the seed but do
-    not decompose into per-trajectory streams.
-    """
-    rng, _ = _coerce_rng(rng, None)
-    hits_per_record = mu * record_interval
-    if abs(hits_per_record - round(hits_per_record)) > 1e-9:
-        raise ValueError("mu * record_interval must be an integer for the batched path")
-    hits_per_record = int(round(hits_per_record))
-    if hits_per_record < 1:
-        raise ValueError("need at least one hitting per record interval")
-    rec_times = record_grid(t_end, record_interval)
-    n_hits = (rec_times.size - 1) * hits_per_record
-
-    coeffs0 = np.tile(quantities.to_joint(psi0), (n_trajectories, 1))
-    result = run_hitting_chain_batch(
-        coeffs0,
-        quantities,
-        beta,
-        n_hits,
-        rng,
-        collect_centres=collect_events,
-        record_every=hits_per_record,
-    )
-    table = quantities.eigenvalue_table
-    weights = result.recorded_weights  # (records, batch, d)
-    expectations = weights @ table
-    hit_times = np.arange(1, n_hits + 1) / mu
-    records = []
-    for i in range(n_trajectories):
-        events = (
-            EventLog(hit_times, result.centres[i])
-            if collect_events
-            else EventLog(num_quantities=quantities.num_quantities)
-        )
-        records.append(
-            TrajectoryRecord(
-                sample_times=rec_times,
-                born_weights=weights[:, i, :],
-                expectations=expectations[:, i, :],
-                events=events,
-                seed=None,
-            )
-        )
-    return records
+        [rng],
+        store_states=store_states,
+        seeds=None if seed is None else [seed],
+    )[0]

@@ -9,7 +9,12 @@ import numpy as np
 from .config import ScenarioConfig, hamiltonian_matrix_from_spec, matrix_from_json
 from .continuous import ContinuousConfig, suggested_dt
 from .errors import ConfigError
-from .fock import Species, build_fock_lattice, scenario_identical_particles
+from .fock import (
+    DIMENSION_CAP,
+    Species,
+    build_fock_lattice,
+    scenario_identical_particles,
+)
 from .hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from .hitting import HitStream, HittingConfig, Schedule
 
@@ -28,11 +33,13 @@ class BuiltScenario:
     streams: list[HitStream] | None = None  # multistream models only
 
     def hitting_config(self) -> HittingConfig:
-        if self.beta is None or self.mu is None:
+        """The hitting process; for multistream models, beta and the total rate."""
+        mu = self.mu if self.streams is None else sum(s.mu for s in self.streams)
+        if self.beta is None or mu is None:
             raise ConfigError("beta", "scenario has no hitting parameters")
         return HittingConfig(
             beta=self.beta,
-            mu=self.mu,
+            mu=mu,
             t_end=self.config.t_end,
             record_interval=self.config.record_interval,
             schedule=Schedule(self.config.schedule),
@@ -189,8 +196,10 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
         rates.append(rate)
     n_particles = len(rates)
     dim = sites**n_particles
-    if dim > 5000:
-        raise ConfigError("particles", f"Hilbert dimension {dim} exceeds the cap 5000")
+    if dim > DIMENSION_CAP:
+        raise ConfigError(
+            "particles", f"Hilbert dimension {dim} exceeds the cap {DIMENSION_CAP}"
+        )
 
     positions = (np.arange(sites) + 0.5) * dx
     eye = np.eye(sites)

@@ -6,6 +6,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Relative slack of the event clock. Hit times (k / mu) and sample times
+# (r * record_interval) come from different grids, so a hit and a record
+# meant to coincide may differ in the last bits; the slack is far above
+# that rounding and far below any physical time separation.
+CLOCK_TOL = 1e-9
+
+
+def events_up_to(event_times, sample_times) -> np.ndarray:
+    """Number of events at or before each sample time.
+
+    ``event_times`` must be sorted. A hit at the same time as a record
+    counts toward that record ("hit first at equal times"), also when
+    the two times were rounded differently.
+    """
+    limits = np.asarray(sample_times, dtype=float) * (1.0 + CLOCK_TOL)
+    return np.searchsorted(event_times, limits, side="right")
+
 
 @dataclass(frozen=True)
 class HittingEvent:
@@ -51,10 +68,6 @@ class EventLog:
 
     def __getitem__(self, idx: int) -> HittingEvent:
         return HittingEvent(float(self.times[idx]), self.centres[idx])
-
-    def in_window(self, start: float, stop: float) -> np.ndarray:
-        """Indices of events with start < t <= stop."""
-        return np.nonzero((self.times > start) & (self.times <= stop))[0]
 
 
 @dataclass
@@ -107,7 +120,13 @@ class TrajectoryRecord:
         return self.states[self.sample_index(t)]
 
     def events_between(self, start: float, stop: float) -> int:
-        return int(np.count_nonzero((self.events.times > start) & (self.events.times <= stop)))
+        """Number of events with start < t <= stop, on the event clock."""
+        before, upto = events_up_to(self.events.times, [start, stop])
+        return int(upto - before)
+
+    def event_flags(self) -> np.ndarray:
+        """Events since the previous sample, per sample (all up to t for the first)."""
+        return np.diff(events_up_to(self.events.times, self.sample_times), prepend=0)
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:

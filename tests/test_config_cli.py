@@ -6,7 +6,7 @@ import pytest
 
 import jsonschema
 
-from qreduce.cli import main
+from qreduce.cli import _write_events_csv, _write_trajectories_csv, main
 from qreduce.config import (
     ScenarioConfig,
     load_config,
@@ -16,6 +16,7 @@ from qreduce.config import (
 )
 from qreduce.errors import ConfigError
 from qreduce.scenarios import build_scenario
+from qreduce.trajectory import EventLog, TrajectoryRecord
 
 
 def minimal_qubit_config(**overrides) -> dict:
@@ -207,6 +208,74 @@ class TestCliRun:
             bytes1 = (out1 / name).read_bytes()
             assert bytes1 == (out2 / name).read_bytes()
             assert bytes1 == (out3 / name).read_bytes()
+
+
+    def test_multistream_run_logs_each_stream_on_its_own_quantity(self, tmp_path):
+        raw = {
+            "scenario": "distinguishable-particles",
+            "engine": "hitting",
+            "beta": 1.0,
+            "mu": 1.0,
+            "t_end": 1.0,
+            "record_interval": 0.5,
+            "n_trajectories": 6,
+            "seed": 3,
+            "sites": 3,
+            "dx": 1.0,
+            "alpha": 2.0,
+            "particles": [{"rate": 4.0}, {"rate": 1.0}],
+            "initial_state": [
+                {"sites": [0, 2], "re": 0.7071067811865476},
+                {"sites": [2, 0], "re": 0.7071067811865476},
+            ],
+        }
+        out = _run_cli(tmp_path, raw, "multi")
+        rows = [r.split(",") for r in (out / "events.csv").read_text().splitlines()[1:]]
+        assert rows
+        for row in rows:
+            assert sorted(field == "nan" for field in row[3:]) == [False, True]
+
+    def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
+        # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit
+        # at that time; the hit still counts toward the record
+        raw = minimal_qubit_config(
+            engine="hitting", schedule="evenly-spaced", mu=10.0, t_end=3.0,
+            record_interval=0.3, n_trajectories=2,
+        )
+        out = _run_cli(tmp_path, raw, "even")
+        rows = (out / "trajectories.csv").read_text().splitlines()[1:]
+        for traj in ("0", "1"):
+            flags = [int(r.split(",")[3]) for r in rows if r.split(",")[1] == traj]
+            assert flags == [0] + [3] * 10
+
+    def test_csv_fields_are_float_reprs(self, tmp_path):
+        tiny = 5e-324
+        rec = TrajectoryRecord(
+            sample_times=[0.0, 0.1, 0.30000000000000004],
+            born_weights=[[tiny, 1.0], [0.25, 0.75], [1 / 3, 2 / 3]],
+            expectations=[[-1e-300, -0.1], [-0.0, 2.5e-17], [np.pi, -np.e]],
+            events=EventLog(
+                [0.05, 0.1, 0.2],
+                [[np.nan, -3.5], [1e-310, np.nan], [-7.0, 1 / 7]],
+            ),
+        )
+        engines = {"hitting": [rec, rec]}
+        _write_trajectories_csv(tmp_path / "t.csv", engines)
+        _write_events_csv(tmp_path / "e.csv", engines)
+        t_rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        e_rows = [r.split(",") for r in (tmp_path / "e.csv").read_text().splitlines()[1:]]
+        assert len(t_rows) == 6 and len(e_rows) == 6
+        for i, row in enumerate(t_rows):
+            s = i % 3
+            values = [rec.sample_times[s], *rec.born_weights[s], *rec.expectations[s]]
+            assert row[:2] == ["hitting", str(i // 3)]
+            assert row[2] == repr(float(values[0]))
+            assert row[3] == str([0, 2, 1][s])
+            assert row[4:] == [repr(float(x)) for x in values[1:]]
+        for i, row in enumerate(e_rows):
+            values = [rec.events.times[i % 3], *rec.events.centres[i % 3]]
+            assert row[:2] == ["hitting", str(i // 3)]
+            assert row[2:] == [repr(float(x)) for x in values]
 
 
 class TestCliSweep:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qreduce.hilbert import StateVector
-from qreduce.hitting import HittingConfig
+from qreduce.hilbert import Hamiltonian, StateVector
+from qreduce.hitting import HitStream, HittingConfig
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import (
     derive_seed,
@@ -58,6 +58,33 @@ class TestWorkerIndependence:
         small = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 100, 7)
         large = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 700, 7)
         assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
+
+
+HITTING_LAYOUTS = {
+    "no-hamiltonian": (None, None),
+    "sigma-x": (np.array([[0, 1], [1, 0]], dtype=complex), None),
+    "two-streams": (None, [HitStream((0,), 1.0, 4.0), HitStream((1,), 0.5, 6.0)]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(HITTING_LAYOUTS))
+def test_hitting_trajectory_depends_only_on_its_seed(
+    layout, sigma_z_set, correlated_pair_set, equal_qubit
+):
+    # 700 trajectories cross the 512-row chunk boundary; the first 100 run
+    # in chunks of other sizes and must not notice
+    matrix, streams = HITTING_LAYOUTS[layout]
+    quantities = sigma_z_set if streams is None else correlated_pair_set
+    hamiltonian = None if matrix is None else Hamiltonian(matrix)
+    cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
+    small, large = (
+        run_hitting_ensemble(equal_qubit, hamiltonian, quantities, cfg, n, 7, streams=streams)
+        for n in (100, 700)
+    )
+    assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
+    for a, b in zip(small, large):
+        assert np.array_equal(a.events.times, b.events.times)
+        assert np.array_equal(a.events.centres, b.events.centres, equal_nan=True)
 
 
 class TestRecordShape:

@@ -27,7 +27,6 @@ from qreduce.equivalence import (
     trace_norm_distance,
     wilson_interval,
 )
-from qreduce.hitting import run_evenly_spaced_ensemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -288,9 +287,9 @@ class TestDbStatistics:
             db_statistics(recs, 0.1, 5.0, 0.5)
 
     def test_chain_moments_small(self, sigma_z_set, equal_qubit):
-        recs = run_evenly_spaced_ensemble(
-            equal_qubit, sigma_z_set, 1e-3, 3000.0, 2.0, 0.02, 50, 5
-        )
+        cfg = HittingConfig(beta=1e-3, mu=3000.0, t_end=2.0, record_interval=0.02,
+                            schedule=Schedule.EVENLY_SPACED)
+        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 50, 5)
         report = db_statistics(recs, 1e-3, 3000.0, 0.02)
         assert report.mean_hits_per_window == pytest.approx(60.0)
         assert abs(report.mean[0]) < 4 * report.mean_se[0]

@@ -19,6 +19,8 @@ from qreduce.equivalence import (
 )
 from qreduce.fock import (
     Species,
+    _count_occupation_vectors,
+    _occupation_vectors,
     build_fock_lattice,
     build_mass_density,
     build_number_density,
@@ -75,6 +77,16 @@ class TestLatticeBasis:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             build_fock_lattice(40, 1.0, [Species("b", count=5)], dimension_cap=5000)
+
+    @pytest.mark.parametrize(
+        "total, sites, cap",
+        [(3, 4, 3), (5, 6, 5), (0, 3, 0), (2, 5, 1), (3, 3, 1), (4, 2, 1), (7, 4, 2),
+         (6, 5, 2), (9, 3, 4)],
+    )
+    def test_dimension_counted_in_closed_form(self, total, sites, cap):
+        # bosons (cap = count), fermions (cap 1) and capped bosons
+        expected = len(list(_occupation_vectors(total, sites, cap)))
+        assert _count_occupation_vectors(total, sites, cap) == expected
 
     def test_index_roundtrip(self):
         lat = build_fock_lattice(

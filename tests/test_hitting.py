@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import SQ2
+from qreduce.ensemble import run_hitting_ensemble
+from qreduce.equivalence import (
+    DensityMatrix,
+    ensemble_density_matrix,
+    hitting_master_evolution,
+    trace_norm_distance,
+)
 from qreduce.errors import VanishingNormError
-from qreduce.hilbert import Hamiltonian, StateVector, validate_quantity_set
+from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import (
     HitStream,
     HittingConfig,
     Schedule,
     apply_hitting,
     hitting_density,
-    run_evenly_spaced_ensemble,
     run_hitting_chain_batch,
     sample_hitting_centre,
     schedule_hittings,
@@ -241,9 +247,10 @@ class TestBatchedChain:
         rng = np.random.default_rng(31)
         n = 40000
         coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (n, 1))
-        out = run_hitting_chain_batch(coeffs, sigma_z_set, 0.5, 1, rng,
-
-                                      collect_centres=True)
+        out = run_hitting_chain_batch(
+            coeffs, sigma_z_set, [HitStream((0,), 0.5, 1.0)], 1,
+            rng.random((n, 1)), rng.standard_normal((n, 1, 1)),
+        )
         centres = out.centres[:, 0, 0]
         target_var = 1 / (2 * 0.5) + 1.0
         assert abs(centres.mean()) < 4 * math.sqrt(target_var / n)
@@ -252,18 +259,187 @@ class TestBatchedChain:
     def test_per_row_hit_counts_respected(self, sigma_z_set, equal_qubit):
         rng = np.random.default_rng(32)
         coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
-        out = run_hitting_chain_batch(coeffs, sigma_z_set, 1.0, np.array([0, 2, 5]), rng,
-                                      collect_centres=True)
+        out = run_hitting_chain_batch(
+            coeffs, sigma_z_set, [HitStream((0,), 1.0, 1.0)], np.array([0, 2, 5]),
+            rng.random((3, 5)), rng.standard_normal((3, 5, 1)),
+        )
         assert np.allclose(out.coeffs[0], coeffs[0])
         assert np.isnan(out.centres[1, 2:, 0]).all()
         assert not np.isnan(out.centres[2, :5, 0]).any()
 
     def test_evenly_spaced_ensemble_records(self, sigma_z_set, equal_qubit):
-        records = run_evenly_spaced_ensemble(
-            equal_qubit, sigma_z_set, 0.5, 10.0, 2.0, 0.5, 7, 3
-        )
+        cfg = HittingConfig(beta=0.5, mu=10.0, t_end=2.0, record_interval=0.5,
+                            schedule=Schedule.EVENLY_SPACED)
+        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 7, 3)
         assert len(records) == 7
         rec = records[0]
         assert rec.sample_times.size == 5
         assert len(rec.events) == 20
         assert np.allclose(rec.events.times, np.arange(1, 21) / 10.0)
+
+
+# -- the kernel against the one-hit oracles ------------------------------------
+
+
+class _FixedDraws:
+    """Stands in for a Generator: hands out one hit's pre-drawn values."""
+
+    def __init__(self, uniform, normals):
+        self.uniform, self.normals = uniform, normals
+
+    def random(self):
+        return self.uniform
+
+    def standard_normal(self, size):
+        assert size == self.normals.size
+        return self.normals
+
+
+def _stream_quantities(quantities, cols):
+    return QuantitySet(
+        quantities.operators[list(cols)],
+        quantities.joint_basis,
+        np.ascontiguousarray(quantities.eigenvalue_table[:, list(cols)]),
+    )
+
+
+def _reference_trajectory(psi0, hamiltonian, quantities, streams, times, ids, uniforms,
+                          noise, record_times):
+    """Per-hit loop from sample_hitting_centre, apply_hitting and the propagator."""
+    psi, now = psi0, 0.0
+    centres, snapshots = [], []
+
+    def advance(t):
+        if hamiltonian is None or t == now:
+            return psi
+        return StateVector(hamiltonian.propagator(t - now) @ psi.amplitudes, normalize=True)
+
+    hits = iter(range(len(times)))
+    h = next(hits, None)
+    for r_time in record_times:
+        while h is not None and times[h] <= r_time * (1 + 1e-9):
+            stream = streams[ids[h]]
+            cols = list(stream.quantity_indices)
+            sub = _stream_quantities(quantities, cols)
+            psi = advance(times[h])
+            now = times[h]
+            centre = sample_hitting_centre(
+                psi, sub, stream.beta, _FixedDraws(uniforms[h], noise[h, cols])
+            )
+            psi, _ = apply_hitting(psi, sub, centre, stream.beta)
+            full = np.full(quantities.num_quantities, np.nan)
+            full[cols] = centre
+            centres.append(full)
+            h = next(hits, None)
+        snapshots.append(quantities.born_weights(advance(r_time)))
+    return np.array(snapshots), np.array(centres).reshape(-1, quantities.num_quantities)
+
+
+ORACLE_CASES = {
+    "one-stream": (None, [HitStream((0,), 0.7, 6.0)]),
+    "hamiltonian": (SX, [HitStream((0,), 0.7, 6.0)]),
+    "two-streams": (None, [HitStream((0,), 1.0, 4.0), HitStream((1,), 0.3, 7.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
+    matrix, streams = ORACLE_CASES[case]
+    quantities = correlated_pair_set if len(streams) == 2 else sigma_z_set
+    hamiltonian = None if matrix is None else Hamiltonian(matrix)
+    psi0 = StateVector([0.6, 0.8j])
+    t_end, interval = 2.0, 0.5
+    for seed in range(5):
+        rec = simulate_multistream_hitting_trajectory(
+            psi0, hamiltonian, quantities, streams, t_end, interval, seed
+        )
+        # the documented draw order: hit times stream by stream, then the
+        # uniforms as one block, then the (hits, K) noise as one block
+        rng = np.random.default_rng(seed)
+        parts = [
+            schedule_hittings(HittingConfig(s.beta, s.mu, t_end, interval, s.schedule), rng)
+            for s in streams
+        ]
+        times = np.concatenate(parts)
+        ids = np.repeat(np.arange(len(streams)), [p.size for p in parts])
+        order = np.argsort(times, kind="stable")
+        times, ids = times[order], ids[order]
+        uniforms = rng.random(times.size)
+        noise = rng.standard_normal((times.size, quantities.num_quantities))
+        assert np.array_equal(rec.events.times, times)
+
+        weights, centres = _reference_trajectory(
+            psi0, hamiltonian, quantities, streams, times, ids, uniforms, noise,
+            rec.sample_times,
+        )
+        assert np.allclose(rec.born_weights, weights, rtol=0, atol=1e-12)
+        assert np.array_equal(np.isnan(rec.events.centres), np.isnan(centres))
+        assert np.allclose(rec.events.centres, centres, rtol=0, atol=1e-12, equal_nan=True)
+
+
+class TestKernelNorm:
+    def test_vanishing_row_reports_its_seed(self, sigma_z_set, equal_qubit):
+        coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
+        noise = np.zeros((3, 2, 1))
+        noise[1, 1, 0] = 1e6  # row 1's second centre lies absurdly far out
+        with pytest.raises(VanishingNormError) as err:
+            run_hitting_chain_batch(
+                coeffs, sigma_z_set, [HitStream((0,), 1.0, 1.0)], 2,
+                np.full((3, 2), 0.5), noise, seeds=[11, 22, 33],
+            )
+        assert err.value.seed == 22
+
+    def test_threshold_includes_the_prefactor(self, sigma_z_set):
+        # exp(-beta (a - 1)^2) = 1e-299 is above the threshold, but times the
+        # squared prefactor sqrt(beta / pi) ~ 0.018 it is below, as apply_hitting says
+        beta = 1e-3
+        offset = math.sqrt(299 * math.log(10) / beta)
+        psi = StateVector([1.0, 0.0])
+        with pytest.raises(VanishingNormError):
+            apply_hitting(psi, sigma_z_set, [1.0 + offset], beta)
+        sigma = math.sqrt(1 / (2 * beta))
+        with pytest.raises(VanishingNormError):
+            run_hitting_chain_batch(
+                sigma_z_set.to_joint(psi)[np.newaxis, :], sigma_z_set,
+                [HitStream((0,), beta, 1.0)], 1,
+                np.full((1, 1), 0.5), np.full((1, 1, 1), offset / sigma),
+            )
+
+
+class TestEventClock:
+    def test_record_reflects_a_hit_at_its_own_time(self, sigma_z_set, equal_qubit):
+        # records at 0.3 r are stored as 0.8999999999999999 and so on; each
+        # must still reflect the evenly spaced hit at 0.9, 1.8, 2.7
+        cfg = HittingConfig(beta=0.2, mu=10.0, t_end=3.0, record_interval=0.3,
+                            schedule=Schedule.EVENLY_SPACED)
+        rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 4)
+        assert rec.sample_times[3] < 0.9
+        assert rec.events.times[8] == 0.9
+        assert list(rec.event_flags()) == [0] + [3] * 10
+        assert rec.events_between(rec.sample_times[2], rec.sample_times[3]) == 3
+        rng = np.random.default_rng(4)
+        uniforms = rng.random(30)[np.newaxis, :]
+        noise = rng.standard_normal((1, 30, 1))
+        coeffs = sigma_z_set.to_joint(equal_qubit)[np.newaxis, :]
+        after_nine = run_hitting_chain_batch(
+            coeffs, sigma_z_set, [cfg.stream(1)], 9, uniforms, noise
+        ).coeffs
+        expected = np.abs(after_nine[0]) ** 2
+        assert np.allclose(rec.born_weights[3], expected, rtol=0, atol=1e-14)
+
+
+def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
+    n = 2000
+    ham = Hamiltonian(SX)
+    cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.5, record_interval=0.25)
+    records = run_hitting_ensemble(
+        equal_qubit, ham, sigma_z_set, cfg, n, 23, store_states=True
+    )
+    times = records[0].sample_times
+    _, oracle = hitting_master_evolution(
+        DensityMatrix.from_state(equal_qubit), sigma_z_set, 0.5, 4.0, float(times[-1]),
+        hamiltonian=ham, sample_times=times,
+    )
+    for t, rho_det in zip(times, oracle):
+        rho_mc = ensemble_density_matrix(records, float(t))
+        assert trace_norm_distance(rho_mc, rho_det) < 5.0 / math.sqrt(n)
