@@ -71,7 +71,6 @@ from .fock import (
     build_fock_lattice,
     build_mass_density,
     build_number_density,
-    profile_probability,
     scenario_identical_particles,
     smearing_kernel,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "build_fock_lattice",
     "build_mass_density",
     "build_number_density",
-    "profile_probability",
     "scenario_identical_particles",
     "smearing_kernel",
     "derive_seed",

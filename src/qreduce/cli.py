@@ -195,6 +195,8 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     built = build_scenario(config)
+    if config.engine == "both" and built.streams is not None:
+        raise ConfigError("engine", "engine=both is unsupported for multistream scenarios")
     need_states = config.engine == "both"
     engine_records = _run_engines(built, args.workers, need_states)
 
@@ -226,10 +228,6 @@ def cmd_run(args) -> int:
 
     written = ["trajectories.csv", "events.csv", "summary.json"]
     if config.engine == "both":
-        if built.streams is not None:
-            raise ConfigError(
-                "engine", "engine=both is unsupported for multistream scenarios"
-            )
         comparison = engine_comparison(
             engine_records["hitting"],
             engine_records["continuous"],

@@ -143,16 +143,19 @@ def sde_step(
     if g.shape != (quantities.num_quantities,):
         raise DimensionMismatchError("gamma vector length must match the quantity set")
 
-    amps = psi.amplitudes
-    delta = np.zeros_like(amps)
+    coeffs = quantities.to_joint(psi)
+    delta = np.zeros_like(coeffs)
     for p in range(quantities.num_quantities):
-        centred = quantities.operators[p] @ amps - quantities.expectation(psi, p) * amps
+        values = quantities.eigenvalue_table[:, p]
+        mean = quantities.expectation(psi, p)
+        centred = values * coeffs - mean * coeffs
         delta += math.sqrt(g[p]) * increments[p] * centred
-        centred2 = quantities.operators[p] @ centred - quantities.expectation(psi, p) * centred
+        centred2 = values * centred - mean * centred
         delta -= 0.5 * g[p] * dt * centred2
     if hamiltonian is not None:
-        delta += (-1j * dt / hamiltonian.hbar) * (hamiltonian.matrix @ amps)
-    out = amps + delta
+        h_joint = quantities.joint_hamiltonian(hamiltonian)
+        delta += (-1j * dt / hamiltonian.hbar) * (h_joint @ coeffs)
+    out = quantities.from_joint(coeffs + delta)
     if renormalize:
         return StateVector(out, normalize=True)
     return StateVector(out, tol=math.inf)
@@ -241,8 +244,7 @@ def simulate_continuous_batch(
     changes a norm by more than 50%.
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
-    basis = quantities.joint_basis
-    coeffs = psi0_rows @ basis.conj()
+    coeffs = quantities.to_joint(psi0_rows)
     table = kernel.table
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record
@@ -264,7 +266,7 @@ def simulate_continuous_batch(
         weights_out[slot] = w
         expect_out[slot] = w @ table
         if states_out is not None:
-            states_out[slot] = coeffs @ basis.T
+            states_out[slot] = quantities.from_joint(coeffs)
 
     record(0)
     max_drift = 0.0

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
-
 from .errors import (
     DimensionMismatchError,
     InsufficientEventsError,
@@ -130,11 +128,9 @@ def exact_hitting_map(rho: DensityMatrix, quantities: QuantitySet, beta: float) 
     exp(-beta/4 * |alpha_k - alpha_l|^2). The limit beta -> 0 is the
     identity map.
     """
-    basis = quantities.joint_basis
-    rho_joint = basis.conj().T @ rho.rho @ basis
+    rho_joint = quantities.operator_to_joint(rho.rho)
     damping = np.exp(-0.25 * beta * _pairwise_sq_distances(quantities.eigenvalue_table))
-    out = basis @ (damping * rho_joint) @ basis.conj().T
-    return DensityMatrix(out, validate=False)
+    return DensityMatrix(quantities.operator_from_joint(damping * rho_joint), validate=False)
 
 
 def _rk4(rho: np.ndarray, rhs, t_end: float, n_steps: int, sample_slots: dict[int, int],
@@ -178,12 +174,11 @@ def _deterministic_series(
     form rho_kl(0) * exp(-rate_kl * t); otherwise fourth-order
     Runge-Kutta with the step bounded so (fastest rate) * dt <= 0.01.
     """
-    basis = quantities.joint_basis
-    rho_joint = basis.conj().T @ rho0.rho @ basis
+    rho_joint = quantities.operator_to_joint(rho0.rho)
     times = _evolution_grid(t_end, sample_times)
 
     def back(m: np.ndarray) -> DensityMatrix:
-        return DensityMatrix(basis @ m @ basis.conj().T, validate=False)
+        return DensityMatrix(quantities.operator_from_joint(m), validate=False)
 
     if hamiltonian is None:
         series = [back(np.exp(-rate_matrix * t) * rho_joint) for t in times]
@@ -503,6 +498,10 @@ def _moment_report(window: float, db: np.ndarray, counts: np.ndarray) -> DbMomen
     stat = 0.0
     pvalue = 1.0
     if n_windows >= 20:
+        # imported here: scipy.stats takes about a second to import, and
+        # no CLI command needs it
+        from scipy import stats as sp_stats
+
         res = sp_stats.normaltest(db, axis=0)
         stat = float(np.max(np.atleast_1d(res.statistic)))
         pvalue = float(np.min(np.atleast_1d(res.pvalue)))
@@ -709,7 +708,6 @@ def convergence_sweep(
     all_quantities = tuple(range(quantities.num_quantities))
     rows = []
     coeffs0 = np.tile(quantities.to_joint(psi0), (n_trajectories, 1))
-    basis = quantities.joint_basis
     for i, mu in enumerate(mu_values, start=1):
         beta = 2.0 * gamma / mu
         _, master = hitting_master_evolution(rho0, quantities, beta, mu, t_probe)
@@ -720,7 +718,7 @@ def convergence_sweep(
         uniforms, noise = _lockstep_draws(hit_rng, counts, quantities.num_quantities)
         stream = HitStream(all_quantities, beta, mu)
         chain = run_hitting_chain_batch(coeffs0, quantities, [stream], counts, uniforms, noise)
-        hit_rows = chain.coeffs @ basis.T
+        hit_rows = quantities.from_joint(chain.coeffs)
         mc = trace_norm_distance(DensityMatrix.from_state_rows(hit_rows), rho_cont)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)

@@ -7,7 +7,8 @@ single stochastic field. On a one-dimensional lattice the smeared
 density at site j counts particles through a Gaussian window of linear
 size 1/sqrt(alpha), and all such operators are diagonal in the
 occupation basis, so they form an exactly commuting quantity set that
-the generic engines consume unchanged.
+the generic engines consume unchanged. The set is built from its
+(dim, sites) table of diagonals; no dim x dim matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionMismatchError
-from .hilbert import QuantitySet, StateVector, validate_quantity_set
+from .hilbert import QuantitySet, StateVector
 
 DIMENSION_CAP = 5000
 
@@ -31,7 +32,6 @@ __all__ = [
     "smearing_kernel",
     "build_number_density",
     "build_mass_density",
-    "profile_probability",
     "profile_decoherence_rate",
     "LatticeScenario",
     "scenario_identical_particles",
@@ -220,55 +220,25 @@ def smearing_kernel(positions: np.ndarray, dx: float, alpha: float) -> np.ndarra
 
 def build_number_density(
     lattice: FockLattice, species_index: int, alpha: float
-) -> list[np.ndarray]:
-    """Smeared number-density operators, one Hermitian matrix per site.
+) -> np.ndarray:
+    """Smeared number densities, as their (dim, sites) table of diagonals.
 
-    Diagonal in the occupation basis (hence exactly commuting):
-    N(x_j) = sum_jp kernel[j, jp] * n_{jp} with n the on-site number
-    operator of the chosen species.
+    The operators are diagonal in the occupation basis (hence exactly
+    commuting): N(x_j) = sum_jp kernel[j, jp] * n_{jp} with n the on-site
+    number operator of the chosen species, so column j holds the
+    eigenvalues of N(x_j) on the basis states.
     """
     kernel = smearing_kernel(lattice.positions, lattice.dx, alpha)
-    numbers = lattice.site_numbers(species_index)  # (dim, sites)
-    smeared = numbers @ kernel.T                   # (dim, sites)
-    return [np.diag(smeared[:, j]).astype(np.complex128) for j in range(lattice.num_sites)]
+    return lattice.site_numbers(species_index) @ kernel.T
 
 
-def build_mass_density(lattice: FockLattice, alpha: float) -> list[np.ndarray]:
-    """Mass-density operators M(x_j) = sum_k m_k N_k(x_j)."""
+def build_mass_density(lattice: FockLattice, alpha: float) -> np.ndarray:
+    """Mass densities M(x_j) = sum_k m_k N_k(x_j), as a (dim, sites) table."""
     kernel = smearing_kernel(lattice.positions, lattice.dx, alpha)
     total = np.zeros((lattice.dim, lattice.num_sites))
     for k, sp in enumerate(lattice.species):
         total += sp.mass * (lattice.site_numbers(k) @ kernel.T)
-    return [np.diag(total[:, j]).astype(np.complex128) for j in range(lattice.num_sites)]
-
-
-def profile_probability(
-    psi: StateVector,
-    quantities: QuantitySet,
-    profile,
-    beta: float,
-    dx: float,
-) -> float:
-    """Probability density of a density-profile hitting centre.
-
-    Profiles are in cell counts, matching the smeared operators. The
-    spatial integral in the exponent discretizes to a cell sum and each
-    count carries one factor of dx relative to a density, so the per-site
-    accuracy is beta / dx, and the normalization constant reduces to
-    (beta / (pi dx))^(M/2) because the Born weights sum to 1.
-    """
-    values = np.asarray(profile, dtype=float).reshape(-1)
-    num_sites = quantities.num_quantities
-    if values.size != num_sites:
-        raise DimensionMismatchError(
-            f"profile has {values.size} sites, expected {num_sites}"
-        )
-    beta_eff = beta / dx
-    weights = quantities.born_weights(psi)
-    offsets = quantities.eigenvalue_table - values[np.newaxis, :]
-    dist2 = np.sum(offsets**2, axis=1)
-    pref = (beta_eff / math.pi) ** (num_sites / 2.0)
-    return float(pref * np.sum(weights * np.exp(-beta_eff * dist2)))
+    return total
 
 
 def profile_decoherence_rate(
@@ -325,7 +295,7 @@ def scenario_identical_particles(
     beta * mu / 2. Multiple species require the mass-density variant.
     """
     if use_mass_density:
-        operators = build_mass_density(lattice, alpha)
+        table = build_mass_density(lattice, alpha)
         kind = "mass-density"
     else:
         if len(lattice.species) != 1:
@@ -333,9 +303,9 @@ def scenario_identical_particles(
                 "number-density sharpening applies to a single species; "
                 "use the mass density for several kinds"
             )
-        operators = build_number_density(lattice, 0, alpha)
+        table = build_number_density(lattice, 0, alpha)
         kind = "number-density"
-    quantities = validate_quantity_set(operators)
+    quantities = QuantitySet(table)
     psi0 = (
         initial_state
         if isinstance(initial_state, StateVector)

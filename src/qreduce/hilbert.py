@@ -1,7 +1,8 @@
 """Finite-dimensional Hilbert-space primitives.
 
-States, commuting Hermitian quantity sets with a cached joint
-eigendecomposition, Hamiltonians, and the expectation machinery the
+States, commuting Hermitian quantity sets held by their joint spectrum
+(a real eigenvalue table, plus a joint eigenbasis only when it is not
+the computational one), Hamiltonians, and the expectation machinery the
 reduction engines are built on.
 """
 
@@ -16,7 +17,9 @@ from .errors import (
     NonRealExpectationError,
 )
 
-# Double-precision defaults, sized for dense spaces up to d ~ 500.
+# Double-precision defaults. The dense path of validate_quantity_set (an
+# eigh and O(K^2) commutators) suits d up to ~500; diagonal families skip
+# it and hold only their (d, K) table.
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
@@ -25,6 +28,9 @@ DIAGONAL_TOL = 1e-9
 # Fixed seed for the random linear combination used by the joint
 # diagonalizer; makes the eigenbasis deterministic across runs.
 _COMBINATION_SEED = 0x5EED
+
+# Elements per temporary in QuantitySet.spectral_spread (8 MB of floats).
+_SPREAD_BLOCK_ELEMENTS = 1 << 20
 
 __all__ = [
     "StateVector",
@@ -202,53 +208,107 @@ def _canonical_column_order(basis: np.ndarray, table: np.ndarray):
 
 
 class QuantitySet:
-    """K pairwise-commuting Hermitian quantities with their joint basis.
+    """K pairwise-commuting Hermitian quantities, held by their joint spectrum.
 
-    Construct through :func:`validate_quantity_set`, which verifies
-    Hermiticity and commutativity and computes the simultaneous
-    eigendecomposition. ``eigenvalue_table[k, p]`` is the eigenvalue of
-    quantity ``p`` on joint eigenvector ``k`` (column ``k`` of
-    ``joint_basis``). Immutable and safe to share across workers.
+    ``eigenvalue_table[k, p]`` is the eigenvalue of quantity ``p`` on joint
+    eigenvector ``k``. ``joint_basis`` holds those eigenvectors as columns,
+    or is None when they are the computational basis vectors, as for every
+    family diagonal in that basis: then no d x d matrix is stored and each
+    change of basis is a copy. Build a diagonal family from its (d, K)
+    table of diagonals directly, and a general one with
+    :func:`validate_quantity_set`. Immutable and safe to share across
+    workers.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the table is not (d, K) with d >= 2 and K >= 1, or the basis
+        is not (d, d).
+    NonRealExpectationError
+        If the table has an imaginary residue above 1e-8; smaller
+        residues are discarded.
+    ValueError
+        If the table holds a NaN or an infinity.
     """
 
-    __slots__ = ("operators", "joint_basis", "eigenvalue_table")
+    __slots__ = ("eigenvalue_table", "joint_basis")
 
-    def __init__(self, operators: np.ndarray, joint_basis: np.ndarray,
-                 eigenvalue_table: np.ndarray):
-        for arr in (operators, joint_basis, eigenvalue_table):
-            arr.flags.writeable = False
-        object.__setattr__(self, "operators", operators)
+    def __init__(self, eigenvalue_table, joint_basis=None):
+        table = np.asarray(eigenvalue_table)
+        if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 1:
+            raise DimensionMismatchError(
+                f"eigenvalue table must be (d >= 2, K >= 1), got shape {table.shape}"
+            )
+        if np.iscomplexobj(table):
+            residue = float(np.max(np.abs(table.imag)))
+            if residue > 1e-8:
+                raise NonRealExpectationError(
+                    f"eigenvalue table has imaginary residue {residue:.3e}"
+                )
+            table = table.real
+        # C order, as the engines' operands: the layout fixes the order in
+        # which numpy sums, and so the last bit of each result
+        table = np.array(table, dtype=float, order="C")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("eigenvalue table must be finite")
+        table.flags.writeable = False
+        if joint_basis is not None:
+            joint_basis = np.array(joint_basis, dtype=np.complex128)
+            if joint_basis.shape != (table.shape[0],) * 2:
+                raise DimensionMismatchError(
+                    f"joint basis must be {(table.shape[0],) * 2}, "
+                    f"got {joint_basis.shape}"
+                )
+            joint_basis.flags.writeable = False
+        object.__setattr__(self, "eigenvalue_table", table)
         object.__setattr__(self, "joint_basis", joint_basis)
-        object.__setattr__(self, "eigenvalue_table", eigenvalue_table)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantitySet is immutable")
 
     def __reduce__(self):
-        return (
-            QuantitySet,
-            (
-                np.array(self.operators),
-                np.array(self.joint_basis),
-                np.array(self.eigenvalue_table),
-            ),
-        )
+        return (QuantitySet, (self.eigenvalue_table, self.joint_basis))
 
     @property
     def dim(self) -> int:
-        return self.joint_basis.shape[0]
+        return self.eigenvalue_table.shape[0]
 
     @property
     def num_quantities(self) -> int:
         return self.eigenvalue_table.shape[1]
 
-    def to_joint(self, psi: StateVector | np.ndarray) -> np.ndarray:
-        """Amplitudes of ``psi`` in the joint eigenbasis."""
-        amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
-        return self.joint_basis.conj().T @ amps
+    # Rows go through einsum, not matmul: BLAS may round a row differently
+    # depending on how many rows share the call, and a trajectory must not
+    # depend on its batch.
+
+    def to_joint(self, states: StateVector | np.ndarray) -> np.ndarray:
+        """Joint-basis coefficients of a state or of (..., d) state rows."""
+        amps = states.amplitudes if isinstance(states, StateVector) else states
+        amps = np.asarray(amps, dtype=np.complex128)
+        if self.joint_basis is None:
+            return amps.copy()
+        return np.einsum("...j,jk->...k", amps, self.joint_basis.conj())
 
     def from_joint(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.joint_basis @ coeffs
+        """Computational-basis amplitudes of (..., d) joint-basis rows."""
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if self.joint_basis is None:
+            return coeffs.copy()
+        return np.einsum("...k,jk->...j", coeffs, self.joint_basis)
+
+    def operator_to_joint(self, matrix: np.ndarray) -> np.ndarray:
+        """A d x d matrix written in the joint eigenbasis."""
+        m = np.asarray(matrix, dtype=np.complex128)
+        if self.joint_basis is None:
+            return m.copy()
+        return self.joint_basis.conj().T @ m @ self.joint_basis
+
+    def operator_from_joint(self, matrix: np.ndarray) -> np.ndarray:
+        """A d x d joint-basis matrix written in the computational basis."""
+        m = np.asarray(matrix, dtype=np.complex128)
+        if self.joint_basis is None:
+            return m.copy()
+        return self.joint_basis @ m @ self.joint_basis.conj().T
 
     def joint_hamiltonian(self, hamiltonian: Hamiltonian) -> np.ndarray:
         """The Hamiltonian's matrix in the joint eigenbasis, re-symmetrized."""
@@ -256,8 +316,7 @@ class QuantitySet:
             raise DimensionMismatchError(
                 "hamiltonian dimension does not match the quantity set"
             )
-        basis = self.joint_basis
-        h_joint = basis.conj().T @ hamiltonian.matrix @ basis
+        h_joint = self.operator_to_joint(hamiltonian.matrix)
         return (h_joint + h_joint.conj().T) / 2.0
 
     def born_weights(self, psi: StateVector) -> np.ndarray:
@@ -277,11 +336,20 @@ class QuantitySet:
     def spectral_spread(self) -> float:
         """Largest squared eigenvalue-row separation, summed over quantities.
 
-        Sets the fastest decoherence rate of the induced dynamics.
+        Sets the fastest decoherence rate of the induced dynamics. Taken
+        over blocks of rows against the rows from the block on (the
+        separation is symmetric), so memory stays near 8 MB per temporary
+        at any dimension.
         """
         table = self.eigenvalue_table
-        diffs = table[:, np.newaxis, :] - table[np.newaxis, :, :]
-        return float(np.max(np.sum(diffs**2, axis=-1)))
+        dim, num_q = table.shape
+        block = max(1, _SPREAD_BLOCK_ELEMENTS // (dim * num_q))
+        spread = 0.0
+        for start in range(0, dim, block):
+            rows = table[start : start + block, np.newaxis, :]
+            diffs = rows - table[np.newaxis, start:, :]
+            spread = max(spread, float(np.max(np.sum(diffs**2, axis=-1))))
+        return spread
 
     def __repr__(self) -> str:
         return f"QuantitySet(dim={self.dim}, K={self.num_quantities})"
@@ -299,10 +367,11 @@ def validate_quantity_set(
 
     The matrices must be square, share one dimension, be Hermitian within
     ``hermitian_tol`` (max-entry norm) and pairwise commute within
-    ``commutator_tol``. Simultaneous diagonalization proceeds by
-    diagonalizing a random real-coefficient linear combination (fixed
-    seed, hence deterministic) and refining degenerate blocks operator by
-    operator.
+    ``commutator_tol``. A family whose symmetrized matrices are all exactly
+    diagonal is built from its diagonals, with the identity basis.
+    Otherwise simultaneous diagonalization proceeds by diagonalizing a
+    random real-coefficient linear combination (fixed seed, hence
+    deterministic) and refining degenerate blocks operator by operator.
 
     Raises
     ------
@@ -325,6 +394,12 @@ def validate_quantity_set(
                 f"operator {i} deviates from Hermiticity by {defect:.3e} "
                 f"(tol {hermitian_tol:.1e})"
             )
+    stack = np.stack([(m + m.conj().T) / 2.0 for m in mats])
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)  # (K, d)
+    off_diagonal = stack * (1.0 - np.eye(dim))[np.newaxis, :, :]
+    if np.count_nonzero(off_diagonal) == 0:
+        return QuantitySet(diagonals.real.T)
+
     scale = max(max(float(np.max(np.abs(m))) for m in mats), 1.0)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -336,7 +411,6 @@ def validate_quantity_set(
                     f"max |[A_{i}, A_{j}]| = {defect:.3e}"
                 )
 
-    stack = np.stack([(m + m.conj().T) / 2.0 for m in mats])
     rng = np.random.default_rng(combination_seed)
     coeffs = rng.standard_normal(len(mats))
     combo = np.tensordot(coeffs, stack, axes=1)
@@ -358,44 +432,35 @@ def validate_quantity_set(
         table[:, p] = np.diagonal(transformed).real
 
     basis, table = _canonical_column_order(basis, table)
-    return QuantitySet(stack, basis, table)
+    return QuantitySet(table, basis)
 
 
-def expectation(psi: StateVector, quantities: QuantitySet, p: int) -> float:
-    """<psi| A_p |psi> as a real number.
+def _quadratic_form(psi: StateVector, quantities: QuantitySet, column: np.ndarray) -> float:
+    """<psi| D |psi> for D diagonal in the joint basis with entries ``column``."""
+    coeffs = quantities.to_joint(psi)
+    return float(np.vdot(coeffs, column * coeffs).real)
 
-    Evaluated through the raw matrix so that a corrupted operator is
-    caught: an imaginary residue above 1e-8 raises
-    :class:`NonRealExpectationError`; smaller residues are discarded.
-    """
+
+def _check_index(quantities: QuantitySet, p: int) -> None:
     if not 0 <= p < quantities.num_quantities:
         raise DimensionMismatchError(
             f"quantity index {p} out of range 0..{quantities.num_quantities - 1}"
         )
-    amps = psi.amplitudes
-    value = complex(np.vdot(amps, quantities.operators[p] @ amps))
-    if abs(value.imag) > 1e-8:
-        raise NonRealExpectationError(
-            f"expectation of quantity {p} has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
+
+
+def expectation(psi: StateVector, quantities: QuantitySet, p: int) -> float:
+    """<psi| A_p |psi>, from the joint-basis coefficients and the table."""
+    _check_index(quantities, p)
+    return _quadratic_form(psi, quantities, quantities.eigenvalue_table[:, p])
 
 
 def quantum_covariance(psi: StateVector, quantities: QuantitySet, p: int, q: int) -> float:
     """<A_p A_q> - <A_p><A_q>; symmetric because the quantities commute."""
-    for idx in (p, q):
-        if not 0 <= idx < quantities.num_quantities:
-            raise DimensionMismatchError(
-                f"quantity index {idx} out of range 0..{quantities.num_quantities - 1}"
-            )
-    amps = psi.amplitudes
-    prod = quantities.operators[p] @ quantities.operators[q]
-    value = complex(np.vdot(amps, prod @ amps))
-    if abs(value.imag) > 1e-8:
-        raise NonRealExpectationError(
-            f"covariance of quantities ({p}, {q}) has imaginary residue {value.imag:.3e}"
-        )
-    return value.real - expectation(psi, quantities, p) * expectation(psi, quantities, q)
+    _check_index(quantities, p)
+    _check_index(quantities, q)
+    table = quantities.eigenvalue_table
+    second = _quadratic_form(psi, quantities, table[:, p] * table[:, q])
+    return second - expectation(psi, quantities, p) * expectation(psi, quantities, q)
 
 
 def born_weights(psi: StateVector, quantities: QuantitySet) -> np.ndarray:

@@ -133,8 +133,7 @@ def sharpening_operator(quantities: QuantitySet, centre, beta: float) -> np.ndar
         raise ValueError("beta must be > 0")
     a = _centre_vector(centre, quantities.num_quantities)
     factors = _diagonal_factors(quantities, a, beta)
-    basis = quantities.joint_basis
-    return (basis * factors[np.newaxis, :]) @ basis.conj().T
+    return quantities.operator_from_joint(np.diag(factors))
 
 
 def apply_hitting(
@@ -184,7 +183,12 @@ def sample_hitting_centre(
 def hitting_density(
     psi: StateVector, quantities: QuantitySet, centre, beta: float
 ) -> float:
-    """Probability density of a hitting centre; sampler cross-check oracle."""
+    """Probability density of a hitting centre; sampler cross-check oracle.
+
+    For the smeared lattice densities, whose eigenvalues are cell counts,
+    a density profile is a centre and ``beta`` is the per-site accuracy
+    beta / dx of :class:`~qreduce.fock.LatticeScenario`.
+    """
     a = _centre_vector(centre, quantities.num_quantities)
     weights = quantities.born_weights(psi)
     offsets = quantities.eigenvalue_table - a[np.newaxis, :]
@@ -370,7 +374,7 @@ def run_hitting_chain_batch(
         result.weights = weights
         result.expectations = np.einsum("brd,dk->brk", weights, table)
         if store_states:
-            result.states = np.einsum("brk,dk->brd", snaps, quantities.joint_basis)
+            result.states = quantities.from_joint(snaps)
     return result
 
 

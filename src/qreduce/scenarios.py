@@ -201,17 +201,12 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
             "particles", f"Hilbert dimension {dim} exceeds the cap {DIMENSION_CAP}"
         )
 
+    # basis index i holds particle l at base-`sites` digit l of i, most
+    # significant first; quantity l is that particle's position
     positions = (np.arange(sites) + 0.5) * dx
-    eye = np.eye(sites)
-    diag = np.diag(positions).astype(complex)
-    operators = []
-    for l in range(n_particles):
-        factors = [diag if k == l else eye for k in range(n_particles)]
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        operators.append(op)
-    quantities = validate_quantity_set(operators)
+    place = sites ** np.arange(n_particles - 1, -1, -1)
+    digits = (np.arange(dim)[:, np.newaxis] // place[np.newaxis, :]) % sites
+    quantities = QuantitySet(positions[digits])
 
     entries = config.payload.get("initial_state")
     if not entries:

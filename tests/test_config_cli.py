@@ -127,6 +127,46 @@ class TestScenarioBuilders:
         assert built.streams[0].mu == 4.0
         # per-particle strengths alpha * rate / 2
         assert np.allclose(built.gamma, [4.0, 1.0])
+        # quantity l is the position operator of particle l: kron factors
+        # of diag(positions) at slot l and identities elsewhere
+        x = np.diag((np.arange(3) + 0.5) * 1.0)
+        ops = [np.kron(x, np.eye(3)), np.kron(np.eye(3), x)]
+        assert built.quantities.joint_basis is None  # the identity
+        for l, op in enumerate(ops):
+            assert np.array_equal(built.quantities.eigenvalue_table[:, l], np.diagonal(op))
+
+    def test_d4368_lattice_builds_in_bounded_memory(self):
+        import tracemalloc
+
+        from qreduce.continuous import suggested_dt
+
+        raw = {
+            "scenario": "identical-particles",
+            "engine": "continuous",
+            "gamma": 1.0,
+            "t_end": 0.1,
+            "record_interval": 0.05,
+            "n_trajectories": 2,
+            "seed": 1,
+            "sites": 12,
+            "dx": 1.0,
+            "alpha": 2.0,
+            "species": [{"name": "b", "count": 5}],
+            "initial_state": [
+                {"occupations": [[5] + [0] * 11], "re": 1.0},
+            ],
+        }
+        config = ScenarioConfig.from_dict(raw)
+        tracemalloc.start()
+        try:
+            built = build_scenario(config)
+            dt = suggested_dt(built.quantities, built.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.quantities.dim == 4368
+        assert dt > 0
+        assert peak < 64 * 2**20
 
     def test_lattice_rejects_hamiltonian(self):
         raw = json.loads(json.dumps(load_preset("boson-2site")))
@@ -234,6 +274,43 @@ class TestCliRun:
         assert rows
         for row in rows:
             assert sorted(field == "nan" for field in row[3:]) == [False, True]
+
+    def test_multistream_engine_both_rejected_before_any_artifact(self, tmp_path, capsys):
+        raw = {
+            "scenario": "distinguishable-particles",
+            "engine": "both",
+            "beta": 1.0,
+            "mu": 1.0,
+            "t_end": 1.0,
+            "record_interval": 0.5,
+            "dt": 0.01,
+            "n_trajectories": 4,
+            "seed": 3,
+            "sites": 3,
+            "dx": 1.0,
+            "alpha": 2.0,
+            "particles": [{"rate": 4.0}, {"rate": 1.0}],
+            "initial_state": [{"sites": [0, 2], "re": 1.0}],
+        }
+        cfg_path = tmp_path / "both.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["run", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert "engine" in capsys.readouterr().err
+        for name in ("trajectories.csv", "events.csv", "summary.json"):
+            assert not (out / name).exists()
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import subprocess
+        import sys
+
+        code = "import sys, qreduce.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
         # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from conftest import SQ2
 from qreduce.errors import DimensionMismatchError
-from qreduce.hilbert import StateVector, validate_quantity_set
-from qreduce.hitting import HittingConfig, simulate_hitting_trajectory
+from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
+from qreduce.hitting import HittingConfig, hitting_density, simulate_hitting_trajectory
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
 from qreduce.equivalence import (
@@ -25,7 +25,6 @@ from qreduce.fock import (
     build_mass_density,
     build_number_density,
     profile_decoherence_rate,
-    profile_probability,
     scenario_identical_particles,
     smearing_kernel,
 )
@@ -146,14 +145,15 @@ class TestSmearingKernel:
 class TestNumberDensity:
     def test_delta_limit_is_on_site_number_operator(self):
         lat = one_boson_lattice(3)
-        ops = build_number_density(lat, 0, 1e8)
-        for j, op in enumerate(ops):
-            assert np.allclose(np.diagonal(op).real, lat.configs[:, 0, j], atol=1e-12)
+        table = build_number_density(lat, 0, 1e8)
+        assert table.shape == (lat.dim, lat.num_sites)
+        for j in range(lat.num_sites):
+            assert np.allclose(table[:, j], lat.configs[:, 0, j], atol=1e-12)
 
     def test_expectations_are_kernel_weights(self):
         lat = one_boson_lattice(2)
         alpha = 2.0
-        ops = build_number_density(lat, 0, alpha)
+        ops = [np.diag(column) for column in build_number_density(lat, 0, alpha).T]
         kernel = smearing_kernel(lat.positions, lat.dx, alpha)
         psi = StateVector([1.0, 0.0])  # |10>
         for j in range(2):
@@ -162,9 +162,11 @@ class TestNumberDensity:
 
     def test_operators_commute_and_validate(self):
         lat = one_boson_lattice(4)
-        qs = validate_quantity_set(build_number_density(lat, 0, 0.8))
+        table = build_number_density(lat, 0, 0.8)
+        qs = validate_quantity_set([np.diag(column) for column in table.T])
         assert qs.num_quantities == 4
-        assert np.allclose(qs.joint_basis, np.eye(lat.dim), atol=1e-12)
+        assert qs.joint_basis is None  # the identity
+        assert np.array_equal(qs.eigenvalue_table, table)
 
 
 class TestMassDensity:
@@ -172,16 +174,16 @@ class TestMassDensity:
         lat = one_boson_lattice(3)
         nd = build_number_density(lat, 0, 1.5)
         md = build_mass_density(lat, 1.5)
-        for a, b in zip(nd, md):
-            assert np.allclose(a, b, atol=1e-14)
+        assert nd.shape == md.shape == (lat.dim, lat.num_sites)
+        assert np.allclose(nd, md, atol=1e-14)
 
     def test_two_species_delta_limit_sums_masses(self):
         lat = build_fock_lattice(
             2, 1.0, [Species("a", mass=1.0, count=1), Species("b", mass=2.0, count=1)]
         )
-        ops = build_mass_density(lat, 1e8)
+        table = build_mass_density(lat, 1e8)
         both_at_first = lat.index_of(np.array([[1, 0], [1, 0]]))
-        assert np.diagonal(ops[0]).real[both_at_first] == pytest.approx(3.0, abs=1e-9)
+        assert table[both_at_first, 0] == pytest.approx(3.0, abs=1e-9)
 
     def test_smearing_is_linear_in_masses(self):
         lat = build_fock_lattice(
@@ -194,7 +196,7 @@ class TestMassDensity:
             1.0 * lat.site_numbers(0) + 2.0 * lat.site_numbers(1)
         ) @ kernel.T
         for j in range(3):
-            assert np.max(np.abs(np.diagonal(md[j]).real - combined[:, j])) < 1e-12
+            assert np.max(np.abs(md[:, j] - combined[:, j])) < 1e-12
 
 
 class TestProfileProbability:
@@ -207,8 +209,8 @@ class TestProfileProbability:
         psi = scenario.psi0
         own = qs.eigenvalue_table[qs.born_weights(psi).argmax()]
         other = qs.eigenvalue_table[1 - qs.born_weights(psi).argmax()]
-        p_own = profile_probability(psi, qs, own, 1.0, lat.dx)
-        p_other = profile_probability(psi, qs, other, 1.0, lat.dx)
+        p_own = hitting_density(psi, qs, own, 1.0 / lat.dx)
+        p_other = hitting_density(psi, qs, other, 1.0 / lat.dx)
         assert p_own > p_other
 
     def test_symmetric_superposition_symmetric_density(self):
@@ -218,8 +220,8 @@ class TestProfileProbability:
             initial_state=[(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)],
         )
         qs, psi = scenario.quantities, scenario.psi0
-        p_a = profile_probability(psi, qs, [0.9, 0.1], 1.0, lat.dx)
-        p_b = profile_probability(psi, qs, [0.1, 0.9], 1.0, lat.dx)
+        p_a = hitting_density(psi, qs, [0.9, 0.1], 1.0 / lat.dx)
+        p_b = hitting_density(psi, qs, [0.1, 0.9], 1.0 / lat.dx)
         assert p_a == pytest.approx(p_b, rel=1e-12)
 
     def test_grid_quadrature_normalizes(self):
@@ -233,7 +235,7 @@ class TestProfileProbability:
         step = grid[1] - grid[0]
         table = np.array(
             [
-                [profile_probability(psi, qs, [n1, n2], 0.5, lat.dx) for n2 in grid]
+                [hitting_density(psi, qs, [n1, n2], 0.5 / lat.dx) for n2 in grid]
                 for n1 in grid
             ]
         )
@@ -245,7 +247,7 @@ class TestProfileProbability:
             lat, 2.0, beta=0.5, mu=1.0, initial_state=[(np.array([[1, 0]]), 1.0)]
         )
         with pytest.raises(DimensionMismatchError):
-            profile_probability(scenario.psi0, scenario.quantities, [1.0], 0.5, lat.dx)
+            hitting_density(scenario.psi0, scenario.quantities, [1.0], 0.5 / lat.dx)
 
 
 class TestScenarios:
@@ -347,8 +349,7 @@ class TestScenarios:
         # weights depend on density profiles, not on site labels
         lat = one_boson_lattice(4)
         alpha = 0.9
-        ops = build_number_density(lat, 0, alpha)
-        diag = np.array([np.diagonal(op).real for op in ops])  # (sites, dim)
+        diag = build_number_density(lat, 0, alpha).T  # (sites, dim)
         # permutation of basis states induced by reversing the site order
         perm = [
             lat.index_of(row[:, ::-1]) for row in lat.configs
@@ -361,7 +362,7 @@ class TestScenarios:
         rates = []
         for sites, dx, (ia, ib) in ((8, 1.0, (2, 6)), (16, 0.5, (4, 12))):
             lat = build_fock_lattice(sites, dx, [Species("b", count=1)])
-            qs = validate_quantity_set(build_number_density(lat, 0, alpha))
+            qs = QuantitySet(build_number_density(lat, 0, alpha))
             occ_a = np.zeros(sites, dtype=int)
             occ_a[ia] = 1
             occ_b = np.zeros(sites, dtype=int)

@@ -10,6 +10,7 @@ from qreduce.errors import (
 )
 from qreduce.hilbert import (
     Hamiltonian,
+    QuantitySet,
     StateVector,
     born_weights,
     expectation,
@@ -50,7 +51,7 @@ class TestStateVector:
 class TestValidateQuantitySet:
     def test_sigma_z_already_diagonal(self):
         qs = validate_quantity_set([SZ])
-        assert np.allclose(qs.joint_basis, np.eye(2), atol=1e-12)
+        assert qs.joint_basis is None  # the identity
         assert np.allclose(qs.eigenvalue_table.ravel(), [1.0, -1.0])
 
     def test_non_commuting_pair_rejected(self):
@@ -86,6 +87,56 @@ class TestValidateQuantitySet:
         rows = {tuple(np.round(r, 6)) for r in qs.eigenvalue_table}
         assert rows == {(1.0, 5.0), (2.0, 3.0), (2.0, 7.0)}
 
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            [[1.0, 2.0, 2.0]],
+            [[1.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 0.0]],
+            [[0.5, 0.5, 0.5, -1.0, -1.0], [2.0, 2.0, 3.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0, 1.0]],
+        ],
+    )
+    def test_diagonal_and_general_paths_agree(self, diagonals):
+        # the same family, diagonal (identity basis) and conjugated by a
+        # random unitary (eigh and refinement), with repeated rows
+        rng = np.random.default_rng(11)
+        diagonals = np.array(diagonals)
+        u = random_unitary(rng, diagonals.shape[1])
+        direct = validate_quantity_set([np.diag(row) for row in diagonals])
+        rotated = validate_quantity_set([u @ np.diag(row) @ u.conj().T for row in diagonals])
+        assert direct.joint_basis is None
+        assert rotated.joint_basis is not None
+
+        def rows(qs):
+            table = qs.eigenvalue_table
+            order = sorted(range(table.shape[0]), key=lambda k: tuple(np.round(table[k], 8)))
+            return table[order]
+
+        assert np.array_equal(direct.eigenvalue_table, diagonals.T)
+        assert np.max(np.abs(rows(direct) - rows(rotated))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            (np.zeros(3), DimensionMismatchError),
+            (np.zeros((1, 2)), DimensionMismatchError),
+            (np.zeros((3, 0)), DimensionMismatchError),
+            (np.array([[0.0], [np.nan]]), ValueError),
+            (np.array([[0.0], [np.inf]]), ValueError),
+        ],
+    )
+    def test_table_constructor_rejects_malformed_tables(self, table, error):
+        with pytest.raises(error):
+            QuantitySet(table)
+
+    def test_spectral_spread_by_blocks_is_exact(self, monkeypatch):
+        import qreduce.hilbert as hilbert
+
+        table = np.random.default_rng(3).standard_normal((50, 3))
+        diffs = table[:, np.newaxis, :] - table[np.newaxis, :, :]
+        whole = float(np.max(np.sum(diffs**2, axis=-1)))
+        monkeypatch.setattr(hilbert, "_SPREAD_BLOCK_ELEMENTS", 7 * 50 * 3)
+        assert QuantitySet(table).spectral_spread() == whole
+
     def test_commutator_tolerance_boundary(self):
         noisy = SZ + 1e-6 * SX
         with pytest.raises(NonCommutingError):
@@ -108,18 +159,12 @@ class TestExpectation:
         with pytest.raises(DimensionMismatchError):
             expectation(equal_qubit, sigma_z_set, 1)
 
-    def test_corrupted_operator_flagged(self, equal_qubit):
+    def test_corrupted_operator_flagged(self):
         qs = validate_quantity_set([SZ])
-        broken = np.array(qs.operators)
-        broken[0, 0, 1] = 1e-6j
-        broken[0, 1, 0] = 1e-6j  # no longer Hermitian: complex expectation
-        from qreduce.hilbert import QuantitySet
-
-        corrupted = QuantitySet(
-            broken, np.array(qs.joint_basis), np.array(qs.eigenvalue_table)
-        )
+        broken = np.array(qs.eigenvalue_table, dtype=complex)
+        broken[0, 0] += 1e-6j  # complex eigenvalue: not a Hermitian quantity
         with pytest.raises(NonRealExpectationError):
-            expectation(equal_qubit, corrupted, 0)
+            QuantitySet(broken)
 
 
 class TestCovariance:
@@ -170,8 +215,10 @@ class TestBornWeights:
             psi = random_state(rng, 4)
             w = born_weights(psi, qs)
             for p in range(2):
+                via_matrix = np.vdot(psi.amplitudes, ops[p] @ psi.amplitudes).real
                 via_table = float(w @ qs.eigenvalue_table[:, p])
-                assert expectation(psi, qs, p) == pytest.approx(via_table, abs=1e-10)
+                assert expectation(psi, qs, p) == pytest.approx(via_matrix, abs=1e-10)
+                assert via_table == pytest.approx(via_matrix, abs=1e-10)
 
 
 class TestHamiltonian:

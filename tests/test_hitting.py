@@ -296,11 +296,7 @@ class _FixedDraws:
 
 
 def _stream_quantities(quantities, cols):
-    return QuantitySet(
-        quantities.operators[list(cols)],
-        quantities.joint_basis,
-        np.ascontiguousarray(quantities.eigenvalue_table[:, list(cols)]),
-    )
+    return QuantitySet(quantities.eigenvalue_table[:, list(cols)], quantities.joint_basis)
 
 
 def _reference_trajectory(psi0, hamiltonian, quantities, streams, times, ids, uniforms,
