@@ -162,7 +162,21 @@ def sde_step(
 
 
 class _DiffusionKernel:
-    """Precomputed joint-basis data for the integration loop."""
+    """Precomputed joint-basis data for the integration loop.
+
+    The step expands the drift's square once,
+
+        sum_k g_k (A_dk - m_k)^2 = sum_k g_k A_dk^2 - 2 sum_k g_k A_dk m_k
+                                   + sum_k g_k m_k^2,
+
+    so a step needs two per-row products with the eigenvalue table and no
+    (batch, d, K) offsets. The table is centred column by column at its
+    midrange first: the offsets A_dk - m_k do not change, and the rounding
+    of the expansion then scales with the spectral spread, not with the
+    size of the eigenvalues. Every product over the batch is a per-row
+    gufunc (``np.matvec``, ``np.vecmat``, ``np.vecdot``), so no output row
+    depends on the other rows of its batch.
+    """
 
     def __init__(
         self,
@@ -170,17 +184,20 @@ class _DiffusionKernel:
         hamiltonian: Hamiltonian | None,
         config: ContinuousConfig,
     ):
-        self.table = quantities.eigenvalue_table
-        self.gamma = config.gamma_vector(quantities.num_quantities)
-        self.sqrt_gamma = np.sqrt(self.gamma)
-        self.dt = config.dt
+        table = quantities.eigenvalue_table
+        centred = table - 0.5 * (table.max(axis=0) + table.min(axis=0))
+        gamma = config.gamma_vector(quantities.num_quantities)
+        self.table_t = np.ascontiguousarray(centred.T)  # (K, d)
+        self.noise_scale = math.sqrt(config.dt) * np.sqrt(gamma)
+        self.half_dt_gamma = 0.5 * config.dt * gamma
+        # (d,): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no row changes
+        self.base_factor = 1.0 - (centred**2) @ self.half_dt_gamma
         self.renormalize = config.renormalize_each_step
-        self.split = config.split_hamiltonian
         self.h_joint = None
         self.h_prop = None
         if hamiltonian is not None:
             hj = quantities.joint_hamiltonian(hamiltonian)
-            if self.split:
+            if config.split_hamiltonian:
                 w, u = np.linalg.eigh(hj)
                 phases = np.exp(-1j * w * config.dt / hamiltonian.hbar)
                 self.h_prop = np.ascontiguousarray((u * phases) @ u.conj().T)
@@ -193,24 +210,30 @@ class _DiffusionKernel:
         """Advance every row by one step; returns (new coeffs, norm ratios).
 
         ``coeffs``: (batch, d) joint-basis rows. ``increments``: (batch, K)
-        Wiener increments of variance dt. Norm ratios are pre-renormalization,
+        Wiener increments of variance dt, already scaled by sqrt(gamma)
+        (``noise_scale`` does both). Norm ratios are pre-renormalization,
         for step-rejection checks.
         """
         weights = np.abs(coeffs) ** 2
         norms2 = weights.sum(axis=1)
-        means = (weights @ self.table) / norms2[:, np.newaxis]
-        offsets = self.table[np.newaxis, :, :] - means[:, np.newaxis, :]
-        noise = np.einsum("bdk,bk->bd", offsets, increments * self.sqrt_gamma[np.newaxis, :])
-        drift = -0.5 * self.dt * np.einsum("bdk,k->bd", offsets**2, self.gamma)
-        out = coeffs * (1.0 + noise + drift)
+        means = np.matvec(self.table_t, weights)
+        means /= norms2[:, np.newaxis]
+        half_drift = self.half_dt_gamma * means
+        # with u the increments and A the centred table:
+        # factor_d = 1 + sum_k A_dk (u_k + dt g_k m_k)
+        #              - sum_k m_k (u_k + dt/2 g_k m_k) - dt/2 sum_k g_k A_dk^2
+        factor = np.vecmat(increments + 2.0 * half_drift, self.table_t)
+        factor += self.base_factor
+        factor -= np.vecdot(means, increments + half_drift)[:, np.newaxis]
+        out = coeffs * factor
         if self.h_joint is not None:
-            out = out + coeffs @ self.h_joint.T
+            out += np.matvec(self.h_joint, coeffs)
         if self.h_prop is not None:
-            out = out @ self.h_prop.T
-        new_norms2 = np.sum(np.abs(out) ** 2, axis=1)
+            out = np.matvec(self.h_prop, out)
+        new_norms2 = np.vecdot(out, out).real
         ratios = np.sqrt(new_norms2 / norms2)
         if self.renormalize:
-            out = out / np.sqrt(new_norms2)[:, np.newaxis]
+            out *= (1.0 / np.sqrt(new_norms2))[:, np.newaxis]
         return out, ratios
 
 
@@ -245,11 +268,10 @@ def simulate_continuous_batch(
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
     coeffs = quantities.to_joint(psi0_rows)
-    table = kernel.table
+    table = quantities.eigenvalue_table
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record
-    sqrt_dt = math.sqrt(config.dt)
 
     batch = coeffs.shape[0]
     weights_out = np.empty((rec_times.size, batch, quantities.dim))
@@ -264,7 +286,7 @@ def simulate_continuous_batch(
         w = np.abs(coeffs) ** 2
         w /= w.sum(axis=1)[:, np.newaxis]
         weights_out[slot] = w
-        expect_out[slot] = w @ table
+        expect_out[slot] = np.vecmat(w, table)
         if states_out is not None:
             states_out[slot] = quantities.from_joint(coeffs)
 
@@ -274,7 +296,7 @@ def simulate_continuous_batch(
     step = 0
     while step < total_steps:
         n = min(block, total_steps - step)
-        noise = noise_source(n) * sqrt_dt
+        noise = noise_source(n) * kernel.noise_scale
         for i in range(n):
             coeffs, ratios = kernel.step_batch(coeffs, noise[:, i, :])
             drift = float(np.max(np.abs(ratios - 1.0)))

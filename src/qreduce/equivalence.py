@@ -21,7 +21,7 @@ from .errors import (
     InsufficientEventsError,
     MissingSnapshotError,
 )
-from .hilbert import Hamiltonian, QuantitySet, StateVector
+from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream, run_hitting_chain_batch
 from .continuous import ContinuousConfig, simulate_continuous_batch, suggested_dt
 from .trajectory import TrajectoryRecord
@@ -90,7 +90,7 @@ class DensityMatrix:
         """Equal-weight mixture of the (n, d) state rows."""
         rows = np.asarray(rows, dtype=np.complex128)
         norms2 = np.sum(np.abs(rows) ** 2, axis=1)
-        rho = np.einsum("ni,nj->ij", rows, rows.conj()) / norms2.sum()
+        rho = (rows.T @ rows.conj()) / norms2.sum()
         return cls(rho, validate=False)
 
     def purity(self) -> float:
@@ -114,10 +114,25 @@ def trace_norm_distance(a, b) -> float:
     return float(np.sum(np.linalg.svd(am - bm, compute_uv=False)))
 
 
-def _pairwise_sq_distances(table: np.ndarray) -> np.ndarray:
-    """(d, d) matrix of squared eigenvalue-row separations."""
-    diffs = table[:, np.newaxis, :] - table[np.newaxis, :, :]
-    return np.sum(diffs**2, axis=-1)
+def _pairwise_sq_distances(table: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """(d, d) matrix of squared eigenvalue-row separations.
+
+    With ``weights`` element (k, l) is sum_p weights_p (alpha_kp - alpha_lp)^2.
+    Built over blocks of rows, as ``QuantitySet.spectral_spread`` is, so
+    no (d, d, K) difference array exists at once; every element is the
+    same sum as over the whole table at once, bit for bit.
+    """
+    dim, num_q = table.shape
+    out = np.empty((dim, dim))
+    block = max(1, _SPREAD_BLOCK_ELEMENTS // (dim * num_q))
+    for start in range(0, dim, block):
+        diffs = table[start : start + block, np.newaxis, :] - table[np.newaxis, :, :]
+        diffs **= 2
+        if weights is None:
+            np.sum(diffs, axis=-1, out=out[start : start + block])
+        else:
+            np.einsum("klp,p->kl", diffs, weights, out=out[start : start + block])
+    return out
 
 
 def exact_hitting_map(rho: DensityMatrix, quantities: QuantitySet, beta: float) -> DensityMatrix:
@@ -251,23 +266,44 @@ def lindblad_evolution(
         else np.asarray(gamma, dtype=float)
     if g.shape != (table.shape[1],):
         raise DimensionMismatchError("gamma vector length must match the quantity set")
-    diffs = table[:, np.newaxis, :] - table[np.newaxis, :, :]
-    rates = 0.5 * np.einsum("klp,p->kl", diffs**2, g)
+    rates = 0.5 * _pairwise_sq_distances(table, g)
     return _deterministic_series(
         rho0, quantities, rates, hamiltonian, t_end, sample_times, dt
     )
 
 
-def ensemble_density_matrix(records: list[TrajectoryRecord], t: float) -> DensityMatrix:
-    """Monte Carlo statistical operator from recorded state snapshots."""
+def _shared_grid(records: list[TrajectoryRecord]) -> np.ndarray:
+    """The sample grid all records share; ``ValueError`` if they do not."""
     if not records:
         raise ValueError("need at least one trajectory")
-    rows = []
-    for rec in records:
+    times = records[0].sample_times
+    for rec in records[1:]:
+        if rec.sample_times.shape != times.shape or not np.allclose(
+            rec.sample_times, times
+        ):
+            raise ValueError("trajectories do not share a sample grid")
+    return times
+
+
+def _snapshot_stack(records: list[TrajectoryRecord]) -> np.ndarray:
+    """(samples, n, d) state snapshots on the shared grid, one row per record.
+
+    Each sample's (n, d) block is contiguous, so it gives the same
+    arithmetic as stacking ``state_at`` of every record at that sample.
+    """
+    times = _shared_grid(records)
+    stack = np.empty((times.size, len(records), records[0].dim), dtype=np.complex128)
+    for i, rec in enumerate(records):
         if rec.states is None:
             raise MissingSnapshotError("trajectories were recorded without snapshots")
-        rows.append(rec.state_at(t))
-    return DensityMatrix.from_state_rows(np.stack(rows))
+        stack[:, i, :] = rec.states
+    return stack
+
+
+def ensemble_density_matrix(records: list[TrajectoryRecord], t: float) -> DensityMatrix:
+    """Monte Carlo statistical operator from recorded state snapshots."""
+    stack = _snapshot_stack(records)
+    return DensityMatrix.from_state_rows(stack[records[0].sample_index(t)])
 
 
 @dataclass
@@ -289,19 +325,14 @@ class EnsembleStats:
 
 def ensemble_stats(records: list[TrajectoryRecord], *, with_rho: bool = False) -> EnsembleStats:
     """Mean Born weights with standard errors on the shared sample grid."""
-    times = records[0].sample_times
-    for rec in records[1:]:
-        if rec.sample_times.shape != times.shape or not np.allclose(
-            rec.sample_times, times
-        ):
-            raise ValueError("trajectories do not share a sample grid")
+    times = _shared_grid(records)
     stack = np.stack([rec.born_weights for rec in records])  # (n, samples, d)
     n = stack.shape[0]
     mean = stack.mean(axis=0)
     se = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     rho_series = None
     if with_rho:
-        rho_series = [ensemble_density_matrix(records, t) for t in times]
+        rho_series = [DensityMatrix.from_state_rows(rows) for rows in _snapshot_stack(records)]
     return EnsembleStats(
         times=times,
         mean_weights=mean,
@@ -760,12 +791,13 @@ def engine_comparison(
 ) -> EngineComparison:
     """Trace-norm distances per probe time, with bootstrap errors."""
     times = records_hitting[0].sample_times
+    n_hitting = len(records_hitting)
+    stack = _snapshot_stack(records_hitting + records_continuous)
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)
-    for i, t in enumerate(times):
-        rows_h = np.stack([rec.state_at(t) for rec in records_hitting])
-        rows_c = np.stack([rec.state_at(t) for rec in records_continuous])
+    for i, rows in enumerate(stack):
+        rows_h, rows_c = rows[:n_hitting], rows[n_hitting:]
         mc[i] = trace_norm_distance(
             DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
         )

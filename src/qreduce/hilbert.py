@@ -29,7 +29,8 @@ DIAGONAL_TOL = 1e-9
 # diagonalizer; makes the eigenbasis deterministic across runs.
 _COMBINATION_SEED = 0x5EED
 
-# Elements per temporary in QuantitySet.spectral_spread (8 MB of floats).
+# Elements per temporary in QuantitySet.spectral_spread and
+# equivalence._pairwise_sq_distances (8 MB of floats).
 _SPREAD_BLOCK_ELEMENTS = 1 << 20
 
 __all__ = [

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SQ2, random_state
 from qreduce.errors import StepRejectedError
-from qreduce.hilbert import Hamiltonian, StateVector, validate_quantity_set
+from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
     ContinuousConfig,
     WienerIncrement,
+    _DiffusionKernel,
     sde_step,
     simulate_continuous_trajectory,
     strength_from_hitting,
@@ -66,6 +68,51 @@ class TestSdeStep:
         rng = np.random.default_rng(0)
         inc = WienerIncrement.draw(rng, dt=0.25, num_quantities=3)
         assert inc.dB.shape == (3,)
+
+
+def _random_hamiltonian(rng: np.random.Generator, dim: int) -> Hamiltonian:
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Hamiltonian(m + m.conj().T)
+
+
+class TestDiffusionKernel:
+    @pytest.mark.parametrize("with_hamiltonian", [False, True])
+    @pytest.mark.parametrize("gamma", [0.7, (0.7, 1.3, 0.2)])
+    def test_step_matches_sde_step_row_by_row(self, with_hamiltonian, gamma):
+        # with a 1e4 offset the expanded square cancels terms of order
+        # dt * gamma * 1e8 unless the kernel centres the table first
+        rng = np.random.default_rng(11)
+        dim, num_q, dt = 6, 3, 1e-3
+        quantities = QuantitySet(rng.standard_normal((dim, num_q)) + 1e4)
+        hamiltonian = _random_hamiltonian(rng, dim) if with_hamiltonian else None
+        cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=dt, record_interval=dt)
+        gammas = cfg.gamma_vector(num_q)
+        rows = np.stack([random_state(rng, dim).amplitudes for _ in range(5)])
+        dB = rng.standard_normal((5, num_q)) * math.sqrt(dt)
+        kernel = _DiffusionKernel(quantities, hamiltonian, cfg)
+        out, ratios = kernel.step_batch(rows, dB * np.sqrt(gammas))
+        for row, db, got, ratio in zip(rows, dB, out, ratios):
+            psi = StateVector(row)
+            expected = sde_step(psi, quantities, hamiltonian, gammas, dt, db)
+            raw = sde_step(psi, quantities, hamiltonian, gammas, dt, db, renormalize=False)
+            assert np.max(np.abs(got - expected.amplitudes)) < 1e-12
+            assert ratio == pytest.approx(np.linalg.norm(raw.amplitudes), abs=1e-12)
+
+    def test_step_memory_is_a_few_coefficient_arrays(self):
+        # one (batch, d, K) float array alone would be 27 MB here
+        rng = np.random.default_rng(12)
+        dim, num_q, batch = 4368, 12, 64
+        cfg = ContinuousConfig(gamma=1.0, dt=1e-4, t_end=1e-4, record_interval=1e-4)
+        kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, cfg)
+        coeffs = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
+        increments = rng.standard_normal((batch, num_q)) * kernel.noise_scale
+        tracemalloc.start()
+        try:
+            kernel.step_batch(coeffs, increments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * coeffs.nbytes
 
 
 class TestSimulateContinuous:

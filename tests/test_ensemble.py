@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qreduce.hilbert import Hamiltonian, StateVector
+from conftest import random_state
+from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector
 from qreduce.hitting import HitStream, HittingConfig
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import (
@@ -85,6 +90,38 @@ def test_hitting_trajectory_depends_only_on_its_seed(
     for a, b in zip(small, large):
         assert np.array_equal(a.events.times, b.events.times)
         assert np.array_equal(a.events.centres, b.events.centres, equal_nan=True)
+
+
+@functools.cache
+def _d16_continuous(layout: str, n: int):
+    # d = 16, where a (rows, d) @ (d, K) BLAS product rounds a row
+    # differently with the batch's row count
+    rng = np.random.default_rng(16)
+    quantities = QuantitySet(rng.standard_normal((16, 3)))
+    psi0 = random_state(rng, 16)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    hamiltonian = None if layout == "no-hamiltonian" else Hamiltonian(m + m.conj().T)
+    cfg = ContinuousConfig(
+        gamma=0.5, dt=5e-3, t_end=0.1, record_interval=0.05,
+        split_hamiltonian=layout == "split-hamiltonian",
+    )
+    records = run_continuous_ensemble(psi0, hamiltonian, quantities, cfg, n, 7)
+    return (
+        np.stack([r.born_weights for r in records]),
+        np.stack([r.expectations for r in records]),
+    )
+
+
+@pytest.mark.parametrize("layout", ["no-hamiltonian", "hamiltonian", "split-hamiltonian"])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(n=st.integers(1, 700))
+def test_continuous_trajectory_depends_only_on_its_seed(layout, n):
+    # 700 trajectories cross the 512-row chunk boundary; n trajectories
+    # run in chunks of other sizes and must not notice
+    weights, expectations = _d16_continuous(layout, n)
+    all_weights, all_expectations = _d16_continuous(layout, 700)
+    assert np.array_equal(weights, all_weights[:n])
+    assert np.array_equal(expectations, all_expectations[:n])
 
 
 class TestRecordShape:

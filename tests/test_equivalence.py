@@ -1,21 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from conftest import SQ2, random_unitary
+from conftest import SQ2, random_state, random_unitary
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
-from qreduce.hilbert import Hamiltonian, StateVector, validate_quantity_set
+from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_trajectory
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
+from qreduce import equivalence
 from qreduce.equivalence import (
     DensityMatrix,
+    _bootstrap_distance,
+    _pairwise_sq_distances,
     collapse_statistics,
     convergence_sweep,
     db_statistics,
+    engine_comparison,
     ensemble_density_matrix,
     ensemble_stats,
     exact_hitting_map,
@@ -47,6 +52,14 @@ class TestDensityMatrix:
         rows = np.array([[1.0, 0.0], [SQ2, SQ2]], dtype=complex)
         rho = DensityMatrix.from_state_rows(rows)
         assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_gram_matches_einsum_for_unnormalized_rows(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((150, 120)) + 1j * rng.standard_normal((150, 120))
+        rows *= rng.uniform(0.1, 10.0, size=(150, 1))
+        reference = np.einsum("ni,nj->ij", rows, rows.conj()) / np.sum(np.abs(rows) ** 2)
+        rho = DensityMatrix.from_state_rows(rows).rho
+        assert np.linalg.norm(rho - reference) <= 1e-14 * np.linalg.norm(reference)
 
     def test_trace_norm_distance_offdiagonal(self):
         a = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]))
@@ -168,6 +181,64 @@ class TestLindbladEvolution:
         _, series = lindblad_evolution(rho0, correlated_pair_set, (0.5, 0.25), 1.0)
         # rate = (0.5 * 1 + 0.25 * 4) / 2 = 0.75
         assert series[-1].rho[0, 1].real * 2 == pytest.approx(math.exp(-0.75), abs=1e-12)
+
+
+class TestPairwiseSeparations:
+    def test_blocks_give_the_whole_table_sums_exactly(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        table = rng.standard_normal((50, 3))
+        weights = rng.uniform(0.1, 2.0, size=3)
+        diffs = table[:, np.newaxis, :] - table[np.newaxis, :, :]
+        # 7-row blocks; the last block has one row
+        monkeypatch.setattr(equivalence, "_SPREAD_BLOCK_ELEMENTS", 7 * 50 * 3)
+        assert np.array_equal(_pairwise_sq_distances(table), np.sum(diffs**2, axis=-1))
+        assert np.array_equal(
+            _pairwise_sq_distances(table, weights), np.einsum("klp,p->kl", diffs**2, weights)
+        )
+
+    @pytest.mark.parametrize("oracle", ["lindblad", "hitting-master"])
+    def test_oracle_memory_at_d715(self, oracle):
+        # a (d, d, K) difference array alone is 41 MB here
+        rng = np.random.default_rng(10)
+        quantities = QuantitySet(rng.standard_normal((715, 10)))
+        rho0 = DensityMatrix.from_state(random_state(rng, 715))
+        tracemalloc.start()
+        try:
+            if oracle == "lindblad":
+                lindblad_evolution(rho0, quantities, 0.5, 1.0)
+            else:
+                hitting_master_evolution(rho0, quantities, 0.5, 4.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
+
+class TestEngineComparison:
+    def test_snapshot_stack_matches_state_at_loop(self, three_level_set):
+        psi = StateVector([0.5, 0.5, SQ2])
+        hitting = run_hitting_ensemble(
+            psi, None, three_level_set,
+            HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.25),
+            150, 3, store_states=True,
+        )
+        continuous = run_continuous_ensemble(
+            psi, None, three_level_set,
+            ContinuousConfig(gamma=1.0, dt=5e-3, t_end=1.0, record_interval=0.25),
+            120, 3, store_states=True,
+        )
+        got = engine_comparison(
+            hitting, continuous, three_level_set, 0.5, 4.0, 1.0, n_bootstrap=10, seed=4
+        )
+        rng = np.random.default_rng(4)
+        for i, t in enumerate(hitting[0].sample_times):
+            rows_h = np.stack([rec.state_at(t) for rec in hitting])
+            rows_c = np.stack([rec.state_at(t) for rec in continuous])
+            mc = trace_norm_distance(
+                DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
+            )
+            assert got.mc_distance[i] == mc
+            assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
 
 
 class TestEnsembleDensityMatrix:
