@@ -28,7 +28,7 @@ from .hilbert import (
     quantum_covariance,
     validate_quantity_set,
 )
-from .trajectory import EventLog, HittingEvent, TrajectoryRecord
+from .trajectory import EventLog, TrajectoryRecord
 from .hitting import (
     HitStream,
     HittingConfig,
@@ -103,7 +103,6 @@ __all__ = [
     "quantum_covariance",
     "validate_quantity_set",
     "EventLog",
-    "HittingEvent",
     "TrajectoryRecord",
     "HitStream",
     "HittingConfig",

@@ -15,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .ensemble import (
-    CONTINUOUS_STREAM,
-    HITTING_STREAM,
-    run_continuous_ensemble,
-    run_hitting_ensemble,
-)
+from .ensemble import run_continuous_ensemble, run_hitting_ensemble
 from .equivalence import (
     collapse_statistics,
     convergence_sweep,
@@ -170,7 +165,6 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
             streams=built.streams,
             workers=workers,
             store_states=store,
-            stream_tag=HITTING_STREAM,
         )
     if config.engine in ("continuous", "both"):
         engine_records["continuous"] = run_continuous_ensemble(
@@ -182,7 +176,6 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
             config.seed,
             workers=workers,
             store_states=store,
-            stream_tag=CONTINUOUS_STREAM,
         )
     return engine_records
 
@@ -290,6 +283,7 @@ def cmd_sweep(args) -> int:
         config.t_end,
         config.seed,
         dt=config.dt,
+        workers=args.workers,
     )
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -70,7 +70,6 @@ class ContinuousConfig:
     dt: float
     t_end: float
     record_interval: float
-    renormalize_each_step: bool = True
     split_hamiltonian: bool = False
 
     def __post_init__(self):
@@ -192,7 +191,6 @@ class _DiffusionKernel:
         self.half_dt_gamma = 0.5 * config.dt * gamma
         # (d,): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no row changes
         self.base_factor = 1.0 - (centred**2) @ self.half_dt_gamma
-        self.renormalize = config.renormalize_each_step
         self.h_joint = None
         self.h_prop = None
         if hamiltonian is not None:
@@ -211,8 +209,8 @@ class _DiffusionKernel:
 
         ``coeffs``: (batch, d) joint-basis rows. ``increments``: (batch, K)
         Wiener increments of variance dt, already scaled by sqrt(gamma)
-        (``noise_scale`` does both). Norm ratios are pre-renormalization,
-        for step-rejection checks.
+        (``noise_scale`` does both). The new rows are renormalized; the norm
+        ratios are taken before that, for step-rejection checks.
         """
         weights = np.abs(coeffs) ** 2
         norms2 = weights.sum(axis=1)
@@ -232,8 +230,7 @@ class _DiffusionKernel:
             out = np.matvec(self.h_prop, out)
         new_norms2 = np.vecdot(out, out).real
         ratios = np.sqrt(new_norms2 / norms2)
-        if self.renormalize:
-            out *= (1.0 / np.sqrt(new_norms2))[:, np.newaxis]
+        out *= (1.0 / np.sqrt(new_norms2))[:, np.newaxis]
         return out, ratios
 
 
@@ -247,23 +244,39 @@ class BatchResult:
     states: np.ndarray | None  # (samples, batch, d) computational basis
     max_norm_drift: float
 
+    def records(self, seeds=None) -> list[TrajectoryRecord]:
+        """One record per row; ``seeds`` (one per row) are stored on them."""
+        num_q = self.expectations.shape[2]
+        return [
+            TrajectoryRecord(
+                sample_times=self.sample_times,
+                born_weights=self.weights[:, i, :],
+                expectations=self.expectations[:, i, :],
+                events=EventLog(num_quantities=num_q),
+                seed=None if seeds is None else int(seeds[i]),
+                states=None if self.states is None else self.states[:, i, :],
+            )
+            for i in range(self.weights.shape[1])
+        ]
+
 
 def simulate_continuous_batch(
     psi0_rows: np.ndarray,
     hamiltonian: Hamiltonian | None,
     quantities: QuantitySet,
     config: ContinuousConfig,
-    noise_source,
+    generators: list[np.random.Generator],
     *,
     store_states: bool = False,
-    seeds: np.ndarray | None = None,
+    seeds=None,
 ) -> BatchResult:
     """Integrate a batch of trajectories in lockstep.
 
-    ``psi0_rows`` is (batch, d) in the computational basis.
-    ``noise_source(n_steps)`` must yield (batch, n_steps, K) standard
-    normal blocks, one stream per row, so results are independent of the
-    batch partition. Raises :class:`StepRejectedError` if any single step
+    ``psi0_rows`` is (batch, d) in the computational basis, one row per
+    generator. Row b draws its (steps, K) standard normals from
+    ``generators[b]``, block by block, so a row depends only on its own
+    generator, never on the batch it runs in. ``seeds`` (one per row) are
+    reported by a :class:`StepRejectedError`, raised if any single step
     changes a norm by more than 50%.
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
@@ -293,10 +306,13 @@ def simulate_continuous_batch(
     record(0)
     max_drift = 0.0
     block = 256
+    noise = np.empty((batch, min(block, total_steps), quantities.num_quantities))
     step = 0
     while step < total_steps:
         n = min(block, total_steps - step)
-        noise = noise_source(n) * kernel.noise_scale
+        for g, rows in zip(generators, noise[:, :n], strict=True):
+            g.standard_normal(out=rows)
+        noise[:, :n] *= kernel.noise_scale
         for i in range(n):
             coeffs, ratios = kernel.step_batch(coeffs, noise[:, i, :])
             drift = float(np.max(np.abs(ratios - 1.0)))
@@ -339,30 +355,13 @@ def simulate_continuous_trajectory(
     from .hitting import _coerce_rng
 
     rng, seed = _coerce_rng(rng, seed)
-    num_q = quantities.num_quantities
-
-    def noise_source(n_steps: int) -> np.ndarray:
-        return rng.standard_normal((1, n_steps, num_q))
-
-    result = simulate_continuous_batch(
+    seeds = None if seed is None else [seed]
+    return simulate_continuous_batch(
         psi0.amplitudes[np.newaxis, :],
         hamiltonian,
         quantities,
         config,
-        noise_source,
+        [rng],
         store_states=store_states,
-        seeds=None if seed is None else np.array([seed]),
-    )
-    states = None
-    if result.states is not None:
-        states = [np.array(s) for s in result.states[:, 0, :]]
-        for s in states:
-            s.flags.writeable = False
-    return TrajectoryRecord(
-        sample_times=result.sample_times,
-        born_weights=result.weights[:, 0, :],
-        expectations=result.expectations[:, 0, :],
-        events=EventLog(num_quantities=num_q),
-        seed=seed,
-        states=states,
-    )
+        seeds=seeds,
+    ).records(seeds)[0]

@@ -6,10 +6,17 @@ trajectory index). Work is split into fixed-size chunks independent of
 the worker count and reassembled in index order, so results are
 bit-identical for any number of workers.
 
-Each hitting trajectory draws from ``default_rng`` of its own seed: its
-hit times, then one uniform per hit as one block, then its (hits, K)
-Gaussian noise as one block. A chunk then runs as one lockstep kernel
+Every trajectory draws from ``default_rng`` of its own seed. A hitting
+trajectory draws its hit times, then one uniform per hit as one block,
+then its (hits, K) Gaussian noise as one block. A diffusive trajectory
+draws its (steps, K) standard normals block by block, as the
+integration reaches them. A chunk then runs as one lockstep kernel
 call, so a trajectory also does not depend on the chunk it lands in.
+
+``equivalence.convergence_sweep`` runs its ensembles through the same
+runners: the diffusive one with the master seed itself, and the hitting
+one of the i-th frequency (i = 1, 2, ...) with the master seed
+``derive_seed(master_seed, SWEEP_STREAM, i)``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .continuous import ContinuousConfig, simulate_continuous_batch
 from .hilbert import Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream, HittingConfig, simulate_hitting_batch
-from .trajectory import EventLog, TrajectoryRecord
+from .trajectory import TrajectoryRecord
 
 # One chunk is the unit of parallel work; constant so that chunk
 # boundaries (and hence any batched arithmetic) never depend on the
@@ -95,7 +102,6 @@ def run_hitting_ensemble(
     streams: list[HitStream] | None = None,
     workers: int = 1,
     store_states: bool = False,
-    stream_tag: int = HITTING_STREAM,
 ) -> list[TrajectoryRecord]:
     """Independent hitting trajectories with derived per-trajectory seeds.
 
@@ -105,7 +111,7 @@ def run_hitting_ensemble(
     """
     if streams is None:
         streams = [config.stream(quantities.num_quantities)]
-    seeds = trajectory_seeds(master_seed, stream_tag, n_trajectories)
+    seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
     payloads = [
         (psi0, hamiltonian, quantities, streams, config.t_end, config.record_interval,
          seeds[a:b], store_states)
@@ -116,42 +122,15 @@ def run_hitting_ensemble(
 
 def _continuous_chunk(payload) -> list[TrajectoryRecord]:
     psi0, hamiltonian, quantities, config, seeds, store_states = payload
-    num_q = quantities.num_quantities
-    generators = [np.random.default_rng(int(s)) for s in seeds]
-
-    def noise_source(n_steps: int) -> np.ndarray:
-        # One stream per trajectory: the noise a trajectory sees depends
-        # only on its own seed, never on which chunk it landed in.
-        return np.stack([g.standard_normal((n_steps, num_q)) for g in generators])
-
-    rows = np.tile(psi0.amplitudes, (len(seeds), 1))
-    result = simulate_continuous_batch(
-        rows,
+    return simulate_continuous_batch(
+        np.tile(psi0.amplitudes, (len(seeds), 1)),
         hamiltonian,
         quantities,
         config,
-        noise_source,
+        [np.random.default_rng(int(s)) for s in seeds],
         store_states=store_states,
-        seeds=np.asarray(seeds),
-    )
-    records = []
-    for i, seed in enumerate(seeds):
-        states = None
-        if result.states is not None:
-            states = [np.array(s) for s in result.states[:, i, :]]
-            for s in states:
-                s.flags.writeable = False
-        records.append(
-            TrajectoryRecord(
-                sample_times=result.sample_times,
-                born_weights=result.weights[:, i, :],
-                expectations=result.expectations[:, i, :],
-                events=EventLog(num_quantities=num_q),
-                seed=int(seed),
-                states=states,
-            )
-        )
-    return records
+        seeds=seeds,
+    ).records(seeds)
 
 
 def run_continuous_ensemble(
@@ -164,10 +143,9 @@ def run_continuous_ensemble(
     *,
     workers: int = 1,
     store_states: bool = False,
-    stream_tag: int = CONTINUOUS_STREAM,
 ) -> list[TrajectoryRecord]:
     """Diffusive ensemble, integrated in fixed-size vectorized chunks."""
-    seeds = trajectory_seeds(master_seed, stream_tag, n_trajectories)
+    seeds = trajectory_seeds(master_seed, CONTINUOUS_STREAM, n_trajectories)
     payloads = [
         (psi0, hamiltonian, quantities, config, seeds[a:b], store_states)
         for a, b in _chunks(n_trajectories)

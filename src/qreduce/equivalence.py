@@ -22,8 +22,14 @@ from .errors import (
     MissingSnapshotError,
 )
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
-from .hitting import HitStream, run_hitting_chain_batch
-from .continuous import ContinuousConfig, simulate_continuous_batch, suggested_dt
+from .hitting import HittingConfig
+from .continuous import ContinuousConfig, suggested_dt
+from .ensemble import (
+    SWEEP_STREAM,
+    derive_seed,
+    run_continuous_ensemble,
+    run_hitting_ensemble,
+)
 from .trajectory import TrajectoryRecord
 
 __all__ = [
@@ -668,22 +674,9 @@ def _bootstrap_distance(
     return float(dists.std(ddof=1))
 
 
-def _lockstep_draws(
-    rng: np.random.Generator, counts: np.ndarray, num_quantities: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel draws taken hit by hit across the rows still hitting.
-
-    For each hit index: one uniform per active row, then K normals per
-    active row. One generator serves the whole sweep batch.
-    """
-    max_hits = int(counts.max()) if counts.size else 0
-    uniforms = np.zeros((counts.size, max_hits))
-    noise = np.zeros((counts.size, max_hits, num_quantities))
-    for h in range(max_hits):
-        active = np.nonzero(counts > h)[0]
-        uniforms[active, h] = rng.random(active.size)
-        noise[active, h] = rng.standard_normal((active.size, num_quantities))
-    return uniforms, noise
+def _last_snapshots(records: list[TrajectoryRecord]) -> np.ndarray:
+    """(n, d) computational-basis states at the last sample, one row per record."""
+    return np.stack([rec.states[-1] for rec in records])
 
 
 def convergence_sweep(
@@ -697,35 +690,38 @@ def convergence_sweep(
     *,
     dt: float | None = None,
     n_bootstrap: int = 100,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """Distance between the two processes as the hitting frequency grows.
 
     For each mu (sorted ascending) the accuracy is beta = 2 * gamma / mu,
     keeping the effectiveness fixed. Reports the deterministic channel
     distance (hitting master equation vs Lindblad at the probe time) and
-    the trace-norm distance between the Monte Carlo ensembles, with a
-    bootstrap error and an independent-halves noise-floor estimate.
-    """
-    from .ensemble import derive_seed
+    the trace-norm distance between the Monte Carlo ensembles at the
+    probe time, with a bootstrap error and an independent-halves
+    noise-floor estimate.
 
+    The ensembles come from the ensemble runners with ``workers``
+    processes, so the table is the same for any worker count. The
+    diffusive ensemble is ``run_continuous_ensemble`` with
+    ``master_seed``. The hitting ensemble of the i-th mu (i = 1, 2, ...)
+    is ``run_hitting_ensemble`` with master seed
+    ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its bootstrap draws
+    from ``default_rng(derive_seed(master_seed, 1000 + i))``.
+    """
     mu_values = sorted(float(m) for m in mu_values)
     rho0 = DensityMatrix.from_state(psi0)
-    d = quantities.dim
     step = dt if dt is not None else suggested_dt(quantities, gamma)
     n_sub = max(1, int(round(t_probe / step)))
     config = ContinuousConfig(
         gamma=gamma, dt=t_probe / n_sub, t_end=t_probe, record_interval=t_probe
     )
-    cont_rng = np.random.default_rng(derive_seed(master_seed, 0))
-
-    def noise_source(n_steps: int) -> np.ndarray:
-        return cont_rng.standard_normal((n_trajectories, n_steps, quantities.num_quantities))
-
-    psi_rows = np.tile(psi0.amplitudes, (n_trajectories, 1))
-    cont = simulate_continuous_batch(
-        psi_rows, None, quantities, config, noise_source, store_states=True
+    cont_rows = _last_snapshots(
+        run_continuous_ensemble(
+            psi0, None, quantities, config, n_trajectories, master_seed,
+            workers=workers, store_states=True,
+        )
     )
-    cont_rows = cont.states[-1]  # (n, d) computational basis
     rho_cont = DensityMatrix.from_state_rows(cont_rows)
     half = n_trajectories // 2
     floor = trace_norm_distance(
@@ -736,20 +732,19 @@ def convergence_sweep(
     _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe)
     rho_lind = lind[-1]
 
-    all_quantities = tuple(range(quantities.num_quantities))
     rows = []
-    coeffs0 = np.tile(quantities.to_joint(psi0), (n_trajectories, 1))
     for i, mu in enumerate(mu_values, start=1):
         beta = 2.0 * gamma / mu
         _, master = hitting_master_evolution(rho0, quantities, beta, mu, t_probe)
         channel = trace_norm_distance(master[-1], rho_lind)
 
-        hit_rng = np.random.default_rng(derive_seed(master_seed, i))
-        counts = hit_rng.poisson(mu * t_probe, size=n_trajectories)
-        uniforms, noise = _lockstep_draws(hit_rng, counts, quantities.num_quantities)
-        stream = HitStream(all_quantities, beta, mu)
-        chain = run_hitting_chain_batch(coeffs0, quantities, [stream], counts, uniforms, noise)
-        hit_rows = quantities.from_joint(chain.coeffs)
+        hit_rows = _last_snapshots(
+            run_hitting_ensemble(
+                psi0, None, quantities, HittingConfig(beta, mu, t_probe, t_probe),
+                n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
+                workers=workers, store_states=True,
+            )
+        )
         mc = trace_norm_distance(DensityMatrix.from_state_rows(hit_rows), rho_cont)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)

@@ -93,10 +93,10 @@ def _count_occupation_vectors(total: int, sites: int, cap: int) -> int:
 class FockLattice:
     """Occupation-number basis for one or more species on a 1D lattice.
 
-    Sites are cell-centred: x_j = origin + (j + 1/2) dx, so halving dx
-    while doubling the site count tiles the same physical region. The
-    basis enumerates, per species, every way to place its fixed particle
-    count (fermions at most one per site), and takes the product across
+    Sites are cell-centred: x_j = (j + 1/2) dx, so halving dx while
+    doubling the site count tiles the same physical region. The basis
+    enumerates, per species, every way to place its fixed particle count
+    (fermions at most one per site), and takes the product across
     species; ``configs[i, k, j]`` is the occupation of site j by species
     k in basis state i.
     """
@@ -163,7 +163,6 @@ def build_fock_lattice(
     dx: float,
     species,
     *,
-    origin: float = 0.0,
     dimension_cap: int = DIMENSION_CAP,
 ) -> FockLattice:
     """Enumerate the occupation basis; errors out above the dimension cap."""
@@ -194,7 +193,7 @@ def build_fock_lattice(
     configs = np.array(
         [np.stack(combo) for combo in itertools.product(*per_species)], dtype=np.int64
     )
-    positions = origin + (np.arange(n_sites) + 0.5) * dx
+    positions = (np.arange(n_sites) + 0.5) * dx
     return FockLattice(positions, dx, species, configs)
 
 

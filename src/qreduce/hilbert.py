@@ -356,19 +356,12 @@ class QuantitySet:
         return f"QuantitySet(dim={self.dim}, K={self.num_quantities})"
 
 
-def validate_quantity_set(
-    operators,
-    *,
-    hermitian_tol: float = HERMITIAN_TOL,
-    commutator_tol: float = COMMUTATOR_TOL,
-    diagonal_tol: float = DIAGONAL_TOL,
-    combination_seed: int = _COMBINATION_SEED,
-) -> QuantitySet:
+def validate_quantity_set(operators) -> QuantitySet:
     """Check a family of matrices and build its joint eigenstructure.
 
     The matrices must be square, share one dimension, be Hermitian within
-    ``hermitian_tol`` (max-entry norm) and pairwise commute within
-    ``commutator_tol``. A family whose symmetrized matrices are all exactly
+    ``HERMITIAN_TOL`` (max-entry norm) and pairwise commute within
+    ``COMMUTATOR_TOL``. A family whose symmetrized matrices are all exactly
     diagonal is built from its diagonals, with the identity basis.
     Otherwise simultaneous diagonalization proceeds by diagonalizing a
     random real-coefficient linear combination (fixed seed, hence
@@ -390,10 +383,10 @@ def validate_quantity_set(
                 f"operator {i} has dimension {m.shape[0]}, expected {dim}"
             )
         defect = _hermiticity_defect(m)
-        if defect > hermitian_tol:
+        if defect > HERMITIAN_TOL:
             raise NonHermitianError(
                 f"operator {i} deviates from Hermiticity by {defect:.3e} "
-                f"(tol {hermitian_tol:.1e})"
+                f"(tol {HERMITIAN_TOL:.1e})"
             )
     stack = np.stack([(m + m.conj().T) / 2.0 for m in mats])
     diagonals = np.diagonal(stack, axis1=1, axis2=2)  # (K, d)
@@ -406,13 +399,13 @@ def validate_quantity_set(
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             defect = float(np.max(np.abs(comm)))
-            if defect > commutator_tol * scale:
+            if defect > COMMUTATOR_TOL * scale:
                 raise NonCommutingError(
                     f"operators {i} and {j} do not commute: "
                     f"max |[A_{i}, A_{j}]| = {defect:.3e}"
                 )
 
-    rng = np.random.default_rng(combination_seed)
+    rng = np.random.default_rng(_COMBINATION_SEED)
     coeffs = rng.standard_normal(len(mats))
     combo = np.tensordot(coeffs, stack, axes=1)
     vals, basis = np.linalg.eigh(combo)
@@ -425,7 +418,7 @@ def validate_quantity_set(
         transformed = basis.conj().T @ m @ basis
         off = transformed - np.diag(np.diagonal(transformed))
         worst = float(np.max(np.abs(off)))
-        if worst > diagonal_tol * scale:
+        if worst > DIAGONAL_TOL * scale:
             raise NonCommutingError(
                 f"joint diagonalization failed for operator {p}: "
                 f"max off-diagonal {worst:.3e}"

@@ -439,8 +439,6 @@ def simulate_hitting_batch(
         store_states=store_states,
         seeds=seeds,
     )
-    if out.states is not None:
-        out.states.flags.writeable = False
     return [
         TrajectoryRecord(
             sample_times=rec_times,
@@ -448,7 +446,7 @@ def simulate_hitting_batch(
             expectations=out.expectations[b],
             events=EventLog(draws[b][0], out.centres[b, : counts[b]]),
             seed=None if seeds is None else int(seeds[b]),
-            states=None if out.states is None else list(out.states[b]),
+            states=None if out.states is None else out.states[b],
         )
         for b in range(batch)
     ]

@@ -24,25 +24,8 @@ def events_up_to(event_times, sample_times) -> np.ndarray:
     return np.searchsorted(event_times, limits, side="right")
 
 
-@dataclass(frozen=True)
-class HittingEvent:
-    """One sharpening event: its time and the sampled centre in R^K."""
-
-    time: float
-    centre: np.ndarray
-
-    def __post_init__(self):
-        centre = np.asarray(self.centre, dtype=float).reshape(-1)
-        centre.flags.writeable = False
-        object.__setattr__(self, "centre", centre)
-
-
 class EventLog:
-    """Columnar store of hitting events (times plus centre rows).
-
-    Keeps large ensembles cheap; iterating yields
-    :class:`HittingEvent` views.
-    """
+    """Columnar store of hitting events: times plus centre rows in R^K."""
 
     __slots__ = ("times", "centres")
 
@@ -62,12 +45,9 @@ class EventLog:
     def __len__(self) -> int:
         return self.times.size
 
-    def __iter__(self):
-        for t, row in zip(self.times, self.centres):
-            yield HittingEvent(float(t), row)
-
-    def __getitem__(self, idx: int) -> HittingEvent:
-        return HittingEvent(float(self.times[idx]), self.centres[idx])
+    def __reduce__(self):
+        # a pickle (records from worker processes) drops the read-only flags
+        return (EventLog, (self.times, self.centres))
 
 
 @dataclass
@@ -75,8 +55,9 @@ class TrajectoryRecord:
     """Time series of one stochastic realization.
 
     ``born_weights`` and ``expectations`` are always present, one row per
-    sample time; full state snapshots are kept only when requested.
-    ``events`` is empty for the diffusive engine.
+    sample time. Full state snapshots are kept only when requested, as one
+    read-only (samples, d) array in the computational basis. ``events`` is
+    empty for the diffusive engine.
     """
 
     sample_times: np.ndarray
@@ -84,7 +65,7 @@ class TrajectoryRecord:
     expectations: np.ndarray
     events: EventLog
     seed: int | None = None
-    states: list[np.ndarray] | None = None
+    states: np.ndarray | None = None
     _weight_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
@@ -97,6 +78,14 @@ class TrajectoryRecord:
         worst = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
         if worst > self._weight_tol:
             raise ValueError(f"born-weight rows deviate from 1 by {worst:.3e}")
+        if self.states is not None:
+            self.states = np.asarray(self.states)
+            self.states.flags.writeable = False
+
+    def __setstate__(self, state):
+        # a pickle drops the read-only flag of the snapshots; restore it
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def num_samples(self) -> int:

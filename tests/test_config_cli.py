@@ -377,6 +377,24 @@ class TestCliSweep:
         dets = [float(line.split(",")[2]) for line in lines[1:]]
         assert dets[0] > dets[1]
 
+    def test_sweep_bit_identical_for_worker_counts(self, tmp_path):
+        # 600 trajectories make two chunks, so two workers run a process pool
+        raw = minimal_qubit_config(n_trajectories=600, t_end=1.0, record_interval=0.5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        tables = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"workers-{workers}"
+            rc = main(
+                [
+                    "sweep", str(cfg_path), "--param", "mu", "--values", "10", "100",
+                    "--workers", workers, "--out", str(out_dir),
+                ]
+            )
+            assert rc == 0
+            tables.append((out_dir / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_sweep_requires_engine_both(self, tmp_path):
         raw = minimal_qubit_config(engine="hitting")
         cfg_path = tmp_path / "cfg.json"

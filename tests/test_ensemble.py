@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector
-from qreduce.hitting import HitStream, HittingConfig
-from qreduce.continuous import ContinuousConfig
+from qreduce.hitting import HitStream, HittingConfig, simulate_hitting_trajectory
+from qreduce.continuous import ContinuousConfig, simulate_continuous_trajectory
 from qreduce.ensemble import (
+    CONTINUOUS_STREAM,
+    HITTING_STREAM,
     derive_seed,
     run_continuous_ensemble,
     run_hitting_ensemble,
@@ -132,3 +134,57 @@ class TestRecordShape:
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
         for rec in records[1:]:
             assert np.array_equal(rec.sample_times, times)
+
+
+# engine -> (config, ensemble runner, single-trajectory function, stream tag)
+ENGINES = {
+    "hitting": (
+        HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25),
+        run_hitting_ensemble,
+        simulate_hitting_trajectory,
+        HITTING_STREAM,
+    ),
+    "continuous": (
+        ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),
+        run_continuous_ensemble,
+        simulate_continuous_trajectory,
+        CONTINUOUS_STREAM,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qubit):
+    config, run_ensemble, simulate, stream_tag = ENGINES[engine]
+    hamiltonian = Hamiltonian(np.array([[0, 1], [1, 0]], dtype=complex))
+    records = run_ensemble(
+        equal_qubit, hamiltonian, sigma_z_set, config, 6, 11, store_states=True
+    )
+    seeds = trajectory_seeds(11, stream_tag, 6)
+    for i in (0, 3, 5):
+        single = simulate(
+            equal_qubit, hamiltonian, sigma_z_set, config, int(seeds[i]), store_states=True
+        )
+        rec = records[i]
+        assert single.seed == rec.seed == int(seeds[i])
+        assert np.array_equal(single.born_weights, rec.born_weights)
+        assert np.array_equal(single.expectations, rec.expectations)
+        assert np.array_equal(single.states, rec.states)
+        assert np.array_equal(single.events.times, rec.events.times)
+        assert np.array_equal(single.events.centres, rec.events.centres)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_qubit):
+    # 600 trajectories make two chunks, so two workers run a process pool
+    config, run_ensemble, _, _ = ENGINES[engine]
+    records = run_ensemble(
+        equal_qubit, None, sigma_z_set, config, 600, 5, workers=workers, store_states=True
+    )
+    for rec in (records[0], records[-1]):
+        assert isinstance(rec.states, np.ndarray)
+        assert rec.states.shape == (rec.num_samples, rec.dim)
+        assert not rec.states.flags.writeable
+        assert not rec.events.times.flags.writeable
+        assert not rec.events.centres.flags.writeable

@@ -11,7 +11,12 @@ from qreduce.errors import InsufficientEventsError, MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_trajectory
 from qreduce.continuous import ContinuousConfig
-from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
+from qreduce.ensemble import (
+    SWEEP_STREAM,
+    derive_seed,
+    run_continuous_ensemble,
+    run_hitting_ensemble,
+)
 from qreduce import equivalence
 from qreduce.equivalence import (
     DensityMatrix,
@@ -403,6 +408,26 @@ class TestConvergenceSweep:
         for row in rows:
             allowance = 3 * row.mc_error + 2 * row.noise_floor
             assert abs(row.mc_distance - row.channel_distance) <= allowance
+
+    def test_ensembles_come_from_the_ensemble_runners(self, three_level_set):
+        psi0 = StateVector([0.5, 0.5, SQ2])
+        gamma, t_probe, n, master = 0.5, 1.0, 300, 8
+        rows = convergence_sweep(
+            psi0, three_level_set, gamma, [40.0, 4.0], n, t_probe, master, dt=0.01
+        )
+        cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=t_probe, record_interval=t_probe)
+        cont = run_continuous_ensemble(
+            psi0, None, three_level_set, cfg, n, master, store_states=True
+        )
+        rho_cont = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in cont]))
+        for i, row in enumerate(rows, start=1):
+            hitting = run_hitting_ensemble(
+                psi0, None, three_level_set,
+                HittingConfig(row.beta, row.mu, t_probe, t_probe),
+                n, derive_seed(master, SWEEP_STREAM, i), store_states=True,
+            )
+            rho_hit = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in hitting]))
+            assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
 
 
 class TestMartingaleHitting:
