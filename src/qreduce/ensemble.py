@@ -21,8 +21,6 @@ one of the i-th frequency (i = 1, 2, ...) with the master seed
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from .continuous import ContinuousConfig, simulate_continuous_batch
@@ -68,6 +66,10 @@ def _run_chunked(worker, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         results = [worker(p) for p in payloads]
     else:
+        # imported here: a serial run should not pay for loading the
+        # process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, payloads))
     out = []

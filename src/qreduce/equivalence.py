@@ -284,6 +284,9 @@ def _shared_grid(records: list[TrajectoryRecord]) -> np.ndarray:
         raise ValueError("need at least one trajectory")
     times = records[0].sample_times
     for rec in records[1:]:
+        # the records of one chunk share a single grid array
+        if rec.sample_times is times:
+            continue
         if rec.sample_times.shape != times.shape or not np.allclose(
             rec.sample_times, times
         ):

@@ -13,12 +13,10 @@ the generic engines consume unchanged. The set is built from its
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionMismatchError
 from .hilbert import QuantitySet, StateVector
@@ -65,19 +63,36 @@ class Species:
         object.__setattr__(self, "max_occupation", cap)
 
 
-def _occupation_vectors(total: int, sites: int, cap: int):
-    """All site-occupation tuples with the given total, lexicographic."""
-    if sites == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(min(total, cap), -1, -1):
-        for rest in _occupation_vectors(total - first, sites - 1, cap):
-            yield (first,) + rest
+def _occupation_vectors(total: int, sites: int, cap: int) -> np.ndarray:
+    """(count, sites) site occupations with the given total, lexicographically descending.
+
+    Built one site at a time, without recursion: every prefix that can
+    still be completed branches into each occupation of the next site,
+    largest first, that leaves a remainder the later sites can hold.
+    Each level keeps only its occupations and parent rows, and the rows
+    are read back from the last site, so the work is O(count * sites).
+    """
+    remaining = np.array([total], dtype=np.int64)
+    levels = []
+    for later in range(sites - 1, -1, -1):
+        high = np.minimum(remaining, cap)
+        width = np.maximum(high - np.maximum(remaining - cap * later, 0) + 1, 0)
+        parent = np.repeat(np.arange(remaining.size), width)
+        first_child = np.repeat(np.cumsum(width) - width, width)
+        occupation = high[parent] - (np.arange(parent.size) - first_child)
+        remaining = remaining[parent] - occupation
+        levels.append((occupation, parent))
+    vectors = np.empty((sites, remaining.size), dtype=np.int64)
+    rows = np.arange(remaining.size)
+    for site in range(sites - 1, -1, -1):
+        occupation, parent = levels.pop()
+        vectors[site] = occupation[rows]
+        rows = parent[rows]
+    return np.ascontiguousarray(vectors.T)
 
 
 def _count_occupation_vectors(total: int, sites: int, cap: int) -> int:
-    """len(list(_occupation_vectors(total, sites, cap))), in closed form.
+    """len(_occupation_vectors(total, sites, cap)), in closed form.
 
     Bounded compositions by inclusion-exclusion over the sites forced
     above ``cap``: sum_j (-1)^j C(sites, j) C(total - j(cap+1) + sites-1, sites-1).
@@ -88,6 +103,63 @@ def _count_occupation_vectors(total: int, sites: int, cap: int) -> int:
         * math.comb(total - j * (cap + 1) + sites - 1, sites - 1)
         for j in range(min(sites, total // (cap + 1)) + 1)
     )
+
+
+# Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the rational approximations SciPy's erf compiles
+# for real doubles: erf = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc = exp(-x^2) P(x) / Q(x) for 1 < x < 8. The leading 1 of U and Q
+# turns Cephes' p1evl into polevl with the same bits, as 1 * x is exact.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# From |x| = 6 on, Cephes' erfc is below 2**-54 (erfc(6) = 2.2e-17), so
+# 1 - erfc rounds to exactly 1, and erf needs neither exp nor the x >= 8
+# branch of erfc.
+_ERF_SATURATION = 6.0
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Cephes polevl: Horner's rule, one rounded multiply and add per step."""
+    ans = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf, elementwise, bit for bit equal to SciPy's ``special.erf``.
+
+    numpy never fuses a multiply and an add, so each Horner step rounds
+    as the compiled C does; the exponential is libm's ``math.exp``, for
+    the reason ``smearing_kernel`` gives.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.abs(x)
+    inner = y <= 1.0
+    band = (y > 1.0) & (y < _ERF_SATURATION)
+    s = y[inner]
+    z = s * s
+    y[inner] = s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    s = y[band]
+    e = np.fromiter(map(math.exp, memoryview(-s * s)), np.float64, count=s.size)
+    y[band] = 1.0 - e * _polevl(s, _ERFC_P) / _polevl(s, _ERFC_Q)
+    y[y >= _ERF_SATURATION] = 1.0
+    np.copysign(y, x, out=y)
+    y[np.isnan(x)] = np.nan
+    return y
 
 
 class FockLattice:
@@ -113,9 +185,7 @@ class FockLattice:
         self.dx = float(dx)
         self.species = tuple(species)
         self.configs = configs
-        self._index = {
-            tuple(map(int, row.ravel())): i for i, row in enumerate(configs)
-        }
+        self._index = {row.tobytes(): i for i, row in enumerate(configs)}
 
     @property
     def num_sites(self) -> int:
@@ -134,9 +204,8 @@ class FockLattice:
             raise DimensionMismatchError(
                 f"occupations must have shape ({len(self.species)}, {self.num_sites})"
             )
-        key = tuple(map(int, arr.ravel()))
         try:
-            return self._index[key]
+            return self._index[arr.tobytes()]
         except KeyError:
             raise KeyError(f"no basis state with occupations {occupations}") from None
 
@@ -187,12 +256,10 @@ def build_fock_lattice(
             f"Fock dimension {dim} exceeds the cap {dimension_cap}; "
             "shrink the lattice or the particle counts"
         )
-    per_species = [
-        list(_occupation_vectors(sp.count, n_sites, sp.max_occupation)) for sp in species
-    ]
-    configs = np.array(
-        [np.stack(combo) for combo in itertools.product(*per_species)], dtype=np.int64
-    )
+    per_species = [_occupation_vectors(sp.count, n_sites, sp.max_occupation) for sp in species]
+    # the product across species, the last species varying fastest
+    picks = np.indices([len(v) for v in per_species]).reshape(len(species), -1)
+    configs = np.stack([v[pick] for v, pick in zip(per_species, picks)], axis=1)
     positions = (np.arange(n_sites) + 0.5) * dx
     return FockLattice(positions, dx, species, configs)
 
@@ -207,13 +274,19 @@ def smearing_kernel(positions: np.ndarray, dx: float, alpha: float) -> np.ndarra
     (alpha/2pi)^(1/2) exp(-alpha (x_j - x_jp)^2 / 2) dx, and for
     alpha -> infinity it concentrates to the identity, making the smeared
     density the on-site number operator.
+
+    The erf is ``_erf``, a port of the Cephes rational approximation
+    that gives the same bits as SciPy's ``special.erf``, so importing this
+    module loads no SciPy. Its exponential is libm's ``exp`` per element
+    rather than ``np.exp``, whose vectorized path can round differently
+    in the last bit; only the |x| < 6 band around each site needs one.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     x = np.asarray(positions, dtype=float)
     scaled = math.sqrt(alpha / 2.0)
-    upper = erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] + dx / 2.0))
-    lower = erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] - dx / 2.0))
+    upper = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] + dx / 2.0))
+    lower = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] - dx / 2.0))
     return 0.5 * (upper - lower)
 
 

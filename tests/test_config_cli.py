@@ -249,6 +249,13 @@ class TestCliRun:
             assert bytes1 == (out2 / name).read_bytes()
             assert bytes1 == (out3 / name).read_bytes()
 
+    def test_worker_counts_bit_identical_across_a_chunk_boundary(self, tmp_path):
+        # 600 trajectories make two chunks, so two workers run a process pool
+        raw = minimal_qubit_config(n_trajectories=600, t_end=0.5, record_interval=0.25)
+        out1 = _run_cli(tmp_path, raw, "serial", ("--workers", "1"))
+        out2 = _run_cli(tmp_path, raw, "pool", ("--workers", "2"))
+        for name in ("trajectories.csv", "events.csv", "summary.json", "compare.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_multistream_run_logs_each_stream_on_its_own_quantity(self, tmp_path):
         raw = {
@@ -311,6 +318,45 @@ class TestCliRun:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+    def test_cli_run_loads_no_scipy_and_no_process_pool(self, tmp_path):
+        import subprocess
+        import sys
+
+        raw = {
+            "scenario": "identical-particles",
+            "engine": "both",
+            "beta": 2.0,
+            "mu": 10.0,
+            "dt": 0.01,
+            "t_end": 0.5,
+            "record_interval": 0.25,
+            "n_trajectories": 4,
+            "seed": 2,
+            "sites": 3,
+            "dx": 1.0,
+            "alpha": 2.0,
+            "species": [{"name": "b", "count": 1}],
+            "initial_state": [
+                {"occupations": [[1, 0, 0]], "re": 0.7071067811865476},
+                {"occupations": [[0, 0, 1]], "re": 0.7071067811865476},
+            ],
+        }
+        cfg_path = tmp_path / "lattice.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = (
+            "import json, sys, qreduce.cli\n"
+            "rc = qreduce.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+            "          or m == 'concurrent.futures.process']\n"
+            "print(json.dumps([rc, sorted(loaded)]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+        assert (tmp_path / "out" / "compare.json").exists()
 
     def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
         # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit

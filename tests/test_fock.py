@@ -1,10 +1,15 @@
+import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf as scipy_erf
 
 from conftest import SQ2
+from qreduce.config import ScenarioConfig, load_preset
 from qreduce.errors import DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HittingConfig, hitting_density, simulate_hitting_trajectory
@@ -20,6 +25,7 @@ from qreduce.equivalence import (
 from qreduce.fock import (
     Species,
     _count_occupation_vectors,
+    _erf,
     _occupation_vectors,
     build_fock_lattice,
     build_mass_density,
@@ -28,10 +34,32 @@ from qreduce.fock import (
     scenario_identical_particles,
     smearing_kernel,
 )
+from qreduce.scenarios import build_scenario
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def one_boson_lattice(sites=2, dx=1.0):
     return build_fock_lattice(sites, dx, [Species("b", count=1)])
+
+
+def recursive_occupation_vectors(total, sites, cap):
+    """The recursive enumeration the iterative one must reproduce, row for row."""
+    if sites == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(min(total, cap), -1, -1):
+        for rest in recursive_occupation_vectors(total - first, sites - 1, cap):
+            yield (first,) + rest
+
+
+def lattice_parameters():
+    """(sites, dx, alpha) of every shipped lattice preset and benchmark workload."""
+    presets = resources.files("qreduce").joinpath("presets")
+    raws = [load_preset(p.name.removesuffix(".json")) for p in presets.iterdir()]
+    raws += [json.loads(p.read_text()) for p in sorted(WORKLOADS.glob("*.json"))]
+    return sorted({(r["sites"], r["dx"], r["alpha"]) for r in raws if "sites" in r})
 
 
 class TestSpecies:
@@ -87,6 +115,54 @@ class TestLatticeBasis:
         expected = len(list(_occupation_vectors(total, sites, cap)))
         assert _count_occupation_vectors(total, sites, cap) == expected
 
+    def test_enumeration_matches_recursive_reference(self):
+        for total in range(6):
+            for sites in range(1, 6):
+                for cap in range(6):
+                    expected = np.array(
+                        list(recursive_occupation_vectors(total, sites, cap)), dtype=np.int64
+                    ).reshape(-1, sites)
+                    got = _occupation_vectors(total, sites, cap)
+                    assert got.shape == expected.shape
+                    assert np.array_equal(got, expected), (total, sites, cap)
+
+    def test_several_species_take_the_product_last_fastest(self):
+        species = [
+            Species("a", count=2),
+            Species("f", statistics="fermion", count=1),
+            Species("c", count=1),
+        ]
+        lat = build_fock_lattice(3, 1.0, species)
+        per_species = [
+            list(recursive_occupation_vectors(sp.count, 3, sp.max_occupation))
+            for sp in species
+        ]
+        expected = [
+            [a, f, c] for a in per_species[0] for f in per_species[1] for c in per_species[2]
+        ]
+        assert np.array_equal(lat.configs, np.array(expected))
+
+    def test_one_boson_on_1500_sites_builds(self):
+        # the recursive enumeration hit the interpreter's recursion limit here
+        sites = 1500
+        raw = {
+            "scenario": "identical-particles",
+            "engine": "continuous",
+            "gamma": 1.0,
+            "t_end": 0.1,
+            "record_interval": 0.05,
+            "n_trajectories": 2,
+            "seed": 1,
+            "sites": sites,
+            "dx": 1.0,
+            "alpha": 2.0,
+            "species": [{"name": "b", "count": 1}],
+            "initial_state": [{"occupations": [[1] + [0] * (sites - 1)], "re": 1.0}],
+        }
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        assert built.quantities.dim == sites
+        assert built.psi0.dim == sites
+
     def test_index_roundtrip(self):
         lat = build_fock_lattice(
             2, 1.0, [Species("a", count=1), Species("b", count=1)]
@@ -140,6 +216,39 @@ class TestSmearingKernel:
         lat = one_boson_lattice(4)
         kernel = smearing_kernel(lat.positions, lat.dx, 1e8)
         assert np.allclose(kernel, np.eye(4), atol=1e-12)
+
+
+class TestCephesErf:
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20170215)
+        n = 250_000
+        magnitudes = np.concatenate(
+            [
+                rng.uniform(0.0, 1.0, n),
+                rng.uniform(1.0, 8.0, n),
+                rng.uniform(8.0, 26.7, n),
+                rng.uniform(26.7, 1e3, n),
+                rng.uniform(5.9, 6.1, n // 10),  # where erf saturates at 1
+            ]
+        )
+        x = magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
+        edges = [
+            0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+            np.nextafter(1.0, 2.0), 6.0, np.nextafter(6.0, 0.0), 8.0, 26.7,
+            5e-324, -5e-324, 1e308,
+        ]
+        x = np.concatenate([x, edges])
+        got, expected = _erf(x), scipy_erf(x)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("sites, dx, alpha", lattice_parameters())
+    def test_kernel_matches_the_scipy_formula(self, sites, dx, alpha):
+        x = (np.arange(sites) + 0.5) * dx
+        scaled = math.sqrt(alpha / 2.0)
+        upper = scipy_erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] + dx / 2.0))
+        lower = scipy_erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] - dx / 2.0))
+        assert np.array_equal(smearing_kernel(x, dx, alpha), 0.5 * (upper - lower))
 
 
 class TestNumberDensity:
