@@ -28,7 +28,7 @@ from .hilbert import (
     quantum_covariance,
     validate_quantity_set,
 )
-from .trajectory import EventLog, TrajectoryRecord
+from .trajectory import Ensemble, EventLog, TrajectoryRecord
 from .hitting import (
     HitStream,
     HittingConfig,
@@ -102,6 +102,7 @@ __all__ = [
     "expectation",
     "quantum_covariance",
     "validate_quantity_set",
+    "Ensemble",
     "EventLog",
     "TrajectoryRecord",
     "HitStream",

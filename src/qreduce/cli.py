@@ -24,7 +24,7 @@ from .equivalence import (
 )
 from .errors import ConfigError, QReduceError
 from .scenarios import BuiltScenario, build_scenario
-from .trajectory import TrajectoryRecord
+from .trajectory import Ensemble
 
 
 def _fmt(value) -> str:
@@ -35,10 +35,10 @@ def _fmt(value) -> str:
 # is exactly _fmt of each value, without a numpy scalar per value.
 
 
-def _write_trajectories_csv(path: Path, engine_records: dict[str, list[TrajectoryRecord]]):
-    first = next(iter(engine_records.values()))[0]
-    d = first.dim
-    k = first.expectations.shape[1]
+def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
+    first = next(iter(ensembles.values()))
+    d = first.weights.shape[2]
+    k = first.expectations.shape[2]
     header = (
         ["engine", "trajectory", "time", "event_flag"]
         + [f"w_{i}" for i in range(d)]
@@ -47,29 +47,33 @@ def _write_trajectories_csv(path: Path, engine_records: dict[str, list[Trajector
     row = "%r,%d" + ",%r" * (d + k) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for engine in sorted(engine_records):
-            for idx, rec in enumerate(engine_records[engine]):
+        for engine in sorted(ensembles):
+            ens = ensembles[engine]
+            times = ens.sample_times.tolist()
+            flags = ens.event_flags().tolist()
+            for idx in range(len(ens)):
                 fmt = f"{engine},{idx}," + row
                 columns = zip(
-                    rec.sample_times.tolist(),
-                    rec.event_flags().tolist(),
-                    *rec.born_weights.T.tolist(),
-                    *rec.expectations.T.tolist(),
+                    times,
+                    flags[idx],
+                    *ens.weights[:, idx, :].T.tolist(),
+                    *ens.expectations[:, idx, :].T.tolist(),
                 )
                 fh.writelines(fmt % fields for fields in columns)
 
 
-def _write_events_csv(path: Path, engine_records: dict[str, list[TrajectoryRecord]]):
-    first = next(iter(engine_records.values()))[0]
-    k = first.expectations.shape[1]
+def _write_events_csv(path: Path, ensembles: dict[str, Ensemble]):
+    k = next(iter(ensembles.values())).expectations.shape[2]
     header = ["engine", "trajectory", "time"] + [f"a_{p}" for p in range(k)]
     row = "%r" + ",%r" * k + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for engine in sorted(engine_records):
-            for idx, rec in enumerate(engine_records[engine]):
+        for engine in sorted(ensembles):
+            ens = ensembles[engine]
+            bounds = ens.offsets.tolist()
+            for idx, (a, b) in enumerate(zip(bounds, bounds[1:])):
                 fmt = f"{engine},{idx}," + row
-                columns = zip(rec.events.times.tolist(), *rec.events.centres.T.tolist())
+                columns = zip(ens.times[a:b].tolist(), *ens.centres[a:b].T.tolist())
                 fh.writelines(fmt % fields for fields in columns)
 
 
@@ -96,8 +100,8 @@ def _collapse_json(report) -> dict:
     }
 
 
-def _martingale_json(records) -> dict:
-    stats = ensemble_stats(records)
+def _martingale_json(ens: Ensemble) -> dict:
+    stats = ensemble_stats(ens)
     base = stats.mean_weights[0]
     drift = np.abs(stats.mean_weights - base[np.newaxis, :])
     se = np.maximum(stats.mean_weight_se, 1e-300)
@@ -105,12 +109,11 @@ def _martingale_json(records) -> dict:
     return {"times": stats.times.tolist(), "max_abs_zscore": z}
 
 
-def _first_hit_moments(built: BuiltScenario, records) -> dict | None:
+def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
     if built.streams is not None or built.beta is None:
         return None
-    firsts = np.array(
-        [rec.events.centres[0] for rec in records if len(rec.events) > 0]
-    )
+    starts = ens.offsets[:-1]
+    firsts = ens.centres[starts[starts < ens.offsets[1:]]]
     if firsts.size == 0:
         return None
     psi0, quantities = built.psi0, built.quantities
@@ -130,16 +133,16 @@ def _first_hit_moments(built: BuiltScenario, records) -> dict | None:
     }
 
 
-def _engine_summary(built: BuiltScenario, engine: str, records) -> dict:
+def _engine_summary(built: BuiltScenario, engine: str, ens: Ensemble) -> dict:
     summary = {
-        "collapse": _collapse_json(collapse_statistics(records, built.quantities)),
-        "martingale": _martingale_json(records),
+        "collapse": _collapse_json(collapse_statistics(ens, built.quantities)),
+        "martingale": _martingale_json(ens),
     }
     if engine == "hitting":
-        counts = [len(rec.events) for rec in records]
-        summary["events_total"] = int(sum(counts))
+        counts = np.diff(ens.offsets)
+        summary["events_total"] = int(counts.sum())
         summary["mean_events_per_trajectory"] = float(np.mean(counts))
-        summary["first_hitting_moments"] = _first_hit_moments(built, records)
+        summary["first_hitting_moments"] = _first_hit_moments(built, ens)
     return summary
 
 
@@ -152,10 +155,10 @@ def _scalar(value):
 
 def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     config = built.config
-    engine_records: dict[str, list[TrajectoryRecord]] = {}
+    ensembles: dict[str, Ensemble] = {}
     store = config.store_states or need_states
     if config.engine in ("hitting", "both"):
-        engine_records["hitting"] = run_hitting_ensemble(
+        ensembles["hitting"] = run_hitting_ensemble(
             built.psi0,
             built.hamiltonian,
             built.quantities,
@@ -167,7 +170,7 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
             store_states=store,
         )
     if config.engine in ("continuous", "both"):
-        engine_records["continuous"] = run_continuous_ensemble(
+        ensembles["continuous"] = run_continuous_ensemble(
             built.psi0,
             built.hamiltonian,
             built.quantities,
@@ -177,7 +180,7 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
             workers=workers,
             store_states=store,
         )
-    return engine_records
+    return ensembles
 
 
 def cmd_run(args) -> int:
@@ -191,10 +194,10 @@ def cmd_run(args) -> int:
     if config.engine == "both" and built.streams is not None:
         raise ConfigError("engine", "engine=both is unsupported for multistream scenarios")
     need_states = config.engine == "both"
-    engine_records = _run_engines(built, args.workers, need_states)
+    ensembles = _run_engines(built, args.workers, need_states)
 
-    _write_trajectories_csv(out_dir / "trajectories.csv", engine_records)
-    _write_events_csv(out_dir / "events.csv", engine_records)
+    _write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
+    _write_events_csv(out_dir / "events.csv", ensembles)
 
     summary = {
         "scenario": config.scenario,
@@ -211,8 +214,8 @@ def cmd_run(args) -> int:
             "record_interval": config.record_interval,
         },
         "engines": {
-            engine: _engine_summary(built, engine, records)
-            for engine, records in engine_records.items()
+            engine: _engine_summary(built, engine, ens)
+            for engine, ens in ensembles.items()
         },
     }
     (out_dir / "summary.json").write_text(
@@ -222,8 +225,8 @@ def cmd_run(args) -> int:
     written = ["trajectories.csv", "events.csv", "summary.json"]
     if config.engine == "both":
         comparison = engine_comparison(
-            engine_records["hitting"],
-            engine_records["continuous"],
+            ensembles["hitting"],
+            ensembles["continuous"],
             built.quantities,
             built.beta,
             built.mu,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import EventLog, TrajectoryRecord, record_grid
+from .trajectory import Ensemble, TrajectoryRecord, _coerce_rng, record_grid
 
 __all__ = [
     "ContinuousConfig",
@@ -234,32 +234,6 @@ class _DiffusionKernel:
         return out, ratios
 
 
-@dataclass
-class BatchResult:
-    """Vectorized ensemble output on the shared record grid."""
-
-    sample_times: np.ndarray
-    weights: np.ndarray        # (samples, batch, d)
-    expectations: np.ndarray   # (samples, batch, K)
-    states: np.ndarray | None  # (samples, batch, d) computational basis
-    max_norm_drift: float
-
-    def records(self, seeds=None) -> list[TrajectoryRecord]:
-        """One record per row; ``seeds`` (one per row) are stored on them."""
-        num_q = self.expectations.shape[2]
-        return [
-            TrajectoryRecord(
-                sample_times=self.sample_times,
-                born_weights=self.weights[:, i, :],
-                expectations=self.expectations[:, i, :],
-                events=EventLog(num_quantities=num_q),
-                seed=None if seeds is None else int(seeds[i]),
-                states=None if self.states is None else self.states[:, i, :],
-            )
-            for i in range(self.weights.shape[1])
-        ]
-
-
 def simulate_continuous_batch(
     psi0_rows: np.ndarray,
     hamiltonian: Hamiltonian | None,
@@ -269,15 +243,15 @@ def simulate_continuous_batch(
     *,
     store_states: bool = False,
     seeds=None,
-) -> BatchResult:
+) -> Ensemble:
     """Integrate a batch of trajectories in lockstep.
 
     ``psi0_rows`` is (batch, d) in the computational basis, one row per
     generator. Row b draws its (steps, K) standard normals from
     ``generators[b]``, block by block, so a row depends only on its own
     generator, never on the batch it runs in. ``seeds`` (one per row) are
-    reported by a :class:`StepRejectedError`, raised if any single step
-    changes a norm by more than 50%.
+    stored on the ensemble and reported by a :class:`StepRejectedError`,
+    raised if any single step changes a norm by more than 50%.
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
     coeffs = quantities.to_joint(psi0_rows)
@@ -304,7 +278,6 @@ def simulate_continuous_batch(
             states_out[slot] = quantities.from_joint(coeffs)
 
     record(0)
-    max_drift = 0.0
     block = 256
     noise = np.empty((batch, min(block, total_steps), quantities.num_quantities))
     step = 0
@@ -316,7 +289,6 @@ def simulate_continuous_batch(
         for i in range(n):
             coeffs, ratios = kernel.step_batch(coeffs, noise[:, i, :])
             drift = float(np.max(np.abs(ratios - 1.0)))
-            max_drift = max(max_drift, drift)
             if drift > 0.5:
                 bad = int(np.argmax(np.abs(ratios - 1.0)))
                 seed = None if seeds is None else int(seeds[bad])
@@ -328,12 +300,15 @@ def simulate_continuous_batch(
             if step % steps_per_record == 0:
                 record(step // steps_per_record)
 
-    return BatchResult(
+    return Ensemble(
+        seeds=seeds,
         sample_times=rec_times,
         weights=weights_out,
         expectations=expect_out,
+        offsets=np.zeros(batch + 1, dtype=np.intp),
+        times=np.empty(0),
+        centres=np.empty((0, quantities.num_quantities)),
         states=states_out,
-        max_norm_drift=max_drift,
     )
 
 
@@ -352,10 +327,7 @@ def simulate_continuous_trajectory(
     ``rng`` may be an integer seed (stored on the record) or a
     ``numpy.random.Generator``. The events list is always empty.
     """
-    from .hitting import _coerce_rng
-
     rng, seed = _coerce_rng(rng, seed)
-    seeds = None if seed is None else [seed]
     return simulate_continuous_batch(
         psi0.amplitudes[np.newaxis, :],
         hamiltonian,
@@ -363,5 +335,5 @@ def simulate_continuous_trajectory(
         config,
         [rng],
         store_states=store_states,
-        seeds=seeds,
-    ).records(seeds)[0]
+        seeds=None if seed is None else [seed],
+    )[0]

@@ -6,6 +6,11 @@ trajectory index). Work is split into fixed-size chunks independent of
 the worker count and reassembled in index order, so results are
 bit-identical for any number of workers.
 
+A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
+joined by ``Ensemble.concat``: (S, n, d) weights and optional states,
+(S, n, K) expectations and the hitting events in CSR form, so a worker
+process sends back a few arrays.
+
 Every trajectory draws from ``default_rng`` of its own seed. A hitting
 trajectory draws its hit times, then one uniform per hit as one block,
 then its (hits, K) Gaussian noise as one block. A diffusive trajectory
@@ -21,12 +26,14 @@ one of the i-th frequency (i = 1, 2, ...) with the master seed
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .continuous import ContinuousConfig, simulate_continuous_batch
 from .hilbert import Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream, HittingConfig, simulate_hitting_batch
-from .trajectory import TrajectoryRecord
+from .trajectory import Ensemble
 
 # One chunk is the unit of parallel work; constant so that chunk
 # boundaries (and hence any batched arithmetic) never depend on the
@@ -57,39 +64,29 @@ def trajectory_seeds(master_seed: int, stream_tag: int, n: int) -> np.ndarray:
     )
 
 
-def _chunks(n: int):
-    for start in range(0, n, CHUNK_SIZE):
-        yield start, min(start + CHUNK_SIZE, n)
-
-
-def _run_chunked(worker, payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
-        results = [worker(p) for p in payloads]
+def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
+    """``worker`` over fixed-size chunks of ``seeds``, joined in index order."""
+    chunks = [seeds[a : a + CHUNK_SIZE] for a in range(0, seeds.size, CHUNK_SIZE)]
+    if workers <= 1 or len(chunks) <= 1:
+        results = [worker(c) for c in chunks]
     else:
         # imported here: a serial run should not pay for loading the
         # process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, payloads))
-    out = []
-    for chunk in results:
-        out.extend(chunk)
-    return out
+            results = list(pool.map(worker, chunks))
+    return Ensemble.concat(results)
 
 
-def _hitting_chunk(payload) -> list[TrajectoryRecord]:
-    psi0, hamiltonian, quantities, streams, t_end, record_interval, seeds, store = payload
+def _generators(seeds) -> list[np.random.Generator]:
+    return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def _hitting_chunk(psi0, hamiltonian, quantities, streams, config, store_states, seeds):
     return simulate_hitting_batch(
-        psi0,
-        hamiltonian,
-        quantities,
-        streams,
-        t_end,
-        record_interval,
-        [np.random.default_rng(int(s)) for s in seeds],
-        store_states=store,
-        seeds=seeds,
+        psi0, hamiltonian, quantities, streams, config.t_end, config.record_interval,
+        _generators(seeds), store_states=store_states, seeds=seeds,
     )
 
 
@@ -104,35 +101,26 @@ def run_hitting_ensemble(
     streams: list[HitStream] | None = None,
     workers: int = 1,
     store_states: bool = False,
-) -> list[TrajectoryRecord]:
+) -> Ensemble:
     """Independent hitting trajectories with derived per-trajectory seeds.
 
     ``config`` fixes the time window and the record grid. Its beta, mu
     and schedule make the one stream that hits every quantity, unless
-    ``streams`` lists the streams instead.
+    ``streams`` lists the streams instead. Returns one ensemble, with
+    states when ``store_states``.
     """
     if streams is None:
         streams = [config.stream(quantities.num_quantities)]
+    worker = partial(_hitting_chunk, psi0, hamiltonian, quantities, streams, config, store_states)
     seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
-    payloads = [
-        (psi0, hamiltonian, quantities, streams, config.t_end, config.record_interval,
-         seeds[a:b], store_states)
-        for a, b in _chunks(n_trajectories)
-    ]
-    return _run_chunked(_hitting_chunk, payloads, workers)
+    return _run_chunked(worker, seeds, workers)
 
 
-def _continuous_chunk(payload) -> list[TrajectoryRecord]:
-    psi0, hamiltonian, quantities, config, seeds, store_states = payload
+def _continuous_chunk(psi0, hamiltonian, quantities, config, store_states, seeds):
     return simulate_continuous_batch(
-        np.tile(psi0.amplitudes, (len(seeds), 1)),
-        hamiltonian,
-        quantities,
-        config,
-        [np.random.default_rng(int(s)) for s in seeds],
-        store_states=store_states,
-        seeds=seeds,
-    ).records(seeds)
+        np.tile(psi0.amplitudes, (len(seeds), 1)), hamiltonian, quantities, config,
+        _generators(seeds), store_states=store_states, seeds=seeds,
+    )
 
 
 def run_continuous_ensemble(
@@ -145,11 +133,11 @@ def run_continuous_ensemble(
     *,
     workers: int = 1,
     store_states: bool = False,
-) -> list[TrajectoryRecord]:
-    """Diffusive ensemble, integrated in fixed-size vectorized chunks."""
+) -> Ensemble:
+    """Diffusive ensemble, integrated in fixed-size vectorized chunks.
+
+    Returns one ensemble without events, with states when ``store_states``.
+    """
+    worker = partial(_continuous_chunk, psi0, hamiltonian, quantities, config, store_states)
     seeds = trajectory_seeds(master_seed, CONTINUOUS_STREAM, n_trajectories)
-    payloads = [
-        (psi0, hamiltonian, quantities, config, seeds[a:b], store_states)
-        for a, b in _chunks(n_trajectories)
-    ]
-    return _run_chunked(_continuous_chunk, payloads, workers)
+    return _run_chunked(worker, seeds, workers)

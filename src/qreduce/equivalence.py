@@ -30,7 +30,7 @@ from .ensemble import (
     run_continuous_ensemble,
     run_hitting_ensemble,
 )
-from .trajectory import TrajectoryRecord
+from .trajectory import Ensemble
 
 __all__ = [
     "DensityMatrix",
@@ -278,41 +278,16 @@ def lindblad_evolution(
     )
 
 
-def _shared_grid(records: list[TrajectoryRecord]) -> np.ndarray:
-    """The sample grid all records share; ``ValueError`` if they do not."""
-    if not records:
-        raise ValueError("need at least one trajectory")
-    times = records[0].sample_times
-    for rec in records[1:]:
-        # the records of one chunk share a single grid array
-        if rec.sample_times is times:
-            continue
-        if rec.sample_times.shape != times.shape or not np.allclose(
-            rec.sample_times, times
-        ):
-            raise ValueError("trajectories do not share a sample grid")
-    return times
+def _snapshots(ens: Ensemble) -> np.ndarray:
+    """The (samples, n, d) state snapshots; one contiguous (n, d) block per sample."""
+    if ens.states is None:
+        raise MissingSnapshotError("trajectories were recorded without snapshots")
+    return ens.states
 
 
-def _snapshot_stack(records: list[TrajectoryRecord]) -> np.ndarray:
-    """(samples, n, d) state snapshots on the shared grid, one row per record.
-
-    Each sample's (n, d) block is contiguous, so it gives the same
-    arithmetic as stacking ``state_at`` of every record at that sample.
-    """
-    times = _shared_grid(records)
-    stack = np.empty((times.size, len(records), records[0].dim), dtype=np.complex128)
-    for i, rec in enumerate(records):
-        if rec.states is None:
-            raise MissingSnapshotError("trajectories were recorded without snapshots")
-        stack[:, i, :] = rec.states
-    return stack
-
-
-def ensemble_density_matrix(records: list[TrajectoryRecord], t: float) -> DensityMatrix:
+def ensemble_density_matrix(ens: Ensemble, t: float) -> DensityMatrix:
     """Monte Carlo statistical operator from recorded state snapshots."""
-    stack = _snapshot_stack(records)
-    return DensityMatrix.from_state_rows(stack[records[0].sample_index(t)])
+    return DensityMatrix.from_state_rows(_snapshots(ens)[ens.sample_index(t)])
 
 
 @dataclass
@@ -323,7 +298,6 @@ class EnsembleStats:
     mean_weights: np.ndarray      # (samples, d)
     mean_weight_se: np.ndarray    # (samples, d)
     trajectory_count: int
-    rho_series: list[DensityMatrix] | None = None
 
     def __post_init__(self):
         sums = self.mean_weights.sum(axis=1)
@@ -332,22 +306,16 @@ class EnsembleStats:
             raise ValueError(f"mean-weight rows deviate from 1 by {worst:.3e}")
 
 
-def ensemble_stats(records: list[TrajectoryRecord], *, with_rho: bool = False) -> EnsembleStats:
-    """Mean Born weights with standard errors on the shared sample grid."""
-    times = _shared_grid(records)
-    stack = np.stack([rec.born_weights for rec in records])  # (n, samples, d)
-    n = stack.shape[0]
-    mean = stack.mean(axis=0)
-    se = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
-    rho_series = None
-    if with_rho:
-        rho_series = [DensityMatrix.from_state_rows(rows) for rows in _snapshot_stack(records)]
+def ensemble_stats(ens: Ensemble) -> EnsembleStats:
+    """Mean Born weights with standard errors on the ensemble's sample grid."""
+    n = len(ens)
+    mean = ens.weights.mean(axis=1)
+    se = ens.weights.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return EnsembleStats(
-        times=times,
+        times=ens.sample_times,
         mean_weights=mean,
         mean_weight_se=se,
         trajectory_count=n,
-        rho_series=rho_series,
     )
 
 
@@ -416,7 +384,7 @@ class CollapseReport:
 
 
 def collapse_statistics(
-    records: list[TrajectoryRecord],
+    ens: Ensemble,
     quantities: QuantitySet,
     *,
     threshold: float = 0.999,
@@ -429,7 +397,7 @@ def collapse_statistics(
     table = quantities.eigenvalue_table
     group_rows = [tuple(float(x) for x in table[labels == g][0]) for g in range(n_groups)]
 
-    terminal = np.stack([rec.born_weights[-1] for rec in records])  # (n, d)
+    terminal = ens.weights[-1]  # (n, d)
     grouped = np.zeros((terminal.shape[0], n_groups))
     for g in range(n_groups):
         grouped[:, g] = terminal[:, labels == g].sum(axis=1)
@@ -447,7 +415,7 @@ def collapse_statistics(
         freq = count / n_resolved if n_resolved else 0.0
         lo, hi = wilson_interval(count, n_resolved, z)
         outcomes.append(OutcomeStat(group_rows[g], count, freq, lo, hi))
-    n = len(records)
+    n = len(ens)
     return CollapseReport(
         outcomes=outcomes,
         n_trajectories=n,
@@ -561,9 +529,7 @@ def _moment_report(window: float, db: np.ndarray, counts: np.ndarray) -> DbMomen
     )
 
 
-def db_statistics(
-    records: list[TrajectoryRecord], beta: float, mu: float, window: float
-) -> DbMomentReport:
+def db_statistics(ens: Ensemble, beta: float, mu: float, window: float) -> DbMomentReport:
     """Build window increments from recorded events and report moments.
 
     Windows (t_w, t_w + window] tile each trajectory; the record interval
@@ -573,39 +539,33 @@ def db_statistics(
     :class:`InsufficientEventsError` when windows average fewer than 30
     hittings, below the central-limit regime.
     """
-    db_rows = []
-    count_blocks = []
-    scale = math.sqrt(2.0 * beta / mu)
-    for rec in records:
-        t_end = float(rec.sample_times[-1])
-        n_windows = int(math.floor(t_end / window + 1e-9))
-        if n_windows == 0:
-            continue
-        record_interval = float(rec.sample_times[1] - rec.sample_times[0])
-        stride = window / record_interval
-        if abs(stride - round(stride)) > 1e-6:
-            raise ValueError("window must be an integer multiple of the record interval")
-        stride = int(round(stride))
-        anchors = rec.expectations[: n_windows * stride : stride]  # (windows, K)
+    times = ens.sample_times
+    n_windows = int(math.floor(float(times[-1]) / window + 1e-9))
+    if n_windows == 0:
+        raise InsufficientEventsError("no complete windows on the sample grid")
+    stride = window / float(times[1] - times[0])
+    if abs(stride - round(stride)) > 1e-6:
+        raise ValueError("window must be an integer multiple of the record interval")
+    stride = int(round(stride))
+    n = len(ens)
+    # (n * windows, K): trajectory by trajectory, window by window
+    anchors = ens.expectations[: n_windows * stride : stride].swapaxes(0, 1)
+    anchors = anchors.reshape(n * n_windows, -1)
 
-        bins = np.ceil(rec.events.times / window - 1e-9).astype(int) - 1
-        valid = (bins >= 0) & (bins < n_windows)
-        bins = bins[valid]
-        centres = rec.events.centres[valid]
-        counts = np.bincount(bins, minlength=n_windows).astype(float)
-        sums = np.zeros((n_windows, centres.shape[1]))
-        np.add.at(sums, bins, centres)
-        db_rows.append(scale * (sums - counts[:, np.newaxis] * anchors))
-        count_blocks.append(counts)
-    if not db_rows:
-        raise InsufficientEventsError("no complete windows in the records")
-    counts = np.concatenate(count_blocks)
+    bins = np.ceil(ens.times / window - 1e-9).astype(int) - 1
+    rows = np.repeat(np.arange(n), np.diff(ens.offsets))
+    valid = (bins >= 0) & (bins < n_windows)
+    cells = rows[valid] * n_windows + bins[valid]
+    counts = np.bincount(cells, minlength=n * n_windows).astype(float)
+    sums = np.zeros(anchors.shape)
+    np.add.at(sums, cells, ens.centres[valid])
     if counts.mean() < 30:
         raise InsufficientEventsError(
             f"windows average {counts.mean():.1f} hittings; "
             "need at least 30 for central-limit statistics"
         )
-    return _moment_report(window, np.concatenate(db_rows, axis=0), counts)
+    db = math.sqrt(2.0 * beta / mu) * (sums - counts[:, np.newaxis] * anchors)
+    return _moment_report(window, db, counts)
 
 
 def sample_factorized_db_windows(
@@ -677,11 +637,6 @@ def _bootstrap_distance(
     return float(dists.std(ddof=1))
 
 
-def _last_snapshots(records: list[TrajectoryRecord]) -> np.ndarray:
-    """(n, d) computational-basis states at the last sample, one row per record."""
-    return np.stack([rec.states[-1] for rec in records])
-
-
 def convergence_sweep(
     psi0: StateVector,
     quantities: QuantitySet,
@@ -719,12 +674,10 @@ def convergence_sweep(
     config = ContinuousConfig(
         gamma=gamma, dt=t_probe / n_sub, t_end=t_probe, record_interval=t_probe
     )
-    cont_rows = _last_snapshots(
-        run_continuous_ensemble(
-            psi0, None, quantities, config, n_trajectories, master_seed,
-            workers=workers, store_states=True,
-        )
-    )
+    cont_rows = run_continuous_ensemble(
+        psi0, None, quantities, config, n_trajectories, master_seed,
+        workers=workers, store_states=True,
+    ).states[-1]
     rho_cont = DensityMatrix.from_state_rows(cont_rows)
     half = n_trajectories // 2
     floor = trace_norm_distance(
@@ -741,13 +694,11 @@ def convergence_sweep(
         _, master = hitting_master_evolution(rho0, quantities, beta, mu, t_probe)
         channel = trace_norm_distance(master[-1], rho_lind)
 
-        hit_rows = _last_snapshots(
-            run_hitting_ensemble(
-                psi0, None, quantities, HittingConfig(beta, mu, t_probe, t_probe),
-                n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
-                workers=workers, store_states=True,
-            )
-        )
+        hit_rows = run_hitting_ensemble(
+            psi0, None, quantities, HittingConfig(beta, mu, t_probe, t_probe),
+            n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
+            workers=workers, store_states=True,
+        ).states[-1]
         mc = trace_norm_distance(DensityMatrix.from_state_rows(hit_rows), rho_cont)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)
@@ -775,8 +726,8 @@ class EngineComparison:
 
 
 def engine_comparison(
-    records_hitting: list[TrajectoryRecord],
-    records_continuous: list[TrajectoryRecord],
+    hitting: Ensemble,
+    continuous: Ensemble,
     quantities: QuantitySet,
     beta: float,
     mu: float,
@@ -787,15 +738,18 @@ def engine_comparison(
     n_bootstrap: int = 50,
     seed: int = 0,
 ) -> EngineComparison:
-    """Trace-norm distances per probe time, with bootstrap errors."""
-    times = records_hitting[0].sample_times
-    n_hitting = len(records_hitting)
-    stack = _snapshot_stack(records_hitting + records_continuous)
+    """Trace-norm distances per probe time, with bootstrap errors.
+
+    Raises ``ValueError`` when the two ensembles' sample grids differ.
+    """
+    times = hitting.sample_times
+    other = continuous.sample_times
+    if other.shape != times.shape or not np.allclose(other, times):
+        raise ValueError("the two ensembles do not share a sample grid")
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)
-    for i, rows in enumerate(stack):
-        rows_h, rows_c = rows[:n_hitting], rows[n_hitting:]
+    for i, (rows_h, rows_c) in enumerate(zip(_snapshots(hitting), _snapshots(continuous))):
         mc[i] = trace_norm_distance(
             DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
         )

@@ -96,7 +96,14 @@ def _count_occupation_vectors(total: int, sites: int, cap: int) -> int:
 
     Bounded compositions by inclusion-exclusion over the sites forced
     above ``cap``: sum_j (-1)^j C(sites, j) C(total - j(cap+1) + sites-1, sites-1).
+    Holes and particles are symmetric (occupation n <-> cap - n), so the
+    sum runs over the smaller of total and sites * cap - total: near full
+    filling it then has a few terms, not thousands of huge ones.
     """
+    full = sites * cap
+    if total > full:
+        return 0
+    total = min(total, full - total)
     return sum(
         (-1) ** j
         * math.comb(sites, j)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import EventLog, TrajectoryRecord, events_up_to, record_grid
+from .trajectory import Ensemble, TrajectoryRecord, _coerce_rng, record_counts, record_grid
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -215,14 +215,6 @@ def schedule_hittings(config: HittingConfig, rng: np.random.Generator) -> np.nda
     return times
 
 
-def _coerce_rng(rng, seed):
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng) if seed is None else seed
-    if isinstance(rng, np.random.Generator):
-        return rng, seed
-    raise TypeError("rng must be an integer seed or a numpy Generator")
-
-
 @dataclass
 class ChainResult:
     """Output of the hitting kernel.
@@ -300,7 +292,7 @@ def run_hitting_chain_batch(
     evolves each row exactly over its own interval between hits, and with
     ``record_times``: record slot r of row b is the state after the last
     hit at or before ``record_times[r]`` (on the clock of
-    :func:`~qreduce.trajectory.events_up_to`), evolved to that time.
+    :func:`~qreduce.trajectory.record_counts`), evolved to that time.
 
     Raises
     ------
@@ -320,9 +312,9 @@ def run_hitting_chain_batch(
 
     if record_times is not None:
         record_times = np.asarray(record_times, dtype=float)
-        slot_hits = np.array(
-            [events_up_to(hit_times[b, : counts[b]], record_times) for b in range(batch)]
-        ).reshape(batch, record_times.size)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        hit_rows = np.arange(max_hits) < counts[:, np.newaxis]
+        slot_hits = record_counts(offsets, hit_times[hit_rows], record_times)
         snaps = np.empty((batch, record_times.size, quantities.dim), dtype=np.complex128)
         snap_last = np.zeros((batch, record_times.size))
 
@@ -378,21 +370,6 @@ def run_hitting_chain_batch(
     return result
 
 
-def _draw_randoms(rng: np.random.Generator, streams, t_end, record_interval, num_q):
-    """One trajectory's hit times, stream ids, uniforms and noise, in draw order."""
-    parts = [
-        schedule_hittings(
-            HittingConfig(s.beta, s.mu, t_end, record_interval, s.schedule), rng
-        )
-        for s in streams
-    ]
-    times = np.concatenate(parts)
-    ids = np.repeat(np.arange(len(streams)), [p.size for p in parts])
-    order = np.argsort(times, kind="stable")
-    times, ids = times[order], ids[order]
-    return times, ids, rng.random(times.size), rng.standard_normal((times.size, num_q))
-
-
 def simulate_hitting_batch(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
@@ -404,25 +381,40 @@ def simulate_hitting_batch(
     *,
     store_states: bool = False,
     seeds=None,
-) -> list[TrajectoryRecord]:
+) -> Ensemble:
     """One trajectory per generator, all advanced by one kernel call.
 
     Each trajectory takes its draws from its own generator in the order
     given in the module docstring; ``seeds`` (one per generator) are
-    stored on the records and reported by a :class:`VanishingNormError`.
+    stored on the ensemble and reported by a :class:`VanishingNormError`.
     """
     num_q = quantities.num_quantities
-    draws = [_draw_randoms(g, streams, t_end, record_interval, num_q) for g in generators]
-    batch = len(draws)
-    counts = np.array([d[0].size for d in draws], dtype=int)
-    width = int(counts.max()) if batch else 0
-    times = np.full((batch, width), np.inf)
-    ids = np.zeros((batch, width), dtype=int)
-    uniforms = np.zeros((batch, width))
-    noise = np.zeros((batch, width, num_q))
-    for b, (t, i, u, z) in enumerate(draws):
-        n = t.size
-        times[b, :n], ids[b, :n], uniforms[b, :n], noise[b, :n] = t, i, u, z
+    batch = len(generators)
+    configs = [HittingConfig(s.beta, s.mu, t_end, record_interval, s.schedule) for s in streams]
+    times, ids = [], []
+    for g in generators:
+        parts = [schedule_hittings(c, g) for c in configs]
+        t = np.concatenate(parts)
+        i = np.repeat(np.arange(len(streams)), [p.size for p in parts])
+        order = np.argsort(t, kind="stable")
+        times.append(t[order])
+        ids.append(i[order])
+    counts = np.array([t.size for t in times], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    times, ids = np.concatenate(times), np.concatenate(ids)
+    uniforms = np.empty(offsets[-1])
+    noise = np.empty((offsets[-1], num_q))
+    for g, a, b in zip(generators, offsets[:-1], offsets[1:]):
+        g.random(out=uniforms[a:b])
+        g.standard_normal(out=noise[a:b])
+
+    # the kernel's (batch, max_hits, ...) inputs: row b holds its hits first
+    hit_rows = np.arange(counts.max()) < counts[:, np.newaxis]
+
+    def padded(values, fill):
+        out = np.full(hit_rows.shape + values.shape[1:], fill, dtype=values.dtype)
+        out[hit_rows] = values
+        return out
 
     rec_times = record_grid(t_end, record_interval)
     out = run_hitting_chain_batch(
@@ -430,26 +422,29 @@ def simulate_hitting_batch(
         quantities,
         streams,
         counts,
-        uniforms,
-        noise,
-        hit_streams=ids,
-        hit_times=times,
+        padded(uniforms, 0.0),
+        padded(noise, 0.0),
+        hit_streams=padded(ids, 0),
+        hit_times=padded(times, np.inf),
         hamiltonian=hamiltonian,
         record_times=rec_times,
         store_states=store_states,
         seeds=seeds,
     )
-    return [
-        TrajectoryRecord(
-            sample_times=rec_times,
-            born_weights=out.weights[b],
-            expectations=out.expectations[b],
-            events=EventLog(draws[b][0], out.centres[b, : counts[b]]),
-            seed=None if seeds is None else int(seeds[b]),
-            states=None if out.states is None else out.states[b],
-        )
-        for b in range(batch)
-    ]
+
+    def by_sample(a):
+        return None if a is None else np.ascontiguousarray(a.swapaxes(0, 1))
+
+    return Ensemble(
+        seeds=seeds,
+        sample_times=rec_times,
+        weights=by_sample(out.weights),
+        expectations=by_sample(out.expectations),
+        offsets=offsets,
+        times=times,
+        centres=out.centres[hit_rows],
+        states=by_sample(out.states),
+    )
 
 
 def simulate_hitting_trajectory(

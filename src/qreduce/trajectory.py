@@ -1,10 +1,13 @@
-"""Trajectory recording shared by both reduction engines."""
+"""Ensembles of trajectories, shared by both reduction engines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import MissingSnapshotError
 
 # Relative slack of the event clock. Hit times (k / mu) and sample times
 # (r * record_interval) come from different grids, so a hit and a record
@@ -13,51 +16,48 @@ import numpy as np
 CLOCK_TOL = 1e-9
 
 
-def events_up_to(event_times, sample_times) -> np.ndarray:
-    """Number of events at or before each sample time.
+def record_counts(offsets, event_times, sample_times) -> np.ndarray:
+    """(n, S) events at or before each sample time; trajectory i owns
+    ``event_times[offsets[i]:offsets[i + 1]]``.
 
-    ``event_times`` must be sorted. A hit at the same time as a record
-    counts toward that record ("hit first at equal times"), also when
-    the two times were rounded differently.
+    A hit at a record's time counts toward that record ("hit first at
+    equal times"), also when the two times were rounded differently. An
+    event counts toward record r iff fewer than r + 1 of the strictly
+    rising clock limits lie below its time.
     """
     limits = np.asarray(sample_times, dtype=float) * (1.0 + CLOCK_TOL)
-    return np.searchsorted(event_times, limits, side="right")
+    n, s = len(offsets) - 1, limits.size
+    slots = np.searchsorted(limits, event_times, side="left")
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    per_slot = np.bincount(rows * (s + 1) + slots, minlength=n * (s + 1))
+    return per_slot.reshape(n, s + 1)[:, :s].cumsum(axis=1)
 
 
+def _sample_index(sample_times: np.ndarray, t: float, tol: float = 1e-9) -> int:
+    idx = int(np.argmin(np.abs(sample_times - t)))
+    if abs(sample_times[idx] - t) > tol:
+        raise KeyError(f"no sample at t={t}")
+    return idx
+
+
+@dataclass(frozen=True)
 class EventLog:
-    """Columnar store of hitting events: times plus centre rows in R^K."""
+    """One trajectory's hitting events: times (E,) and centre rows (E, K)."""
 
-    __slots__ = ("times", "centres")
-
-    def __init__(self, times=None, centres=None, num_quantities: int = 1):
-        if times is None:
-            times = np.empty(0)
-            centres = np.empty((0, num_quantities))
-        self.times = np.asarray(times, dtype=float)
-        self.centres = np.asarray(centres, dtype=float)
-        if self.centres.ndim == 1:
-            self.centres = self.centres.reshape(-1, 1)
-        if self.centres.shape[0] != self.times.size:
-            raise ValueError("event times and centres disagree in length")
-        self.times.flags.writeable = False
-        self.centres.flags.writeable = False
+    times: np.ndarray
+    centres: np.ndarray
 
     def __len__(self) -> int:
         return self.times.size
 
-    def __reduce__(self):
-        # a pickle (records from worker processes) drops the read-only flags
-        return (EventLog, (self.times, self.centres))
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Time series of one stochastic realization.
+    """Read-only view of one trajectory (one row) of an :class:`Ensemble`.
 
-    ``born_weights`` and ``expectations`` are always present, one row per
-    sample time. Full state snapshots are kept only when requested, as one
-    read-only (samples, d) array in the computational basis. ``events`` is
-    empty for the diffusive engine.
+    ``born_weights`` and ``expectations`` hold one row per sample time,
+    ``states`` (when recorded) the (samples, d) computational-basis
+    snapshots. ``events`` is empty for the diffusive engine.
     """
 
     sample_times: np.ndarray
@@ -66,26 +66,6 @@ class TrajectoryRecord:
     events: EventLog
     seed: int | None = None
     states: np.ndarray | None = None
-    _weight_tol: float = field(default=1e-10, repr=False)
-
-    def __post_init__(self):
-        self.sample_times = np.asarray(self.sample_times, dtype=float)
-        self.born_weights = np.asarray(self.born_weights, dtype=float)
-        self.expectations = np.asarray(self.expectations, dtype=float)
-        if np.any(np.diff(self.sample_times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        sums = self.born_weights.sum(axis=1)
-        worst = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
-        if worst > self._weight_tol:
-            raise ValueError(f"born-weight rows deviate from 1 by {worst:.3e}")
-        if self.states is not None:
-            self.states = np.asarray(self.states)
-            self.states.flags.writeable = False
-
-    def __setstate__(self, state):
-        # a pickle drops the read-only flag of the snapshots; restore it
-        self.__dict__.update(state)
-        self.__post_init__()
 
     @property
     def num_samples(self) -> int:
@@ -95,27 +75,121 @@ class TrajectoryRecord:
     def dim(self) -> int:
         return self.born_weights.shape[1]
 
-    def sample_index(self, t: float, *, tol: float = 1e-9) -> int:
-        idx = int(np.argmin(np.abs(self.sample_times - t)))
-        if abs(self.sample_times[idx] - t) > tol:
-            raise KeyError(f"no sample at t={t}")
-        return idx
-
     def state_at(self, t: float) -> np.ndarray:
-        from .errors import MissingSnapshotError
-
         if self.states is None:
             raise MissingSnapshotError("trajectory was recorded without snapshots")
-        return self.states[self.sample_index(t)]
+        return self.states[_sample_index(self.sample_times, t)]
+
+    def _counts(self, times) -> np.ndarray:
+        return record_counts([0, len(self.events)], self.events.times, times)[0]
 
     def events_between(self, start: float, stop: float) -> int:
-        """Number of events with start < t <= stop, on the event clock."""
-        before, upto = events_up_to(self.events.times, [start, stop])
+        """Number of events with start < t <= stop (start < stop), on the event clock."""
+        before, upto = self._counts([start, stop])
         return int(upto - before)
 
     def event_flags(self) -> np.ndarray:
         """Events since the previous sample, per sample (all up to t for the first)."""
-        return np.diff(events_up_to(self.events.times, self.sample_times), prepend=0)
+        return np.diff(self._counts(self.sample_times), prepend=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """n trajectories on one sample grid of S times, as read-only arrays.
+
+    ``weights`` (S, n, d) and ``expectations`` (S, n, K) hold the Born
+    weights and quantity means; ``states`` (S, n, d), when recorded, the
+    computational-basis snapshots. Each sample's rows are one contiguous
+    (n, d) block. Events are in CSR form: trajectory i owns
+    ``times[offsets[i]:offsets[i + 1]]`` and the matching ``centres``
+    rows. ``seeds`` (n,) are the per-trajectory seeds, or None when the
+    trajectories ran from bare generators. ``ens[i]`` is trajectory i as
+    a :class:`TrajectoryRecord`.
+    """
+
+    seeds: np.ndarray | None
+    sample_times: np.ndarray
+    weights: np.ndarray
+    expectations: np.ndarray
+    offsets: np.ndarray
+    times: np.ndarray
+    centres: np.ndarray
+    states: np.ndarray | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                value = np.asarray(value)
+                value.flags.writeable = False
+                object.__setattr__(self, f.name, value)
+        if np.any(np.diff(self.sample_times) <= 0):
+            raise ValueError("sample times must be strictly increasing")
+        if not self.offsets[-1] == self.times.size == self.centres.shape[0]:
+            raise ValueError("event offsets, times and centres disagree in length")
+        if self.weights.size:
+            worst = float(np.max(np.abs(self.weights.sum(axis=2) - 1.0)))
+            if worst > 1e-10:
+                raise ValueError(f"born-weight rows deviate from 1 by {worst:.3e}")
+
+    @classmethod
+    def concat(cls, parts: list["Ensemble"]) -> "Ensemble":
+        """The trajectories of ``parts`` in order, on the grid they share."""
+        first = parts[0]
+
+        def join(name, axis=0):
+            arrays = [getattr(p, name) for p in parts]
+            if arrays[0] is None or len(arrays) == 1:
+                return arrays[0]
+            return np.concatenate(arrays, axis=axis)
+
+        starts = np.cumsum([0] + [p.times.size for p in parts])
+        offsets = [[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)]
+        return cls(
+            seeds=join("seeds"),
+            sample_times=first.sample_times,
+            weights=join("weights", axis=1),
+            expectations=join("expectations", axis=1),
+            offsets=np.concatenate(offsets),
+            times=join("times"),
+            centres=join("centres"),
+            states=join("states", axis=1),
+        )
+
+    def __len__(self) -> int:
+        return self.weights.shape[1]
+
+    def __getitem__(self, i: int) -> TrajectoryRecord:
+        i = range(len(self))[operator.index(i)]
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return TrajectoryRecord(
+            sample_times=self.sample_times,
+            born_weights=self.weights[:, i, :],
+            expectations=self.expectations[:, i, :],
+            events=EventLog(self.times[a:b], self.centres[a:b]),
+            seed=None if self.seeds is None else int(self.seeds[i]),
+            states=None if self.states is None else self.states[:, i, :],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def sample_index(self, t: float) -> int:
+        return _sample_index(self.sample_times, t)
+
+    def event_flags(self) -> np.ndarray:
+        """(n, S) events since the previous sample (all up to t for the first)."""
+        counts = record_counts(self.offsets, self.times, self.sample_times)
+        return np.diff(counts, axis=1, prepend=0)
+
+
+def _coerce_rng(rng, seed):
+    """(generator, seed) from an integer seed or a numpy Generator."""
+    if isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(int(rng)), int(rng) if seed is None else seed
+    if isinstance(rng, np.random.Generator):
+        return rng, seed
+    raise TypeError("rng must be an integer seed or a numpy Generator")
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import jsonschema
 
+import qreduce
 from qreduce.cli import _write_events_csv, _write_trajectories_csv, main
 from qreduce.config import (
     ScenarioConfig,
@@ -16,7 +18,14 @@ from qreduce.config import (
 )
 from qreduce.errors import ConfigError
 from qreduce.scenarios import build_scenario
-from qreduce.trajectory import EventLog, TrajectoryRecord
+from qreduce.trajectory import Ensemble
+
+
+def _child_env() -> dict:
+    """The environment of a child Python that imports this qreduce."""
+    src = str(Path(qreduce.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
 def minimal_qubit_config(**overrides) -> dict:
@@ -315,7 +324,7 @@ class TestCliRun:
         code = "import sys, qreduce.cli; print('scipy.stats' in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            check=True,
+            check=True, env=_child_env(),
         )
         assert done.stdout.strip() == "False"
 
@@ -353,7 +362,7 @@ class TestCliRun:
         )
         done = subprocess.run(
             [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120, check=True,
+            capture_output=True, text=True, timeout=120, check=True, env=_child_env(),
         )
         assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
         assert (tmp_path / "out" / "compare.json").exists()
@@ -373,16 +382,22 @@ class TestCliRun:
 
     def test_csv_fields_are_float_reprs(self, tmp_path):
         tiny = 5e-324
-        rec = TrajectoryRecord(
-            sample_times=[0.0, 0.1, 0.30000000000000004],
-            born_weights=[[tiny, 1.0], [0.25, 0.75], [1 / 3, 2 / 3]],
-            expectations=[[-1e-300, -0.1], [-0.0, 2.5e-17], [np.pi, -np.e]],
-            events=EventLog(
-                [0.05, 0.1, 0.2],
-                [[np.nan, -3.5], [1e-310, np.nan], [-7.0, 1 / 7]],
-            ),
+        weights = np.array([[tiny, 1.0], [0.25, 0.75], [1 / 3, 2 / 3]])
+        expectations = np.array([[-1e-300, -0.1], [-0.0, 2.5e-17], [np.pi, -np.e]])
+        times = np.array([0.05, 0.1, 0.2])
+        centres = np.array([[np.nan, -3.5], [1e-310, np.nan], [-7.0, 1 / 7]])
+        # two identical trajectories
+        ens = Ensemble(
+            seeds=None,
+            sample_times=np.array([0.0, 0.1, 0.30000000000000004]),
+            weights=np.stack([weights, weights], axis=1),
+            expectations=np.stack([expectations, expectations], axis=1),
+            offsets=np.array([0, 3, 6]),
+            times=np.concatenate([times, times]),
+            centres=np.concatenate([centres, centres]),
         )
-        engines = {"hitting": [rec, rec]}
+        rec = ens[0]
+        engines = {"hitting": ens}
         _write_trajectories_csv(tmp_path / "t.csv", engines)
         _write_events_csv(tmp_path / "e.csv", engines)
         t_rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().splitlines()[1:]]

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector
-from qreduce.hitting import HitStream, HittingConfig, simulate_hitting_trajectory
+from qreduce.hitting import (
+    HitStream,
+    HittingConfig,
+    simulate_hitting_batch,
+    simulate_hitting_trajectory,
+)
 from qreduce.continuous import ContinuousConfig, simulate_continuous_trajectory
 from qreduce.ensemble import (
     CONTINUOUS_STREAM,
@@ -17,6 +22,7 @@ from qreduce.ensemble import (
     run_hitting_ensemble,
     trajectory_seeds,
 )
+from qreduce.trajectory import CLOCK_TOL, Ensemble, record_counts, record_grid
 
 
 class TestSeedDerivation:
@@ -132,7 +138,7 @@ class TestRecordShape:
         records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 20, 3)
         times = records[0].sample_times
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
-        for rec in records[1:]:
+        for rec in records:
             assert np.array_equal(rec.sample_times, times)
 
 
@@ -188,3 +194,97 @@ def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_q
         assert not rec.states.flags.writeable
         assert not rec.events.times.flags.writeable
         assert not rec.events.centres.flags.writeable
+
+
+def _per_row_counts(offsets, times, sample_times):
+    """Reference event clock: one searchsorted per trajectory."""
+    limits = np.asarray(sample_times) * (1.0 + CLOCK_TOL)
+    return np.array(
+        [np.searchsorted(times[a:b], limits, side="right")
+         for a, b in zip(offsets[:-1], offsets[1:])]
+    ).reshape(len(offsets) - 1, limits.size)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    interval=st.sampled_from([0.1, 0.3, 0.25, 1 / 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_counts_match_per_row_clock(counts, interval, seed):
+    # event times on, a rounding off, and between the record times
+    rng = np.random.default_rng(seed)
+    sample_times = record_grid(3.0, interval)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    pool = np.concatenate([
+        sample_times,
+        np.arange(1, 31) / 10.0,
+        sample_times * (1 + 1e-15),
+        sample_times * (1 - 1e-15),
+        rng.uniform(0.0, 3.5, 20),
+    ])
+    times = np.concatenate(
+        [np.sort(rng.choice(pool, size=c)) for c in counts]
+    )
+    got = record_counts(offsets, times, sample_times)
+    assert np.array_equal(got, _per_row_counts(offsets, times, sample_times))
+
+
+class TestEnsembleArrays:
+    @pytest.fixture(scope="class")
+    def ensemble(self, sigma_z_set, equal_qubit):
+        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
+        return run_hitting_ensemble(
+            equal_qubit, None, sigma_z_set, cfg, 30, 2, store_states=True
+        )
+
+    def test_layout_and_read_only(self, ensemble):
+        assert ensemble.weights.shape == (5, 30, 2)
+        assert ensemble.expectations.shape == (5, 30, 1)
+        assert ensemble.states.shape == (5, 30, 2)
+        assert ensemble.offsets.shape == (31,)
+        assert ensemble.centres.shape == (ensemble.times.size, 1)
+        for name in ("seeds", "sample_times", "weights", "expectations", "states",
+                     "offsets", "times", "centres"):
+            assert not getattr(ensemble, name).flags.writeable
+        # each sample's rows are one contiguous block
+        assert all(block.flags.c_contiguous for block in ensemble.states)
+
+    def test_records_are_rows(self, ensemble):
+        assert len(ensemble) == len(list(ensemble)) == 30
+        rec = ensemble[-1]
+        assert np.array_equal(rec.born_weights, ensemble.weights[:, 29])
+        assert np.array_equal(rec.states, ensemble.states[:, 29])
+        assert np.array_equal(rec.events.times, ensemble.times[ensemble.offsets[29]:])
+        assert rec.seed == int(ensemble.seeds[29])
+        assert np.array_equal(
+            ensemble.event_flags()[29], rec.event_flags()
+        )
+        with pytest.raises(IndexError):
+            ensemble[30]
+
+    def test_concat_of_parts_is_the_whole(self, ensemble, sigma_z_set, equal_qubit):
+        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
+        seeds = trajectory_seeds(2, HITTING_STREAM, 30)
+        parts = [
+            simulate_hitting_batch(
+                equal_qubit, None, sigma_z_set, [cfg.stream(1)], 1.0, 0.25,
+                [np.random.default_rng(int(s)) for s in seeds[a:b]],
+                store_states=True, seeds=seeds[a:b],
+            )
+            for a, b in ((0, 7), (7, 8), (8, 30))
+        ]
+        joined = Ensemble.concat(parts)
+        for name in ("seeds", "weights", "expectations", "states", "offsets",
+                     "times", "centres"):
+            assert np.array_equal(getattr(joined, name), getattr(ensemble, name))
+
+    def test_weight_rows_must_sum_to_one(self):
+        fields = dict(
+            seeds=None, sample_times=np.array([0.0, 1.0]),
+            expectations=np.zeros((2, 1, 1)), offsets=np.array([0, 0]),
+            times=np.empty(0), centres=np.empty((0, 1)),
+        )
+        Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
+        with pytest.raises(ValueError):
+            Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 1e-9]]]), **fields)

@@ -9,7 +9,7 @@ from scipy.stats import poisson
 from conftest import SQ2, random_state, random_unitary
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
-from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_trajectory
+from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import (
     SWEEP_STREAM,
@@ -39,6 +39,15 @@ from qreduce.equivalence import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def hitting_batch(psi, quantities, cfg, seeds, *, store_states=False):
+    """One ensemble whose trajectory i runs from ``default_rng(seeds[i])``."""
+    return simulate_hitting_batch(
+        psi, None, quantities, [cfg.stream(quantities.num_quantities)],
+        cfg.t_end, cfg.record_interval, [np.random.default_rng(s) for s in seeds],
+        store_states=store_states, seeds=seeds,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -246,31 +255,46 @@ class TestEngineComparison:
             assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
 
 
+    @pytest.mark.parametrize("t_end, record_interval", [(1.0, 0.5), (2.0, 0.5)])
+    def test_different_record_grids_raise(
+        self, t_end, record_interval, sigma_z_set, equal_qubit
+    ):
+        # the hitting grid is 0, 0.25, ..., 1: first fewer samples, then
+        # as many samples at other times
+        hitting = run_hitting_ensemble(
+            equal_qubit, None, sigma_z_set,
+            HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.25),
+            20, 3, store_states=True,
+        )
+        continuous = run_continuous_ensemble(
+            equal_qubit, None, sigma_z_set,
+            ContinuousConfig(gamma=1.0, dt=5e-3, t_end=t_end, record_interval=record_interval),
+            20, 3, store_states=True,
+        )
+        with pytest.raises(ValueError):
+            engine_comparison(
+                hitting, continuous, sigma_z_set, 0.5, 4.0, 1.0, n_bootstrap=5
+            )
+
+
 class TestEnsembleDensityMatrix:
     def test_single_trajectory_projector(self, sigma_z_set, equal_qubit):
         cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        rec = simulate_hitting_trajectory(
-            equal_qubit, None, sigma_z_set, cfg, 3, store_states=True
-        )
-        rho = ensemble_density_matrix([rec], 1.0)
+        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3], store_states=True)
+        rho = ensemble_density_matrix(ens, 1.0)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_trajectories_stay_pure(self, sigma_z_set, equal_qubit):
         cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        recs = [
-            simulate_hitting_trajectory(
-                equal_qubit, None, sigma_z_set, cfg, 3, store_states=True
-            )
-            for _ in range(4)
-        ]
-        rho = ensemble_density_matrix(recs, 0.5)
+        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3] * 4, store_states=True)
+        rho = ensemble_density_matrix(ens, 0.5)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_missing_snapshots(self, sigma_z_set, equal_qubit):
         cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 3)
+        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3])
         with pytest.raises(MissingSnapshotError):
-            ensemble_density_matrix([rec], 0.5)
+            ensemble_density_matrix(ens, 0.5)
 
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
@@ -289,9 +313,7 @@ class TestCollapseStatistics:
     def test_eigenvector_hundred_percent(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
         cfg = HittingConfig(beta=1.0, mu=5.0, t_end=1.0, record_interval=0.5)
-        recs = [
-            simulate_hitting_trajectory(psi, None, sigma_z_set, cfg, s) for s in range(20)
-        ]
+        recs = hitting_batch(psi, sigma_z_set, cfg, range(20))
         report = collapse_statistics(recs, sigma_z_set)
         assert report.unresolved_count == 0
         assert report.outcomes[0].frequency == 1.0
@@ -325,7 +347,7 @@ class TestCollapseStatistics:
         # a superposition inside the degenerate subspace is already sharp
         psi = StateVector([SQ2, SQ2, 0.0])
         cfg = HittingConfig(beta=1.0, mu=10.0, t_end=2.0, record_interval=1.0)
-        recs = [simulate_hitting_trajectory(psi, None, qs, cfg, s) for s in range(10)]
+        recs = hitting_batch(psi, qs, cfg, range(10))
         report = collapse_statistics(recs, qs)
         assert report.unresolved_count == 0
         assert report.outcomes[0].frequency == 1.0
@@ -358,7 +380,7 @@ class TestDbStatistics:
     def test_insufficient_events(self, sigma_z_set, equal_qubit):
         cfg = HittingConfig(beta=0.1, mu=5.0, t_end=2.0, record_interval=0.5,
                             schedule=Schedule.EVENLY_SPACED)
-        recs = [simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 1)]
+        recs = hitting_batch(equal_qubit, sigma_z_set, cfg, [1])
         with pytest.raises(InsufficientEventsError):
             db_statistics(recs, 0.1, 5.0, 0.5)
 
@@ -370,6 +392,24 @@ class TestDbStatistics:
         assert report.mean_hits_per_window == pytest.approx(60.0)
         assert abs(report.mean[0]) < 4 * report.mean_se[0]
         assert report.variance[0] == pytest.approx(0.02, rel=0.05)
+
+    def test_windows_match_the_per_trajectory_loop(self, correlated_pair_set, equal_qubit):
+        # reference: the window increments built one trajectory at a time
+        beta, mu, window = 1e-3, 2000.0, 0.1
+        cfg = HittingConfig(beta=beta, mu=mu, t_end=1.0, record_interval=0.05)
+        ens = run_hitting_ensemble(equal_qubit, None, correlated_pair_set, cfg, 12, 6)
+        n_windows, stride = 10, 2
+        rows = []
+        for rec in ens:
+            anchors = rec.expectations[: n_windows * stride : stride]
+            bins = np.ceil(rec.events.times / window - 1e-9).astype(int) - 1
+            valid = (bins >= 0) & (bins < n_windows)
+            counts = np.bincount(bins[valid], minlength=n_windows).astype(float)
+            sums = np.zeros((n_windows, 2))
+            np.add.at(sums, bins[valid], rec.events.centres[valid])
+            rows.append(math.sqrt(2 * beta / mu) * (sums - counts[:, None] * anchors))
+        report = db_statistics(ens, beta, mu, window)
+        assert np.array_equal(report.samples, np.concatenate(rows))
 
     def test_factorized_windows_match_prelimit_laws(self, correlated_pair_set, equal_qubit):
         rng = np.random.default_rng(8)

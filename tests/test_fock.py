@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -108,12 +109,22 @@ class TestLatticeBasis:
     @pytest.mark.parametrize(
         "total, sites, cap",
         [(3, 4, 3), (5, 6, 5), (0, 3, 0), (2, 5, 1), (3, 3, 1), (4, 2, 1), (7, 4, 2),
-         (6, 5, 2), (9, 3, 4)],
+         (6, 5, 2), (9, 3, 4),
+         # past half filling, where the sum runs over the holes, and full
+         (4, 5, 1), (5, 5, 1), (10, 4, 3), (12, 4, 3), (8, 3, 3), (9, 3, 3), (2, 1, 2),
+         # more particles than places
+         (13, 4, 3), (1, 3, 0)],
     )
     def test_dimension_counted_in_closed_form(self, total, sites, cap):
         # bosons (cap = count), fermions (cap 1) and capped bosons
         expected = len(list(_occupation_vectors(total, sites, cap)))
         assert _count_occupation_vectors(total, sites, cap) == expected
+
+    def test_count_near_full_filling_is_fast(self):
+        # 4998 fermions on 4999 sites: one hole, so 4999 configurations
+        start = time.perf_counter()
+        assert _count_occupation_vectors(4998, 4999, 1) == 4999
+        assert time.perf_counter() - start < 0.5
 
     def test_enumeration_matches_recursive_reference(self):
         for total in range(6):
