@@ -187,12 +187,11 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    out_dir = Path(args.out or config.output_dir or "qreduce-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     built = build_scenario(config)
     if config.engine == "both" and built.streams is not None:
         raise ConfigError("engine", "engine=both is unsupported for multistream scenarios")
+    out_dir = Path(args.out or config.output_dir or "qreduce-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     need_states = config.engine == "both"
     ensembles = _run_engines(built, args.workers, need_states)
 

@@ -70,7 +70,6 @@ class ContinuousConfig:
     dt: float
     t_end: float
     record_interval: float
-    split_hamiltonian: bool = False
 
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.gamma, dtype=float))
@@ -192,17 +191,9 @@ class _DiffusionKernel:
         # (d,): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no row changes
         self.base_factor = 1.0 - (centred**2) @ self.half_dt_gamma
         self.h_joint = None
-        self.h_prop = None
         if hamiltonian is not None:
             hj = quantities.joint_hamiltonian(hamiltonian)
-            if config.split_hamiltonian:
-                w, u = np.linalg.eigh(hj)
-                phases = np.exp(-1j * w * config.dt / hamiltonian.hbar)
-                self.h_prop = np.ascontiguousarray((u * phases) @ u.conj().T)
-            else:
-                self.h_joint = np.ascontiguousarray(
-                    (-1j * config.dt / hamiltonian.hbar) * hj
-                )
+            self.h_joint = np.ascontiguousarray((-1j * config.dt / hamiltonian.hbar) * hj)
 
     def step_batch(self, coeffs: np.ndarray, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every row by one step; returns (new coeffs, norm ratios).
@@ -226,8 +217,6 @@ class _DiffusionKernel:
         out = coeffs * factor
         if self.h_joint is not None:
             out += np.matvec(self.h_joint, coeffs)
-        if self.h_prop is not None:
-            out = np.matvec(self.h_prop, out)
         new_norms2 = np.vecdot(out, out).real
         ratios = np.sqrt(new_norms2 / norms2)
         out *= (1.0 / np.sqrt(new_norms2))[:, np.newaxis]

@@ -79,9 +79,6 @@ class DensityMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
 
-    def __reduce__(self):
-        return (_rebuild_density, (np.array(self.rho),))
-
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
@@ -107,10 +104,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
-
-
-def _rebuild_density(rho):
-    return DensityMatrix(rho, validate=False)
 
 
 def trace_norm_distance(a, b) -> float:
@@ -378,9 +371,6 @@ class CollapseReport:
     unresolved_fraction: float
     threshold: float
     threshold_sensitivity: dict[float, float]
-
-    def frequency_of(self, label_index: int) -> float:
-        return self.outcomes[label_index].frequency
 
 
 def collapse_statistics(

@@ -5,16 +5,27 @@ centre of each hit is drawn from the exact quadratic-form density, which
 is a mixture of Gaussians over the joint eigenvectors. Between hits the
 state evolves unitarily (exactly, via the Hamiltonian eigensystem).
 
-One kernel, :func:`run_hitting_chain_batch`, advances a batch of
-trajectories hit by hit in lockstep. A trajectory's random draws do not
-depend on its state, so each trajectory takes them up front from its own
-generator, in this order:
+:func:`simulate_hitting_batch` runs a batch of trajectories in three
+steps:
 
-1. the hit times, stream by stream, from :func:`schedule_hittings` (for
-   a Poisson stream the count, then the times);
-2. one uniform per hit, as one block; it picks the joint eigenvector;
-3. K standard normals per hit, as one (hits, K) block; a hit uses the
-   columns of its stream's quantities as the centre's Gaussian offset.
+1. **Draws.** A trajectory's random draws do not depend on its state,
+   so each trajectory takes them up front from its own generator, in
+   this order:
+
+   a. the hit times, stream by stream, from :func:`schedule_hittings`
+      (for a Poisson stream the count, then the times), merged in time
+      order;
+   b. one uniform per hit, as one block; it picks the joint eigenvector;
+   c. K standard normals per hit, as one (hits, K) block; a hit uses the
+      columns of its stream's quantities as the centre's Gaussian offset.
+
+2. **CSR arrays.** The batch's hits are laid out as the
+   :class:`~qreduce.trajectory.Ensemble` keeps its events: trajectory i
+   owns hits ``offsets[i]:offsets[i + 1]`` of the flat (E,) times,
+   stream ids and uniforms and of the (E, K) noise.
+
+3. **One kernel call.** :func:`run_hitting_chain_batch` advances every
+   trajectory hit by hit in lockstep and returns the ensemble itself.
 
 A trajectory therefore depends only on its generator, never on the batch
 it runs in. :func:`apply_hitting` and :func:`sample_hitting_centre` are
@@ -215,25 +226,6 @@ def schedule_hittings(config: HittingConfig, rng: np.random.Generator) -> np.nda
     return times
 
 
-@dataclass
-class ChainResult:
-    """Output of the hitting kernel.
-
-    ``coeffs`` are the final joint-basis rows. ``centres`` is the
-    (batch, max_hits, K) centre tensor, NaN past each row's hit count and
-    outside the quantities of each hit's stream. With record times the
-    kernel also returns Born ``weights`` (batch, R, d), ``expectations``
-    (batch, R, K) and, when asked, computational-basis ``states``
-    (batch, R, d).
-    """
-
-    coeffs: np.ndarray
-    centres: np.ndarray
-    weights: np.ndarray | None = None
-    expectations: np.ndarray | None = None
-    states: np.ndarray | None = None
-
-
 class _StreamKernel:
     """Per-stream constants of the sharpening update."""
 
@@ -270,29 +262,32 @@ def run_hitting_chain_batch(
     coeffs: np.ndarray,
     quantities: QuantitySet,
     streams: list[HitStream],
-    n_hits,
+    offsets: np.ndarray,
+    times: np.ndarray,
+    stream_ids: np.ndarray,
     uniforms: np.ndarray,
     noise: np.ndarray,
+    record_times: np.ndarray,
     *,
-    hit_streams: np.ndarray | None = None,
-    hit_times: np.ndarray | None = None,
     hamiltonian: Hamiltonian | None = None,
-    record_times: np.ndarray | None = None,
     store_states: bool = False,
     seeds=None,
-) -> ChainResult:
+) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
 
-    ``coeffs`` holds one joint-basis row per trajectory and ``n_hits`` a
-    scalar or per-row hit count; a row past its count stays frozen. Hit h
-    of row b picks an eigenvector with ``uniforms[b, h]`` and offsets the
-    centre by ``sigma * noise[b, h, cols]`` (sigma = 1/sqrt(2 beta)), for
-    the stream ``hit_streams[b, h]`` (default 0) with quantity columns
-    ``cols``. ``hit_times[b, h]`` is needed with a Hamiltonian, which
-    evolves each row exactly over its own interval between hits, and with
-    ``record_times``: record slot r of row b is the state after the last
-    hit at or before ``record_times[r]`` (on the clock of
+    ``coeffs`` holds one joint-basis row per trajectory. The hits come in
+    the :class:`~qreduce.trajectory.Ensemble`'s CSR layout: row b owns
+    hits ``offsets[b]:offsets[b + 1]``, and hit e, at ``times[e]``, is
+    made by stream ``stream_ids[e]`` with quantity columns ``cols``. It
+    picks an eigenvector with ``uniforms[e]`` and offsets the centre by
+    ``sigma * noise[e, cols]`` (sigma = 1/sqrt(2 beta)). A Hamiltonian
+    evolves each row exactly over its own interval between hits. Record
+    slot r of row b is the state after the last hit at or before
+    ``record_times[r]`` (on the clock of
     :func:`~qreduce.trajectory.record_counts`), evolved to that time.
+
+    Returns the ensemble of the batch: the (E, K) centres, NaN outside
+    each hit's stream, and the records in (R, batch, ·) layout.
 
     Raises
     ------
@@ -302,44 +297,40 @@ def run_hitting_chain_batch(
     """
     coeffs = np.array(coeffs, dtype=np.complex128)
     table = quantities.eigenvalue_table
-    batch, num_q = coeffs.shape[0], table.shape[1]
-    counts = np.broadcast_to(np.asarray(n_hits, dtype=int), (batch,))
+    record_times = np.asarray(record_times, dtype=float)
+    batch, num_r = coeffs.shape[0], record_times.size
+    counts = np.diff(offsets)
     max_hits = int(counts.max()) if batch else 0
     kernels = [_StreamKernel(stream, table) for stream in streams]
     evolve = None if hamiltonian is None else _propagator(quantities, hamiltonian)
     last = np.zeros(batch)  # time of each row's latest hit
-    centres_out = np.full((batch, max_hits, num_q), np.nan)
-
-    if record_times is not None:
-        record_times = np.asarray(record_times, dtype=float)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        hit_rows = np.arange(max_hits) < counts[:, np.newaxis]
-        slot_hits = record_counts(offsets, hit_times[hit_rows], record_times)
-        snaps = np.empty((batch, record_times.size, quantities.dim), dtype=np.complex128)
-        snap_last = np.zeros((batch, record_times.size))
+    centres_out = np.full((times.size, table.shape[1]), np.nan)
+    slot_hits = record_counts(offsets, times, record_times)
+    snaps = np.empty((num_r, batch, quantities.dim), dtype=np.complex128)
+    snap_last = np.zeros((num_r, batch))
 
     for h in range(max_hits + 1):
-        if record_times is not None:
-            due, slots = np.nonzero(slot_hits == h)
-            snaps[due, slots] = coeffs[due]
-            snap_last[due, slots] = last[due]
+        due, slots = np.nonzero(slot_hits == h)
+        snaps[slots, due] = coeffs[due]
+        snap_last[slots, due] = last[due]
         if h == max_hits:
             break
         active = np.nonzero(counts > h)[0]
+        hits = offsets[active] + h
         if evolve is not None:
-            now = hit_times[active, h]
+            now = times[hits]
             coeffs[active] = evolve(coeffs[active], now - last[active])
             last[active] = now
         rows = coeffs[active]
         cum = np.cumsum(np.abs(rows) ** 2, axis=1)
         cum /= cum[:, -1:]
-        picks = (uniforms[active, h][:, np.newaxis] > cum).sum(axis=1)
-        ids = None if len(kernels) == 1 else hit_streams[active, h]
+        picks = (uniforms[hits][:, np.newaxis] > cum).sum(axis=1)
+        ids = None if len(kernels) == 1 else stream_ids[hits]
         for s, kern in enumerate(kernels):
             local = slice(None) if ids is None else np.nonzero(ids == s)[0]
-            where = active[local]
-            offsets = noise[where[:, np.newaxis], h, kern.cols]
-            centres = kern.table[picks[local]] + offsets * kern.sigma
+            where, mine = active[local], hits[local]
+            shifts = noise[mine[:, np.newaxis], kern.cols]
+            centres = kern.table[picks[local]] + shifts * kern.sigma
             diff = kern.table[np.newaxis, :, :] - centres[:, np.newaxis, :]
             dist2 = np.sum(diff**2, axis=2)
             sharpened = np.exp(-0.5 * kern.beta * dist2) * rows[local]
@@ -347,27 +338,29 @@ def run_hitting_chain_batch(
             chi2 = kern.pref2 * norm2
             if (chi2 < VANISHING_NORM_THRESHOLD).any():
                 i = int(np.argmin(chi2))
-                b = int(where[i])
-                when = "" if hit_times is None else f" at t={hit_times[b, h]!r}"
                 raise VanishingNormError(
-                    f"hit {h + 1}{when} annihilated the state (|chi|^2 = {chi2[i]!r})",
-                    seed=None if seeds is None else int(seeds[b]),
+                    f"hit {h + 1} at t={times[mine[i]]!r} annihilated the state "
+                    f"(|chi|^2 = {chi2[i]!r})",
+                    seed=None if seeds is None else int(seeds[where[i]]),
                 )
             coeffs[where] = sharpened / np.sqrt(norm2)[:, np.newaxis]
-            centres_out[where[:, np.newaxis], h, kern.cols] = centres
+            centres_out[mine[:, np.newaxis], kern.cols] = centres
 
-    result = ChainResult(coeffs=coeffs, centres=centres_out)
-    if record_times is not None:
-        if evolve is not None:
-            dt = (record_times[np.newaxis, :] - snap_last).reshape(-1)
-            snaps = evolve(snaps.reshape(-1, quantities.dim), dt).reshape(snaps.shape)
-        weights = np.abs(snaps) ** 2
-        weights /= weights.sum(axis=2)[:, :, np.newaxis]
-        result.weights = weights
-        result.expectations = np.einsum("brd,dk->brk", weights, table)
-        if store_states:
-            result.states = quantities.from_joint(snaps)
-    return result
+    if evolve is not None:
+        dt = (record_times[:, np.newaxis] - snap_last).reshape(-1)
+        snaps = evolve(snaps.reshape(-1, quantities.dim), dt).reshape(snaps.shape)
+    weights = np.abs(snaps) ** 2
+    weights /= weights.sum(axis=2)[:, :, np.newaxis]
+    return Ensemble(
+        seeds=seeds,
+        sample_times=record_times,
+        weights=weights,
+        expectations=np.einsum("rbd,dk->rbk", weights, table),
+        offsets=offsets,
+        times=times,
+        centres=centres_out,
+        states=quantities.from_joint(snaps) if store_states else None,
+    )
 
 
 def simulate_hitting_batch(
@@ -388,8 +381,6 @@ def simulate_hitting_batch(
     given in the module docstring; ``seeds`` (one per generator) are
     stored on the ensemble and reported by a :class:`VanishingNormError`.
     """
-    num_q = quantities.num_quantities
-    batch = len(generators)
     configs = [HittingConfig(s.beta, s.mu, t_end, record_interval, s.schedule) for s in streams]
     times, ids = [], []
     for g in generators:
@@ -399,51 +390,25 @@ def simulate_hitting_batch(
         order = np.argsort(t, kind="stable")
         times.append(t[order])
         ids.append(i[order])
-    counts = np.array([t.size for t in times], dtype=np.intp)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    times, ids = np.concatenate(times), np.concatenate(ids)
+    offsets = np.cumsum([0] + [t.size for t in times])
     uniforms = np.empty(offsets[-1])
-    noise = np.empty((offsets[-1], num_q))
+    noise = np.empty((offsets[-1], quantities.num_quantities))
     for g, a, b in zip(generators, offsets[:-1], offsets[1:]):
         g.random(out=uniforms[a:b])
         g.standard_normal(out=noise[a:b])
-
-    # the kernel's (batch, max_hits, ...) inputs: row b holds its hits first
-    hit_rows = np.arange(counts.max()) < counts[:, np.newaxis]
-
-    def padded(values, fill):
-        out = np.full(hit_rows.shape + values.shape[1:], fill, dtype=values.dtype)
-        out[hit_rows] = values
-        return out
-
-    rec_times = record_grid(t_end, record_interval)
-    out = run_hitting_chain_batch(
-        np.tile(quantities.to_joint(psi0), (batch, 1)),
+    return run_hitting_chain_batch(
+        np.tile(quantities.to_joint(psi0), (len(generators), 1)),
         quantities,
         streams,
-        counts,
-        padded(uniforms, 0.0),
-        padded(noise, 0.0),
-        hit_streams=padded(ids, 0),
-        hit_times=padded(times, np.inf),
+        offsets,
+        np.concatenate(times),
+        np.concatenate(ids),
+        uniforms,
+        noise,
+        record_grid(t_end, record_interval),
         hamiltonian=hamiltonian,
-        record_times=rec_times,
         store_states=store_states,
         seeds=seeds,
-    )
-
-    def by_sample(a):
-        return None if a is None else np.ascontiguousarray(a.swapaxes(0, 1))
-
-    return Ensemble(
-        seeds=seeds,
-        sample_times=rec_times,
-        weights=by_sample(out.weights),
-        expectations=by_sample(out.expectations),
-        offsets=offsets,
-        times=times,
-        centres=out.centres[hit_rows],
-        states=by_sample(out.states),
     )
 
 

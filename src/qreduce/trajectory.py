@@ -104,7 +104,8 @@ class Ensemble:
     ``times[offsets[i]:offsets[i + 1]]`` and the matching ``centres``
     rows. ``seeds`` (n,) are the per-trajectory seeds, or None when the
     trajectories ran from bare generators. ``ens[i]`` is trajectory i as
-    a :class:`TrajectoryRecord`.
+    a :class:`TrajectoryRecord`. The hitting kernel reads its hits in this
+    CSR layout and writes its records in this (S, n, ·) layout itself.
     """
 
     seeds: np.ndarray | None

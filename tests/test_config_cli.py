@@ -314,8 +314,7 @@ class TestCliRun:
         rc = main(["run", str(cfg_path), "--out", str(out)])
         assert rc == 1
         assert "engine" in capsys.readouterr().err
-        for name in ("trajectories.csv", "events.csv", "summary.json"):
-            assert not (out / name).exists()
+        assert not out.exists()
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         import subprocess

@@ -144,17 +144,6 @@ class TestSimulateContinuous:
             se = math.sqrt(weight * (1 - weight) / resolved.sum())
             assert abs(frac - weight) < 4 * se
 
-    def test_rabi_with_split_step(self, sigma_z_set):
-        psi = StateVector([1.0, 0.0])
-        ham = Hamiltonian(SX)
-        cfg = ContinuousConfig(
-            gamma=1e-30, dt=1e-3, t_end=1.0, record_interval=0.25,
-            split_hamiltonian=True,
-        )
-        rec = simulate_continuous_trajectory(psi, ham, sigma_z_set, cfg, 4)
-        for t, w in zip(rec.sample_times, rec.born_weights):
-            assert w[0] == pytest.approx(math.cos(t) ** 2, abs=1e-9)
-
     def test_step_rejected_for_huge_dt(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=200.0, dt=0.5, t_end=1.0, record_interval=0.5)
         with pytest.raises(StepRejectedError):

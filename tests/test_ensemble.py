@@ -109,10 +109,7 @@ def _d16_continuous(layout: str, n: int):
     psi0 = random_state(rng, 16)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     hamiltonian = None if layout == "no-hamiltonian" else Hamiltonian(m + m.conj().T)
-    cfg = ContinuousConfig(
-        gamma=0.5, dt=5e-3, t_end=0.1, record_interval=0.05,
-        split_hamiltonian=layout == "split-hamiltonian",
-    )
+    cfg = ContinuousConfig(gamma=0.5, dt=5e-3, t_end=0.1, record_interval=0.05)
     records = run_continuous_ensemble(psi0, hamiltonian, quantities, cfg, n, 7)
     return (
         np.stack([r.born_weights for r in records]),
@@ -120,7 +117,7 @@ def _d16_continuous(layout: str, n: int):
     )
 
 
-@pytest.mark.parametrize("layout", ["no-hamiltonian", "hamiltonian", "split-hamiltonian"])
+@pytest.mark.parametrize("layout", ["no-hamiltonian", "hamiltonian"])
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(n=st.integers(1, 700))
 def test_continuous_trajectory_depends_only_on_its_seed(layout, n):

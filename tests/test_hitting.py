@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SQ2
+from conftest import SQ2, random_state, random_unitary
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
@@ -242,16 +244,29 @@ class TestMultistream:
         assert rec.born_weights[-1].max() > 0.999
 
 
+def _chain(coeffs, quantities, stream, counts, uniforms, noise, **kwargs):
+    """The kernel on one stream, ``counts[b]`` hits in row b, all at t = 1.
+
+    Records are taken at t = 0 and t = 1: before any hit and after all.
+    """
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    hits = int(offsets[-1])
+    return run_hitting_chain_batch(
+        coeffs, quantities, [stream], offsets, np.ones(hits), np.zeros(hits, dtype=int),
+        uniforms, noise, np.array([0.0, 1.0]), **kwargs,
+    )
+
+
 class TestBatchedChain:
     def test_matches_single_hit_distribution(self, sigma_z_set, equal_qubit):
         rng = np.random.default_rng(31)
         n = 40000
         coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (n, 1))
-        out = run_hitting_chain_batch(
-            coeffs, sigma_z_set, [HitStream((0,), 0.5, 1.0)], 1,
-            rng.random((n, 1)), rng.standard_normal((n, 1, 1)),
+        out = _chain(
+            coeffs, sigma_z_set, HitStream((0,), 0.5, 1.0), np.ones(n, dtype=int),
+            rng.random(n), rng.standard_normal((n, 1)),
         )
-        centres = out.centres[:, 0, 0]
+        centres = out.centres[:, 0]
         target_var = 1 / (2 * 0.5) + 1.0
         assert abs(centres.mean()) < 4 * math.sqrt(target_var / n)
         assert abs(centres.var(ddof=1) - target_var) < 4 * target_var * math.sqrt(2 / n)
@@ -259,13 +274,14 @@ class TestBatchedChain:
     def test_per_row_hit_counts_respected(self, sigma_z_set, equal_qubit):
         rng = np.random.default_rng(32)
         coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
-        out = run_hitting_chain_batch(
-            coeffs, sigma_z_set, [HitStream((0,), 1.0, 1.0)], np.array([0, 2, 5]),
-            rng.random((3, 5)), rng.standard_normal((3, 5, 1)),
+        out = _chain(
+            coeffs, sigma_z_set, HitStream((0,), 1.0, 1.0), np.array([0, 2, 5]),
+            rng.random(7), rng.standard_normal((7, 1)),
         )
-        assert np.allclose(out.coeffs[0], coeffs[0])
-        assert np.isnan(out.centres[1, 2:, 0]).all()
-        assert not np.isnan(out.centres[2, :5, 0]).any()
+        # a row with 0 hits keeps the initial weights at every record
+        assert np.allclose(out.weights[:, 0], np.abs(coeffs[0]) ** 2)
+        assert [len(rec.events) for rec in out] == [0, 2, 5]
+        assert not np.isnan(out.centres[:, 0]).any()
 
     def test_evenly_spaced_ensemble_records(self, sigma_z_set, equal_qubit):
         cfg = HittingConfig(beta=0.5, mu=10.0, t_end=2.0, record_interval=0.5,
@@ -376,12 +392,12 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
 class TestKernelNorm:
     def test_vanishing_row_reports_its_seed(self, sigma_z_set, equal_qubit):
         coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
-        noise = np.zeros((3, 2, 1))
-        noise[1, 1, 0] = 1e6  # row 1's second centre lies absurdly far out
+        noise = np.zeros((6, 1))
+        noise[3, 0] = 1e6  # row 1's second centre lies absurdly far out
         with pytest.raises(VanishingNormError) as err:
-            run_hitting_chain_batch(
-                coeffs, sigma_z_set, [HitStream((0,), 1.0, 1.0)], 2,
-                np.full((3, 2), 0.5), noise, seeds=[11, 22, 33],
+            _chain(
+                coeffs, sigma_z_set, HitStream((0,), 1.0, 1.0), np.full(3, 2),
+                np.full(6, 0.5), noise, seeds=[11, 22, 33],
             )
         assert err.value.seed == 22
 
@@ -395,10 +411,9 @@ class TestKernelNorm:
             apply_hitting(psi, sigma_z_set, [1.0 + offset], beta)
         sigma = math.sqrt(1 / (2 * beta))
         with pytest.raises(VanishingNormError):
-            run_hitting_chain_batch(
+            _chain(
                 sigma_z_set.to_joint(psi)[np.newaxis, :], sigma_z_set,
-                [HitStream((0,), beta, 1.0)], 1,
-                np.full((1, 1), 0.5), np.full((1, 1, 1), offset / sigma),
+                HitStream((0,), beta, 1.0), [1], np.full(1, 0.5), np.full((1, 1), offset / sigma),
             )
 
 
@@ -414,13 +429,11 @@ class TestEventClock:
         assert list(rec.event_flags()) == [0] + [3] * 10
         assert rec.events_between(rec.sample_times[2], rec.sample_times[3]) == 3
         rng = np.random.default_rng(4)
-        uniforms = rng.random(30)[np.newaxis, :]
-        noise = rng.standard_normal((1, 30, 1))
+        uniforms = rng.random(30)[:9]
+        noise = rng.standard_normal((30, 1))[:9]
         coeffs = sigma_z_set.to_joint(equal_qubit)[np.newaxis, :]
-        after_nine = run_hitting_chain_batch(
-            coeffs, sigma_z_set, [cfg.stream(1)], 9, uniforms, noise
-        ).coeffs
-        expected = np.abs(after_nine[0]) ** 2
+        after_nine = _chain(coeffs, sigma_z_set, cfg.stream(1), [9], uniforms, noise)
+        expected = after_nine.weights[-1, 0]
         assert np.allclose(rec.born_weights[3], expected, rtol=0, atol=1e-14)
 
 
@@ -439,3 +452,61 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     for t, rho_det in zip(times, oracle):
         rho_mc = ensemble_density_matrix(records, float(t))
         assert trace_norm_distance(rho_mc, rho_det) < 5.0 / math.sqrt(n)
+
+
+# -- the kernel on random small tables -------------------------------------------
+
+Z = 5.0  # a bound of Z per-trajectory standard errors fails with probability 6e-7
+
+
+def _within_z(samples: np.ndarray, expected: np.ndarray) -> bool:
+    """Mean over axis 1 of ``samples`` agrees with ``expected`` to Z standard errors.
+
+    The 1e-9 floor covers the oracle's own Runge-Kutta error, which is all
+    that is left when every trajectory is the same (a fully degenerate table).
+    """
+    n = samples.shape[1]
+    mean = samples.mean(axis=1)
+    bound = Z * samples.std(axis=1, ddof=1) / math.sqrt(n) + 1e-9
+    return bool(np.all(np.abs(mean - expected) <= bound))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 4),
+    num_q=st.integers(1, 2),
+    # a few distinct eigenvalues, so rows of the table often coincide
+    levels=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=8, max_size=8),
+    beta=st.floats(0.2, 3.0),
+    mu=st.floats(0.5, 6.0),
+    with_hamiltonian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_tables_keep_the_martingale_and_the_master_equation(
+    dim, num_q, levels, beta, mu, with_hamiltonian, seed
+):
+    rng = np.random.default_rng(seed)
+    table = np.array(levels[: dim * num_q]).reshape(dim, num_q)
+    quantities = QuantitySet(table, random_unitary(rng, dim))
+    psi0 = random_state(rng, dim)
+    hamiltonian = None
+    if with_hamiltonian:
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        hamiltonian = Hamiltonian(0.5 * (m + m.conj().T))
+    cfg = HittingConfig(beta=beta, mu=mu, t_end=1.0, record_interval=0.5)
+    ens = run_hitting_ensemble(psi0, hamiltonian, quantities, cfg, 500, seed, store_states=True)
+
+    if hamiltonian is None:
+        # E[w(t)] = w(0): the Born weights are a martingale
+        assert _within_z(ens.weights, quantities.born_weights(psi0))
+
+    # a step of 2^-9 puts every record time on the oracle's step grid
+    _, oracle = hitting_master_evolution(
+        DensityMatrix.from_state(psi0), quantities, beta, mu, cfg.t_end,
+        hamiltonian=hamiltonian, sample_times=ens.sample_times, dt=2.0**-9,
+    )
+    states = ens.states
+    outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
+    rho = np.stack([r.rho for r in oracle])
+    assert _within_z(outer.real, rho.real)
+    assert _within_z(outer.imag, rho.imag)
