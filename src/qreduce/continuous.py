@@ -12,18 +12,33 @@ expectation <A_p> is always evaluated at the pre-step state (Ito
 convention; a midpoint reading would change the drift). The strength is
 a scalar or one value per quantity, and equals beta*mu/2 of the parent
 hitting process in the infinite-frequency limit.
+
+In the joint eigenbasis a step multiplies each amplitude by its own
+real factor and adds the Hamiltonian term, so an amplitude that is 0 on
+a coordinate the Hamiltonian couples to no other stays exactly 0
+(``0 * factor + h_ii * 0``). The engine integrates only the other, live
+coordinates (:func:`~qreduce.trajectory.run_on_live_block`): a
+superposition of a few Fock states costs a kernel of their count, not
+of d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, TrajectoryRecord, _coerce_rng, record_grid
+from .trajectory import (
+    Ensemble,
+    TrajectoryRecord,
+    _coerce_rng,
+    record_grid,
+    run_on_live_block,
+)
 
 __all__ = [
     "ContinuousConfig",
@@ -240,10 +255,27 @@ def simulate_continuous_batch(
     ``generators[b]``, block by block, so a row depends only on its own
     generator, never on the batch it runs in. ``seeds`` (one per row) are
     stored on the ensemble and reported by a :class:`StepRejectedError`,
-    raised if any single step changes a norm by more than 50%.
+    raised if any single step changes a norm by more than 50%. The live
+    set is the union over the rows, which the runners fill with one psi0.
     """
+    run = partial(
+        _integrate, config=config, generators=generators, store_states=store_states, seeds=seeds
+    )
+    return run_on_live_block(run, quantities.to_joint(psi0_rows), quantities, hamiltonian)
+
+
+def _integrate(
+    coeffs: np.ndarray,
+    quantities: QuantitySet,
+    hamiltonian: Hamiltonian | None,
+    *,
+    config: ContinuousConfig,
+    generators: list[np.random.Generator],
+    store_states: bool,
+    seeds,
+) -> Ensemble:
+    """The lockstep Euler-Maruyama loop on (batch, d) joint-basis rows."""
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
-    coeffs = quantities.to_joint(psi0_rows)
     table = quantities.eigenvalue_table
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record

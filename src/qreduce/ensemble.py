@@ -18,6 +18,14 @@ draws its (steps, K) standard normals block by block, as the
 integration reaches them. A chunk then runs as one lockstep kernel
 call, so a trajectory also does not depend on the chunk it lands in.
 
+Both kernels run on the live joint coordinates only
+(``hilbert.live_coordinates``): psi0's support plus every coordinate the
+joint-basis Hamiltonian couples to another. Both the hitting map and the
+diffusion step multiply each joint amplitude by its own real factor, so
+an amplitude outside that set stays exactly 0, and so does its weight in
+the returned ensemble. The set depends on psi0 and the Hamiltonian
+alone, so every chunk uses the same one.
+
 ``equivalence.convergence_sweep`` runs its ensembles through the same
 runners: the diffusive one with the master seed itself, and the hitting
 one of the i-th frequency (i = 1, 2, ...) with the master seed

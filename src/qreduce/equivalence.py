@@ -107,10 +107,37 @@ class DensityMatrix:
 
 
 def trace_norm_distance(a, b) -> float:
-    """Sum of singular values of the difference of two operators."""
+    """Trace norm of the difference of two Hermitian operators.
+
+    Both arguments must be Hermitian (density matrices are): the norm is
+    then the sum of the absolute eigenvalues of the difference, which is
+    the sum of its singular values at the cost of a Hermitian
+    eigensolver. ``eigvalsh`` reads only the lower triangle.
+    """
     am = a.rho if isinstance(a, DensityMatrix) else np.asarray(a)
     bm = b.rho if isinstance(b, DensityMatrix) else np.asarray(b)
-    return float(np.sum(np.linalg.svd(am - bm, compute_uv=False)))
+    return float(np.abs(np.linalg.eigvalsh(am - bm)).sum())
+
+
+def _joint_support(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two (n, d) state-row sets restricted to the columns where either is nonzero.
+
+    Both mixtures vanish outside those columns, so the trace distance of
+    the restricted pair equals that of the full pair in exact arithmetic,
+    at the cost of the support's size rather than d.
+    """
+    live = np.flatnonzero(np.any(rows_a != 0, axis=0) | np.any(rows_b != 0, axis=0))
+    if live.size == rows_a.shape[1]:
+        return rows_a, rows_b
+    return rows_a[:, live], rows_b[:, live]
+
+
+def _rows_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+    """Trace distance between the equal-weight mixtures of two state-row sets."""
+    rows_a, rows_b = _joint_support(rows_a, rows_b)
+    return trace_norm_distance(
+        DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
+    )
 
 
 def _pairwise_sq_distances(table: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -147,20 +174,27 @@ def exact_hitting_map(rho: DensityMatrix, quantities: QuantitySet, beta: float) 
     return DensityMatrix(quantities.operator_from_joint(damping * rho_joint), validate=False)
 
 
-def _rk4(rho: np.ndarray, rhs, t_end: float, n_steps: int, sample_slots: dict[int, int],
-         out: list[np.ndarray]):
-    dt = t_end / n_steps
-    if 0 in sample_slots:
-        out[sample_slots[0]] = rho.copy()
-    for step in range(1, n_steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if step in sample_slots:
-            out[sample_slots[step]] = rho.copy()
-    return rho
+def _rk4(rho: np.ndarray, rhs, times: np.ndarray, step: float) -> list[np.ndarray]:
+    """Fourth-order Runge-Kutta from t = 0 to each of ``times`` in turn.
+
+    Each interval between consecutive times (non-decreasing) is crossed
+    in whole steps of at most ``step``, so every returned state is at its
+    own time exactly.
+    """
+    out, now = [], 0.0
+    for t in times:
+        span = float(t) - now
+        n = max(1, math.ceil(span / step - 1e-9)) if span > 0 else 0
+        dt = span / n if n else 0.0
+        for _ in range(n):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(rho)
+        now = float(t)
+    return out
 
 
 def _evolution_grid(t_end: float, sample_times) -> np.ndarray:
@@ -169,6 +203,8 @@ def _evolution_grid(t_end: float, sample_times) -> np.ndarray:
     times = np.asarray(sample_times, dtype=float)
     if np.any(times < 0) or np.any(times > t_end + 1e-12):
         raise ValueError("sample times must lie in [0, t_end]")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("sample times must be non-decreasing")
     return times
 
 
@@ -186,7 +222,8 @@ def _deterministic_series(
     ``rate_matrix`` holds the elementwise decay rates of joint-basis
     off-diagonal elements. With no Hamiltonian the solution is the closed
     form rho_kl(0) * exp(-rate_kl * t); otherwise fourth-order
-    Runge-Kutta with the step bounded so (fastest rate) * dt <= 0.01.
+    Runge-Kutta with the step bounded so (fastest rate) * dt <= 0.01, or
+    by ``dt`` when given, in whole steps between consecutive sample times.
     """
     rho_joint = quantities.operator_to_joint(rho0.rho)
     times = _evolution_grid(t_end, sample_times)
@@ -208,13 +245,7 @@ def _deterministic_series(
     h_scale = float(np.max(np.abs(np.linalg.eigvalsh(h_joint)))) * 2 / hbar
     fastest = max(float(np.max(rate_matrix)), h_scale, 1e-12)
     step = dt if dt is not None else 0.01 / fastest
-    n_steps = max(1, int(math.ceil(t_end / step)))
-    slot_steps = [int(round(t / t_end * n_steps)) if t_end > 0 else 0 for t in times]
-    if len(set(slot_steps)) != len(slot_steps):
-        n_steps = max(n_steps, len(times) * 4)
-        slot_steps = [int(round(t / t_end * n_steps)) for t in times]
-    out: list[np.ndarray | None] = [None] * len(times)
-    _rk4(rho_joint, rhs, t_end, n_steps, {s: i for i, s in enumerate(slot_steps)}, out)
+    out = _rk4(rho_joint, rhs, times, step)
     return times, [back(m) for m in out]
 
 
@@ -616,6 +647,7 @@ class SweepRow:
 def _bootstrap_distance(
     rows_a: np.ndarray, rows_b: np.ndarray, n_boot: int, rng: np.random.Generator
 ) -> float:
+    rows_a, rows_b = _joint_support(rows_a, rows_b)
     n_a, n_b = rows_a.shape[0], rows_b.shape[0]
     dists = np.empty(n_boot)
     for b in range(n_boot):
@@ -647,7 +679,9 @@ def convergence_sweep(
     distance (hitting master equation vs Lindblad at the probe time) and
     the trace-norm distance between the Monte Carlo ensembles at the
     probe time, with a bootstrap error and an independent-halves
-    noise-floor estimate.
+    noise-floor estimate. Each Monte Carlo distance is taken on the
+    columns where either of its two row sets is nonzero, where both
+    mixtures live.
 
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
@@ -668,12 +702,8 @@ def convergence_sweep(
         psi0, None, quantities, config, n_trajectories, master_seed,
         workers=workers, store_states=True,
     ).states[-1]
-    rho_cont = DensityMatrix.from_state_rows(cont_rows)
     half = n_trajectories // 2
-    floor = trace_norm_distance(
-        DensityMatrix.from_state_rows(cont_rows[:half]),
-        DensityMatrix.from_state_rows(cont_rows[half : 2 * half]),
-    ) / 2.0
+    floor = _rows_distance(cont_rows[:half], cont_rows[half : 2 * half]) / 2.0
 
     _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe)
     rho_lind = lind[-1]
@@ -689,7 +719,7 @@ def convergence_sweep(
             n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
             workers=workers, store_states=True,
         ).states[-1]
-        mc = trace_norm_distance(DensityMatrix.from_state_rows(hit_rows), rho_cont)
+        mc = _rows_distance(hit_rows, cont_rows)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)
         rows.append(
@@ -730,6 +760,8 @@ def engine_comparison(
 ) -> EngineComparison:
     """Trace-norm distances per probe time, with bootstrap errors.
 
+    The Monte Carlo distances of a probe time are taken on the columns
+    where either ensemble's states are nonzero, where both mixtures live.
     Raises ``ValueError`` when the two ensembles' sample grids differ.
     """
     times = hitting.sample_times
@@ -740,9 +772,7 @@ def engine_comparison(
     mc = np.empty(times.size)
     err = np.empty(times.size)
     for i, (rows_h, rows_c) in enumerate(zip(_snapshots(hitting), _snapshots(continuous))):
-        mc[i] = trace_norm_distance(
-            DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
-        )
+        mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
     oracle = np.zeros(times.size)
     if psi0 is not None:

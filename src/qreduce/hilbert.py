@@ -38,6 +38,7 @@ __all__ = [
     "Hamiltonian",
     "QuantitySet",
     "validate_quantity_set",
+    "live_coordinates",
     "expectation",
     "quantum_covariance",
     "born_weights",
@@ -427,6 +428,30 @@ def validate_quantity_set(operators) -> QuantitySet:
 
     basis, table = _canonical_column_order(basis, table)
     return QuantitySet(table, basis)
+
+
+def live_coordinates(coeffs: np.ndarray, h_joint: np.ndarray | None = None) -> np.ndarray:
+    """Joint coordinates that either reduction process can make nonzero.
+
+    ``coeffs`` holds joint-basis rows (..., d) and ``h_joint`` the d x d
+    joint-basis Hamiltonian, or None. A coordinate is live when some row
+    has a nonzero amplitude there, or when the Hamiltonian couples it to
+    another coordinate (a nonzero off-diagonal entry in its row or
+    column). Elsewhere both processes keep the amplitude exactly 0: a hit
+    multiplies 0 by a Gaussian factor, and an Euler step gives
+    ``0 * factor + h_ii * 0``. Returns the ascending indices, padded with
+    the lowest dead ones to at least two, the smallest dimension of a
+    :class:`QuantitySet`.
+    """
+    live = np.any(np.asarray(coeffs) != 0, axis=tuple(range(np.ndim(coeffs) - 1)))
+    if h_joint is not None:
+        coupled = h_joint != 0
+        np.fill_diagonal(coupled, False)
+        live |= coupled.any(axis=0) | coupled.any(axis=1)
+    short = 2 - int(np.count_nonzero(live))
+    if short > 0:
+        live[np.flatnonzero(~live)[:short]] = True
+    return np.flatnonzero(live)
 
 
 def _quadratic_form(psi: StateVector, quantities: QuantitySet, column: np.ndarray) -> float:

@@ -26,6 +26,11 @@ steps:
 
 3. **One kernel call.** :func:`run_hitting_chain_batch` advances every
    trajectory hit by hit in lockstep and returns the ensemble itself.
+   The call sees only the live joint coordinates
+   (:func:`~qreduce.trajectory.run_on_live_block`): elsewhere psi0 is 0,
+   a hit multiplies 0 by a Gaussian factor, and the Hamiltonian couples
+   nothing in, so the amplitude stays exactly 0. The draws do not depend
+   on d, so the events are those of a full-d run.
 
 A trajectory therefore depends only on its generator, never on the batch
 it runs in. :func:`apply_hitting` and :func:`sample_hitting_centre` are
@@ -42,7 +47,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, TrajectoryRecord, _coerce_rng, record_counts, record_grid
+from .trajectory import (
+    Ensemble,
+    TrajectoryRecord,
+    _coerce_rng,
+    record_counts,
+    record_grid,
+    run_on_live_block,
+)
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -396,20 +408,17 @@ def simulate_hitting_batch(
     for g, a, b in zip(generators, offsets[:-1], offsets[1:]):
         g.random(out=uniforms[a:b])
         g.standard_normal(out=noise[a:b])
-    return run_hitting_chain_batch(
-        np.tile(quantities.to_joint(psi0), (len(generators), 1)),
-        quantities,
-        streams,
-        offsets,
-        np.concatenate(times),
-        np.concatenate(ids),
-        uniforms,
-        noise,
-        record_grid(t_end, record_interval),
-        hamiltonian=hamiltonian,
-        store_states=store_states,
-        seeds=seeds,
-    )
+    times, ids = np.concatenate(times), np.concatenate(ids)
+    grid = record_grid(t_end, record_interval)
+
+    def run(coeffs, block, block_hamiltonian):
+        return run_hitting_chain_batch(
+            coeffs, block, streams, offsets, times, ids, uniforms, noise, grid,
+            hamiltonian=block_hamiltonian, store_states=store_states, seeds=seeds,
+        )
+
+    coeffs = np.tile(quantities.to_joint(psi0), (len(generators), 1))
+    return run_on_live_block(run, coeffs, quantities, hamiltonian)
 
 
 def simulate_hitting_trajectory(

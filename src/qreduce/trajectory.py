@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import MissingSnapshotError
+from .hilbert import Hamiltonian, QuantitySet, live_coordinates
 
 # Relative slack of the event clock. Hit times (k / mu) and sample times
 # (r * record_interval) come from different grids, so a hit and a record
@@ -106,6 +107,9 @@ class Ensemble:
     trajectories ran from bare generators. ``ens[i]`` is trajectory i as
     a :class:`TrajectoryRecord`. The hitting kernel reads its hits in this
     CSR layout and writes its records in this (S, n, ·) layout itself.
+    Both engines run on the live joint coordinates only (see
+    :func:`run_on_live_block`), so a weight outside the live set is
+    exactly 0.
     """
 
     seeds: np.ndarray | None
@@ -182,6 +186,40 @@ class Ensemble:
         """(n, S) events since the previous sample (all up to t for the first)."""
         counts = record_counts(self.offsets, self.times, self.sample_times)
         return np.diff(counts, axis=1, prepend=0)
+
+
+def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
+    """``run(coeffs, quantities, hamiltonian)`` on the live joint coordinates.
+
+    ``run`` is an engine kernel: it takes (batch, d) joint-basis rows, a
+    quantity set and a Hamiltonian, and returns an :class:`Ensemble` whose
+    states are in that set's computational basis. Outside the live set of
+    :func:`~qreduce.hilbert.live_coordinates` every amplitude stays exactly
+    0, so the kernel runs on the live block alone: a basis-free set of the
+    live table rows, the joint-basis Hamiltonian restricted to the block
+    and the live columns of ``coeffs``. Its weights are scattered into
+    zero-filled (S, n, d) arrays and its states, which are block
+    coordinates, back through ``quantities.from_joint``. The random draws
+    do not depend on the dimension. When every coordinate is live this is
+    ``run(coeffs, quantities, hamiltonian)`` itself.
+    """
+    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    live = live_coordinates(coeffs, h_joint)
+    if live.size == quantities.dim:
+        del h_joint  # the kernel forms its own; do not hold two d x d copies
+        return run(coeffs, quantities, hamiltonian)
+    block = None
+    if h_joint is not None:
+        block = Hamiltonian(h_joint[np.ix_(live, live)], hbar=hamiltonian.hbar)
+    ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), block)
+
+    def scatter(rows: np.ndarray) -> np.ndarray:
+        full = np.zeros(rows.shape[:-1] + (quantities.dim,), dtype=rows.dtype)
+        full[..., live] = rows
+        return full
+
+    states = None if ens.states is None else quantities.from_joint(scatter(ens.states))
+    return replace(ens, weights=scatter(ens.weights), states=states)
 
 
 def _coerce_rng(rng, seed):

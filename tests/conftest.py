@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ def three_level_set():
     return validate_quantity_set([np.diag([1.0, 2.0, 3.0]).astype(complex)])
 
 
+Z = 5.0  # a bound of Z per-trajectory standard errors fails with probability 6e-7
+
+
+def within_z(samples: np.ndarray, expected: np.ndarray) -> bool:
+    """Mean over axis 1 of ``samples`` agrees with ``expected`` to Z standard errors.
+
+    The 1e-9 floor covers the oracle's own Runge-Kutta error, which is all
+    that is left when every trajectory is the same (a fully degenerate table).
+    """
+    n = samples.shape[1]
+    mean = samples.mean(axis=1)
+    bound = Z * samples.std(axis=1, ddof=1) / math.sqrt(n) + 1e-9
+    return bool(np.all(np.abs(mean - expected) <= bound))
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(amps, normalize=True)
@@ -38,3 +55,23 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[np.newaxis, :]
+
+
+def random_block_basis(rng: np.random.Generator, sizes) -> tuple[np.ndarray, list]:
+    """A random unitary, block-diagonal up to a permutation of rows and of columns.
+
+    Returns the matrix and, per block, its (rows, columns) index arrays.
+    Entries outside the blocks are exact zeros, so a state that vanishes
+    on a block's rows has exactly zero joint coordinates on its columns,
+    and a matrix block-diagonal in the joint basis keeps exact zeros
+    between blocks on the way to the computational basis and back.
+    """
+    dim = sum(sizes)
+    rows, cols = rng.permutation(dim), rng.permutation(dim)
+    basis = np.zeros((dim, dim), dtype=complex)
+    blocks = []
+    for end, size in zip(np.cumsum(sizes), sizes):
+        r, c = rows[end - size : end], cols[end - size : end]
+        basis[np.ix_(r, c)] = random_unitary(rng, size)
+        blocks.append((r, c))
+    return basis, blocks

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SQ2, random_state
+from conftest import SQ2, random_block_basis, random_state, within_z
 from qreduce.errors import StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
@@ -195,3 +197,52 @@ class TestEnsembleProperties:
             errors[dt] = abs(rho.rho[0, 1].real - oracle[-1].rho[0, 1].real)
         noise = 1.0 / (2 * math.sqrt(n))
         assert errors[0.05] <= 0.65 * errors[0.1] + 3 * noise
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 5),
+    num_q=st.integers(1, 2),
+    # a few distinct eigenvalues, so rows of the table often coincide
+    levels=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=10, max_size=10),
+    dead_blocks=st.lists(st.booleans(), min_size=2, max_size=2),
+    gamma=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
+    sizes, num_q, levels, dead_blocks, gamma, seed
+):
+    from qreduce.equivalence import DensityMatrix, lindblad_evolution
+
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    if dim < 2:
+        sizes, dim = [*sizes, 1], dim + 1
+    basis, blocks = random_block_basis(rng, sizes)
+    quantities = QuantitySet(np.array(levels[: dim * num_q]).reshape(dim, num_q), basis)
+    # psi0 holds the first block and misses each later block it is dealt
+    # a True for: those joint coordinates are exactly 0
+    amps = np.zeros(dim, dtype=complex)
+    for (rows, _), dead in zip(blocks, [False, *dead_blocks]):
+        if not dead:
+            amps[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    psi0 = StateVector(amps, normalize=True)
+    # the suggested step rounded down to a power of two, so that the
+    # records at 0.5 and 1 lie on the step grid
+    dt = 2.0 ** min(-7, math.floor(math.log2(suggested_dt(quantities, gamma))))
+    cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=1.0, record_interval=0.5)
+    ens = run_continuous_ensemble(psi0, None, quantities, cfg, 500, seed, store_states=True)
+
+    # E[w(t)] = w(0): the Born weights are a martingale
+    assert within_z(ens.weights, quantities.born_weights(psi0))
+
+    # without a Hamiltonian the oracle is its closed form at each record time
+    _, oracle = lindblad_evolution(
+        DensityMatrix.from_state(psi0), quantities, gamma, cfg.t_end,
+        sample_times=ens.sample_times,
+    )
+    states = ens.states
+    outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
+    rho = np.stack([r.rho for r in oracle])
+    assert within_z(outer.real, rho.real)
+    assert within_z(outer.imag, rho.imag)

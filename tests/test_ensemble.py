@@ -1,12 +1,15 @@
 import functools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
-from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector
+from conftest import random_block_basis, random_state
+from qreduce.cli import main
+from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import (
     HitStream,
     HittingConfig,
@@ -285,3 +288,129 @@ class TestEnsembleArrays:
         Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
         with pytest.raises(ValueError):
             Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 1e-9]]]), **fields)
+
+
+# -- the live joint coordinates ---------------------------------------------------
+
+LIVE_ENGINES = (
+    (run_hitting_ensemble, HittingConfig(beta=0.8, mu=4.0, t_end=1.0, record_interval=0.5)),
+    (
+        run_continuous_ensemble,
+        ContinuousConfig(gamma=0.5, dt=2.0**-7, t_end=1.0, record_interval=0.5),
+    ),
+)
+
+
+def _all_coordinates(coeffs, h_joint=None):
+    return np.arange(np.shape(coeffs)[-1])
+
+
+def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed):
+    """Both engines on the live block equal the same draws on the full table."""
+    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    dead = np.setdiff1d(
+        np.arange(quantities.dim), live_coordinates(quantities.to_joint(psi0), h_joint)
+    )
+    for run, config in LIVE_ENGINES:
+        live = run(psi0, hamiltonian, quantities, config, n, seed, store_states=True)
+        with mock.patch("qreduce.trajectory.live_coordinates", _all_coordinates):
+            full = run(psi0, hamiltonian, quantities, config, n, seed, store_states=True)
+        for name in ("weights", "expectations", "states"):
+            a, b = getattr(live, name), getattr(full, name)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.all(live.weights[..., dead] == 0.0)
+        assert np.array_equal(live.offsets, full.offsets)
+        assert np.array_equal(live.times, full.times)
+        assert np.array_equal(live.centres, full.centres, equal_nan=True)
+    return dead
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 4),
+    num_q=st.integers(1, 2),
+    # a few distinct eigenvalues, so rows of the table often coincide
+    levels=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=10, max_size=10),
+    dead_blocks=st.lists(st.booleans(), min_size=3, max_size=3),
+    with_hamiltonian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_block_runs_equal_full_table_runs(
+    sizes, num_q, levels, dead_blocks, with_hamiltonian, seed
+):
+    # the last block is one joint eigenvector absent from psi0, which no
+    # Hamiltonian below couples, so every example with d > 2 has a dead
+    # coordinate (at d = 2 the live set is padded to both)
+    rng = np.random.default_rng(seed)
+    sizes = [*sizes, 1]
+    dim = sum(sizes)
+    basis, blocks = random_block_basis(rng, sizes)
+    quantities = QuantitySet(np.array(levels[: dim * num_q]).reshape(dim, num_q), basis)
+    amps = np.zeros(dim, dtype=complex)
+    # the first block is always in psi0
+    for (rows, _), dead in zip(blocks[:-1], [False, *dead_blocks]):
+        if not dead:
+            amps[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    psi0 = StateVector(amps, normalize=True)
+    hamiltonian = None
+    if with_hamiltonian:
+        # Hermitian blocks on the joint coordinates of each basis block
+        h_joint = np.zeros((dim, dim), dtype=complex)
+        for _, cols in blocks:
+            m = rng.standard_normal((cols.size,) * 2) + 1j * rng.standard_normal((cols.size,) * 2)
+            h_joint[np.ix_(cols, cols)] = 0.5 * (m + m.conj().T)
+        hamiltonian = Hamiltonian(quantities.operator_from_joint(h_joint))
+    dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, 40, seed)
+    assert dead.size > 0 or dim == 2
+
+
+@pytest.mark.parametrize("with_hamiltonian", [False, True])
+def test_single_joint_eigenvector_stays_put(with_hamiltonian, three_level_set):
+    # the live set is one coordinate, padded to the two a QuantitySet needs
+    psi0 = StateVector([0.0, 1.0, 0.0])
+    hamiltonian = Hamiltonian(np.diag([0.3, -1.0, 2.0])) if with_hamiltonian else None
+    assert live_coordinates(three_level_set.to_joint(psi0)).tolist() == [0, 1]
+    dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, three_level_set, 20, 4)
+    assert dead.tolist() == [2]
+    for run, config in LIVE_ENGINES:
+        ens = run(psi0, hamiltonian, three_level_set, config, 20, 4)
+        assert np.all(ens.weights == [0.0, 1.0, 0.0])
+
+
+def test_hamiltonian_coupling_keeps_its_coordinates_live(three_level_set):
+    # psi0 on coordinate 1, which the Hamiltonian couples to coordinate 2
+    psi0 = StateVector([0.0, 1.0, 0.0])
+    hamiltonian = Hamiltonian([[0.3, 0.0, 0.0], [0.0, -1.0, 0.7], [0.0, 0.7, 2.0]])
+    dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, three_level_set, 20, 4)
+    assert dead.tolist() == [0]
+
+
+def test_lattice_run_is_worker_invariant_across_chunks(tmp_path):
+    # d = 10, psi0 on 2 Fock configurations; 600 trajectories make two chunks
+    raw = {
+        "scenario": "identical-particles",
+        "engine": "both",
+        "beta": 0.5,
+        "mu": 4.0,
+        "dt": 0.01,
+        "t_end": 0.5,
+        "record_interval": 0.25,
+        "n_trajectories": 600,
+        "seed": 10,
+        "sites": 4,
+        "dx": 1.0,
+        "alpha": 2.0,
+        "species": [{"name": "b", "count": 2}],
+        "initial_state": [
+            {"occupations": [[2, 0, 0, 0]], "re": 0.7071067811865476},
+            {"occupations": [[0, 0, 1, 1]], "re": 0.7071067811865476},
+        ],
+    }
+    cfg_path = tmp_path / "lattice.json"
+    cfg_path.write_text(json.dumps(raw))
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert main(["run", str(cfg_path), "--workers", str(workers), "--out", str(out)]) == 0
+    for name in ("trajectories.csv", "events.csv", "summary.json", "compare.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -80,6 +80,19 @@ class TestDensityMatrix:
         b = DensityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
         assert trace_norm_distance(a, b) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("dim", [2, 3, 7, 30, 120])
+    def test_trace_norm_distance_is_the_singular_value_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            a, b = (
+                DensityMatrix.from_state_rows(
+                    rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+                )
+                for _ in range(2)
+            )
+            svd_sum = np.sum(np.linalg.svd(a.rho - b.rho, compute_uv=False))
+            assert abs(trace_norm_distance(a, b) - svd_sum) <= 1e-12
+
 
 class TestExactHittingMap:
     def test_diagonal_invariant(self, sigma_z_set):
@@ -159,6 +172,32 @@ class TestHittingMasterEvolution:
         )
         _, closed = hitting_master_evolution(plus_rho, sigma_z_set, 0.3, 5.0, 1.0)
         assert np.max(np.abs(with_h[-1].rho - closed[-1].rho)) < 1e-8
+
+
+@pytest.mark.parametrize("oracle", ["lindblad", "hitting-master"])
+def test_oracle_records_land_on_their_times(oracle):
+    # d = 4, Hamiltonian eigenvalues up to 8.7025: the default step bound
+    # is 1 / 1740.5, so a grid of equal steps from 0 to 1 has 1741 of them
+    # and does not pass through t = 0.5
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = m + m.conj().T
+    hamiltonian = Hamiltonian(h * (8.7025 / np.max(np.abs(np.linalg.eigvalsh(h)))))
+    quantities = QuantitySet(rng.standard_normal((4, 1)))
+    rho0 = DensityMatrix.from_state(random_state(rng, 4))
+    times = np.array([0.0, 0.5, 1.0])
+
+    def series(dt):
+        if oracle == "lindblad":
+            return lindblad_evolution(
+                rho0, quantities, 0.5, 1.0, hamiltonian=hamiltonian, sample_times=times, dt=dt
+            )[1]
+        return hitting_master_evolution(
+            rho0, quantities, 0.5, 4.0, 1.0, hamiltonian=hamiltonian, sample_times=times, dt=dt
+        )[1]
+
+    for coarse, fine in zip(series(None), series(2.0**-10)):
+        assert np.max(np.abs(coarse.rho - fine.rho)) < 1e-8
 
 
 class TestLindbladEvolution:
@@ -254,6 +293,29 @@ class TestEngineComparison:
             assert got.mc_distance[i] == mc
             assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
 
+
+    def test_distances_on_the_joint_support_match_the_full_ones(self):
+        # lattice-like rows: both ensembles live on 5 of 40 columns
+        rng = np.random.default_rng(12)
+        rows_a = np.zeros((60, 40), dtype=complex)
+        rows_b = np.zeros((50, 40), dtype=complex)
+        rows_a[:, [3, 17, 30]] = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+        rows_b[:, [3, 8, 39]] = rng.standard_normal((50, 3))
+        full = trace_norm_distance(
+            DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
+        )
+        assert abs(equivalence._rows_distance(rows_a, rows_b) - full) <= 1e-12
+        # the same resampled rows, as full 40 x 40 density matrices
+        rng = np.random.default_rng(3)
+        dists = []
+        for _ in range(20):
+            ra = rows_a[rng.integers(0, 60, 60)]
+            rb = rows_b[rng.integers(0, 50, 50)]
+            dists.append(trace_norm_distance(
+                DensityMatrix.from_state_rows(ra), DensityMatrix.from_state_rows(rb)
+            ))
+        boot = _bootstrap_distance(rows_a, rows_b, 20, np.random.default_rng(3))
+        assert abs(boot - np.std(dists, ddof=1)) <= 1e-12
 
     @pytest.mark.parametrize("t_end, record_interval", [(1.0, 0.5), (2.0, 0.5)])
     def test_different_record_grids_raise(

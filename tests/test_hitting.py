@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, random_state, random_unitary
+from conftest import SQ2, random_state, random_unitary, within_z
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
@@ -456,21 +456,6 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
 
 # -- the kernel on random small tables -------------------------------------------
 
-Z = 5.0  # a bound of Z per-trajectory standard errors fails with probability 6e-7
-
-
-def _within_z(samples: np.ndarray, expected: np.ndarray) -> bool:
-    """Mean over axis 1 of ``samples`` agrees with ``expected`` to Z standard errors.
-
-    The 1e-9 floor covers the oracle's own Runge-Kutta error, which is all
-    that is left when every trajectory is the same (a fully degenerate table).
-    """
-    n = samples.shape[1]
-    mean = samples.mean(axis=1)
-    bound = Z * samples.std(axis=1, ddof=1) / math.sqrt(n) + 1e-9
-    return bool(np.all(np.abs(mean - expected) <= bound))
-
-
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     dim=st.integers(2, 4),
@@ -498,7 +483,7 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
 
     if hamiltonian is None:
         # E[w(t)] = w(0): the Born weights are a martingale
-        assert _within_z(ens.weights, quantities.born_weights(psi0))
+        assert within_z(ens.weights, quantities.born_weights(psi0))
 
     # a step of 2^-9 puts every record time on the oracle's step grid
     _, oracle = hitting_master_evolution(
@@ -508,5 +493,5 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
     states = ens.states
     outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
     rho = np.stack([r.rho for r in oracle])
-    assert _within_z(outer.real, rho.real)
-    assert _within_z(outer.imag, rho.imag)
+    assert within_z(outer.real, rho.real)
+    assert within_z(outer.imag, rho.imag)
