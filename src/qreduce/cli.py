@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,11 @@ def _fmt(value) -> str:
 
 
 # The writers below format the Python floats of .tolist() with %r, which
-# is exactly _fmt of each value, without a numpy scalar per value.
+# is exactly _fmt of each value, without a numpy scalar per value. A
+# weight column that is +0.0 in every record of an engine (its bits all
+# zero; a -0.0 keeps the column on the %r path) is a literal 0.0 in that
+# engine's row format, so a row costs O(live columns + K), not O(d + K).
+# Both writers stream one trajectory at a time.
 
 
 def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
@@ -44,11 +49,14 @@ def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
         + [f"w_{i}" for i in range(d)]
         + [f"exp_{p}" for p in range(k)]
     )
-    row = "%r,%d" + ",%r" * (d + k) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for engine in sorted(ensembles):
             ens = ensembles[engine]
+            live = np.any(ens.weights.view(np.uint64) != 0, axis=(0, 1))
+            row = "%r,%d" + "".join(",%r" if x else ",0.0" for x in live.tolist())
+            row += ",%r" * k + "\n"
+            live_columns = np.flatnonzero(live)
             times = ens.sample_times.tolist()
             flags = ens.event_flags().tolist()
             for idx in range(len(ens)):
@@ -56,7 +64,7 @@ def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
                 columns = zip(
                     times,
                     flags[idx],
-                    *ens.weights[:, idx, :].T.tolist(),
+                    *ens.weights[:, idx, live_columns].T.tolist(),
                     *ens.expectations[:, idx, :].T.tolist(),
                 )
                 fh.writelines(fmt % fields for fields in columns)
@@ -262,8 +270,8 @@ def cmd_sweep(args) -> int:
     if args.param != "mu":
         raise ConfigError("param", f"sweep supports param=mu, got {args.param!r}")
     values = [float(v) for v in args.values]
-    if any(v <= 0 for v in values):
-        raise ConfigError("values", "sweep values must be > 0")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ConfigError("values", "sweep values must be finite and > 0")
     ordered = sorted(values)
     if ordered != values:
         print(f"values sorted ascending before execution: {ordered}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -83,6 +84,8 @@ def _positive(raw: dict, key: str, *, required: bool) -> float | None:
         value = float(raw[key])
     except (TypeError, ValueError):
         raise ConfigError(key, f"{key} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"{key} must be finite, got {value}")
     if not value > 0:
         raise ConfigError(key, f"{key} must be > 0")
     return value
@@ -162,6 +165,8 @@ class ScenarioConfig:
                         "gamma", "gamma is required (or derivable from beta and mu)"
                     )
                 gamma = derived
+                if not math.isfinite(gamma):
+                    raise ConfigError("gamma", f"gamma = beta * mu / 2 must be finite, got {gamma}")
             elif derived is not None and abs(gamma - derived) > 1e-9 * max(derived, 1.0):
                 warnings.warn(
                     f"gamma={gamma} overrides beta*mu/2={derived}; the engines "

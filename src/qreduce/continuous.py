@@ -88,12 +88,16 @@ class ContinuousConfig:
 
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gamma must be finite")
         if np.any(g <= 0):
             raise ValueError("gamma must be > 0")
         object.__setattr__(
             self, "gamma", float(g[0]) if g.size == 1 else tuple(float(x) for x in g)
         )
         for name in ("dt", "t_end", "record_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.dt > self.record_interval:
@@ -310,7 +314,7 @@ def _integrate(
         for i in range(n):
             coeffs, ratios = kernel.step_batch(coeffs, noise[:, i, :])
             drift = float(np.max(np.abs(ratios - 1.0)))
-            if drift > 0.5:
+            if not drift <= 0.5:  # a NaN norm is rejected too
                 bad = int(np.argmax(np.abs(ratios - 1.0)))
                 seed = None if seeds is None else int(seeds[bad])
                 raise StepRejectedError(

@@ -347,33 +347,118 @@ def ensemble_stats(ens: Ensemble) -> EnsembleStats:
 
 
 def wilson_interval(successes: int, n: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The interval of 0 successes starts at exactly 0 and that of n
+    successes ends at exactly 1 (the closed form, which rounding misses).
+    """
     if n == 0:
         return 0.0, 1.0
     p = successes / n
     denom = 1.0 + z**2 / n
     centre = (p + z**2 / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2))
-    return max(0.0, centre - half), min(1.0, centre + half)
+    lo = 0.0 if successes == 0 else max(0.0, centre - half)
+    hi = 1.0 if successes == n else min(1.0, centre + half)
+    return lo, hi
+
+
+# Candidate pairs tested per block in _near_pairs; bounds its temporaries.
+_PAIR_BLOCK = 1 << 16
+_EPS = float(np.finfo(float).eps)
+
+
+def _near_pairs(rows: np.ndarray, radius: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i < j) of rows that differ by at most ``radius`` in every column.
+
+    The candidates are the rows whose projections on one fixed generic
+    direction lie within the projected radius, plus a rounding slack, of
+    each other, so they hold every near pair; each candidate then gets
+    the exact test ``|row_i - row_j| <= radius``.
+    """
+    n, k = rows.shape
+    direction = np.random.default_rng(0).uniform(1.0, 2.0, k)
+    window = float(direction.sum()) * (radius * (1.0 + 8 * _EPS) + 8 * (k + 2) * _EPS * scale)
+    proj = rows @ direction
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    # sorted row r is a candidate with the counts[r] rows after it
+    counts = np.searchsorted(proj, proj + window, side="right") - np.arange(1, n + 1)
+    offsets = np.cumsum(counts) - counts
+    pairs_a, pairs_b = [], []
+    lo = 0
+    while lo < n:
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + _PAIR_BLOCK, side="right")), lo + 1)
+        block = counts[lo:hi]
+        first = np.repeat(np.arange(lo, hi), block)
+        second = first + 1 + np.arange(first.size) - np.repeat(offsets[lo:hi] - offsets[lo], block)
+        i, j = order[first], order[second]
+        near = np.all(np.abs(rows[i] - rows[j]) <= radius, axis=1)
+        pairs_a.append(np.minimum(i, j)[near])
+        pairs_b.append(np.maximum(i, j)[near])
+        lo = hi
+    return np.concatenate(pairs_a), np.concatenate(pairs_b)
 
 
 def group_eigenvalue_rows(quantities: QuantitySet, tol: float = 1e-8) -> np.ndarray:
     """Label joint eigenvectors by distinct eigenvalue row.
 
+    Two rows are near when every eigenvalue differs by at most
+    ``tol * max(max|table|, 1)``. The labels are those of a greedy pass
+    in row order: each row that no earlier label reached opens the next
+    label and gives it to every row near it, relabelling rows that an
+    earlier label reached. So each row ends with the label of the last
+    opener near it; nearness is not transitive, and a chain of near rows
+    can split between labels.
+
     Degenerate rows share a label; collapse statistics aggregate Born
-    weights over each label before thresholding.
+    weights over each label before thresholding. Identical rows are
+    merged by one sort, and only the pairs of distinct rows whose
+    projections on one direction are within the tolerance are tested:
+    O(d log d) plus the near pairs, and no (d, d) array.
     """
     table = quantities.eigenvalue_table
     scale = max(float(np.max(np.abs(table))), 1.0)
-    labels = -np.ones(table.shape[0], dtype=int)
-    next_label = 0
-    for k in range(table.shape[0]):
-        if labels[k] >= 0:
-            continue
-        same = np.all(np.abs(table - table[k]) <= tol * scale, axis=1)
-        labels[same] = next_label
-        next_label += 1
-    return labels
+    radius = tol * scale
+    # identical rows always share a label; number them by first appearance
+    rows, first, inverse = np.unique(table, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    rows, inverse = rows[by_first], rank[inverse.reshape(-1)]
+
+    a, b = _near_pairs(rows, radius, scale)
+    # a row opens a label unless an earlier opener is near it; pairs in
+    # order of their later row settle each earlier row before it is read
+    opener = np.ones(rows.shape[0], dtype=bool)
+    for j, i in sorted(zip(b.tolist(), a.tolist())):
+        if opener[i]:
+            opener[j] = False
+    # each row keeps the label of the last opener near it
+    last = np.where(opener, np.arange(rows.shape[0]), -1)
+    np.maximum.at(last, b, np.where(opener[a], a, -1))
+    np.maximum.at(last, a, np.where(opener[b], b, -1))
+    return (np.cumsum(opener) - 1)[last][inverse]
+
+
+def _sum_by_label(weights: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the (n, d) ``weights`` over the columns of each label, and
+    the first column of each label; labels are 0, 1, ... in output order.
+
+    Each sum starts at 0.0 and adds the label's columns left to right,
+    as ``weights[:, labels == g].sum(axis=1)`` does on that (F-ordered)
+    copy, so the sums are bit-identical to it. The loop runs once per
+    column rank within a label, not once per label: once when every
+    row of the eigenvalue table is distinct.
+    """
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(starts, append=order.size)
+    grouped = np.zeros((weights.shape[0], starts.size))
+    for rank in range(int(sizes.max())):
+        has = sizes > rank
+        grouped[:, has] += weights[:, order[starts[has] + rank]]
+    return grouped, order[starts]
 
 
 @dataclass
@@ -412,16 +497,16 @@ def collapse_statistics(
     z: float = 3.0,
     extra_thresholds: tuple[float, ...] = (0.99, 0.9999),
 ) -> CollapseReport:
-    """Frequencies of terminal collapse outcomes across an ensemble."""
-    labels = group_eigenvalue_rows(quantities)
-    n_groups = int(labels.max()) + 1
-    table = quantities.eigenvalue_table
-    group_rows = [tuple(float(x) for x in table[labels == g][0]) for g in range(n_groups)]
+    """Frequencies of terminal collapse outcomes across an ensemble.
 
-    terminal = ens.weights[-1]  # (n, d)
-    grouped = np.zeros((terminal.shape[0], n_groups))
-    for g in range(n_groups):
-        grouped[:, g] = terminal[:, labels == g].sum(axis=1)
+    Terminal Born weights are summed per label of
+    :func:`group_eigenvalue_rows` (:func:`_sum_by_label`) and the
+    winners counted with one ``bincount``: O(n d) past the grouping.
+    """
+    labels = group_eigenvalue_rows(quantities)
+    grouped, firsts = _sum_by_label(ens.weights[-1], labels)
+    n_groups = firsts.size
+    group_rows = [tuple(row) for row in quantities.eigenvalue_table[firsts].tolist()]
     best = grouped.max(axis=1)
     winner = grouped.argmax(axis=1)
 
@@ -430,9 +515,9 @@ def collapse_statistics(
     }
     resolved = best >= threshold
     n_resolved = int(resolved.sum())
+    counts = np.bincount(winner[resolved], minlength=n_groups).tolist()
     outcomes = []
-    for g in range(n_groups):
-        count = int(np.sum(resolved & (winner == g)))
+    for g, count in enumerate(counts):
         freq = count / n_resolved if n_resolved else 0.0
         lo, hi = wilson_interval(count, n_resolved, z)
         outcomes.append(OutcomeStat(group_rows[g], count, freq, lo, hi))

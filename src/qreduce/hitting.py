@@ -99,6 +99,8 @@ class HittingConfig:
 
     def __post_init__(self):
         for name in ("beta", "mu", "t_end", "record_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.record_interval > self.t_end:

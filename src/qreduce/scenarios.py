@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +106,14 @@ def _lattice_from_payload(config: ScenarioConfig) -> tuple:
         dx = float(payload["dx"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("dx", "dx must be a number") from None
-    if dx <= 0:
-        raise ConfigError("dx", "dx must be > 0")
+    if not (math.isfinite(dx) and dx > 0):
+        raise ConfigError("dx", "dx must be finite and > 0")
     try:
         alpha = float(payload["alpha"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("alpha", "alpha must be a number") from None
-    if alpha <= 0:
-        raise ConfigError("alpha", "alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError("alpha", "alpha must be finite and > 0")
     return sites, dx, alpha
 
 
@@ -191,8 +192,8 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
             rate = float(p["rate"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError("particles", f"particles[{i}].rate must be a number") from None
-        if rate <= 0:
-            raise ConfigError("particles", f"particles[{i}].rate must be > 0")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigError("particles", f"particles[{i}].rate must be finite and > 0")
         rates.append(rate)
     n_particles = len(rates)
     dim = sites**n_particles

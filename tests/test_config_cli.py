@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import jsonschema
 
 import qreduce
 from qreduce.cli import _write_events_csv, _write_trajectories_csv, main
+from qreduce.continuous import ContinuousConfig
+from qreduce.hitting import HittingConfig
 from qreduce.config import (
     ScenarioConfig,
     load_config,
@@ -91,6 +94,39 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(minimal_qubit_config(engine="warp"))
         assert err.value.key == "engine"
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["beta", "mu", "gamma", "dt", "t_end", "record_interval"])
+    def test_non_finite_parameter_names_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(minimal_qubit_config(**{key: value}))
+        assert err.value.key == key
+        assert "finite" in str(err.value) or "must be > 0" in str(err.value)
+
+    @pytest.mark.parametrize("engine", ["continuous", "both"])
+    def test_overflowing_derived_gamma_names_key(self, engine):
+        raw = minimal_qubit_config(engine=engine, beta=1e308, mu=1e308)
+        with pytest.raises(ConfigError, match="finite") as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.key == "gamma"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["gamma", "dt", "t_end", "record_interval"])
+    def test_continuous_config_rejects_non_finite(self, name, value):
+        args = {"gamma": 1.0, "dt": 0.01, "t_end": 1.0, "record_interval": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ContinuousConfig(**args)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["beta", "mu", "t_end", "record_interval"])
+    def test_hitting_config_rejects_non_finite(self, name, value):
+        args = {"beta": 1.0, "mu": 2.0, "t_end": 1.0, "record_interval": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            HittingConfig(**args)
+
+    def test_continuous_config_rejects_a_non_finite_gamma_entry(self):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            ContinuousConfig(gamma=(1.0, math.inf), dt=0.01, t_end=1.0, record_interval=0.5)
+
 
 class TestPresets:
     @pytest.mark.parametrize(
@@ -143,6 +179,23 @@ class TestScenarioBuilders:
         assert built.quantities.joint_basis is None  # the identity
         for l, op in enumerate(ops):
             assert np.array_equal(built.quantities.eigenvalue_table[:, l], np.diagonal(op))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["dx", "alpha", "rate"])
+    def test_non_finite_lattice_parameter_names_key(self, key, value):
+        raw = {
+            "scenario": "distinguishable-particles", "engine": "hitting", "beta": 1.0,
+            "mu": 1.0, "t_end": 1.0, "record_interval": 0.5, "sites": 3, "dx": 1.0,
+            "alpha": 2.0, "particles": [{"rate": 4.0}],
+            "initial_state": [{"sites": [0], "re": 1.0}],
+        }
+        if key == "rate":
+            raw["particles"] = [{"rate": 4.0}, {"rate": value}]
+        else:
+            raw[key] = value
+        with pytest.raises(ConfigError, match="finite") as err:
+            build_scenario(ScenarioConfig.from_dict(raw))
+        assert err.value.key == ("particles" if key == "rate" else key)
 
     def test_d4368_lattice_builds_in_bounded_memory(self):
         import tracemalloc
@@ -230,6 +283,16 @@ class TestCliRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert "beta" in err and "must be > 0" in err
+
+    def test_infinite_gamma_exits_1_before_any_artifact(self, tmp_path, capsys):
+        raw = minimal_qubit_config(engine="continuous", gamma=math.inf)
+        cfg_path = tmp_path / "inf.json"
+        cfg_path.write_text(json.dumps(raw))  # written as the JSON literal Infinity
+        assert "Infinity" in cfg_path.read_text()
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error [gamma]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # a absurdly large dt makes the first diffusive step blow up
@@ -415,6 +478,107 @@ class TestCliRun:
             assert row[2:] == [repr(float(x)) for x in values]
 
 
+def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
+    """The trajectories.csv writer that formats every field with %r: the oracle."""
+    first = next(iter(ensembles.values()))
+    d = first.weights.shape[2]
+    k = first.expectations.shape[2]
+    header = (
+        ["engine", "trajectory", "time", "event_flag"]
+        + [f"w_{i}" for i in range(d)]
+        + [f"exp_{p}" for p in range(k)]
+    )
+    row = "%r,%d" + ",%r" * (d + k) + "\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for engine in sorted(ensembles):
+            ens = ensembles[engine]
+            times = ens.sample_times.tolist()
+            flags = ens.event_flags().tolist()
+            for idx in range(len(ens)):
+                fmt = f"{engine},{idx}," + row
+                columns = zip(
+                    times,
+                    flags[idx],
+                    *ens.weights[:, idx, :].T.tolist(),
+                    *ens.expectations[:, idx, :].T.tolist(),
+                )
+                fh.writelines(fmt % fields for fields in columns)
+
+
+def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=None) -> Ensemble:
+    """An ensemble of n trajectories, 3 records and K = 2 whose weights are
+    nonzero only in the ``live`` columns, then passed to ``edit``; events
+    at random times."""
+    weights = np.zeros((3, n, d))
+    weights[:, :, live] = rng.random((3, n, len(live))) + 0.01
+    weights /= weights.sum(axis=2, keepdims=True)
+    if edit is not None:
+        edit(weights)
+    counts = rng.integers(0, 4, n)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return Ensemble(
+        seeds=None,
+        sample_times=np.array([0.0, 0.5, 1.0]),
+        weights=weights,
+        expectations=rng.normal(size=(3, n, 2)),
+        offsets=offsets,
+        times=rng.random(offsets[-1]),
+        centres=rng.normal(size=(offsets[-1], 2)),
+    )
+
+
+class TestTrajectoriesWriterOracle:
+    """The writer's bytes equal those of the all-%r reference writer."""
+
+    def _assert_same_bytes(self, tmp_path, ensembles):
+        _write_trajectories_csv(tmp_path / "new.csv", ensembles)
+        _reference_trajectories_csv(tmp_path / "ref.csv", ensembles)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_all_columns_live(self, tmp_path):
+        rng = np.random.default_rng(1)
+        self._assert_same_bytes(tmp_path, {"hitting": _ensemble_with_columns(rng, [0, 1, 2, 3, 4, 5])})
+
+    def test_one_live_column(self, tmp_path):
+        rng = np.random.default_rng(2)
+        ens = _ensemble_with_columns(rng, [3])
+        assert np.all(ens.weights[:, :, 3] == 1.0)
+        self._assert_same_bytes(tmp_path, {"continuous": ens})
+
+    def test_column_zero_in_all_records_but_one(self, tmp_path):
+        rng = np.random.default_rng(3)
+
+        def edit(weights):
+            weights[1, 2, :] = [0.5, 0.25, 0.25, 0.0, 0.0, 0.0]
+
+        ens = _ensemble_with_columns(rng, [0, 2], edit=edit)
+        self._assert_same_bytes(tmp_path, {"hitting": ens})
+        text = (tmp_path / "new.csv").read_text()
+        assert ",0.25,0.25,0.0,0.0,0.0," in text
+
+    def test_negative_zero_keeps_its_column(self, tmp_path):
+        rng = np.random.default_rng(4)
+
+        def edit(weights):
+            weights[2, 1, 4] = -0.0  # one -0.0 in an otherwise +0.0 column
+            weights[:, :, 5] = -0.0  # a column of -0.0 only
+
+        ens = _ensemble_with_columns(rng, [0, 1], edit=edit)
+        self._assert_same_bytes(tmp_path, {"hitting": ens})
+        rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        assert all(r.split(",")[9] == "-0.0" for r in rows)
+        assert sum(r.split(",")[8] == "-0.0" for r in rows) == 1
+
+    def test_two_engines_with_different_dead_sets(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ensembles = {
+            "hitting": _ensemble_with_columns(rng, [0, 4]),
+            "continuous": _ensemble_with_columns(rng, [1, 2, 5], n=3),
+        }
+        self._assert_same_bytes(tmp_path, ensembles)
+
+
 class TestCliSweep:
     def test_sweep_writes_sorted_table(self, tmp_path, capsys):
         raw = minimal_qubit_config(n_trajectories=400, t_end=1.0, record_interval=0.5)
@@ -467,3 +631,11 @@ class TestCliSweep:
         cfg_path.write_text(json.dumps(minimal_qubit_config()))
         rc = main(["sweep", str(cfg_path), "--param", "beta", "--values", "10"])
         assert rc == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_sweep_rejects_non_finite_values(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_qubit_config()))
+        rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", value])
+        assert rc == 1
+        assert "config error [values]" in capsys.readouterr().err

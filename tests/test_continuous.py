@@ -151,6 +151,19 @@ class TestSimulateContinuous:
         with pytest.raises(StepRejectedError):
             simulate_continuous_trajectory(equal_qubit, None, sigma_z_set, cfg, 1)
 
+    def test_step_with_nan_norm_ratio_rejected(self, sigma_z_set, equal_qubit, monkeypatch):
+        # an overflowed step gives a NaN norm ratio, which no bound admits
+        step = _DiffusionKernel.step_batch
+
+        def nan_step(self, coeffs, increments):
+            out, ratios = step(self, coeffs, increments)
+            return out, np.full_like(ratios, np.nan)
+
+        monkeypatch.setattr(_DiffusionKernel, "step_batch", nan_step)
+        cfg = ContinuousConfig(gamma=0.5, dt=0.01, t_end=0.1, record_interval=0.05)
+        with pytest.raises(StepRejectedError, match="nan"):
+            simulate_continuous_trajectory(equal_qubit, None, sigma_z_set, cfg, 1)
+
     def test_suggested_dt_bound(self, sigma_z_set):
         dt = suggested_dt(sigma_z_set, 0.5)
         assert 0.5 * sigma_z_set.spectral_spread() * dt <= 0.010000001

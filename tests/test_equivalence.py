@@ -3,10 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
 
 from conftest import SQ2, random_state, random_unitary
+from qreduce.config import ScenarioConfig
+from qreduce.scenarios import build_scenario
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_batch
@@ -419,6 +423,101 @@ class TestCollapseStatistics:
         lo, hi = wilson_interval(50, 100, z=2.0)
         assert lo < 0.5 < hi
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    def test_wilson_interval_ends_are_exact(self):
+        # centre - half of 0 successes rounds to 1.39e-17 at n = 49, z = 3
+        for z in (2.0, 3.0, 5.0):
+            for n in range(1, 2001):
+                assert wilson_interval(0, n, z)[0] == 0.0
+                assert wilson_interval(n, n, z)[1] == 1.0
+
+    def test_sum_by_label_is_bit_identical_to_per_label_sums(self):
+        # the parent loop's sums, with labels of 1 to 40 columns each
+        rng = np.random.default_rng(7)
+        for n_labels, largest in ((5, 9), (7, 40), (64, 1), (30, 4)):
+            sizes = rng.integers(1, largest + 1, n_labels)
+            labels = rng.permutation(np.repeat(np.arange(n_labels), sizes))
+            d = labels.size
+            weights = rng.random((25, d)) * rng.choice([1.0, 1e-9, 1e6], size=(25, d))
+            grouped, firsts = equivalence._sum_by_label(weights, labels)
+            expected = np.stack(
+                [weights[:, labels == g].sum(axis=1) for g in range(n_labels)], axis=1
+            )
+            assert np.array_equal(grouped, expected)
+            assert firsts.tolist() == [int(np.flatnonzero(labels == g)[0]) for g in range(n_labels)]
+
+
+def _greedy_labels(table: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """The O(d^2) greedy pass that group_eigenvalue_rows reproduces: the oracle."""
+    scale = max(float(np.max(np.abs(table))), 1.0)
+    labels = -np.ones(table.shape[0], dtype=int)
+    next_label = 0
+    for k in range(table.shape[0]):
+        if labels[k] >= 0:
+            continue
+        same = np.all(np.abs(table - table[k]) <= tol * scale, axis=1)
+        labels[same] = next_label
+        next_label += 1
+    return labels
+
+
+@st.composite
+def _near_row_tables(draw):
+    """(d, K) tables of a few levels, each entry moved by 0 to 4 half
+    tolerances: rows 0.5, 1 and 2 tolerances apart, and chains of them."""
+    d = draw(st.integers(2, 16))
+    k = draw(st.integers(1, 3))
+    levels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.0, 3.5]), min_size=d * k, max_size=d * k)))
+    halves = np.array(draw(st.lists(st.integers(0, 4), min_size=d * k, max_size=d * k)))
+    scale = max(float(np.max(np.abs(levels))), 1.0)
+    return (levels + halves * 0.5e-8 * scale).reshape(d, k)
+
+
+class TestGroupEigenvalueRows:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_near_row_tables())
+    def test_labels_equal_the_greedy_pass(self, table):
+        labels = group_eigenvalue_rows(QuantitySet(table))
+        assert labels.tolist() == _greedy_labels(table).tolist()
+
+    def test_a_non_transitive_chain_splits(self):
+        tol = 1e-8 * 3.0
+        # row 1 is near rows 0 and 2, which are not near each other; row 2
+        # opens label 1 and takes row 1 from label 0
+        table = np.array([[3.0], [3.0 + 0.7 * tol], [3.0 + 1.5 * tol], [3.0], [-1.0]])
+        labels = group_eigenvalue_rows(QuantitySet(table))
+        assert labels.tolist() == [0, 1, 1, 0, 2] == _greedy_labels(table).tolist()
+
+    def test_labels_hold_across_candidate_blocks(self, monkeypatch):
+        # candidate pairs tested 3 at a time: every block boundary is crossed
+        monkeypatch.setattr(equivalence, "_PAIR_BLOCK", 3)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            table = 2.0 + rng.integers(0, 5, (30, 2)) * 0.5e-8 * 2.0
+            table[rng.random(30) < 0.3, 0] = -1.0
+            labels = group_eigenvalue_rows(QuantitySet(table))
+            assert labels.tolist() == _greedy_labels(table).tolist()
+
+    def test_d4368_lattice_labels_in_bounded_memory(self):
+        config = ScenarioConfig.from_dict({
+            "scenario": "identical-particles", "engine": "continuous", "gamma": 1.0,
+            "t_end": 0.1, "record_interval": 0.05, "n_trajectories": 2, "seed": 1,
+            "sites": 12, "dx": 1.0, "alpha": 2.0, "species": [{"name": "b", "count": 5}],
+            "initial_state": [{"occupations": [[5] + [0] * 11], "re": 1.0}],
+        })
+        quantities = build_scenario(config).quantities
+        d = quantities.dim
+        assert (d, quantities.num_quantities) == (4368, 12)
+        tracemalloc.start()
+        try:
+            labels = group_eigenvalue_rows(quantities)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every occupation vector has its own density profile
+        assert labels.tolist() == list(range(d))
+        # a (d, d) boolean array alone would take 18.2 MiB
+        assert peak < 4 * 2**20
 
 
 class TestFactorization:
