@@ -31,7 +31,6 @@ from .hilbert import (
 from .trajectory import Ensemble, EventLog, TrajectoryRecord
 from .hitting import (
     HitStream,
-    HittingConfig,
     Schedule,
     apply_hitting,
     hitting_density,
@@ -39,7 +38,6 @@ from .hitting import (
     schedule_hittings,
     sharpening_operator,
     simulate_hitting_trajectory,
-    simulate_multistream_hitting_trajectory,
 )
 from .continuous import (
     ContinuousConfig,
@@ -106,7 +104,6 @@ __all__ = [
     "EventLog",
     "TrajectoryRecord",
     "HitStream",
-    "HittingConfig",
     "Schedule",
     "apply_hitting",
     "hitting_density",
@@ -114,7 +111,6 @@ __all__ = [
     "schedule_hittings",
     "sharpening_operator",
     "simulate_hitting_trajectory",
-    "simulate_multistream_hitting_trajectory",
     "ContinuousConfig",
     "WienerIncrement",
     "sde_step",

@@ -24,6 +24,7 @@ from .equivalence import (
     ensemble_stats,
 )
 from .errors import ConfigError, QReduceError
+from .hilbert import COMMUTATOR_TOL
 from .scenarios import BuiltScenario, build_scenario
 from .trajectory import Ensemble
 
@@ -118,26 +119,48 @@ def _martingale_json(ens: Ensemble) -> dict:
 
 
 def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
-    if built.streams is not None or built.beta is None:
-        return None
-    starts = ens.offsets[:-1]
-    firsts = ens.centres[starts[starts < ens.offsets[1:]]]
-    if firsts.size == 0:
-        return None
+    """Moments of each quantity's first hitting centre against psi0's.
+
+    Column p takes each trajectory's first event whose stream hits p; its
+    law has psi0's mean and variance cov_pp plus the mean of 1/(2 beta_s)
+    over those events, if no Hamiltonian couples joint coordinates with
+    different eigenvalue rows. Otherwise, or if a column has no such
+    event, the moments are None.
+    """
     psi0, quantities = built.psi0, built.quantities
-    expected_mean = quantities.expectations(psi0)
-    expected_var = np.array(
-        [
-            1.0 / (2.0 * built.beta) + quantities.covariance(psi0, p, p)
-            for p in range(quantities.num_quantities)
-        ]
-    )
+    table = quantities.eigenvalue_table
+    if built.hamiltonian is not None:
+        h_joint = np.abs(quantities.joint_hamiltonian(built.hamiltonian))
+        # the rotation to the joint basis leaves rounding-level entries
+        k, l = np.nonzero(h_joint > COMMUTATOR_TOL * max(float(h_joint.max()), 1.0))
+        if np.any(table[k] != table[l]):
+            return None
+    starts, ends = ens.offsets[:-1], ens.offsets[1:]
+    inv_beta = np.array([1.0 / (2.0 * s.beta) for s in built.streams])
+    used, mean, var, expected_var = set(), [], [], []
+    for p in range(quantities.num_quantities):
+        hits = np.flatnonzero(~np.isnan(ens.centres[:, p]))
+        # a trajectory's first hit on p is the first one at or after its start
+        at = np.searchsorted(hits, starts)
+        inside = at < hits.size
+        firsts = hits[at[inside]]
+        firsts = firsts[firsts < ends[inside]]
+        if firsts.size == 0:
+            return None
+        used.update(firsts.tolist())
+        # reduce whole (events, K) rows along axis 0: numpy then sums column p
+        # in event order, where a lone column would be summed pairwise
+        rows = ens.centres[firsts]
+        mean.append(rows.mean(axis=0)[p])
+        var.append(rows.var(axis=0, ddof=1)[p])
+        share = np.bincount(ens.stream_ids[firsts], minlength=inv_beta.size) / firsts.size
+        expected_var.append(sum(share * inv_beta) + quantities.covariance(psi0, p, p))
     return {
-        "n_events": int(firsts.shape[0]),
-        "empirical_mean": firsts.mean(axis=0).tolist(),
-        "expected_mean": expected_mean.tolist(),
-        "empirical_variance": firsts.var(axis=0, ddof=1).tolist(),
-        "expected_variance": expected_var.tolist(),
+        "n_events": len(used),
+        "empirical_mean": [float(x) for x in mean],
+        "expected_mean": quantities.expectations(psi0).tolist(),
+        "empirical_variance": [float(x) for x in var],
+        "expected_variance": [float(x) for x in expected_var],
     }
 
 
@@ -155,10 +178,15 @@ def _engine_summary(built: BuiltScenario, engine: str, ens: Ensemble) -> dict:
 
 
 def _scalar(value):
-    if value is None:
+    arr = np.atleast_1d(np.asarray([] if value is None else value, dtype=float))
+    if arr.size == 0:
         return None
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
     return float(arr[0]) if arr.size == 1 else arr.tolist()
+
+
+def _stream_parameters(built: BuiltScenario) -> dict:
+    """beta and mu of the streams: numbers for one stream, lists for several."""
+    return {key: _scalar([getattr(s, key) for s in built.streams]) for key in ("beta", "mu")}
 
 
 def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
@@ -167,15 +195,9 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     store = config.store_states or need_states
     if config.engine in ("hitting", "both"):
         ensembles["hitting"] = run_hitting_ensemble(
-            built.psi0,
-            built.hamiltonian,
-            built.quantities,
-            built.hitting_config(),
-            config.n_trajectories,
-            config.seed,
-            streams=built.streams,
-            workers=workers,
-            store_states=store,
+            built.psi0, built.hamiltonian, built.quantities, built.streams, config.t_end,
+            config.record_interval, config.n_trajectories, config.seed,
+            workers=workers, store_states=store,
         )
     if config.engine in ("continuous", "both"):
         ensembles["continuous"] = run_continuous_ensemble(
@@ -196,8 +218,6 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     built = build_scenario(config)
-    if config.engine == "both" and built.streams is not None:
-        raise ConfigError("engine", "engine=both is unsupported for multistream scenarios")
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     need_states = config.engine == "both"
@@ -212,8 +232,7 @@ def cmd_run(args) -> int:
         "seed": config.seed,
         "n_trajectories": config.n_trajectories,
         "parameters": {
-            "beta": _scalar(built.beta),
-            "mu": _scalar(built.mu),
+            **_stream_parameters(built),
             "gamma": _scalar(built.gamma),
             "dt": _scalar(config.dt),
             "schedule": config.schedule,
@@ -235,8 +254,7 @@ def cmd_run(args) -> int:
             ensembles["hitting"],
             ensembles["continuous"],
             built.quantities,
-            built.beta,
-            built.mu,
+            built.streams,
             _scalar(built.gamma),
             hamiltonian=built.hamiltonian,
             psi0=built.psi0,
@@ -247,8 +265,7 @@ def cmd_run(args) -> int:
             "mc_trace_distance": comparison.mc_distance.tolist(),
             "mc_error": comparison.mc_error.tolist(),
             "oracle_trace_distance": comparison.oracle_distance.tolist(),
-            "beta": _scalar(built.beta),
-            "mu": _scalar(built.mu),
+            **_stream_parameters(built),
             "gamma": _scalar(built.gamma),
             "n_trajectories": config.n_trajectories,
         }
@@ -277,23 +294,10 @@ def cmd_sweep(args) -> int:
         print(f"values sorted ascending before execution: {ordered}")
 
     built = build_scenario(config)
-    if built.hamiltonian is not None or built.streams is not None:
-        raise ConfigError(
-            "scenario", "sweep supports single-stream scenarios without a Hamiltonian"
-        )
-    gamma = _scalar(built.gamma)
-    if gamma is None:
-        raise ConfigError("gamma", "gamma is required for a sweep")
     rows = convergence_sweep(
-        built.psi0,
-        built.quantities,
-        gamma,
-        ordered,
-        config.n_trajectories,
-        config.t_end,
-        config.seed,
-        dt=config.dt,
-        workers=args.workers,
+        built.psi0, built.quantities, built.streams, _scalar(built.gamma), ordered,
+        config.n_trajectories, config.t_end, config.seed,
+        hamiltonian=built.hamiltonian, dt=config.dt, workers=args.workers,
     )
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,19 +305,10 @@ def cmd_sweep(args) -> int:
     with path.open("w", newline="") as fh:
         fh.write("mu,beta,channel_distance,mc_distance,mc_error\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        row.mu,
-                        row.beta,
-                        row.channel_distance,
-                        row.mc_distance,
-                        row.mc_error,
-                    )
-                )
-                + "\n"
-            )
+            # one beta per stream, space-separated, in stream order
+            beta = " ".join(_fmt(s.beta) for s in row.streams)
+            rest = (row.channel_distance, row.mc_distance, row.mc_error)
+            fh.write(",".join([_fmt(row.mu), beta, *map(_fmt, rest)]) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -334,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="hitting-frequency convergence sweep")
     sweep.add_argument("config", help="config file path or preset name")
-    sweep.add_argument("--param", required=True, help="swept parameter (mu)")
+    sweep.add_argument(
+        "--param", required=True, help="swept parameter (mu: the total hitting rate)"
+    )
     sweep.add_argument("--values", nargs="+", required=True, help="swept values")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--workers", type=int, default=1)

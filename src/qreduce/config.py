@@ -151,13 +151,21 @@ class ScenarioConfig:
         except (TypeError, ValueError):
             raise ConfigError("seed", "seed must be an integer") from None
 
-        needs_hitting = engine in ("hitting", "both")
+        # a distinguishable-particle model carries its rates and accuracy
+        # per particle, so top-level strengths would mean nothing
+        per_particle = scenario == "distinguishable-particles"
+        for key in ("beta", "mu", "gamma"):
+            if per_particle and key in raw:
+                raise ConfigError(
+                    key, f"{key} has no meaning for {scenario}: set particles[].rate and alpha"
+                )
+        needs_hitting = engine in ("hitting", "both") and not per_particle
         beta = _positive(raw, "beta", required=needs_hitting)
         mu = _positive(raw, "mu", required=needs_hitting)
         gamma = _positive(raw, "gamma", required=False)
         dt = _positive(raw, "dt", required=False)
 
-        if engine in ("continuous", "both"):
+        if engine in ("continuous", "both") and not per_particle:
             derived = beta * mu / 2.0 if (beta is not None and mu is not None) else None
             if gamma is None:
                 if derived is None:

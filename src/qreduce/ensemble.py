@@ -28,7 +28,7 @@ alone, so every chunk uses the same one.
 
 ``equivalence.convergence_sweep`` runs its ensembles through the same
 runners: the diffusive one with the master seed itself, and the hitting
-one of the i-th frequency (i = 1, 2, ...) with the master seed
+one of the i-th swept rate (i = 1, 2, ...) with the master seed
 ``derive_seed(master_seed, SWEEP_STREAM, i)``.
 """
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .continuous import ContinuousConfig, simulate_continuous_batch
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .hitting import HitStream, HittingConfig, simulate_hitting_batch
+from .hitting import HitStream, simulate_hitting_batch
 from .trajectory import Ensemble
 
 # One chunk is the unit of parallel work; constant so that chunk
@@ -91,9 +91,10 @@ def _generators(seeds) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def _hitting_chunk(psi0, hamiltonian, quantities, streams, config, store_states, seeds):
+def _hitting_chunk(psi0, hamiltonian, quantities, streams, t_end, record_interval,
+                   store_states, seeds):
     return simulate_hitting_batch(
-        psi0, hamiltonian, quantities, streams, config.t_end, config.record_interval,
+        psi0, hamiltonian, quantities, streams, t_end, record_interval,
         _generators(seeds), store_states=store_states, seeds=seeds,
     )
 
@@ -102,24 +103,26 @@ def run_hitting_ensemble(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
     quantities: QuantitySet,
-    config: HittingConfig,
+    streams: list[HitStream],
+    t_end: float,
+    record_interval: float,
     n_trajectories: int,
     master_seed: int,
     *,
-    streams: list[HitStream] | None = None,
     workers: int = 1,
     store_states: bool = False,
 ) -> Ensemble:
-    """Independent hitting trajectories with derived per-trajectory seeds.
+    """Independent trajectories of the hitting process of ``streams``.
 
-    ``config`` fixes the time window and the record grid. Its beta, mu
-    and schedule make the one stream that hits every quantity, unless
-    ``streams`` lists the streams instead. Returns one ensemble, with
-    states when ``store_states``.
+    Every trajectory runs the same list of streams over the window
+    (0, ``t_end``], recorded every ``record_interval``, from its own
+    derived seed. Returns one ensemble, with the stream id of every event
+    and with states when ``store_states``.
     """
-    if streams is None:
-        streams = [config.stream(quantities.num_quantities)]
-    worker = partial(_hitting_chunk, psi0, hamiltonian, quantities, streams, config, store_states)
+    worker = partial(
+        _hitting_chunk, psi0, hamiltonian, quantities, streams, t_end, record_interval,
+        store_states,
+    )
     seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)
 

@@ -13,7 +13,7 @@ beta * mu = 2 * gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     MissingSnapshotError,
 )
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
-from .hitting import HittingConfig
+from .hitting import HitStream
 from .continuous import ContinuousConfig, suggested_dt
 from .ensemble import (
     SWEEP_STREAM,
@@ -252,24 +252,28 @@ def _deterministic_series(
 def hitting_master_evolution(
     rho0: DensityMatrix,
     quantities: QuantitySet,
-    beta: float,
-    mu: float,
+    streams: list[HitStream],
     t_end: float,
     *,
     hamiltonian: Hamiltonian | None = None,
     sample_times=None,
     dt: float | None = None,
 ) -> tuple[np.ndarray, list[DensityMatrix]]:
-    """Ensemble evolution under a Poisson stream of hittings.
+    """Ensemble evolution under independent Poisson streams of hittings.
 
-    The generator is mu * (T[rho] - rho) with T the exact hitting map, so
-    without a Hamiltonian joint-basis element (k, l) decays at rate
-    mu * (1 - exp(-beta/4 * |alpha_k - alpha_l|^2)), which tends to the
-    diffusive rate gamma/2 * |alpha_k - alpha_l|^2 as beta -> 0 with
-    beta * mu = 2 * gamma held fixed.
+    Stream s adds mu_s * (T_s[rho] - rho), with T_s the exact hitting map
+    on its own columns, so without a Hamiltonian joint-basis element
+    (k, l) decays at rate sum_s mu_s * (1 - exp(-beta_s/4 *
+    sum_{p in s} (alpha_kp - alpha_lp)^2)). That tends to the diffusive
+    rate 1/2 * sum_p gamma_p (alpha_kp - alpha_lp)^2 as every beta_s -> 0
+    with each beta_s * mu_s held, where gamma_p sums beta_s * mu_s / 2
+    over the streams that hit p.
     """
-    damping = np.exp(-0.25 * beta * _pairwise_sq_distances(quantities.eigenvalue_table))
-    rates = mu * (1.0 - damping)
+    table = quantities.eigenvalue_table
+    rates = 0.0
+    for s in streams:
+        damping = np.exp(-0.25 * s.beta * _pairwise_sq_distances(table[:, s.quantity_indices]))
+        rates = rates + s.mu * (1.0 - damping)
     return _deterministic_series(
         rho0, quantities, rates, hamiltonian, t_end, sample_times, dt
     )
@@ -719,14 +723,34 @@ def sample_factorized_db_windows(
 
 @dataclass
 class SweepRow:
-    """One frequency entry of the convergence study."""
+    """One entry of the convergence study: the streams at total rate ``mu``."""
 
     mu: float
-    beta: float
+    streams: list[HitStream]
     channel_distance: float
     mc_distance: float
     mc_error: float
     noise_floor: float
+
+
+def _streams_at_rate(streams: list[HitStream], gamma: np.ndarray, total: float) -> list[HitStream]:
+    """``streams`` at total rate ``total``, rate ratios and strengths held.
+
+    Stream s runs at mu_s' = total * mu_s / M (M = sum of the mu_s) and
+    beta_s' = 2 g_s / mu_s'. Its strength g_s is its share by beta * mu
+    of ``gamma`` (per quantity) at its first quantity p, which is
+    beta_s * mu_s / 2 whenever gamma_p sums beta * mu / 2 over the streams
+    hitting p. One stream keeps beta' = 2 gamma / total bit for bit.
+    """
+    base = sum(s.mu for s in streams)
+    out = []
+    for s in streams:
+        p = s.quantity_indices[0]
+        shared = sum(t.beta * t.mu for t in streams if p in t.quantity_indices)
+        strength = float(gamma[p]) * (s.beta * s.mu / shared)
+        mu = total * (s.mu / base)
+        out.append(replace(s, beta=2.0 * strength / mu, mu=mu))
+    return out
 
 
 def _bootstrap_distance(
@@ -747,36 +771,43 @@ def _bootstrap_distance(
 def convergence_sweep(
     psi0: StateVector,
     quantities: QuantitySet,
-    gamma: float,
-    mu_values,
+    streams: list[HitStream],
+    gamma,
+    rates,
     n_trajectories: int,
     t_probe: float,
     master_seed: int,
     *,
+    hamiltonian: Hamiltonian | None = None,
     dt: float | None = None,
     n_bootstrap: int = 100,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Distance between the two processes as the hitting frequency grows.
+    """Distance between the two processes as the hitting rate grows.
 
-    For each mu (sorted ascending) the accuracy is beta = 2 * gamma / mu,
-    keeping the effectiveness fixed. Reports the deterministic channel
-    distance (hitting master equation vs Lindblad at the probe time) and
-    the trace-norm distance between the Monte Carlo ensembles at the
-    probe time, with a bootstrap error and an independent-halves
-    noise-floor estimate. Each Monte Carlo distance is taken on the
-    columns where either of its two row sets is nonzero, where both
-    mixtures live.
+    Each swept value (sorted ascending) is the total rate of the hitting
+    process: the streams keep their rate ratios and each its
+    beta_s * mu_s (:func:`_streams_at_rate`), so the effectiveness stays
+    that of the diffusive process of strength ``gamma`` (scalar or per
+    quantity). A single stream runs at mu = value and
+    beta = 2 * gamma / value. Reports the deterministic channel distance
+    (hitting master equation vs Lindblad at the probe time, both under
+    ``hamiltonian``) and the trace-norm distance between the Monte Carlo
+    ensembles at the probe time, with a bootstrap error and an
+    independent-halves noise-floor estimate. Each Monte Carlo distance is
+    taken on the columns where either of its two row sets is nonzero,
+    where both mixtures live.
 
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
     diffusive ensemble is ``run_continuous_ensemble`` with
-    ``master_seed``. The hitting ensemble of the i-th mu (i = 1, 2, ...)
+    ``master_seed``. The hitting ensemble of the i-th value (i = 1, 2, ...)
     is ``run_hitting_ensemble`` with master seed
     ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its bootstrap draws
     from ``default_rng(derive_seed(master_seed, 1000 + i))``.
     """
-    mu_values = sorted(float(m) for m in mu_values)
+    rates = sorted(float(m) for m in rates)
+    gamma_p = np.broadcast_to(np.asarray(gamma, dtype=float), (quantities.num_quantities,))
     rho0 = DensityMatrix.from_state(psi0)
     step = dt if dt is not None else suggested_dt(quantities, gamma)
     n_sub = max(1, int(round(t_probe / step)))
@@ -784,39 +815,32 @@ def convergence_sweep(
         gamma=gamma, dt=t_probe / n_sub, t_end=t_probe, record_interval=t_probe
     )
     cont_rows = run_continuous_ensemble(
-        psi0, None, quantities, config, n_trajectories, master_seed,
+        psi0, hamiltonian, quantities, config, n_trajectories, master_seed,
         workers=workers, store_states=True,
     ).states[-1]
     half = n_trajectories // 2
     floor = _rows_distance(cont_rows[:half], cont_rows[half : 2 * half]) / 2.0
 
-    _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe)
+    _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe, hamiltonian=hamiltonian)
     rho_lind = lind[-1]
 
     rows = []
-    for i, mu in enumerate(mu_values, start=1):
-        beta = 2.0 * gamma / mu
-        _, master = hitting_master_evolution(rho0, quantities, beta, mu, t_probe)
+    for i, total in enumerate(rates, start=1):
+        swept = _streams_at_rate(streams, gamma_p, total)
+        _, master = hitting_master_evolution(
+            rho0, quantities, swept, t_probe, hamiltonian=hamiltonian
+        )
         channel = trace_norm_distance(master[-1], rho_lind)
 
         hit_rows = run_hitting_ensemble(
-            psi0, None, quantities, HittingConfig(beta, mu, t_probe, t_probe),
+            psi0, hamiltonian, quantities, swept, t_probe, t_probe,
             n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
             workers=workers, store_states=True,
         ).states[-1]
         mc = _rows_distance(hit_rows, cont_rows)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)
-        rows.append(
-            SweepRow(
-                mu=mu,
-                beta=beta,
-                channel_distance=channel,
-                mc_distance=mc,
-                mc_error=err,
-                noise_floor=floor,
-            )
-        )
+        rows.append(SweepRow(total, swept, channel, mc, err, floor))
     return rows
 
 
@@ -834,9 +858,8 @@ def engine_comparison(
     hitting: Ensemble,
     continuous: Ensemble,
     quantities: QuantitySet,
-    beta: float,
-    mu: float,
-    gamma: float,
+    streams: list[HitStream],
+    gamma,
     *,
     hamiltonian: Hamiltonian | None = None,
     psi0: StateVector | None = None,
@@ -845,8 +868,12 @@ def engine_comparison(
 ) -> EngineComparison:
     """Trace-norm distances per probe time, with bootstrap errors.
 
-    The Monte Carlo distances of a probe time are taken on the columns
-    where either ensemble's states are nonzero, where both mixtures live.
+    ``streams`` is the hitting process and ``gamma`` (scalar or per
+    quantity) the diffusive strength; with ``psi0`` the oracle distance of
+    a probe time is that between the hitting master equation of the
+    streams and the Lindblad equation, both under ``hamiltonian``. The
+    Monte Carlo distances of a probe time are taken on the columns where
+    either ensemble's states are nonzero, where both mixtures live.
     Raises ``ValueError`` when the two ensembles' sample grids differ.
     """
     times = hitting.sample_times
@@ -865,7 +892,7 @@ def engine_comparison(
         inner = times.copy()
         inner[0] = 0.0
         _, master = hitting_master_evolution(
-            rho0, quantities, beta, mu, float(times[-1]),
+            rho0, quantities, streams, float(times[-1]),
             hamiltonian=hamiltonian, sample_times=inner,
         )
         _, lind = lindblad_evolution(

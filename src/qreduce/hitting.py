@@ -1,9 +1,15 @@
 """The discontinuous reduction process.
 
-Gaussian sharpening operators act on the state at scheduled times; the
-centre of each hit is drawn from the exact quadratic-form density, which
-is a mixture of Gaussians over the joint eigenvectors. Between hits the
-state evolves unitarily (exactly, via the Hamiltonian eigensystem).
+A hitting process is a list of streams (:class:`HitStream`). Each stream
+hits its own columns of the shared commuting quantity set with Gaussian
+sharpening operators of accuracy beta, at times from its own schedule of
+frequency mu. One stream over every column is the process of a single
+sharpened observable; one stream per particle position is the model of
+Ghirardi, Rimini and Weber. The centre of each hit is drawn from the
+exact quadratic-form density, which is a mixture of Gaussians over the
+joint eigenvectors. Between hits the state evolves unitarily (exactly,
+via the Hamiltonian eigensystem). The time window (t_end and the record
+interval) is not part of a stream; the runners take it beside the list.
 
 :func:`simulate_hitting_batch` runs a batch of trajectories in three
 steps:
@@ -60,7 +66,6 @@ VANISHING_NORM_THRESHOLD = 1e-300
 
 __all__ = [
     "Schedule",
-    "HittingConfig",
     "HitStream",
     "sharpening_operator",
     "apply_hitting",
@@ -68,7 +73,6 @@ __all__ = [
     "hitting_density",
     "schedule_hittings",
     "simulate_hitting_trajectory",
-    "simulate_multistream_hitting_trajectory",
     "simulate_hitting_batch",
     "run_hitting_chain_batch",
 ]
@@ -82,50 +86,31 @@ class Schedule(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HittingConfig:
-    """Parameters of one hitting process.
-
-    ``beta`` is the sharpening accuracy (inverse squared width of the
-    Gaussian hit), ``mu`` the mean hitting frequency. Their product fixes
-    the effectiveness; the diffusive process with strength
-    ``gamma = beta * mu / 2`` is the infinite-frequency limit.
-    """
-
-    beta: float
-    mu: float
-    t_end: float
-    record_interval: float
-    schedule: Schedule = Schedule.POISSON
-
-    def __post_init__(self):
-        for name in ("beta", "mu", "t_end", "record_interval"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.record_interval > self.t_end:
-            raise ValueError("record_interval must not exceed t_end")
-        if not isinstance(self.schedule, Schedule):
-            object.__setattr__(self, "schedule", Schedule(self.schedule))
-
-    def stream(self, num_quantities: int) -> "HitStream":
-        """This process as the one stream that hits every quantity."""
-        return HitStream(tuple(range(num_quantities)), self.beta, self.mu, self.schedule)
-
-
-@dataclass(frozen=True)
 class HitStream:
-    """An independent hitting stream acting on a subset of quantities.
+    """An independent stream of hits on a subset of the quantities.
 
-    Used for models where each degree of freedom is sharpened at its own
-    frequency (e.g. one stream per particle); ``quantity_indices`` points
-    into the shared commuting quantity set.
+    ``quantity_indices`` point into the shared commuting quantity set;
+    ``beta`` is the sharpening accuracy (inverse squared width of the
+    Gaussian hit) and ``mu`` the mean hitting frequency. Their product
+    fixes the effectiveness: the diffusive process with strength
+    ``gamma_p = sum of beta * mu / 2 over the streams hitting p`` is the
+    infinite-frequency limit.
     """
 
     quantity_indices: tuple[int, ...]
     beta: float
     mu: float
     schedule: Schedule = Schedule.POISSON
+
+    def __post_init__(self):
+        for name in ("beta", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        object.__setattr__(self, "quantity_indices", tuple(self.quantity_indices))
+        if not isinstance(self.schedule, Schedule):
+            object.__setattr__(self, "schedule", Schedule(self.schedule))
 
 
 def _centre_vector(centre, num_quantities: int) -> np.ndarray:
@@ -222,20 +207,20 @@ def hitting_density(
     return float(pref * np.sum(weights * np.exp(-beta * dist2)))
 
 
-def schedule_hittings(config: HittingConfig, rng: np.random.Generator) -> np.ndarray:
-    """Hitting times in (0, t_end], per the configured schedule.
+def schedule_hittings(stream: HitStream, t_end: float, rng: np.random.Generator) -> np.ndarray:
+    """Hitting times of one stream in (0, t_end], per its schedule.
 
     Evenly spaced: k/mu for k = 1..floor(mu * t_end). Poisson: a
     homogeneous process of rate mu (count first, then sorted uniforms).
     An empty result is legitimate: the trajectory then evolves purely
     unitarily and is reported as unresolved downstream.
     """
-    if config.schedule is Schedule.EVENLY_SPACED:
-        count = int(math.floor(config.mu * config.t_end + 1e-9))
-        times = np.arange(1, count + 1) / config.mu
-        return np.minimum(times, config.t_end)
-    count = int(rng.poisson(config.mu * config.t_end))
-    times = config.t_end * (1.0 - rng.random(count))
+    if stream.schedule is Schedule.EVENLY_SPACED:
+        count = int(math.floor(stream.mu * t_end + 1e-9))
+        times = np.arange(1, count + 1) / stream.mu
+        return np.minimum(times, t_end)
+    count = int(rng.poisson(stream.mu * t_end))
+    times = t_end * (1.0 - rng.random(count))
     times.sort()
     return times
 
@@ -301,7 +286,8 @@ def run_hitting_chain_batch(
     :func:`~qreduce.trajectory.record_counts`), evolved to that time.
 
     Returns the ensemble of the batch: the (E, K) centres, NaN outside
-    each hit's stream, and the records in (R, batch, ·) layout.
+    each hit's stream, the (E,) stream ids, and the records in
+    (R, batch, ·) layout.
 
     Raises
     ------
@@ -373,6 +359,7 @@ def run_hitting_chain_batch(
         offsets=offsets,
         times=times,
         centres=centres_out,
+        stream_ids=stream_ids,
         states=quantities.from_joint(snaps) if store_states else None,
     )
 
@@ -395,12 +382,14 @@ def simulate_hitting_batch(
     given in the module docstring; ``seeds`` (one per generator) are
     stored on the ensemble and reported by a :class:`VanishingNormError`.
     """
-    configs = [HittingConfig(s.beta, s.mu, t_end, record_interval, s.schedule) for s in streams]
+    grid = record_grid(t_end, record_interval)
+    # the ensemble keeps one stream id per hit: the narrowest type that fits
+    stream_range = np.arange(len(streams), dtype=np.min_scalar_type(len(streams)))
     times, ids = [], []
     for g in generators:
-        parts = [schedule_hittings(c, g) for c in configs]
+        parts = [schedule_hittings(s, t_end, g) for s in streams]
         t = np.concatenate(parts)
-        i = np.repeat(np.arange(len(streams)), [p.size for p in parts])
+        i = np.repeat(stream_range, [p.size for p in parts])
         order = np.argsort(t, kind="stable")
         times.append(t[order])
         ids.append(i[order])
@@ -411,7 +400,6 @@ def simulate_hitting_batch(
         g.random(out=uniforms[a:b])
         g.standard_normal(out=noise[a:b])
     times, ids = np.concatenate(times), np.concatenate(ids)
-    grid = record_grid(t_end, record_interval)
 
     def run(coeffs, block, block_hamiltonian):
         return run_hitting_chain_batch(
@@ -427,37 +415,6 @@ def simulate_hitting_trajectory(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
     quantities: QuantitySet,
-    config: HittingConfig,
-    rng,
-    *,
-    store_states: bool = False,
-    seed: int | None = None,
-) -> TrajectoryRecord:
-    """One realization of the hitting process.
-
-    Alternates exact unitary evolution with sample-then-apply hits at the
-    scheduled times and records Born weights and expectations on the
-    configured grid. With ``hamiltonian=None`` this is the pure reduction
-    process. ``rng`` may be an integer seed (stored on the record) or a
-    ``numpy.random.Generator``.
-    """
-    return simulate_multistream_hitting_trajectory(
-        psi0,
-        hamiltonian,
-        quantities,
-        [config.stream(quantities.num_quantities)],
-        config.t_end,
-        config.record_interval,
-        rng,
-        store_states=store_states,
-        seed=seed,
-    )
-
-
-def simulate_multistream_hitting_trajectory(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
     streams: list[HitStream],
     t_end: float,
     record_interval: float,
@@ -466,22 +423,18 @@ def simulate_multistream_hitting_trajectory(
     store_states: bool = False,
     seed: int | None = None,
 ) -> TrajectoryRecord:
-    """Hitting process with independent per-stream schedules.
+    """One realization of the hitting process of ``streams``.
 
-    Each stream sharpens its own subset of the shared commuting quantity
-    set at its own frequency and accuracy (one stream per particle in the
-    distinguishable-particle model). Event centres are logged in full-K
-    rows with NaN outside the hit stream's quantities.
+    Alternates exact unitary evolution with sample-then-apply hits at the
+    scheduled times and records Born weights and expectations every
+    ``record_interval`` up to ``t_end``. Event centres are logged in
+    full-K rows with NaN outside the hit stream's quantities. With
+    ``hamiltonian=None`` this is the pure reduction process. ``rng`` may
+    be an integer seed (stored on the record) or a
+    ``numpy.random.Generator``.
     """
     rng, seed = _coerce_rng(rng, seed)
     return simulate_hitting_batch(
-        psi0,
-        hamiltonian,
-        quantities,
-        streams,
-        t_end,
-        record_interval,
-        [rng],
-        store_states=store_states,
-        seeds=None if seed is None else [seed],
+        psi0, hamiltonian, quantities, streams, t_end, record_interval, [rng],
+        store_states=store_states, seeds=None if seed is None else [seed],
     )[0]

@@ -17,34 +17,27 @@ from .fock import (
     scenario_identical_particles,
 )
 from .hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
-from .hitting import HitStream, HittingConfig, Schedule
+from .hitting import HitStream, Schedule
 
 
 @dataclass
 class BuiltScenario:
-    """Everything the runners need for one scenario."""
+    """Everything the runners need for one scenario.
+
+    ``streams`` is the hitting process, a list of :class:`HitStream`:
+    one stream over every quantity for the explicit and lattice kinds,
+    one per particle for ``distinguishable-particles``. It is empty only
+    for a config without beta and mu, which runs the continuous engine
+    alone. ``gamma`` (scalar or per quantity) is the continuous strength,
+    or None for a hitting-only config.
+    """
 
     config: ScenarioConfig
     psi0: StateVector
     quantities: QuantitySet
     hamiltonian: Hamiltonian | None
-    beta: float | None          # per-hit accuracy handed to the engine
-    mu: float | None
-    gamma: float | np.ndarray | None  # strength handed to the engine
-    streams: list[HitStream] | None = None  # multistream models only
-
-    def hitting_config(self) -> HittingConfig:
-        """The hitting process; for multistream models, beta and the total rate."""
-        mu = self.mu if self.streams is None else sum(s.mu for s in self.streams)
-        if self.beta is None or mu is None:
-            raise ConfigError("beta", "scenario has no hitting parameters")
-        return HittingConfig(
-            beta=self.beta,
-            mu=mu,
-            t_end=self.config.t_end,
-            record_interval=self.config.record_interval,
-            schedule=Schedule(self.config.schedule),
-        )
+    streams: list[HitStream]
+    gamma: float | np.ndarray | None
 
     def continuous_config(self) -> ContinuousConfig:
         if self.gamma is None:
@@ -74,6 +67,14 @@ def _state_from_amplitude_spec(spec, dim: int) -> StateVector:
     return StateVector(re + 1j * im, normalize=True)
 
 
+def _one_stream(config: ScenarioConfig, quantities: QuantitySet, beta) -> list[HitStream]:
+    """The stream that hits every quantity, or none without beta and mu."""
+    if beta is None or config.mu is None:
+        return []
+    columns = tuple(range(quantities.num_quantities))
+    return [HitStream(columns, beta, config.mu, Schedule(config.schedule))]
+
+
 def _build_explicit(config: ScenarioConfig) -> BuiltScenario:
     ops_spec = config.payload.get("operators")
     if not ops_spec:
@@ -90,8 +91,7 @@ def _build_explicit(config: ScenarioConfig) -> BuiltScenario:
         psi0=psi0,
         quantities=quantities,
         hamiltonian=hamiltonian,
-        beta=config.beta,
-        mu=config.mu,
+        streams=_one_stream(config, quantities, config.beta),
         gamma=config.gamma,
     )
 
@@ -175,8 +175,7 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
         psi0=scenario.psi0,
         quantities=scenario.quantities,
         hamiltonian=None,
-        beta=scenario.beta_eff,
-        mu=config.mu,
+        streams=_one_stream(config, scenario.quantities, scenario.beta_eff),
         gamma=scenario.gamma_eff,
     )
 
@@ -233,15 +232,8 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
     psi0 = StateVector(amps, normalize=True)
 
     # one stream per particle: localization frequency rate_l, accuracy alpha
-    streams = [
-        HitStream(
-            quantity_indices=(l,),
-            beta=alpha,
-            mu=rates[l],
-            schedule=Schedule(config.schedule),
-        )
-        for l in range(n_particles)
-    ]
+    schedule = Schedule(config.schedule)
+    streams = [HitStream((l,), alpha, rate, schedule) for l, rate in enumerate(rates)]
     gamma = np.array([alpha * rate / 2.0 for rate in rates])
     h_matrix = hamiltonian_matrix_from_spec(config.hamiltonian)
     hamiltonian = None if h_matrix is None else Hamiltonian(h_matrix)
@@ -252,10 +244,8 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
         psi0=psi0,
         quantities=quantities,
         hamiltonian=hamiltonian,
-        beta=alpha,
-        mu=None,
-        gamma=gamma,
         streams=streams,
+        gamma=gamma,
     )
 
 

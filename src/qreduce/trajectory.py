@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields, replace
 
@@ -103,7 +104,8 @@ class Ensemble:
     computational-basis snapshots. Each sample's rows are one contiguous
     (n, d) block. Events are in CSR form: trajectory i owns
     ``times[offsets[i]:offsets[i + 1]]`` and the matching ``centres``
-    rows. ``seeds`` (n,) are the per-trajectory seeds, or None when the
+    rows and, for the hitting engine, ``stream_ids`` (the index of the
+    stream that made each hit). ``seeds`` (n,) are the per-trajectory seeds, or None when the
     trajectories ran from bare generators. ``ens[i]`` is trajectory i as
     a :class:`TrajectoryRecord`. The hitting kernel reads its hits in this
     CSR layout and writes its records in this (S, n, ·) layout itself.
@@ -119,6 +121,7 @@ class Ensemble:
     offsets: np.ndarray
     times: np.ndarray
     centres: np.ndarray
+    stream_ids: np.ndarray | None = None
     states: np.ndarray | None = None
 
     def __post_init__(self):
@@ -158,6 +161,7 @@ class Ensemble:
             offsets=np.concatenate(offsets),
             times=join("times"),
             centres=join("centres"),
+            stream_ids=join("stream_ids"),
             states=join("states", axis=1),
         )
 
@@ -232,7 +236,17 @@ def _coerce_rng(rng, seed):
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:
-    """Sample times 0, r, 2r, ... capped at t_end (t_end included when hit)."""
+    """Sample times 0, r, 2r, ... capped at t_end (t_end included when hit).
+
+    Raises ``ValueError`` unless 0 < record_interval <= t_end < inf.
+    """
+    for name, value in (("t_end", t_end), ("record_interval", record_interval)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0")
+    if record_interval > t_end:
+        raise ValueError("record_interval must not exceed t_end")
     n = int(np.floor(t_end / record_interval + 1e-9))
     times = np.arange(n + 1) * record_interval
     times[-1] = min(times[-1], t_end)

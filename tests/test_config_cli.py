@@ -9,9 +9,9 @@ import pytest
 import jsonschema
 
 import qreduce
-from qreduce.cli import _write_events_csv, _write_trajectories_csv, main
+from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
 from qreduce.continuous import ContinuousConfig
-from qreduce.hitting import HittingConfig
+from qreduce.hitting import HitStream, simulate_hitting_trajectory
 from qreduce.config import (
     ScenarioConfig,
     load_config,
@@ -20,7 +20,14 @@ from qreduce.config import (
     matrix_to_json,
 )
 from qreduce.errors import ConfigError
-from qreduce.scenarios import build_scenario
+from qreduce.ensemble import run_hitting_ensemble
+from qreduce.equivalence import (
+    DensityMatrix,
+    hitting_master_evolution,
+    lindblad_evolution,
+    trace_norm_distance,
+)
+from qreduce.scenarios import BuiltScenario, build_scenario
 from qreduce.trajectory import Ensemble
 
 
@@ -118,10 +125,15 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name", ["beta", "mu", "t_end", "record_interval"])
-    def test_hitting_config_rejects_non_finite(self, name, value):
+    def test_hitting_config_rejects_non_finite(self, name, value, sigma_z_set, equal_qubit):
+        # a stream's beta and mu, and the window the process runs over
         args = {"beta": 1.0, "mu": 2.0, "t_end": 1.0, "record_interval": 0.5, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            HittingConfig(**args)
+            stream = HitStream((0,), args["beta"], args["mu"])
+            simulate_hitting_trajectory(
+                equal_qubit, None, sigma_z_set, [stream], args["t_end"],
+                args["record_interval"], 0,
+            )
 
     def test_continuous_config_rejects_a_non_finite_gamma_entry(self):
         with pytest.raises(ValueError, match="gamma must be finite"):
@@ -136,7 +148,9 @@ class TestPresets:
         cfg = ScenarioConfig.from_dict(load_preset(name))
         built = build_scenario(cfg)
         assert built.psi0.dim == built.quantities.dim
-        built.hitting_config()
+        # one stream over every quantity, at the config's (lattice-scaled) beta and mu
+        columns = tuple(range(built.quantities.num_quantities))
+        assert [(s.quantity_indices, s.mu) for s in built.streams] == [(columns, cfg.mu)]
         built.continuous_config()
 
     def test_unknown_preset(self):
@@ -149,8 +163,6 @@ class TestScenarioBuilders:
         raw = {
             "scenario": "distinguishable-particles",
             "engine": "hitting",
-            "beta": 1.0,
-            "mu": 1.0,
             "t_end": 1.0,
             "record_interval": 0.5,
             "n_trajectories": 4,
@@ -184,8 +196,8 @@ class TestScenarioBuilders:
     @pytest.mark.parametrize("key", ["dx", "alpha", "rate"])
     def test_non_finite_lattice_parameter_names_key(self, key, value):
         raw = {
-            "scenario": "distinguishable-particles", "engine": "hitting", "beta": 1.0,
-            "mu": 1.0, "t_end": 1.0, "record_interval": 0.5, "sites": 3, "dx": 1.0,
+            "scenario": "distinguishable-particles", "engine": "hitting",
+            "t_end": 1.0, "record_interval": 0.5, "sites": 3, "dx": 1.0,
             "alpha": 2.0, "particles": [{"rate": 4.0}],
             "initial_state": [{"sites": [0], "re": 1.0}],
         }
@@ -249,6 +261,29 @@ def artifact_schema():
 
     text = resources.files("qreduce").joinpath("schemas/artifacts.schema.json").read_text()
     return json.loads(text)
+
+
+def distinguishable_config(**overrides) -> dict:
+    """Two particles on 3 sites, localized at rates 8 and 2 with accuracy 0.5."""
+    raw = {
+        "scenario": "distinguishable-particles",
+        "engine": "both",
+        "dt": 0.01,
+        "t_end": 1.0,
+        "record_interval": 0.5,
+        "n_trajectories": 400,
+        "seed": 3,
+        "sites": 3,
+        "dx": 1.0,
+        "alpha": 0.5,
+        "particles": [{"rate": 8.0}, {"rate": 2.0}],
+        "initial_state": [
+            {"sites": [0, 2], "re": 0.7071067811865476},
+            {"sites": [2, 0], "re": 0.7071067811865476},
+        ],
+    }
+    raw.update(overrides)
+    return raw
 
 
 def _run_cli(tmp_path: Path, raw: dict, out: str, extra=()) -> Path:
@@ -333,8 +368,6 @@ class TestCliRun:
         raw = {
             "scenario": "distinguishable-particles",
             "engine": "hitting",
-            "beta": 1.0,
-            "mu": 1.0,
             "t_end": 1.0,
             "record_interval": 0.5,
             "n_trajectories": 6,
@@ -354,30 +387,59 @@ class TestCliRun:
         for row in rows:
             assert sorted(field == "nan" for field in row[3:]) == [False, True]
 
-    def test_multistream_engine_both_rejected_before_any_artifact(self, tmp_path, capsys):
-        raw = {
-            "scenario": "distinguishable-particles",
-            "engine": "both",
-            "beta": 1.0,
-            "mu": 1.0,
-            "t_end": 1.0,
-            "record_interval": 0.5,
-            "dt": 0.01,
-            "n_trajectories": 4,
-            "seed": 3,
-            "sites": 3,
-            "dx": 1.0,
-            "alpha": 2.0,
-            "particles": [{"rate": 4.0}, {"rate": 1.0}],
-            "initial_state": [{"sites": [0, 2], "re": 1.0}],
-        }
-        cfg_path = tmp_path / "both.json"
+    def test_multistream_engine_both_compares_to_the_oracle(self, tmp_path, artifact_schema):
+        out = _run_cli(tmp_path, distinguishable_config(), "both")
+        compare = json.loads((out / "compare.json").read_text())
+        jsonschema.validate(compare, {**artifact_schema, "$ref": "#/$defs/compare"})
+        assert compare["beta"] == [0.5, 0.5] and compare["mu"] == [8.0, 2.0]
+        assert compare["gamma"] == [2.0, 0.5]
+        rows = zip(compare["mc_trace_distance"], compare["mc_error"],
+                   compare["oracle_trace_distance"])
+        for mc, err, oracle in rows:
+            assert mc <= oracle + 5 * err + 1e-12
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, {**artifact_schema, "$ref": "#/$defs/summary"})
+        assert summary["parameters"]["mu"] == [8.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "key, engine", [("beta", "hitting"), ("mu", "both"), ("gamma", "continuous")]
+    )
+    def test_distinguishable_rejects_top_level_strengths(self, tmp_path, capsys, key, engine):
+        # the rates and the accuracy are per particle; a top-level one would be ignored
+        raw = distinguishable_config(engine=engine, **{key: 99.0})
+        with pytest.raises(ConfigError, match=key) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.key == key
+        cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        rc = main(["run", str(cfg_path), "--out", str(out)])
-        assert rc == 1
-        assert "engine" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error [{key}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_first_hitting_moments_null_under_a_non_commuting_hamiltonian(self, tmp_path):
+        raw = minimal_qubit_config(
+            engine="hitting", beta=5.0, mu=2.0, n_trajectories=200,
+            initial_state={"re": [1.0, 0.0]}, hamiltonian={"name": "sigma_y", "scale": 2.0},
+        )
+        summary = json.loads((_run_cli(tmp_path, raw, "y") / "summary.json").read_text())
+        assert summary["engines"]["hitting"]["first_hitting_moments"] is None
+        # a Hamiltonian diagonal in the joint basis leaves psi0's moments
+        raw["hamiltonian"] = {"name": "sigma_z", "scale": 2.0}
+        summary = json.loads((_run_cli(tmp_path, raw, "z") / "summary.json").read_text())
+        moments = summary["engines"]["hitting"]["first_hitting_moments"]
+        assert moments["expected_mean"] == [1.0]
+        assert moments["expected_variance"] == [pytest.approx(0.1)]
+        # so does A^2 for a rotated A, whose joint-basis matrix is diagonal
+        # only up to rounding
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        a = u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T
+        raw.update(
+            operators=[matrix_to_json(a)], hamiltonian=matrix_to_json(a @ a),
+            initial_state={"re": [1.0, 0.0, 0.0]},
+        )
+        summary = json.loads((_run_cli(tmp_path, raw, "a2") / "summary.json").read_text())
+        assert summary["engines"]["hitting"]["first_hitting_moments"] is not None
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         import subprocess
@@ -476,6 +538,41 @@ class TestCliRun:
             values = [rec.events.times[i % 3], *rec.events.centres[i % 3]]
             assert row[:2] == ["hitting", str(i // 3)]
             assert row[2:] == [repr(float(x)) for x in values]
+
+
+def test_first_hitting_moments_of_overlapping_streams(correlated_pair_set, equal_qubit):
+    # column 0 is hit by both streams, column 1 by the second alone
+    streams = [HitStream((0,), 0.5, 8.0), HitStream((0, 1), 2.0, 2.0)]
+    n = 4000
+    ens = run_hitting_ensemble(equal_qubit, None, correlated_pair_set, streams, 2.0, 1.0, n, 9)
+    built = BuiltScenario(None, equal_qubit, correlated_pair_set, None, streams, None)
+    moments = _first_hit_moments(built, ens)
+    used = set()
+    for p in (0, 1):
+        # reference: each trajectory's first event with a centre in column p;
+        # an event with a centre in column 1 is the second stream's
+        firsts, betas = [], []
+        for i, rec in enumerate(ens):
+            hit = np.flatnonzero(~np.isnan(rec.events.centres[:, p]))
+            if hit.size:
+                used.add((i, hit[0]))
+                centre = rec.events.centres[hit[0]]
+                firsts.append(centre[p])
+                betas.append(streams[0 if np.isnan(centre[1]) else 1].beta)
+        x = np.array(firsts)
+        expected_var = correlated_pair_set.covariance(equal_qubit, p, p) + np.mean(
+            1 / (2 * np.array(betas))
+        )
+        assert moments["empirical_mean"][p] == pytest.approx(x.mean(), abs=1e-12)
+        assert moments["empirical_variance"][p] == pytest.approx(x.var(ddof=1), abs=1e-12)
+        assert moments["expected_variance"][p] == pytest.approx(expected_var, abs=1e-12)
+        # and the law: psi0's mean, and its variance plus the hits' own
+        var = x.var(ddof=1)
+        se_var = math.sqrt(np.mean((x - x.mean()) ** 4) - var**2) / math.sqrt(x.size)
+        assert abs(x.mean() - moments["expected_mean"][p]) <= 5 * math.sqrt(var / x.size)
+        assert abs(var - expected_var) <= 5 * se_var
+    assert moments["expected_mean"] == [1.5, 4.0]
+    assert moments["n_events"] == len(used)  # distinct events read
 
 
 def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
@@ -639,3 +736,51 @@ class TestCliSweep:
         rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", value])
         assert rc == 1
         assert "config error [values]" in capsys.readouterr().err
+
+    def test_sweep_runs_a_multistream_scenario(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(distinguishable_config(n_trajectories=200)))
+        out_dir = tmp_path / "sweep"
+        rc = main(
+            ["sweep", str(cfg_path), "--param", "mu", "--values", "10", "40",
+             "--out", str(out_dir)]
+        )
+        assert rc == 0
+        lines = (out_dir / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "mu,beta,channel_distance,mc_distance,mc_error"
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            total = float(row[0])
+            # rates 8 : 2 and beta_s * mu_s = 4 and 1 held: both betas are 5 / total
+            assert [float(b) for b in row[1].split(" ")] == [
+                pytest.approx(5.0 / total), pytest.approx(5.0 / total)
+            ]
+        assert float(rows[0][2]) > float(rows[1][2]) > 0
+
+    @pytest.mark.parametrize("amplitudes", [[0.7071067811865476, 0.7071067811865476], [1.0, 0.0]])
+    def test_sweep_passes_the_hamiltonian_on(self, tmp_path, amplitudes):
+        # qubit-equal's |+> commutes with sigma_x at every time; |0> does not
+        raw = {
+            **load_preset("qubit-equal"), "n_trajectories": 200, "t_end": 1.0,
+            "record_interval": 0.5, "hamiltonian": {"name": "sigma_x", "scale": 1.0},
+            "initial_state": {"re": amplitudes},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "sweep"
+        rc = main(
+            ["sweep", str(cfg_path), "--param", "mu", "--values", "10", "--out", str(out_dir)]
+        )
+        assert rc == 0
+        channel = float((out_dir / "sweep.csv").read_text().splitlines()[1].split(",")[2])
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        rho0 = DensityMatrix.from_state(built.psi0)
+        h = built.hamiltonian
+        stream = [HitStream((0,), 2 * built.gamma / 10.0, 10.0)]
+        _, master = hitting_master_evolution(rho0, built.quantities, stream, 1.0, hamiltonian=h)
+        _, lind = lindblad_evolution(rho0, built.quantities, built.gamma, 1.0, hamiltonian=h)
+        assert channel == trace_norm_distance(master[-1], lind[-1])
+        if amplitudes[1] == 0.0:
+            _, free_master = hitting_master_evolution(rho0, built.quantities, stream, 1.0)
+            _, free_lind = lindblad_evolution(rho0, built.quantities, built.gamma, 1.0)
+            assert abs(channel - trace_norm_distance(free_master[-1], free_lind[-1])) > 1e-3

@@ -12,7 +12,6 @@ from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import (
     HitStream,
-    HittingConfig,
     simulate_hitting_batch,
     simulate_hitting_trajectory,
 )
@@ -49,9 +48,13 @@ def _weights_matrix(records):
 
 class TestWorkerIndependence:
     def test_hitting_identical_across_worker_counts(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.5)
-        serial = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 600, 7, workers=1)
-        parallel = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 600, 7, workers=4)
+        streams = [HitStream((0,), beta=0.5, mu=5.0)]
+        serial, parallel = (
+            run_hitting_ensemble(
+                equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, 600, 7, workers=workers
+            )
+            for workers in (1, 4)
+        )
         assert np.array_equal(_weights_matrix(serial), _weights_matrix(parallel))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.events.times, b.events.times)
@@ -76,9 +79,10 @@ class TestWorkerIndependence:
         assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
 
 
+ONE_STREAM = [HitStream((0,), beta=0.5, mu=5.0)]
 HITTING_LAYOUTS = {
-    "no-hamiltonian": (None, None),
-    "sigma-x": (np.array([[0, 1], [1, 0]], dtype=complex), None),
+    "no-hamiltonian": (None, ONE_STREAM),
+    "sigma-x": (np.array([[0, 1], [1, 0]], dtype=complex), ONE_STREAM),
     "two-streams": (None, [HitStream((0,), 1.0, 4.0), HitStream((1,), 0.5, 6.0)]),
 }
 
@@ -90,11 +94,10 @@ def test_hitting_trajectory_depends_only_on_its_seed(
     # 700 trajectories cross the 512-row chunk boundary; the first 100 run
     # in chunks of other sizes and must not notice
     matrix, streams = HITTING_LAYOUTS[layout]
-    quantities = sigma_z_set if streams is None else correlated_pair_set
+    quantities = sigma_z_set if len(streams) == 1 else correlated_pair_set
     hamiltonian = None if matrix is None else Hamiltonian(matrix)
-    cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
     small, large = (
-        run_hitting_ensemble(equal_qubit, hamiltonian, quantities, cfg, n, 7, streams=streams)
+        run_hitting_ensemble(equal_qubit, hamiltonian, quantities, streams, 1.0, 0.25, n, 7)
         for n in (100, 700)
     )
     assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
@@ -134,24 +137,24 @@ def test_continuous_trajectory_depends_only_on_its_seed(layout, n):
 
 class TestRecordShape:
     def test_records_share_the_grid(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=2.0, record_interval=0.25)
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 20, 3)
+        streams = [HitStream((0,), beta=0.5, mu=5.0)]
+        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.25, 20, 3)
         times = records[0].sample_times
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
         for rec in records:
             assert np.array_equal(rec.sample_times, times)
 
 
-# engine -> (config, ensemble runner, single-trajectory function, stream tag)
+# engine -> (process arguments, ensemble runner, single-trajectory function, stream tag)
 ENGINES = {
     "hitting": (
-        HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25),
+        ([HitStream((0,), beta=0.5, mu=5.0)], 1.0, 0.25),
         run_hitting_ensemble,
         simulate_hitting_trajectory,
         HITTING_STREAM,
     ),
     "continuous": (
-        ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),
+        (ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),),
         run_continuous_ensemble,
         simulate_continuous_trajectory,
         CONTINUOUS_STREAM,
@@ -161,15 +164,15 @@ ENGINES = {
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qubit):
-    config, run_ensemble, simulate, stream_tag = ENGINES[engine]
+    process, run_ensemble, simulate, stream_tag = ENGINES[engine]
     hamiltonian = Hamiltonian(np.array([[0, 1], [1, 0]], dtype=complex))
     records = run_ensemble(
-        equal_qubit, hamiltonian, sigma_z_set, config, 6, 11, store_states=True
+        equal_qubit, hamiltonian, sigma_z_set, *process, 6, 11, store_states=True
     )
     seeds = trajectory_seeds(11, stream_tag, 6)
     for i in (0, 3, 5):
         single = simulate(
-            equal_qubit, hamiltonian, sigma_z_set, config, int(seeds[i]), store_states=True
+            equal_qubit, hamiltonian, sigma_z_set, *process, int(seeds[i]), store_states=True
         )
         rec = records[i]
         assert single.seed == rec.seed == int(seeds[i])
@@ -184,9 +187,9 @@ def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qub
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_qubit):
     # 600 trajectories make two chunks, so two workers run a process pool
-    config, run_ensemble, _, _ = ENGINES[engine]
+    process, run_ensemble, _, _ = ENGINES[engine]
     records = run_ensemble(
-        equal_qubit, None, sigma_z_set, config, 600, 5, workers=workers, store_states=True
+        equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers, store_states=True
     )
     for rec in (records[0], records[-1]):
         assert isinstance(rec.states, np.ndarray)
@@ -233,9 +236,9 @@ def test_record_counts_match_per_row_clock(counts, interval, seed):
 class TestEnsembleArrays:
     @pytest.fixture(scope="class")
     def ensemble(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
+        streams = [HitStream((0,), beta=0.5, mu=5.0)]
         return run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, cfg, 30, 2, store_states=True
+            equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 30, 2, store_states=True
         )
 
     def test_layout_and_read_only(self, ensemble):
@@ -264,11 +267,10 @@ class TestEnsembleArrays:
             ensemble[30]
 
     def test_concat_of_parts_is_the_whole(self, ensemble, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=1.0, record_interval=0.25)
         seeds = trajectory_seeds(2, HITTING_STREAM, 30)
         parts = [
             simulate_hitting_batch(
-                equal_qubit, None, sigma_z_set, [cfg.stream(1)], 1.0, 0.25,
+                equal_qubit, None, sigma_z_set, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
                 [np.random.default_rng(int(s)) for s in seeds[a:b]],
                 store_states=True, seeds=seeds[a:b],
             )
@@ -276,7 +278,7 @@ class TestEnsembleArrays:
         ]
         joined = Ensemble.concat(parts)
         for name in ("seeds", "weights", "expectations", "states", "offsets",
-                     "times", "centres"):
+                     "times", "centres", "stream_ids"):
             assert np.array_equal(getattr(joined, name), getattr(ensemble, name))
 
     def test_weight_rows_must_sum_to_one(self):
@@ -292,11 +294,17 @@ class TestEnsembleArrays:
 
 # -- the live joint coordinates ---------------------------------------------------
 
+# (runner, its process arguments for a quantity set)
 LIVE_ENGINES = (
-    (run_hitting_ensemble, HittingConfig(beta=0.8, mu=4.0, t_end=1.0, record_interval=0.5)),
+    (
+        run_hitting_ensemble,
+        lambda quantities: ([HitStream(range(quantities.num_quantities), 0.8, 4.0)], 1.0, 0.5),
+    ),
     (
         run_continuous_ensemble,
-        ContinuousConfig(gamma=0.5, dt=2.0**-7, t_end=1.0, record_interval=0.5),
+        lambda quantities: (
+            ContinuousConfig(gamma=0.5, dt=2.0**-7, t_end=1.0, record_interval=0.5),
+        ),
     ),
 )
 
@@ -311,10 +319,11 @@ def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed)
     dead = np.setdiff1d(
         np.arange(quantities.dim), live_coordinates(quantities.to_joint(psi0), h_joint)
     )
-    for run, config in LIVE_ENGINES:
-        live = run(psi0, hamiltonian, quantities, config, n, seed, store_states=True)
+    for run, process in LIVE_ENGINES:
+        args = process(quantities)
+        live = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
         with mock.patch("qreduce.trajectory.live_coordinates", _all_coordinates):
-            full = run(psi0, hamiltonian, quantities, config, n, seed, store_states=True)
+            full = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
         for name in ("weights", "expectations", "states"):
             a, b = getattr(live, name), getattr(full, name)
             assert a.shape == b.shape
@@ -373,8 +382,8 @@ def test_single_joint_eigenvector_stays_put(with_hamiltonian, three_level_set):
     assert live_coordinates(three_level_set.to_joint(psi0)).tolist() == [0, 1]
     dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, three_level_set, 20, 4)
     assert dead.tolist() == [2]
-    for run, config in LIVE_ENGINES:
-        ens = run(psi0, hamiltonian, three_level_set, config, 20, 4)
+    for run, process in LIVE_ENGINES:
+        ens = run(psi0, hamiltonian, three_level_set, *process(three_level_set), 20, 4)
         assert np.all(ens.weights == [0.0, 1.0, 0.0])
 
 

@@ -13,7 +13,7 @@ from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
-from qreduce.hitting import HittingConfig, Schedule, sharpening_operator, simulate_hitting_batch
+from qreduce.hitting import HitStream, Schedule, sharpening_operator, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import (
     SWEEP_STREAM,
@@ -45,11 +45,11 @@ from qreduce.equivalence import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def hitting_batch(psi, quantities, cfg, seeds, *, store_states=False):
+def hitting_batch(psi, quantities, streams, t_end, interval, seeds, *, store_states=False):
     """One ensemble whose trajectory i runs from ``default_rng(seeds[i])``."""
     return simulate_hitting_batch(
-        psi, None, quantities, [cfg.stream(quantities.num_quantities)],
-        cfg.t_end, cfg.record_interval, [np.random.default_rng(s) for s in seeds],
+        psi, None, quantities, streams, t_end, interval,
+        [np.random.default_rng(s) for s in seeds],
         store_states=store_states, seeds=seeds,
     )
 
@@ -137,12 +137,14 @@ class TestExactHittingMap:
 
 class TestHittingMasterEvolution:
     def test_closed_form_value(self, sigma_z_set, plus_rho):
-        _, series = hitting_master_evolution(plus_rho, sigma_z_set, 0.1, 10.0, 1.0)
+        streams = [HitStream((0,), 0.1, 10.0)]
+        _, series = hitting_master_evolution(plus_rho, sigma_z_set, streams, 1.0)
         factor = series[-1].rho[0, 1].real * 2
         assert factor == pytest.approx(math.exp(-10 * (1 - math.exp(-0.1))), abs=1e-12)
 
     def test_zero_frequency_constant(self, sigma_z_set, plus_rho):
-        _, series = hitting_master_evolution(plus_rho, sigma_z_set, 0.1, 0.0, 3.0)
+        # no stream at all: the process never hits
+        _, series = hitting_master_evolution(plus_rho, sigma_z_set, [], 3.0)
         assert np.allclose(series[-1].rho, plus_rho.rho, atol=1e-14)
 
     def test_poisson_mixture_of_map_powers(self, sigma_z_set, plus_rho):
@@ -154,7 +156,7 @@ class TestHittingMasterEvolution:
         for n in range(200):
             acc += poisson.pmf(n, mu * t) * rho_n.rho
             rho_n = exact_hitting_map(rho_n, sigma_z_set, beta)
-        _, series = hitting_master_evolution(plus_rho, sigma_z_set, beta, mu, t)
+        _, series = hitting_master_evolution(plus_rho, sigma_z_set, [HitStream((0,), beta, mu)], t)
         assert np.max(np.abs(acc - series[-1].rho)) < 1e-8
 
     def test_rate_approaches_continuous_limit(self, sigma_z_set):
@@ -172,9 +174,11 @@ class TestHittingMasterEvolution:
     def test_rk4_with_zero_hamiltonian_matches_closed_form(self, sigma_z_set, plus_rho):
         ham = Hamiltonian(np.zeros((2, 2)))
         _, with_h = hitting_master_evolution(
-            plus_rho, sigma_z_set, 0.3, 5.0, 1.0, hamiltonian=ham
+            plus_rho, sigma_z_set, [HitStream((0,), 0.3, 5.0)], 1.0, hamiltonian=ham
         )
-        _, closed = hitting_master_evolution(plus_rho, sigma_z_set, 0.3, 5.0, 1.0)
+        _, closed = hitting_master_evolution(
+            plus_rho, sigma_z_set, [HitStream((0,), 0.3, 5.0)], 1.0
+        )
         assert np.max(np.abs(with_h[-1].rho - closed[-1].rho)) < 1e-8
 
 
@@ -197,7 +201,8 @@ def test_oracle_records_land_on_their_times(oracle):
                 rho0, quantities, 0.5, 1.0, hamiltonian=hamiltonian, sample_times=times, dt=dt
             )[1]
         return hitting_master_evolution(
-            rho0, quantities, 0.5, 4.0, 1.0, hamiltonian=hamiltonian, sample_times=times, dt=dt
+            rho0, quantities, [HitStream((0,), 0.5, 4.0)], 1.0, hamiltonian=hamiltonian,
+            sample_times=times, dt=dt,
         )[1]
 
     for coarse, fine in zip(series(None), series(2.0**-10)):
@@ -264,7 +269,7 @@ class TestPairwiseSeparations:
             if oracle == "lindblad":
                 lindblad_evolution(rho0, quantities, 0.5, 1.0)
             else:
-                hitting_master_evolution(rho0, quantities, 0.5, 4.0, 1.0)
+                hitting_master_evolution(rho0, quantities, [HitStream(range(10), 0.5, 4.0)], 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,10 +279,9 @@ class TestPairwiseSeparations:
 class TestEngineComparison:
     def test_snapshot_stack_matches_state_at_loop(self, three_level_set):
         psi = StateVector([0.5, 0.5, SQ2])
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
         hitting = run_hitting_ensemble(
-            psi, None, three_level_set,
-            HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.25),
-            150, 3, store_states=True,
+            psi, None, three_level_set, streams, 1.0, 0.25, 150, 3, store_states=True,
         )
         continuous = run_continuous_ensemble(
             psi, None, three_level_set,
@@ -285,7 +289,7 @@ class TestEngineComparison:
             120, 3, store_states=True,
         )
         got = engine_comparison(
-            hitting, continuous, three_level_set, 0.5, 4.0, 1.0, n_bootstrap=10, seed=4
+            hitting, continuous, three_level_set, streams, 1.0, n_bootstrap=10, seed=4
         )
         rng = np.random.default_rng(4)
         for i, t in enumerate(hitting[0].sample_times):
@@ -327,10 +331,9 @@ class TestEngineComparison:
     ):
         # the hitting grid is 0, 0.25, ..., 1: first fewer samples, then
         # as many samples at other times
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
         hitting = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set,
-            HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.25),
-            20, 3, store_states=True,
+            equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 20, 3, store_states=True,
         )
         continuous = run_continuous_ensemble(
             equal_qubit, None, sigma_z_set,
@@ -339,38 +342,40 @@ class TestEngineComparison:
         )
         with pytest.raises(ValueError):
             engine_comparison(
-                hitting, continuous, sigma_z_set, 0.5, 4.0, 1.0, n_bootstrap=5
+                hitting, continuous, sigma_z_set, streams, 1.0, n_bootstrap=5
             )
 
 
 class TestEnsembleDensityMatrix:
     def test_single_trajectory_projector(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3], store_states=True)
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
+        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3], store_states=True)
         rho = ensemble_density_matrix(ens, 1.0)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_trajectories_stay_pure(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3] * 4, store_states=True)
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
+        ens = hitting_batch(
+            equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3] * 4, store_states=True
+        )
         rho = ensemble_density_matrix(ens, 0.5)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_missing_snapshots(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.0, record_interval=0.5)
-        ens = hitting_batch(equal_qubit, sigma_z_set, cfg, [3])
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
+        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3])
         with pytest.raises(MissingSnapshotError):
             ensemble_density_matrix(ens, 0.5)
 
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
-        cfg = HittingConfig(beta=0.4, mu=5.0, t_end=1.0, record_interval=0.5)
+        streams = [HitStream((0,), beta=0.4, mu=5.0)]
         records = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, cfg, n, 77, store_states=True
+            equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 77, store_states=True
         )
         rho_mc = ensemble_density_matrix(records, 1.0)
         _, oracle = hitting_master_evolution(
-            DensityMatrix.from_state(equal_qubit), sigma_z_set, 0.4, 5.0, 1.0
+            DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, 1.0
         )
         assert trace_norm_distance(rho_mc, oracle[-1]) < 5.0 / math.sqrt(n)
 
@@ -378,8 +383,8 @@ class TestEnsembleDensityMatrix:
 class TestCollapseStatistics:
     def test_eigenvector_hundred_percent(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
-        cfg = HittingConfig(beta=1.0, mu=5.0, t_end=1.0, record_interval=0.5)
-        recs = hitting_batch(psi, sigma_z_set, cfg, range(20))
+        streams = [HitStream((0,), beta=1.0, mu=5.0)]
+        recs = hitting_batch(psi, sigma_z_set, streams, 1.0, 0.5, range(20))
         report = collapse_statistics(recs, sigma_z_set)
         assert report.unresolved_count == 0
         assert report.outcomes[0].frequency == 1.0
@@ -387,8 +392,8 @@ class TestCollapseStatistics:
 
     def test_weighted_qubit_frequencies(self, sigma_z_set):
         psi = StateVector([0.5, math.sqrt(0.75)])
-        cfg = HittingConfig(beta=1.0, mu=10.0, t_end=6.0, record_interval=3.0)
-        recs = run_hitting_ensemble(psi, None, sigma_z_set, cfg, 2000, 13)
+        streams = [HitStream((0,), beta=1.0, mu=10.0)]
+        recs = run_hitting_ensemble(psi, None, sigma_z_set, streams, 6.0, 3.0, 2000, 13)
         report = collapse_statistics(recs, sigma_z_set)
         se = math.sqrt(0.25 * 0.75 / report.n_resolved)
         assert abs(report.outcomes[0].frequency - 0.25) < 4 * se
@@ -399,8 +404,8 @@ class TestCollapseStatistics:
     ):
         # mu * t_end = 1 with huge beta: any hit resolves, so the unresolved
         # fraction estimates the Poisson zero-count probability exp(-1)
-        cfg = HittingConfig(beta=60.0, mu=1.0, t_end=1.0, record_interval=0.5)
-        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 3000, 15)
+        streams = [HitStream((0,), beta=60.0, mu=1.0)]
+        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, 3000, 15)
         report = collapse_statistics(recs, sigma_z_set)
         target = math.exp(-1.0)
         se = math.sqrt(target * (1 - target) / len(recs))
@@ -412,8 +417,8 @@ class TestCollapseStatistics:
         assert labels[0] == labels[1] != labels[2]
         # a superposition inside the degenerate subspace is already sharp
         psi = StateVector([SQ2, SQ2, 0.0])
-        cfg = HittingConfig(beta=1.0, mu=10.0, t_end=2.0, record_interval=1.0)
-        recs = hitting_batch(psi, qs, cfg, range(10))
+        streams = [HitStream((0,), beta=1.0, mu=10.0)]
+        recs = hitting_batch(psi, qs, streams, 2.0, 1.0, range(10))
         report = collapse_statistics(recs, qs)
         assert report.unresolved_count == 0
         assert report.outcomes[0].frequency == 1.0
@@ -539,16 +544,14 @@ class TestFactorization:
 
 class TestDbStatistics:
     def test_insufficient_events(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.1, mu=5.0, t_end=2.0, record_interval=0.5,
-                            schedule=Schedule.EVENLY_SPACED)
-        recs = hitting_batch(equal_qubit, sigma_z_set, cfg, [1])
+        streams = [HitStream((0,), beta=0.1, mu=5.0, schedule=Schedule.EVENLY_SPACED)]
+        recs = hitting_batch(equal_qubit, sigma_z_set, streams, 2.0, 0.5, [1])
         with pytest.raises(InsufficientEventsError):
             db_statistics(recs, 0.1, 5.0, 0.5)
 
     def test_chain_moments_small(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=1e-3, mu=3000.0, t_end=2.0, record_interval=0.02,
-                            schedule=Schedule.EVENLY_SPACED)
-        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 50, 5)
+        streams = [HitStream((0,), beta=1e-3, mu=3000.0, schedule=Schedule.EVENLY_SPACED)]
+        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.02, 50, 5)
         report = db_statistics(recs, 1e-3, 3000.0, 0.02)
         assert report.mean_hits_per_window == pytest.approx(60.0)
         assert abs(report.mean[0]) < 4 * report.mean_se[0]
@@ -557,8 +560,10 @@ class TestDbStatistics:
     def test_windows_match_the_per_trajectory_loop(self, correlated_pair_set, equal_qubit):
         # reference: the window increments built one trajectory at a time
         beta, mu, window = 1e-3, 2000.0, 0.1
-        cfg = HittingConfig(beta=beta, mu=mu, t_end=1.0, record_interval=0.05)
-        ens = run_hitting_ensemble(equal_qubit, None, correlated_pair_set, cfg, 12, 6)
+        streams = [HitStream((0, 1), beta=beta, mu=mu)]
+        ens = run_hitting_ensemble(
+            equal_qubit, None, correlated_pair_set, streams, 1.0, 0.05, 12, 6
+        )
         n_windows, stride = 10, 2
         rows = []
         for rec in ens:
@@ -593,17 +598,20 @@ class TestDbStatistics:
 class TestConvergenceSweep:
     def test_channel_distances_decrease_with_slope_one(self, sigma_z_set, equal_qubit):
         rows = convergence_sweep(
-            equal_qubit, sigma_z_set, 0.5, [10.0, 100.0, 1000.0], 500, 1.0, 3
+            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5,
+            [10.0, 100.0, 1000.0], 500, 1.0, 3,
         )
         channel = [r.channel_distance for r in rows]
         assert channel[0] > channel[1] > channel[2] > 0
-        betas = [r.beta for r in rows]
+        betas = [r.streams[0].beta for r in rows]
+        assert betas == [2 * 0.5 / r.mu for r in rows]
         slope = np.polyfit(np.log(betas), np.log(channel), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.15)
 
     def test_sorted_ascending_and_mc_error_bars(self, sigma_z_set, equal_qubit):
         rows = convergence_sweep(
-            equal_qubit, sigma_z_set, 0.5, [100.0, 10.0], 2000, 1.0, 4
+            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [100.0, 10.0],
+            2000, 1.0, 4,
         )
         assert rows[0].mu == 10.0 and rows[1].mu == 100.0
         for row in rows:
@@ -614,7 +622,8 @@ class TestConvergenceSweep:
         psi0 = StateVector([0.5, 0.5, SQ2])
         gamma, t_probe, n, master = 0.5, 1.0, 300, 8
         rows = convergence_sweep(
-            psi0, three_level_set, gamma, [40.0, 4.0], n, t_probe, master, dt=0.01
+            psi0, three_level_set, [HitStream((0,), 0.25, 4.0)], gamma, [40.0, 4.0], n,
+            t_probe, master, dt=0.01,
         )
         cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=t_probe, record_interval=t_probe)
         cont = run_continuous_ensemble(
@@ -622,19 +631,54 @@ class TestConvergenceSweep:
         )
         rho_cont = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in cont]))
         for i, row in enumerate(rows, start=1):
+            assert row.streams == [HitStream((0,), 2 * gamma / row.mu, row.mu)]
             hitting = run_hitting_ensemble(
-                psi0, None, three_level_set,
-                HittingConfig(row.beta, row.mu, t_probe, t_probe),
+                psi0, None, three_level_set, row.streams, t_probe, t_probe,
                 n, derive_seed(master, SWEEP_STREAM, i), store_states=True,
             )
             rho_hit = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in hitting]))
             assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
 
 
+    def test_one_stream_keeps_beta_two_gamma_over_rate_bit_for_bit(self):
+        # the lattice scales beta and gamma by 1 / dx; at dx = 0.45 the product
+        # beta * mu / value rounds differently from 2 * gamma / value
+        raw = {
+            "scenario": "identical-particles", "engine": "both", "beta": 0.5, "mu": 3.0,
+            "t_end": 1.0, "record_interval": 0.5, "sites": 3, "dx": 0.45, "alpha": 2.0,
+            "species": [{"name": "b", "count": 1}],
+            "initial_state": [{"occupations": [[1, 0, 0]], "re": 1.0}],
+        }
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        gamma = np.full(built.quantities.num_quantities, built.gamma)
+        [stream] = built.streams
+        values = (3.0, 10.0, 40.0)
+        assert any(stream.beta * stream.mu / v != 2.0 * built.gamma / v for v in values)
+        for v in values:
+            [swept] = equivalence._streams_at_rate(built.streams, gamma, v)
+            assert (swept.beta, swept.mu) == (2.0 * built.gamma / v, v)
+
+    def test_streams_keep_rate_ratios_and_strengths(self):
+        # overlapping streams; gamma_p sums beta * mu / 2 over the streams hitting p
+        streams = [
+            HitStream((0,), 0.5, 8.0), HitStream((0, 1), 3.0, 2.0), HitStream((1,), 1.0, 5.0)
+        ]
+        gamma = np.array([(0.5 * 8.0 + 3.0 * 2.0) / 2, (3.0 * 2.0 + 1.0 * 5.0) / 2])
+        for total in (1.5, 30.0, 1e4):
+            swept = equivalence._streams_at_rate(streams, gamma, total)
+            assert sum(s.mu for s in swept) == pytest.approx(total, rel=1e-14)
+            for old, new in zip(streams, swept):
+                assert new.quantity_indices == old.quantity_indices
+                assert new.mu / total == pytest.approx(old.mu / 15.0, rel=1e-14)
+                assert new.beta * new.mu == pytest.approx(old.beta * old.mu, rel=1e-14)
+
+
 class TestMartingaleHitting:
     def test_ensemble_mean_weights_constant(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5.0, t_end=2.0, record_interval=0.25)
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 2000, 19)
+        streams = [HitStream((0,), beta=0.5, mu=5.0)]
+        records = run_hitting_ensemble(
+            equal_qubit, None, sigma_z_set, streams, 2.0, 0.25, 2000, 19
+        )
         stats = ensemble_stats(records)
         drift = np.abs(stats.mean_weights[1:] - stats.mean_weights[0])
         z = drift / np.maximum(stats.mean_weight_se[1:], 1e-12)
@@ -642,14 +686,14 @@ class TestMartingaleHitting:
 
     def test_offdiagonal_decay_against_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
-        cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.5, record_interval=0.25)
+        streams = [HitStream((0,), beta=0.5, mu=4.0)]
         records = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, cfg, n, 21, store_states=True
+            equal_qubit, None, sigma_z_set, streams, 1.5, 0.25, n, 21, store_states=True
         )
         rho0 = DensityMatrix.from_state(equal_qubit)
         times = records[0].sample_times
         _, oracle = hitting_master_evolution(
-            rho0, sigma_z_set, 0.5, 4.0, float(times[-1]), sample_times=times
+            rho0, sigma_z_set, streams, float(times[-1]), sample_times=times
         )
         for t, rho_det in zip(times[1:], oracle[1:]):
             rho_mc = ensemble_density_matrix(records, float(t))

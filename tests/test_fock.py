@@ -13,7 +13,7 @@ from conftest import SQ2
 from qreduce.config import ScenarioConfig, load_preset
 from qreduce.errors import DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
-from qreduce.hitting import HittingConfig, hitting_density, simulate_hitting_trajectory
+from qreduce.hitting import HitStream, hitting_density, simulate_hitting_trajectory
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
 from qreduce.equivalence import (
@@ -377,11 +377,10 @@ class TestScenarios:
             lat, 2.0, beta=2.0, mu=10.0,
             initial_state=[(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)],
         )
-        cfg = HittingConfig(
-            beta=scenario.beta_eff, mu=scenario.mu, t_end=15.0, record_interval=7.5
-        )
+        columns = range(scenario.quantities.num_quantities)
+        streams = [HitStream(columns, beta=scenario.beta_eff, mu=scenario.mu)]
         records = run_hitting_ensemble(
-            scenario.psi0, None, scenario.quantities, cfg, 1500, 41
+            scenario.psi0, None, scenario.quantities, streams, 15.0, 7.5, 1500, 41
         )
         report = collapse_statistics(records, scenario.quantities)
         assert report.unresolved_fraction < 0.02
@@ -450,11 +449,10 @@ class TestScenarios:
             hop[a, b] = hop[b, a] = -1.0
         from qreduce.hilbert import Hamiltonian
 
-        cfg = HittingConfig(
-            beta=scenario.beta_eff, mu=scenario.mu, t_end=2.0, record_interval=0.25
-        )
+        columns = range(scenario.quantities.num_quantities)
+        streams = [HitStream(columns, beta=scenario.beta_eff, mu=scenario.mu)]
         rec = simulate_hitting_trajectory(
-            scenario.psi0, Hamiltonian(hop), scenario.quantities, cfg, 3,
+            scenario.psi0, Hamiltonian(hop), scenario.quantities, streams, 2.0, 0.25, 3,
             store_states=True,
         )
         for state in rec.states:

@@ -17,7 +17,6 @@ from qreduce.errors import VanishingNormError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import (
     HitStream,
-    HittingConfig,
     Schedule,
     apply_hitting,
     hitting_density,
@@ -26,7 +25,6 @@ from qreduce.hitting import (
     schedule_hittings,
     sharpening_operator,
     simulate_hitting_trajectory,
-    simulate_multistream_hitting_trajectory,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,32 +141,28 @@ class TestHittingDensity:
 
 class TestScheduleHittings:
     def test_evenly_spaced_grid(self):
-        cfg = HittingConfig(beta=1, mu=10, t_end=1.0, record_interval=0.5,
-                            schedule=Schedule.EVENLY_SPACED)
-        times = schedule_hittings(cfg, np.random.default_rng(0))
+        stream = HitStream((0,), beta=1, mu=10, schedule=Schedule.EVENLY_SPACED)
+        times = schedule_hittings(stream, 1.0, np.random.default_rng(0))
         assert np.allclose(times, np.arange(1, 11) / 10.0)
 
     def test_poisson_count_statistics(self):
-        cfg = HittingConfig(beta=1, mu=10, t_end=1.0, record_interval=0.5,
-                            schedule=Schedule.POISSON)
+        stream = HitStream((0,), beta=1, mu=10, schedule=Schedule.POISSON)
         rng = np.random.default_rng(21)
-        counts = [schedule_hittings(cfg, rng).size for _ in range(10000)]
+        counts = [schedule_hittings(stream, 1.0, rng).size for _ in range(10000)]
         mean = np.mean(counts)
         se = math.sqrt(10.0 / len(counts))
         assert abs(mean - 10.0) < 3 * se
 
     def test_rare_hittings_can_be_empty(self):
-        cfg = HittingConfig(beta=1, mu=0.5, t_end=1.0, record_interval=0.5,
-                            schedule=Schedule.EVENLY_SPACED)
-        times = schedule_hittings(cfg, np.random.default_rng(0))
+        stream = HitStream((0,), beta=1, mu=0.5, schedule=Schedule.EVENLY_SPACED)
+        times = schedule_hittings(stream, 1.0, np.random.default_rng(0))
         assert times.size == 0
 
     def test_times_inside_window(self):
-        cfg = HittingConfig(beta=1, mu=7.3, t_end=2.1, record_interval=0.7,
-                            schedule=Schedule.POISSON)
+        stream = HitStream((0,), beta=1, mu=7.3, schedule=Schedule.POISSON)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            times = schedule_hittings(cfg, rng)
+            times = schedule_hittings(stream, 2.1, rng)
             assert np.all(times > 0) and np.all(times <= 2.1)
             assert np.all(np.diff(times) >= 0)
 
@@ -176,16 +170,18 @@ class TestScheduleHittings:
 class TestSimulateHittingTrajectory:
     def test_eigenvector_constant(self, three_level_set):
         psi = StateVector([0.0, 0.0, 1.0])
-        cfg = HittingConfig(beta=0.5, mu=20, t_end=2.0, record_interval=0.25)
-        rec = simulate_hitting_trajectory(psi, None, three_level_set, cfg, 5)
+        streams = [HitStream((0,), beta=0.5, mu=20)]
+        rec = simulate_hitting_trajectory(psi, None, three_level_set, streams, 2.0, 0.25, 5)
         assert np.allclose(rec.born_weights, rec.born_weights[0], atol=1e-10)
         assert np.allclose(rec.born_weights[0], [0, 0, 1], atol=1e-10)
 
     def test_born_rule_collapse_fractions(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=1.0, mu=10, t_end=6.0, record_interval=6.0)
+        streams = [HitStream((0,), beta=1.0, mu=10)]
         outcomes = []
         for seed in range(600):
-            rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, seed)
+            rec = simulate_hitting_trajectory(
+                equal_qubit, None, sigma_z_set, streams, 6.0, 6.0, seed
+            )
             outcomes.append(rec.born_weights[-1][0] > 0.5)
         frac = np.mean(outcomes)
         assert abs(frac - 0.5) < 5 * math.sqrt(0.25 / len(outcomes))
@@ -193,25 +189,24 @@ class TestSimulateHittingTrajectory:
     def test_pure_unitary_matches_rabi(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
         ham = Hamiltonian(SX)
-        cfg = HittingConfig(beta=1.0, mu=1e-6, t_end=1.5, record_interval=0.25,
-                            schedule=Schedule.EVENLY_SPACED)
-        rec = simulate_hitting_trajectory(psi, ham, sigma_z_set, cfg, 1)
+        streams = [HitStream((0,), beta=1.0, mu=1e-6, schedule=Schedule.EVENLY_SPACED)]
+        rec = simulate_hitting_trajectory(psi, ham, sigma_z_set, streams, 1.5, 0.25, 1)
         for t, w in zip(rec.sample_times, rec.born_weights):
             assert w[0] == pytest.approx(math.cos(t) ** 2, abs=1e-10)
 
     def test_unit_norm_snapshots_and_seed(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5, t_end=2.0, record_interval=0.5)
+        streams = [HitStream((0,), beta=0.5, mu=5)]
         rec = simulate_hitting_trajectory(
-            equal_qubit, None, sigma_z_set, cfg, 42, store_states=True
+            equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 42, store_states=True
         )
         assert rec.seed == 42
         for state in rec.states:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_seed_reproduces(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=5, t_end=2.0, record_interval=0.5)
-        a = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 9)
-        b = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 9)
+        streams = [HitStream((0,), beta=0.5, mu=5)]
+        a = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 9)
+        b = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 9)
         assert np.array_equal(a.born_weights, b.born_weights)
         assert np.array_equal(a.events.times, b.events.times)
         assert np.array_equal(a.events.centres, b.events.centres)
@@ -223,7 +218,7 @@ class TestMultistream:
             HitStream(quantity_indices=(0,), beta=1.0, mu=8.0),
             HitStream(quantity_indices=(1,), beta=2.0, mu=3.0),
         ]
-        rec = simulate_multistream_hitting_trajectory(
+        rec = simulate_hitting_trajectory(
             equal_qubit, None, correlated_pair_set, streams, 4.0, 1.0, 77
         )
         centres = rec.events.centres
@@ -238,7 +233,7 @@ class TestMultistream:
             HitStream(quantity_indices=(0,), beta=2.0, mu=10.0),
             HitStream(quantity_indices=(1,), beta=2.0, mu=10.0),
         ]
-        rec = simulate_multistream_hitting_trajectory(
+        rec = simulate_hitting_trajectory(
             equal_qubit, None, correlated_pair_set, streams, 8.0, 2.0, 5
         )
         assert rec.born_weights[-1].max() > 0.999
@@ -284,9 +279,8 @@ class TestBatchedChain:
         assert not np.isnan(out.centres[:, 0]).any()
 
     def test_evenly_spaced_ensemble_records(self, sigma_z_set, equal_qubit):
-        cfg = HittingConfig(beta=0.5, mu=10.0, t_end=2.0, record_interval=0.5,
-                            schedule=Schedule.EVENLY_SPACED)
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, cfg, 7, 3)
+        streams = [HitStream((0,), beta=0.5, mu=10.0, schedule=Schedule.EVENLY_SPACED)]
+        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 7, 3)
         assert len(records) == 7
         rec = records[0]
         assert rec.sample_times.size == 5
@@ -362,16 +356,13 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
     psi0 = StateVector([0.6, 0.8j])
     t_end, interval = 2.0, 0.5
     for seed in range(5):
-        rec = simulate_multistream_hitting_trajectory(
+        rec = simulate_hitting_trajectory(
             psi0, hamiltonian, quantities, streams, t_end, interval, seed
         )
         # the documented draw order: hit times stream by stream, then the
         # uniforms as one block, then the (hits, K) noise as one block
         rng = np.random.default_rng(seed)
-        parts = [
-            schedule_hittings(HittingConfig(s.beta, s.mu, t_end, interval, s.schedule), rng)
-            for s in streams
-        ]
+        parts = [schedule_hittings(s, t_end, rng) for s in streams]
         times = np.concatenate(parts)
         ids = np.repeat(np.arange(len(streams)), [p.size for p in parts])
         order = np.argsort(times, kind="stable")
@@ -421,9 +412,8 @@ class TestEventClock:
     def test_record_reflects_a_hit_at_its_own_time(self, sigma_z_set, equal_qubit):
         # records at 0.3 r are stored as 0.8999999999999999 and so on; each
         # must still reflect the evenly spaced hit at 0.9, 1.8, 2.7
-        cfg = HittingConfig(beta=0.2, mu=10.0, t_end=3.0, record_interval=0.3,
-                            schedule=Schedule.EVENLY_SPACED)
-        rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, cfg, 4)
+        stream = HitStream((0,), beta=0.2, mu=10.0, schedule=Schedule.EVENLY_SPACED)
+        rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, [stream], 3.0, 0.3, 4)
         assert rec.sample_times[3] < 0.9
         assert rec.events.times[8] == 0.9
         assert list(rec.event_flags()) == [0] + [3] * 10
@@ -432,7 +422,7 @@ class TestEventClock:
         uniforms = rng.random(30)[:9]
         noise = rng.standard_normal((30, 1))[:9]
         coeffs = sigma_z_set.to_joint(equal_qubit)[np.newaxis, :]
-        after_nine = _chain(coeffs, sigma_z_set, cfg.stream(1), [9], uniforms, noise)
+        after_nine = _chain(coeffs, sigma_z_set, stream, [9], uniforms, noise)
         expected = after_nine.weights[-1, 0]
         assert np.allclose(rec.born_weights[3], expected, rtol=0, atol=1e-14)
 
@@ -440,13 +430,13 @@ class TestEventClock:
 def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     n = 2000
     ham = Hamiltonian(SX)
-    cfg = HittingConfig(beta=0.5, mu=4.0, t_end=1.5, record_interval=0.25)
+    streams = [HitStream((0,), beta=0.5, mu=4.0)]
     records = run_hitting_ensemble(
-        equal_qubit, ham, sigma_z_set, cfg, n, 23, store_states=True
+        equal_qubit, ham, sigma_z_set, streams, 1.5, 0.25, n, 23, store_states=True
     )
     times = records[0].sample_times
     _, oracle = hitting_master_evolution(
-        DensityMatrix.from_state(equal_qubit), sigma_z_set, 0.5, 4.0, float(times[-1]),
+        DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, float(times[-1]),
         hamiltonian=ham, sample_times=times,
     )
     for t, rho_det in zip(times, oracle):
@@ -462,13 +452,16 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     num_q=st.integers(1, 2),
     # a few distinct eigenvalues, so rows of the table often coincide
     levels=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=8, max_size=8),
-    beta=st.floats(0.2, 3.0),
-    mu=st.floats(0.5, 6.0),
+    # (beta, mu, column mask) per stream; the columns of two streams may overlap
+    stream_specs=st.lists(
+        st.tuples(st.floats(0.2, 3.0), st.floats(0.5, 6.0), st.integers(1, 3)),
+        min_size=1, max_size=2,
+    ),
     with_hamiltonian=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_random_tables_keep_the_martingale_and_the_master_equation(
-    dim, num_q, levels, beta, mu, with_hamiltonian, seed
+    dim, num_q, levels, stream_specs, with_hamiltonian, seed
 ):
     rng = np.random.default_rng(seed)
     table = np.array(levels[: dim * num_q]).reshape(dim, num_q)
@@ -478,8 +471,14 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
     if with_hamiltonian:
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         hamiltonian = Hamiltonian(0.5 * (m + m.conj().T))
-    cfg = HittingConfig(beta=beta, mu=mu, t_end=1.0, record_interval=0.5)
-    ens = run_hitting_ensemble(psi0, hamiltonian, quantities, cfg, 500, seed, store_states=True)
+    streams = []
+    for beta, mu, mask in stream_specs:
+        # a mask with no bit below num_q hits every column
+        cols = tuple(p for p in range(num_q) if mask >> p & 1) or tuple(range(num_q))
+        streams.append(HitStream(cols, beta, mu))
+    ens = run_hitting_ensemble(
+        psi0, hamiltonian, quantities, streams, 1.0, 0.5, 500, seed, store_states=True
+    )
 
     if hamiltonian is None:
         # E[w(t)] = w(0): the Born weights are a martingale
@@ -487,7 +486,7 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
 
     # a step of 2^-9 puts every record time on the oracle's step grid
     _, oracle = hitting_master_evolution(
-        DensityMatrix.from_state(psi0), quantities, beta, mu, cfg.t_end,
+        DensityMatrix.from_state(psi0), quantities, streams, 1.0,
         hamiltonian=hamiltonian, sample_times=ens.sample_times, dt=2.0**-9,
     )
     states = ens.states

@@ -25,3 +25,14 @@ def test_submodule_exports_resolve(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize(
+    "name", ["HittingConfig", "simulate_multistream_hitting_trajectory"]
+)
+def test_one_hitting_process_model(name):
+    # a hitting process is a list of HitStream; the one-stream config and the
+    # multistream trajectory wrapper are gone from every surface
+    assert name not in qreduce.__all__ and not hasattr(qreduce, name)
+    hitting = importlib.import_module("qreduce.hitting")
+    assert name not in hitting.__all__ and not hasattr(hitting, name)
