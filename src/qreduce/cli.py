@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, check_expected_hits, load_config
 from .ensemble import run_continuous_ensemble, run_hitting_ensemble
 from .equivalence import (
     collapse_statistics,
@@ -289,6 +289,8 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values]
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise ConfigError("values", "sweep values must be finite and > 0")
+    for v in values:
+        check_expected_hits("values", v, config.t_end)
     ordered = sorted(values)
     if ordered != values:
         print(f"values sorted ascending before execution: {ordered}")

@@ -22,6 +22,10 @@ SCENARIO_KINDS = (
 ENGINES = ("hitting", "continuous", "both")
 SCHEDULES = ("poisson", "evenly-spaced")
 
+# numpy's Poisson sampler rejects a mean above about 9.22e18 (and an
+# evenly spaced count must fit an int64): no hit count beyond this is drawn
+MAX_EXPECTED_HITS = 9.2e18
+
 PRESET_NAMES = (
     "qubit-equal",
     "three-level-weighted",
@@ -73,6 +77,16 @@ def hamiltonian_matrix_from_spec(spec, key: str = "hamiltonian") -> np.ndarray |
             )
         return float(spec.get("scale", 1.0)) * _PAULIS[name]
     return matrix_from_json(spec, key)
+
+
+def check_expected_hits(key: str, rate: float, t_end: float) -> None:
+    """ConfigError naming ``key`` if ``rate`` hits over (0, t_end] cannot be drawn."""
+    if rate * t_end > MAX_EXPECTED_HITS:
+        raise ConfigError(
+            key,
+            f"{key} = {rate:g} over t_end = {t_end:g} expects {rate * t_end:.3g} hits "
+            f"per trajectory; at most {MAX_EXPECTED_HITS:.3g} can be drawn",
+        )
 
 
 def _positive(raw: dict, key: str, *, required: bool) -> float | None:
@@ -181,6 +195,8 @@ class ScenarioConfig:
                     "are no longer an equivalent pair",
                     stacklevel=2,
                 )
+        if needs_hitting:
+            check_expected_hits("mu", mu, t_end)
 
         known = {
             "scenario", "engine", "schedule", "t_end", "record_interval",

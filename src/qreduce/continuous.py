@@ -20,6 +20,17 @@ a coordinate the Hamiltonian couples to no other stays exactly 0
 coordinates (:func:`~qreduce.trajectory.run_on_live_block`): a
 superposition of a few Fock states costs a kernel of their count, not
 of d.
+
+The kernel holds that live block as columns, one per trajectory: a
+(2, d, batch) array of real and imaginary planes. A step is then a
+sequence of elementwise calls over whole batch rows, about twenty at
+d = 2 and K = 1 (the count grows with d and K, not with the batch), and
+each column's arithmetic is the same in a batch of any size. Sums over the d
+coordinates and over the K quantities run in a fixed order, one call per
+term, because the faster-looking routes make a trajectory depend on its
+batch: a BLAS product rounds a row differently with the batch's row
+count, and ``np.sum`` over the coordinates adds a one-column batch
+pairwise but a wider one row by row.
 """
 
 from __future__ import annotations
@@ -181,18 +192,22 @@ def sde_step(
 class _DiffusionKernel:
     """Precomputed joint-basis data for the integration loop.
 
-    The step expands the drift's square once,
+    The step works on (2, d, batch) columns in C order, so that every
+    operand row is one contiguous batch row. Each operation is an
+    elementwise ufunc over such rows, and every sum over coordinates or
+    quantities adds its terms left to right (:func:`_sum_rows`): no
+    ``@``, whose BLAS rounding changes with the batch's row count, and no
+    ``np.sum``, whose order changes when the batch has one column. The
+    step expands the drift's square once,
 
         sum_k g_k (A_dk - m_k)^2 = sum_k g_k A_dk^2 - 2 sum_k g_k A_dk m_k
                                    + sum_k g_k m_k^2,
 
-    so a step needs two per-row products with the eigenvalue table and no
-    (batch, d, K) offsets. The table is centred column by column at its
-    midrange first: the offsets A_dk - m_k do not change, and the rounding
-    of the expansion then scales with the spectral spread, not with the
-    size of the eigenvalues. Every product over the batch is a per-row
-    gufunc (``np.matvec``, ``np.vecmat``, ``np.vecdot``), so no output row
-    depends on the other rows of its batch.
+    so no (d, K, batch) offsets are formed. The table is centred column by
+    column at its midrange first: the offsets A_dk - m_k do not change,
+    and the rounding of the expansion then scales with the spectral
+    spread, not with the size of the eigenvalues. The Hamiltonian term is
+    a per-column product with the real 2d x 2d form of -i dt H / hbar.
     """
 
     def __init__(
@@ -204,42 +219,71 @@ class _DiffusionKernel:
         table = quantities.eigenvalue_table
         centred = table - 0.5 * (table.max(axis=0) + table.min(axis=0))
         gamma = config.gamma_vector(quantities.num_quantities)
-        self.table_t = np.ascontiguousarray(centred.T)  # (K, d)
+        # one (K, 1) column of the table per coordinate and one (d, 1)
+        # column per quantity, each to multiply a batch row
+        self.by_coordinate = list(centred[:, :, np.newaxis])
+        self.by_quantity = list(centred.T[:, :, np.newaxis])
         self.noise_scale = math.sqrt(config.dt) * np.sqrt(gamma)
-        self.half_dt_gamma = 0.5 * config.dt * gamma
-        # (d,): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no row changes
-        self.base_factor = 1.0 - (centred**2) @ self.half_dt_gamma
-        self.h_joint = None
+        half_dt_gamma = 0.5 * config.dt * gamma
+        self.half_dt_gamma = half_dt_gamma[:, np.newaxis]
+        # (d, 1): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no column changes
+        self.base_factor = (1.0 - (centred**2) @ half_dt_gamma)[:, np.newaxis]
+        self.h_real = None
         if hamiltonian is not None:
-            hj = quantities.joint_hamiltonian(hamiltonian)
-            self.h_joint = np.ascontiguousarray((-1j * config.dt / hamiltonian.hbar) * hj)
+            h = (-1j * config.dt / hamiltonian.hbar) * quantities.joint_hamiltonian(hamiltonian)
+            self.h_real = np.block([[h.real, -h.imag], [h.imag, h.real]])
 
-    def step_batch(self, coeffs: np.ndarray, increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every row by one step; returns (new coeffs, norm ratios).
+    def step_batch(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        """Advance every column by one step, in place; returns the squared norm ratios.
 
-        ``coeffs``: (batch, d) joint-basis rows. ``increments``: (batch, K)
-        Wiener increments of variance dt, already scaled by sqrt(gamma)
-        (``noise_scale`` does both). The new rows are renormalized; the norm
-        ratios are taken before that, for step-rejection checks.
+        ``coeffs``: (2, d, batch) real and imaginary planes. ``increments``:
+        (K, batch) Wiener increments of variance dt, already scaled by
+        sqrt(gamma) (``noise_scale`` does both). The new columns are
+        renormalized; each returned ratio is a column's squared norm just
+        before that over its squared norm before the step, for
+        step-rejection checks.
         """
-        weights = np.abs(coeffs) ** 2
-        norms2 = weights.sum(axis=1)
-        means = np.matvec(self.table_t, weights)
-        means /= norms2[:, np.newaxis]
-        half_drift = self.half_dt_gamma * means
+        # m_k = sum_d A_dk w_d / sum_d w_d: one (K, batch) term per coordinate
+        weights = _weights(coeffs)
+        means = _sum_rows(map(np.multiply, self.by_coordinate, weights))
+        norms2 = _sum_rows(weights)
+        means /= norms2
         # with u the increments and A the centred table:
         # factor_d = 1 + sum_k A_dk (u_k + dt g_k m_k)
         #              - sum_k m_k (u_k + dt/2 g_k m_k) - dt/2 sum_k g_k A_dk^2
-        factor = np.vecmat(increments + 2.0 * half_drift, self.table_t)
-        factor += self.base_factor
-        factor -= np.vecdot(means, increments + half_drift)[:, np.newaxis]
-        out = coeffs * factor
-        if self.h_joint is not None:
-            out += np.matvec(self.h_joint, coeffs)
-        new_norms2 = np.vecdot(out, out).real
-        ratios = np.sqrt(new_norms2 / norms2)
-        out *= (1.0 / np.sqrt(new_norms2))[:, np.newaxis]
-        return out, ratios
+        half_drift = self.half_dt_gamma * means
+        shifted = increments + half_drift
+        factor = self.base_factor - _sum_rows(means * shifted)
+        shifted += half_drift
+        for column, s in zip(self.by_quantity, shifted):
+            factor += column * s
+        hamiltonian_term = None
+        if self.h_real is not None:
+            # per column, on a contiguous copy: a lone column is contiguous
+            # and a batch's columns are strided, which BLAS may treat apart
+            planes = np.ascontiguousarray(coeffs.reshape(-1, coeffs.shape[-1]).T)
+            hamiltonian_term = np.matvec(self.h_real, planes).T.reshape(coeffs.shape)
+        coeffs *= factor
+        if hamiltonian_term is not None:
+            coeffs += hamiltonian_term
+        new_norms2 = _sum_rows(_weights(coeffs))
+        coeffs /= np.sqrt(new_norms2)
+        return new_norms2 / norms2
+
+
+def _weights(columns: np.ndarray) -> np.ndarray:
+    """(d, batch) squared moduli of (2, d, batch) planes."""
+    squares = columns * columns
+    return squares[0] + squares[1]
+
+
+def _sum_rows(rows) -> np.ndarray:
+    """The rows added left to right, one elementwise call per row."""
+    rows = iter(rows)
+    total = next(rows)
+    for row in rows:
+        total = total + row
+    return total
 
 
 def simulate_continuous_batch(
@@ -278,7 +322,11 @@ def _integrate(
     store_states: bool,
     seeds,
 ) -> Ensemble:
-    """The lockstep Euler-Maruyama loop on (batch, d) joint-basis rows."""
+    """The lockstep Euler-Maruyama loop on (batch, d) joint-basis rows.
+
+    The kernel steps (2, d, batch) columns; the rows are rebuilt only at
+    record times.
+    """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
     table = quantities.eigenvalue_table
     rec_times = record_grid(config.t_end, config.record_interval)
@@ -293,14 +341,18 @@ def _integrate(
         if store_states
         else None
     )
+    columns = np.empty((2, quantities.dim, batch))  # C order: each row a whole batch
+    columns[0], columns[1] = coeffs.real.T, coeffs.imag.T
 
     def record(slot: int):
-        w = np.abs(coeffs) ** 2
+        amplitudes = np.empty((batch, quantities.dim), dtype=np.complex128)
+        amplitudes.real, amplitudes.imag = columns[0].T, columns[1].T
+        w = np.abs(amplitudes) ** 2
         w /= w.sum(axis=1)[:, np.newaxis]
         weights_out[slot] = w
         expect_out[slot] = np.vecmat(w, table)
         if states_out is not None:
-            states_out[slot] = quantities.from_joint(coeffs)
+            states_out[slot] = quantities.from_joint(amplitudes)
 
     record(0)
     block = 256
@@ -311,14 +363,16 @@ def _integrate(
         for g, rows in zip(generators, noise[:, :n], strict=True):
             g.standard_normal(out=rows)
         noise[:, :n] *= kernel.noise_scale
-        for i in range(n):
-            coeffs, ratios = kernel.step_batch(coeffs, noise[:, i, :])
-            drift = float(np.max(np.abs(ratios - 1.0)))
-            if not drift <= 0.5:  # a NaN norm is rejected too
-                bad = int(np.argmax(np.abs(ratios - 1.0)))
+        # step i reads the (K, batch) view noise[:, i].T: no second block
+        for u in noise[:, :n].transpose(1, 2, 0):
+            ratios2 = kernel.step_batch(columns, u)
+            # |ratio - 1| <= 1/2; a NaN fails both comparisons
+            if not (ratios2.min() >= 0.25 and ratios2.max() <= 2.25):
+                drifts = np.abs(np.sqrt(ratios2) - 1.0)
+                bad = int(np.argmax(drifts))
                 seed = None if seeds is None else int(seeds[bad])
                 raise StepRejectedError(
-                    f"step changed a norm by {drift:.2f} (>50%); dt too large",
+                    f"step changed a norm by {drifts[bad]:.2f} (>50%); dt too large",
                     seed=seed,
                 )
             step += 1

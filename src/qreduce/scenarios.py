@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, hamiltonian_matrix_from_spec, matrix_from_json
+from .config import (
+    ScenarioConfig,
+    check_expected_hits,
+    hamiltonian_matrix_from_spec,
+    matrix_from_json,
+)
 from .continuous import ContinuousConfig, suggested_dt
 from .errors import ConfigError
 from .fock import (
@@ -193,6 +198,8 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
             raise ConfigError("particles", f"particles[{i}].rate must be a number") from None
         if not (math.isfinite(rate) and rate > 0):
             raise ConfigError("particles", f"particles[{i}].rate must be finite and > 0")
+        if config.engine != "continuous":
+            check_expected_hits("particles", rate, config.t_end)
         rates.append(rate)
     n_particles = len(rates)
     dim = sites**n_particles

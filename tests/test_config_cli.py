@@ -329,6 +329,26 @@ class TestCliRun:
         assert "config error [gamma]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("schedule", ["poisson", "evenly-spaced"])
+    def test_huge_finite_mu_exits_1_before_any_draw(self, tmp_path, capsys, schedule):
+        # gamma = beta * mu / 2 is a modest 0.5, but no sampler draws 1e300 hits
+        raw = minimal_qubit_config(engine="hitting", beta=1e-300, mu=1e300, schedule=schedule)
+        cfg_path = tmp_path / "fast.json"
+        cfg_path.write_text(json.dumps(raw))
+        rc = main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error [mu]" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+        # the same mu is harmless when no hits are drawn
+        assert ScenarioConfig.from_dict({**raw, "engine": "continuous"}).gamma == 0.5
+
+    def test_distinguishable_rejects_a_rate_no_sampler_can_draw(self):
+        raw = distinguishable_config(particles=[{"rate": 8.0}, {"rate": 1e300}])
+        with pytest.raises(ConfigError) as info:
+            build_scenario(ScenarioConfig.from_dict(raw))
+        assert info.value.key == "particles"
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # a absurdly large dt makes the first diffusive step blow up
         raw = minimal_qubit_config(
@@ -734,6 +754,13 @@ class TestCliSweep:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_qubit_config()))
         rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", value])
+        assert rc == 1
+        assert "config error [values]" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_rate_no_sampler_can_draw(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_qubit_config()))
+        rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", "1e300"])
         assert rc == 1
         assert "config error [values]" in capsys.readouterr().err
 

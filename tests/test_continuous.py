@@ -77,6 +77,32 @@ def _random_hamiltonian(rng: np.random.Generator, dim: int) -> Hamiltonian:
     return Hamiltonian(m + m.conj().T)
 
 
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """(batch, d) complex rows as the kernel's (2, d, batch) planes."""
+    return np.ascontiguousarray(np.stack([rows.real.T, rows.imag.T]))
+
+
+def _rows(columns: np.ndarray) -> np.ndarray:
+    return columns[0].T + 1j * columns[1].T
+
+
+def _check_step_against_sde_step(quantities, hamiltonian, gamma, dt, rng):
+    cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=dt, record_interval=dt)
+    num_q = quantities.num_quantities
+    gammas = cfg.gamma_vector(num_q)
+    rows = np.stack([random_state(rng, quantities.dim).amplitudes for _ in range(5)])
+    dB = rng.standard_normal((5, num_q)) * math.sqrt(dt)
+    kernel = _DiffusionKernel(quantities, hamiltonian, cfg)
+    columns = _columns(rows)
+    ratios2 = kernel.step_batch(columns, (dB * np.sqrt(gammas)).T)
+    for row, db, got, ratio2 in zip(rows, dB, _rows(columns), ratios2):
+        psi = StateVector(row)
+        expected = sde_step(psi, quantities, hamiltonian, gammas, dt, db)
+        raw = sde_step(psi, quantities, hamiltonian, gammas, dt, db, renormalize=False)
+        assert np.max(np.abs(got - expected.amplitudes)) < 1e-12
+        assert math.sqrt(ratio2) == pytest.approx(np.linalg.norm(raw.amplitudes), abs=1e-12)
+
+
 class TestDiffusionKernel:
     @pytest.mark.parametrize("with_hamiltonian", [False, True])
     @pytest.mark.parametrize("gamma", [0.7, (0.7, 1.3, 0.2)])
@@ -84,30 +110,27 @@ class TestDiffusionKernel:
         # with a 1e4 offset the expanded square cancels terms of order
         # dt * gamma * 1e8 unless the kernel centres the table first
         rng = np.random.default_rng(11)
-        dim, num_q, dt = 6, 3, 1e-3
+        dim, num_q = 6, 3
         quantities = QuantitySet(rng.standard_normal((dim, num_q)) + 1e4)
         hamiltonian = _random_hamiltonian(rng, dim) if with_hamiltonian else None
-        cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=dt, record_interval=dt)
-        gammas = cfg.gamma_vector(num_q)
-        rows = np.stack([random_state(rng, dim).amplitudes for _ in range(5)])
-        dB = rng.standard_normal((5, num_q)) * math.sqrt(dt)
-        kernel = _DiffusionKernel(quantities, hamiltonian, cfg)
-        out, ratios = kernel.step_batch(rows, dB * np.sqrt(gammas))
-        for row, db, got, ratio in zip(rows, dB, out, ratios):
-            psi = StateVector(row)
-            expected = sde_step(psi, quantities, hamiltonian, gammas, dt, db)
-            raw = sde_step(psi, quantities, hamiltonian, gammas, dt, db, renormalize=False)
-            assert np.max(np.abs(got - expected.amplitudes)) < 1e-12
-            assert ratio == pytest.approx(np.linalg.norm(raw.amplitudes), abs=1e-12)
+        _check_step_against_sde_step(quantities, hamiltonian, gamma, 1e-3, rng)
+
+    @pytest.mark.parametrize("with_hamiltonian", [False, True])
+    def test_step_matches_sde_step_on_the_qubit_shape(self, with_hamiltonian):
+        # d = 2, K = 1: the live block of every preset and workload
+        rng = np.random.default_rng(13)
+        quantities = QuantitySet(np.array([[1.0], [-1.0]]))
+        hamiltonian = _random_hamiltonian(rng, 2) if with_hamiltonian else None
+        _check_step_against_sde_step(quantities, hamiltonian, 0.7, 1e-3, rng)
 
     def test_step_memory_is_a_few_coefficient_arrays(self):
-        # one (batch, d, K) float array alone would be 27 MB here
+        # one (d, K, batch) float array alone would be 27 MB here
         rng = np.random.default_rng(12)
         dim, num_q, batch = 4368, 12, 64
         cfg = ContinuousConfig(gamma=1.0, dt=1e-4, t_end=1e-4, record_interval=1e-4)
         kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, cfg)
-        coeffs = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
-        increments = rng.standard_normal((batch, num_q)) * kernel.noise_scale
+        coeffs = rng.standard_normal((2, dim, batch))
+        increments = rng.standard_normal((num_q, batch)) * kernel.noise_scale[:, np.newaxis]
         tracemalloc.start()
         try:
             kernel.step_batch(coeffs, increments)
@@ -156,8 +179,7 @@ class TestSimulateContinuous:
         step = _DiffusionKernel.step_batch
 
         def nan_step(self, coeffs, increments):
-            out, ratios = step(self, coeffs, increments)
-            return out, np.full_like(ratios, np.nan)
+            return np.full_like(step(self, coeffs, increments), np.nan)
 
         monkeypatch.setattr(_DiffusionKernel, "step_batch", nan_step)
         cfg = ContinuousConfig(gamma=0.5, dt=0.01, t_end=0.1, record_interval=0.05)

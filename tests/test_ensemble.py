@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_block_basis, random_state
@@ -108,10 +108,12 @@ def test_hitting_trajectory_depends_only_on_its_seed(
 
 @functools.cache
 def _d16_continuous(layout: str, n: int):
-    # d = 16, where a (rows, d) @ (d, K) BLAS product rounds a row
-    # differently with the batch's row count
+    # d = 16 and K = 8, every coordinate live: a (rows, d) @ (d, K) BLAS
+    # product rounds a row differently with the batch's row count, and
+    # np.sum over 8 or more terms adds a lone column pairwise but a
+    # batch's columns in order
     rng = np.random.default_rng(16)
-    quantities = QuantitySet(rng.standard_normal((16, 3)))
+    quantities = QuantitySet(rng.standard_normal((16, 8)))
     psi0 = random_state(rng, 16)
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     hamiltonian = None if layout == "no-hamiltonian" else Hamiltonian(m + m.conj().T)
@@ -126,6 +128,7 @@ def _d16_continuous(layout: str, n: int):
 @pytest.mark.parametrize("layout", ["no-hamiltonian", "hamiltonian"])
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(n=st.integers(1, 700))
+@example(n=1)
 def test_continuous_trajectory_depends_only_on_its_seed(layout, n):
     # 700 trajectories cross the 512-row chunk boundary; n trajectories
     # run in chunks of other sizes and must not notice
