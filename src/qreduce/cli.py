@@ -213,7 +213,13 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     return ensembles
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError("workers", f"--workers must be >= 1, got {workers}")
+
+
 def cmd_run(args) -> int:
+    _check_workers(args.workers)
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
@@ -279,6 +285,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_workers(args.workers)
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
@@ -315,6 +322,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_WORKERS_HELP = (
+    "parallel worker processes (>= 1); results are identical for any count, "
+    "and the pool never exceeds the trajectory chunks or the available CPUs"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qreduce",
@@ -325,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the configured ensemble(s)")
     run.add_argument("config", help="config file path or preset name")
     run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     run.add_argument("--out", default=None, help="output directory")
     run.set_defaults(func=cmd_run)
 
@@ -336,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--values", nargs="+", required=True, help="swept values")
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)
     return parser

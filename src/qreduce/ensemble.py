@@ -2,9 +2,13 @@
 
 A trajectory is a pure function of its inputs and its seed, and every
 per-trajectory seed is derived by hashing (master seed, stream tag,
-trajectory index). Work is split into fixed-size chunks independent of
-the worker count and reassembled in index order, so results are
-bit-identical for any number of workers.
+trajectory index). Work is split into balanced chunks, each of at most
+``CHUNK_SIZE`` rows and at least one per process of the pool, and
+reassembled in index order. Where a chunk boundary falls changes no bit:
+each trajectory draws only from its own seed, and both kernels apply
+elementwise arithmetic along the batch, so a row's numbers are the same
+in any batch. Results are therefore bit-identical for any number of
+workers and any chunking.
 
 A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
 joined by ``Ensemble.concat``: (S, n, d) weights and optional states,
@@ -34,6 +38,8 @@ one of the i-th swept rate (i = 1, 2, ...) with the master seed
 
 from __future__ import annotations
 
+import math
+import os
 from functools import partial
 
 import numpy as np
@@ -43,10 +49,14 @@ from .hilbert import Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream, simulate_hitting_batch
 from .trajectory import Ensemble
 
-# One chunk is the unit of parallel work; constant so that chunk
-# boundaries (and hence any batched arithmetic) never depend on the
-# worker count.
-CHUNK_SIZE = 512
+# The most rows one lockstep chunk holds. A kernel step is mostly
+# per-call overhead at small d, so wider batches pay less per row: a
+# d = 2, K = 1 diffusion step costs about 51-63 us at 512 rows, 67-73 us
+# at 1000 and 121-131 us at 2000 on a 2-core x86_64 host, so the cost per
+# row flattens between 1000 and 2000 rows. A chunk's (rows, 256, K) noise
+# block is 2 MB at K = 1 and 21 MB at K = 10. Chunk boundaries never
+# change a bit, so the constant trades speed against memory only.
+CHUNK_SIZE = 1024
 
 HITTING_STREAM = 0
 CONTINUOUS_STREAM = 1
@@ -72,18 +82,40 @@ def trajectory_seeds(master_seed: int, stream_tag: int, n: int) -> np.ndarray:
     )
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(seeds: np.ndarray, pool: int) -> list[np.ndarray]:
+    """``seeds`` in order, split into balanced chunks.
+
+    Each chunk holds at most ``CHUNK_SIZE`` seeds, there are at least
+    ``pool`` chunks when there are that many seeds, and no chunk is empty.
+    """
+    n = seeds.size
+    return np.array_split(seeds, min(n, max(pool, math.ceil(n / CHUNK_SIZE))))
+
+
 def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
-    """``worker`` over fixed-size chunks of ``seeds``, joined in index order."""
-    chunks = [seeds[a : a + CHUNK_SIZE] for a in range(0, seeds.size, CHUNK_SIZE)]
-    if workers <= 1 or len(chunks) <= 1:
+    """``worker`` over balanced chunks of ``seeds``, joined in index order.
+
+    The pool has at most ``workers`` processes, and never more than the
+    chunks or the CPUs this process may run on.
+    """
+    pool = min(workers, _available_cpus())
+    chunks = _chunks(seeds, pool)
+    if pool <= 1 or len(chunks) <= 1:
         results = [worker(c) for c in chunks]
     else:
         # imported here: a serial run should not pay for loading the
         # process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, chunks))
+        with ProcessPoolExecutor(max_workers=min(pool, len(chunks))) as executor:
+            results = list(executor.map(worker, chunks))
     return Ensemble.concat(results)
 
 
@@ -145,7 +177,7 @@ def run_continuous_ensemble(
     workers: int = 1,
     store_states: bool = False,
 ) -> Ensemble:
-    """Diffusive ensemble, integrated in fixed-size vectorized chunks.
+    """Diffusive ensemble, integrated in balanced vectorized chunks.
 
     Returns one ensemble without events, with states when ``store_states``.
     """

@@ -377,12 +377,24 @@ class TestCliRun:
             assert bytes1 == (out3 / name).read_bytes()
 
     def test_worker_counts_bit_identical_across_a_chunk_boundary(self, tmp_path):
-        # 600 trajectories make two chunks, so two workers run a process pool
+        # two workers split 600 trajectories into two chunks of 300 and run
+        # a process pool, on a host with at least two CPUs
         raw = minimal_qubit_config(n_trajectories=600, t_end=0.5, record_interval=0.25)
         out1 = _run_cli(tmp_path, raw, "serial", ("--workers", "1"))
         out2 = _run_cli(tmp_path, raw, "pool", ("--workers", "2"))
         for name in ("trajectories.csv", "events.csv", "summary.json", "compare.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_workers_below_one_exit_1_before_any_artifact(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_qubit_config()))
+        for workers in ("0", "-3"):
+            out_dir = tmp_path / f"workers{workers}"
+            rc = main(["run", str(cfg_path), "--workers", workers, "--out", str(out_dir)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "config error [workers]" in err and "Traceback" not in err
+            assert not out_dir.exists()
 
     def test_multistream_run_logs_each_stream_on_its_own_quantity(self, tmp_path):
         raw = {
@@ -719,7 +731,8 @@ class TestCliSweep:
         assert dets[0] > dets[1]
 
     def test_sweep_bit_identical_for_worker_counts(self, tmp_path):
-        # 600 trajectories make two chunks, so two workers run a process pool
+        # two workers split 600 trajectories into two chunks of 300 and run
+        # a process pool, on a host with at least two CPUs
         raw = minimal_qubit_config(n_trajectories=600, t_end=1.0, record_interval=0.5)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -756,6 +769,20 @@ class TestCliSweep:
         rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", value])
         assert rc == 1
         assert "config error [values]" in capsys.readouterr().err
+
+    def test_sweep_rejects_workers_below_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_qubit_config()))
+        for workers in ("0", "-3"):
+            out_dir = tmp_path / f"workers{workers}"
+            rc = main(
+                ["sweep", str(cfg_path), "--param", "mu", "--values", "10",
+                 "--workers", workers, "--out", str(out_dir)]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "config error [workers]" in err and "Traceback" not in err
+            assert not out_dir.exists()
 
     def test_sweep_rejects_a_rate_no_sampler_can_draw(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,9 @@
+import concurrent.futures
 import functools
 import json
+import math
+import multiprocessing
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,9 @@ from qreduce.hitting import (
     simulate_hitting_trajectory,
 )
 from qreduce.continuous import ContinuousConfig, simulate_continuous_trajectory
+from qreduce import ensemble
 from qreduce.ensemble import (
+    CHUNK_SIZE,
     CONTINUOUS_STREAM,
     HITTING_STREAM,
     derive_seed,
@@ -71,12 +77,106 @@ class TestWorkerIndependence:
         )
         assert np.array_equal(_weights_matrix(serial), _weights_matrix(parallel))
 
+    @pytest.mark.parametrize("engine", ["hitting", "continuous"])
+    def test_small_chunks_identical_to_one_batch(self, engine, monkeypatch):
+        # 40 trajectories: one batch at the default size, six chunks of 6-7
+        # rows at CHUNK_SIZE = 7; every coordinate live under a random
+        # Hamiltonian
+        rng = np.random.default_rng(21)
+        quantities = QuantitySet(rng.standard_normal((4, 2)))
+        psi0 = random_state(rng, 4)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        hamiltonian = Hamiltonian(m + m.conj().T)
+        if engine == "hitting":
+            process = ([HitStream((0, 1), beta=0.5, mu=5.0)], 1.0, 0.25)
+            run_ensemble = run_hitting_ensemble
+        else:
+            process = (ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),)
+            run_ensemble = run_continuous_ensemble
+
+        def run():
+            return run_ensemble(
+                psi0, hamiltonian, quantities, *process, 40, 7, store_states=True
+            )
+
+        whole = run()
+        monkeypatch.setattr(ensemble, "CHUNK_SIZE", 7)
+        assert len(ensemble._chunks(whole.seeds, 1)) == 6
+        chunked = run()
+        for f in fields(Ensemble):
+            a, b = getattr(whole, f.name), getattr(chunked, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), f.name
+
     def test_trajectory_depends_only_on_its_seed(self, sigma_z_set, equal_qubit):
         # growing the ensemble must not change earlier trajectories
         cfg = ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.5)
         small = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 100, 7)
         large = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 700, 7)
         assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
+
+
+@pytest.mark.parametrize(
+    "n, pool",
+    [
+        (1, 1),
+        (1, 4),
+        (3, 8),
+        (CHUNK_SIZE - 1, 1),
+        (CHUNK_SIZE - 1, 2),
+        (CHUNK_SIZE, 1),
+        (CHUNK_SIZE + 1, 1),
+        (CHUNK_SIZE + 1, 2),
+        (3 * CHUNK_SIZE + 1, 1),
+        (3 * CHUNK_SIZE + 1, 3),
+        (3 * CHUNK_SIZE + 1, 16),
+    ],
+)
+def test_chunk_plan_is_balanced_and_in_order(n, pool):
+    seeds = np.arange(n, dtype=np.uint64)
+    chunks = ensemble._chunks(seeds, pool)
+    sizes = [c.size for c in chunks]
+    assert np.array_equal(np.concatenate(chunks), seeds)
+    assert len(chunks) == min(n, max(pool, math.ceil(n / CHUNK_SIZE)))
+    assert min(sizes) >= 1
+    assert max(sizes) <= CHUNK_SIZE
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize(
+    "cpus, n, pool_size",
+    [(1, 600, None), (2, 600, 2), (64, 5, 5), (64, 600, 64)],
+)
+def test_pool_is_capped_by_the_chunks_and_the_cpus(
+    cpus, n, pool_size, monkeypatch, sigma_z_set, equal_qubit
+):
+    # a recording stand-in for the process pool: it maps in this process,
+    # so a huge worker count starts no process at all
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    streams = [HitStream((0,), beta=0.5, mu=5.0)]
+    serial = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 7)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
+    pooled = run_hitting_ensemble(
+        equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 7, workers=10**6
+    )
+    assert made == ([] if pool_size is None else [pool_size])
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(serial.weights, pooled.weights)
+    assert np.array_equal(serial.times, pooled.times)
 
 
 ONE_STREAM = [HitStream((0,), beta=0.5, mu=5.0)]
@@ -91,8 +191,8 @@ HITTING_LAYOUTS = {
 def test_hitting_trajectory_depends_only_on_its_seed(
     layout, sigma_z_set, correlated_pair_set, equal_qubit
 ):
-    # 700 trajectories cross the 512-row chunk boundary; the first 100 run
-    # in chunks of other sizes and must not notice
+    # the first 100 trajectories run as a batch of 100 rows and as part of
+    # one of 700, and must not notice
     matrix, streams = HITTING_LAYOUTS[layout]
     quantities = sigma_z_set if len(streams) == 1 else correlated_pair_set
     hamiltonian = None if matrix is None else Hamiltonian(matrix)
@@ -130,8 +230,8 @@ def _d16_continuous(layout: str, n: int):
 @given(n=st.integers(1, 700))
 @example(n=1)
 def test_continuous_trajectory_depends_only_on_its_seed(layout, n):
-    # 700 trajectories cross the 512-row chunk boundary; n trajectories
-    # run in chunks of other sizes and must not notice
+    # n trajectories run as a batch of n rows and as part of one of 700,
+    # and must not notice
     weights, expectations = _d16_continuous(layout, n)
     all_weights, all_expectations = _d16_continuous(layout, 700)
     assert np.array_equal(weights, all_weights[:n])
@@ -189,7 +289,8 @@ def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qub
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_qubit):
-    # 600 trajectories make two chunks, so two workers run a process pool
+    # two workers split 600 trajectories into two chunks of 300 and run
+    # a process pool, on a host with at least two CPUs
     process, run_ensemble, _, _ = ENGINES[engine]
     records = run_ensemble(
         equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers, store_states=True
@@ -399,7 +500,8 @@ def test_hamiltonian_coupling_keeps_its_coordinates_live(three_level_set):
 
 
 def test_lattice_run_is_worker_invariant_across_chunks(tmp_path):
-    # d = 10, psi0 on 2 Fock configurations; 600 trajectories make two chunks
+    # d = 10, psi0 on 2 Fock configurations; two workers split 600
+    # trajectories into two chunks of 300
     raw = {
         "scenario": "identical-particles",
         "engine": "both",

@@ -302,7 +302,7 @@ class TestEngineComparison:
             assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
 
 
-    def test_distances_on_the_joint_support_match_the_full_ones(self):
+    def test_distances_on_the_joint_support_match_the_full_ones(self, monkeypatch):
         # lattice-like rows: both ensembles live on 5 of 40 columns
         rng = np.random.default_rng(12)
         rows_a = np.zeros((60, 40), dtype=complex)
@@ -313,17 +313,38 @@ class TestEngineComparison:
             DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
         )
         assert abs(equivalence._rows_distance(rows_a, rows_b) - full) <= 1e-12
-        # the same resampled rows, as full 40 x 40 density matrices
-        rng = np.random.default_rng(3)
-        dists = []
-        for _ in range(20):
-            ra = rows_a[rng.integers(0, 60, 60)]
-            rb = rows_b[rng.integers(0, 50, 50)]
-            dists.append(trace_norm_distance(
-                DensityMatrix.from_state_rows(ra), DensityMatrix.from_state_rows(rb)
-            ))
-        boot = _bootstrap_distance(rows_a, rows_b, 20, np.random.default_rng(3))
-        assert abs(boot - np.std(dists, ddof=1)) <= 1e-12
+        # one live column, padded by 39 zero ones
+        lone_a = np.zeros((7, 40), dtype=complex)
+        lone_b = np.zeros((9, 40), dtype=complex)
+        lone_a[:, 5] = rng.standard_normal(7)
+        lone_b[:, 5] = 1j * rng.standard_normal(9)
+
+        def check(rows_a, rows_b, n_boot):
+            # the same resampled rows, as full 40 x 40 density matrices, and
+            # the same draws in the same order
+            loop_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+            n_a, n_b = len(rows_a), len(rows_b)
+            dists = []
+            for _ in range(n_boot):
+                ra = rows_a[loop_rng.integers(0, n_a, n_a)]
+                rb = rows_b[loop_rng.integers(0, n_b, n_b)]
+                dists.append(trace_norm_distance(
+                    DensityMatrix.from_state_rows(ra), DensityMatrix.from_state_rows(rb)
+                ))
+            boot = _bootstrap_distance(rows_a, rows_b, n_boot, rng)
+            assert abs(boot - np.std(dists, ddof=1)) <= 1e-12
+            assert rng.random() == loop_rng.random()
+
+        check(rows_a, rows_b, 20)
+        check(rows_b, rows_a[:7], 2)
+        check(lone_a, lone_b, 2)
+        check(lone_b, lone_a, 5)
+        # blocks of three replicates: 20 = 3 + ... + 3 + 2
+        live, rows = 5, 60 + 50
+        monkeypatch.setattr(
+            equivalence, "_BOOTSTRAP_BLOCK_BYTES", 3 * 16 * live * (rows + 4 * live)
+        )
+        check(rows_a, rows_b, 20)
 
     @pytest.mark.parametrize("t_end, record_interval", [(1.0, 0.5), (2.0, 0.5)])
     def test_different_record_grids_raise(
