@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, check_expected_hits, load_config
-from .ensemble import run_continuous_ensemble, run_hitting_ensemble
+from .continuous import noise_block_steps
+from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .equivalence import (
     collapse_statistics,
     convergence_sweep,
@@ -24,9 +25,15 @@ from .equivalence import (
     ensemble_stats,
 )
 from .errors import ConfigError, QReduceError
-from .hilbert import COMMUTATOR_TOL
+from .hilbert import COMMUTATOR_TOL, live_coordinates
 from .scenarios import BuiltScenario, build_scenario
 from .trajectory import Ensemble
+
+
+# The most bytes that a run's records, hit arrays and noise block may be
+# estimated to take. ``run`` and ``sweep`` refuse a larger config before
+# they create the output directory.
+PREFLIGHT_BYTES = 1 << 30
 
 
 def _fmt(value) -> str:
@@ -34,16 +41,15 @@ def _fmt(value) -> str:
 
 
 # The writers below format the Python floats of .tolist() with %r, which
-# is exactly _fmt of each value, without a numpy scalar per value. A
-# weight column that is +0.0 in every record of an engine (its bits all
-# zero; a -0.0 keeps the column on the %r path) is a literal 0.0 in that
-# engine's row format, so a row costs O(live columns + K), not O(d + K).
+# is exactly _fmt of each value, without a numpy scalar per value. A weight
+# column outside an engine's live coordinates is exactly 0 and is a literal
+# 0.0 in that engine's row format, so a row costs O(L + K), not O(d + K).
 # Both writers stream one trajectory at a time.
 
 
 def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
     first = next(iter(ensembles.values()))
-    d = first.weights.shape[2]
+    d = first.dim
     k = first.expectations.shape[2]
     header = (
         ["engine", "trajectory", "time", "event_flag"]
@@ -54,21 +60,21 @@ def _write_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
         fh.write(",".join(header) + "\n")
         for engine in sorted(ensembles):
             ens = ensembles[engine]
-            live = np.any(ens.weights.view(np.uint64) != 0, axis=(0, 1))
-            row = "%r,%d" + "".join(",%r" if x else ",0.0" for x in live.tolist())
-            row += ",%r" * k + "\n"
-            live_columns = np.flatnonzero(live)
+            columns = [",0.0"] * d
+            for j in ens.live.tolist():
+                columns[j] = ",%r"
+            row = "%r,%d" + "".join(columns) + ",%r" * k + "\n"
             times = ens.sample_times.tolist()
             flags = ens.event_flags().tolist()
             for idx in range(len(ens)):
                 fmt = f"{engine},{idx}," + row
-                columns = zip(
+                fields = zip(
                     times,
                     flags[idx],
-                    *ens.weights[:, idx, live_columns].T.tolist(),
+                    *ens.weights[:, idx, :].T.tolist(),
                     *ens.expectations[:, idx, :].T.tolist(),
                 )
-                fh.writelines(fmt % fields for fields in columns)
+                fh.writelines(fmt % values for values in fields)
 
 
 def _write_events_csv(path: Path, ensembles: dict[str, Ensemble]):
@@ -84,6 +90,13 @@ def _write_events_csv(path: Path, ensembles: dict[str, Ensemble]):
                 fmt = f"{engine},{idx}," + row
                 columns = zip(ens.times[a:b].tolist(), *ens.centres[a:b].T.tolist())
                 fh.writelines(fmt % fields for fields in columns)
+
+
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, streamed to ``path``."""
+    with path.open("w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _collapse_json(report) -> dict:
@@ -213,6 +226,41 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     return ensembles
 
 
+def _check_footprint(built: BuiltScenario, samples: int, store_states: bool,
+                     rate_key: str, total_rate: float) -> None:
+    """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
+
+    Estimated at the live width L that psi0 and the Hamiltonian leave the
+    engines (``hilbert.live_coordinates``), per engine: the records,
+    S x n x (L + K) x 8 B plus S x n x d x 16 B of stored states; the
+    hitting engine's expected hit arrays at ``total_rate``, n x rate x
+    t_end x (17 + 16 K) B; and the diffusion engine's noise block. The
+    error names the key of the largest part. Nothing is allocated.
+    """
+    config, quantities = built.config, built.quantities
+    n, d, k = config.n_trajectories, quantities.dim, quantities.num_quantities
+    h_joint = None
+    if built.hamiltonian is not None:
+        h_joint = quantities.joint_hamiltonian(built.hamiltonian)
+    width = live_coordinates(quantities.to_joint(built.psi0), h_joint).size
+    del h_joint
+    engines = ("hitting", "continuous") if config.engine == "both" else (config.engine,)
+    record = samples * n * ((width + k) * 8 + (d * 16 if store_states else 0))
+    sizes = {"record_interval": len(engines) * record}
+    if "hitting" in engines:
+        sizes[rate_key] = n * total_rate * config.t_end * (17 + 16 * k)
+    if "continuous" in engines:
+        rows = min(n, CHUNK_SIZE)
+        sizes["n_trajectories"] = rows * noise_block_steps(rows, k) * k * 8
+    total = sum(sizes.values())
+    if total > PREFLIGHT_BYTES:
+        raise ConfigError(
+            max(sizes, key=sizes.get),
+            f"records, hits and noise would take about {total / 2**30:.3g} GiB; "
+            f"at most {PREFLIGHT_BYTES / 2**30:g} GiB is allowed",
+        )
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ConfigError("workers", f"--workers must be >= 1, got {workers}")
@@ -224,9 +272,14 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     built = build_scenario(config)
+    need_states = config.engine == "both"
+    samples = math.floor(config.t_end / config.record_interval + 1e-9) + 1
+    _check_footprint(
+        built, samples, config.store_states or need_states,
+        "mu", sum(s.mu for s in built.streams),
+    )
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    need_states = config.engine == "both"
     ensembles = _run_engines(built, args.workers, need_states)
 
     _write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
@@ -250,9 +303,7 @@ def cmd_run(args) -> int:
             for engine, ens in ensembles.items()
         },
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out_dir / "summary.json", summary)
 
     written = ["trajectories.csv", "events.csv", "summary.json"]
     if config.engine == "both":
@@ -275,9 +326,7 @@ def cmd_run(args) -> int:
             "gamma": _scalar(built.gamma),
             "n_trajectories": config.n_trajectories,
         }
-        (out_dir / "compare.json").write_text(
-            json.dumps(compare, indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(out_dir / "compare.json", compare)
         written.append("compare.json")
     for name in written:
         print(f"wrote {out_dir / name}")
@@ -303,6 +352,8 @@ def cmd_sweep(args) -> int:
         print(f"values sorted ascending before execution: {ordered}")
 
     built = build_scenario(config)
+    # each swept ensemble records at 0 and t_end, with states
+    _check_footprint(built, 2, True, "values", ordered[-1])
     rows = convergence_sweep(
         built.psi0, built.quantities, built.streams, _scalar(built.gamma), ordered,
         config.n_trajectories, config.t_end, config.seed,

@@ -61,6 +61,18 @@ __all__ = [
 ]
 
 
+# The most bytes of the (rows, steps, K) float64 noise block that
+# _integrate draws at a time: a block spans 256 steps, or fewer where its
+# rows and quantities would pass this. A generator's normals come out in
+# the same order however they are split, so the block length moves no bit.
+NOISE_BLOCK_BYTES = 2 << 20
+
+
+def noise_block_steps(rows: int, num_quantities: int) -> int:
+    """Steps of one noise block of ``rows`` trajectories and K quantities."""
+    return max(1, min(256, NOISE_BLOCK_BYTES // (8 * rows * num_quantities)))
+
+
 def strength_from_hitting(beta: float, mu: float) -> float:
     """Strength of the continuous process equivalent to a hitting process.
 
@@ -299,17 +311,25 @@ def simulate_continuous_batch(
     """Integrate a batch of trajectories in lockstep.
 
     ``psi0_rows`` is (batch, d) in the computational basis, one row per
-    generator. Row b draws its (steps, K) standard normals from
-    ``generators[b]``, block by block, so a row depends only on its own
-    generator, never on the batch it runs in. ``seeds`` (one per row) are
-    stored on the ensemble and reported by a :class:`StepRejectedError`,
-    raised if any single step changes a norm by more than 50%. The live
-    set is the union over the rows, which the runners fill with one psi0.
+    generator; a broadcast view of one row (``np.broadcast_to``), as the
+    runners pass, is converted to joint coordinates once. Row b draws its
+    (steps, K) standard normals from ``generators[b]``, block by block, so
+    a row depends only on its own generator, never on the batch it runs
+    in. ``seeds`` (one per row) are stored on the ensemble and reported by
+    a :class:`StepRejectedError`, raised if any single step changes a norm
+    by more than 50%. The live set is the union over the rows.
     """
+    rows = np.asarray(psi0_rows)
+    if rows.shape[0] != len(generators):
+        raise DimensionMismatchError(
+            f"{rows.shape[0]} initial rows for {len(generators)} generators"
+        )
+    if rows.strides[0] == 0:
+        rows = rows[:1]
     run = partial(
         _integrate, config=config, generators=generators, store_states=store_states, seeds=seeds
     )
-    return run_on_live_block(run, quantities.to_joint(psi0_rows), quantities, hamiltonian)
+    return run_on_live_block(run, quantities.to_joint(rows), quantities, hamiltonian)
 
 
 def _integrate(
@@ -322,10 +342,10 @@ def _integrate(
     store_states: bool,
     seeds,
 ) -> Ensemble:
-    """The lockstep Euler-Maruyama loop on (batch, d) joint-basis rows.
+    """The lockstep Euler-Maruyama loop from (batch, d) or (1, d) joint-basis rows.
 
-    The kernel steps (2, d, batch) columns; the rows are rebuilt only at
-    record times.
+    The kernel steps (2, d, batch) columns, one per generator; the rows are
+    rebuilt only at record times.
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
     table = quantities.eigenvalue_table
@@ -333,7 +353,7 @@ def _integrate(
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record
 
-    batch = coeffs.shape[0]
+    batch = len(generators)
     weights_out = np.empty((rec_times.size, batch, quantities.dim))
     expect_out = np.empty((rec_times.size, batch, quantities.num_quantities))
     states_out = (
@@ -355,7 +375,7 @@ def _integrate(
             states_out[slot] = quantities.from_joint(amplitudes)
 
     record(0)
-    block = 256
+    block = noise_block_steps(batch, quantities.num_quantities)
     noise = np.empty((batch, min(block, total_steps), quantities.num_quantities))
     step = 0
     while step < total_steps:
@@ -387,6 +407,8 @@ def _integrate(
         offsets=np.zeros(batch + 1, dtype=np.intp),
         times=np.empty(0),
         centres=np.empty((0, quantities.num_quantities)),
+        live=np.arange(quantities.dim),
+        dim=quantities.dim,
         states=states_out,
     )
 

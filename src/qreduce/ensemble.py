@@ -11,9 +11,9 @@ in any batch. Results are therefore bit-identical for any number of
 workers and any chunking.
 
 A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
-joined by ``Ensemble.concat``: (S, n, d) weights and optional states,
-(S, n, K) expectations and the hitting events in CSR form, so a worker
-process sends back a few arrays.
+joined by ``Ensemble.concat``: (S, n, L) weights on the L live
+coordinates, optional (S, n, d) states, (S, n, K) expectations and the
+hitting events in CSR form, so a worker process sends back a few arrays.
 
 Every trajectory draws from ``default_rng`` of its own seed. A hitting
 trajectory draws its hit times, then one uniform per hit as one block,
@@ -26,9 +26,12 @@ Both kernels run on the live joint coordinates only
 (``hilbert.live_coordinates``): psi0's support plus every coordinate the
 joint-basis Hamiltonian couples to another. Both the hitting map and the
 diffusion step multiply each joint amplitude by its own real factor, so
-an amplitude outside that set stays exactly 0, and so does its weight in
-the returned ensemble. The set depends on psi0 and the Hamiltonian
-alone, so every chunk uses the same one.
+an amplitude outside that set stays exactly 0, and so does its weight,
+which the returned ensemble therefore does not store. The set depends
+on psi0 and the Hamiltonian alone, so every chunk uses the same one. A
+runner converts psi0 to joint coordinates once, as one row, and the
+kernels spread only its live block over the chunk's trajectories: no
+(n, d) array is formed on the way to the weights.
 
 ``equivalence.convergence_sweep`` runs its ensembles through the same
 runners: the diffusive one with the master seed itself, and the hitting
@@ -53,9 +56,10 @@ from .trajectory import Ensemble
 # per-call overhead at small d, so wider batches pay less per row: a
 # d = 2, K = 1 diffusion step costs about 51-63 us at 512 rows, 67-73 us
 # at 1000 and 121-131 us at 2000 on a 2-core x86_64 host, so the cost per
-# row flattens between 1000 and 2000 rows. A chunk's (rows, 256, K) noise
-# block is 2 MB at K = 1 and 21 MB at K = 10. Chunk boundaries never
-# change a bit, so the constant trades speed against memory only.
+# row flattens between 1000 and 2000 rows. A chunk's noise block stays
+# within ``continuous.NOISE_BLOCK_BYTES`` whatever its rows. Chunk
+# boundaries never change a bit, so the constant trades speed against
+# memory only.
 CHUNK_SIZE = 1024
 
 HITTING_STREAM = 0
@@ -160,9 +164,11 @@ def run_hitting_ensemble(
 
 
 def _continuous_chunk(psi0, hamiltonian, quantities, config, store_states, seeds):
+    # one psi0 row broadcast over the chunk: no (n, d) copy is made
+    rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
     return simulate_continuous_batch(
-        np.tile(psi0.amplitudes, (len(seeds), 1)), hamiltonian, quantities, config,
-        _generators(seeds), store_states=store_states, seeds=seeds,
+        rows, hamiltonian, quantities, config, _generators(seeds),
+        store_states=store_states, seeds=seeds,
     )
 
 

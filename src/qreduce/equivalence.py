@@ -335,10 +335,17 @@ class EnsembleStats:
 
 
 def ensemble_stats(ens: Ensemble) -> EnsembleStats:
-    """Mean Born weights with standard errors on the ensemble's sample grid."""
+    """Mean Born weights with standard errors on the ensemble's sample grid.
+
+    Both are reduced over the ensemble's live coordinates and are 0
+    elsewhere, as every weight there is.
+    """
     n = len(ens)
-    mean = ens.weights.mean(axis=1)
-    se = ens.weights.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    mean = np.zeros((ens.sample_times.size, ens.dim))
+    se = np.zeros_like(mean)
+    mean[:, ens.live] = ens.weights.mean(axis=1)
+    if n > 1:
+        se[:, ens.live] = ens.weights.std(axis=1, ddof=1) / math.sqrt(n)
     return EnsembleStats(
         times=ens.sample_times,
         mean_weights=mean,
@@ -447,7 +454,8 @@ def group_eigenvalue_rows(quantities: QuantitySet, tol: float = 1e-8) -> np.ndar
 
 def _sum_by_label(weights: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the (n, d) ``weights`` over the columns of each label, and
-    the first column of each label; labels are 0, 1, ... in output order.
+    the first column of each label, for the distinct labels in ascending
+    order.
 
     Each sum starts at 0.0 and adds the label's columns left to right,
     as ``weights[:, labels == g].sum(axis=1)`` does on that (F-ordered)
@@ -504,15 +512,20 @@ def collapse_statistics(
     """Frequencies of terminal collapse outcomes across an ensemble.
 
     Terminal Born weights are summed per label of
-    :func:`group_eigenvalue_rows` (:func:`_sum_by_label`) and the
-    winners counted with one ``bincount``: O(n d) past the grouping.
+    :func:`group_eigenvalue_rows` over the ensemble's live columns
+    (:func:`_sum_by_label`) and the winners counted with one
+    ``bincount``: O(n L) past the grouping. A label with no live column
+    has weight 0, so it never wins a resolved trajectory; it is still
+    listed among the outcomes.
     """
     labels = group_eigenvalue_rows(quantities)
-    grouped, firsts = _sum_by_label(ens.weights[-1], labels)
-    n_groups = firsts.size
-    group_rows = [tuple(row) for row in quantities.eigenvalue_table[firsts].tolist()]
+    live_labels = labels[ens.live]
+    grouped, firsts = _sum_by_label(ens.weights[-1], live_labels)
+    _, group_firsts = np.unique(labels, return_index=True)
+    n_groups = group_firsts.size
+    group_rows = [tuple(row) for row in quantities.eigenvalue_table[group_firsts].tolist()]
     best = grouped.max(axis=1)
-    winner = grouped.argmax(axis=1)
+    winner = live_labels[firsts][grouped.argmax(axis=1)]
 
     sensitivity = {
         float(th): float(np.mean(best < th)) for th in (*extra_thresholds, threshold)

@@ -359,6 +359,8 @@ def run_hitting_chain_batch(
         offsets=offsets,
         times=times,
         centres=centres_out,
+        live=np.arange(quantities.dim),
+        dim=quantities.dim,
         stream_ids=stream_ids,
         states=quantities.from_joint(snaps) if store_states else None,
     )
@@ -401,14 +403,16 @@ def simulate_hitting_batch(
         g.standard_normal(out=noise[a:b])
     times, ids = np.concatenate(times), np.concatenate(ids)
 
-    def run(coeffs, block, block_hamiltonian):
+    def run(row, block, block_hamiltonian):
+        coeffs = np.broadcast_to(row, (len(generators), row.shape[1]))
         return run_hitting_chain_batch(
             coeffs, block, streams, offsets, times, ids, uniforms, noise, grid,
             hamiltonian=block_hamiltonian, store_states=store_states, seeds=seeds,
         )
 
-    coeffs = np.tile(quantities.to_joint(psi0), (len(generators), 1))
-    return run_on_live_block(run, coeffs, quantities, hamiltonian)
+    # psi0 as one joint row; the kernel copies only its live block per trajectory
+    row = quantities.to_joint(psi0)[np.newaxis]
+    return run_on_live_block(run, row, quantities, hamiltonian)
 
 
 def simulate_hitting_trajectory(

@@ -99,19 +99,22 @@ class TrajectoryRecord:
 class Ensemble:
     """n trajectories on one sample grid of S times, as read-only arrays.
 
-    ``weights`` (S, n, d) and ``expectations`` (S, n, K) hold the Born
-    weights and quantity means; ``states`` (S, n, d), when recorded, the
-    computational-basis snapshots. Each sample's rows are one contiguous
-    (n, d) block. Events are in CSR form: trajectory i owns
-    ``times[offsets[i]:offsets[i + 1]]`` and the matching ``centres``
-    rows and, for the hitting engine, ``stream_ids`` (the index of the
-    stream that made each hit). ``seeds`` (n,) are the per-trajectory seeds, or None when the
-    trajectories ran from bare generators. ``ens[i]`` is trajectory i as
-    a :class:`TrajectoryRecord`. The hitting kernel reads its hits in this
-    CSR layout and writes its records in this (S, n, ·) layout itself.
     Both engines run on the live joint coordinates only (see
-    :func:`run_on_live_block`), so a weight outside the live set is
-    exactly 0.
+    :func:`run_on_live_block`): ``live`` holds their L ascending indices
+    out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
+    coordinate is live. ``weights`` (S, n, L) holds the Born weights on
+    those coordinates; a weight outside ``live`` is exactly 0 and is not
+    stored. ``expectations`` (S, n, K) holds the quantity means and
+    ``states`` (S, n, dim), when recorded, the computational-basis
+    snapshots. Each sample's rows are one contiguous block. Events are in
+    CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
+    the matching ``centres`` rows and, for the hitting engine,
+    ``stream_ids`` (the index of the stream that made each hit). ``seeds``
+    (n,) are the per-trajectory seeds, or None when the trajectories ran
+    from bare generators. ``ens[i]`` is trajectory i as a
+    :class:`TrajectoryRecord`, its Born weights written out over all
+    ``dim`` coordinates. The hitting kernel reads its hits in this CSR
+    layout and writes its records in this (S, n, ·) layout itself.
     """
 
     seeds: np.ndarray | None
@@ -121,13 +124,16 @@ class Ensemble:
     offsets: np.ndarray
     times: np.ndarray
     centres: np.ndarray
+    live: np.ndarray
+    dim: int
     stream_ids: np.ndarray | None = None
     states: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None:
+            if value is not None and f.name != "dim":
                 value = np.asarray(value)
                 value.flags.writeable = False
                 object.__setattr__(self, f.name, value)
@@ -135,6 +141,10 @@ class Ensemble:
             raise ValueError("sample times must be strictly increasing")
         if not self.offsets[-1] == self.times.size == self.centres.shape[0]:
             raise ValueError("event offsets, times and centres disagree in length")
+        live = self.live
+        if (live.shape != self.weights.shape[2:] or np.any(np.diff(live) <= 0)
+                or np.any((live < 0) | (live >= self.dim))):
+            raise ValueError("live must hold one ascending coordinate per weight column")
         if self.weights.size:
             worst = float(np.max(np.abs(self.weights.sum(axis=2) - 1.0)))
             if worst > 1e-10:
@@ -144,6 +154,8 @@ class Ensemble:
     def concat(cls, parts: list["Ensemble"]) -> "Ensemble":
         """The trajectories of ``parts`` in order, on the grid they share."""
         first = parts[0]
+        if any(p.dim != first.dim or not np.array_equal(p.live, first.live) for p in parts):
+            raise ValueError("the parts do not share their live coordinates")
 
         def join(name, axis=0):
             arrays = [getattr(p, name) for p in parts]
@@ -161,6 +173,8 @@ class Ensemble:
             offsets=np.concatenate(offsets),
             times=join("times"),
             centres=join("centres"),
+            live=first.live,
+            dim=first.dim,
             stream_ids=join("stream_ids"),
             states=join("states", axis=1),
         )
@@ -171,9 +185,11 @@ class Ensemble:
     def __getitem__(self, i: int) -> TrajectoryRecord:
         i = range(len(self))[operator.index(i)]
         a, b = self.offsets[i], self.offsets[i + 1]
+        born_weights = np.zeros((self.sample_times.size, self.dim))
+        born_weights[:, self.live] = self.weights[:, i, :]
         return TrajectoryRecord(
             sample_times=self.sample_times,
-            born_weights=self.weights[:, i, :],
+            born_weights=born_weights,
             expectations=self.expectations[:, i, :],
             events=EventLog(self.times[a:b], self.centres[a:b]),
             seed=None if self.seeds is None else int(self.seeds[i]),
@@ -195,17 +211,20 @@ class Ensemble:
 def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
     """``run(coeffs, quantities, hamiltonian)`` on the live joint coordinates.
 
-    ``run`` is an engine kernel: it takes (batch, d) joint-basis rows, a
-    quantity set and a Hamiltonian, and returns an :class:`Ensemble` whose
-    states are in that set's computational basis. Outside the live set of
-    :func:`~qreduce.hilbert.live_coordinates` every amplitude stays exactly
-    0, so the kernel runs on the live block alone: a basis-free set of the
-    live table rows, the joint-basis Hamiltonian restricted to the block
-    and the live columns of ``coeffs``. Its weights are scattered into
-    zero-filled (S, n, d) arrays and its states, which are block
-    coordinates, back through ``quantities.from_joint``. The random draws
-    do not depend on the dimension. When every coordinate is live this is
-    ``run(coeffs, quantities, hamiltonian)`` itself.
+    ``run`` is an engine kernel: it takes joint-basis rows, a quantity set
+    and a Hamiltonian, and returns an :class:`Ensemble` whose states are
+    in that set's computational basis. ``coeffs`` holds (m, d) joint-basis
+    rows: one per trajectory, or one row that every trajectory starts
+    from, which ``run`` then spreads over its batch. Outside the live set
+    of :func:`~qreduce.hilbert.live_coordinates` every amplitude stays
+    exactly 0, so the kernel runs on the live block alone: a basis-free
+    set of the live table rows, the joint-basis Hamiltonian restricted to
+    the block and the (m, L) live columns of ``coeffs``. The returned
+    ensemble keeps the kernel's (S, n, L) weights with their coordinates
+    in ``live``; its states, which are block coordinates, are written back
+    over all d through ``quantities.from_joint``. The random draws do not
+    depend on the dimension. When every coordinate is live the kernel runs
+    on ``coeffs``, ``quantities`` and ``hamiltonian`` themselves.
     """
     h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
     live = live_coordinates(coeffs, h_joint)
@@ -216,14 +235,12 @@ def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamilto
     if h_joint is not None:
         block = Hamiltonian(h_joint[np.ix_(live, live)], hbar=hamiltonian.hbar)
     ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), block)
-
-    def scatter(rows: np.ndarray) -> np.ndarray:
-        full = np.zeros(rows.shape[:-1] + (quantities.dim,), dtype=rows.dtype)
-        full[..., live] = rows
-        return full
-
-    states = None if ens.states is None else quantities.from_joint(scatter(ens.states))
-    return replace(ens, weights=scatter(ens.weights), states=states)
+    states = None
+    if ens.states is not None:
+        states = np.zeros(ens.states.shape[:-1] + (quantities.dim,), dtype=np.complex128)
+        states[..., live] = ens.states
+        states = quantities.from_joint(states)
+    return replace(ens, live=live, dim=quantities.dim, states=states)
 
 
 def _coerce_rng(rng, seed):

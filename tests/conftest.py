@@ -46,6 +46,13 @@ def within_z(samples: np.ndarray, expected: np.ndarray) -> bool:
     return bool(np.all(np.abs(mean - expected) <= bound))
 
 
+def full_weights(ens) -> np.ndarray:
+    """An ensemble's (S, n, L) Born weights written out over all its d coordinates."""
+    full = np.zeros(ens.weights.shape[:2] + (ens.dim,))
+    full[..., ens.live] = ens.weights
+    return full
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(amps, normalize=True)

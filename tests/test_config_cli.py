@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import jsonschema
+from conftest import full_weights
 
 import qreduce
 from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
@@ -523,6 +524,44 @@ class TestCliRun:
         assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
         assert (tmp_path / "out" / "compare.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            # 1.5e10 hits per trajectory: 112 GiB for one trajectory's hit times
+            (["run"], {"beta": 1e-9, "mu": 1e9}, "mu"),
+            # 1.5e8 records per trajectory
+            (["run"], {"engine": "hitting", "record_interval": 1e-7}, "record_interval"),
+            # 1.5e10 hits per trajectory at the largest swept rate
+            (["sweep", "--param", "mu", "--values", "10", "1e9"], {}, "values"),
+        ],
+    )
+    def test_oversized_config_fails_before_any_output(self, tmp_path, command, overrides, key):
+        import resource
+        import subprocess
+        import sys
+        import time
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**load_preset("qubit-equal"), **overrides}))
+        out_dir = tmp_path / "out"
+
+        def cap_address_space():
+            # should the child ever try to allocate what the config asks
+            # for, it fails by MemoryError rather than by the host's OOM killer
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        argv = [command[0], str(cfg_path), *command[1:], "--out", str(out_dir)]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "qreduce.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+            preexec_fn=cap_address_space,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 1
+        assert f"config error [{key}]" in done.stderr and "Traceback" not in done.stderr
+        assert not out_dir.exists()
+
     def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
         # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit
         # at that time; the hit still counts toward the record
@@ -551,6 +590,8 @@ class TestCliRun:
             offsets=np.array([0, 3, 6]),
             times=np.concatenate([times, times]),
             centres=np.concatenate([centres, centres]),
+            live=np.arange(2),
+            dim=2,
         )
         rec = ens[0]
         engines = {"hitting": ens}
@@ -610,7 +651,7 @@ def test_first_hitting_moments_of_overlapping_streams(correlated_pair_set, equal
 def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
     """The trajectories.csv writer that formats every field with %r: the oracle."""
     first = next(iter(ensembles.values()))
-    d = first.weights.shape[2]
+    d = first.dim
     k = first.expectations.shape[2]
     header = (
         ["engine", "trajectory", "time", "event_flag"]
@@ -622,6 +663,7 @@ def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
         fh.write(",".join(header) + "\n")
         for engine in sorted(ensembles):
             ens = ensembles[engine]
+            weights = full_weights(ens)
             times = ens.sample_times.tolist()
             flags = ens.event_flags().tolist()
             for idx in range(len(ens)):
@@ -629,21 +671,20 @@ def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
                 columns = zip(
                     times,
                     flags[idx],
-                    *ens.weights[:, idx, :].T.tolist(),
+                    *weights[:, idx, :].T.tolist(),
                     *ens.expectations[:, idx, :].T.tolist(),
                 )
                 fh.writelines(fmt % fields for fields in columns)
 
 
 def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=None) -> Ensemble:
-    """An ensemble of n trajectories, 3 records and K = 2 whose weights are
-    nonzero only in the ``live`` columns, then passed to ``edit``; events
-    at random times."""
-    weights = np.zeros((3, n, d))
-    weights[:, :, live] = rng.random((3, n, len(live))) + 0.01
-    weights /= weights.sum(axis=2, keepdims=True)
+    """An ensemble of n trajectories, 3 records and K = 2 on the ``live``
+    columns of d, whose (3, n, len(live)) weights are passed to ``edit``
+    and then normalized; events at random times."""
+    weights = rng.random((3, n, len(live))) + 0.01
     if edit is not None:
         edit(weights)
+    weights /= weights.sum(axis=2, keepdims=True)
     counts = rng.integers(0, 4, n)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return Ensemble(
@@ -654,6 +695,8 @@ def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=No
         offsets=offsets,
         times=rng.random(offsets[-1]),
         centres=rng.normal(size=(offsets[-1], 2)),
+        live=np.array(live),
+        dim=d,
     )
 
 
@@ -672,16 +715,18 @@ class TestTrajectoriesWriterOracle:
     def test_one_live_column(self, tmp_path):
         rng = np.random.default_rng(2)
         ens = _ensemble_with_columns(rng, [3])
-        assert np.all(ens.weights[:, :, 3] == 1.0)
+        assert np.all(ens.weights[:, :, np.searchsorted(ens.live, 3)] == 1.0)
         self._assert_same_bytes(tmp_path, {"continuous": ens})
 
     def test_column_zero_in_all_records_but_one(self, tmp_path):
         rng = np.random.default_rng(3)
 
         def edit(weights):
-            weights[1, 2, :] = [0.5, 0.25, 0.25, 0.0, 0.0, 0.0]
+            # live column 1 is 0 in every record but one
+            weights[:, :, 1] = 0.0
+            weights[1, 2, :] = [0.5, 0.25, 0.25]
 
-        ens = _ensemble_with_columns(rng, [0, 2], edit=edit)
+        ens = _ensemble_with_columns(rng, [0, 1, 2], edit=edit)
         self._assert_same_bytes(tmp_path, {"hitting": ens})
         text = (tmp_path / "new.csv").read_text()
         assert ",0.25,0.25,0.0,0.0,0.0," in text
@@ -690,10 +735,12 @@ class TestTrajectoriesWriterOracle:
         rng = np.random.default_rng(4)
 
         def edit(weights):
-            weights[2, 1, 4] = -0.0  # one -0.0 in an otherwise +0.0 column
-            weights[:, :, 5] = -0.0  # a column of -0.0 only
+            # live columns 4 and 5
+            weights[:, :, 2] = 0.0
+            weights[2, 1, 2] = -0.0  # one -0.0 in an otherwise +0.0 column
+            weights[:, :, 3] = -0.0  # a column of -0.0 only
 
-        ens = _ensemble_with_columns(rng, [0, 1], edit=edit)
+        ens = _ensemble_with_columns(rng, [0, 1, 4, 5], edit=edit)
         self._assert_same_bytes(tmp_path, {"hitting": ens})
         rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[9] == "-0.0" for r in rows)

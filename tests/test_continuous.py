@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, random_block_basis, random_state, within_z
+from conftest import SQ2, full_weights, random_block_basis, random_state, within_z
 from qreduce.errors import StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
@@ -269,7 +269,7 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
     ens = run_continuous_ensemble(psi0, None, quantities, cfg, 500, seed, store_states=True)
 
     # E[w(t)] = w(0): the Born weights are a martingale
-    assert within_z(ens.weights, quantities.born_weights(psi0))
+    assert within_z(full_weights(ens), quantities.born_weights(psi0))
 
     # without a Hamiltonian the oracle is its closed form at each record time
     _, oracle = lindblad_evolution(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_block_basis, random_state
+from conftest import full_weights, random_block_basis, random_state
 from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import (
@@ -19,8 +19,13 @@ from qreduce.hitting import (
     simulate_hitting_batch,
     simulate_hitting_trajectory,
 )
-from qreduce.continuous import ContinuousConfig, simulate_continuous_trajectory
-from qreduce import ensemble
+from qreduce.continuous import (
+    ContinuousConfig,
+    simulate_continuous_batch,
+    simulate_continuous_trajectory,
+)
+from qreduce.errors import DimensionMismatchError
+from qreduce import continuous, ensemble
 from qreduce.ensemble import (
     CHUNK_SIZE,
     CONTINUOUS_STREAM,
@@ -389,7 +394,7 @@ class TestEnsembleArrays:
         fields = dict(
             seeds=None, sample_times=np.array([0.0, 1.0]),
             expectations=np.zeros((2, 1, 1)), offsets=np.array([0, 0]),
-            times=np.empty(0), centres=np.empty((0, 1)),
+            times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(2), dim=2,
         )
         Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
         with pytest.raises(ValueError):
@@ -420,19 +425,23 @@ def _all_coordinates(coeffs, h_joint=None):
 def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed):
     """Both engines on the live block equal the same draws on the full table."""
     h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
-    dead = np.setdiff1d(
-        np.arange(quantities.dim), live_coordinates(quantities.to_joint(psi0), h_joint)
-    )
+    expected_live = live_coordinates(quantities.to_joint(psi0), h_joint)
+    dead = np.setdiff1d(np.arange(quantities.dim), expected_live)
     for run, process in LIVE_ENGINES:
         args = process(quantities)
         live = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
         with mock.patch("qreduce.trajectory.live_coordinates", _all_coordinates):
             full = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
+        assert np.array_equal(live.live, expected_live)
+        assert np.array_equal(full.live, np.arange(quantities.dim))
+        assert live.dim == full.dim == quantities.dim
         for name in ("weights", "expectations", "states"):
             a, b = getattr(live, name), getattr(full, name)
+            if name == "weights":
+                a, b = full_weights(live), full_weights(full)
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12
-        assert np.all(live.weights[..., dead] == 0.0)
+        assert np.all(full_weights(live)[..., dead] == 0.0)
         assert np.array_equal(live.offsets, full.offsets)
         assert np.array_equal(live.times, full.times)
         assert np.array_equal(live.centres, full.centres, equal_nan=True)
@@ -488,7 +497,7 @@ def test_single_joint_eigenvector_stays_put(with_hamiltonian, three_level_set):
     assert dead.tolist() == [2]
     for run, process in LIVE_ENGINES:
         ens = run(psi0, hamiltonian, three_level_set, *process(three_level_set), 20, 4)
-        assert np.all(ens.weights == [0.0, 1.0, 0.0])
+        assert np.all(full_weights(ens) == [0.0, 1.0, 0.0])
 
 
 def test_hamiltonian_coupling_keeps_its_coordinates_live(three_level_set):
@@ -497,6 +506,115 @@ def test_hamiltonian_coupling_keeps_its_coordinates_live(three_level_set):
     hamiltonian = Hamiltonian([[0.3, 0.0, 0.0], [0.0, -1.0, 0.7], [0.0, 0.7, 2.0]])
     dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, three_level_set, 20, 4)
     assert dead.tolist() == [0]
+
+
+@pytest.mark.parametrize("with_hamiltonian", [False, True])
+def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
+    # d = 6, psi0 on coordinates 1 and 4; the Hamiltonian couples every
+    # neighbouring pair, so with it every coordinate is live
+    quantities = QuantitySet(np.array([[0.0], [0.3], [0.5], [1.1], [1.4], [2.0]]))
+    amps = np.zeros(6, dtype=complex)
+    amps[[1, 4]] = [0.6, 0.8j]
+    psi0 = StateVector(amps)
+    hamiltonian = None
+    if with_hamiltonian:
+        hamiltonian = Hamiltonian(np.diag(np.full(5, 0.7), 1) + np.diag(np.full(5, 0.7), -1))
+    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    expected_live = [0, 1, 2, 3, 4, 5] if with_hamiltonian else [1, 4]
+    assert live_coordinates(quantities.to_joint(psi0), h_joint).tolist() == expected_live
+    for run, process in LIVE_ENGINES:
+        ens = run(psi0, hamiltonian, quantities, *process(quantities), 30, 8, store_states=True)
+        assert ens.live.tolist() == expected_live and ens.dim == 6
+        assert ens.weights.shape[2] == len(expected_live)
+        # the reference: the Born weights of the stored (S, n, d) states, at full d
+        reference = np.abs(quantities.to_joint(ens.states)) ** 2
+        reference /= reference.sum(axis=2)[:, :, np.newaxis]
+        assert np.array_equal(full_weights(ens), reference)
+
+
+def test_concat_requires_shared_live_coordinates(sigma_z_set, three_level_set):
+    process = ([HitStream((0,), 0.8, 4.0)], 1.0, 0.5)
+    on_two = run_hitting_ensemble(StateVector([0.6, 0.8, 0.0]), None, three_level_set,
+                                  *process, 3, 1)
+    on_three = run_hitting_ensemble(StateVector([0.6, 0.0, 0.8]), None, three_level_set,
+                                    *process, 3, 1)
+    assert on_two.live.tolist() == [0, 1] and on_three.live.tolist() == [0, 2]
+    assert len(Ensemble.concat([on_two, on_two])) == 6
+    with pytest.raises(ValueError):
+        Ensemble.concat([on_two, on_three])
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_noise_block_length_moves_no_bit(n, monkeypatch):
+    # d = 16, K = 3, 45 steps: one block at the default budget, then blocks
+    # of 1 and of 7 steps (the last one 3)
+    rng = np.random.default_rng(16)
+    quantities = QuantitySet(rng.standard_normal((16, 3)))
+    psi0 = random_state(rng, 16)
+    config = ContinuousConfig(gamma=0.4, dt=0.02, t_end=0.9, record_interval=0.3)
+
+    def run():
+        return run_continuous_ensemble(psi0, None, quantities, config, n, 3, store_states=True)
+
+    default = run()
+    assert continuous.noise_block_steps(n, 3) == 256
+    for steps in (1, 7):
+        monkeypatch.setattr(continuous, "NOISE_BLOCK_BYTES", steps * 8 * n * 3)
+        assert continuous.noise_block_steps(n, 3) == steps
+        blocked = run()
+        for f in fields(Ensemble):
+            a, b = getattr(default, f.name), getattr(blocked, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), f.name
+
+
+def test_broadcast_initial_rows_equal_their_copies():
+    # a rotated quantity set: the one broadcast row goes through the joint basis once
+    rng = np.random.default_rng(5)
+    basis, _ = random_block_basis(rng, [4])
+    quantities = QuantitySet(rng.standard_normal((4, 2)), basis)
+    psi0 = random_state(rng, 4)
+    config = ContinuousConfig(gamma=0.4, dt=0.02, t_end=0.2, record_interval=0.1)
+    seeds = trajectory_seeds(4, CONTINUOUS_STREAM, 9)
+
+    def run(rows):
+        generators = [np.random.default_rng(int(s)) for s in seeds]
+        return simulate_continuous_batch(rows, None, quantities, config, generators,
+                                         store_states=True, seeds=seeds)
+
+    broadcast = run(np.broadcast_to(psi0.amplitudes, (9, 4)))
+    copied = run(np.tile(psi0.amplitudes, (9, 1)))
+    for f in fields(Ensemble):
+        a, b = getattr(broadcast, f.name), getattr(copied, f.name)
+        assert (a is None and b is None) or np.array_equal(a, b), f.name
+    with pytest.raises(DimensionMismatchError):
+        run(psi0.amplitudes[np.newaxis])
+
+
+@pytest.mark.parametrize("runner", ["hitting", "continuous"])
+def test_runner_memory_follows_the_live_coordinates(runner):
+    # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records:
+    # one (S, n, d) float64 array would take 7.6 MiB
+    import tracemalloc
+
+    d, n = 5000, 50
+    quantities = QuantitySet(np.linspace(0.0, 1.0, d)[:, np.newaxis])
+    amps = np.zeros(d, dtype=complex)
+    amps[[10, 4000]] = np.sqrt(0.5)
+    psi0 = StateVector(amps)
+    if runner == "hitting":
+        args = (run_hitting_ensemble, [HitStream((0,), 50.0, 20.0)], 0.3, 0.1)
+    else:
+        args = (run_continuous_ensemble,
+                ContinuousConfig(gamma=1.0, dt=0.01, t_end=0.3, record_interval=0.1))
+    run, *process = args
+    tracemalloc.start()
+    try:
+        ens = run(psi0, None, quantities, *process, n, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
+    assert peak < 4 * n * d * 8 / 4
 
 
 def test_lattice_run_is_worker_invariant_across_chunks(tmp_path):

@@ -22,6 +22,7 @@ from qreduce.ensemble import (
     run_hitting_ensemble,
 )
 from qreduce import equivalence
+from qreduce.trajectory import Ensemble
 from qreduce.equivalence import (
     DensityMatrix,
     _bootstrap_distance,
@@ -410,6 +411,29 @@ class TestCollapseStatistics:
         assert report.unresolved_count == 0
         assert report.outcomes[0].frequency == 1.0
         assert report.outcomes[1].count == 0
+
+    def test_live_coordinates_keep_their_labels(self):
+        # weights stored on joint coordinates 1 and 3 of d = 4 (rows 1 and 2
+        # share a label); terminal rows resolve to coordinate 3, to
+        # coordinate 1, to coordinate 1 at 0.9995, and not at all
+        quantities = QuantitySet(np.array([[0.0], [1.0], [1.0], [3.0]]))
+        terminal = np.array([[0.0, 1.0], [1.0, 0.0], [0.9995, 0.0005], [0.5, 0.5]])
+        ens = Ensemble(
+            seeds=None, sample_times=np.array([0.0, 1.0]),
+            weights=np.stack([np.full((4, 2), 0.5), terminal]),
+            expectations=np.zeros((2, 4, 1)), offsets=np.zeros(5, dtype=int),
+            times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
+        )
+        report = collapse_statistics(ens, quantities)
+        assert [o.eigenvalues for o in report.outcomes] == [(0.0,), (1.0,), (3.0,)]
+        assert [o.count for o in report.outcomes] == [0, 2, 1]
+        assert report.unresolved_count == 1
+        stats = ensemble_stats(ens)
+        expected = np.zeros(4)
+        expected[[1, 3]] = terminal.mean(axis=0)
+        assert np.array_equal(stats.mean_weights[1], expected)
+        assert np.array_equal(stats.mean_weight_se[:, [0, 2]], np.zeros((2, 2)))
+        assert np.all(stats.mean_weight_se[1, [1, 3]] > 0)
 
     def test_weighted_qubit_frequencies(self, sigma_z_set):
         psi = StateVector([0.5, math.sqrt(0.75)])
