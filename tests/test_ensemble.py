@@ -532,7 +532,7 @@ def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
         assert np.array_equal(full_weights(ens), reference)
 
 
-def test_concat_requires_shared_live_coordinates(sigma_z_set, three_level_set):
+def test_concat_requires_shared_live_coordinates(three_level_set):
     process = ([HitStream((0,), 0.8, 4.0)], 1.0, 0.5)
     on_two = run_hitting_ensemble(StateVector([0.6, 0.8, 0.0]), None, three_level_set,
                                   *process, 3, 1)
