@@ -28,7 +28,7 @@ from .hilbert import (
     quantum_covariance,
     validate_quantity_set,
 )
-from .trajectory import Ensemble, EventLog, TrajectoryRecord
+from .trajectory import Ensemble
 from .hitting import (
     HitStream,
     Schedule,
@@ -37,13 +37,10 @@ from .hitting import (
     sample_hitting_centre,
     schedule_hittings,
     sharpening_operator,
-    simulate_hitting_trajectory,
 )
 from .continuous import (
     ContinuousConfig,
-    WienerIncrement,
     sde_step,
-    simulate_continuous_trajectory,
     strength_from_hitting,
     suggested_dt,
 )
@@ -101,8 +98,6 @@ __all__ = [
     "quantum_covariance",
     "validate_quantity_set",
     "Ensemble",
-    "EventLog",
-    "TrajectoryRecord",
     "HitStream",
     "Schedule",
     "apply_hitting",
@@ -110,11 +105,8 @@ __all__ = [
     "sample_hitting_centre",
     "schedule_hittings",
     "sharpening_operator",
-    "simulate_hitting_trajectory",
     "ContinuousConfig",
-    "WienerIncrement",
     "sde_step",
-    "simulate_continuous_trajectory",
     "strength_from_hitting",
     "suggested_dt",
     "DensityMatrix",

@@ -21,6 +21,9 @@ coordinates (:func:`~qreduce.trajectory.run_on_live_block`): a
 superposition of a few Fock states costs a kernel of their count, not
 of d.
 
+A batch runs one trajectory per seed, its only random input: row b
+draws its Wiener increments from ``default_rng`` of its own seed.
+
 The kernel holds that live block as columns, one per trajectory: a
 (2, d, batch) array of real and imaginary planes. A step is then a
 sequence of elementwise calls over whole batch rows, about twenty at
@@ -43,21 +46,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import (
-    Ensemble,
-    TrajectoryRecord,
-    _coerce_rng,
-    record_grid,
-    run_on_live_block,
-)
+from .trajectory import Ensemble, record_grid, run_on_live_block
 
 __all__ = [
     "ContinuousConfig",
-    "WienerIncrement",
     "strength_from_hitting",
     "suggested_dt",
     "sde_step",
-    "simulate_continuous_trajectory",
 ]
 
 
@@ -146,17 +141,6 @@ class ContinuousConfig:
         return max(1, int(round(self.record_interval / self.dt)))
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    """Independent Gaussian increments, one per quantity, variance dt."""
-
-    dB: np.ndarray
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, dt: float, num_quantities: int):
-        return cls(dB=rng.standard_normal(num_quantities) * math.sqrt(dt))
-
-
 def sde_step(
     psi: StateVector,
     quantities: QuantitySet,
@@ -169,11 +153,11 @@ def sde_step(
 ) -> StateVector:
     """One Euler-Maruyama update of the diffusive process.
 
-    ``dB`` is a length-K array of Wiener increments (variance dt each) or
-    a :class:`WienerIncrement`. Joint eigenvectors are exact fixed points
-    when ``hamiltonian`` is None: every centred operator annihilates them.
+    ``dB`` is a length-K array of Wiener increments (variance dt each).
+    Joint eigenvectors are exact fixed points when ``hamiltonian`` is
+    None: every centred operator annihilates them.
     """
-    increments = dB.dB if isinstance(dB, WienerIncrement) else np.asarray(dB, dtype=float)
+    increments = np.asarray(dB, dtype=float)
     if increments.shape != (quantities.num_quantities,):
         raise DimensionMismatchError(
             f"dB must have shape ({quantities.num_quantities},), got {increments.shape}"
@@ -303,32 +287,27 @@ def simulate_continuous_batch(
     hamiltonian: Hamiltonian | None,
     quantities: QuantitySet,
     config: ContinuousConfig,
-    generators: list[np.random.Generator],
+    seeds,
     *,
     store_states: bool = False,
-    seeds=None,
 ) -> Ensemble:
     """Integrate a batch of trajectories in lockstep.
 
     ``psi0_rows`` is (batch, d) in the computational basis, one row per
-    generator; a broadcast view of one row (``np.broadcast_to``), as the
+    seed; a broadcast view of one row (``np.broadcast_to``), as the
     runners pass, is converted to joint coordinates once. Row b draws its
-    (steps, K) standard normals from ``generators[b]``, block by block, so
-    a row depends only on its own generator, never on the batch it runs
-    in. ``seeds`` (one per row) are stored on the ensemble and reported by
-    a :class:`StepRejectedError`, raised if any single step changes a norm
+    (steps, K) standard normals from ``default_rng(seeds[b])``, block by
+    block, so a row depends only on its own seed, never on the batch it
+    runs in. The seeds are stored on the ensemble and reported by a
+    :class:`StepRejectedError`, raised if any single step changes a norm
     by more than 50%. The live set is the union over the rows.
     """
     rows = np.asarray(psi0_rows)
-    if rows.shape[0] != len(generators):
-        raise DimensionMismatchError(
-            f"{rows.shape[0]} initial rows for {len(generators)} generators"
-        )
+    if rows.shape[0] != len(seeds):
+        raise DimensionMismatchError(f"{rows.shape[0]} initial rows for {len(seeds)} seeds")
     if rows.strides[0] == 0:
         rows = rows[:1]
-    run = partial(
-        _integrate, config=config, generators=generators, store_states=store_states, seeds=seeds
-    )
+    run = partial(_integrate, config=config, seeds=seeds, store_states=store_states)
     return run_on_live_block(run, quantities.to_joint(rows), quantities, hamiltonian)
 
 
@@ -338,13 +317,12 @@ def _integrate(
     hamiltonian: Hamiltonian | None,
     *,
     config: ContinuousConfig,
-    generators: list[np.random.Generator],
-    store_states: bool,
     seeds,
+    store_states: bool,
 ) -> Ensemble:
     """The lockstep Euler-Maruyama loop from (batch, d) or (1, d) joint-basis rows.
 
-    The kernel steps (2, d, batch) columns, one per generator; the rows are
+    The kernel steps (2, d, batch) columns, one per seed; the rows are
     rebuilt only at record times.
     """
     kernel = _DiffusionKernel(quantities, hamiltonian, config)
@@ -353,6 +331,7 @@ def _integrate(
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record
 
+    generators = [np.random.default_rng(int(s)) for s in seeds]
     batch = len(generators)
     weights_out = np.empty((rec_times.size, batch, quantities.dim))
     expect_out = np.empty((rec_times.size, batch, quantities.num_quantities))
@@ -390,10 +369,9 @@ def _integrate(
             if not (ratios2.min() >= 0.25 and ratios2.max() <= 2.25):
                 drifts = np.abs(np.sqrt(ratios2) - 1.0)
                 bad = int(np.argmax(drifts))
-                seed = None if seeds is None else int(seeds[bad])
                 raise StepRejectedError(
                     f"step changed a norm by {drifts[bad]:.2f} (>50%); dt too large",
-                    seed=seed,
+                    seed=int(seeds[bad]),
                 )
             step += 1
             if step % steps_per_record == 0:
@@ -411,30 +389,3 @@ def _integrate(
         dim=quantities.dim,
         states=states_out,
     )
-
-
-def simulate_continuous_trajectory(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
-    config: ContinuousConfig,
-    rng,
-    *,
-    store_states: bool = False,
-    seed: int | None = None,
-) -> TrajectoryRecord:
-    """One realization of the diffusive process on the record grid.
-
-    ``rng`` may be an integer seed (stored on the record) or a
-    ``numpy.random.Generator``. The events list is always empty.
-    """
-    rng, seed = _coerce_rng(rng, seed)
-    return simulate_continuous_batch(
-        psi0.amplitudes[np.newaxis, :],
-        hamiltonian,
-        quantities,
-        config,
-        [rng],
-        store_states=store_states,
-        seeds=None if seed is None else [seed],
-    )[0]

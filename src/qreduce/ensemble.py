@@ -15,12 +15,13 @@ joined by ``Ensemble.concat``: (S, n, L) weights on the L live
 coordinates, optional (S, n, d) states, (S, n, K) expectations and the
 hitting events in CSR form, so a worker process sends back a few arrays.
 
-Every trajectory draws from ``default_rng`` of its own seed. A hitting
-trajectory draws its hit times, then one uniform per hit as one block,
-then its (hits, K) Gaussian noise as one block. A diffusive trajectory
-draws its (steps, K) standard normals block by block, as the
-integration reaches them. A chunk then runs as one lockstep kernel
-call, so a trajectory also does not depend on the chunk it lands in.
+A chunk hands its seeds to a kernel, which draws every trajectory from
+``default_rng`` of its own seed. A hitting trajectory draws its hit
+times, then one uniform per hit as one block, then its (hits, K)
+Gaussian noise as one block. A diffusive trajectory draws its (steps, K)
+standard normals block by block, as the integration reaches them. A
+chunk then runs as one lockstep kernel call, so a trajectory also does
+not depend on the chunk it lands in.
 
 Both kernels run on the live joint coordinates only
 (``hilbert.live_coordinates``): psi0's support plus every coordinate the
@@ -123,15 +124,11 @@ def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
     return Ensemble.concat(results)
 
 
-def _generators(seeds) -> list[np.random.Generator]:
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 def _hitting_chunk(psi0, hamiltonian, quantities, streams, t_end, record_interval,
                    store_states, seeds):
     return simulate_hitting_batch(
-        psi0, hamiltonian, quantities, streams, t_end, record_interval,
-        _generators(seeds), store_states=store_states, seeds=seeds,
+        psi0, hamiltonian, quantities, streams, t_end, record_interval, seeds,
+        store_states=store_states,
     )
 
 
@@ -167,8 +164,7 @@ def _continuous_chunk(psi0, hamiltonian, quantities, config, store_states, seeds
     # one psi0 row broadcast over the chunk: no (n, d) copy is made
     rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
     return simulate_continuous_batch(
-        rows, hamiltonian, quantities, config, _generators(seeds),
-        store_states=store_states, seeds=seeds,
+        rows, hamiltonian, quantities, config, seeds, store_states=store_states
     )
 
 

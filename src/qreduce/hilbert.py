@@ -97,13 +97,6 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        """Squared overlap |<self|other>|^2, phase-free."""
-        return abs(self.overlap(other)) ** 2
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
 

@@ -11,12 +11,12 @@ joint eigenvectors. Between hits the state evolves unitarily (exactly,
 via the Hamiltonian eigensystem). The time window (t_end and the record
 interval) is not part of a stream; the runners take it beside the list.
 
-:func:`simulate_hitting_batch` runs a batch of trajectories in three
-steps:
+:func:`simulate_hitting_batch` runs a batch of trajectories, one per
+seed, in three steps:
 
 1. **Draws.** A trajectory's random draws do not depend on its state,
-   so each trajectory takes them up front from its own generator, in
-   this order:
+   so each trajectory takes them up front from ``default_rng`` of its
+   own seed, in this order:
 
    a. the hit times, stream by stream, from :func:`schedule_hittings`
       (for a Poisson stream the count, then the times), merged in time
@@ -38,7 +38,7 @@ steps:
    nothing in, so the amplitude stays exactly 0. The draws do not depend
    on d, so the events are those of a full-d run.
 
-A trajectory therefore depends only on its generator, never on the batch
+A trajectory therefore depends only on its seed, never on the batch
 it runs in. :func:`apply_hitting` and :func:`sample_hitting_centre` are
 the one-hit textbook formulas, kept as oracles for the kernel.
 """
@@ -53,14 +53,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import (
-    Ensemble,
-    TrajectoryRecord,
-    _coerce_rng,
-    record_counts,
-    record_grid,
-    run_on_live_block,
-)
+from .trajectory import Ensemble, record_counts, record_grid, run_on_live_block
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -72,7 +65,6 @@ __all__ = [
     "sample_hitting_centre",
     "hitting_density",
     "schedule_hittings",
-    "simulate_hitting_trajectory",
     "simulate_hitting_batch",
     "run_hitting_chain_batch",
 ]
@@ -267,10 +259,10 @@ def run_hitting_chain_batch(
     uniforms: np.ndarray,
     noise: np.ndarray,
     record_times: np.ndarray,
+    seeds,
     *,
     hamiltonian: Hamiltonian | None = None,
     store_states: bool = False,
-    seeds=None,
 ) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
 
@@ -285,9 +277,9 @@ def run_hitting_chain_batch(
     ``record_times[r]`` (on the clock of
     :func:`~qreduce.trajectory.record_counts`), evolved to that time.
 
-    Returns the ensemble of the batch: the (E, K) centres, NaN outside
-    each hit's stream, the (E,) stream ids, and the records in
-    (R, batch, ·) layout.
+    Returns the ensemble of the batch: ``seeds`` (one per row), the (E, K)
+    centres, NaN outside each hit's stream, the (E,) stream ids, and the
+    records in (R, batch, ·) layout.
 
     Raises
     ------
@@ -341,7 +333,7 @@ def run_hitting_chain_batch(
                 raise VanishingNormError(
                     f"hit {h + 1} at t={times[mine[i]]!r} annihilated the state "
                     f"(|chi|^2 = {chi2[i]!r})",
-                    seed=None if seeds is None else int(seeds[where[i]]),
+                    seed=int(seeds[where[i]]),
                 )
             coeffs[where] = sharpened / np.sqrt(norm2)[:, np.newaxis]
             centres_out[mine[:, np.newaxis], kern.cols] = centres
@@ -373,17 +365,17 @@ def simulate_hitting_batch(
     streams: list[HitStream],
     t_end: float,
     record_interval: float,
-    generators: list[np.random.Generator],
+    seeds,
     *,
     store_states: bool = False,
-    seeds=None,
 ) -> Ensemble:
-    """One trajectory per generator, all advanced by one kernel call.
+    """One trajectory per seed, all advanced by one kernel call.
 
-    Each trajectory takes its draws from its own generator in the order
-    given in the module docstring; ``seeds`` (one per generator) are
-    stored on the ensemble and reported by a :class:`VanishingNormError`.
+    Each trajectory takes its draws from ``default_rng`` of its own seed
+    in the order given in the module docstring; the seeds are stored on
+    the ensemble and reported by a :class:`VanishingNormError`.
     """
+    generators = [np.random.default_rng(int(s)) for s in seeds]
     grid = record_grid(t_end, record_interval)
     # the ensemble keeps one stream id per hit: the narrowest type that fits
     stream_range = np.arange(len(streams), dtype=np.min_scalar_type(len(streams)))
@@ -406,39 +398,10 @@ def simulate_hitting_batch(
     def run(row, block, block_hamiltonian):
         coeffs = np.broadcast_to(row, (len(generators), row.shape[1]))
         return run_hitting_chain_batch(
-            coeffs, block, streams, offsets, times, ids, uniforms, noise, grid,
-            hamiltonian=block_hamiltonian, store_states=store_states, seeds=seeds,
+            coeffs, block, streams, offsets, times, ids, uniforms, noise, grid, seeds,
+            hamiltonian=block_hamiltonian, store_states=store_states,
         )
 
     # psi0 as one joint row; the kernel copies only its live block per trajectory
     row = quantities.to_joint(psi0)[np.newaxis]
     return run_on_live_block(run, row, quantities, hamiltonian)
-
-
-def simulate_hitting_trajectory(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
-    streams: list[HitStream],
-    t_end: float,
-    record_interval: float,
-    rng,
-    *,
-    store_states: bool = False,
-    seed: int | None = None,
-) -> TrajectoryRecord:
-    """One realization of the hitting process of ``streams``.
-
-    Alternates exact unitary evolution with sample-then-apply hits at the
-    scheduled times and records Born weights and expectations every
-    ``record_interval`` up to ``t_end``. Event centres are logged in
-    full-K rows with NaN outside the hit stream's quantities. With
-    ``hamiltonian=None`` this is the pure reduction process. ``rng`` may
-    be an integer seed (stored on the record) or a
-    ``numpy.random.Generator``.
-    """
-    rng, seed = _coerce_rng(rng, seed)
-    return simulate_hitting_batch(
-        psi0, hamiltonian, quantities, streams, t_end, record_interval, [rng],
-        store_states=store_states, seeds=None if seed is None else [seed],
-    )[0]

@@ -8,7 +8,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import MissingSnapshotError
 from .hilbert import Hamiltonian, QuantitySet, live_coordinates
 
 # Relative slack of the event clock. Hit times (k / mu) and sample times
@@ -35,66 +34,6 @@ def record_counts(offsets, event_times, sample_times) -> np.ndarray:
     return per_slot.reshape(n, s + 1)[:, :s].cumsum(axis=1)
 
 
-def _sample_index(sample_times: np.ndarray, t: float, tol: float = 1e-9) -> int:
-    idx = int(np.argmin(np.abs(sample_times - t)))
-    if abs(sample_times[idx] - t) > tol:
-        raise KeyError(f"no sample at t={t}")
-    return idx
-
-
-@dataclass(frozen=True)
-class EventLog:
-    """One trajectory's hitting events: times (E,) and centre rows (E, K)."""
-
-    times: np.ndarray
-    centres: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Read-only view of one trajectory (one row) of an :class:`Ensemble`.
-
-    ``born_weights`` and ``expectations`` hold one row per sample time,
-    ``states`` (when recorded) the (samples, d) computational-basis
-    snapshots. ``events`` is empty for the diffusive engine.
-    """
-
-    sample_times: np.ndarray
-    born_weights: np.ndarray
-    expectations: np.ndarray
-    events: EventLog
-    seed: int | None = None
-    states: np.ndarray | None = None
-
-    @property
-    def num_samples(self) -> int:
-        return self.sample_times.size
-
-    @property
-    def dim(self) -> int:
-        return self.born_weights.shape[1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        if self.states is None:
-            raise MissingSnapshotError("trajectory was recorded without snapshots")
-        return self.states[_sample_index(self.sample_times, t)]
-
-    def _counts(self, times) -> np.ndarray:
-        return record_counts([0, len(self.events)], self.events.times, times)[0]
-
-    def events_between(self, start: float, stop: float) -> int:
-        """Number of events with start < t <= stop (start < stop), on the event clock."""
-        before, upto = self._counts([start, stop])
-        return int(upto - before)
-
-    def event_flags(self) -> np.ndarray:
-        """Events since the previous sample, per sample (all up to t for the first)."""
-        return np.diff(self._counts(self.sample_times), prepend=0)
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """n trajectories on one sample grid of S times, as read-only arrays.
@@ -110,14 +49,12 @@ class Ensemble:
     CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
     the matching ``centres`` rows and, for the hitting engine,
     ``stream_ids`` (the index of the stream that made each hit). ``seeds``
-    (n,) are the per-trajectory seeds, or None when the trajectories ran
-    from bare generators. ``ens[i]`` is trajectory i as a
-    :class:`TrajectoryRecord`, its Born weights written out over all
-    ``dim`` coordinates. The hitting kernel reads its hits in this CSR
-    layout and writes its records in this (S, n, ·) layout itself.
+    (n,) are the per-trajectory seeds. The hitting kernel reads its hits
+    in this CSR layout and writes its records in this (S, n, ·) layout
+    itself.
     """
 
-    seeds: np.ndarray | None
+    seeds: np.ndarray
     sample_times: np.ndarray
     weights: np.ndarray
     expectations: np.ndarray
@@ -137,6 +74,8 @@ class Ensemble:
                 value = np.asarray(value)
                 value.flags.writeable = False
                 object.__setattr__(self, f.name, value)
+        if np.shape(self.seeds) != self.weights.shape[1:2]:
+            raise ValueError("seeds must hold one seed per trajectory")
         if np.any(np.diff(self.sample_times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if not self.offsets[-1] == self.times.size == self.centres.shape[0]:
@@ -182,25 +121,11 @@ class Ensemble:
     def __len__(self) -> int:
         return self.weights.shape[1]
 
-    def __getitem__(self, i: int) -> TrajectoryRecord:
-        i = range(len(self))[operator.index(i)]
-        a, b = self.offsets[i], self.offsets[i + 1]
-        born_weights = np.zeros((self.sample_times.size, self.dim))
-        born_weights[:, self.live] = self.weights[:, i, :]
-        return TrajectoryRecord(
-            sample_times=self.sample_times,
-            born_weights=born_weights,
-            expectations=self.expectations[:, i, :],
-            events=EventLog(self.times[a:b], self.centres[a:b]),
-            seed=None if self.seeds is None else int(self.seeds[i]),
-            states=None if self.states is None else self.states[:, i, :],
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def sample_index(self, t: float) -> int:
-        return _sample_index(self.sample_times, t)
+        idx = int(np.argmin(np.abs(self.sample_times - t)))
+        if abs(self.sample_times[idx] - t) > 1e-9:
+            raise KeyError(f"no sample at t={t}")
+        return idx
 
     def event_flags(self) -> np.ndarray:
         """(n, S) events since the previous sample (all up to t for the first)."""
@@ -241,15 +166,6 @@ def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamilto
         states[..., live] = ens.states
         states = quantities.from_joint(states)
     return replace(ens, live=live, dim=quantities.dim, states=states)
-
-
-def _coerce_rng(rng, seed):
-    """(generator, seed) from an integer seed or a numpy Generator."""
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng) if seed is None else seed
-    if isinstance(rng, np.random.Generator):
-        return rng, seed
-    raise TypeError("rng must be an integer seed or a numpy Generator")
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:

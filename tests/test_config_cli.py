@@ -12,7 +12,7 @@ from conftest import full_weights
 import qreduce
 from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
 from qreduce.continuous import ContinuousConfig
-from qreduce.hitting import HitStream, simulate_hitting_trajectory
+from qreduce.hitting import HitStream, simulate_hitting_batch
 from qreduce.config import (
     ScenarioConfig,
     load_config,
@@ -131,9 +131,9 @@ class TestScenarioConfig:
         args = {"beta": 1.0, "mu": 2.0, "t_end": 1.0, "record_interval": 0.5, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             stream = HitStream((0,), args["beta"], args["mu"])
-            simulate_hitting_trajectory(
+            simulate_hitting_batch(
                 equal_qubit, None, sigma_z_set, [stream], args["t_end"],
-                args["record_interval"], 0,
+                args["record_interval"], [0],
             )
 
     def test_continuous_config_rejects_a_non_finite_gamma_entry(self):
@@ -583,7 +583,7 @@ class TestCliRun:
         centres = np.array([[np.nan, -3.5], [1e-310, np.nan], [-7.0, 1 / 7]])
         # two identical trajectories
         ens = Ensemble(
-            seeds=None,
+            seeds=np.arange(2),
             sample_times=np.array([0.0, 0.1, 0.30000000000000004]),
             weights=np.stack([weights, weights], axis=1),
             expectations=np.stack([expectations, expectations], axis=1),
@@ -593,7 +593,6 @@ class TestCliRun:
             live=np.arange(2),
             dim=2,
         )
-        rec = ens[0]
         engines = {"hitting": ens}
         _write_trajectories_csv(tmp_path / "t.csv", engines)
         _write_events_csv(tmp_path / "e.csv", engines)
@@ -602,13 +601,13 @@ class TestCliRun:
         assert len(t_rows) == 6 and len(e_rows) == 6
         for i, row in enumerate(t_rows):
             s = i % 3
-            values = [rec.sample_times[s], *rec.born_weights[s], *rec.expectations[s]]
+            values = [ens.sample_times[s], *weights[s], *expectations[s]]
             assert row[:2] == ["hitting", str(i // 3)]
             assert row[2] == repr(float(values[0]))
             assert row[3] == str([0, 2, 1][s])
             assert row[4:] == [repr(float(x)) for x in values[1:]]
         for i, row in enumerate(e_rows):
-            values = [rec.events.times[i % 3], *rec.events.centres[i % 3]]
+            values = [times[i % 3], *centres[i % 3]]
             assert row[:2] == ["hitting", str(i // 3)]
             assert row[2:] == [repr(float(x)) for x in values]
 
@@ -625,11 +624,12 @@ def test_first_hitting_moments_of_overlapping_streams(correlated_pair_set, equal
         # reference: each trajectory's first event with a centre in column p;
         # an event with a centre in column 1 is the second stream's
         firsts, betas = [], []
-        for i, rec in enumerate(ens):
-            hit = np.flatnonzero(~np.isnan(rec.events.centres[:, p]))
+        for i in range(len(ens)):
+            centres = ens.centres[ens.offsets[i]:ens.offsets[i + 1]]
+            hit = np.flatnonzero(~np.isnan(centres[:, p]))
             if hit.size:
                 used.add((i, hit[0]))
-                centre = rec.events.centres[hit[0]]
+                centre = centres[hit[0]]
                 firsts.append(centre[p])
                 betas.append(streams[0 if np.isnan(centre[1]) else 1].beta)
         x = np.array(firsts)
@@ -688,7 +688,7 @@ def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=No
     counts = rng.integers(0, 4, n)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return Ensemble(
-        seeds=None,
+        seeds=np.arange(n),
         sample_times=np.array([0.0, 0.5, 1.0]),
         weights=weights,
         expectations=rng.normal(size=(3, n, 2)),

@@ -11,10 +11,9 @@ from qreduce.errors import StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
     ContinuousConfig,
-    WienerIncrement,
     _DiffusionKernel,
     sde_step,
-    simulate_continuous_trajectory,
+    simulate_continuous_batch,
     strength_from_hitting,
     suggested_dt,
 )
@@ -65,11 +64,6 @@ class TestSdeStep:
         up = 0.5 * (1 + math.sqrt(gamma) * db) ** 2
         down = 0.5 * (1 - math.sqrt(gamma) * db) ** 2
         assert w0 == pytest.approx(up / (up + down), abs=20 * dt**1.5)
-
-    def test_wiener_increment_draw(self):
-        rng = np.random.default_rng(0)
-        inc = WienerIncrement.draw(rng, dt=0.25, num_quantities=3)
-        assert inc.dB.shape == (3,)
 
 
 def _random_hamiltonian(rng: np.random.Generator, dim: int) -> Hamiltonian:
@@ -144,23 +138,24 @@ class TestSimulateContinuous:
     def test_eigenvector_constant(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
         cfg = ContinuousConfig(gamma=2.0, dt=1e-3, t_end=1.0, record_interval=0.25)
-        rec = simulate_continuous_trajectory(psi, None, sigma_z_set, cfg, 4)
-        assert np.allclose(rec.born_weights, rec.born_weights[0], atol=1e-10)
-        assert len(rec.events) == 0
+        ens = simulate_continuous_batch(psi.amplitudes[np.newaxis], None, sigma_z_set, cfg, [4])
+        weights = full_weights(ens)[:, 0]
+        assert np.allclose(weights, weights[0], atol=1e-10)
+        assert ens.times.size == 0
 
     def test_unit_norm_records(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=1.0, dt=1e-3, t_end=1.0, record_interval=0.25)
-        rec = simulate_continuous_trajectory(
-            equal_qubit, None, sigma_z_set, cfg, 8, store_states=True
+        ens = simulate_continuous_batch(
+            equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [8], store_states=True
         )
-        for state in rec.states:
+        for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_collapse_fractions_match_born_weights(self, three_level_set):
         psi = StateVector([0.5, 0.5, SQ2])
         cfg = ContinuousConfig(gamma=1.0, dt=2e-3, t_end=12.0, record_interval=12.0)
         records = run_continuous_ensemble(psi, None, three_level_set, cfg, 1200, 17)
-        terminal = np.stack([r.born_weights[-1] for r in records])
+        terminal = full_weights(records)[-1]
         winners = terminal.argmax(axis=1)
         resolved = terminal.max(axis=1) > 0.999
         assert resolved.mean() > 0.98
@@ -171,8 +166,11 @@ class TestSimulateContinuous:
 
     def test_step_rejected_for_huge_dt(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=200.0, dt=0.5, t_end=1.0, record_interval=0.5)
-        with pytest.raises(StepRejectedError):
-            simulate_continuous_trajectory(equal_qubit, None, sigma_z_set, cfg, 1)
+        # row 0 is an eigenvector, which no step moves; only row 1 is rejected
+        rows = np.array([[1.0, 0.0], equal_qubit.amplitudes])
+        with pytest.raises(StepRejectedError) as err:
+            simulate_continuous_batch(rows, None, sigma_z_set, cfg, [7, 1])
+        assert err.value.seed == 1
 
     def test_step_with_nan_norm_ratio_rejected(self, sigma_z_set, equal_qubit, monkeypatch):
         # an overflowed step gives a NaN norm ratio, which no bound admits
@@ -184,7 +182,9 @@ class TestSimulateContinuous:
         monkeypatch.setattr(_DiffusionKernel, "step_batch", nan_step)
         cfg = ContinuousConfig(gamma=0.5, dt=0.01, t_end=0.1, record_interval=0.05)
         with pytest.raises(StepRejectedError, match="nan"):
-            simulate_continuous_trajectory(equal_qubit, None, sigma_z_set, cfg, 1)
+            simulate_continuous_batch(
+                equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [1]
+            )
 
     def test_suggested_dt_bound(self, sigma_z_set):
         dt = suggested_dt(sigma_z_set, 0.5)
@@ -195,7 +195,7 @@ class TestEnsembleProperties:
     def test_martingale_mean_weights(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=0.5, dt=2e-3, t_end=2.0, record_interval=0.25)
         records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 2000, 23)
-        weights = np.stack([r.born_weights for r in records])  # (n, s, d)
+        weights = full_weights(records).swapaxes(0, 1)  # (n, s, d)
         mean = weights.mean(axis=0)
         se = weights.std(axis=0, ddof=1) / math.sqrt(weights.shape[0])
         drift = np.abs(mean[1:] - mean[0]) / np.maximum(se[1:], 1e-12)
@@ -206,9 +206,9 @@ class TestEnsembleProperties:
         gamma = 0.5
         cfg = ContinuousConfig(gamma=gamma, dt=5e-4, t_end=0.05, record_interval=0.005)
         records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 20000, 29)
-        expectations = np.stack([r.expectations[:, 0] for r in records])
+        expectations = records.expectations[:, :, 0].T  # (n, s)
         variances = expectations.var(axis=0, ddof=1)
-        times = records[0].sample_times
+        times = records.sample_times
         slope = np.polyfit(times, variances, 1)[0]
         assert slope == pytest.approx(4 * gamma * 1.0**2, rel=0.10)
 
@@ -227,7 +227,7 @@ class TestEnsembleProperties:
             records = run_continuous_ensemble(
                 equal_qubit, None, sigma_z_set, cfg, n, 31, store_states=True
             )
-            rows = np.stack([r.states[-1] for r in records])
+            rows = records.states[-1]
             rho = DensityMatrix.from_state_rows(rows)
             errors[dt] = abs(rho.rho[0, 1].real - oracle[-1].rho[0, 1].real)
         noise = 1.0 / (2 * math.sqrt(n))

@@ -14,16 +14,8 @@ from hypothesis import strategies as st
 from conftest import full_weights, random_block_basis, random_state
 from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
-from qreduce.hitting import (
-    HitStream,
-    simulate_hitting_batch,
-    simulate_hitting_trajectory,
-)
-from qreduce.continuous import (
-    ContinuousConfig,
-    simulate_continuous_batch,
-    simulate_continuous_trajectory,
-)
+from qreduce.hitting import HitStream, simulate_hitting_batch
+from qreduce.continuous import ContinuousConfig, simulate_continuous_batch
 from qreduce.errors import DimensionMismatchError
 from qreduce import continuous, ensemble
 from qreduce.ensemble import (
@@ -53,8 +45,9 @@ class TestSeedDerivation:
         assert len(set(seeds.tolist())) == 10
 
 
-def _weights_matrix(records):
-    return np.stack([r.born_weights for r in records])
+def _weights_matrix(ens):
+    """(n, S, d) Born weights: one row per trajectory, written out over all d."""
+    return full_weights(ens).swapaxes(0, 1)
 
 
 class TestWorkerIndependence:
@@ -67,10 +60,8 @@ class TestWorkerIndependence:
             for workers in (1, 4)
         )
         assert np.array_equal(_weights_matrix(serial), _weights_matrix(parallel))
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.events.times, b.events.times)
-            assert np.array_equal(a.events.centres, b.events.centres)
-            assert a.seed == b.seed
+        for name in ("offsets", "times", "centres", "seeds"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
 
     def test_continuous_identical_across_worker_counts(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.5)
@@ -206,9 +197,11 @@ def test_hitting_trajectory_depends_only_on_its_seed(
         for n in (100, 700)
     )
     assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
-    for a, b in zip(small, large):
-        assert np.array_equal(a.events.times, b.events.times)
-        assert np.array_equal(a.events.centres, b.events.centres, equal_nan=True)
+    # the first 100 trajectories' events are the first offsets[100] of the 700
+    hits = large.offsets[100]
+    assert np.array_equal(small.offsets, large.offsets[:101])
+    assert np.array_equal(small.times, large.times[:hits])
+    assert np.array_equal(small.centres, large.centres[:hits], equal_nan=True)
 
 
 @functools.cache
@@ -224,10 +217,7 @@ def _d16_continuous(layout: str, n: int):
     hamiltonian = None if layout == "no-hamiltonian" else Hamiltonian(m + m.conj().T)
     cfg = ContinuousConfig(gamma=0.5, dt=5e-3, t_end=0.1, record_interval=0.05)
     records = run_continuous_ensemble(psi0, hamiltonian, quantities, cfg, n, 7)
-    return (
-        np.stack([r.born_weights for r in records]),
-        np.stack([r.expectations for r in records]),
-    )
+    return _weights_matrix(records), records.expectations.swapaxes(0, 1)
 
 
 @pytest.mark.parametrize("layout", ["no-hamiltonian", "hamiltonian"])
@@ -247,24 +237,29 @@ class TestRecordShape:
     def test_records_share_the_grid(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
         records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.25, 20, 3)
-        times = records[0].sample_times
+        times = records.sample_times
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
-        for rec in records:
-            assert np.array_equal(rec.sample_times, times)
+        assert records.weights.shape[:2] == (times.size, 20)
 
 
-# engine -> (process arguments, ensemble runner, single-trajectory function, stream tag)
+def _simulate_continuous_rows(psi0, hamiltonian, quantities, config, seeds, **kwargs):
+    """simulate_continuous_batch with psi0 as every row."""
+    rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
+    return simulate_continuous_batch(rows, hamiltonian, quantities, config, seeds, **kwargs)
+
+
+# engine -> (process arguments, ensemble runner, batch kernel on seeds, stream tag)
 ENGINES = {
     "hitting": (
         ([HitStream((0,), beta=0.5, mu=5.0)], 1.0, 0.25),
         run_hitting_ensemble,
-        simulate_hitting_trajectory,
+        simulate_hitting_batch,
         HITTING_STREAM,
     ),
     "continuous": (
         (ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),),
         run_continuous_ensemble,
-        simulate_continuous_trajectory,
+        _simulate_continuous_rows,
         CONTINUOUS_STREAM,
     ),
 }
@@ -272,6 +267,7 @@ ENGINES = {
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qubit):
+    # a one-row batch equals row i of the runner
     process, run_ensemble, simulate, stream_tag = ENGINES[engine]
     hamiltonian = Hamiltonian(np.array([[0, 1], [1, 0]], dtype=complex))
     records = run_ensemble(
@@ -280,15 +276,15 @@ def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qub
     seeds = trajectory_seeds(11, stream_tag, 6)
     for i in (0, 3, 5):
         single = simulate(
-            equal_qubit, hamiltonian, sigma_z_set, *process, int(seeds[i]), store_states=True
+            equal_qubit, hamiltonian, sigma_z_set, *process, [int(seeds[i])], store_states=True
         )
-        rec = records[i]
-        assert single.seed == rec.seed == int(seeds[i])
-        assert np.array_equal(single.born_weights, rec.born_weights)
-        assert np.array_equal(single.expectations, rec.expectations)
-        assert np.array_equal(single.states, rec.states)
-        assert np.array_equal(single.events.times, rec.events.times)
-        assert np.array_equal(single.events.centres, rec.events.centres)
+        a, b = records.offsets[i], records.offsets[i + 1]
+        assert single.seeds.tolist() == [int(records.seeds[i])] == [int(seeds[i])]
+        assert np.array_equal(full_weights(single)[:, 0], full_weights(records)[:, i])
+        assert np.array_equal(single.expectations[:, 0], records.expectations[:, i])
+        assert np.array_equal(single.states[:, 0], records.states[:, i])
+        assert np.array_equal(single.times, records.times[a:b])
+        assert np.array_equal(single.centres, records.centres[a:b])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -300,12 +296,11 @@ def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_q
     records = run_ensemble(
         equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers, store_states=True
     )
-    for rec in (records[0], records[-1]):
-        assert isinstance(rec.states, np.ndarray)
-        assert rec.states.shape == (rec.num_samples, rec.dim)
-        assert not rec.states.flags.writeable
-        assert not rec.events.times.flags.writeable
-        assert not rec.events.centres.flags.writeable
+    assert isinstance(records.states, np.ndarray)
+    assert records.states.shape == (records.sample_times.size, 600, records.dim)
+    assert not records.states.flags.writeable
+    assert not records.times.flags.writeable
+    assert not records.centres.flags.writeable
 
 
 def _per_row_counts(offsets, times, sample_times):
@@ -362,26 +357,12 @@ class TestEnsembleArrays:
         # each sample's rows are one contiguous block
         assert all(block.flags.c_contiguous for block in ensemble.states)
 
-    def test_records_are_rows(self, ensemble):
-        assert len(ensemble) == len(list(ensemble)) == 30
-        rec = ensemble[-1]
-        assert np.array_equal(rec.born_weights, ensemble.weights[:, 29])
-        assert np.array_equal(rec.states, ensemble.states[:, 29])
-        assert np.array_equal(rec.events.times, ensemble.times[ensemble.offsets[29]:])
-        assert rec.seed == int(ensemble.seeds[29])
-        assert np.array_equal(
-            ensemble.event_flags()[29], rec.event_flags()
-        )
-        with pytest.raises(IndexError):
-            ensemble[30]
-
     def test_concat_of_parts_is_the_whole(self, ensemble, sigma_z_set, equal_qubit):
         seeds = trajectory_seeds(2, HITTING_STREAM, 30)
         parts = [
             simulate_hitting_batch(
                 equal_qubit, None, sigma_z_set, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
-                [np.random.default_rng(int(s)) for s in seeds[a:b]],
-                store_states=True, seeds=seeds[a:b],
+                seeds[a:b], store_states=True,
             )
             for a, b in ((0, 7), (7, 8), (8, 30))
         ]
@@ -392,13 +373,24 @@ class TestEnsembleArrays:
 
     def test_weight_rows_must_sum_to_one(self):
         fields = dict(
-            seeds=None, sample_times=np.array([0.0, 1.0]),
+            seeds=np.zeros(1, dtype=np.uint64), sample_times=np.array([0.0, 1.0]),
             expectations=np.zeros((2, 1, 1)), offsets=np.array([0, 0]),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(2), dim=2,
         )
         Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
         with pytest.raises(ValueError):
             Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 1e-9]]]), **fields)
+
+    def test_seeds_must_hold_one_seed_per_row(self):
+        fields = dict(
+            sample_times=np.array([0.0]), weights=np.ones((1, 2, 1)),
+            expectations=np.zeros((1, 2, 1)), offsets=np.zeros(3, dtype=int),
+            times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(1), dim=1,
+        )
+        Ensemble(seeds=np.arange(2), **fields)
+        for seeds in (None, np.arange(1), np.arange(3)):
+            with pytest.raises(ValueError, match="seed"):
+                Ensemble(seeds=seeds, **fields)
 
 
 # -- the live joint coordinates ---------------------------------------------------
@@ -577,9 +569,8 @@ def test_broadcast_initial_rows_equal_their_copies():
     seeds = trajectory_seeds(4, CONTINUOUS_STREAM, 9)
 
     def run(rows):
-        generators = [np.random.default_rng(int(s)) for s in seeds]
-        return simulate_continuous_batch(rows, None, quantities, config, generators,
-                                         store_states=True, seeds=seeds)
+        return simulate_continuous_batch(rows, None, quantities, config, seeds,
+                                         store_states=True)
 
     broadcast = run(np.broadcast_to(psi0.amplitudes, (9, 4)))
     copied = run(np.tile(psi0.amplitudes, (9, 1)))

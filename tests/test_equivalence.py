@@ -49,9 +49,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 def hitting_batch(psi, quantities, streams, t_end, interval, seeds, *, store_states=False):
     """One ensemble whose trajectory i runs from ``default_rng(seeds[i])``."""
     return simulate_hitting_batch(
-        psi, None, quantities, streams, t_end, interval,
-        [np.random.default_rng(s) for s in seeds],
-        store_states=store_states, seeds=seeds,
+        psi, None, quantities, streams, t_end, interval, seeds, store_states=store_states
     )
 
 
@@ -293,9 +291,12 @@ class TestEngineComparison:
             hitting, continuous, three_level_set, streams, 1.0, n_bootstrap=10, seed=4
         )
         rng = np.random.default_rng(4)
-        for i, t in enumerate(hitting[0].sample_times):
-            rows_h = np.stack([rec.state_at(t) for rec in hitting])
-            rows_c = np.stack([rec.state_at(t) for rec in continuous])
+        for i, t in enumerate(hitting.sample_times):
+            # each trajectory's snapshot at t, one row at a time
+            rows_h, rows_c = (
+                np.stack([ens.states[:, j][ens.sample_index(t)] for j in range(len(ens))])
+                for ens in (hitting, continuous)
+            )
             mc = trace_norm_distance(
                 DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
             )
@@ -419,7 +420,7 @@ class TestCollapseStatistics:
         quantities = QuantitySet(np.array([[0.0], [1.0], [1.0], [3.0]]))
         terminal = np.array([[0.0, 1.0], [1.0, 0.0], [0.9995, 0.0005], [0.5, 0.5]])
         ens = Ensemble(
-            seeds=None, sample_times=np.array([0.0, 1.0]),
+            seeds=np.arange(4), sample_times=np.array([0.0, 1.0]),
             weights=np.stack([np.full((4, 2), 0.5), terminal]),
             expectations=np.zeros((2, 4, 1)), offsets=np.zeros(5, dtype=int),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
@@ -611,13 +612,14 @@ class TestDbStatistics:
         )
         n_windows, stride = 10, 2
         rows = []
-        for rec in ens:
-            anchors = rec.expectations[: n_windows * stride : stride]
-            bins = np.ceil(rec.events.times / window - 1e-9).astype(int) - 1
+        for i in range(len(ens)):
+            a, b = ens.offsets[i], ens.offsets[i + 1]
+            anchors = ens.expectations[: n_windows * stride : stride, i]
+            bins = np.ceil(ens.times[a:b] / window - 1e-9).astype(int) - 1
             valid = (bins >= 0) & (bins < n_windows)
             counts = np.bincount(bins[valid], minlength=n_windows).astype(float)
             sums = np.zeros((n_windows, 2))
-            np.add.at(sums, bins[valid], rec.events.centres[valid])
+            np.add.at(sums, bins[valid], ens.centres[a:b][valid])
             rows.append(math.sqrt(2 * beta / mu) * (sums - counts[:, None] * anchors))
         report = db_statistics(ens, beta, mu, window)
         assert np.array_equal(report.samples, np.concatenate(rows))
@@ -674,14 +676,14 @@ class TestConvergenceSweep:
         cont = run_continuous_ensemble(
             psi0, None, three_level_set, cfg, n, master, store_states=True
         )
-        rho_cont = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in cont]))
+        rho_cont = DensityMatrix.from_state_rows(cont.states[-1])
         for i, row in enumerate(rows, start=1):
             assert row.streams == [HitStream((0,), 2 * gamma / row.mu, row.mu)]
             hitting = run_hitting_ensemble(
                 psi0, None, three_level_set, row.streams, t_probe, t_probe,
                 n, derive_seed(master, SWEEP_STREAM, i), store_states=True,
             )
-            rho_hit = DensityMatrix.from_state_rows(np.stack([r.states[-1] for r in hitting]))
+            rho_hit = DensityMatrix.from_state_rows(hitting.states[-1])
             assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
 
 
@@ -736,7 +738,7 @@ class TestMartingaleHitting:
             equal_qubit, None, sigma_z_set, streams, 1.5, 0.25, n, 21, store_states=True
         )
         rho0 = DensityMatrix.from_state(equal_qubit)
-        times = records[0].sample_times
+        times = records.sample_times
         _, oracle = hitting_master_evolution(
             rho0, sigma_z_set, streams, float(times[-1]), sample_times=times
         )

@@ -13,7 +13,7 @@ from conftest import SQ2
 from qreduce.config import ScenarioConfig, load_preset
 from qreduce.errors import DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
-from qreduce.hitting import HitStream, hitting_density, simulate_hitting_trajectory
+from qreduce.hitting import HitStream, hitting_density, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
 from qreduce.equivalence import (
@@ -451,11 +451,11 @@ class TestScenarios:
 
         columns = range(scenario.quantities.num_quantities)
         streams = [HitStream(columns, beta=scenario.beta_eff, mu=scenario.mu)]
-        rec = simulate_hitting_trajectory(
-            scenario.psi0, Hamiltonian(hop), scenario.quantities, streams, 2.0, 0.25, 3,
+        ens = simulate_hitting_batch(
+            scenario.psi0, Hamiltonian(hop), scenario.quantities, streams, 2.0, 0.25, [3],
             store_states=True,
         )
-        for state in rec.states:
+        for state in ens.states[:, 0]:
             total = sum(
                 np.vdot(state, np.diag(lat.configs[:, 0, j]).astype(complex) @ state).real
                 for j in range(3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, random_state, random_unitary, within_z
+from conftest import SQ2, full_weights, random_state, random_unitary, within_z
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
@@ -24,8 +24,9 @@ from qreduce.hitting import (
     sample_hitting_centre,
     schedule_hittings,
     sharpening_operator,
-    simulate_hitting_trajectory,
+    simulate_hitting_batch,
 )
+from qreduce.trajectory import record_counts
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -171,18 +172,17 @@ class TestSimulateHittingTrajectory:
     def test_eigenvector_constant(self, three_level_set):
         psi = StateVector([0.0, 0.0, 1.0])
         streams = [HitStream((0,), beta=0.5, mu=20)]
-        rec = simulate_hitting_trajectory(psi, None, three_level_set, streams, 2.0, 0.25, 5)
-        assert np.allclose(rec.born_weights, rec.born_weights[0], atol=1e-10)
-        assert np.allclose(rec.born_weights[0], [0, 0, 1], atol=1e-10)
+        ens = simulate_hitting_batch(psi, None, three_level_set, streams, 2.0, 0.25, [5])
+        weights = full_weights(ens)[:, 0]
+        assert np.allclose(weights, weights[0], atol=1e-10)
+        assert np.allclose(weights[0], [0, 0, 1], atol=1e-10)
 
     def test_born_rule_collapse_fractions(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=1.0, mu=10)]
-        outcomes = []
-        for seed in range(600):
-            rec = simulate_hitting_trajectory(
-                equal_qubit, None, sigma_z_set, streams, 6.0, 6.0, seed
-            )
-            outcomes.append(rec.born_weights[-1][0] > 0.5)
+        ens = simulate_hitting_batch(
+            equal_qubit, None, sigma_z_set, streams, 6.0, 6.0, np.arange(600)
+        )
+        outcomes = full_weights(ens)[-1, :, 0] > 0.5
         frac = np.mean(outcomes)
         assert abs(frac - 0.5) < 5 * math.sqrt(0.25 / len(outcomes))
 
@@ -190,26 +190,26 @@ class TestSimulateHittingTrajectory:
         psi = StateVector([1.0, 0.0])
         ham = Hamiltonian(SX)
         streams = [HitStream((0,), beta=1.0, mu=1e-6, schedule=Schedule.EVENLY_SPACED)]
-        rec = simulate_hitting_trajectory(psi, ham, sigma_z_set, streams, 1.5, 0.25, 1)
-        for t, w in zip(rec.sample_times, rec.born_weights):
+        ens = simulate_hitting_batch(psi, ham, sigma_z_set, streams, 1.5, 0.25, [1])
+        for t, w in zip(ens.sample_times, full_weights(ens)[:, 0]):
             assert w[0] == pytest.approx(math.cos(t) ** 2, abs=1e-10)
 
     def test_unit_norm_snapshots_and_seed(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5)]
-        rec = simulate_hitting_trajectory(
-            equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 42, store_states=True
+        ens = simulate_hitting_batch(
+            equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [42], store_states=True
         )
-        assert rec.seed == 42
-        for state in rec.states:
+        assert ens.seeds.tolist() == [42]
+        for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_seed_reproduces(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5)]
-        a = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 9)
-        b = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 9)
-        assert np.array_equal(a.born_weights, b.born_weights)
-        assert np.array_equal(a.events.times, b.events.times)
-        assert np.array_equal(a.events.centres, b.events.centres)
+        a = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [9])
+        b = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [9])
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.centres, b.centres)
 
 
 class TestMultistream:
@@ -218,10 +218,10 @@ class TestMultistream:
             HitStream(quantity_indices=(0,), beta=1.0, mu=8.0),
             HitStream(quantity_indices=(1,), beta=2.0, mu=3.0),
         ]
-        rec = simulate_hitting_trajectory(
-            equal_qubit, None, correlated_pair_set, streams, 4.0, 1.0, 77
+        ens = simulate_hitting_batch(
+            equal_qubit, None, correlated_pair_set, streams, 4.0, 1.0, [77]
         )
-        centres = rec.events.centres
+        centres = ens.centres
         assert centres.shape[1] == 2
         # each event carries exactly one stream's component
         hit_notnan = ~np.isnan(centres)
@@ -233,22 +233,25 @@ class TestMultistream:
             HitStream(quantity_indices=(0,), beta=2.0, mu=10.0),
             HitStream(quantity_indices=(1,), beta=2.0, mu=10.0),
         ]
-        rec = simulate_hitting_trajectory(
-            equal_qubit, None, correlated_pair_set, streams, 8.0, 2.0, 5
+        ens = simulate_hitting_batch(
+            equal_qubit, None, correlated_pair_set, streams, 8.0, 2.0, [5]
         )
-        assert rec.born_weights[-1].max() > 0.999
+        assert full_weights(ens)[-1, 0].max() > 0.999
 
 
-def _chain(coeffs, quantities, stream, counts, uniforms, noise, **kwargs):
+def _chain(coeffs, quantities, stream, counts, uniforms, noise, seeds=None, **kwargs):
     """The kernel on one stream, ``counts[b]`` hits in row b, all at t = 1.
 
     Records are taken at t = 0 and t = 1: before any hit and after all.
+    Row b's seed is ``seeds[b]``, b itself unless given.
     """
     offsets = np.concatenate([[0], np.cumsum(counts)])
     hits = int(offsets[-1])
+    if seeds is None:
+        seeds = np.arange(len(coeffs))
     return run_hitting_chain_batch(
         coeffs, quantities, [stream], offsets, np.ones(hits), np.zeros(hits, dtype=int),
-        uniforms, noise, np.array([0.0, 1.0]), **kwargs,
+        uniforms, noise, np.array([0.0, 1.0]), seeds, **kwargs,
     )
 
 
@@ -275,17 +278,17 @@ class TestBatchedChain:
         )
         # a row with 0 hits keeps the initial weights at every record
         assert np.allclose(out.weights[:, 0], np.abs(coeffs[0]) ** 2)
-        assert [len(rec.events) for rec in out] == [0, 2, 5]
+        assert np.diff(out.offsets).tolist() == [0, 2, 5]
         assert not np.isnan(out.centres[:, 0]).any()
 
     def test_evenly_spaced_ensemble_records(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=10.0, schedule=Schedule.EVENLY_SPACED)]
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 7, 3)
-        assert len(records) == 7
-        rec = records[0]
-        assert rec.sample_times.size == 5
-        assert len(rec.events) == 20
-        assert np.allclose(rec.events.times, np.arange(1, 21) / 10.0)
+        ens = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 7, 3)
+        assert len(ens) == 7
+        assert ens.sample_times.size == 5
+        first = ens.times[ens.offsets[0]:ens.offsets[1]]
+        assert first.size == 20
+        assert np.allclose(first, np.arange(1, 21) / 10.0)
 
 
 # -- the kernel against the one-hit oracles ------------------------------------
@@ -356,8 +359,8 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
     psi0 = StateVector([0.6, 0.8j])
     t_end, interval = 2.0, 0.5
     for seed in range(5):
-        rec = simulate_hitting_trajectory(
-            psi0, hamiltonian, quantities, streams, t_end, interval, seed
+        ens = simulate_hitting_batch(
+            psi0, hamiltonian, quantities, streams, t_end, interval, [seed]
         )
         # the documented draw order: hit times stream by stream, then the
         # uniforms as one block, then the (hits, K) noise as one block
@@ -369,15 +372,15 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
         times, ids = times[order], ids[order]
         uniforms = rng.random(times.size)
         noise = rng.standard_normal((times.size, quantities.num_quantities))
-        assert np.array_equal(rec.events.times, times)
+        assert np.array_equal(ens.times, times)
 
         weights, centres = _reference_trajectory(
             psi0, hamiltonian, quantities, streams, times, ids, uniforms, noise,
-            rec.sample_times,
+            ens.sample_times,
         )
-        assert np.allclose(rec.born_weights, weights, rtol=0, atol=1e-12)
-        assert np.array_equal(np.isnan(rec.events.centres), np.isnan(centres))
-        assert np.allclose(rec.events.centres, centres, rtol=0, atol=1e-12, equal_nan=True)
+        assert np.allclose(full_weights(ens)[:, 0], weights, rtol=0, atol=1e-12)
+        assert np.array_equal(np.isnan(ens.centres), np.isnan(centres))
+        assert np.allclose(ens.centres, centres, rtol=0, atol=1e-12, equal_nan=True)
 
 
 class TestKernelNorm:
@@ -413,18 +416,20 @@ class TestEventClock:
         # records at 0.3 r are stored as 0.8999999999999999 and so on; each
         # must still reflect the evenly spaced hit at 0.9, 1.8, 2.7
         stream = HitStream((0,), beta=0.2, mu=10.0, schedule=Schedule.EVENLY_SPACED)
-        rec = simulate_hitting_trajectory(equal_qubit, None, sigma_z_set, [stream], 3.0, 0.3, 4)
-        assert rec.sample_times[3] < 0.9
-        assert rec.events.times[8] == 0.9
-        assert list(rec.event_flags()) == [0] + [3] * 10
-        assert rec.events_between(rec.sample_times[2], rec.sample_times[3]) == 3
+        ens = simulate_hitting_batch(equal_qubit, None, sigma_z_set, [stream], 3.0, 0.3, [4])
+        assert ens.sample_times[3] < 0.9
+        assert ens.times[8] == 0.9
+        assert list(ens.event_flags()[0]) == [0] + [3] * 10
+        # events in (t_2, t_3] on the event clock
+        before, upto = record_counts(ens.offsets, ens.times, ens.sample_times[2:4])[0]
+        assert upto - before == 3
         rng = np.random.default_rng(4)
         uniforms = rng.random(30)[:9]
         noise = rng.standard_normal((30, 1))[:9]
         coeffs = sigma_z_set.to_joint(equal_qubit)[np.newaxis, :]
         after_nine = _chain(coeffs, sigma_z_set, stream, [9], uniforms, noise)
         expected = after_nine.weights[-1, 0]
-        assert np.allclose(rec.born_weights[3], expected, rtol=0, atol=1e-14)
+        assert np.allclose(full_weights(ens)[3, 0], expected, rtol=0, atol=1e-14)
 
 
 def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
@@ -434,7 +439,7 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     records = run_hitting_ensemble(
         equal_qubit, ham, sigma_z_set, streams, 1.5, 0.25, n, 23, store_states=True
     )
-    times = records[0].sample_times
+    times = records.sample_times
     _, oracle = hitting_master_evolution(
         DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, float(times[-1]),
         hamiltonian=ham, sample_times=times,

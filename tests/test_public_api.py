@@ -27,12 +27,23 @@ def test_submodule_exports_resolve(module_name):
     assert len(set(exported)) == len(exported)
 
 
-@pytest.mark.parametrize(
-    "name", ["HittingConfig", "simulate_multistream_hitting_trajectory"]
-)
+# a removed name -> the submodule that held it
+REMOVED = {
+    "HittingConfig": "hitting",
+    "simulate_multistream_hitting_trajectory": "hitting",
+    "EventLog": "trajectory",
+    "TrajectoryRecord": "trajectory",
+    "simulate_hitting_trajectory": "hitting",
+    "simulate_continuous_trajectory": "continuous",
+    "WienerIncrement": "continuous",
+}
+
+
+@pytest.mark.parametrize("name", list(REMOVED))
 def test_one_hitting_process_model(name):
-    # a hitting process is a list of HitStream; the one-stream config and the
-    # multistream trajectory wrapper are gone from every surface
+    # a hitting process is a list of HitStream and its result one Ensemble of
+    # seeded rows; the one-stream config, the per-trajectory record view and
+    # the single-trajectory wrappers are gone from every surface
     assert name not in qreduce.__all__ and not hasattr(qreduce, name)
-    hitting = importlib.import_module("qreduce.hitting")
-    assert name not in hitting.__all__ and not hasattr(hitting, name)
+    module = importlib.import_module(f"qreduce.{REMOVED[name]}")
+    assert name not in getattr(module, "__all__", []) and not hasattr(module, name)
