@@ -202,10 +202,11 @@ def _stream_parameters(built: BuiltScenario) -> dict:
     return {key: _scalar([getattr(s, key) for s in built.streams]) for key in ("beta", "mu")}
 
 
-def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
+def _run_engines(built: BuiltScenario, workers: int):
     config = built.config
     ensembles: dict[str, Ensemble] = {}
-    store = config.store_states or need_states
+    # only the engine comparison reads states
+    store = config.engine == "both"
     if config.engine in ("hitting", "both"):
         ensembles["hitting"] = run_hitting_ensemble(
             built.psi0, built.hamiltonian, built.quantities, built.streams, config.t_end,
@@ -226,26 +227,28 @@ def _run_engines(built: BuiltScenario, workers: int, need_states: bool):
     return ensembles
 
 
-def _check_footprint(built: BuiltScenario, samples: int, store_states: bool,
-                     rate_key: str, total_rate: float) -> None:
+def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
+                     total_rate: float) -> None:
     """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
 
     Estimated at the live width L that psi0 and the Hamiltonian leave the
     engines (``hilbert.live_coordinates``), per engine: the records,
-    S x n x (L + K) x 8 B plus S x n x d x 16 B of stored states; the
-    hitting engine's expected hit arrays at ``total_rate``, n x rate x
-    t_end x (17 + 16 K) B; and the diffusion engine's noise block. The
-    error names the key of the largest part. Nothing is allocated.
+    S x n x (L + K) x 8 B plus, with engine ``both``, which stores states,
+    S x n x L x 16 B of them; the hitting engine's expected hit arrays at
+    ``total_rate``, n x rate x t_end x (17 + 16 K) B; and the diffusion
+    engine's noise block. The error names the key of the largest part.
+    Nothing is allocated.
     """
     config, quantities = built.config, built.quantities
-    n, d, k = config.n_trajectories, quantities.dim, quantities.num_quantities
+    n, k = config.n_trajectories, quantities.num_quantities
     h_joint = None
     if built.hamiltonian is not None:
         h_joint = quantities.joint_hamiltonian(built.hamiltonian)
     width = live_coordinates(quantities.to_joint(built.psi0), h_joint).size
     del h_joint
-    engines = ("hitting", "continuous") if config.engine == "both" else (config.engine,)
-    record = samples * n * ((width + k) * 8 + (d * 16 if store_states else 0))
+    both = config.engine == "both"
+    engines = ("hitting", "continuous") if both else (config.engine,)
+    record = samples * n * ((width + k) * 8 + (width * 16 if both else 0))
     sizes = {"record_interval": len(engines) * record}
     if "hitting" in engines:
         sizes[rate_key] = n * total_rate * config.t_end * (17 + 16 * k)
@@ -272,15 +275,11 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     built = build_scenario(config)
-    need_states = config.engine == "both"
     samples = math.floor(config.t_end / config.record_interval + 1e-9) + 1
-    _check_footprint(
-        built, samples, config.store_states or need_states,
-        "mu", sum(s.mu for s in built.streams),
-    )
+    _check_footprint(built, samples, "mu", sum(s.mu for s in built.streams))
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensembles = _run_engines(built, args.workers, need_states)
+    ensembles = _run_engines(built, args.workers)
 
     _write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
     _write_events_csv(out_dir / "events.csv", ensembles)
@@ -353,7 +352,7 @@ def cmd_sweep(args) -> int:
 
     built = build_scenario(config)
     # each swept ensemble records at 0 and t_end, with states
-    _check_footprint(built, 2, True, "values", ordered[-1])
+    _check_footprint(built, 2, "values", ordered[-1])
     rows = convergence_sweep(
         built.psi0, built.quantities, built.streams, _scalar(built.gamma), ordered,
         config.n_trajectories, config.t_end, config.seed,

@@ -126,7 +126,6 @@ class ScenarioConfig:
     dt: float | None = None
     schedule: str = "poisson"
     hamiltonian: object = None
-    store_states: bool = False
     output_dir: str | None = None
     payload: dict = field(default_factory=dict)
 
@@ -201,7 +200,7 @@ class ScenarioConfig:
         known = {
             "scenario", "engine", "schedule", "t_end", "record_interval",
             "n_trajectories", "seed", "beta", "mu", "gamma", "dt",
-            "hamiltonian", "store_states", "output_dir",
+            "hamiltonian", "output_dir",
         }
         payload = {k: v for k, v in raw.items() if k not in known}
         return cls(
@@ -217,7 +216,6 @@ class ScenarioConfig:
             dt=dt,
             schedule=schedule,
             hamiltonian=raw.get("hamiltonian"),
-            store_states=bool(raw.get("store_states", False)),
             output_dir=raw.get("output_dir"),
             payload=payload,
         )

@@ -351,7 +351,7 @@ def _integrate(
         weights_out[slot] = w
         expect_out[slot] = np.vecmat(w, table)
         if states_out is not None:
-            states_out[slot] = quantities.from_joint(amplitudes)
+            states_out[slot] = amplitudes
 
     record(0)
     block = noise_block_steps(batch, quantities.num_quantities)

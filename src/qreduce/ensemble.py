@@ -11,8 +11,8 @@ in any batch. Results are therefore bit-identical for any number of
 workers and any chunking.
 
 A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
-joined by ``Ensemble.concat``: (S, n, L) weights on the L live
-coordinates, optional (S, n, d) states, (S, n, K) expectations and the
+joined by ``Ensemble.concat``: (S, n, L) weights and optional (S, n, L)
+states on the L live joint coordinates, (S, n, K) expectations and the
 hitting events in CSR form, so a worker process sends back a few arrays.
 
 A chunk hands its seeds to a kernel, which draws every trajectory from
@@ -32,7 +32,7 @@ which the returned ensemble therefore does not store. The set depends
 on psi0 and the Hamiltonian alone, so every chunk uses the same one. A
 runner converts psi0 to joint coordinates once, as one row, and the
 kernels spread only its live block over the chunk's trajectories: no
-(n, d) array is formed on the way to the weights.
+(n, d) array is formed on the way to the weights or the states.
 
 ``equivalence.convergence_sweep`` runs its ensembles through the same
 runners: the diffusive one with the master seed itself, and the hitting
@@ -124,14 +124,6 @@ def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
     return Ensemble.concat(results)
 
 
-def _hitting_chunk(psi0, hamiltonian, quantities, streams, t_end, record_interval,
-                   store_states, seeds):
-    return simulate_hitting_batch(
-        psi0, hamiltonian, quantities, streams, t_end, record_interval, seeds,
-        store_states=store_states,
-    )
-
-
 def run_hitting_ensemble(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
@@ -153,8 +145,8 @@ def run_hitting_ensemble(
     and with states when ``store_states``.
     """
     worker = partial(
-        _hitting_chunk, psi0, hamiltonian, quantities, streams, t_end, record_interval,
-        store_states,
+        simulate_hitting_batch, psi0, hamiltonian, quantities, streams, t_end,
+        record_interval, store_states=store_states,
     )
     seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)

@@ -119,22 +119,8 @@ def trace_norm_distance(a, b) -> float:
     return float(np.abs(np.linalg.eigvalsh(am - bm)).sum())
 
 
-def _joint_support(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n, d) state-row sets restricted to the columns where either is nonzero.
-
-    Both mixtures vanish outside those columns, so the trace distance of
-    the restricted pair equals that of the full pair in exact arithmetic,
-    at the cost of the support's size rather than d.
-    """
-    live = np.flatnonzero(np.any(rows_a != 0, axis=0) | np.any(rows_b != 0, axis=0))
-    if live.size == rows_a.shape[1]:
-        return rows_a, rows_b
-    return rows_a[:, live], rows_b[:, live]
-
-
 def _rows_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
     """Trace distance between the equal-weight mixtures of two state-row sets."""
-    rows_a, rows_b = _joint_support(rows_a, rows_b)
     return trace_norm_distance(
         DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
     )
@@ -307,15 +293,23 @@ def lindblad_evolution(
 
 
 def _snapshots(ens: Ensemble) -> np.ndarray:
-    """The (samples, n, d) state snapshots; one contiguous (n, d) block per sample."""
+    """The (samples, n, L) live joint-basis snapshots; one contiguous block per sample."""
     if ens.states is None:
         raise MissingSnapshotError("trajectories were recorded without snapshots")
     return ens.states
 
 
-def ensemble_density_matrix(ens: Ensemble, t: float) -> DensityMatrix:
-    """Monte Carlo statistical operator from recorded state snapshots."""
-    return DensityMatrix.from_state_rows(_snapshots(ens)[ens.sample_index(t)])
+def ensemble_density_matrix(ens: Ensemble, t: float, quantities: QuantitySet) -> DensityMatrix:
+    """Monte Carlo statistical operator at ``t``, in the computational basis.
+
+    The L x L mixture of the live joint-basis snapshots is written into
+    d x d and rotated back through ``quantities``, the set the ensemble
+    ran on.
+    """
+    block = DensityMatrix.from_state_rows(_snapshots(ens)[ens.sample_index(t)]).rho
+    rho = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
+    rho[np.ix_(ens.live, ens.live)] = block
+    return DensityMatrix(quantities.operator_from_joint(rho), validate=False)
 
 
 @dataclass
@@ -795,7 +789,6 @@ def _bootstrap_distance(
     become count vectors, and a block of replicates is evaluated as one
     stack of density matrices and one batched ``eigvalsh``.
     """
-    rows_a, rows_b = _joint_support(rows_a, rows_b)
     # contiguous (d, n) columns: the weighting then streams through memory
     cols_a = np.ascontiguousarray(rows_a.T, dtype=np.complex128)
     cols_b = np.ascontiguousarray(rows_b.T, dtype=np.complex128)
@@ -843,8 +836,8 @@ def convergence_sweep(
     ``hamiltonian``) and the trace-norm distance between the Monte Carlo
     ensembles at the probe time, with a bootstrap error and an
     independent-halves noise-floor estimate. Each Monte Carlo distance is
-    taken on the columns where either of its two row sets is nonzero,
-    where both mixtures live.
+    taken on the live joint coordinates that both ensembles share, where
+    both mixtures live.
 
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
@@ -920,14 +913,17 @@ def engine_comparison(
     quantity) the diffusive strength; with ``psi0`` the oracle distance of
     a probe time is that between the hitting master equation of the
     streams and the Lindblad equation, both under ``hamiltonian``. The
-    Monte Carlo distances of a probe time are taken on the columns where
-    either ensemble's states are nonzero, where both mixtures live.
-    Raises ``ValueError`` when the two ensembles' sample grids differ.
+    Monte Carlo distances of a probe time are taken between the mixtures
+    of the two ensembles' states on their live joint coordinates, where
+    both mixtures live. Raises ``ValueError`` when the two ensembles'
+    sample grids or live coordinates differ.
     """
     times = hitting.sample_times
     other = continuous.sample_times
     if other.shape != times.shape or not np.allclose(other, times):
         raise ValueError("the two ensembles do not share a sample grid")
+    if hitting.dim != continuous.dim or not np.array_equal(hitting.live, continuous.live):
+        raise ValueError("the two ensembles do not share their live coordinates")
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)

@@ -354,7 +354,7 @@ def run_hitting_chain_batch(
         live=np.arange(quantities.dim),
         dim=quantities.dim,
         stream_ids=stream_ids,
-        states=quantities.from_joint(snaps) if store_states else None,
+        states=snaps if store_states else None,
     )
 
 

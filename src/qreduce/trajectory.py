@@ -41,11 +41,11 @@ class Ensemble:
     Both engines run on the live joint coordinates only (see
     :func:`run_on_live_block`): ``live`` holds their L ascending indices
     out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
-    coordinate is live. ``weights`` (S, n, L) holds the Born weights on
-    those coordinates; a weight outside ``live`` is exactly 0 and is not
-    stored. ``expectations`` (S, n, K) holds the quantity means and
-    ``states`` (S, n, dim), when recorded, the computational-basis
-    snapshots. Each sample's rows are one contiguous block. Events are in
+    coordinate is live. ``weights`` (S, n, L) holds the Born weights and
+    ``states`` (S, n, L), when recorded, the joint-basis amplitudes on
+    those coordinates; outside ``live`` both are exactly 0 and are not
+    stored. ``expectations`` (S, n, K) holds the quantity means. Each
+    sample's rows are one contiguous block. Events are in
     CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
     the matching ``centres`` rows and, for the hitting engine,
     ``stream_ids`` (the index of the stream that made each hit). ``seeds``
@@ -84,6 +84,8 @@ class Ensemble:
         if (live.shape != self.weights.shape[2:] or np.any(np.diff(live) <= 0)
                 or np.any((live < 0) | (live >= self.dim))):
             raise ValueError("live must hold one ascending coordinate per weight column")
+        if self.states is not None and self.states.shape != self.weights.shape:
+            raise ValueError("states must have the shape of the weights")
         if self.weights.size:
             worst = float(np.max(np.abs(self.weights.sum(axis=2) - 1.0)))
             if worst > 1e-10:
@@ -137,35 +139,26 @@ def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamilto
     """``run(coeffs, quantities, hamiltonian)`` on the live joint coordinates.
 
     ``run`` is an engine kernel: it takes joint-basis rows, a quantity set
-    and a Hamiltonian, and returns an :class:`Ensemble` whose states are
-    in that set's computational basis. ``coeffs`` holds (m, d) joint-basis
-    rows: one per trajectory, or one row that every trajectory starts
-    from, which ``run`` then spreads over its batch. Outside the live set
-    of :func:`~qreduce.hilbert.live_coordinates` every amplitude stays
+    and a Hamiltonian, and returns an :class:`Ensemble` on the coordinates
+    of that set. ``coeffs`` holds (m, d) joint-basis rows: one per
+    trajectory, or one row that every trajectory starts from, which
+    ``run`` then spreads over its batch. Outside the live set of
+    :func:`~qreduce.hilbert.live_coordinates` every amplitude stays
     exactly 0, so the kernel runs on the live block alone: a basis-free
     set of the live table rows, the joint-basis Hamiltonian restricted to
     the block and the (m, L) live columns of ``coeffs``. The returned
-    ensemble keeps the kernel's (S, n, L) weights with their coordinates
-    in ``live``; its states, which are block coordinates, are written back
-    over all d through ``quantities.from_joint``. The random draws do not
-    depend on the dimension. When every coordinate is live the kernel runs
-    on ``coeffs``, ``quantities`` and ``hamiltonian`` themselves.
+    ensemble keeps the kernel's (S, n, L) weights and states with their
+    coordinates in ``live``. The random draws do not depend on the
+    dimension.
     """
     h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
     live = live_coordinates(coeffs, h_joint)
-    if live.size == quantities.dim:
-        del h_joint  # the kernel forms its own; do not hold two d x d copies
-        return run(coeffs, quantities, hamiltonian)
     block = None
     if h_joint is not None:
         block = Hamiltonian(h_joint[np.ix_(live, live)], hbar=hamiltonian.hbar)
+        del h_joint  # the kernel needs only the block
     ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), block)
-    states = None
-    if ens.states is not None:
-        states = np.zeros(ens.states.shape[:-1] + (quantities.dim,), dtype=np.complex128)
-        states[..., live] = ens.states
-        states = quantities.from_joint(states)
-    return replace(ens, live=live, dim=quantities.dim, states=states)
+    return replace(ens, live=live, dim=quantities.dim)
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:

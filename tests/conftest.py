@@ -53,6 +53,14 @@ def full_weights(ens) -> np.ndarray:
     return full
 
 
+def full_states(ens, quantities) -> np.ndarray:
+    """An ensemble's (S, n, L) joint-basis states written out over all d
+    coordinates and rotated to the computational basis of ``quantities``."""
+    full = np.zeros(ens.states.shape[:2] + (ens.dim,), dtype=complex)
+    full[..., ens.live] = ens.states
+    return quantities.from_joint(full)
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(amps, normalize=True)

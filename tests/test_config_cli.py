@@ -97,6 +97,12 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(minimal_qubit_config(record_interval=3.0))
         assert err.value.key == "record_interval"
 
+    def test_store_states_key_is_only_payload(self):
+        # states are stored exactly when engine is both; an old key is kept unread
+        cfg = ScenarioConfig.from_dict(minimal_qubit_config(store_states=True))
+        assert cfg.payload["store_states"] is True
+        assert not hasattr(cfg, "store_states")
+
     def test_unknown_engine(self):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(minimal_qubit_config(engine="warp"))

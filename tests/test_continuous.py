@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, full_weights, random_block_basis, random_state, within_z
+from conftest import (
+    SQ2, full_states, full_weights, random_block_basis, random_state, within_z,
+)
 from qreduce.errors import StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
@@ -276,7 +278,7 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
         DensityMatrix.from_state(psi0), quantities, gamma, cfg.t_end,
         sample_times=ens.sample_times,
     )
-    states = ens.states
+    states = full_states(ens, quantities)
     outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
     rho = np.stack([r.rho for r in oracle])
     assert within_z(outer.real, rho.real)

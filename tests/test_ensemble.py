@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_weights, random_block_basis, random_state
+from conftest import SQ2, full_states, full_weights, random_block_basis, random_state
 from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import HitStream, simulate_hitting_batch
@@ -392,6 +392,18 @@ class TestEnsembleArrays:
             with pytest.raises(ValueError, match="seed"):
                 Ensemble(seeds=seeds, **fields)
 
+    def test_states_must_have_the_shape_of_the_weights(self):
+        fields = dict(
+            seeds=np.arange(2), sample_times=np.array([0.0]), weights=np.full((1, 2, 2), 0.5),
+            expectations=np.zeros((1, 2, 1)), offsets=np.zeros(3, dtype=int),
+            times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
+        )
+        Ensemble(states=np.full((1, 2, 2), SQ2, dtype=complex), **fields)
+        # the states written out over all d, or with a sample or a row too few
+        for shape in ((1, 2, 4), (0, 2, 2), (1, 1, 2)):
+            with pytest.raises(ValueError, match="states"):
+                Ensemble(states=np.zeros(shape, dtype=complex), **fields)
+
 
 # -- the live joint coordinates ---------------------------------------------------
 
@@ -431,6 +443,8 @@ def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed)
             a, b = getattr(live, name), getattr(full, name)
             if name == "weights":
                 a, b = full_weights(live), full_weights(full)
+            elif name == "states":
+                a, b = full_states(live, quantities), full_states(full, quantities)
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12
         assert np.all(full_weights(live)[..., dead] == 0.0)
@@ -518,8 +532,8 @@ def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
         ens = run(psi0, hamiltonian, quantities, *process(quantities), 30, 8, store_states=True)
         assert ens.live.tolist() == expected_live and ens.dim == 6
         assert ens.weights.shape[2] == len(expected_live)
-        # the reference: the Born weights of the stored (S, n, d) states, at full d
-        reference = np.abs(quantities.to_joint(ens.states)) ** 2
+        # the reference: the Born weights of the stored states, written out at full d
+        reference = np.abs(quantities.to_joint(full_states(ens, quantities))) ** 2
         reference /= reference.sum(axis=2)[:, :, np.newaxis]
         assert np.array_equal(full_weights(ens), reference)
 
@@ -583,8 +597,8 @@ def test_broadcast_initial_rows_equal_their_copies():
 
 @pytest.mark.parametrize("runner", ["hitting", "continuous"])
 def test_runner_memory_follows_the_live_coordinates(runner):
-    # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records:
-    # one (S, n, d) float64 array would take 7.6 MiB
+    # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records,
+    # without and with states: one (S, n, d) float64 array would take 7.6 MiB
     import tracemalloc
 
     d, n = 5000, 50
@@ -598,14 +612,15 @@ def test_runner_memory_follows_the_live_coordinates(runner):
         args = (run_continuous_ensemble,
                 ContinuousConfig(gamma=1.0, dt=0.01, t_end=0.3, record_interval=0.1))
     run, *process = args
-    tracemalloc.start()
-    try:
-        ens = run(psi0, None, quantities, *process, n, 11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
-    assert peak < 4 * n * d * 8 / 4
+    for store_states in (False, True):
+        tracemalloc.start()
+        try:
+            ens = run(psi0, None, quantities, *process, n, 11, store_states=store_states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
+        assert peak < 4 * n * d * 8 / 4
 
 
 def test_lattice_run_is_worker_invariant_across_chunks(tmp_path):

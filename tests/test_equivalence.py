@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from conftest import SQ2, random_state, random_unitary
+from conftest import SQ2, full_states, random_block_basis, random_state, random_unitary
 from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
@@ -342,9 +342,9 @@ class TestEngineComparison:
         check(lone_a, lone_b, 2)
         check(lone_b, lone_a, 5)
         # blocks of three replicates: 20 = 3 + ... + 3 + 2
-        live, rows = 5, 60 + 50
+        width, rows = 40, 60 + 50
         monkeypatch.setattr(
-            equivalence, "_BOOTSTRAP_BLOCK_BYTES", 3 * 16 * live * (rows + 4 * live)
+            equivalence, "_BOOTSTRAP_BLOCK_BYTES", 3 * 16 * width * (rows + 4 * width)
         )
         check(rows_a, rows_b, 20)
 
@@ -368,12 +368,73 @@ class TestEngineComparison:
                 hitting, continuous, sigma_z_set, streams, 1.0, n_bootstrap=5
             )
 
+    def test_different_live_coordinates_raise(self, three_level_set):
+        # psi0 on coordinates {0, 1} for one engine and {0, 2} for the other
+        streams = [HitStream((0,), beta=0.8, mu=4.0)]
+        hitting = run_hitting_ensemble(
+            StateVector([0.6, 0.8, 0.0]), None, three_level_set, streams, 1.0, 0.5, 3, 1,
+            store_states=True,
+        )
+        continuous = run_continuous_ensemble(
+            StateVector([0.6, 0.0, 0.8]), None, three_level_set,
+            ContinuousConfig(gamma=1.6, dt=5e-3, t_end=1.0, record_interval=0.5), 3, 1,
+            store_states=True,
+        )
+        assert hitting.live.tolist() == [0, 1] and continuous.live.tolist() == [0, 2]
+        with pytest.raises(ValueError, match="live"):
+            engine_comparison(
+                hitting, continuous, three_level_set, streams, 1.6, n_bootstrap=5
+            )
+
+    def test_rotated_set_distances_are_the_full_ones(self):
+        # a rotated 6-level set of blocks 3, 2 and 1; psi0 misses the
+        # 1-block, and a Hamiltonian block-diagonal in the joint basis
+        # couples coordinates inside the other blocks, so the engines run
+        # on their 5 coordinates and the distance of the L x L mixtures
+        # must equal that of the d x d computational-basis matrices
+        rng = np.random.default_rng(18)
+        basis, blocks = random_block_basis(rng, [3, 2, 1])
+        quantities = QuantitySet(rng.standard_normal((6, 2)), basis)
+        amps = np.zeros(6, dtype=complex)
+        h_joint = np.diag(rng.standard_normal(6)).astype(complex)
+        for rows, cols in blocks[:2]:
+            amps[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+            m = rng.standard_normal((cols.size,) * 2) + 1j * rng.standard_normal((cols.size,) * 2)
+            h_joint[np.ix_(cols, cols)] = 0.5 * (m + m.conj().T)
+        psi0 = StateVector(amps, normalize=True)
+        hamiltonian = Hamiltonian(quantities.operator_from_joint(h_joint))
+        streams = [HitStream((0, 1), beta=0.4, mu=5.0)]
+        hitting = run_hitting_ensemble(
+            psi0, hamiltonian, quantities, streams, 1.0, 0.25, 40, 6, store_states=True,
+        )
+        continuous = run_continuous_ensemble(
+            psi0, hamiltonian, quantities,
+            ContinuousConfig(gamma=1.0, dt=2.0**-8, t_end=1.0, record_interval=0.25),
+            30, 6, store_states=True,
+        )
+        expected_live = np.sort(np.concatenate([blocks[0][1], blocks[1][1]]))
+        assert np.array_equal(hitting.live, expected_live)
+        assert np.array_equal(continuous.live, expected_live)
+        got = engine_comparison(
+            hitting, continuous, quantities, streams, 1.0, n_bootstrap=5, seed=2
+        )
+        rows_h, rows_c = full_states(hitting, quantities), full_states(continuous, quantities)
+        for i, t in enumerate(hitting.sample_times):
+            rho_h = ensemble_density_matrix(hitting, float(t), quantities)
+            rho_c = ensemble_density_matrix(continuous, float(t), quantities)
+            # the mixtures of the computational-basis rows at full d
+            for rho, rows in ((rho_h, rows_h[i]), (rho_c, rows_c[i])):
+                assert np.max(np.abs(rho.rho - DensityMatrix.from_state_rows(rows).rho)) <= 1e-12
+            assert abs(got.mc_distance[i] - trace_norm_distance(rho_h, rho_c)) <= 1e-12
+        # the ensembles have separated by the last record
+        assert got.mc_distance[-1] > 0.01
+
 
 class TestEnsembleDensityMatrix:
     def test_single_trajectory_projector(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
         ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3], store_states=True)
-        rho = ensemble_density_matrix(ens, 1.0)
+        rho = ensemble_density_matrix(ens, 1.0, sigma_z_set)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_trajectories_stay_pure(self, sigma_z_set, equal_qubit):
@@ -381,14 +442,14 @@ class TestEnsembleDensityMatrix:
         ens = hitting_batch(
             equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3] * 4, store_states=True
         )
-        rho = ensemble_density_matrix(ens, 0.5)
+        rho = ensemble_density_matrix(ens, 0.5, sigma_z_set)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_missing_snapshots(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
         ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3])
         with pytest.raises(MissingSnapshotError):
-            ensemble_density_matrix(ens, 0.5)
+            ensemble_density_matrix(ens, 0.5, sigma_z_set)
 
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
@@ -396,7 +457,7 @@ class TestEnsembleDensityMatrix:
         records = run_hitting_ensemble(
             equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 77, store_states=True
         )
-        rho_mc = ensemble_density_matrix(records, 1.0)
+        rho_mc = ensemble_density_matrix(records, 1.0, sigma_z_set)
         _, oracle = hitting_master_evolution(
             DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, 1.0
         )
@@ -743,5 +804,5 @@ class TestMartingaleHitting:
             rho0, sigma_z_set, streams, float(times[-1]), sample_times=times
         )
         for t, rho_det in zip(times[1:], oracle[1:]):
-            rho_mc = ensemble_density_matrix(records, float(t))
+            rho_mc = ensemble_density_matrix(records, float(t), sigma_z_set)
             assert trace_norm_distance(rho_mc, rho_det) < 5.0 / math.sqrt(n)

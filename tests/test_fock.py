@@ -427,7 +427,7 @@ class TestScenarios:
         records = run_continuous_ensemble(
             scenario.psi0, None, qs, cfg, n, 43, store_states=True
         )
-        rho_mc = ensemble_density_matrix(records, 1.0)
+        rho_mc = ensemble_density_matrix(records, 1.0, qs)
         _, oracle = lindblad_evolution(
             DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma_eff, 1.0
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, full_weights, random_state, random_unitary, within_z
+from conftest import SQ2, full_states, full_weights, random_state, random_unitary, within_z
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
@@ -445,7 +445,7 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
         hamiltonian=ham, sample_times=times,
     )
     for t, rho_det in zip(times, oracle):
-        rho_mc = ensemble_density_matrix(records, float(t))
+        rho_mc = ensemble_density_matrix(records, float(t), sigma_z_set)
         assert trace_norm_distance(rho_mc, rho_det) < 5.0 / math.sqrt(n)
 
 
@@ -494,7 +494,7 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
         DensityMatrix.from_state(psi0), quantities, streams, 1.0,
         hamiltonian=hamiltonian, sample_times=ens.sample_times, dt=2.0**-9,
     )
-    states = ens.states
+    states = full_states(ens, quantities)
     outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
     rho = np.stack([r.rho for r in oracle])
     assert within_z(outer.real, rho.real)
