@@ -13,17 +13,22 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ScenarioConfig, check_expected_hits, load_config
-from .continuous import noise_block_steps
-from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
+# The package's largest module first, before numpy: a run that finds no
+# cached bytecode compiles every module it imports, and this compile's
+# temporaries then do not stack on numpy and the other modules, which
+# would raise the process's peak memory.
 from .equivalence import (
     collapse_statistics,
     convergence_sweep,
     engine_comparison,
     ensemble_stats,
 )
+
+import numpy as np
+
+from .config import ScenarioConfig, check_expected_hits, load_config
+from .continuous import noise_block_steps
+from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .errors import ConfigError, QReduceError
 from .hilbert import COMMUTATOR_TOL, live_coordinates
 from .scenarios import BuiltScenario, build_scenario
@@ -235,9 +240,11 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
     engines (``hilbert.live_coordinates``), per engine: the records,
     S x n x (L + K) x 8 B plus, with engine ``both``, which stores states,
     S x n x L x 16 B of them; the hitting engine's expected hit arrays at
-    ``total_rate``, n x rate x t_end x (17 + 16 K) B; and the diffusion
-    engine's noise block. The error names the key of the largest part.
-    Nothing is allocated.
+    ``total_rate``, n x rate x t_end x (17 + 16 K) B, which is also the
+    engine's peak: its event clock and its per-row generators take a
+    block of fixed size beside them; and the diffusion engine's noise
+    block. The error names the key of the largest part. Nothing is
+    allocated.
     """
     config, quantities = built.config, built.quantities
     n, k = config.n_trajectories, quantities.num_quantities

@@ -63,6 +63,12 @@ __all__ = [
 NOISE_BLOCK_BYTES = 2 << 20
 
 
+# The most bytes of -i dt H / hbar that _DiffusionKernel forms at a time
+# while it writes the real form of that matrix. Each entry is one
+# elementwise product, so the block moves no bit.
+HAMILTONIAN_BLOCK_BYTES = 1 << 20
+
+
 def noise_block_steps(rows: int, num_quantities: int) -> int:
     """Steps of one noise block of ``rows`` trajectories and K quantities."""
     return max(1, min(256, NOISE_BLOCK_BYTES // (8 * rows * num_quantities)))
@@ -203,13 +209,15 @@ class _DiffusionKernel:
     column at its midrange first: the offsets A_dk - m_k do not change,
     and the rounding of the expansion then scales with the spectral
     spread, not with the size of the eigenvalues. The Hamiltonian term is
-    a per-column product with the real 2d x 2d form of -i dt H / hbar.
+    a per-column product with the real 2d x 2d form of -i dt H / hbar,
+    for the Hermitian joint-basis matrix ``h_joint`` of H.
     """
 
     def __init__(
         self,
         quantities: QuantitySet,
-        hamiltonian: Hamiltonian | None,
+        h_joint: np.ndarray | None,
+        hbar: float,
         config: ContinuousConfig,
     ):
         table = quantities.eigenvalue_table
@@ -225,9 +233,19 @@ class _DiffusionKernel:
         # (d, 1): 1 - dt/2 sum_k g_k A_dk^2, the part of the factor no column changes
         self.base_factor = (1.0 - (centred**2) @ half_dt_gamma)[:, np.newaxis]
         self.h_real = None
-        if hamiltonian is not None:
-            h = (-1j * config.dt / hamiltonian.hbar) * quantities.joint_hamiltonian(hamiltonian)
-            self.h_real = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        if h_joint is not None:
+            # [[Re h, -Im h], [Im h, Re h]] for h = -i dt H / hbar, filled a
+            # block of rows of h at a time: no d x d complex copy is formed
+            scale, dim = -1j * config.dt / hbar, h_joint.shape[0]
+            self.h_real = np.empty((2 * dim, 2 * dim))
+            rows = max(1, HAMILTONIAN_BLOCK_BYTES // (16 * dim))
+            for lo in range(0, dim, rows):
+                hi = min(lo + rows, dim)
+                h = scale * h_joint[lo:hi]
+                top, bottom = self.h_real[lo:hi], self.h_real[dim + lo : dim + hi]
+                top[:, :dim] = bottom[:, dim:] = h.real
+                np.negative(h.imag, out=top[:, dim:])
+                bottom[:, :dim] = h.imag
 
     def step_batch(self, coeffs: np.ndarray, increments: np.ndarray) -> np.ndarray:
         """Advance every column by one step, in place; returns the squared norm ratios.
@@ -314,7 +332,8 @@ def simulate_continuous_batch(
 def _integrate(
     coeffs: np.ndarray,
     quantities: QuantitySet,
-    hamiltonian: Hamiltonian | None,
+    h_joint: np.ndarray | None,
+    hbar: float,
     *,
     config: ContinuousConfig,
     seeds,
@@ -325,7 +344,7 @@ def _integrate(
     The kernel steps (2, d, batch) columns, one per seed; the rows are
     rebuilt only at record times.
     """
-    kernel = _DiffusionKernel(quantities, hamiltonian, config)
+    kernel = _DiffusionKernel(quantities, h_joint, hbar, config)
     table = quantities.eigenvalue_table
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record

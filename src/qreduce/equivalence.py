@@ -760,11 +760,12 @@ def _streams_at_rate(streams: list[HitStream], gamma: np.ndarray, total: float) 
     return out
 
 
-# Bytes of one block of bootstrap replicates' temporaries in
-# _bootstrap_distance: at live d = 2 with 1000 + 1000 rows a replicate
-# takes 64 kB, so 50 or 100 replicates share one block; at d = 715 a block
-# holds one replicate.
-_BOOTSTRAP_BLOCK_BYTES = 1 << 23
+# The most bytes one block of bootstrap replicates takes in
+# _bootstrap_distance, beside the two ensembles' rows: at live d = 2 with
+# 1000 + 1000 rows a replicate takes about 110 kB, so 9 replicates share
+# a block; at d = 715 a block holds one replicate. A replicate's numbers
+# do not depend on its block, so the budget moves no bit.
+_BOOTSTRAP_BLOCK_BYTES = 1 << 20
 
 
 def _resampled_mixtures(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -777,6 +778,31 @@ def _resampled_mixtures(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     rho = (cols * counts[:, np.newaxis, :]) @ cols.T.conj()
     rho /= (counts @ np.sum(np.abs(cols) ** 2, axis=0))[:, np.newaxis, np.newaxis]
     return rho
+
+
+def _draw_counts(rng: np.random.Generator, n_a: int, n_b: int, m: int) -> np.ndarray:
+    """(m, n_a + n_b) float draw counts of m replicates.
+
+    Replicate b draws ``rng.integers(0, n_a, n_a)`` and then
+    ``rng.integers(0, n_b, n_b)``; its counts of rows_a fill the first n_a
+    columns of row b, those of rows_b the rest. When n_a = n_b one call
+    draws all 2m index blocks: numpy's bounded integers of a range below
+    2**32 are consecutive 32-bit draws of the bit generator, so its values
+    and the generator's state afterwards are those of the 2m calls.
+    """
+    n = n_a + n_b
+    if n_a == n_b:
+        keys = rng.integers(0, n_a, m * n).reshape(m, n)
+    else:
+        keys = np.array(
+            [np.concatenate((rng.integers(0, n_a, n_a), rng.integers(0, n_b, n_b)))
+             for _ in range(m)]
+        )
+    keys[:, n_a:] += n_a
+    keys += n * np.arange(m)[:, np.newaxis]
+    counts = np.bincount(keys.reshape(-1), minlength=m * n)
+    del keys
+    return counts.reshape(m, n).astype(float)
 
 
 def _bootstrap_distance(
@@ -793,18 +819,16 @@ def _bootstrap_distance(
     cols_a = np.ascontiguousarray(rows_a.T, dtype=np.complex128)
     cols_b = np.ascontiguousarray(rows_b.T, dtype=np.complex128)
     (d, n_a), n_b = cols_a.shape, cols_b.shape[1]
-    # two weighted row copies, three d x d matrices and eigvalsh's copy
-    blk = max(1, _BOOTSTRAP_BLOCK_BYTES // (16 * d * (n_a + n_b + 4 * d)))
+    # per replicate: the draws, their counts as integers and as floats, two
+    # weighted row copies, three d x d matrices and eigvalsh's copy
+    per_replicate = 24 * (n_a + n_b) + 16 * d * (n_a + n_b + 4 * d)
+    blk = max(1, _BOOTSTRAP_BLOCK_BYTES // per_replicate)
     dists = np.empty(n_boot)
     for lo in range(0, n_boot, blk):
         m = min(blk, n_boot - lo)
-        counts_a = np.empty((m, n_a))
-        counts_b = np.empty((m, n_b))
-        for b in range(m):
-            counts_a[b] = np.bincount(rng.integers(0, n_a, n_a), minlength=n_a)
-            counts_b[b] = np.bincount(rng.integers(0, n_b, n_b), minlength=n_b)
-        diff = _resampled_mixtures(cols_a, counts_a)
-        diff -= _resampled_mixtures(cols_b, counts_b)
+        counts = _draw_counts(rng, n_a, n_b, m)
+        diff = _resampled_mixtures(cols_a, counts[:, :n_a])
+        diff -= _resampled_mixtures(cols_b, counts[:, n_a:])
         dists[lo : lo + m] = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
     return float(dists.std(ddof=1))
 

@@ -231,15 +231,16 @@ class _StreamKernel:
         self.pref2 = (self.beta / math.pi) ** (self.cols.size / 2.0)
 
 
-def _propagator(quantities: QuantitySet, hamiltonian: Hamiltonian):
+def _propagator(h_joint: np.ndarray, hbar: float):
     """Exact unitary evolution of joint-basis rows, each over its own dt.
 
-    einsum rather than matmul: BLAS may round a row differently depending
-    on how many rows share the call, and a trajectory must not depend on
-    its batch.
+    ``h_joint`` is the Hermitian Hamiltonian matrix in the joint basis of
+    the rows. einsum rather than matmul: BLAS may round a row differently
+    depending on how many rows share the call, and a trajectory must not
+    depend on its batch.
     """
-    energies, vecs = np.linalg.eigh(quantities.joint_hamiltonian(hamiltonian))
-    rate = -1j / hamiltonian.hbar
+    energies, vecs = np.linalg.eigh(h_joint)
+    rate = -1j / hbar
 
     def evolve(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
         eig = np.einsum("bj,jk->bk", rows, vecs.conj())
@@ -261,7 +262,8 @@ def run_hitting_chain_batch(
     record_times: np.ndarray,
     seeds,
     *,
-    hamiltonian: Hamiltonian | None = None,
+    h_joint: np.ndarray | None = None,
+    hbar: float = 1.0,
     store_states: bool = False,
 ) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
@@ -271,10 +273,11 @@ def run_hitting_chain_batch(
     hits ``offsets[b]:offsets[b + 1]``, and hit e, at ``times[e]``, is
     made by stream ``stream_ids[e]`` with quantity columns ``cols``. It
     picks an eigenvector with ``uniforms[e]`` and offsets the centre by
-    ``sigma * noise[e, cols]`` (sigma = 1/sqrt(2 beta)). A Hamiltonian
-    evolves each row exactly over its own interval between hits. Record
-    slot r of row b is the state after the last hit at or before
-    ``record_times[r]`` (on the clock of
+    ``sigma * noise[e, cols]`` (sigma = 1/sqrt(2 beta)). A Hamiltonian,
+    given as its Hermitian matrix ``h_joint`` in the joint basis of
+    ``quantities`` with its ``hbar``, evolves each row exactly over its
+    own interval between hits. Record slot r of row b is the state after
+    the last hit at or before ``record_times[r]`` (on the clock of
     :func:`~qreduce.trajectory.record_counts`), evolved to that time.
 
     Returns the ensemble of the batch: ``seeds`` (one per row), the (E, K)
@@ -294,7 +297,7 @@ def run_hitting_chain_batch(
     counts = np.diff(offsets)
     max_hits = int(counts.max()) if batch else 0
     kernels = [_StreamKernel(stream, table) for stream in streams]
-    evolve = None if hamiltonian is None else _propagator(quantities, hamiltonian)
+    evolve = None if h_joint is None else _propagator(h_joint, hbar)
     last = np.zeros(batch)  # time of each row's latest hit
     centres_out = np.full((times.size, table.shape[1]), np.nan)
     slot_hits = record_counts(offsets, times, record_times)
@@ -358,6 +361,35 @@ def run_hitting_chain_batch(
     )
 
 
+def _draw_hits(seeds, streams: list[HitStream], t_end: float, num_quantities: int):
+    """Every draw of one trajectory per seed, as the kernel's CSR arrays.
+
+    Returns ``offsets``, ``times``, ``stream_ids``, ``uniforms`` and
+    ``noise``, drawn in the order of the module docstring. The per-row
+    generators end with this call, before the kernel runs.
+    """
+    generators = [np.random.default_rng(int(s)) for s in seeds]
+    # the ensemble keeps one stream id per hit: the narrowest type that fits
+    stream_range = np.arange(len(streams), dtype=np.min_scalar_type(len(streams)))
+    times, ids = [], []
+    for g in generators:
+        parts = [schedule_hittings(s, t_end, g) for s in streams]
+        t = np.concatenate(parts)
+        i = np.repeat(stream_range, [p.size for p in parts])
+        order = np.argsort(t, kind="stable")
+        times.append(t[order])
+        ids.append(i[order])
+    offsets = np.cumsum([0] + [t.size for t in times])
+    # joined first: the per-row parts are never alive beside the per-hit draws
+    times, ids = np.concatenate(times), np.concatenate(ids)
+    uniforms = np.empty(offsets[-1])
+    noise = np.empty((offsets[-1], num_quantities))
+    for g, a, b in zip(generators, offsets[:-1], offsets[1:]):
+        g.random(out=uniforms[a:b])
+        g.standard_normal(out=noise[a:b])
+    return offsets, times, ids, uniforms, noise
+
+
 def simulate_hitting_batch(
     psi0: StateVector,
     hamiltonian: Hamiltonian | None,
@@ -375,31 +407,16 @@ def simulate_hitting_batch(
     in the order given in the module docstring; the seeds are stored on
     the ensemble and reported by a :class:`VanishingNormError`.
     """
-    generators = [np.random.default_rng(int(s)) for s in seeds]
     grid = record_grid(t_end, record_interval)
-    # the ensemble keeps one stream id per hit: the narrowest type that fits
-    stream_range = np.arange(len(streams), dtype=np.min_scalar_type(len(streams)))
-    times, ids = [], []
-    for g in generators:
-        parts = [schedule_hittings(s, t_end, g) for s in streams]
-        t = np.concatenate(parts)
-        i = np.repeat(stream_range, [p.size for p in parts])
-        order = np.argsort(t, kind="stable")
-        times.append(t[order])
-        ids.append(i[order])
-    offsets = np.cumsum([0] + [t.size for t in times])
-    uniforms = np.empty(offsets[-1])
-    noise = np.empty((offsets[-1], quantities.num_quantities))
-    for g, a, b in zip(generators, offsets[:-1], offsets[1:]):
-        g.random(out=uniforms[a:b])
-        g.standard_normal(out=noise[a:b])
-    times, ids = np.concatenate(times), np.concatenate(ids)
+    offsets, times, ids, uniforms, noise = _draw_hits(
+        seeds, streams, t_end, quantities.num_quantities
+    )
 
-    def run(row, block, block_hamiltonian):
-        coeffs = np.broadcast_to(row, (len(generators), row.shape[1]))
+    def run(row, block, h_block, hbar):
+        coeffs = np.broadcast_to(row, (len(seeds), row.shape[1]))
         return run_hitting_chain_batch(
             coeffs, block, streams, offsets, times, ids, uniforms, noise, grid, seeds,
-            hamiltonian=block_hamiltonian, store_states=store_states,
+            h_joint=h_block, hbar=hbar, store_states=store_states,
         )
 
     # psi0 as one joint row; the kernel copies only its live block per trajectory

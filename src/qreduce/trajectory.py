@@ -17,6 +17,12 @@ from .hilbert import Hamiltonian, QuantitySet, live_coordinates
 CLOCK_TOL = 1e-9
 
 
+# The most events record_counts keys at once: its temporaries are a few
+# int64 arrays of this length, whatever the hit count of the run. The
+# counts are integers, so the block length moves no bit.
+EVENT_BLOCK = 1 << 14
+
+
 def record_counts(offsets, event_times, sample_times) -> np.ndarray:
     """(n, S) events at or before each sample time; trajectory i owns
     ``event_times[offsets[i]:offsets[i + 1]]``.
@@ -24,14 +30,24 @@ def record_counts(offsets, event_times, sample_times) -> np.ndarray:
     A hit at a record's time counts toward that record ("hit first at
     equal times"), also when the two times were rounded differently. An
     event counts toward record r iff fewer than r + 1 of the strictly
-    rising clock limits lie below its time.
+    rising clock limits lie below its time. The events are keyed
+    ``EVENT_BLOCK`` at a time, each block by the rows that own it.
     """
     limits = np.asarray(sample_times, dtype=float) * (1.0 + CLOCK_TOL)
-    n, s = len(offsets) - 1, limits.size
-    slots = np.searchsorted(limits, event_times, side="left")
-    rows = np.repeat(np.arange(n), np.diff(offsets))
-    per_slot = np.bincount(rows * (s + 1) + slots, minlength=n * (s + 1))
-    return per_slot.reshape(n, s + 1)[:, :s].cumsum(axis=1)
+    offsets = np.asarray(offsets)
+    n, s, total = len(offsets) - 1, limits.size, int(offsets[-1])
+    per_slot = np.zeros((n, s + 1), dtype=np.intp)
+    for lo in range(0, total, EVENT_BLOCK):
+        hi = min(lo + EVENT_BLOCK, total)
+        # rows first, ..., last - 1 own events lo, ..., hi - 1
+        first = int(np.searchsorted(offsets, lo, side="right")) - 1
+        last = int(np.searchsorted(offsets, hi, side="left"))
+        owned = np.diff(np.clip(offsets[first : last + 1], lo, hi))
+        rows = np.repeat(np.arange(last - first), owned)
+        slots = np.searchsorted(limits, event_times[lo:hi], side="left")
+        keyed = np.bincount(rows * (s + 1) + slots, minlength=(last - first) * (s + 1))
+        per_slot[first:last] += keyed.reshape(last - first, s + 1)
+    return per_slot[:, :s].cumsum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,28 +152,29 @@ class Ensemble:
 
 
 def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
-    """``run(coeffs, quantities, hamiltonian)`` on the live joint coordinates.
+    """``run(coeffs, quantities, h_joint, hbar)`` on the live joint coordinates.
 
-    ``run`` is an engine kernel: it takes joint-basis rows, a quantity set
-    and a Hamiltonian, and returns an :class:`Ensemble` on the coordinates
-    of that set. ``coeffs`` holds (m, d) joint-basis rows: one per
-    trajectory, or one row that every trajectory starts from, which
+    ``run`` is an engine kernel: it takes joint-basis rows, a quantity set,
+    the Hamiltonian as its Hermitian matrix in the joint basis of that set
+    (or None) and its hbar, and returns an :class:`Ensemble` on the
+    coordinates of that set. ``coeffs`` holds (m, d) joint-basis rows: one
+    per trajectory, or one row that every trajectory starts from, which
     ``run`` then spreads over its batch. Outside the live set of
     :func:`~qreduce.hilbert.live_coordinates` every amplitude stays
     exactly 0, so the kernel runs on the live block alone: a basis-free
-    set of the live table rows, the joint-basis Hamiltonian restricted to
-    the block and the (m, L) live columns of ``coeffs``. The returned
-    ensemble keeps the kernel's (S, n, L) weights and states with their
-    coordinates in ``live``. The random draws do not depend on the
-    dimension.
+    set of the live table rows, the L x L block of the joint-basis
+    Hamiltonian (exactly Hermitian, as the whole is) and the (m, L) live
+    columns of ``coeffs``. The returned ensemble keeps the kernel's
+    (S, n, L) weights and states with their coordinates in ``live``. The
+    random draws do not depend on the dimension.
     """
-    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    h_joint, hbar = None, 1.0
+    if hamiltonian is not None:
+        h_joint, hbar = quantities.joint_hamiltonian(hamiltonian), hamiltonian.hbar
     live = live_coordinates(coeffs, h_joint)
-    block = None
     if h_joint is not None:
-        block = Hamiltonian(h_joint[np.ix_(live, live)], hbar=hamiltonian.hbar)
-        del h_joint  # the kernel needs only the block
-    ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), block)
+        h_joint = h_joint[np.ix_(live, live)]  # the kernel needs only the block
+    ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), h_joint, hbar)
     return replace(ens, live=live, dim=quantities.dim)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def full_states(ens, quantities) -> np.ndarray:
     full = np.zeros(ens.states.shape[:2] + (ens.dim,), dtype=complex)
     full[..., ens.live] = ens.states
     return quantities.from_joint(full)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc traced during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

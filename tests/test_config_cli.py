@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import jsonschema
-from conftest import full_weights
+from conftest import full_weights, traced_peak
 
 import qreduce
 from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
@@ -217,8 +217,6 @@ class TestScenarioBuilders:
         assert err.value.key == ("particles" if key == "rate" else key)
 
     def test_d4368_lattice_builds_in_bounded_memory(self):
-        import tracemalloc
-
         from qreduce.continuous import suggested_dt
 
         raw = {
@@ -238,13 +236,12 @@ class TestScenarioBuilders:
             ],
         }
         config = ScenarioConfig.from_dict(raw)
-        tracemalloc.start()
-        try:
+
+        def build():
             built = build_scenario(config)
-            dt = suggested_dt(built.quantities, built.gamma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return built, suggested_dt(built.quantities, built.gamma)
+
+        (built, dt), peak = traced_peak(build)
         assert built.quantities.dim == 4368
         assert dt > 0
         assert peak < 64 * 2**20

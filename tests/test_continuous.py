@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SQ2, full_states, full_weights, random_block_basis, random_state, within_z,
+    SQ2, full_states, full_weights, random_block_basis, random_state, traced_peak, within_z,
 )
 from qreduce.errors import StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
@@ -88,7 +87,8 @@ def _check_step_against_sde_step(quantities, hamiltonian, gamma, dt, rng):
     gammas = cfg.gamma_vector(num_q)
     rows = np.stack([random_state(rng, quantities.dim).amplitudes for _ in range(5)])
     dB = rng.standard_normal((5, num_q)) * math.sqrt(dt)
-    kernel = _DiffusionKernel(quantities, hamiltonian, cfg)
+    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    kernel = _DiffusionKernel(quantities, h_joint, 1.0, cfg)
     columns = _columns(rows)
     ratios2 = kernel.step_batch(columns, (dB * np.sqrt(gammas)).T)
     for row, db, got, ratio2 in zip(rows, dB, _rows(columns), ratios2):
@@ -124,15 +124,10 @@ class TestDiffusionKernel:
         rng = np.random.default_rng(12)
         dim, num_q, batch = 4368, 12, 64
         cfg = ContinuousConfig(gamma=1.0, dt=1e-4, t_end=1e-4, record_interval=1e-4)
-        kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, cfg)
+        kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, 1.0, cfg)
         coeffs = rng.standard_normal((2, dim, batch))
         increments = rng.standard_normal((num_q, batch)) * kernel.noise_scale[:, np.newaxis]
-        tracemalloc.start()
-        try:
-            kernel.step_batch(coeffs, increments)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(kernel.step_batch, coeffs, increments)
         assert peak < 4 * coeffs.nbytes
 
 

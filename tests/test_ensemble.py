@@ -11,13 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, full_states, full_weights, random_block_basis, random_state
+from conftest import (
+    SQ2, full_states, full_weights, random_block_basis, random_state, traced_peak,
+)
 from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import HitStream, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig, simulate_continuous_batch
 from qreduce.errors import DimensionMismatchError
-from qreduce import continuous, ensemble
+from qreduce import continuous, ensemble, trajectory
 from qreduce.ensemble import (
     CHUNK_SIZE,
     CONTINUOUS_STREAM,
@@ -313,6 +315,7 @@ def _per_row_counts(offsets, times, sample_times):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
+@example(counts=[0, 12, 3, 0, 0, 7, 1], interval=0.25, seed=3)
 @given(
     counts=st.lists(st.integers(0, 12), min_size=1, max_size=8),
     interval=st.sampled_from([0.1, 0.3, 0.25, 1 / 3]),
@@ -333,8 +336,12 @@ def test_record_counts_match_per_row_clock(counts, interval, seed):
     times = np.concatenate(
         [np.sort(rng.choice(pool, size=c)) for c in counts]
     )
-    got = record_counts(offsets, times, sample_times)
-    assert np.array_equal(got, _per_row_counts(offsets, times, sample_times))
+    expected = _per_row_counts(offsets, times, sample_times)
+    assert np.array_equal(record_counts(offsets, times, sample_times), expected)
+    # blocks of 5 events: blocks split the rows, and a row of more than 5
+    # events spans several blocks
+    with mock.patch.object(trajectory, "EVENT_BLOCK", 5):
+        assert np.array_equal(record_counts(offsets, times, sample_times), expected)
 
 
 class TestEnsembleArrays:
@@ -595,12 +602,54 @@ def test_broadcast_initial_rows_equal_their_copies():
         run(psi0.amplitudes[np.newaxis])
 
 
+@pytest.mark.parametrize("num_quantities", [1, 3])
+def test_hitting_memory_is_the_preflight_hit_bytes(num_quantities):
+    # about 300k hits: the kernel's inputs and outputs take 17 + 16 K bytes
+    # per hit (times, uniforms, noise, centres, one stream id), which is
+    # what the CLI's pre-flight sizes; an event clock keyed over all hits
+    # at once would add three int64 arrays of one entry per hit
+    n, mu, t_end = 200, 300.0, 5.0
+    quantities = QuantitySet(np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, -0.5]])[:, :num_quantities])
+    psi0 = StateVector([SQ2, SQ2])
+    streams = [HitStream(tuple(range(num_quantities)), 0.05, mu)]
+    # a first small run keeps one-time imports out of the traced peak
+    run_hitting_ensemble(psi0, None, quantities, streams, 1.0, 1.0, 2, 1)
+    ens, peak = traced_peak(
+        run_hitting_ensemble, psi0, None, quantities, streams, t_end, t_end, n, 3
+    )
+    assert 290_000 < ens.times.size < 310_000
+    assert peak <= 1.15 * n * mu * t_end * (17 + 16 * num_quantities)
+
+
+@pytest.mark.parametrize("runner", ["hitting", "continuous"])
+def test_hamiltonian_block_is_held_once(runner):
+    # every one of d = 700 coordinates live under a nearest-neighbour
+    # Hamiltonian: the runner slices the L x L joint-basis block and the
+    # kernel builds its own form from it (eigenvectors, or the 2L x 2L real
+    # form), with no further copy of the block; one more copy held beside
+    # them would take the peak to 4 (hitting) or 4.5 (diffusion) such matrices
+    d, n = 700, 20
+    rng = np.random.default_rng(7)
+    quantities = QuantitySet(np.linspace(0.0, 1.0, d)[:, np.newaxis])
+    psi0 = random_state(rng, d)
+    hopping = np.zeros((d, d))
+    hopping[np.arange(d - 1), np.arange(1, d)] = hopping[np.arange(1, d), np.arange(d - 1)] = 1.0
+    hamiltonian = Hamiltonian(hopping)
+    if runner == "hitting":
+        args = (run_hitting_ensemble, [HitStream((0,), 0.5, 4.0)], 1.0, 0.5)
+    else:
+        args = (run_continuous_ensemble,
+                ContinuousConfig(gamma=1.0, dt=0.05, t_end=1.0, record_interval=0.5))
+    run, *process = args
+    ens, peak = traced_peak(run, psi0, hamiltonian, quantities, *process, n, 5)
+    assert ens.weights.shape == (3, n, d)
+    assert peak < 3.5 * 16 * d * d
+
+
 @pytest.mark.parametrize("runner", ["hitting", "continuous"])
 def test_runner_memory_follows_the_live_coordinates(runner):
     # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records,
     # without and with states: one (S, n, d) float64 array would take 7.6 MiB
-    import tracemalloc
-
     d, n = 5000, 50
     quantities = QuantitySet(np.linspace(0.0, 1.0, d)[:, np.newaxis])
     amps = np.zeros(d, dtype=complex)
@@ -613,12 +662,9 @@ def test_runner_memory_follows_the_live_coordinates(runner):
                 ContinuousConfig(gamma=1.0, dt=0.01, t_end=0.3, record_interval=0.1))
     run, *process = args
     for store_states in (False, True):
-        tracemalloc.start()
-        try:
-            ens = run(psi0, None, quantities, *process, n, 11, store_states=store_states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ens, peak = traced_peak(
+            run, psi0, None, quantities, *process, n, 11, store_states=store_states
+        )
         assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
         assert peak < 4 * n * d * 8 / 4
 

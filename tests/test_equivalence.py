@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from conftest import SQ2, full_states, random_block_basis, random_state, random_unitary
+from conftest import (
+    SQ2, full_states, random_block_basis, random_state, random_unitary, traced_peak,
+)
 from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
 from qreduce.errors import InsufficientEventsError, MissingSnapshotError
@@ -263,15 +264,12 @@ class TestPairwiseSeparations:
         rng = np.random.default_rng(10)
         quantities = QuantitySet(rng.standard_normal((715, 10)))
         rho0 = DensityMatrix.from_state(random_state(rng, 715))
-        tracemalloc.start()
-        try:
-            if oracle == "lindblad":
-                lindblad_evolution(rho0, quantities, 0.5, 1.0)
-            else:
-                hitting_master_evolution(rho0, quantities, [HitStream(range(10), 0.5, 4.0)], 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if oracle == "lindblad":
+            _, peak = traced_peak(lindblad_evolution, rho0, quantities, 0.5, 1.0)
+        else:
+            _, peak = traced_peak(
+                hitting_master_evolution, rho0, quantities, [HitStream(range(10), 0.5, 4.0)], 1.0
+            )
         assert peak < 60e6
 
 
@@ -302,6 +300,26 @@ class TestEngineComparison:
             )
             assert got.mc_distance[i] == mc
             assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
+
+    def test_bootstrap_memory_is_one_block_of_replicates(self, sigma_z_set, equal_qubit):
+        # qubit-equal's shape: 1000 + 1000 rows, 50 replicates a record; all
+        # 50 in one block would take 2.5 MiB beside the rows
+        n, streams = 1000, [HitStream((0,), beta=0.2, mu=10.0)]
+        hitting = run_hitting_ensemble(
+            equal_qubit, None, sigma_z_set, streams, 1.5, 0.75, n, 1, store_states=True
+        )
+        continuous = run_continuous_ensemble(
+            equal_qubit, None, sigma_z_set,
+            ContinuousConfig(gamma=1.0, dt=0.01, t_end=1.5, record_interval=0.75),
+            n, 2, store_states=True,
+        )
+        _, peak = traced_peak(
+            engine_comparison, hitting, continuous, sigma_z_set, streams, 1.0, psi0=equal_qubit
+        )
+        # the two ensembles' rows, a block of at most 1 MiB and a fixed slack
+        rows = 16 * hitting.live.size * 2 * n
+        assert equivalence._BOOTSTRAP_BLOCK_BYTES <= 2**20
+        assert peak <= rows + 2**20 + 256 * 2**10
 
 
     def test_distances_on_the_joint_support_match_the_full_ones(self, monkeypatch):
@@ -341,12 +359,18 @@ class TestEngineComparison:
         check(rows_b, rows_a[:7], 2)
         check(lone_a, lone_b, 2)
         check(lone_b, lone_a, 5)
+        # equal sizes: one draw call per block gives the per-replicate draws
+        check(rows_a[:50], rows_b, 20)
+        check(lone_a, lone_b[:7], 3)
         # blocks of three replicates: 20 = 3 + ... + 3 + 2
-        width, rows = 40, 60 + 50
-        monkeypatch.setattr(
-            equivalence, "_BOOTSTRAP_BLOCK_BYTES", 3 * 16 * width * (rows + 4 * width)
-        )
-        check(rows_a, rows_b, 20)
+        width = 40
+        for n_a, n_b in ((60, 50), (50, 50)):
+            rows = n_a + n_b
+            monkeypatch.setattr(
+                equivalence, "_BOOTSTRAP_BLOCK_BYTES",
+                3 * (24 * rows + 16 * width * (rows + 4 * width)),
+            )
+            check(rows_a[:n_a], rows_b, 20)
 
     @pytest.mark.parametrize("t_end, record_interval", [(1.0, 0.5), (2.0, 0.5)])
     def test_different_record_grids_raise(
@@ -620,12 +644,7 @@ class TestGroupEigenvalueRows:
         quantities = build_scenario(config).quantities
         d = quantities.dim
         assert (d, quantities.num_quantities) == (4368, 12)
-        tracemalloc.start()
-        try:
-            labels = group_eigenvalue_rows(quantities)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        labels, peak = traced_peak(group_eigenvalue_rows, quantities)
         # every occupation vector has its own density profile
         assert labels.tolist() == list(range(d))
         # a (d, d) boolean array alone would take 18.2 MiB
