@@ -20,7 +20,6 @@ _EXPORTS = {
     "errors": (
         "ConfigError",
         "DimensionMismatchError",
-        "InsufficientEventsError",
         "MissingSnapshotError",
         "NonCommutingError",
         "NonHermitianError",
@@ -59,14 +58,12 @@ _EXPORTS = {
         "EnsembleStats",
         "collapse_statistics",
         "convergence_sweep",
-        "db_statistics",
         "ensemble_density_matrix",
         "ensemble_stats",
         "exact_hitting_map",
         "factorization_check",
         "hitting_master_evolution",
         "lindblad_evolution",
-        "sample_factorized_db_windows",
         "trace_norm_distance",
         "wilson_interval",
     ),

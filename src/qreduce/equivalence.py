@@ -13,14 +13,10 @@ beta * mu = 2 * gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from .errors import (
-    DimensionMismatchError,
-    InsufficientEventsError,
-    MissingSnapshotError,
-)
+from .errors import DimensionMismatchError, MissingSnapshotError
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream
 from .continuous import ContinuousConfig, suggested_dt
@@ -43,8 +39,6 @@ __all__ = [
     "ensemble_stats",
     "convergence_sweep",
     "factorization_check",
-    "db_statistics",
-    "sample_factorized_db_windows",
     "collapse_statistics",
     "wilson_interval",
 ]
@@ -405,11 +399,15 @@ def _near_pairs(rows: np.ndarray, radius: float, scale: float) -> tuple[np.ndarr
     return np.concatenate(pairs_a), np.concatenate(pairs_b)
 
 
-def group_eigenvalue_rows(quantities: QuantitySet, tol: float = 1e-8) -> np.ndarray:
+# Relative tolerance under which two eigenvalue rows count as one outcome.
+_ROW_TOL = 1e-8
+
+
+def group_eigenvalue_rows(quantities: QuantitySet) -> np.ndarray:
     """Label joint eigenvectors by distinct eigenvalue row.
 
     Two rows are near when every eigenvalue differs by at most
-    ``tol * max(max|table|, 1)``. The labels are those of a greedy pass
+    ``_ROW_TOL * max(max|table|, 1)``. The labels are those of a greedy pass
     in row order: each row that no earlier label reached opens the next
     label and gives it to every row near it, relabelling rows that an
     earlier label reached. So each row ends with the label of the last
@@ -424,7 +422,7 @@ def group_eigenvalue_rows(quantities: QuantitySet, tol: float = 1e-8) -> np.ndar
     """
     table = quantities.eigenvalue_table
     scale = max(float(np.max(np.abs(table))), 1.0)
-    radius = tol * scale
+    radius = _ROW_TOL * scale
     # identical rows always share a label; number them by first appearance
     rows, first, inverse = np.unique(table, axis=0, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
@@ -495,14 +493,15 @@ class CollapseReport:
     threshold_sensitivity: dict[float, float]
 
 
-def collapse_statistics(
-    ens: Ensemble,
-    quantities: QuantitySet,
-    *,
-    threshold: float = 0.999,
-    z: float = 3.0,
-    extra_thresholds: tuple[float, ...] = (0.99, 0.9999),
-) -> CollapseReport:
+# A trajectory is resolved once its largest aggregated Born weight reaches
+# _COLLAPSE_THRESHOLD; the unresolved fraction is also reported at each of
+# _SENSITIVITY_THRESHOLDS. Outcome intervals are Wilson intervals at _COLLAPSE_Z.
+_COLLAPSE_THRESHOLD = 0.999
+_SENSITIVITY_THRESHOLDS = (0.99, 0.9999)
+_COLLAPSE_Z = 3.0
+
+
+def collapse_statistics(ens: Ensemble, quantities: QuantitySet) -> CollapseReport:
     """Frequencies of terminal collapse outcomes across an ensemble.
 
     Terminal Born weights are summed per label of
@@ -522,15 +521,16 @@ def collapse_statistics(
     winner = live_labels[firsts][grouped.argmax(axis=1)]
 
     sensitivity = {
-        float(th): float(np.mean(best < th)) for th in (*extra_thresholds, threshold)
+        th: float(np.mean(best < th))
+        for th in (*_SENSITIVITY_THRESHOLDS, _COLLAPSE_THRESHOLD)
     }
-    resolved = best >= threshold
+    resolved = best >= _COLLAPSE_THRESHOLD
     n_resolved = int(resolved.sum())
     counts = np.bincount(winner[resolved], minlength=n_groups).tolist()
     outcomes = []
     for g, count in enumerate(counts):
         freq = count / n_resolved if n_resolved else 0.0
-        lo, hi = wilson_interval(count, n_resolved, z)
+        lo, hi = wilson_interval(count, n_resolved, _COLLAPSE_Z)
         outcomes.append(OutcomeStat(group_rows[g], count, freq, lo, hi))
     n = len(ens)
     return CollapseReport(
@@ -539,7 +539,7 @@ def collapse_statistics(
         n_resolved=n_resolved,
         unresolved_count=n - n_resolved,
         unresolved_fraction=(n - n_resolved) / n if n else 0.0,
-        threshold=threshold,
+        threshold=_COLLAPSE_THRESHOLD,
         threshold_sensitivity=sensitivity,
     )
 
@@ -576,153 +576,6 @@ def factorization_check(
     joint = pref * ((weights[:, np.newaxis] * damp).T @ damp)  # (n, n): a1 rows
     conditional = joint / (weights @ damp)[:, np.newaxis]
     return float(np.max(np.abs(conditional - marginal[np.newaxis, :])))
-
-
-# -- noise-increment statistics ------------------------------------------------
-
-
-@dataclass
-class DbMomentReport:
-    """Empirical moments of window-summed centre fluctuations.
-
-    Each window of length ``window`` with n hittings contributes
-    dB = sqrt(2 beta / mu) * sum_i (a_i - <A> at window start). In the
-    infinite-frequency regime these are Gaussian with mean 0, variance
-    equal to the window length, and cross-covariance
-    2 * beta * window * (quantum covariance), which vanishes with beta.
-    """
-
-    window: float
-    n_windows: int
-    mean_hits_per_window: float
-    mean: np.ndarray
-    mean_se: np.ndarray
-    variance: np.ndarray
-    variance_se: np.ndarray
-    covariance: np.ndarray
-    covariance_se: np.ndarray
-    normality_stat: float
-    normality_pvalue: float
-    samples: np.ndarray = field(repr=False, default=None)
-
-
-def _moment_report(window: float, db: np.ndarray, counts: np.ndarray) -> DbMomentReport:
-    n_windows, num_q = db.shape
-    mean = db.mean(axis=0)
-    mean_se = db.std(axis=0, ddof=1) / math.sqrt(n_windows)
-    centred = db - mean[np.newaxis, :]
-    variance = np.sum(centred**2, axis=0) / (n_windows - 1)
-    fourth = np.mean(centred**4, axis=0)
-    variance_se = np.sqrt(np.maximum(fourth - variance**2, 0.0) / n_windows)
-    covariance = (centred.T @ centred) / (n_windows - 1)
-    cov_se = np.empty((num_q, num_q))
-    for p in range(num_q):
-        for q in range(num_q):
-            prods = centred[:, p] * centred[:, q]
-            cov_se[p, q] = prods.std(ddof=1) / math.sqrt(n_windows)
-    stat = 0.0
-    pvalue = 1.0
-    if n_windows >= 20:
-        # imported here: scipy.stats takes about a second to import, and
-        # no CLI command needs it
-        from scipy import stats as sp_stats
-
-        res = sp_stats.normaltest(db, axis=0)
-        stat = float(np.max(np.atleast_1d(res.statistic)))
-        pvalue = float(np.min(np.atleast_1d(res.pvalue)))
-    return DbMomentReport(
-        window=window,
-        n_windows=n_windows,
-        mean_hits_per_window=float(counts.mean()),
-        mean=mean,
-        mean_se=mean_se,
-        variance=variance,
-        variance_se=variance_se,
-        covariance=covariance,
-        covariance_se=cov_se,
-        normality_stat=stat,
-        normality_pvalue=pvalue,
-        samples=db,
-    )
-
-
-def db_statistics(ens: Ensemble, beta: float, mu: float, window: float) -> DbMomentReport:
-    """Build window increments from recorded events and report moments.
-
-    Windows (t_w, t_w + window] tile each trajectory; the record interval
-    must divide the window so expectations exist at window starts. Events
-    landing on a boundary are assigned to the earlier window, robust to
-    float rounding of evenly spaced times. Raises
-    :class:`InsufficientEventsError` when windows average fewer than 30
-    hittings, below the central-limit regime.
-    """
-    times = ens.sample_times
-    n_windows = int(math.floor(float(times[-1]) / window + 1e-9))
-    if n_windows == 0:
-        raise InsufficientEventsError("no complete windows on the sample grid")
-    stride = window / float(times[1] - times[0])
-    if abs(stride - round(stride)) > 1e-6:
-        raise ValueError("window must be an integer multiple of the record interval")
-    stride = int(round(stride))
-    n = len(ens)
-    # (n * windows, K): trajectory by trajectory, window by window
-    anchors = ens.expectations[: n_windows * stride : stride].swapaxes(0, 1)
-    anchors = anchors.reshape(n * n_windows, -1)
-
-    bins = np.ceil(ens.times / window - 1e-9).astype(int) - 1
-    rows = np.repeat(np.arange(n), np.diff(ens.offsets))
-    valid = (bins >= 0) & (bins < n_windows)
-    cells = rows[valid] * n_windows + bins[valid]
-    counts = np.bincount(cells, minlength=n * n_windows).astype(float)
-    sums = np.zeros(anchors.shape)
-    np.add.at(sums, cells, ens.centres[valid])
-    if counts.mean() < 30:
-        raise InsufficientEventsError(
-            f"windows average {counts.mean():.1f} hittings; "
-            "need at least 30 for central-limit statistics"
-        )
-    db = math.sqrt(2.0 * beta / mu) * (sums - counts[:, np.newaxis] * anchors)
-    return _moment_report(window, db, counts)
-
-
-def sample_factorized_db_windows(
-    psi: StateVector,
-    quantities: QuantitySet,
-    beta: float,
-    mu: float,
-    window: float,
-    n_windows: int,
-    rng: np.random.Generator,
-) -> DbMomentReport:
-    """Window increments in the factorized (small-beta) regime.
-
-    Draws each window's hitting centres independently from the exact
-    density at the fixed state, which is the regime where the joint
-    probability of consecutive centres factorizes. Chain feedback within
-    a window adds a covariance contribution of order gamma * window^2
-    that is not part of the limit statement; this harness isolates the
-    limit itself.
-    """
-    n_hits = int(round(mu * window))
-    if n_hits < 30:
-        raise InsufficientEventsError(
-            f"mu * window = {mu * window:.1f} hittings per window; need at least 30"
-        )
-    weights = quantities.born_weights(psi)
-    table = quantities.eigenvalue_table
-    num_q = quantities.num_quantities
-    anchor = weights @ table
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    picks = np.searchsorted(cum, rng.random((n_windows, n_hits)))
-    picks = np.minimum(picks, quantities.dim - 1)
-    centres = table[picks]  # (windows, hits, K)
-    centres = centres + rng.standard_normal((n_windows, n_hits, num_q)) * math.sqrt(
-        1.0 / (2.0 * beta)
-    )
-    db = math.sqrt(2.0 * beta / mu) * (centres - anchor).sum(axis=1)
-    counts = np.full(n_windows, float(n_hits))
-    return _moment_report(window, db, counts)
 
 
 # -- the infinite-frequency convergence sweep ----------------------------------
@@ -926,17 +779,17 @@ def engine_comparison(
     streams: list[HitStream],
     gamma,
     *,
+    psi0: StateVector,
     hamiltonian: Hamiltonian | None = None,
-    psi0: StateVector | None = None,
     n_bootstrap: int = 50,
     seed: int = 0,
 ) -> EngineComparison:
     """Trace-norm distances per probe time, with bootstrap errors.
 
     ``streams`` is the hitting process and ``gamma`` (scalar or per
-    quantity) the diffusive strength; with ``psi0`` the oracle distance of
-    a probe time is that between the hitting master equation of the
-    streams and the Lindblad equation, both under ``hamiltonian``. The
+    quantity) the diffusive strength. The oracle distance of a probe time
+    is that between the hitting master equation of the streams and the
+    Lindblad equation, both from ``psi0`` and under ``hamiltonian``. The
     Monte Carlo distances of a probe time are taken between the mixtures
     of the two ensembles' states on their live joint coordinates, where
     both mixtures live. Raises ``ValueError`` when the two ensembles'
@@ -954,20 +807,16 @@ def engine_comparison(
     for i, (rows_h, rows_c) in enumerate(zip(_snapshots(hitting), _snapshots(continuous))):
         mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
-    oracle = np.zeros(times.size)
-    if psi0 is not None:
-        rho0 = DensityMatrix.from_state(psi0)
-        inner = times.copy()
-        inner[0] = 0.0
-        _, master = hitting_master_evolution(
-            rho0, quantities, streams, float(times[-1]),
-            hamiltonian=hamiltonian, sample_times=inner,
-        )
-        _, lind = lindblad_evolution(
-            rho0, quantities, gamma, float(times[-1]),
-            hamiltonian=hamiltonian, sample_times=inner,
-        )
-        oracle = np.array(
-            [trace_norm_distance(m, l) for m, l in zip(master, lind)]
-        )
+    rho0 = DensityMatrix.from_state(psi0)
+    inner = times.copy()
+    inner[0] = 0.0
+    _, master = hitting_master_evolution(
+        rho0, quantities, streams, float(times[-1]),
+        hamiltonian=hamiltonian, sample_times=inner,
+    )
+    _, lind = lindblad_evolution(
+        rho0, quantities, gamma, float(times[-1]),
+        hamiltonian=hamiltonian, sample_times=inner,
+    )
+    oracle = np.array([trace_norm_distance(m, l) for m, l in zip(master, lind)])
     return EngineComparison(times=times, mc_distance=mc, mc_error=err, oracle_distance=oracle)

@@ -53,10 +53,6 @@ class MissingSnapshotError(QReduceError):
     """A trajectory record lacks a state snapshot at the requested time."""
 
 
-class InsufficientEventsError(QReduceError):
-    """Too few hittings per window for central-limit statistics."""
-
-
 class ConfigError(QReduceError):
     """A scenario configuration is invalid. Names the offending key."""
 

@@ -306,11 +306,17 @@ class QuantitySet:
         return self.joint_basis @ m @ self.joint_basis.conj().T
 
     def joint_hamiltonian(self, hamiltonian: Hamiltonian) -> np.ndarray:
-        """The Hamiltonian's matrix in the joint eigenbasis, re-symmetrized."""
+        """The Hamiltonian's matrix in the joint eigenbasis, re-symmetrized.
+
+        With no joint basis this is the Hamiltonian's own read-only
+        matrix, which its constructor made exactly Hermitian.
+        """
         if hamiltonian.dim != self.dim:
             raise DimensionMismatchError(
                 "hamiltonian dimension does not match the quantity set"
             )
+        if self.joint_basis is None:
+            return hamiltonian.matrix
         h_joint = self.operator_to_joint(hamiltonian.matrix)
         return (h_joint + h_joint.conj().T) / 2.0
 

@@ -240,10 +240,11 @@ def _propagator(h_joint: np.ndarray, hbar: float):
     depend on its batch.
     """
     energies, vecs = np.linalg.eigh(h_joint)
+    vecs_conj = vecs.conj()
     rate = -1j / hbar
 
     def evolve(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        eig = np.einsum("bj,jk->bk", rows, vecs.conj())
+        eig = np.einsum("bj,jk->bk", rows, vecs_conj)
         eig *= np.exp(rate * dt[:, np.newaxis] * energies[np.newaxis, :])
         return np.einsum("bk,jk->bj", eig, vecs)
 

@@ -12,7 +12,7 @@ from conftest import (
 )
 from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
-from qreduce.errors import InsufficientEventsError, MissingSnapshotError
+from qreduce.errors import MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HitStream, Schedule, sharpening_operator, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
@@ -30,7 +30,6 @@ from qreduce.equivalence import (
     _pairwise_sq_distances,
     collapse_statistics,
     convergence_sweep,
-    db_statistics,
     engine_comparison,
     ensemble_density_matrix,
     ensemble_stats,
@@ -39,7 +38,6 @@ from qreduce.equivalence import (
     group_eigenvalue_rows,
     hitting_master_evolution,
     lindblad_evolution,
-    sample_factorized_db_windows,
     trace_norm_distance,
     wilson_interval,
 )
@@ -286,7 +284,8 @@ class TestEngineComparison:
             120, 3, store_states=True,
         )
         got = engine_comparison(
-            hitting, continuous, three_level_set, streams, 1.0, n_bootstrap=10, seed=4
+            hitting, continuous, three_level_set, streams, 1.0, psi0=psi, n_bootstrap=10,
+            seed=4,
         )
         rng = np.random.default_rng(4)
         for i, t in enumerate(hitting.sample_times):
@@ -389,15 +388,16 @@ class TestEngineComparison:
         )
         with pytest.raises(ValueError):
             engine_comparison(
-                hitting, continuous, sigma_z_set, streams, 1.0, n_bootstrap=5
+                hitting, continuous, sigma_z_set, streams, 1.0, psi0=equal_qubit,
+                n_bootstrap=5,
             )
 
     def test_different_live_coordinates_raise(self, three_level_set):
         # psi0 on coordinates {0, 1} for one engine and {0, 2} for the other
         streams = [HitStream((0,), beta=0.8, mu=4.0)]
+        psi0 = StateVector([0.6, 0.8, 0.0])
         hitting = run_hitting_ensemble(
-            StateVector([0.6, 0.8, 0.0]), None, three_level_set, streams, 1.0, 0.5, 3, 1,
-            store_states=True,
+            psi0, None, three_level_set, streams, 1.0, 0.5, 3, 1, store_states=True,
         )
         continuous = run_continuous_ensemble(
             StateVector([0.6, 0.0, 0.8]), None, three_level_set,
@@ -407,7 +407,7 @@ class TestEngineComparison:
         assert hitting.live.tolist() == [0, 1] and continuous.live.tolist() == [0, 2]
         with pytest.raises(ValueError, match="live"):
             engine_comparison(
-                hitting, continuous, three_level_set, streams, 1.6, n_bootstrap=5
+                hitting, continuous, three_level_set, streams, 1.6, psi0=psi0, n_bootstrap=5
             )
 
     def test_rotated_set_distances_are_the_full_ones(self):
@@ -440,7 +440,8 @@ class TestEngineComparison:
         assert np.array_equal(hitting.live, expected_live)
         assert np.array_equal(continuous.live, expected_live)
         got = engine_comparison(
-            hitting, continuous, quantities, streams, 1.0, n_bootstrap=5, seed=2
+            hitting, continuous, quantities, streams, 1.0, psi0=psi0,
+            hamiltonian=hamiltonian, n_bootstrap=5, seed=2,
         )
         rows_h, rows_c = full_states(hitting, quantities), full_states(continuous, quantities)
         for i, t in enumerate(hitting.sample_times):
@@ -668,58 +669,43 @@ class TestFactorization:
         assert factorization_check(equal_qubit, sigma_z_set, 0.5, grid) >= 0.0
 
 
+def _window_increments(ens, beta, mu, window, n_windows):
+    """Window increments dB = sqrt(2 beta / mu) * sum_i (a_i - <A> at window
+    start), built one trajectory at a time, and each window's hit count.
+
+    Windows (t_w, t_w + window] tile each trajectory, one per record
+    interval. A hit on a window boundary belongs to the earlier window,
+    whatever the rounding of evenly spaced times.
+    """
+    rows, counts = [], []
+    for i in range(len(ens)):
+        a, b = ens.offsets[i], ens.offsets[i + 1]
+        anchors = ens.expectations[:n_windows, i]
+        bins = np.ceil(ens.times[a:b] / window - 1e-9).astype(int) - 1
+        valid = (bins >= 0) & (bins < n_windows)
+        count = np.bincount(bins[valid], minlength=n_windows).astype(float)
+        sums = np.zeros(anchors.shape)
+        np.add.at(sums, bins[valid], ens.centres[a:b][valid])
+        rows.append(math.sqrt(2 * beta / mu) * (sums - count[:, None] * anchors))
+        counts.append(count)
+    return np.concatenate(rows), np.concatenate(counts)
+
+
 class TestDbStatistics:
-    def test_insufficient_events(self, sigma_z_set, equal_qubit):
-        streams = [HitStream((0,), beta=0.1, mu=5.0, schedule=Schedule.EVENLY_SPACED)]
-        recs = hitting_batch(equal_qubit, sigma_z_set, streams, 2.0, 0.5, [1])
-        with pytest.raises(InsufficientEventsError):
-            db_statistics(recs, 0.1, 5.0, 0.5)
-
     def test_chain_moments_small(self, sigma_z_set, equal_qubit):
-        streams = [HitStream((0,), beta=1e-3, mu=3000.0, schedule=Schedule.EVENLY_SPACED)]
+        # at beta * mu = 3 the increments of 0.02-long windows are near the
+        # Wiener increments of the limit: mean 0 and variance the window
+        beta, mu, window = 1e-3, 3000.0, 0.02
+        streams = [HitStream((0,), beta=beta, mu=mu, schedule=Schedule.EVENLY_SPACED)]
         recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.02, 50, 5)
-        report = db_statistics(recs, 1e-3, 3000.0, 0.02)
-        assert report.mean_hits_per_window == pytest.approx(60.0)
-        assert abs(report.mean[0]) < 4 * report.mean_se[0]
-        assert report.variance[0] == pytest.approx(0.02, rel=0.05)
-
-    def test_windows_match_the_per_trajectory_loop(self, correlated_pair_set, equal_qubit):
-        # reference: the window increments built one trajectory at a time
-        beta, mu, window = 1e-3, 2000.0, 0.1
-        streams = [HitStream((0, 1), beta=beta, mu=mu)]
-        ens = run_hitting_ensemble(
-            equal_qubit, None, correlated_pair_set, streams, 1.0, 0.05, 12, 6
-        )
-        n_windows, stride = 10, 2
-        rows = []
-        for i in range(len(ens)):
-            a, b = ens.offsets[i], ens.offsets[i + 1]
-            anchors = ens.expectations[: n_windows * stride : stride, i]
-            bins = np.ceil(ens.times[a:b] / window - 1e-9).astype(int) - 1
-            valid = (bins >= 0) & (bins < n_windows)
-            counts = np.bincount(bins[valid], minlength=n_windows).astype(float)
-            sums = np.zeros((n_windows, 2))
-            np.add.at(sums, bins[valid], ens.centres[a:b][valid])
-            rows.append(math.sqrt(2 * beta / mu) * (sums - counts[:, None] * anchors))
-        report = db_statistics(ens, beta, mu, window)
-        assert np.array_equal(report.samples, np.concatenate(rows))
-
-    def test_factorized_windows_match_prelimit_laws(self, correlated_pair_set, equal_qubit):
-        rng = np.random.default_rng(8)
-        beta, mu, window = 0.05, 3000.0, 0.01
-        report = sample_factorized_db_windows(
-            equal_qubit, correlated_pair_set, beta, mu, window, 40000, rng
-        )
-        assert np.all(np.abs(report.mean) < 4 * report.mean_se)
-        target_cov = 2 * beta * window * 0.5
-        assert abs(report.covariance[0, 1] - target_cov) < 4 * report.covariance_se[0, 1]
-
-    def test_factorized_requires_thirty_hits(self, sigma_z_set, equal_qubit):
-        with pytest.raises(InsufficientEventsError):
-            sample_factorized_db_windows(
-                equal_qubit, sigma_z_set, 0.1, 10.0, 0.5, 100,
-                np.random.default_rng(0),
-            )
+        db, counts = _window_increments(recs, beta, mu, window, 100)
+        assert counts.mean() == pytest.approx(60.0)
+        n = db.shape[0]
+        mean = db.mean(axis=0)
+        mean_se = db.std(axis=0, ddof=1) / math.sqrt(n)
+        variance = np.sum((db - mean) ** 2, axis=0) / (n - 1)
+        assert abs(mean[0]) < 4 * mean_se[0]
+        assert variance[0] == pytest.approx(0.02, rel=0.05)
 
 
 class TestConvergenceSweep:

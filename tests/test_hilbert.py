@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SQ2, random_state, random_unitary
+from conftest import SQ2, random_state, random_unitary, traced_peak
 from qreduce.errors import (
     DimensionMismatchError,
     NonCommutingError,
@@ -233,3 +233,24 @@ class TestHamiltonian:
         u = h.propagator(0.7)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         assert np.allclose(u, expm(-1j * SX * 0.7 / 2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 17, 300])
+    def test_joint_hamiltonian_without_joint_basis_is_the_matrix(self, dim):
+        # the re-symmetrized copy of an exactly Hermitian matrix has the
+        # same bits, signed zeros included
+        rng = np.random.default_rng(dim)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m[rng.random((dim, dim)) < 0.3] = -0.0
+        h = Hamiltonian(m + m.conj().T)
+        got = QuantitySet(rng.standard_normal((dim, 1))).joint_hamiltonian(h)
+        assert got is h.matrix and not got.flags.writeable
+        assert got.tobytes() == ((h.matrix + h.matrix.conj().T) / 2.0).tobytes()
+
+    def test_joint_hamiltonian_without_joint_basis_copies_nothing(self):
+        # three d x d complex matrices at d = 700 would take 22.4 MiB
+        rng = np.random.default_rng(700)
+        m = rng.standard_normal((700, 700)) + 1j * rng.standard_normal((700, 700))
+        h = Hamiltonian(m + m.conj().T)
+        quantities = QuantitySet(rng.standard_normal((700, 2)))
+        _, peak = traced_peak(quantities.joint_hamiltonian, h)
+        assert peak < 2**20

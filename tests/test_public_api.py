@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and none is listed twice."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,14 +38,37 @@ REMOVED = {
     "simulate_hitting_trajectory": "hitting",
     "simulate_continuous_trajectory": "continuous",
     "WienerIncrement": "continuous",
+    "DbMomentReport": "equivalence",
+    "db_statistics": "equivalence",
+    "sample_factorized_db_windows": "equivalence",
+    "InsufficientEventsError": "errors",
 }
 
 
 @pytest.mark.parametrize("name", list(REMOVED))
 def test_one_hitting_process_model(name):
     # a hitting process is a list of HitStream and its result one Ensemble of
-    # seeded rows; the one-stream config, the per-trajectory record view and
-    # the single-trajectory wrappers are gone from every surface
+    # seeded rows; the one-stream config, the per-trajectory record view, the
+    # single-trajectory wrappers and the window-increment harnesses built on
+    # them are gone from every surface
     assert name not in qreduce.__all__ and not hasattr(qreduce, name)
     module = importlib.import_module(f"qreduce.{REMOVED[name]}")
     assert name not in getattr(module, "__all__", []) and not hasattr(module, name)
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only; imports inside functions count too
+    found = []
+    for path in sorted(Path(qreduce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}" for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+    assert found == []
