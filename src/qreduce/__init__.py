@@ -32,9 +32,6 @@ _EXPORTS = {
         "Hamiltonian",
         "QuantitySet",
         "StateVector",
-        "born_weights",
-        "expectation",
-        "quantum_covariance",
         "validate_quantity_set",
     ),
     "trajectory": ("Ensemble",),
@@ -73,7 +70,6 @@ _EXPORTS = {
         "build_fock_lattice",
         "build_mass_density",
         "build_number_density",
-        "scenario_identical_particles",
         "smearing_kernel",
     ),
     "ensemble": (

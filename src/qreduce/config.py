@@ -46,6 +46,8 @@ def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
         raise ConfigError(key, f"{key} is malformed: {exc}") from None
     if re.size != dim * dim or im.size != dim * dim:
         raise ConfigError(key, f"{key} re/im must hold dim*dim = {dim * dim} entries")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ConfigError(key, f"{key} entries must be finite")
     return (re + 1j * im).reshape(dim, dim)
 
 
@@ -75,7 +77,13 @@ def hamiltonian_matrix_from_spec(spec, key: str = "hamiltonian") -> np.ndarray |
             raise ConfigError(
                 key, f"{key} name must be one of {sorted(_PAULIS)}, got {name!r}"
             )
-        return float(spec.get("scale", 1.0)) * _PAULIS[name]
+        try:
+            scale = float(spec.get("scale", 1.0))
+        except (TypeError, ValueError):
+            raise ConfigError(key, f"{key} scale must be a number") from None
+        if not math.isfinite(scale):
+            raise ConfigError(key, f"{key} scale must be finite, got {scale}")
+        return scale * _PAULIS[name]
     return matrix_from_json(spec, key)
 
 
@@ -193,6 +201,15 @@ class ScenarioConfig:
                     f"gamma={gamma} overrides beta*mu/2={derived}; the engines "
                     "are no longer an equivalent pair",
                     stacklevel=2,
+                )
+        if dt is not None and engine in ("continuous", "both"):
+            # ContinuousConfig's own test: whole steps per record interval
+            steps = record_interval / dt
+            if (dt > record_interval or not math.isfinite(steps)
+                    or abs(steps - round(steps)) > 1e-6):
+                raise ConfigError(
+                    "dt", f"dt = {dt:g} must divide record_interval = "
+                    f"{record_interval:g} into whole steps"
                 )
         if needs_hitting:
             check_expected_hits("mu", mu, t_end)

@@ -31,8 +31,6 @@ __all__ = [
     "build_number_density",
     "build_mass_density",
     "profile_decoherence_rate",
-    "LatticeScenario",
-    "scenario_identical_particles",
 ]
 
 
@@ -333,74 +331,3 @@ def profile_decoherence_rate(
     table = quantities.eigenvalue_table
     diff = table[index_a] - table[index_b]
     return 0.5 * gamma_eff * float(np.sum(diff**2))
-
-
-@dataclass(frozen=True)
-class LatticeScenario:
-    """A lattice model wired for the generic engines.
-
-    The spatially white noise field discretizes to independent per-site
-    increments of variance dt/dx. The smeared operators are cell counts
-    (one factor of dx relative to densities), so after rewriting with
-    unit-variance increments the per-site strength and accuracy are
-    gamma/dx and beta/dx; the induced decoherence rates are then Riemann
-    sums, invariant under grid refinement.
-    """
-
-    lattice: FockLattice
-    quantities: QuantitySet
-    psi0: StateVector
-    alpha: float
-    kind: str                      # "number-density" or "mass-density"
-    beta_eff: float | None = None
-    mu: float | None = None
-    gamma_eff: float | None = None
-
-
-def scenario_identical_particles(
-    lattice: FockLattice,
-    alpha: float,
-    *,
-    beta: float | None = None,
-    mu: float | None = None,
-    gamma: float | None = None,
-    use_mass_density: bool = False,
-    initial_state,
-) -> LatticeScenario:
-    """Package smeared densities and effective strengths for the engines.
-
-    Provide ``beta`` and ``mu`` for the hitting process, ``gamma`` for
-    the continuous one, or both; a missing ``gamma`` is derived as
-    beta * mu / 2. Multiple species require the mass-density variant.
-    """
-    if use_mass_density:
-        table = build_mass_density(lattice, alpha)
-        kind = "mass-density"
-    else:
-        if len(lattice.species) != 1:
-            raise ValueError(
-                "number-density sharpening applies to a single species; "
-                "use the mass density for several kinds"
-            )
-        table = build_number_density(lattice, 0, alpha)
-        kind = "number-density"
-    quantities = QuantitySet(table)
-    psi0 = (
-        initial_state
-        if isinstance(initial_state, StateVector)
-        else lattice.state_from_amplitudes(initial_state)
-    )
-    if psi0.dim != lattice.dim:
-        raise DimensionMismatchError("initial state dimension does not match the lattice")
-    if gamma is None and beta is not None and mu is not None:
-        gamma = beta * mu / 2.0
-    return LatticeScenario(
-        lattice=lattice,
-        quantities=quantities,
-        psi0=psi0,
-        alpha=alpha,
-        kind=kind,
-        beta_eff=None if beta is None else beta / lattice.dx,
-        mu=mu,
-        gamma_eff=None if gamma is None else gamma / lattice.dx,
-    )

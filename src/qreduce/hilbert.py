@@ -39,9 +39,6 @@ __all__ = [
     "QuantitySet",
     "validate_quantity_set",
     "live_coordinates",
-    "expectation",
-    "quantum_covariance",
-    "born_weights",
 ]
 
 
@@ -74,8 +71,8 @@ class StateVector:
             )
         nrm2 = float(np.sum(np.abs(amps) ** 2))
         if normalize:
-            if nrm2 <= 0.0:
-                raise ValueError("cannot normalize a zero state vector")
+            if not 0.0 < nrm2 < np.inf:
+                raise ValueError(f"cannot normalize a state of squared norm {nrm2!r}")
             amps = amps / np.sqrt(nrm2)
         elif abs(nrm2 - 1.0) > 100 * tol:
             # squared-norm check; the loose factor keeps legitimate
@@ -321,14 +318,41 @@ class QuantitySet:
         return (h_joint + h_joint.conj().T) / 2.0
 
     def born_weights(self, psi: StateVector) -> np.ndarray:
-        """Squared overlaps with each joint eigenvector, in basis order."""
-        return born_weights(psi, self)
+        """Weights |<alpha_k|psi>|^2 in joint-basis order; they sum to 1.
+
+        These are the long-time collapse probabilities of both reduction
+        processes. Degenerate eigenvalue rows each get their own weight;
+        collapse statistics aggregate rows downstream when needed.
+        """
+        weights = np.abs(self.to_joint(psi)) ** 2
+        total = weights.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"born weights sum to {total!r}; state not normalized")
+        return weights / total
+
+    def _quadratic_form(self, psi: StateVector, column: np.ndarray) -> float:
+        """<psi| D |psi> for D diagonal in the joint basis with entries ``column``."""
+        coeffs = self.to_joint(psi)
+        return float(np.vdot(coeffs, column * coeffs).real)
+
+    def _check_index(self, p: int) -> None:
+        if not 0 <= p < self.num_quantities:
+            raise DimensionMismatchError(
+                f"quantity index {p} out of range 0..{self.num_quantities - 1}"
+            )
 
     def expectation(self, psi: StateVector, p: int) -> float:
-        return expectation(psi, self, p)
+        """<psi| A_p |psi>, from the joint-basis coefficients and the table."""
+        self._check_index(p)
+        return self._quadratic_form(psi, self.eigenvalue_table[:, p])
 
     def covariance(self, psi: StateVector, p: int, q: int) -> float:
-        return quantum_covariance(psi, self, p, q)
+        """<A_p A_q> - <A_p><A_q>; symmetric because the quantities commute."""
+        self._check_index(p)
+        self._check_index(q)
+        table = self.eigenvalue_table
+        second = self._quadratic_form(psi, table[:, p] * table[:, q])
+        return second - self.expectation(psi, p) * self.expectation(psi, q)
 
     def expectations(self, psi: StateVector) -> np.ndarray:
         """All K expectation values at once, via the eigenvalue table."""
@@ -451,46 +475,3 @@ def live_coordinates(coeffs: np.ndarray, h_joint: np.ndarray | None = None) -> n
     if short > 0:
         live[np.flatnonzero(~live)[:short]] = True
     return np.flatnonzero(live)
-
-
-def _quadratic_form(psi: StateVector, quantities: QuantitySet, column: np.ndarray) -> float:
-    """<psi| D |psi> for D diagonal in the joint basis with entries ``column``."""
-    coeffs = quantities.to_joint(psi)
-    return float(np.vdot(coeffs, column * coeffs).real)
-
-
-def _check_index(quantities: QuantitySet, p: int) -> None:
-    if not 0 <= p < quantities.num_quantities:
-        raise DimensionMismatchError(
-            f"quantity index {p} out of range 0..{quantities.num_quantities - 1}"
-        )
-
-
-def expectation(psi: StateVector, quantities: QuantitySet, p: int) -> float:
-    """<psi| A_p |psi>, from the joint-basis coefficients and the table."""
-    _check_index(quantities, p)
-    return _quadratic_form(psi, quantities, quantities.eigenvalue_table[:, p])
-
-
-def quantum_covariance(psi: StateVector, quantities: QuantitySet, p: int, q: int) -> float:
-    """<A_p A_q> - <A_p><A_q>; symmetric because the quantities commute."""
-    _check_index(quantities, p)
-    _check_index(quantities, q)
-    table = quantities.eigenvalue_table
-    second = _quadratic_form(psi, quantities, table[:, p] * table[:, q])
-    return second - expectation(psi, quantities, p) * expectation(psi, quantities, q)
-
-
-def born_weights(psi: StateVector, quantities: QuantitySet) -> np.ndarray:
-    """Weights |<alpha_k|psi>|^2 in joint-basis order; they sum to 1.
-
-    These are the long-time collapse probabilities of both reduction
-    processes. Degenerate eigenvalue rows each get their own weight;
-    collapse statistics aggregate rows downstream when needed.
-    """
-    coeffs = quantities.to_joint(psi)
-    weights = np.abs(coeffs) ** 2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"born weights sum to {total!r}; state not normalized")
-    return weights / total

@@ -189,7 +189,8 @@ def hitting_density(
 
     For the smeared lattice densities, whose eigenvalues are cell counts,
     a density profile is a centre and ``beta`` is the per-site accuracy
-    beta / dx of :class:`~qreduce.fock.LatticeScenario`.
+    beta / dx that :func:`~qreduce.scenarios.build_scenario` gives their
+    stream.
     """
     a = _centre_vector(centre, quantities.num_quantities)
     weights = quantities.born_weights(psi)

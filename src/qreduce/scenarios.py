@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock
 from .config import (
     ScenarioConfig,
     check_expected_hits,
@@ -14,13 +15,13 @@ from .config import (
     matrix_from_json,
 )
 from .continuous import ContinuousConfig, suggested_dt
-from .errors import ConfigError
-from .fock import (
-    DIMENSION_CAP,
-    Species,
-    build_fock_lattice,
-    scenario_identical_particles,
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonCommutingError,
+    NonHermitianError,
 )
+from .fock import DIMENSION_CAP, Species, build_fock_lattice
 from .hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from .hitting import HitStream, Schedule
 
@@ -69,7 +70,14 @@ def _state_from_amplitude_spec(spec, dim: int) -> StateVector:
     im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
     if re.size != dim or im.size != dim:
         raise ConfigError("initial_state", f"initial_state must have {dim} amplitudes")
-    return StateVector(re + 1j * im, normalize=True)
+    return _normalized(re + 1j * im)
+
+
+def _normalized(amplitudes) -> StateVector:
+    try:
+        return StateVector(amplitudes, normalize=True)
+    except ValueError as exc:
+        raise ConfigError("initial_state", str(exc)) from None
 
 
 def _one_stream(config: ScenarioConfig, quantities: QuantitySet, beta) -> list[HitStream]:
@@ -80,22 +88,38 @@ def _one_stream(config: ScenarioConfig, quantities: QuantitySet, beta) -> list[H
     return [HitStream(columns, beta, config.mu, Schedule(config.schedule))]
 
 
+def _hamiltonian(config: ScenarioConfig, dim: int) -> Hamiltonian | None:
+    """The config's Hamiltonian on a ``dim``-dimensional space, or None."""
+    h_matrix = hamiltonian_matrix_from_spec(config.hamiltonian)
+    if h_matrix is None:
+        return None
+    try:
+        hamiltonian = Hamiltonian(h_matrix)
+    except NonHermitianError as exc:
+        raise ConfigError("hamiltonian", str(exc)) from None
+    if hamiltonian.dim != dim:
+        raise ConfigError(
+            "hamiltonian", f"hamiltonian dimension {hamiltonian.dim} does not match "
+            f"the Hilbert dimension {dim}"
+        )
+    return hamiltonian
+
+
 def _build_explicit(config: ScenarioConfig) -> BuiltScenario:
     ops_spec = config.payload.get("operators")
     if not ops_spec:
         raise ConfigError("operators", "operators are required for explicit-matrices")
     operators = [matrix_from_json(m, f"operators[{i}]") for i, m in enumerate(ops_spec)]
-    quantities = validate_quantity_set(operators)
+    try:
+        quantities = validate_quantity_set(operators)
+    except (NonHermitianError, NonCommutingError, DimensionMismatchError) as exc:
+        raise ConfigError("operators", str(exc)) from None
     psi0 = _state_from_amplitude_spec(config.payload.get("initial_state"), quantities.dim)
-    h_matrix = hamiltonian_matrix_from_spec(config.hamiltonian)
-    hamiltonian = None if h_matrix is None else Hamiltonian(h_matrix)
-    if hamiltonian is not None and hamiltonian.dim != quantities.dim:
-        raise ConfigError("hamiltonian", "hamiltonian dimension does not match operators")
     return BuiltScenario(
         config=config,
         psi0=psi0,
         quantities=quantities,
-        hamiltonian=hamiltonian,
+        hamiltonian=_hamiltonian(config, quantities.dim),
         streams=_one_stream(config, quantities, config.beta),
         gamma=config.gamma,
     )
@@ -107,6 +131,8 @@ def _lattice_from_payload(config: ScenarioConfig) -> tuple:
         sites = int(payload["sites"])
     except (KeyError, TypeError, ValueError):
         raise ConfigError("sites", "sites must be an integer") from None
+    if sites < 2:
+        raise ConfigError("sites", "sites must be >= 2")
     try:
         dx = float(payload["dx"])
     except (KeyError, TypeError, ValueError):
@@ -123,10 +149,29 @@ def _lattice_from_payload(config: ScenarioConfig) -> tuple:
 
 
 def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScenario:
+    """Smeared number or mass densities on a Fock lattice, with per-site strengths.
+
+    The spatially white noise field discretizes to independent per-site
+    increments of variance dt/dx. The smeared operators are cell counts
+    (one factor of dx relative to densities), so after rewriting with
+    unit-variance increments the per-site accuracy and strength are
+    beta/dx and gamma/dx; the induced decoherence rates are then Riemann
+    sums, invariant under grid refinement. gamma is the config's own
+    (beta * mu / 2 when derived), so a hitting-only config has none.
+    """
+    if config.hamiltonian is not None:
+        raise ConfigError(
+            "hamiltonian", "lattice scenarios run the pure reduction process"
+        )
     sites, dx, alpha = _lattice_from_payload(config)
     species_spec = config.payload.get("species")
     if not species_spec:
         raise ConfigError("species", "species list is required for lattice scenarios")
+    if not use_mass and len(species_spec) != 1:
+        raise ConfigError(
+            "species", "number-density sharpening applies to a single species; "
+            "use the mass density for several kinds"
+        )
     species = []
     for i, sp in enumerate(species_spec):
         try:
@@ -145,6 +190,11 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
         lattice = build_fock_lattice(sites, dx, species)
     except ValueError as exc:
         raise ConfigError("species", str(exc)) from None
+    if lattice.dim < 2:
+        raise ConfigError(
+            "species", f"the species fill the lattice in {lattice.dim} way; "
+            "reduction needs at least 2 basis states"
+        )
 
     entries_spec = config.payload.get("initial_state")
     if not entries_spec:
@@ -160,28 +210,24 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
             ) from None
         entries.append((occ, amp))
     try:
-        scenario = scenario_identical_particles(
-            lattice,
-            alpha,
-            beta=config.beta,
-            mu=config.mu,
-            gamma=config.gamma,
-            use_mass_density=use_mass,
-            initial_state=entries,
-        )
-    except (ValueError, KeyError) as exc:
+        psi0 = lattice.state_from_amplitudes(entries)
+    except (DimensionMismatchError, KeyError, ValueError) as exc:
         raise ConfigError("initial_state", str(exc)) from None
-    if config.hamiltonian is not None:
-        raise ConfigError(
-            "hamiltonian", "lattice scenarios run the pure reduction process"
-        )
+
+    # through the module, so that a wrapper on fock's attribute sees the call
+    if use_mass:
+        table = fock.build_mass_density(lattice, alpha)
+    else:
+        table = fock.build_number_density(lattice, 0, alpha)
+    quantities = QuantitySet(table)
+    beta = None if config.beta is None else config.beta / dx
     return BuiltScenario(
         config=config,
-        psi0=scenario.psi0,
-        quantities=scenario.quantities,
+        psi0=psi0,
+        quantities=quantities,
         hamiltonian=None,
-        streams=_one_stream(config, scenario.quantities, scenario.beta_eff),
-        gamma=scenario.gamma_eff,
+        streams=_one_stream(config, quantities, beta),
+        gamma=None if config.gamma is None else config.gamma / dx,
     )
 
 
@@ -200,6 +246,10 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
             raise ConfigError("particles", f"particles[{i}].rate must be finite and > 0")
         if config.engine != "continuous":
             check_expected_hits("particles", rate, config.t_end)
+        if config.engine != "hitting" and not math.isfinite(alpha * rate / 2.0):
+            raise ConfigError(
+                "particles", f"particles[{i}]: gamma = alpha * rate / 2 must be finite"
+            )
         rates.append(rate)
     n_particles = len(rates)
     dim = sites**n_particles
@@ -236,21 +286,17 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
         for s in where:
             index = index * sites + s
         amps[index] += amp
-    psi0 = StateVector(amps, normalize=True)
+    psi0 = _normalized(amps)
 
     # one stream per particle: localization frequency rate_l, accuracy alpha
     schedule = Schedule(config.schedule)
     streams = [HitStream((l,), alpha, rate, schedule) for l, rate in enumerate(rates)]
     gamma = np.array([alpha * rate / 2.0 for rate in rates])
-    h_matrix = hamiltonian_matrix_from_spec(config.hamiltonian)
-    hamiltonian = None if h_matrix is None else Hamiltonian(h_matrix)
-    if hamiltonian is not None and hamiltonian.dim != dim:
-        raise ConfigError("hamiltonian", "hamiltonian dimension does not match the lattice")
     return BuiltScenario(
         config=config,
         psi0=psi0,
         quantities=quantities,
-        hamiltonian=hamiltonian,
+        hamiltonian=_hamiltonian(config, dim),
         streams=streams,
         gamma=gamma,
     )

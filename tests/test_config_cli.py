@@ -290,6 +290,77 @@ def distinguishable_config(**overrides) -> dict:
     return raw
 
 
+def two_site_boson_config(**overrides) -> dict:
+    """One boson on two sites, hitting only."""
+    raw = {
+        "scenario": "identical-particles",
+        "engine": "hitting",
+        "beta": 0.5,
+        "mu": 8.0,
+        "t_end": 1.0,
+        "record_interval": 0.5,
+        "n_trajectories": 4,
+        "seed": 5,
+        "sites": 2,
+        "dx": 1.0,
+        "alpha": 2.0,
+        "species": [{"name": "b", "count": 1}],
+        "initial_state": [{"occupations": [[1, 0]], "re": 1.0}],
+    }
+    raw.update(overrides)
+    return raw
+
+
+SIGMA_X = {"dim": 2, "re": [0, 1, 1, 0]}
+SIGMA_Z = {"dim": 2, "re": [1, 0, 0, -1]}
+
+# a config the CLI must refuse with a ConfigError, and the key it must name
+MALFORMED = {
+    "non-hermitian-operator": (
+        minimal_qubit_config(operators=[{"dim": 2, "re": [1, 1, 0, -1]}]), "operators"
+    ),
+    "non-commuting-operators": (minimal_qubit_config(operators=[SIGMA_Z, SIGMA_X]), "operators"),
+    "non-finite-operator": (
+        minimal_qubit_config(operators=[{"dim": 2, "re": [math.nan, 0, 0, -1]}]), "operators[0]"
+    ),
+    "non-hermitian-hamiltonian": (
+        minimal_qubit_config(hamiltonian={"dim": 2, "re": [0, 1, 0, 0]}), "hamiltonian"
+    ),
+    "infinite-hamiltonian-scale": (
+        minimal_qubit_config(hamiltonian={"name": "sigma_x", "scale": math.inf}), "hamiltonian"
+    ),
+    "zero-initial-state": (minimal_qubit_config(initial_state={"re": [0, 0]}), "initial_state"),
+    "one-dimensional-lattice": (
+        two_site_boson_config(
+            species=[{"name": "f", "statistics": "fermion", "count": 2}],
+            initial_state=[{"occupations": [[1, 1]], "re": 1.0}],
+        ),
+        "species",
+    ),
+    "occupations-of-wrong-shape": (
+        two_site_boson_config(initial_state=[{"occupations": [[1, 0, 0]], "re": 1.0}]),
+        "initial_state",
+    ),
+    "number-density-of-two-species": (
+        two_site_boson_config(
+            species=[{"name": "a", "count": 1}, {"name": "b", "count": 1}],
+            initial_state=[{"occupations": [[1, 0], [1, 0]], "re": 1.0}],
+        ),
+        "species",
+    ),
+    "one-site": (two_site_boson_config(sites=1), "sites"),
+    "overflowing-particle-strength": (
+        distinguishable_config(alpha=1e300, particles=[{"rate": 1e300}],
+                               initial_state=[{"sites": [0], "re": 1.0}]),
+        "particles",
+    ),
+    # qubit-equal records every 0.75: dt must divide that into whole steps
+    "dt-not-dividing-the-record-interval": ({**load_preset("qubit-equal"), "dt": 0.0007}, "dt"),
+    "dt-above-the-record-interval": ({**load_preset("qubit-equal"), "dt": 2.0}, "dt"),
+    "dt-of-one-and-a-half-steps": ({**load_preset("qubit-equal"), "dt": 0.5}, "dt"),
+}
+
+
 def _run_cli(tmp_path: Path, raw: dict, out: str, extra=()) -> Path:
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(raw))
@@ -364,6 +435,22 @@ class TestCliRun:
         rc = main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_config_exits_1_naming_its_key(self, tmp_path, capsys, case):
+        raw, key = MALFORMED[case]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "o"
+        rc = main(["run", str(cfg_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"config error [{key}]" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_hitting_only_config_takes_any_dt(self):
+        raw = minimal_qubit_config(engine="hitting", dt=0.0007)
+        assert ScenarioConfig.from_dict(raw).dt == 0.0007
 
     def test_preset_name_resolves_like_a_path(self):
         cfg = load_config("qubit-equal")

@@ -11,9 +11,9 @@ from scipy.special import erf as scipy_erf
 
 from conftest import SQ2
 from qreduce.config import ScenarioConfig, load_preset
-from qreduce.errors import DimensionMismatchError
+from qreduce.errors import ConfigError, DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
-from qreduce.hitting import HitStream, hitting_density, simulate_hitting_batch
+from qreduce.hitting import hitting_density, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
 from qreduce.equivalence import (
@@ -23,6 +23,7 @@ from qreduce.equivalence import (
     lindblad_evolution,
     trace_norm_distance,
 )
+from qreduce import fock
 from qreduce.fock import (
     Species,
     _count_occupation_vectors,
@@ -32,7 +33,6 @@ from qreduce.fock import (
     build_mass_density,
     build_number_density,
     profile_decoherence_rate,
-    scenario_identical_particles,
     smearing_kernel,
 )
 from qreduce.scenarios import build_scenario
@@ -42,6 +42,41 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 def one_boson_lattice(sites=2, dx=1.0):
     return build_fock_lattice(sites, dx, [Species("b", count=1)])
+
+
+def lattice_config(lat, alpha, initial_state, *, use_mass=False, **rates) -> dict:
+    """A lattice config over ``lat``'s sites, dx and species.
+
+    ``initial_state`` holds (occupations, amplitude) pairs; ``rates`` are
+    the engine and its beta, mu or gamma (engine hitting by default).
+    """
+    return {
+        "scenario": "mass-density" if use_mass else "identical-particles",
+        "engine": "hitting",
+        "t_end": 1.0,
+        "record_interval": 0.5,
+        "sites": lat.num_sites,
+        "dx": lat.dx,
+        "alpha": alpha,
+        "species": [
+            {"name": sp.name, "mass": sp.mass, "statistics": sp.statistics,
+             "count": sp.count}
+            for sp in lat.species
+        ],
+        "initial_state": [
+            {"occupations": np.asarray(occ).tolist(), "re": complex(amp).real,
+             "im": complex(amp).imag}
+            for occ, amp in initial_state
+        ],
+        **rates,
+    }
+
+
+def lattice_scenario(lat, alpha, initial_state, **kwargs):
+    """``build_scenario`` of :func:`lattice_config`."""
+    return build_scenario(
+        ScenarioConfig.from_dict(lattice_config(lat, alpha, initial_state, **kwargs))
+    )
 
 
 def recursive_occupation_vectors(total, sites, cap):
@@ -97,10 +132,9 @@ class TestLatticeBasis:
         # scenario exists in a one-dimensional space
         lat = build_fock_lattice(2, 1.0, [Species("f", statistics="fermion", count=2)])
         assert lat.dim == 1
-        with pytest.raises(DimensionMismatchError):
-            scenario_identical_particles(
-                lat, 1.0, beta=1.0, mu=1.0, initial_state=[(np.array([[1, 1]]), 1.0)]
-            )
+        with pytest.raises(ConfigError) as err:
+            lattice_scenario(lat, 1.0, [(np.array([[1, 1]]), 1.0)], beta=1.0, mu=1.0)
+        assert err.value.key == "species"
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -322,9 +356,7 @@ class TestMassDensity:
 class TestProfileProbability:
     def test_peaks_at_own_smeared_profile(self):
         lat = one_boson_lattice(2)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=1.0, mu=1.0, initial_state=[(np.array([[1, 0]]), 1.0)]
-        )
+        scenario = lattice_scenario(lat, 2.0, [(np.array([[1, 0]]), 1.0)], beta=1.0, mu=1.0)
         qs = scenario.quantities
         psi = scenario.psi0
         own = qs.eigenvalue_table[qs.born_weights(psi).argmax()]
@@ -335,9 +367,8 @@ class TestProfileProbability:
 
     def test_symmetric_superposition_symmetric_density(self):
         lat = one_boson_lattice(2)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=1.0, mu=1.0,
-            initial_state=[(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)],
+        scenario = lattice_scenario(
+            lat, 2.0, [(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)], beta=1.0, mu=1.0
         )
         qs, psi = scenario.quantities, scenario.psi0
         p_a = hitting_density(psi, qs, [0.9, 0.1], 1.0 / lat.dx)
@@ -346,9 +377,8 @@ class TestProfileProbability:
 
     def test_grid_quadrature_normalizes(self):
         lat = one_boson_lattice(2)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=0.5, mu=1.0,
-            initial_state=[(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)],
+        scenario = lattice_scenario(
+            lat, 2.0, [(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)], beta=0.5, mu=1.0
         )
         qs, psi = scenario.quantities, scenario.psi0
         grid = np.linspace(-4.5, 5.5, 121)
@@ -363,9 +393,7 @@ class TestProfileProbability:
 
     def test_profile_length_checked(self):
         lat = one_boson_lattice(2)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=0.5, mu=1.0, initial_state=[(np.array([[1, 0]]), 1.0)]
-        )
+        scenario = lattice_scenario(lat, 2.0, [(np.array([[1, 0]]), 1.0)], beta=0.5, mu=1.0)
         with pytest.raises(DimensionMismatchError):
             hitting_density(scenario.psi0, scenario.quantities, [1.0], 0.5 / lat.dx)
 
@@ -373,14 +401,11 @@ class TestProfileProbability:
 class TestScenarios:
     def test_one_boson_two_sites_collapses_evenly(self):
         lat = one_boson_lattice(2)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=2.0, mu=10.0,
-            initial_state=[(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)],
+        scenario = lattice_scenario(
+            lat, 2.0, [(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)], beta=2.0, mu=10.0
         )
-        columns = range(scenario.quantities.num_quantities)
-        streams = [HitStream(columns, beta=scenario.beta_eff, mu=scenario.mu)]
         records = run_hitting_ensemble(
-            scenario.psi0, None, scenario.quantities, streams, 15.0, 7.5, 1500, 41
+            scenario.psi0, None, scenario.quantities, scenario.streams, 15.0, 7.5, 1500, 41
         )
         report = collapse_statistics(records, scenario.quantities)
         assert report.unresolved_fraction < 0.02
@@ -388,48 +413,74 @@ class TestScenarios:
         assert abs(report.outcomes[0].frequency - 0.5) < 4 * se
 
     def test_gamma_derived_from_beta_mu(self):
+        # the config derives gamma = beta * mu / 2 for the diffusion
         lat = one_boson_lattice(2, dx=0.5)
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=2.0, mu=10.0, initial_state=[(np.array([[1, 0]]), 1.0)]
+        scenario = lattice_scenario(
+            lat, 2.0, [(np.array([[1, 0]]), 1.0)], engine="both", beta=2.0, mu=10.0
         )
-        assert scenario.beta_eff == pytest.approx(4.0)    # beta / dx
-        assert scenario.gamma_eff == pytest.approx(20.0)  # beta*mu/2 / dx
+        assert scenario.streams[0].beta == pytest.approx(4.0)  # beta / dx
+        assert scenario.gamma == pytest.approx(20.0)  # beta*mu/2 / dx
+
+    @pytest.mark.parametrize("use_mass", [False, True])
+    def test_build_scenario_matches_the_fock_functions(self, use_mass):
+        # the table, psi0, the per-site accuracy beta/dx and strength gamma/dx,
+        # bit for bit
+        species = [Species("a", mass=1.0, count=2)]
+        if use_mass:
+            species.append(Species("f", mass=2.5, statistics="fermion", count=1))
+        lat = build_fock_lattice(4, 0.7, species)
+        alpha, beta, mu = 1.3, 0.9, 6.0
+        entries = [(lat.configs[1], 0.6), (lat.configs[-2], 0.3 - 0.5j)]
+        built = lattice_scenario(
+            lat, alpha, entries, use_mass=use_mass, engine="both", beta=beta, mu=mu
+        )
+        if use_mass:
+            table = fock.build_mass_density(lat, alpha)
+        else:
+            table = fock.build_number_density(lat, 0, alpha)
+        assert built.quantities.joint_basis is None
+        assert built.quantities.eigenvalue_table.tobytes() == table.tobytes()
+        psi0 = lat.state_from_amplitudes(entries)
+        assert built.psi0.amplitudes.tobytes() == psi0.amplitudes.tobytes()
+        assert built.streams[0].beta == beta / lat.dx
+        assert built.streams[0].mu == mu
+        assert built.gamma == beta * mu / 2.0 / lat.dx
+
+        hitting_only = lattice_scenario(lat, alpha, entries, use_mass=use_mass, beta=beta, mu=mu)
+        assert hitting_only.gamma is None
+        assert hitting_only.streams[0].beta == beta / lat.dx
 
     def test_number_density_needs_single_species(self):
         lat = build_fock_lattice(
             2, 1.0, [Species("a", count=1), Species("b", count=1)]
         )
-        with pytest.raises(ValueError):
-            scenario_identical_particles(
-                lat, 1.0, beta=1.0, mu=1.0,
-                initial_state=[(np.array([[1, 0], [1, 0]]), 1.0)],
-            )
+        with pytest.raises(ConfigError) as err:
+            lattice_scenario(lat, 1.0, [(np.array([[1, 0], [1, 0]]), 1.0)], beta=1.0, mu=1.0)
+        assert err.value.key == "species"
 
     def test_two_branch_mass_superposition_decoheres_at_closed_rate(self):
         lat = build_fock_lattice(
             2, 1.0, [Species("a", mass=1.0, count=1), Species("b", mass=2.0, count=1)]
         )
-        scenario = scenario_identical_particles(
-            lat, 2.0, beta=4.0, mu=10.0, use_mass_density=True,
-            initial_state=[
-                (np.array([[1, 0], [0, 1]]), SQ2),
-                (np.array([[0, 1], [1, 0]]), SQ2),
-            ],
+        scenario = lattice_scenario(
+            lat, 2.0,
+            [(np.array([[1, 0], [0, 1]]), SQ2), (np.array([[0, 1], [1, 0]]), SQ2)],
+            use_mass=True, engine="both", beta=4.0, mu=10.0,
         )
         qs = scenario.quantities
         ka = lat.index_of(np.array([[1, 0], [0, 1]]))
         kb = lat.index_of(np.array([[0, 1], [1, 0]]))
-        rate = profile_decoherence_rate(qs, ka, kb, scenario.gamma_eff)
+        rate = profile_decoherence_rate(qs, ka, kb, scenario.gamma)
         n = 1500
         cfg = ContinuousConfig(
-            gamma=scenario.gamma_eff, dt=2.5e-3, t_end=1.0, record_interval=0.5
+            gamma=scenario.gamma, dt=2.5e-3, t_end=1.0, record_interval=0.5
         )
         records = run_continuous_ensemble(
             scenario.psi0, None, qs, cfg, n, 43, store_states=True
         )
         rho_mc = ensemble_density_matrix(records, 1.0, qs)
         _, oracle = lindblad_evolution(
-            DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma_eff, 1.0
+            DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma, 1.0
         )
         coherence = abs(oracle[-1].rho[ka, kb])
         assert coherence == pytest.approx(0.5 * math.exp(-rate), abs=1e-10)
@@ -437,10 +488,7 @@ class TestScenarios:
 
     def test_conserves_particle_number_with_hopping(self):
         lat = one_boson_lattice(3)
-        scenario = scenario_identical_particles(
-            lat, 1.0, beta=1.0, mu=5.0,
-            initial_state=[(np.array([[1, 0, 0]]), 1.0)],
-        )
+        scenario = lattice_scenario(lat, 1.0, [(np.array([[1, 0, 0]]), 1.0)], beta=1.0, mu=5.0)
         # single-particle hopping in the occupation basis conserves the count
         hop = np.zeros((3, 3), dtype=complex)
         for i, j in ((0, 1), (1, 2)):
@@ -449,10 +497,9 @@ class TestScenarios:
             hop[a, b] = hop[b, a] = -1.0
         from qreduce.hilbert import Hamiltonian
 
-        columns = range(scenario.quantities.num_quantities)
-        streams = [HitStream(columns, beta=scenario.beta_eff, mu=scenario.mu)]
         ens = simulate_hitting_batch(
-            scenario.psi0, Hamiltonian(hop), scenario.quantities, streams, 2.0, 0.25, [3],
+            scenario.psi0, Hamiltonian(hop), scenario.quantities, scenario.streams, 2.0, 0.25,
+            [3],
             store_states=True,
         )
         for state in ens.states[:, 0]:

@@ -12,9 +12,6 @@ from qreduce.hilbert import (
     Hamiltonian,
     QuantitySet,
     StateVector,
-    born_weights,
-    expectation,
-    quantum_covariance,
     validate_quantity_set,
 )
 
@@ -39,6 +36,11 @@ class TestStateVector:
     def test_zero_state_cannot_normalize(self):
         with pytest.raises(ValueError):
             StateVector([0.0, 0.0], normalize=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_cannot_normalize(self, bad):
+        with pytest.raises(ValueError, match="squared norm"):
+            StateVector([bad, 1.0], normalize=True)
 
     def test_immutable(self):
         psi = StateVector([1.0, 0.0])
@@ -145,19 +147,19 @@ class TestValidateQuantitySet:
 
 class TestExpectation:
     def test_eigenstate(self, sigma_z_set):
-        assert expectation(StateVector([1.0, 0.0]), sigma_z_set, 0) == pytest.approx(1.0)
+        assert sigma_z_set.expectation(StateVector([1.0, 0.0]), 0) == pytest.approx(1.0)
 
     def test_symmetry(self, sigma_z_set, equal_qubit):
-        assert expectation(equal_qubit, sigma_z_set, 0) == pytest.approx(0.0, abs=1e-12)
+        assert sigma_z_set.expectation(equal_qubit, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_quadratic_form(self):
         qs = validate_quantity_set([np.diag([1.0, 2.0, 3.0])])
         psi = StateVector([0.6, 0.8, 0.0])
-        assert expectation(psi, qs, 0) == pytest.approx(1.64, abs=1e-12)
+        assert qs.expectation(psi, 0) == pytest.approx(1.64, abs=1e-12)
 
     def test_index_out_of_range(self, sigma_z_set, equal_qubit):
         with pytest.raises(DimensionMismatchError):
-            expectation(equal_qubit, sigma_z_set, 1)
+            sigma_z_set.expectation(equal_qubit, 1)
 
     def test_corrupted_operator_flagged(self):
         qs = validate_quantity_set([SZ])
@@ -170,28 +172,28 @@ class TestExpectation:
 class TestCovariance:
     def test_eigenstate_sharp(self, sigma_z_set):
         psi = StateVector([0.0, 1.0])
-        assert quantum_covariance(psi, sigma_z_set, 0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert sigma_z_set.covariance(psi, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_variance(self, sigma_z_set, equal_qubit):
-        assert quantum_covariance(equal_qubit, sigma_z_set, 0, 0) == pytest.approx(1.0)
+        assert sigma_z_set.covariance(equal_qubit, 0, 0) == pytest.approx(1.0)
 
     def test_diagonal_pair_cross(self, correlated_pair_set, equal_qubit):
         # <AB> - <A><B> = 6.5 - 1.5 * 4 = 0.5
-        assert quantum_covariance(equal_qubit, correlated_pair_set, 0, 1) == pytest.approx(0.5)
-        assert quantum_covariance(equal_qubit, correlated_pair_set, 1, 0) == pytest.approx(0.5)
+        assert correlated_pair_set.covariance(equal_qubit, 0, 1) == pytest.approx(0.5)
+        assert correlated_pair_set.covariance(equal_qubit, 1, 0) == pytest.approx(0.5)
 
 
 class TestBornWeights:
     def test_eigenvector_unit_weight(self, three_level_set):
         psi = StateVector([0.0, 1.0, 0.0])
-        assert np.allclose(born_weights(psi, three_level_set), [0, 1, 0], atol=1e-12)
+        assert np.allclose(three_level_set.born_weights(psi), [0, 1, 0], atol=1e-12)
 
     def test_equal_superposition(self, sigma_z_set, equal_qubit):
-        assert np.allclose(born_weights(equal_qubit, sigma_z_set), [0.5, 0.5])
+        assert np.allclose(sigma_z_set.born_weights(equal_qubit), [0.5, 0.5])
 
     def test_squared_moduli(self, sigma_z_set):
         psi = StateVector([0.5, np.sqrt(0.75)])
-        assert np.allclose(born_weights(psi, sigma_z_set), [0.25, 0.75])
+        assert np.allclose(sigma_z_set.born_weights(psi), [0.25, 0.75])
 
     def test_sum_to_one_many_random_states(self):
         rng = np.random.default_rng(123)
@@ -199,7 +201,7 @@ class TestBornWeights:
         qs = validate_quantity_set([u @ np.diag([1.0, 2, 3, 4, 5]) @ u.conj().T])
         worst = 0.0
         for _ in range(1000):
-            w = born_weights(random_state(rng, qs.dim), qs)
+            w = qs.born_weights(random_state(rng, qs.dim))
             worst = max(worst, abs(w.sum() - 1.0))
         assert worst <= 1e-12
 
@@ -213,11 +215,11 @@ class TestBornWeights:
         qs = validate_quantity_set(ops)
         for _ in range(50):
             psi = random_state(rng, 4)
-            w = born_weights(psi, qs)
+            w = qs.born_weights(psi)
             for p in range(2):
                 via_matrix = np.vdot(psi.amplitudes, ops[p] @ psi.amplitudes).real
                 via_table = float(w @ qs.eigenvalue_table[:, p])
-                assert expectation(psi, qs, p) == pytest.approx(via_matrix, abs=1e-10)
+                assert qs.expectation(psi, p) == pytest.approx(via_matrix, abs=1e-10)
                 assert via_table == pytest.approx(via_matrix, abs=1e-10)
 
 
