@@ -32,13 +32,26 @@ from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .errors import ConfigError, QReduceError
 from .hilbert import COMMUTATOR_TOL, live_coordinates
 from .scenarios import BuiltScenario, build_scenario
-from .trajectory import Ensemble
+from .trajectory import Ensemble, record_count
 
 
-# The most bytes that a run's records, hit arrays and noise block may be
-# estimated to take. ``run`` and ``sweep`` refuse a larger config before
-# they create the output directory.
+# The most bytes that a run's records, hit arrays, noise block and L x L
+# matrices may be estimated to take. ``run`` and ``sweep`` refuse a larger
+# config before they create the output directory.
 PREFLIGHT_BYTES = 1 << 30
+
+# Complex L x L matrices that one engine kernel holds with a Hamiltonian:
+# its block and its propagator or real step form. tracemalloc peaks of
+# one kernel call at L = 200 and 400 read 3.1 (hitting) and 3.9-4.2
+# (diffusion) times 16 L^2 B.
+KERNEL_HAMILTONIAN_MATRICES = 4
+
+# Complex L x L matrices the oracles hold beside their series, without and
+# with a Hamiltonian: the rates, damping and Runge-Kutta temporaries and
+# the trace distance's difference and eigensolver copy. tracemalloc peaks
+# at L = 100-300 read (2 S + 4.5) and (2 S + 10.6 to 11.6) times 16 L^2 B
+# for engine_comparison over S records.
+ORACLE_WORK_MATRICES = (5, 12)
 
 
 def _fmt(value) -> str:
@@ -233,18 +246,21 @@ def _run_engines(built: BuiltScenario, workers: int):
 
 
 def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
-                     total_rate: float) -> None:
+                     total_rate: float, oracle_matrices: int) -> None:
     """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
 
     Estimated at the live width L that psi0 and the Hamiltonian leave the
-    engines (``hilbert.live_coordinates``), per engine: the records,
-    S x n x (L + K) x 8 B plus, with engine ``both``, which stores states,
-    S x n x L x 16 B of them; the hitting engine's expected hit arrays at
-    ``total_rate``, n x rate x t_end x (17 + 16 K) B, which is also the
-    engine's peak: its event clock and its per-row generators take a
-    block of fixed size beside them; and the diffusion engine's noise
-    block. The error names the key of the largest part. Nothing is
-    allocated.
+    engines and the oracles (``hilbert.live_coordinates``), per engine: the
+    records, S x n x (L + K) x 8 B plus, with engine ``both``, which
+    stores states, S x n x L x 16 B of them; the hitting engine's
+    expected hit arrays at ``total_rate``, n x rate x t_end x (17 + 16 K)
+    B, which is also the engine's peak: its event clock and its per-row
+    generators take a block of fixed size beside them; the diffusion
+    engine's noise block; and with a Hamiltonian, each kernel's
+    ``KERNEL_HAMILTONIAN_MATRICES`` complex L x L forms of it. With engine
+    ``both`` the oracles hold ``oracle_matrices`` complex L x L matrices of
+    their series beside ``ORACLE_WORK_MATRICES`` working ones. The error
+    names the key of the largest part. Nothing is allocated.
     """
     config, quantities = built.config, built.quantities
     n, k = config.n_trajectories, quantities.num_quantities
@@ -262,12 +278,18 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
     if "continuous" in engines:
         rows = min(n, CHUNK_SIZE)
         sizes["n_trajectories"] = rows * noise_block_steps(rows, k) * k * 8
+    square = 16 * width**2
+    with_h = built.hamiltonian is not None
+    if with_h:
+        sizes["hamiltonian"] = len(engines) * KERNEL_HAMILTONIAN_MATRICES * square
+    if both:
+        sizes["initial_state"] = (oracle_matrices + ORACLE_WORK_MATRICES[with_h]) * square
     total = sum(sizes.values())
     if total > PREFLIGHT_BYTES:
         raise ConfigError(
             max(sizes, key=sizes.get),
-            f"records, hits and noise would take about {total / 2**30:.3g} GiB; "
-            f"at most {PREFLIGHT_BYTES / 2**30:g} GiB is allowed",
+            f"records, hits, noise and L x L matrices would take about "
+            f"{total / 2**30:.3g} GiB; at most {PREFLIGHT_BYTES / 2**30:g} GiB is allowed",
         )
 
 
@@ -282,8 +304,9 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     built = build_scenario(config)
-    samples = math.floor(config.t_end / config.record_interval + 1e-9) + 1
-    _check_footprint(built, samples, "mu", sum(s.mu for s in built.streams))
+    samples = record_count(config.t_end, config.record_interval)
+    # the oracles of engine both hold two series of all the records
+    _check_footprint(built, samples, "mu", sum(s.mu for s in built.streams), 2 * samples)
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     ensembles = _run_engines(built, args.workers)
@@ -358,8 +381,9 @@ def cmd_sweep(args) -> int:
         print(f"values sorted ascending before execution: {ordered}")
 
     built = build_scenario(config)
-    # each swept ensemble records at 0 and t_end, with states
-    _check_footprint(built, 2, "values", ordered[-1])
+    # each swept ensemble records at 0 and t_end, with states; the oracles
+    # hold the Lindblad series and two hitting series of 2 matrices each
+    _check_footprint(built, 2, "values", ordered[-1], 6)
     rows = convergence_sweep(
         built.psi0, built.quantities, built.streams, _scalar(built.gamma), ordered,
         config.n_trajectories, config.t_end, config.seed,

@@ -52,6 +52,7 @@ __all__ = [
     "ContinuousConfig",
     "strength_from_hitting",
     "suggested_dt",
+    "snapped_dt",
     "sde_step",
 ]
 
@@ -94,6 +95,13 @@ def suggested_dt(quantities: QuantitySet, gamma) -> float:
     if g * spread <= 0:
         return 1e-2
     return 0.01 / (g * spread)
+
+
+def snapped_dt(quantities: QuantitySet, gamma, record_interval: float) -> float:
+    """The longest step at or below :func:`suggested_dt` that divides
+    ``record_interval`` into whole steps."""
+    steps = max(1, math.ceil(record_interval / suggested_dt(quantities, gamma)))
+    return record_interval / steps
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ exponential channel, and the diffusive process to a double-commutator
 cross-checks, calibrate the Monte Carlo engines and quantify how fast
 the hitting process approaches its continuous limit under
 beta * mu = 2 * gamma.
+
+The oracle functions take a statistical operator of any dimension d.
+The harnesses (:func:`engine_comparison`, :func:`convergence_sweep`)
+call them on the live block of ``trajectory.live_block``, where the
+engines also run: an L x L ``rho0`` from psi0's live joint
+coefficients, the basis-free set of the live table rows and the L x L
+block of the joint-basis Hamiltonian. Outside that block rho0 is 0 and
+neither master equation couples anything into it, so every entry there
+stays exactly 0 and each trace distance is the block's.
 """
 
 from __future__ import annotations
@@ -19,14 +28,14 @@ import numpy as np
 from .errors import DimensionMismatchError, MissingSnapshotError
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream
-from .continuous import ContinuousConfig, suggested_dt
+from .continuous import ContinuousConfig, snapped_dt
 from .ensemble import (
     SWEEP_STREAM,
     derive_seed,
     run_continuous_ensemble,
     run_hitting_ensemble,
 )
-from .trajectory import Ensemble
+from .trajectory import Ensemble, live_block
 
 __all__ = [
     "DensityMatrix",
@@ -686,6 +695,21 @@ def _bootstrap_distance(
     return float(dists.std(ddof=1))
 
 
+def _live_oracle_inputs(psi0: StateVector, quantities: QuantitySet,
+                        hamiltonian: Hamiltonian | None):
+    """The live indices and the oracles' inputs on the live block.
+
+    Returns ``live``, the L x L pure ``rho0`` of psi0's live joint
+    coefficients, the basis-free live quantity set and the L x L
+    Hamiltonian (or None), all from ``trajectory.live_block``, as the
+    engines get them.
+    """
+    block = live_block(quantities.to_joint(psi0), quantities, hamiltonian)
+    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
+    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint, hbar=block.hbar)
+    return block.live, rho0, block.quantities, h_block
+
+
 def convergence_sweep(
     psi0: StateVector,
     quantities: QuantitySet,
@@ -712,26 +736,29 @@ def convergence_sweep(
     (hitting master equation vs Lindblad at the probe time, both under
     ``hamiltonian``) and the trace-norm distance between the Monte Carlo
     ensembles at the probe time, with a bootstrap error and an
-    independent-halves noise-floor estimate. Each Monte Carlo distance is
-    taken on the live joint coordinates that both ensembles share, where
-    both mixtures live.
+    independent-halves noise-floor estimate. Every distance, oracle and
+    Monte Carlo, is taken on the live joint coordinates, where both
+    ensembles run and every operator lives: both oracles get the live
+    block of :func:`_live_oracle_inputs`, so they cost O(L^2), not
+    O(d^2).
 
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
     diffusive ensemble is ``run_continuous_ensemble`` with
-    ``master_seed``. The hitting ensemble of the i-th value (i = 1, 2, ...)
-    is ``run_hitting_ensemble`` with master seed
+    ``master_seed``, stepped at ``t_probe`` over the nearest whole number
+    of steps of ``dt``, or without ``dt`` at
+    ``continuous.snapped_dt``. The hitting ensemble of the i-th value
+    (i = 1, 2, ...) is ``run_hitting_ensemble`` with master seed
     ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its bootstrap draws
     from ``default_rng(derive_seed(master_seed, 1000 + i))``.
     """
     rates = sorted(float(m) for m in rates)
     gamma_p = np.broadcast_to(np.asarray(gamma, dtype=float), (quantities.num_quantities,))
-    rho0 = DensityMatrix.from_state(psi0)
-    step = dt if dt is not None else suggested_dt(quantities, gamma)
-    n_sub = max(1, int(round(t_probe / step)))
-    config = ContinuousConfig(
-        gamma=gamma, dt=t_probe / n_sub, t_end=t_probe, record_interval=t_probe
-    )
+    if dt is None:
+        step = snapped_dt(quantities, gamma, t_probe)
+    else:
+        step = t_probe / max(1, int(round(t_probe / dt)))
+    config = ContinuousConfig(gamma=gamma, dt=step, t_end=t_probe, record_interval=t_probe)
     cont_rows = run_continuous_ensemble(
         psi0, hamiltonian, quantities, config, n_trajectories, master_seed,
         workers=workers, store_states=True,
@@ -739,14 +766,15 @@ def convergence_sweep(
     half = n_trajectories // 2
     floor = _rows_distance(cont_rows[:half], cont_rows[half : 2 * half]) / 2.0
 
-    _, lind = lindblad_evolution(rho0, quantities, gamma, t_probe, hamiltonian=hamiltonian)
+    _, rho0, block, h_block = _live_oracle_inputs(psi0, quantities, hamiltonian)
+    _, lind = lindblad_evolution(rho0, block, gamma, t_probe, hamiltonian=h_block)
     rho_lind = lind[-1]
 
     rows = []
     for i, total in enumerate(rates, start=1):
         swept = _streams_at_rate(streams, gamma_p, total)
         _, master = hitting_master_evolution(
-            rho0, quantities, swept, t_probe, hamiltonian=hamiltonian
+            rho0, block, swept, t_probe, hamiltonian=h_block
         )
         channel = trace_norm_distance(master[-1], rho_lind)
 
@@ -792,31 +820,34 @@ def engine_comparison(
     Lindblad equation, both from ``psi0`` and under ``hamiltonian``. The
     Monte Carlo distances of a probe time are taken between the mixtures
     of the two ensembles' states on their live joint coordinates, where
-    both mixtures live. Raises ``ValueError`` when the two ensembles'
-    sample grids or live coordinates differ.
+    both mixtures live. The oracles run on that same live block
+    (:func:`_live_oracle_inputs`), as L x L series: outside it every
+    entry of both is exactly 0, so their distance is the block's. Raises
+    ``ValueError`` when the two ensembles' sample grids differ, or when
+    either ensemble's live coordinates are not those of ``psi0`` and
+    ``hamiltonian``.
     """
     times = hitting.sample_times
     other = continuous.sample_times
     if other.shape != times.shape or not np.allclose(other, times):
         raise ValueError("the two ensembles do not share a sample grid")
-    if hitting.dim != continuous.dim or not np.array_equal(hitting.live, continuous.live):
-        raise ValueError("the two ensembles do not share their live coordinates")
+    live, rho0, block, h_block = _live_oracle_inputs(psi0, quantities, hamiltonian)
+    for ens in (hitting, continuous):
+        if ens.dim != quantities.dim or not np.array_equal(ens.live, live):
+            raise ValueError("the ensembles' live coordinates are not those of psi0")
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)
     for i, (rows_h, rows_c) in enumerate(zip(_snapshots(hitting), _snapshots(continuous))):
         mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
-    rho0 = DensityMatrix.from_state(psi0)
     inner = times.copy()
     inner[0] = 0.0
     _, master = hitting_master_evolution(
-        rho0, quantities, streams, float(times[-1]),
-        hamiltonian=hamiltonian, sample_times=inner,
+        rho0, block, streams, float(times[-1]), hamiltonian=h_block, sample_times=inner,
     )
     _, lind = lindblad_evolution(
-        rho0, quantities, gamma, float(times[-1]),
-        hamiltonian=hamiltonian, sample_times=inner,
+        rho0, block, gamma, float(times[-1]), hamiltonian=h_block, sample_times=inner,
     )
     oracle = np.array([trace_norm_distance(m, l) for m, l in zip(master, lind)])
     return EngineComparison(times=times, mc_distance=mc, mc_error=err, oracle_distance=oracle)

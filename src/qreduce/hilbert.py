@@ -33,6 +33,9 @@ _COMBINATION_SEED = 0x5EED
 # equivalence._pairwise_sq_distances (8 MB of floats).
 _SPREAD_BLOCK_ELEMENTS = 1 << 20
 
+# The smallest normal double: a squared norm below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
+
 __all__ = [
     "StateVector",
     "Hamiltonian",
@@ -69,8 +72,14 @@ class StateVector:
             raise DimensionMismatchError(
                 f"state dimension must be >= 2, got {amps.size}"
             )
-        nrm2 = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore", under="ignore"):
+            nrm2 = float(np.sum(np.abs(amps) ** 2))
         if normalize:
+            if not _TINY <= nrm2 < np.inf and np.all(np.isfinite(amps)) and np.any(amps):
+                # the squared norm over- or underflowed: scale by the largest
+                # modulus first, which leaves a largest modulus of 1
+                amps = amps / np.max(np.abs(amps))
+                nrm2 = float(np.sum(np.abs(amps) ** 2))
             if not 0.0 < nrm2 < np.inf:
                 raise ValueError(f"cannot normalize a state of squared norm {nrm2!r}")
             amps = amps / np.sqrt(nrm2)

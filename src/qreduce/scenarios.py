@@ -14,7 +14,7 @@ from .config import (
     hamiltonian_matrix_from_spec,
     matrix_from_json,
 )
-from .continuous import ContinuousConfig, suggested_dt
+from .continuous import ContinuousConfig, snapped_dt
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -50,10 +50,7 @@ class BuiltScenario:
             raise ConfigError("gamma", "scenario has no continuous strength")
         dt = self.config.dt
         if dt is None:
-            dt = suggested_dt(self.quantities, self.gamma)
-            # snap so the record interval is an integer number of steps
-            steps = max(1, int(np.ceil(self.config.record_interval / dt)))
-            dt = self.config.record_interval / steps
+            dt = snapped_dt(self.quantities, self.gamma, self.config.record_interval)
         g = self.gamma
         return ContinuousConfig(
             gamma=tuple(np.atleast_1d(g).tolist()) if np.ndim(g) else float(g),
@@ -291,7 +288,10 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
     # one stream per particle: localization frequency rate_l, accuracy alpha
     schedule = Schedule(config.schedule)
     streams = [HitStream((l,), alpha, rate, schedule) for l, rate in enumerate(rates)]
-    gamma = np.array([alpha * rate / 2.0 for rate in rates])
+    # per-particle strengths alpha * rate / 2; a hitting-only run has none
+    gamma = None
+    if config.engine != "hitting":
+        gamma = np.array([alpha * rate / 2.0 for rate in rates])
     return BuiltScenario(
         config=config,
         psi0=psi0,

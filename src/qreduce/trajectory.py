@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +152,40 @@ class Ensemble:
         return np.diff(counts, axis=1, prepend=0)
 
 
+class LiveBlock(NamedTuple):
+    """The dynamics restricted to the live joint coordinates (:func:`live_block`)."""
+
+    live: np.ndarray
+    coeffs: np.ndarray
+    quantities: QuantitySet
+    h_joint: np.ndarray | None
+    hbar: float
+
+
+def live_block(coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None) -> LiveBlock:
+    """The live block of joint-basis rows ``coeffs`` (..., d) under ``hamiltonian``.
+
+    Outside the live set of :func:`~qreduce.hilbert.live_coordinates`
+    every amplitude stays exactly 0 under both processes, and so does
+    every entry of a statistical operator built from those rows: the
+    decay of either master equation is elementwise in the joint basis,
+    and the Hamiltonian couples nothing into that region. So both the
+    engines and the closed-form oracles run on the block alone: the L
+    ascending ``live`` indices, the (..., L) live columns of ``coeffs``, a
+    basis-free set of the live table rows and the L x L block of the
+    joint-basis Hamiltonian (exactly Hermitian, as the whole is; None
+    without a Hamiltonian) with its ``hbar``.
+    """
+    h_joint, hbar = None, 1.0
+    if hamiltonian is not None:
+        h_joint, hbar = quantities.joint_hamiltonian(hamiltonian), hamiltonian.hbar
+    live = live_coordinates(coeffs, h_joint)
+    if h_joint is not None:
+        h_joint = h_joint[np.ix_(live, live)]
+    table = QuantitySet(quantities.eigenvalue_table[live])
+    return LiveBlock(live, coeffs[..., live], table, h_joint, hbar)
+
+
 def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
     """``run(coeffs, quantities, h_joint, hbar)`` on the live joint coordinates.
 
@@ -159,27 +194,18 @@ def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamilto
     (or None) and its hbar, and returns an :class:`Ensemble` on the
     coordinates of that set. ``coeffs`` holds (m, d) joint-basis rows: one
     per trajectory, or one row that every trajectory starts from, which
-    ``run`` then spreads over its batch. Outside the live set of
-    :func:`~qreduce.hilbert.live_coordinates` every amplitude stays
-    exactly 0, so the kernel runs on the live block alone: a basis-free
-    set of the live table rows, the L x L block of the joint-basis
-    Hamiltonian (exactly Hermitian, as the whole is) and the (m, L) live
-    columns of ``coeffs``. The returned ensemble keeps the kernel's
+    ``run`` then spreads over its batch. The kernel gets the pieces of
+    :func:`live_block`, and the returned ensemble keeps the kernel's
     (S, n, L) weights and states with their coordinates in ``live``. The
     random draws do not depend on the dimension.
     """
-    h_joint, hbar = None, 1.0
-    if hamiltonian is not None:
-        h_joint, hbar = quantities.joint_hamiltonian(hamiltonian), hamiltonian.hbar
-    live = live_coordinates(coeffs, h_joint)
-    if h_joint is not None:
-        h_joint = h_joint[np.ix_(live, live)]  # the kernel needs only the block
-    ens = run(coeffs[:, live], QuantitySet(quantities.eigenvalue_table[live]), h_joint, hbar)
-    return replace(ens, live=live, dim=quantities.dim)
+    block = live_block(coeffs, quantities, hamiltonian)
+    ens = run(block.coeffs, block.quantities, block.h_joint, block.hbar)
+    return replace(ens, live=block.live, dim=quantities.dim)
 
 
-def record_grid(t_end: float, record_interval: float) -> np.ndarray:
-    """Sample times 0, r, 2r, ... capped at t_end (t_end included when hit).
+def record_count(t_end: float, record_interval: float) -> int:
+    """The number of sample times of :func:`record_grid`, with nothing allocated.
 
     Raises ``ValueError`` unless 0 < record_interval <= t_end < inf.
     """
@@ -190,7 +216,14 @@ def record_grid(t_end: float, record_interval: float) -> np.ndarray:
             raise ValueError(f"{name} must be > 0")
     if record_interval > t_end:
         raise ValueError("record_interval must not exceed t_end")
-    n = int(np.floor(t_end / record_interval + 1e-9))
-    times = np.arange(n + 1) * record_interval
+    return int(np.floor(t_end / record_interval + 1e-9)) + 1
+
+
+def record_grid(t_end: float, record_interval: float) -> np.ndarray:
+    """Sample times 0, r, 2r, ... capped at t_end (t_end included when hit).
+
+    Raises ``ValueError`` unless 0 < record_interval <= t_end < inf.
+    """
+    times = np.arange(record_count(t_end, record_interval)) * record_interval
     times[-1] = min(times[-1], t_end)
     return times

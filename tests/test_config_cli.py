@@ -1,6 +1,10 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ import jsonschema
 from conftest import full_weights, traced_peak
 
 import qreduce
+from qreduce import cli
 from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
 from qreduce.continuous import ContinuousConfig
 from qreduce.hitting import HitStream, simulate_hitting_batch
@@ -21,6 +26,7 @@ from qreduce.config import (
     matrix_to_json,
 )
 from qreduce.errors import ConfigError
+from qreduce.fock import Species, build_fock_lattice
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
@@ -55,6 +61,67 @@ def minimal_qubit_config(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def _cap_address_space():
+    # should a child ever try to allocate what its config asks for, it
+    # fails by MemoryError rather than by the host's OOM killer
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _assert_refused_before_any_output(tmp_path, raw: dict, command: list, key: str):
+    """``qreduce <command>`` of ``raw``, in a child with a 2 GiB address space,
+    exits 1 within 2 s naming ``key``, with no traceback and no output."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    argv = [command[0], str(cfg_path), *command[1:], "--out", str(out_dir)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "qreduce.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+        preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 1
+    assert f"config error [{key}]" in done.stderr and "Traceback" not in done.stderr
+    assert not out_dir.exists()
+
+
+def _assert_refused_in_process(tmp_path, raw: dict, command: list, key: str):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    args = cli.build_parser().parse_args(
+        [command[0], str(cfg_path), *command[1:], "--out", str(out_dir)]
+    )
+    with pytest.raises(ConfigError) as err:
+        args.func(args)
+    assert err.value.key == key
+    assert not out_dir.exists()
+
+
+# 12 sites and 5 bosons: d = 4368, with psi0 on two Fock states
+_D4368 = {
+    "scenario": "identical-particles", "engine": "both", "beta": 0.5, "mu": 4.0,
+    "dt": 0.0008, "t_end": 0.24, "record_interval": 0.12, "n_trajectories": 4, "seed": 1,
+    "sites": 12, "dx": 1.0, "alpha": 2.0,
+    "species": [{"name": "boson", "mass": 1.0, "statistics": "boson", "count": 5}],
+    "initial_state": [
+        {"occupations": [[3, 2] + [0] * 10], "re": 0.7071067811865476},
+        {"occupations": [[0] * 10 + [2, 3]], "re": 0.7071067811865476},
+    ],
+}
+
+
+def _explicit_d40(**overrides) -> dict:
+    """An explicit 40-level config with psi0 on 2 coordinates."""
+    raw = minimal_qubit_config(
+        mu=4.0, dt=0.01, t_end=1.0, n_trajectories=2,
+        operators=[matrix_to_json(np.diag(np.linspace(0.0, 1.0, 40)))],
+        initial_state={"re": [1.0, 1.0] + [0.0] * 38},
+    )
+    return {**raw, **overrides}
 
 
 class TestMatrixFormat:
@@ -189,8 +256,11 @@ class TestScenarioBuilders:
         assert len(built.streams) == 2
         assert built.streams[0].beta == 2.0  # localization accuracy alpha
         assert built.streams[0].mu == 4.0
-        # per-particle strengths alpha * rate / 2
-        assert np.allclose(built.gamma, [4.0, 1.0])
+        # a hitting-only run has no continuous strength; with the diffusion,
+        # the per-particle strengths are alpha * rate / 2
+        assert built.gamma is None
+        both = build_scenario(ScenarioConfig.from_dict({**raw, "engine": "both"}))
+        assert np.allclose(both.gamma, [4.0, 1.0])
         # quantity l is the position operator of particle l: kron factors
         # of diag(positions) at slot l and identities elsewhere
         x = np.diag((np.arange(3) + 0.5) * 1.0)
@@ -626,31 +696,64 @@ class TestCliRun:
         ],
     )
     def test_oversized_config_fails_before_any_output(self, tmp_path, command, overrides, key):
-        import resource
-        import subprocess
-        import sys
-        import time
+        raw = {**load_preset("qubit-equal"), **overrides}
+        _assert_refused_before_any_output(tmp_path, raw, command, key)
 
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**load_preset("qubit-equal"), **overrides}))
-        out_dir = tmp_path / "out"
+    def test_full_support_oracles_fail_before_any_output(self, tmp_path):
+        # d = 4368 with psi0 on every Fock state and 2 records: records, hits
+        # and noise take a few MB, but the oracles' 4368 x 4368 series 2.6 GiB
+        lattice = build_fock_lattice(12, 1.0, [Species("b", count=5)])
+        raw = {
+            **_D4368, "t_end": 0.1, "record_interval": 0.1, "n_trajectories": 2,
+            "initial_state": [{"occupations": c.tolist(), "re": 1.0} for c in lattice.configs],
+        }
+        _assert_refused_before_any_output(tmp_path, raw, ["run"], "initial_state")
 
-        def cap_address_space():
-            # should the child ever try to allocate what the config asks
-            # for, it fails by MemoryError rather than by the host's OOM killer
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        argv = [command[0], str(cfg_path), *command[1:], "--out", str(out_dir)]
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "qreduce.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=_child_env(),
-            preexec_fn=cap_address_space,
+    def test_d4368_lattice_runs_both_engines_in_bounded_memory(self, tmp_path):
+        # psi0 on two Fock states: both engines and both oracles run on those
+        # 2 coordinates; one 4368 x 4368 complex matrix alone takes 305 MB
+        cfg_path = tmp_path / "d4368.json"
+        cfg_path.write_text(json.dumps(_D4368))
+        code = (
+            "import json, sys, tracemalloc, qreduce.cli\n"
+            "tracemalloc.start()\n"
+            "rc = qreduce.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([rc, tracemalloc.get_traced_memory()[1]]))\n"
         )
-        assert time.perf_counter() - start < 2.0
-        assert done.returncode == 1
-        assert f"config error [{key}]" in done.stderr and "Traceback" not in done.stderr
-        assert not out_dir.exists()
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+            preexec_fn=_cap_address_space,
+        )
+        rc, peak = json.loads(done.stdout.splitlines()[-1])
+        assert rc == 0 and peak < 32 * 2**20
+        compare = json.loads((tmp_path / "out" / "compare.json").read_text())
+        assert len(compare["oracle_trace_distance"]) == 3
+        assert compare["oracle_trace_distance"][-1] > 0
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "mu", "--values", "4", "8"]])
+    def test_oracle_matrices_alone_exceed_the_budget(self, tmp_path, monkeypatch, command):
+        # d = 40 with psi0 on every coordinate: the oracles' L x L matrices take
+        # about 0.28 MB, everything else under 20 kB
+        raw = _explicit_d40(initial_state={"re": [1.0] * 40})
+        monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10)
+        _assert_refused_in_process(tmp_path, raw, command, "initial_state")
+        # without the oracles, or on 2 live coordinates, the config fits
+        for fits in ({**raw, "engine": "continuous"}, _explicit_d40()):
+            built = build_scenario(ScenarioConfig.from_dict(fits))
+            cli._check_footprint(built, 3, "mu", 4.0, 6)
+
+    def test_kernel_hamiltonian_alone_exceeds_the_budget(self, tmp_path, monkeypatch):
+        # a Hamiltonian coupling all 40 coordinates: the diffusion kernel's
+        # L x L forms of it take about 0.1 MB, everything else under 10 kB
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        h = 0.1 * (m + m.conj().T)
+        raw = _explicit_d40(engine="continuous", hamiltonian=matrix_to_json(h))
+        monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10)
+        _assert_refused_in_process(tmp_path, raw, ["run"], "hamiltonian")
+        built = build_scenario(ScenarioConfig.from_dict({**raw, "hamiltonian": None}))
+        cli._check_footprint(built, 3, "mu", 4.0, 6)
 
     def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
         # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit

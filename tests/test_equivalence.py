@@ -15,7 +15,7 @@ from qreduce.scenarios import build_scenario
 from qreduce.errors import MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HitStream, Schedule, sharpening_operator, simulate_hitting_batch
-from qreduce.continuous import ContinuousConfig
+from qreduce.continuous import ContinuousConfig, snapped_dt, suggested_dt
 from qreduce.ensemble import (
     SWEEP_STREAM,
     derive_seed,
@@ -50,6 +50,28 @@ def hitting_batch(psi, quantities, streams, t_end, interval, seeds, *, store_sta
     return simulate_hitting_batch(
         psi, None, quantities, streams, t_end, interval, seeds, store_states=store_states
     )
+
+
+def rotated_six_level():
+    """A rotated 6-level set of blocks 3, 2 and 1, psi0 and a Hamiltonian.
+
+    psi0 misses the 1-block, and the Hamiltonian, block-diagonal in the
+    joint basis, couples coordinates inside the other blocks, so both
+    processes live on their 5 coordinates. Returns the set, psi0, the
+    Hamiltonian and the (rows, columns) of each block.
+    """
+    rng = np.random.default_rng(18)
+    basis, blocks = random_block_basis(rng, [3, 2, 1])
+    quantities = QuantitySet(rng.standard_normal((6, 2)), basis)
+    amps = np.zeros(6, dtype=complex)
+    h_joint = np.diag(rng.standard_normal(6)).astype(complex)
+    for rows, cols in blocks[:2]:
+        amps[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        m = rng.standard_normal((cols.size,) * 2) + 1j * rng.standard_normal((cols.size,) * 2)
+        h_joint[np.ix_(cols, cols)] = 0.5 * (m + m.conj().T)
+    psi0 = StateVector(amps, normalize=True)
+    hamiltonian = Hamiltonian(quantities.operator_from_joint(h_joint))
+    return quantities, psi0, hamiltonian, blocks
 
 
 @pytest.fixture(scope="module")
@@ -411,22 +433,10 @@ class TestEngineComparison:
             )
 
     def test_rotated_set_distances_are_the_full_ones(self):
-        # a rotated 6-level set of blocks 3, 2 and 1; psi0 misses the
-        # 1-block, and a Hamiltonian block-diagonal in the joint basis
-        # couples coordinates inside the other blocks, so the engines run
-        # on their 5 coordinates and the distance of the L x L mixtures
-        # must equal that of the d x d computational-basis matrices
-        rng = np.random.default_rng(18)
-        basis, blocks = random_block_basis(rng, [3, 2, 1])
-        quantities = QuantitySet(rng.standard_normal((6, 2)), basis)
-        amps = np.zeros(6, dtype=complex)
-        h_joint = np.diag(rng.standard_normal(6)).astype(complex)
-        for rows, cols in blocks[:2]:
-            amps[rows] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-            m = rng.standard_normal((cols.size,) * 2) + 1j * rng.standard_normal((cols.size,) * 2)
-            h_joint[np.ix_(cols, cols)] = 0.5 * (m + m.conj().T)
-        psi0 = StateVector(amps, normalize=True)
-        hamiltonian = Hamiltonian(quantities.operator_from_joint(h_joint))
+        # the engines run on the 5 live coordinates of the rotated 6-level
+        # set, and the distance of the L x L mixtures must equal that of the
+        # d x d computational-basis matrices
+        quantities, psi0, hamiltonian, blocks = rotated_six_level()
         streams = [HitStream((0, 1), beta=0.4, mu=5.0)]
         hitting = run_hitting_ensemble(
             psi0, hamiltonian, quantities, streams, 1.0, 0.25, 40, 6, store_states=True,
@@ -753,6 +763,25 @@ class TestConvergenceSweep:
             assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
 
 
+    def test_dt_less_diffusion_steps_at_most_suggested_dt(self, sigma_z_set, equal_qubit,
+                                                          monkeypatch):
+        # suggested_dt is 0.01 / (0.5 * 4) = 0.005, and 0.007 / 0.005 = 1.4
+        # steps: rounding to 1 step would take dt = 0.007; snapping up, as
+        # BuiltScenario.continuous_config does, takes 2 steps
+        assert suggested_dt(sigma_z_set, 0.5) == 0.005
+        seen, run = [], equivalence.run_continuous_ensemble
+
+        def recording(psi0, hamiltonian, quantities, config, *args, **kwargs):
+            seen.append(config.dt)
+            return run(psi0, hamiltonian, quantities, config, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "run_continuous_ensemble", recording)
+        convergence_sweep(
+            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [10.0], 4, 0.007, 1,
+            n_bootstrap=2,
+        )
+        assert seen == [0.007 / 2] == [snapped_dt(sigma_z_set, 0.5, 0.007)]
+
     def test_one_stream_keeps_beta_two_gamma_over_rate_bit_for_bit(self):
         # the lattice scales beta and gamma by 1 / dx; at dx = 0.45 the product
         # beta * mu / value rounds differently from 2 * gamma / value
@@ -784,6 +813,157 @@ class TestConvergenceSweep:
                 assert new.quantity_indices == old.quantity_indices
                 assert new.mu / total == pytest.approx(old.mu / 15.0, rel=1e-14)
                 assert new.beta * new.mu == pytest.approx(old.beta * old.mu, rel=1e-14)
+
+
+def lattice_config(sites, count, occupations, **overrides) -> ScenarioConfig:
+    """An engine-``both`` boson lattice with psi0 spread evenly over ``occupations``."""
+    raw = {
+        "scenario": "identical-particles", "engine": "both", "beta": 0.5, "mu": 4.0,
+        "dt": 0.005, "t_end": 0.5, "record_interval": 0.25, "n_trajectories": 4,
+        "seed": 3, "sites": sites, "dx": 1.0, "alpha": 2.0,
+        "species": [{"name": "b", "count": count}],
+        "initial_state": [{"occupations": [occ], "re": 1.0} for occ in occupations],
+    }
+    return ScenarioConfig.from_dict({**raw, **overrides})
+
+
+def engine_pair(psi0, hamiltonian, quantities, streams, gamma, n, *, dt=0.005):
+    """Both engines over (0, 0.5], recorded every 0.25, with states."""
+    hitting = run_hitting_ensemble(
+        psi0, hamiltonian, quantities, streams, 0.5, 0.25, n, 3, store_states=True,
+    )
+    continuous = run_continuous_ensemble(
+        psi0, hamiltonian, quantities,
+        ContinuousConfig(gamma=gamma, dt=dt, t_end=0.5, record_interval=0.25), n, 3,
+        store_states=True,
+    )
+    return hitting, continuous
+
+
+def full_oracle_distances(psi0, quantities, streams, gamma, times, hamiltonian=None,
+                          steps=(None, None)):
+    """Trace distances of the two oracles at full d, in the computational basis.
+
+    ``steps`` holds the Runge-Kutta step of the hitting master equation and
+    of the Lindblad equation, or None for each oracle's own.
+    """
+    rho0 = DensityMatrix.from_state(psi0)
+    t_end = float(times[-1])
+    _, master = hitting_master_evolution(
+        rho0, quantities, streams, t_end, hamiltonian=hamiltonian, sample_times=times,
+        dt=steps[0],
+    )
+    _, lind = lindblad_evolution(
+        rho0, quantities, gamma, t_end, hamiltonian=hamiltonian, sample_times=times,
+        dt=steps[1],
+    )
+    assert master[0].dim == quantities.dim
+    return np.array([trace_norm_distance(m, l) for m, l in zip(master, lind)])
+
+
+def record_rk4_steps(monkeypatch) -> list:
+    """The step of every Runge-Kutta series the oracles integrate, in call order."""
+    steps, rk4 = [], equivalence._rk4
+
+    def recording(rho, rhs, times, step):
+        steps.append(step)
+        return rk4(rho, rhs, times, step)
+
+    monkeypatch.setattr(equivalence, "_rk4", recording)
+    return steps
+
+
+class TestOraclesOnTheLiveBlock:
+    def test_lattice_distances_are_the_full_ones(self):
+        # d = 21 with psi0 on 3 Fock states: both callers run their oracles
+        # on those 3 coordinates
+        occupations = [[2, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 2]]
+        built = build_scenario(lattice_config(6, 2, occupations))
+        quantities, psi0, streams, gamma = built.quantities, built.psi0, built.streams, built.gamma
+        assert quantities.dim == 21
+        hitting, continuous = engine_pair(psi0, None, quantities, streams, gamma, 4)
+        assert hitting.live.size == 3
+        got = engine_comparison(
+            hitting, continuous, quantities, streams, gamma, psi0=psi0, n_bootstrap=2
+        )
+        times = np.array([0.0, 0.25, 0.5])
+        full = full_oracle_distances(psi0, quantities, streams, gamma, times)
+        assert full[-1] > 1e-3
+        assert np.max(np.abs(got.oracle_distance - full)) <= 1e-12
+        rows = convergence_sweep(
+            psi0, quantities, streams, gamma, [4.0, 40.0], 4, 0.5, 3, n_bootstrap=2
+        )
+        for row in rows:
+            full = full_oracle_distances(psi0, quantities, row.streams, gamma, times[[0, 2]])
+            assert abs(row.channel_distance - full[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("with_hamiltonian", [False, True])
+    def test_rotated_set_oracle_distances_are_the_full_ones(
+        self, with_hamiltonian, monkeypatch
+    ):
+        # with a Hamiltonian the block integrates at a step of its own rates
+        # and spectrum; given that step, the full-d oracles agree
+        quantities, psi0, hamiltonian, _ = rotated_six_level()
+        if not with_hamiltonian:
+            hamiltonian = None
+        streams, gamma = [HitStream((0, 1), beta=0.4, mu=5.0)], 1.0
+        hitting, continuous = engine_pair(
+            psi0, hamiltonian, quantities, streams, gamma, 4, dt=2.0**-8
+        )
+        assert hitting.live.size == 5
+        steps = record_rk4_steps(monkeypatch)
+        got = engine_comparison(
+            hitting, continuous, quantities, streams, gamma, psi0=psi0,
+            hamiltonian=hamiltonian, n_bootstrap=2,
+        )
+        rows = convergence_sweep(
+            psi0, quantities, streams, gamma, [5.0, 50.0], 4, 0.5, 3,
+            hamiltonian=hamiltonian, dt=2.0**-8, n_bootstrap=2,
+        )
+        monkeypatch.undo()
+        # engine_comparison integrates the master equation, then Lindblad; the
+        # sweep Lindblad once, then the master equation of each rate
+        assert len(steps) == (5 if with_hamiltonian else 0)
+        steps = steps or [None] * 5
+        times = np.array([0.0, 0.25, 0.5])
+        full = full_oracle_distances(
+            psi0, quantities, streams, gamma, times, hamiltonian, (steps[0], steps[1])
+        )
+        assert full[-1] > 1e-3
+        assert np.max(np.abs(got.oracle_distance - full)) <= 1e-12
+        for row, master_step in zip(rows, steps[3:]):
+            full = full_oracle_distances(
+                psi0, quantities, row.streams, gamma, times[[0, 2]], hamiltonian,
+                (master_step, steps[2]),
+            )
+            assert abs(row.channel_distance - full[-1]) <= 1e-12
+
+    def test_live_set_of_psi0_must_be_the_ensembles(self, three_level_set):
+        # both ensembles run from psi0 on {0, 1}; the comparison is told {0, 2}
+        streams = [HitStream((0,), beta=0.8, mu=4.0)]
+        hitting, continuous = engine_pair(
+            StateVector([0.6, 0.8, 0.0]), None, three_level_set, streams, 1.6, 3
+        )
+        with pytest.raises(ValueError, match="psi0"):
+            engine_comparison(
+                hitting, continuous, three_level_set, streams, 1.6,
+                psi0=StateVector([0.6, 0.0, 0.8]), n_bootstrap=2,
+            )
+
+    def test_engine_comparison_memory_at_d715(self):
+        # d = 715 with psi0 on 2 Fock states; one d x d complex matrix alone
+        # takes 8.2 MB, and the full-d oracles held 11 of them
+        occupations = [[2, 2] + [0] * 8, [0] * 8 + [2, 2]]
+        built = build_scenario(lattice_config(10, 4, occupations))
+        quantities, psi0, streams, gamma = built.quantities, built.psi0, built.streams, built.gamma
+        assert quantities.dim == 715
+        hitting, continuous = engine_pair(psi0, None, quantities, streams, gamma, 20)
+        got, peak = traced_peak(
+            engine_comparison, hitting, continuous, quantities, streams, gamma, psi0=psi0,
+        )
+        assert got.oracle_distance[-1] > 1e-3
+        # a block of bootstrap replicates and a fixed slack
+        assert peak <= 2**20 + 256 * 2**10
 
 
 class TestMartingaleHitting:

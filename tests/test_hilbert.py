@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestStateVector:
     def test_non_finite_norm_cannot_normalize(self, bad):
         with pytest.raises(ValueError, match="squared norm"):
             StateVector([bad, 1.0], normalize=True)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalizes_where_the_squared_norm_leaves_the_float_range(self, scale):
+        # |a|^2 overflows at 1e200 and underflows at 1e-200; no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = StateVector([3.0 * scale, 4.0j * scale], normalize=True)
+        assert psi.amplitudes[0] == pytest.approx(0.6, abs=1e-15)
+        assert psi.amplitudes[1] == pytest.approx(0.8j, abs=1e-15)
+        assert psi.norm_squared() == pytest.approx(1.0, abs=1e-15)
 
     def test_immutable(self):
         psi = StateVector([1.0, 0.0])
