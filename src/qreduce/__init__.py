@@ -20,7 +20,6 @@ _EXPORTS = {
     "errors": (
         "ConfigError",
         "DimensionMismatchError",
-        "MissingSnapshotError",
         "NonCommutingError",
         "NonHermitianError",
         "NonRealExpectationError",

@@ -223,13 +223,11 @@ def _stream_parameters(built: BuiltScenario) -> dict:
 def _run_engines(built: BuiltScenario, workers: int):
     config = built.config
     ensembles: dict[str, Ensemble] = {}
-    # only the engine comparison reads states
-    store = config.engine == "both"
     if config.engine in ("hitting", "both"):
         ensembles["hitting"] = run_hitting_ensemble(
             built.psi0, built.hamiltonian, built.quantities, built.streams, config.t_end,
             config.record_interval, config.n_trajectories, config.seed,
-            workers=workers, store_states=store,
+            workers=workers,
         )
     if config.engine in ("continuous", "both"):
         ensembles["continuous"] = run_continuous_ensemble(
@@ -240,7 +238,6 @@ def _run_engines(built: BuiltScenario, workers: int):
             config.n_trajectories,
             config.seed,
             workers=workers,
-            store_states=store,
         )
     return ensembles
 
@@ -251,8 +248,8 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
 
     Estimated at the live width L that psi0 and the Hamiltonian leave the
     engines and the oracles (``hilbert.live_coordinates``), per engine: the
-    records, S x n x (L + K) x 8 B plus, with engine ``both``, which
-    stores states, S x n x L x 16 B of them; the hitting engine's
+    records, S x n x (L + K) x 8 B of weights and expectations and
+    S x n x L x 16 B of states; the hitting engine's
     expected hit arrays at ``total_rate``, n x rate x t_end x (17 + 16 K)
     B, which is also the engine's peak: its event clock and its per-row
     generators take a block of fixed size beside them; the diffusion
@@ -271,7 +268,7 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
     del h_joint
     both = config.engine == "both"
     engines = ("hitting", "continuous") if both else (config.engine,)
-    record = samples * n * ((width + k) * 8 + (width * 16 if both else 0))
+    record = samples * n * ((width + k) * 8 + width * 16)
     sizes = {"record_interval": len(engines) * record}
     if "hitting" in engines:
         sizes[rate_key] = n * total_rate * config.t_end * (17 + 16 * k)
@@ -381,7 +378,7 @@ def cmd_sweep(args) -> int:
         print(f"values sorted ascending before execution: {ordered}")
 
     built = build_scenario(config)
-    # each swept ensemble records at 0 and t_end, with states; the oracles
+    # each swept ensemble records at 0 and t_end; the oracles
     # hold the Lindblad series and two hitting series of 2 matrices each
     _check_footprint(built, 2, "values", ordered[-1], 6)
     rows = convergence_sweep(

@@ -97,11 +97,18 @@ def suggested_dt(quantities: QuantitySet, gamma) -> float:
     return 0.01 / (g * spread)
 
 
-def snapped_dt(quantities: QuantitySet, gamma, record_interval: float) -> float:
-    """The longest step at or below :func:`suggested_dt` that divides
-    ``record_interval`` into whole steps."""
-    steps = max(1, math.ceil(record_interval / suggested_dt(quantities, gamma)))
-    return record_interval / steps
+def snapped_dt(quantities: QuantitySet, gamma, record_interval: float,
+               dt: float | None = None) -> float:
+    """The longest step at or below ``dt``, or :func:`suggested_dt` without
+    it, that divides ``record_interval`` into whole steps.
+
+    A cap within :class:`ContinuousConfig`'s 1e-6 slack of a whole number
+    of steps counts as that number, so a ``dt`` that the config accepts
+    keeps its count of steps.
+    """
+    ratio = record_interval / (suggested_dt(quantities, gamma) if dt is None else dt)
+    steps = round(ratio) if abs(ratio - round(ratio)) <= 1e-6 else math.ceil(ratio)
+    return record_interval / max(1, steps)
 
 
 @dataclass(frozen=True)
@@ -314,8 +321,6 @@ def simulate_continuous_batch(
     quantities: QuantitySet,
     config: ContinuousConfig,
     seeds,
-    *,
-    store_states: bool = False,
 ) -> Ensemble:
     """Integrate a batch of trajectories in lockstep.
 
@@ -333,7 +338,7 @@ def simulate_continuous_batch(
         raise DimensionMismatchError(f"{rows.shape[0]} initial rows for {len(seeds)} seeds")
     if rows.strides[0] == 0:
         rows = rows[:1]
-    run = partial(_integrate, config=config, seeds=seeds, store_states=store_states)
+    run = partial(_integrate, config=config, seeds=seeds)
     return run_on_live_block(run, quantities.to_joint(rows), quantities, hamiltonian)
 
 
@@ -345,7 +350,6 @@ def _integrate(
     *,
     config: ContinuousConfig,
     seeds,
-    store_states: bool,
 ) -> Ensemble:
     """The lockstep Euler-Maruyama loop from (batch, d) or (1, d) joint-basis rows.
 
@@ -362,23 +366,17 @@ def _integrate(
     batch = len(generators)
     weights_out = np.empty((rec_times.size, batch, quantities.dim))
     expect_out = np.empty((rec_times.size, batch, quantities.num_quantities))
-    states_out = (
-        np.empty((rec_times.size, batch, quantities.dim), dtype=np.complex128)
-        if store_states
-        else None
-    )
+    states_out = np.empty((rec_times.size, batch, quantities.dim), dtype=np.complex128)
     columns = np.empty((2, quantities.dim, batch))  # C order: each row a whole batch
     columns[0], columns[1] = coeffs.real.T, coeffs.imag.T
 
     def record(slot: int):
-        amplitudes = np.empty((batch, quantities.dim), dtype=np.complex128)
+        amplitudes = states_out[slot]
         amplitudes.real, amplitudes.imag = columns[0].T, columns[1].T
         w = np.abs(amplitudes) ** 2
         w /= w.sum(axis=1)[:, np.newaxis]
         weights_out[slot] = w
         expect_out[slot] = np.vecmat(w, table)
-        if states_out is not None:
-            states_out[slot] = amplitudes
 
     record(0)
     block = noise_block_steps(batch, quantities.num_quantities)

@@ -11,9 +11,9 @@ in any batch. Results are therefore bit-identical for any number of
 workers and any chunking.
 
 A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
-joined by ``Ensemble.concat``: (S, n, L) weights and optional (S, n, L)
-states on the L live joint coordinates, (S, n, K) expectations and the
-hitting events in CSR form, so a worker process sends back a few arrays.
+joined by ``Ensemble.concat`` as they come: (S, n, L) weights and states
+on the L live joint coordinates, (S, n, K) expectations and the hitting
+events in CSR form, so a worker process sends back a few arrays.
 
 A chunk hands its seeds to a kernel, which draws every trajectory from
 ``default_rng`` of its own seed. A hitting trajectory draws its hit
@@ -108,20 +108,19 @@ def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
     """``worker`` over balanced chunks of ``seeds``, joined in index order.
 
     The pool has at most ``workers`` processes, and never more than the
-    chunks or the CPUs this process may run on.
+    chunks or the CPUs this process may run on. Each result is joined as
+    it comes, so no list of them is held.
     """
     pool = min(workers, _available_cpus())
     chunks = _chunks(seeds, pool)
     if pool <= 1 or len(chunks) <= 1:
-        results = [worker(c) for c in chunks]
-    else:
-        # imported here: a serial run should not pay for loading the
-        # process-pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+        return Ensemble.concat((worker(c) for c in chunks), seeds.size)
+    # imported here: a serial run should not pay for loading the
+    # process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(pool, len(chunks))) as executor:
-            results = list(executor.map(worker, chunks))
-    return Ensemble.concat(results)
+    with ProcessPoolExecutor(max_workers=min(pool, len(chunks))) as executor:
+        return Ensemble.concat(executor.map(worker, chunks), seeds.size)
 
 
 def run_hitting_ensemble(
@@ -135,29 +134,26 @@ def run_hitting_ensemble(
     master_seed: int,
     *,
     workers: int = 1,
-    store_states: bool = False,
 ) -> Ensemble:
     """Independent trajectories of the hitting process of ``streams``.
 
     Every trajectory runs the same list of streams over the window
     (0, ``t_end``], recorded every ``record_interval``, from its own
-    derived seed. Returns one ensemble, with the stream id of every event
-    and with states when ``store_states``.
+    derived seed. Returns one ensemble with its states and the stream id
+    of every event.
     """
     worker = partial(
         simulate_hitting_batch, psi0, hamiltonian, quantities, streams, t_end,
-        record_interval, store_states=store_states,
+        record_interval,
     )
     seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)
 
 
-def _continuous_chunk(psi0, hamiltonian, quantities, config, store_states, seeds):
+def _continuous_chunk(psi0, hamiltonian, quantities, config, seeds):
     # one psi0 row broadcast over the chunk: no (n, d) copy is made
     rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
-    return simulate_continuous_batch(
-        rows, hamiltonian, quantities, config, seeds, store_states=store_states
-    )
+    return simulate_continuous_batch(rows, hamiltonian, quantities, config, seeds)
 
 
 def run_continuous_ensemble(
@@ -169,12 +165,11 @@ def run_continuous_ensemble(
     master_seed: int,
     *,
     workers: int = 1,
-    store_states: bool = False,
 ) -> Ensemble:
     """Diffusive ensemble, integrated in balanced vectorized chunks.
 
-    Returns one ensemble without events, with states when ``store_states``.
+    Returns one ensemble with its states and without events.
     """
-    worker = partial(_continuous_chunk, psi0, hamiltonian, quantities, config, store_states)
+    worker = partial(_continuous_chunk, psi0, hamiltonian, quantities, config)
     seeds = trajectory_seeds(master_seed, CONTINUOUS_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .errors import DimensionMismatchError, MissingSnapshotError
+from .errors import DimensionMismatchError
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream
 from .continuous import ContinuousConfig, snapped_dt
@@ -295,13 +295,6 @@ def lindblad_evolution(
     )
 
 
-def _snapshots(ens: Ensemble) -> np.ndarray:
-    """The (samples, n, L) live joint-basis snapshots; one contiguous block per sample."""
-    if ens.states is None:
-        raise MissingSnapshotError("trajectories were recorded without snapshots")
-    return ens.states
-
-
 def ensemble_density_matrix(ens: Ensemble, t: float, quantities: QuantitySet) -> DensityMatrix:
     """Monte Carlo statistical operator at ``t``, in the computational basis.
 
@@ -309,7 +302,7 @@ def ensemble_density_matrix(ens: Ensemble, t: float, quantities: QuantitySet) ->
     d x d and rotated back through ``quantities``, the set the ensemble
     ran on.
     """
-    block = DensityMatrix.from_state_rows(_snapshots(ens)[ens.sample_index(t)]).rho
+    block = DensityMatrix.from_state_rows(ens.states[ens.sample_index(t)]).rho
     rho = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
     rho[np.ix_(ens.live, ens.live)] = block
     return DensityMatrix(quantities.operator_from_joint(rho), validate=False)
@@ -745,23 +738,20 @@ def convergence_sweep(
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
     diffusive ensemble is ``run_continuous_ensemble`` with
-    ``master_seed``, stepped at ``t_probe`` over the nearest whole number
-    of steps of ``dt``, or without ``dt`` at
-    ``continuous.snapped_dt``. The hitting ensemble of the i-th value
+    ``master_seed``, stepped at ``continuous.snapped_dt``: the longest
+    step at or below ``dt`` (``suggested_dt`` without it) that divides
+    ``t_probe`` into whole steps. The hitting ensemble of the i-th value
     (i = 1, 2, ...) is ``run_hitting_ensemble`` with master seed
     ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its bootstrap draws
     from ``default_rng(derive_seed(master_seed, 1000 + i))``.
     """
     rates = sorted(float(m) for m in rates)
     gamma_p = np.broadcast_to(np.asarray(gamma, dtype=float), (quantities.num_quantities,))
-    if dt is None:
-        step = snapped_dt(quantities, gamma, t_probe)
-    else:
-        step = t_probe / max(1, int(round(t_probe / dt)))
+    step = snapped_dt(quantities, gamma, t_probe, dt)
     config = ContinuousConfig(gamma=gamma, dt=step, t_end=t_probe, record_interval=t_probe)
     cont_rows = run_continuous_ensemble(
         psi0, hamiltonian, quantities, config, n_trajectories, master_seed,
-        workers=workers, store_states=True,
+        workers=workers,
     ).states[-1]
     half = n_trajectories // 2
     floor = _rows_distance(cont_rows[:half], cont_rows[half : 2 * half]) / 2.0
@@ -781,7 +771,7 @@ def convergence_sweep(
         hit_rows = run_hitting_ensemble(
             psi0, hamiltonian, quantities, swept, t_probe, t_probe,
             n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
-            workers=workers, store_states=True,
+            workers=workers,
         ).states[-1]
         mc = _rows_distance(hit_rows, cont_rows)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
@@ -838,7 +828,7 @@ def engine_comparison(
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)
-    for i, (rows_h, rows_c) in enumerate(zip(_snapshots(hitting), _snapshots(continuous))):
+    for i, (rows_h, rows_c) in enumerate(zip(hitting.states, continuous.states)):
         mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
     inner = times.copy()

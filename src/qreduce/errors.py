@@ -49,10 +49,6 @@ class StepRejectedError(QReduceError):
         self.seed = seed
 
 
-class MissingSnapshotError(QReduceError):
-    """A trajectory record lacks a state snapshot at the requested time."""
-
-
 class ConfigError(QReduceError):
     """A scenario configuration is invalid. Names the offending key."""
 

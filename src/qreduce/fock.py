@@ -232,14 +232,8 @@ class FockLattice:
         )
 
 
-def build_fock_lattice(
-    n_sites: int,
-    dx: float,
-    species,
-    *,
-    dimension_cap: int = DIMENSION_CAP,
-) -> FockLattice:
-    """Enumerate the occupation basis; errors out above the dimension cap."""
+def build_fock_lattice(n_sites: int, dx: float, species) -> FockLattice:
+    """Enumerate the occupation basis; errors out above ``DIMENSION_CAP``."""
     if n_sites < 2:
         raise DimensionMismatchError("lattice needs at least 2 sites")
     if dx <= 0:
@@ -256,9 +250,9 @@ def build_fock_lattice(
                 f"{n_sites} sites with max occupation {sp.max_occupation}"
             )
         dim *= count
-    if dim > dimension_cap:
+    if dim > DIMENSION_CAP:
         raise ValueError(
-            f"Fock dimension {dim} exceeds the cap {dimension_cap}; "
+            f"Fock dimension {dim} exceeds the cap {DIMENSION_CAP}; "
             "shrink the lattice or the particle counts"
         )
     per_species = [_occupation_vectors(sp.count, n_sites, sp.max_occupation) for sp in species]

@@ -266,7 +266,6 @@ def run_hitting_chain_batch(
     *,
     h_joint: np.ndarray | None = None,
     hbar: float = 1.0,
-    store_states: bool = False,
 ) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
 
@@ -359,7 +358,7 @@ def run_hitting_chain_batch(
         live=np.arange(quantities.dim),
         dim=quantities.dim,
         stream_ids=stream_ids,
-        states=snaps if store_states else None,
+        states=snaps,
     )
 
 
@@ -400,8 +399,6 @@ def simulate_hitting_batch(
     t_end: float,
     record_interval: float,
     seeds,
-    *,
-    store_states: bool = False,
 ) -> Ensemble:
     """One trajectory per seed, all advanced by one kernel call.
 
@@ -418,7 +415,7 @@ def simulate_hitting_batch(
         coeffs = np.broadcast_to(row, (len(seeds), row.shape[1]))
         return run_hitting_chain_batch(
             coeffs, block, streams, offsets, times, ids, uniforms, noise, grid, seeds,
-            h_joint=h_block, hbar=hbar, store_states=store_states,
+            h_joint=h_block, hbar=hbar,
         )
 
     # psi0 as one joint row; the kernel copies only its live block per trajectory

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -59,16 +60,15 @@ class Ensemble:
     :func:`run_on_live_block`): ``live`` holds their L ascending indices
     out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
     coordinate is live. ``weights`` (S, n, L) holds the Born weights and
-    ``states`` (S, n, L), when recorded, the joint-basis amplitudes on
-    those coordinates; outside ``live`` both are exactly 0 and are not
-    stored. ``expectations`` (S, n, K) holds the quantity means. Each
-    sample's rows are one contiguous block. Events are in
-    CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
-    the matching ``centres`` rows and, for the hitting engine,
-    ``stream_ids`` (the index of the stream that made each hit). ``seeds``
-    (n,) are the per-trajectory seeds. The hitting kernel reads its hits
-    in this CSR layout and writes its records in this (S, n, ·) layout
-    itself.
+    ``states`` (S, n, L) the joint-basis amplitudes on those coordinates;
+    outside ``live`` both are exactly 0 and are not stored.
+    ``expectations`` (S, n, K) holds the quantity means. Each sample's
+    rows are one contiguous block. Events are in CSR form: trajectory i
+    owns ``times[offsets[i]:offsets[i + 1]]`` and the matching
+    ``centres`` rows and, for the hitting engine, ``stream_ids`` (the
+    index of the stream that made each hit). ``seeds`` (n,) are the
+    per-trajectory seeds. The hitting kernel reads its hits in this CSR
+    layout and writes its records in this (S, n, ·) layout itself.
     """
 
     seeds: np.ndarray
@@ -80,8 +80,8 @@ class Ensemble:
     centres: np.ndarray
     live: np.ndarray
     dim: int
+    states: np.ndarray
     stream_ids: np.ndarray | None = None
-    states: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", operator.index(self.dim))
@@ -101,7 +101,7 @@ class Ensemble:
         if (live.shape != self.weights.shape[2:] or np.any(np.diff(live) <= 0)
                 or np.any((live < 0) | (live >= self.dim))):
             raise ValueError("live must hold one ascending coordinate per weight column")
-        if self.states is not None and self.states.shape != self.weights.shape:
+        if self.states.shape != self.weights.shape:
             raise ValueError("states must have the shape of the weights")
         if self.weights.size:
             worst = float(np.max(np.abs(self.weights.sum(axis=2) - 1.0)))
@@ -109,32 +109,55 @@ class Ensemble:
                 raise ValueError(f"born-weight rows deviate from 1 by {worst:.3e}")
 
     @classmethod
-    def concat(cls, parts: list["Ensemble"]) -> "Ensemble":
-        """The trajectories of ``parts`` in order, on the grid they share."""
-        first = parts[0]
-        if any(p.dim != first.dim or not np.array_equal(p.live, first.live) for p in parts):
-            raise ValueError("the parts do not share their live coordinates")
+    def concat(cls, parts: Iterable["Ensemble"], n: int) -> "Ensemble":
+        """The ``n`` trajectories of ``parts`` in order, on the grid they share.
 
-        def join(name, axis=0):
-            arrays = [getattr(p, name) for p in parts]
-            if arrays[0] is None or len(arrays) == 1:
-                return arrays[0]
-            return np.concatenate(arrays, axis=axis)
-
-        starts = np.cumsum([0] + [p.times.size for p in parts])
-        offsets = [[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)]
+        ``parts`` may be an iterator, as the runners pass it. Each part is
+        copied into the joined arrays and dropped before the next one is
+        taken: the records are allocated at the first part and the events
+        grow part by part, so the join holds the joined arrays beside one
+        part at a time. A single part is returned as it is.
+        """
+        parts = iter(parts)
+        part = next(parts)
+        if len(part) == n:
+            return part
+        grid, live, dim = part.sample_times, part.live, part.dim
+        records = {
+            name: np.empty((grid.size, n) + a.shape[2:], a.dtype)
+            for name in ("weights", "expectations", "states")
+            for a in [getattr(part, name)]
+        }
+        events = {
+            name: np.empty((0,) + a.shape[1:], a.dtype)
+            for name in ("times", "centres", "stream_ids")
+            for a in [getattr(part, name)] if a is not None
+        }
+        seeds = np.empty(n, part.seeds.dtype)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        row = 0
+        while part is not None:
+            if part.dim != dim or not np.array_equal(part.live, live):
+                raise ValueError("the parts do not share their live coordinates")
+            rows = slice(row, row + len(part))
+            for name, out in records.items():
+                out[:, rows] = getattr(part, name)
+            seeds[rows] = part.seeds
+            start = offsets[row]
+            offsets[rows.start + 1 : rows.stop + 1] = part.offsets[1:] + start
+            for name, out in events.items():
+                # no view of ``out`` exists, so it may grow in place
+                out.resize((start + getattr(part, name).shape[0],) + out.shape[1:],
+                           refcheck=False)
+                out[start:] = getattr(part, name)
+            row = rows.stop
+            del part  # before the next part is made
+            part = next(parts, None)
+        if row != n:
+            raise ValueError(f"the parts hold {row} trajectories, not {n}")
         return cls(
-            seeds=join("seeds"),
-            sample_times=first.sample_times,
-            weights=join("weights", axis=1),
-            expectations=join("expectations", axis=1),
-            offsets=np.concatenate(offsets),
-            times=join("times"),
-            centres=join("centres"),
-            live=first.live,
-            dim=first.dim,
-            stream_ids=join("stream_ids"),
-            states=join("states", axis=1),
+            seeds=seeds, sample_times=grid, offsets=offsets, live=live, dim=dim,
+            **records, **events,
         )
 
     def __len__(self) -> int:

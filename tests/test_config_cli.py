@@ -30,6 +30,7 @@ from qreduce.fock import Species, build_fock_lattice
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
+    ensemble_density_matrix,
     hitting_master_evolution,
     lindblad_evolution,
     trace_norm_distance,
@@ -755,6 +756,48 @@ class TestCliRun:
         built = build_scenario(ScenarioConfig.from_dict({**raw, "hamiltonian": None}))
         cli._check_footprint(built, 3, "mu", 4.0, 6)
 
+    def test_states_alone_exceed_the_budget(self, tmp_path, monkeypatch, capsys):
+        # hitting alone, 100 trajectories, 21 records of a qubit: weights and
+        # expectations take 50.4 kB and the hits 6.6 kB; the states add
+        # 16 L = 32 B a record row, 67.2 kB, and pass the 64 KiB budget
+        raw = minimal_qubit_config(
+            engine="hitting", mu=1.0, t_end=2.0, record_interval=0.1, n_trajectories=100,
+        )
+        monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10)
+        cfg_path, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert "config error [record_interval]" in capsys.readouterr().err
+        assert not out_dir.exists()
+        # with the budget raised by the states' bytes, the config fits
+        monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10 + 21 * 100 * 16 * 2)
+        cli._check_footprint(build_scenario(ScenarioConfig.from_dict(raw)), 21, "mu", 1.0, 42)
+
+    def test_single_engine_states_are_those_of_both(self):
+        # the same seeds give each engine the same states, bit for bit, alone
+        # (here in 2 chunks on 2 workers) and beside the other engine
+        raw = minimal_qubit_config(n_trajectories=30)
+        both = cli._run_engines(build_scenario(ScenarioConfig.from_dict(raw)), 1)
+        for engine in ("hitting", "continuous"):
+            built = build_scenario(ScenarioConfig.from_dict({**raw, "engine": engine}))
+            alone = cli._run_engines(built, 2)
+            assert list(alone) == [engine]
+            assert alone[engine].states.shape == both[engine].states.shape == (5, 30, 2)
+            assert alone[engine].states.tobytes() == both[engine].states.tobytes()
+
+    def test_density_matrix_of_a_continuous_only_run(self):
+        n = 400
+        raw = minimal_qubit_config(
+            engine="continuous", t_end=1.0, n_trajectories=n, beta=None, mu=None, gamma=2.0,
+        )
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        ens = cli._run_engines(built, 1)["continuous"]
+        rho = ensemble_density_matrix(ens, 1.0, built.quantities)
+        _, oracle = lindblad_evolution(
+            DensityMatrix.from_state(built.psi0), built.quantities, 2.0, 1.0
+        )
+        assert trace_norm_distance(rho, oracle[-1]) < 5.0 / math.sqrt(n)
+
     def test_evenly_spaced_event_flags_count_hits_on_the_record(self, tmp_path):
         # records at 0.9, 1.8 and 2.7 are stored a rounding below the hit
         # at that time; the hit still counts toward the record
@@ -785,6 +828,7 @@ class TestCliRun:
             centres=np.concatenate([centres, centres]),
             live=np.arange(2),
             dim=2,
+            states=np.sqrt(np.stack([weights, weights], axis=1) + 0j),
         )
         engines = {"hitting": ens}
         _write_trajectories_csv(tmp_path / "t.csv", engines)
@@ -890,6 +934,7 @@ def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=No
         centres=rng.normal(size=(offsets[-1], 2)),
         live=np.array(live),
         dim=d,
+        states=np.sqrt(weights + 0j),
     )
 
 

@@ -143,7 +143,7 @@ class TestSimulateContinuous:
     def test_unit_norm_records(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=1.0, dt=1e-3, t_end=1.0, record_interval=0.25)
         ens = simulate_continuous_batch(
-            equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [8], store_states=True
+            equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [8]
         )
         for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -221,9 +221,7 @@ class TestEnsembleProperties:
         errors = {}
         for dt in (0.1, 0.05):
             cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=t_end, record_interval=t_end)
-            records = run_continuous_ensemble(
-                equal_qubit, None, sigma_z_set, cfg, n, 31, store_states=True
-            )
+            records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, n, 31)
             rows = records.states[-1]
             rho = DensityMatrix.from_state_rows(rows)
             errors[dt] = abs(rho.rho[0, 1].real - oracle[-1].rho[0, 1].real)
@@ -263,7 +261,7 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
     # records at 0.5 and 1 lie on the step grid
     dt = 2.0 ** min(-7, math.floor(math.log2(suggested_dt(quantities, gamma))))
     cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=1.0, record_interval=0.5)
-    ens = run_continuous_ensemble(psi0, None, quantities, cfg, 500, seed, store_states=True)
+    ens = run_continuous_ensemble(psi0, None, quantities, cfg, 500, seed)
 
     # E[w(t)] = w(0): the Born weights are a martingale
     assert within_z(full_weights(ens), quantities.born_weights(psi0))

@@ -93,9 +93,7 @@ class TestWorkerIndependence:
             run_ensemble = run_continuous_ensemble
 
         def run():
-            return run_ensemble(
-                psi0, hamiltonian, quantities, *process, 40, 7, store_states=True
-            )
+            return run_ensemble(psi0, hamiltonian, quantities, *process, 40, 7)
 
         whole = run()
         monkeypatch.setattr(ensemble, "CHUNK_SIZE", 7)
@@ -272,14 +270,10 @@ def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qub
     # a one-row batch equals row i of the runner
     process, run_ensemble, simulate, stream_tag = ENGINES[engine]
     hamiltonian = Hamiltonian(np.array([[0, 1], [1, 0]], dtype=complex))
-    records = run_ensemble(
-        equal_qubit, hamiltonian, sigma_z_set, *process, 6, 11, store_states=True
-    )
+    records = run_ensemble(equal_qubit, hamiltonian, sigma_z_set, *process, 6, 11)
     seeds = trajectory_seeds(11, stream_tag, 6)
     for i in (0, 3, 5):
-        single = simulate(
-            equal_qubit, hamiltonian, sigma_z_set, *process, [int(seeds[i])], store_states=True
-        )
+        single = simulate(equal_qubit, hamiltonian, sigma_z_set, *process, [int(seeds[i])])
         a, b = records.offsets[i], records.offsets[i + 1]
         assert single.seeds.tolist() == [int(records.seeds[i])] == [int(seeds[i])]
         assert np.array_equal(full_weights(single)[:, 0], full_weights(records)[:, i])
@@ -295,9 +289,7 @@ def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_q
     # two workers split 600 trajectories into two chunks of 300 and run
     # a process pool, on a host with at least two CPUs
     process, run_ensemble, _, _ = ENGINES[engine]
-    records = run_ensemble(
-        equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers, store_states=True
-    )
+    records = run_ensemble(equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers)
     assert isinstance(records.states, np.ndarray)
     assert records.states.shape == (records.sample_times.size, 600, records.dim)
     assert not records.states.flags.writeable
@@ -348,9 +340,7 @@ class TestEnsembleArrays:
     @pytest.fixture(scope="class")
     def ensemble(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
-        return run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 30, 2, store_states=True
-        )
+        return run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 30, 2)
 
     def test_layout_and_read_only(self, ensemble):
         assert ensemble.weights.shape == (5, 30, 2)
@@ -369,11 +359,11 @@ class TestEnsembleArrays:
         parts = [
             simulate_hitting_batch(
                 equal_qubit, None, sigma_z_set, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
-                seeds[a:b], store_states=True,
+                seeds[a:b],
             )
             for a, b in ((0, 7), (7, 8), (8, 30))
         ]
-        joined = Ensemble.concat(parts)
+        joined = Ensemble.concat(parts, 30)
         for name in ("seeds", "weights", "expectations", "states", "offsets",
                      "times", "centres", "stream_ids"):
             assert np.array_equal(getattr(joined, name), getattr(ensemble, name))
@@ -383,6 +373,7 @@ class TestEnsembleArrays:
             seeds=np.zeros(1, dtype=np.uint64), sample_times=np.array([0.0, 1.0]),
             expectations=np.zeros((2, 1, 1)), offsets=np.array([0, 0]),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(2), dim=2,
+            states=np.full((2, 1, 2), SQ2, dtype=complex),
         )
         Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
         with pytest.raises(ValueError):
@@ -393,6 +384,7 @@ class TestEnsembleArrays:
             sample_times=np.array([0.0]), weights=np.ones((1, 2, 1)),
             expectations=np.zeros((1, 2, 1)), offsets=np.zeros(3, dtype=int),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(1), dim=1,
+            states=np.ones((1, 2, 1), dtype=complex),
         )
         Ensemble(seeds=np.arange(2), **fields)
         for seeds in (None, np.arange(1), np.arange(3)):
@@ -440,9 +432,9 @@ def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed)
     dead = np.setdiff1d(np.arange(quantities.dim), expected_live)
     for run, process in LIVE_ENGINES:
         args = process(quantities)
-        live = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
+        live = run(psi0, hamiltonian, quantities, *args, n, seed)
         with mock.patch("qreduce.trajectory.live_coordinates", _all_coordinates):
-            full = run(psi0, hamiltonian, quantities, *args, n, seed, store_states=True)
+            full = run(psi0, hamiltonian, quantities, *args, n, seed)
         assert np.array_equal(live.live, expected_live)
         assert np.array_equal(full.live, np.arange(quantities.dim))
         assert live.dim == full.dim == quantities.dim
@@ -536,7 +528,7 @@ def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
     expected_live = [0, 1, 2, 3, 4, 5] if with_hamiltonian else [1, 4]
     assert live_coordinates(quantities.to_joint(psi0), h_joint).tolist() == expected_live
     for run, process in LIVE_ENGINES:
-        ens = run(psi0, hamiltonian, quantities, *process(quantities), 30, 8, store_states=True)
+        ens = run(psi0, hamiltonian, quantities, *process(quantities), 30, 8)
         assert ens.live.tolist() == expected_live and ens.dim == 6
         assert ens.weights.shape[2] == len(expected_live)
         # the reference: the Born weights of the stored states, written out at full d
@@ -552,9 +544,9 @@ def test_concat_requires_shared_live_coordinates(three_level_set):
     on_three = run_hitting_ensemble(StateVector([0.6, 0.0, 0.8]), None, three_level_set,
                                     *process, 3, 1)
     assert on_two.live.tolist() == [0, 1] and on_three.live.tolist() == [0, 2]
-    assert len(Ensemble.concat([on_two, on_two])) == 6
+    assert len(Ensemble.concat([on_two, on_two], 6)) == 6
     with pytest.raises(ValueError):
-        Ensemble.concat([on_two, on_three])
+        Ensemble.concat([on_two, on_three], 6)
 
 
 @pytest.mark.parametrize("n", [1, 37])
@@ -567,7 +559,7 @@ def test_noise_block_length_moves_no_bit(n, monkeypatch):
     config = ContinuousConfig(gamma=0.4, dt=0.02, t_end=0.9, record_interval=0.3)
 
     def run():
-        return run_continuous_ensemble(psi0, None, quantities, config, n, 3, store_states=True)
+        return run_continuous_ensemble(psi0, None, quantities, config, n, 3)
 
     default = run()
     assert continuous.noise_block_steps(n, 3) == 256
@@ -590,8 +582,7 @@ def test_broadcast_initial_rows_equal_their_copies():
     seeds = trajectory_seeds(4, CONTINUOUS_STREAM, 9)
 
     def run(rows):
-        return simulate_continuous_batch(rows, None, quantities, config, seeds,
-                                         store_states=True)
+        return simulate_continuous_batch(rows, None, quantities, config, seeds)
 
     broadcast = run(np.broadcast_to(psi0.amplitudes, (9, 4)))
     copied = run(np.tile(psi0.amplitudes, (9, 1)))
@@ -648,8 +639,8 @@ def test_hamiltonian_block_is_held_once(runner):
 
 @pytest.mark.parametrize("runner", ["hitting", "continuous"])
 def test_runner_memory_follows_the_live_coordinates(runner):
-    # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records,
-    # without and with states: one (S, n, d) float64 array would take 7.6 MiB
+    # d = 5000 with psi0 on 2 coordinates, 50 trajectories and 4 records:
+    # one (S, n, d) float64 array would take 7.6 MiB
     d, n = 5000, 50
     quantities = QuantitySet(np.linspace(0.0, 1.0, d)[:, np.newaxis])
     amps = np.zeros(d, dtype=complex)
@@ -661,12 +652,32 @@ def test_runner_memory_follows_the_live_coordinates(runner):
         args = (run_continuous_ensemble,
                 ContinuousConfig(gamma=1.0, dt=0.01, t_end=0.3, record_interval=0.1))
     run, *process = args
-    for store_states in (False, True):
-        ens, peak = traced_peak(
-            run, psi0, None, quantities, *process, n, 11, store_states=store_states
-        )
-        assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
-        assert peak < 4 * n * d * 8 / 4
+    ens, peak = traced_peak(run, psi0, None, quantities, *process, n, 11)
+    assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
+    assert peak < 4 * n * d * 8 / 4
+
+
+@pytest.mark.parametrize("runner", ["hitting", "continuous"])
+def test_join_holds_one_chunk_beside_the_joined_arrays(runner, monkeypatch):
+    # 6 serial chunks of 40 rows, 201 records on 4 live coordinates: the
+    # run's peak is the joined arrays plus the peak of a one-chunk run, as
+    # each chunk is copied into the joined arrays and dropped before the
+    # next one is made
+    monkeypatch.setattr(ensemble, "CHUNK_SIZE", 40)
+    quantities = QuantitySet(np.arange(4.0)[:, np.newaxis])
+    psi0 = StateVector(np.full(4, 0.5))
+    if runner == "hitting":
+        args = (run_hitting_ensemble, [HitStream((0,), 0.05, 20.0)], 2.0, 0.01)
+    else:
+        args = (run_continuous_ensemble,
+                ContinuousConfig(gamma=0.5, dt=0.01, t_end=2.0, record_interval=0.01))
+    run, *process = args
+    _, one_chunk = traced_peak(run, psi0, None, quantities, *process, 40, 3)
+    ens, peak = traced_peak(run, psi0, None, quantities, *process, 240, 3)
+    arrays = [getattr(ens, f.name) for f in fields(ens)]
+    joined = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert peak < joined + one_chunk + 64 * 2**10
+    assert ens.weights.shape == (201, 240, 4)
 
 
 def test_lattice_run_is_worker_invariant_across_chunks(tmp_path):

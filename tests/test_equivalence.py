@@ -12,7 +12,6 @@ from conftest import (
 )
 from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
-from qreduce.errors import MissingSnapshotError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.hitting import HitStream, Schedule, sharpening_operator, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig, snapped_dt, suggested_dt
@@ -45,11 +44,9 @@ from qreduce.equivalence import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def hitting_batch(psi, quantities, streams, t_end, interval, seeds, *, store_states=False):
+def hitting_batch(psi, quantities, streams, t_end, interval, seeds):
     """One ensemble whose trajectory i runs from ``default_rng(seeds[i])``."""
-    return simulate_hitting_batch(
-        psi, None, quantities, streams, t_end, interval, seeds, store_states=store_states
-    )
+    return simulate_hitting_batch(psi, None, quantities, streams, t_end, interval, seeds)
 
 
 def rotated_six_level():
@@ -297,13 +294,11 @@ class TestEngineComparison:
     def test_snapshot_stack_matches_state_at_loop(self, three_level_set):
         psi = StateVector([0.5, 0.5, SQ2])
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        hitting = run_hitting_ensemble(
-            psi, None, three_level_set, streams, 1.0, 0.25, 150, 3, store_states=True,
-        )
+        hitting = run_hitting_ensemble(psi, None, three_level_set, streams, 1.0, 0.25, 150, 3)
         continuous = run_continuous_ensemble(
             psi, None, three_level_set,
             ContinuousConfig(gamma=1.0, dt=5e-3, t_end=1.0, record_interval=0.25),
-            120, 3, store_states=True,
+            120, 3,
         )
         got = engine_comparison(
             hitting, continuous, three_level_set, streams, 1.0, psi0=psi, n_bootstrap=10,
@@ -326,13 +321,11 @@ class TestEngineComparison:
         # qubit-equal's shape: 1000 + 1000 rows, 50 replicates a record; all
         # 50 in one block would take 2.5 MiB beside the rows
         n, streams = 1000, [HitStream((0,), beta=0.2, mu=10.0)]
-        hitting = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 1.5, 0.75, n, 1, store_states=True
-        )
+        hitting = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.5, 0.75, n, 1)
         continuous = run_continuous_ensemble(
             equal_qubit, None, sigma_z_set,
             ContinuousConfig(gamma=1.0, dt=0.01, t_end=1.5, record_interval=0.75),
-            n, 2, store_states=True,
+            n, 2,
         )
         _, peak = traced_peak(
             engine_comparison, hitting, continuous, sigma_z_set, streams, 1.0, psi0=equal_qubit
@@ -400,13 +393,11 @@ class TestEngineComparison:
         # the hitting grid is 0, 0.25, ..., 1: first fewer samples, then
         # as many samples at other times
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        hitting = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 20, 3, store_states=True,
-        )
+        hitting = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 20, 3)
         continuous = run_continuous_ensemble(
             equal_qubit, None, sigma_z_set,
             ContinuousConfig(gamma=1.0, dt=5e-3, t_end=t_end, record_interval=record_interval),
-            20, 3, store_states=True,
+            20, 3,
         )
         with pytest.raises(ValueError):
             engine_comparison(
@@ -418,13 +409,10 @@ class TestEngineComparison:
         # psi0 on coordinates {0, 1} for one engine and {0, 2} for the other
         streams = [HitStream((0,), beta=0.8, mu=4.0)]
         psi0 = StateVector([0.6, 0.8, 0.0])
-        hitting = run_hitting_ensemble(
-            psi0, None, three_level_set, streams, 1.0, 0.5, 3, 1, store_states=True,
-        )
+        hitting = run_hitting_ensemble(psi0, None, three_level_set, streams, 1.0, 0.5, 3, 1)
         continuous = run_continuous_ensemble(
             StateVector([0.6, 0.0, 0.8]), None, three_level_set,
             ContinuousConfig(gamma=1.6, dt=5e-3, t_end=1.0, record_interval=0.5), 3, 1,
-            store_states=True,
         )
         assert hitting.live.tolist() == [0, 1] and continuous.live.tolist() == [0, 2]
         with pytest.raises(ValueError, match="live"):
@@ -438,13 +426,11 @@ class TestEngineComparison:
         # d x d computational-basis matrices
         quantities, psi0, hamiltonian, blocks = rotated_six_level()
         streams = [HitStream((0, 1), beta=0.4, mu=5.0)]
-        hitting = run_hitting_ensemble(
-            psi0, hamiltonian, quantities, streams, 1.0, 0.25, 40, 6, store_states=True,
-        )
+        hitting = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 1.0, 0.25, 40, 6)
         continuous = run_continuous_ensemble(
             psi0, hamiltonian, quantities,
             ContinuousConfig(gamma=1.0, dt=2.0**-8, t_end=1.0, record_interval=0.25),
-            30, 6, store_states=True,
+            30, 6,
         )
         expected_live = np.sort(np.concatenate([blocks[0][1], blocks[1][1]]))
         assert np.array_equal(hitting.live, expected_live)
@@ -468,30 +454,20 @@ class TestEngineComparison:
 class TestEnsembleDensityMatrix:
     def test_single_trajectory_projector(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3], store_states=True)
+        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3])
         rho = ensemble_density_matrix(ens, 1.0, sigma_z_set)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_trajectories_stay_pure(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        ens = hitting_batch(
-            equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3] * 4, store_states=True
-        )
+        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3] * 4)
         rho = ensemble_density_matrix(ens, 0.5, sigma_z_set)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
-
-    def test_missing_snapshots(self, sigma_z_set, equal_qubit):
-        streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3])
-        with pytest.raises(MissingSnapshotError):
-            ensemble_density_matrix(ens, 0.5, sigma_z_set)
 
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
         streams = [HitStream((0,), beta=0.4, mu=5.0)]
-        records = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 77, store_states=True
-        )
+        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 77)
         rho_mc = ensemble_density_matrix(records, 1.0, sigma_z_set)
         _, oracle = hitting_master_evolution(
             DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, 1.0
@@ -515,11 +491,12 @@ class TestCollapseStatistics:
         # coordinate 1, to coordinate 1 at 0.9995, and not at all
         quantities = QuantitySet(np.array([[0.0], [1.0], [1.0], [3.0]]))
         terminal = np.array([[0.0, 1.0], [1.0, 0.0], [0.9995, 0.0005], [0.5, 0.5]])
+        weights = np.stack([np.full((4, 2), 0.5), terminal])
         ens = Ensemble(
-            seeds=np.arange(4), sample_times=np.array([0.0, 1.0]),
-            weights=np.stack([np.full((4, 2), 0.5), terminal]),
+            seeds=np.arange(4), sample_times=np.array([0.0, 1.0]), weights=weights,
             expectations=np.zeros((2, 4, 1)), offsets=np.zeros(5, dtype=int),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
+            states=np.sqrt(weights + 0j),
         )
         report = collapse_statistics(ens, quantities)
         assert [o.eigenvalues for o in report.outcomes] == [(0.0,), (1.0,), (3.0,)]
@@ -749,15 +726,13 @@ class TestConvergenceSweep:
             t_probe, master, dt=0.01,
         )
         cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=t_probe, record_interval=t_probe)
-        cont = run_continuous_ensemble(
-            psi0, None, three_level_set, cfg, n, master, store_states=True
-        )
+        cont = run_continuous_ensemble(psi0, None, three_level_set, cfg, n, master)
         rho_cont = DensityMatrix.from_state_rows(cont.states[-1])
         for i, row in enumerate(rows, start=1):
             assert row.streams == [HitStream((0,), 2 * gamma / row.mu, row.mu)]
             hitting = run_hitting_ensemble(
                 psi0, None, three_level_set, row.streams, t_probe, t_probe,
-                n, derive_seed(master, SWEEP_STREAM, i), store_states=True,
+                n, derive_seed(master, SWEEP_STREAM, i),
             )
             rho_hit = DensityMatrix.from_state_rows(hitting.states[-1])
             assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
@@ -781,6 +756,32 @@ class TestConvergenceSweep:
             n_bootstrap=2,
         )
         assert seen == [0.007 / 2] == [snapped_dt(sigma_z_set, 0.5, 0.007)]
+
+    def test_diffusion_steps_at_most_the_configured_dt(self, sigma_z_set, equal_qubit,
+                                                       monkeypatch):
+        # a sweep config of t_end 1.0, record_interval 0.3 and dt 0.3 is
+        # valid; 1.0 / 0.3 rounded to 3 steps would step at 0.333
+        raw = {
+            "scenario": "explicit-matrices", "engine": "both", "beta": 0.5, "mu": 8.0,
+            "dt": 0.3, "t_end": 1.0, "record_interval": 0.3, "n_trajectories": 4,
+            "operators": [{"dim": 2, "re": [1, 0, 0, -1], "im": [0, 0, 0, 0]}],
+            "initial_state": {"re": [SQ2, SQ2]},
+        }
+        assert ScenarioConfig.from_dict(raw).dt == 0.3
+        seen, run = [], equivalence.run_continuous_ensemble
+
+        def recording(psi0, hamiltonian, quantities, config, *args, **kwargs):
+            seen.append(config.dt)
+            return run(psi0, hamiltonian, quantities, config, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "run_continuous_ensemble", recording)
+        convergence_sweep(
+            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [10.0], 4, 1.0, 1,
+            dt=0.3, n_bootstrap=2,
+        )
+        assert seen == [0.25]
+        # a dt that divides the probe time keeps its bits, as d120's 0.5 / 0.00125
+        assert snapped_dt(sigma_z_set, 0.5, 0.5, 0.00125) == 0.00125
 
     def test_one_stream_keeps_beta_two_gamma_over_rate_bit_for_bit(self):
         # the lattice scales beta and gamma by 1 / dx; at dx = 0.45 the product
@@ -829,13 +830,10 @@ def lattice_config(sites, count, occupations, **overrides) -> ScenarioConfig:
 
 def engine_pair(psi0, hamiltonian, quantities, streams, gamma, n, *, dt=0.005):
     """Both engines over (0, 0.5], recorded every 0.25, with states."""
-    hitting = run_hitting_ensemble(
-        psi0, hamiltonian, quantities, streams, 0.5, 0.25, n, 3, store_states=True,
-    )
+    hitting = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 0.5, 0.25, n, 3)
     continuous = run_continuous_ensemble(
         psi0, hamiltonian, quantities,
         ContinuousConfig(gamma=gamma, dt=dt, t_end=0.5, record_interval=0.25), n, 3,
-        store_states=True,
     )
     return hitting, continuous
 
@@ -980,9 +978,7 @@ class TestMartingaleHitting:
     def test_offdiagonal_decay_against_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        records = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 1.5, 0.25, n, 21, store_states=True
-        )
+        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.5, 0.25, n, 21)
         rho0 = DensityMatrix.from_state(equal_qubit)
         times = records.sample_times
         _, oracle = hitting_master_evolution(

@@ -138,7 +138,7 @@ class TestLatticeBasis:
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            build_fock_lattice(40, 1.0, [Species("b", count=5)], dimension_cap=5000)
+            build_fock_lattice(40, 1.0, [Species("b", count=5)])
 
     @pytest.mark.parametrize(
         "total, sites, cap",
@@ -472,12 +472,8 @@ class TestScenarios:
         kb = lat.index_of(np.array([[0, 1], [1, 0]]))
         rate = profile_decoherence_rate(qs, ka, kb, scenario.gamma)
         n = 1500
-        cfg = ContinuousConfig(
-            gamma=scenario.gamma, dt=2.5e-3, t_end=1.0, record_interval=0.5
-        )
-        records = run_continuous_ensemble(
-            scenario.psi0, None, qs, cfg, n, 43, store_states=True
-        )
+        cfg = ContinuousConfig(gamma=scenario.gamma, dt=2.5e-3, t_end=1.0, record_interval=0.5)
+        records = run_continuous_ensemble(scenario.psi0, None, qs, cfg, n, 43)
         rho_mc = ensemble_density_matrix(records, 1.0, qs)
         _, oracle = lindblad_evolution(
             DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma, 1.0
@@ -500,7 +496,6 @@ class TestScenarios:
         ens = simulate_hitting_batch(
             scenario.psi0, Hamiltonian(hop), scenario.quantities, scenario.streams, 2.0, 0.25,
             [3],
-            store_states=True,
         )
         for state in ens.states[:, 0]:
             total = sum(

@@ -196,9 +196,7 @@ class TestSimulateHittingTrajectory:
 
     def test_unit_norm_snapshots_and_seed(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5)]
-        ens = simulate_hitting_batch(
-            equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [42], store_states=True
-        )
+        ens = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [42])
         assert ens.seeds.tolist() == [42]
         for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -436,9 +434,7 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     n = 2000
     ham = Hamiltonian(SX)
     streams = [HitStream((0,), beta=0.5, mu=4.0)]
-    records = run_hitting_ensemble(
-        equal_qubit, ham, sigma_z_set, streams, 1.5, 0.25, n, 23, store_states=True
-    )
+    records = run_hitting_ensemble(equal_qubit, ham, sigma_z_set, streams, 1.5, 0.25, n, 23)
     times = records.sample_times
     _, oracle = hitting_master_evolution(
         DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, float(times[-1]),
@@ -481,9 +477,7 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
         # a mask with no bit below num_q hits every column
         cols = tuple(p for p in range(num_q) if mask >> p & 1) or tuple(range(num_q))
         streams.append(HitStream(cols, beta, mu))
-    ens = run_hitting_ensemble(
-        psi0, hamiltonian, quantities, streams, 1.0, 0.5, 500, seed, store_states=True
-    )
+    ens = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 1.0, 0.5, 500, seed)
 
     if hamiltonian is None:
         # E[w(t)] = w(0): the Born weights are a martingale

@@ -47,6 +47,7 @@ REMOVED = {
     "born_weights": "hilbert",
     "expectation": "hilbert",
     "quantum_covariance": "hilbert",
+    "MissingSnapshotError": "errors",
 }
 
 
@@ -56,8 +57,9 @@ def test_one_hitting_process_model(name):
     # seeded rows; the one-stream config, the per-trajectory record view, the
     # single-trajectory wrappers and the window-increment harnesses built on
     # them are gone from every surface, as are the second lattice scenario
-    # type (scenarios builds every kind) and the module-level spellings of
-    # the QuantitySet queries
+    # type (scenarios builds every kind), the module-level spellings of
+    # the QuantitySet queries and the error of an ensemble without states,
+    # which every ensemble now records
     assert name not in qreduce.__all__ and not hasattr(qreduce, name)
     module = importlib.import_module(f"qreduce.{REMOVED[name]}")
     assert name not in getattr(module, "__all__", []) and not hasattr(module, name)
@@ -78,4 +80,18 @@ def test_no_module_imports_scipy():
                 f"{path.name}:{node.lineno}" for name in names
                 if name == "scipy" or name.startswith("scipy.")
             ]
+    assert found == []
+
+
+def test_no_function_takes_store_states():
+    # every ensemble records its states: no kernel, runner or harness takes
+    # an option to leave them out
+    found = []
+    for path in sorted(Path(qreduce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "store_states" in names:
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
