@@ -155,8 +155,9 @@ def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
     Column p takes each trajectory's first event whose stream hits p; its
     law has psi0's mean and variance cov_pp plus the mean of 1/(2 beta_s)
     over those events, if no Hamiltonian couples joint coordinates with
-    different eigenvalue rows. Otherwise, or if a column has no such
-    event, the moments are None.
+    different eigenvalue rows. Otherwise, or if a column has fewer than
+    two such events (its sample variance is then undefined), the moments
+    are None.
     """
     psi0, quantities = built.psi0, built.quantities
     table = quantities.eigenvalue_table
@@ -176,7 +177,7 @@ def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
         inside = at < hits.size
         firsts = hits[at[inside]]
         firsts = firsts[firsts < ends[inside]]
-        if firsts.size == 0:
+        if firsts.size < 2:
             return None
         used.update(firsts.tolist())
         # reduce whole (events, K) rows along axis 0: numpy then sums column p

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .trajectory import whole_steps
 
 SCENARIO_KINDS = (
     "explicit-matrices",
@@ -204,9 +205,7 @@ class ScenarioConfig:
                 )
         if dt is not None and engine in ("continuous", "both"):
             # ContinuousConfig's own test: whole steps per record interval
-            steps = record_interval / dt
-            if (dt > record_interval or not math.isfinite(steps)
-                    or abs(steps - round(steps)) > 1e-6):
+            if dt > record_interval or whole_steps(record_interval, dt) is None:
                 raise ConfigError(
                     "dt", f"dt = {dt:g} must divide record_interval = "
                     f"{record_interval:g} into whole steps"

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, record_grid, run_on_live_block
+from .trajectory import Ensemble, record_grid, run_on_live_block, whole_steps
 
 __all__ = [
     "ContinuousConfig",
@@ -102,12 +102,14 @@ def snapped_dt(quantities: QuantitySet, gamma, record_interval: float,
     """The longest step at or below ``dt``, or :func:`suggested_dt` without
     it, that divides ``record_interval`` into whole steps.
 
-    A cap within :class:`ContinuousConfig`'s 1e-6 slack of a whole number
-    of steps counts as that number, so a ``dt`` that the config accepts
-    keeps its count of steps.
+    A cap that makes whole steps by :func:`~qreduce.trajectory.whole_steps`,
+    as :class:`ContinuousConfig` tests them, keeps that count of steps, so
+    a ``dt`` that the config accepts keeps its count.
     """
-    ratio = record_interval / (suggested_dt(quantities, gamma) if dt is None else dt)
-    steps = round(ratio) if abs(ratio - round(ratio)) <= 1e-6 else math.ceil(ratio)
+    cap = suggested_dt(quantities, gamma) if dt is None else dt
+    steps = whole_steps(record_interval, cap)
+    if steps is None:
+        steps = math.ceil(record_interval / cap)
     return record_interval / max(1, steps)
 
 
@@ -143,8 +145,7 @@ class ContinuousConfig:
             raise ValueError("dt must not exceed record_interval")
         if self.record_interval > self.t_end:
             raise ValueError("record_interval must not exceed t_end")
-        ratio = self.record_interval / self.dt
-        if abs(ratio - round(ratio)) > 1e-6:
+        if whole_steps(self.record_interval, self.dt) is None:
             raise ValueError("record_interval must be an integer multiple of dt")
 
     def gamma_vector(self, num_quantities: int) -> np.ndarray:
@@ -159,7 +160,7 @@ class ContinuousConfig:
 
     @property
     def steps_per_record(self) -> int:
-        return max(1, int(round(self.record_interval / self.dt)))
+        return whole_steps(self.record_interval, self.dt)
 
 
 def sde_step(
@@ -354,18 +355,15 @@ def _integrate(
     """The lockstep Euler-Maruyama loop from (batch, d) or (1, d) joint-basis rows.
 
     The kernel steps (2, d, batch) columns, one per seed; the rows are
-    rebuilt only at record times.
+    rebuilt, as the ensemble's states, only at record times.
     """
     kernel = _DiffusionKernel(quantities, h_joint, hbar, config)
-    table = quantities.eigenvalue_table
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record
 
     generators = [np.random.default_rng(int(s)) for s in seeds]
     batch = len(generators)
-    weights_out = np.empty((rec_times.size, batch, quantities.dim))
-    expect_out = np.empty((rec_times.size, batch, quantities.num_quantities))
     states_out = np.empty((rec_times.size, batch, quantities.dim), dtype=np.complex128)
     columns = np.empty((2, quantities.dim, batch))  # C order: each row a whole batch
     columns[0], columns[1] = coeffs.real.T, coeffs.imag.T
@@ -373,10 +371,6 @@ def _integrate(
     def record(slot: int):
         amplitudes = states_out[slot]
         amplitudes.real, amplitudes.imag = columns[0].T, columns[1].T
-        w = np.abs(amplitudes) ** 2
-        w /= w.sum(axis=1)[:, np.newaxis]
-        weights_out[slot] = w
-        expect_out[slot] = np.vecmat(w, table)
 
     record(0)
     block = noise_block_steps(batch, quantities.num_quantities)
@@ -405,12 +399,11 @@ def _integrate(
     return Ensemble(
         seeds=seeds,
         sample_times=rec_times,
-        weights=weights_out,
-        expectations=expect_out,
+        states=states_out,
+        table=quantities.eigenvalue_table,
         offsets=np.zeros(batch + 1, dtype=np.intp),
         times=np.empty(0),
         centres=np.empty((0, quantities.num_quantities)),
         live=np.arange(quantities.dim),
         dim=quantities.dim,
-        states=states_out,
     )

@@ -11,9 +11,11 @@ in any batch. Results are therefore bit-identical for any number of
 workers and any chunking.
 
 A runner returns one :class:`~qreduce.trajectory.Ensemble`, its chunks
-joined by ``Ensemble.concat`` as they come: (S, n, L) weights and states
-on the L live joint coordinates, (S, n, K) expectations and the hitting
-events in CSR form, so a worker process sends back a few arrays.
+joined by ``Ensemble.concat`` as they come: (S, n, L) states on the L
+live joint coordinates, their (L, K) eigenvalue rows and the hitting
+events in CSR form, so a worker process sends back a few arrays. The
+ensemble derives its Born weights and expectations from the joined
+states, once, when they are first read.
 
 A chunk hands its seeds to a kernel, which draws every trajectory from
 ``default_rng`` of its own seed. A hitting trajectory draws its hit
@@ -27,12 +29,12 @@ Both kernels run on the live joint coordinates only
 (``hilbert.live_coordinates``): psi0's support plus every coordinate the
 joint-basis Hamiltonian couples to another. Both the hitting map and the
 diffusion step multiply each joint amplitude by its own real factor, so
-an amplitude outside that set stays exactly 0, and so does its weight,
-which the returned ensemble therefore does not store. The set depends
+an amplitude outside that set stays exactly 0, and so does its weight;
+the returned ensemble therefore stores neither. The set depends
 on psi0 and the Hamiltonian alone, so every chunk uses the same one. A
 runner converts psi0 to joint coordinates once, as one row, and the
 kernels spread only its live block over the chunk's trajectories: no
-(n, d) array is formed on the way to the weights or the states.
+(n, d) array is formed on the way to the states.
 
 ``equivalence.convergence_sweep`` runs its ensembles through the same
 runners: the diffusive one with the master seed itself, and the hitting

@@ -592,7 +592,6 @@ class SweepRow:
     channel_distance: float
     mc_distance: float
     mc_error: float
-    noise_floor: float
 
 
 def _streams_at_rate(streams: list[HitStream], gamma: np.ndarray, total: float) -> list[HitStream]:
@@ -728,11 +727,10 @@ def convergence_sweep(
     beta = 2 * gamma / value. Reports the deterministic channel distance
     (hitting master equation vs Lindblad at the probe time, both under
     ``hamiltonian``) and the trace-norm distance between the Monte Carlo
-    ensembles at the probe time, with a bootstrap error and an
-    independent-halves noise-floor estimate. Every distance, oracle and
-    Monte Carlo, is taken on the live joint coordinates, where both
-    ensembles run and every operator lives: both oracles get the live
-    block of :func:`_live_oracle_inputs`, so they cost O(L^2), not
+    ensembles at the probe time, with a bootstrap error. Every distance,
+    oracle and Monte Carlo, is taken on the live joint coordinates, where
+    both ensembles run and every operator lives: both oracles get the
+    live block of :func:`_live_oracle_inputs`, so they cost O(L^2), not
     O(d^2).
 
     The ensembles come from the ensemble runners with ``workers``
@@ -753,8 +751,6 @@ def convergence_sweep(
         psi0, hamiltonian, quantities, config, n_trajectories, master_seed,
         workers=workers,
     ).states[-1]
-    half = n_trajectories // 2
-    floor = _rows_distance(cont_rows[:half], cont_rows[half : 2 * half]) / 2.0
 
     _, rho0, block, h_block = _live_oracle_inputs(psi0, quantities, hamiltonian)
     _, lind = lindblad_evolution(rho0, block, gamma, t_probe, hamiltonian=h_block)
@@ -776,7 +772,7 @@ def convergence_sweep(
         mc = _rows_distance(hit_rows, cont_rows)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
         err = _bootstrap_distance(hit_rows, cont_rows, n_bootstrap, boot_rng)
-        rows.append(SweepRow(total, swept, channel, mc, err, floor))
+        rows.append(SweepRow(total, swept, channel, mc, err))
     return rows
 
 

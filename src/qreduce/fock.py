@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hilbert import QuantitySet, StateVector
+from .hilbert import StateVector
 
 DIMENSION_CAP = 5000
 
@@ -30,7 +30,6 @@ __all__ = [
     "smearing_kernel",
     "build_number_density",
     "build_mass_density",
-    "profile_decoherence_rate",
 ]
 
 
@@ -267,9 +266,10 @@ def smearing_kernel(positions: np.ndarray, dx: float, alpha: float) -> np.ndarra
     """Weights of the Gaussian counting window, integrated over site cells.
 
     ``kernel[j, jp]`` is the probability mass the window centred at site j
-    (variance 1/alpha) assigns to the cell of site jp. Exact cell
-    integration keeps every row summing to at most 1: for
-    alpha * dx^2 << 1 it reduces to the midpoint form
+    (variance 1/alpha) assigns to the cell of site jp; ``positions`` are
+    the ascending cell centres, ``dx`` apart. Exact cell integration
+    keeps every row summing to at most 1: for alpha * dx^2 << 1 it
+    reduces to the midpoint form
     (alpha/2pi)^(1/2) exp(-alpha (x_j - x_jp)^2 / 2) dx, and for
     alpha -> infinity it concentrates to the identity, making the smeared
     density the on-site number operator.
@@ -279,14 +279,29 @@ def smearing_kernel(positions: np.ndarray, dx: float, alpha: float) -> np.ndarra
     module loads no SciPy. Its exponential is libm's ``exp`` per element
     rather than ``np.exp``, whose vectorized path can round differently
     in the last bit; only the |x| < 6 band around each site needs one.
+
+    Where both cell edges lie 6 / sqrt(alpha / 2) or more from the
+    window's centre, both erfs are exactly +-1 and the entry is exactly 0.
+    So only the diagonals within that reach, plus two sites of margin,
+    are evaluated, each entry as the dense formula would; the rest of the
+    kernel is left 0.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     x = np.asarray(positions, dtype=float)
+    n = x.size
     scaled = math.sqrt(alpha / 2.0)
-    upper = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] + dx / 2.0))
-    lower = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] - dx / 2.0))
-    return 0.5 * (upper - lower)
+    reach = min(n - 1, math.ceil((_ERF_SATURATION / scaled + dx / 2.0) / dx) + 2)
+    kernel = np.zeros((n, n))
+    flat = kernel.reshape(-1)
+    for offset in range(-reach, reach + 1):
+        # the entries (j, j + offset) for j in [lo, hi): a strided view of the kernel
+        lo, hi = max(0, -offset), n - max(0, offset)
+        diff = x[lo + offset : hi + offset] - x[lo:hi]
+        upper = _erf(scaled * (diff + dx / 2.0))
+        lower = _erf(scaled * (diff - dx / 2.0))
+        flat[lo * (n + 1) + offset :: n + 1][: hi - lo] = 0.5 * (upper - lower)
+    return kernel
 
 
 def build_number_density(
@@ -310,18 +325,3 @@ def build_mass_density(lattice: FockLattice, alpha: float) -> np.ndarray:
     for k, sp in enumerate(lattice.species):
         total += sp.mass * (lattice.site_numbers(k) @ kernel.T)
     return total
-
-
-def profile_decoherence_rate(
-    quantities: QuantitySet, index_a: int, index_b: int, gamma_eff: float
-) -> float:
-    """Closed-form decay rate of the coherence between two basis states.
-
-    Rate = gamma_eff / 2 * sum_j (density difference at site j)^2; for
-    density operators on a lattice this is a Riemann sum of the continuum
-    expression, so it is invariant under grid refinement at fixed
-    physical strength.
-    """
-    table = quantities.eigenvalue_table
-    diff = table[index_a] - table[index_b]
-    return 0.5 * gamma_eff * float(np.sum(diff**2))

@@ -283,7 +283,8 @@ def run_hitting_chain_batch(
 
     Returns the ensemble of the batch: ``seeds`` (one per row), the (E, K)
     centres, NaN outside each hit's stream, the (E,) stream ids, and the
-    records in (R, batch, ·) layout.
+    (R, batch, d) states with the table of ``quantities``; the ensemble
+    derives the Born weights and expectations from them.
 
     Raises
     ------
@@ -345,20 +346,17 @@ def run_hitting_chain_batch(
     if evolve is not None:
         dt = (record_times[:, np.newaxis] - snap_last).reshape(-1)
         snaps = evolve(snaps.reshape(-1, quantities.dim), dt).reshape(snaps.shape)
-    weights = np.abs(snaps) ** 2
-    weights /= weights.sum(axis=2)[:, :, np.newaxis]
     return Ensemble(
         seeds=seeds,
         sample_times=record_times,
-        weights=weights,
-        expectations=np.einsum("rbd,dk->rbk", weights, table),
+        states=snaps,
+        table=table,
         offsets=offsets,
         times=times,
         centres=centres_out,
         live=np.arange(quantities.dim),
         dim=quantities.dim,
         stream_ids=stream_ids,
-        states=snaps,
     )
 
 

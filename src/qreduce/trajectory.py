@@ -6,6 +6,7 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,28 +60,27 @@ class Ensemble:
     Both engines run on the live joint coordinates only (see
     :func:`run_on_live_block`): ``live`` holds their L ascending indices
     out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
-    coordinate is live. ``weights`` (S, n, L) holds the Born weights and
-    ``states`` (S, n, L) the joint-basis amplitudes on those coordinates;
-    outside ``live`` both are exactly 0 and are not stored.
-    ``expectations`` (S, n, K) holds the quantity means. Each sample's
-    rows are one contiguous block. Events are in CSR form: trajectory i
-    owns ``times[offsets[i]:offsets[i + 1]]`` and the matching
-    ``centres`` rows and, for the hitting engine, ``stream_ids`` (the
-    index of the stream that made each hit). ``seeds`` (n,) are the
-    per-trajectory seeds. The hitting kernel reads its hits in this CSR
-    layout and writes its records in this (S, n, ·) layout itself.
+    coordinate is live. ``states`` (S, n, L) holds the joint-basis
+    amplitudes on those coordinates, each sample's rows one contiguous
+    block, and ``table`` (L, K) their eigenvalue rows; outside ``live``
+    every amplitude is exactly 0 and is not stored. The states are the
+    whole record: the Born weights and the quantity means are derived
+    from them here (:attr:`weights`, :attr:`expectations`). Events are in
+    CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
+    the matching ``centres`` rows and, for the hitting engine,
+    ``stream_ids`` (the index of the stream that made each hit).
+    ``seeds`` (n,) are the per-trajectory seeds.
     """
 
     seeds: np.ndarray
     sample_times: np.ndarray
-    weights: np.ndarray
-    expectations: np.ndarray
+    states: np.ndarray
+    table: np.ndarray
     offsets: np.ndarray
     times: np.ndarray
     centres: np.ndarray
     live: np.ndarray
     dim: int
-    states: np.ndarray
     stream_ids: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,22 +91,42 @@ class Ensemble:
                 value = np.asarray(value)
                 value.flags.writeable = False
                 object.__setattr__(self, f.name, value)
-        if np.shape(self.seeds) != self.weights.shape[1:2]:
-            raise ValueError("seeds must hold one seed per trajectory")
         if np.any(np.diff(self.sample_times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+        if self.states.ndim != 3 or self.states.shape[0] != self.sample_times.size:
+            raise ValueError("states must hold one (n, L) record per sample time")
+        if np.shape(self.seeds) != self.states.shape[1:2]:
+            raise ValueError("seeds must hold one seed per row of the states")
         if not self.offsets[-1] == self.times.size == self.centres.shape[0]:
             raise ValueError("event offsets, times and centres disagree in length")
         live = self.live
-        if (live.shape != self.weights.shape[2:] or np.any(np.diff(live) <= 0)
+        if (live.shape != self.states.shape[2:] or np.any(np.diff(live) <= 0)
                 or np.any((live < 0) | (live >= self.dim))):
-            raise ValueError("live must hold one ascending coordinate per weight column")
-        if self.states.shape != self.weights.shape:
-            raise ValueError("states must have the shape of the weights")
-        if self.weights.size:
-            worst = float(np.max(np.abs(self.weights.sum(axis=2) - 1.0)))
+            raise ValueError("live must hold one ascending coordinate per column of the states")
+        if self.table.ndim != 2 or self.table.shape[0] != live.size:
+            raise ValueError("table must hold one eigenvalue row per live coordinate")
+        if self.states.size:
+            # one record at a time: no (S, n, L) or (S, n) temporary
+            worst = max(float(np.max(np.abs((np.abs(r) ** 2).sum(axis=1) - 1.0)))
+                        for r in self.states)
             if worst > 1e-10:
-                raise ValueError(f"born-weight rows deviate from 1 by {worst:.3e}")
+                raise ValueError(f"state rows' squared norms deviate from 1 by {worst:.3e}")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(S, n, L) Born weights: each state row's |c|^2 over its sum."""
+        weights = np.abs(self.states)
+        weights *= weights
+        weights /= weights.sum(axis=2)[:, :, np.newaxis]
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
+    def expectations(self) -> np.ndarray:
+        """(S, n, K) quantity means: the Born weights' averages of ``table``."""
+        means = np.einsum("rbd,dk->rbk", self.weights, self.table)
+        means.flags.writeable = False
+        return means
 
     @classmethod
     def concat(cls, parts: Iterable["Ensemble"], n: int) -> "Ensemble":
@@ -114,7 +134,7 @@ class Ensemble:
 
         ``parts`` may be an iterator, as the runners pass it. Each part is
         copied into the joined arrays and dropped before the next one is
-        taken: the records are allocated at the first part and the events
+        taken: the states are allocated at the first part and the events
         grow part by part, so the join holds the joined arrays beside one
         part at a time. A single part is returned as it is.
         """
@@ -122,12 +142,8 @@ class Ensemble:
         part = next(parts)
         if len(part) == n:
             return part
-        grid, live, dim = part.sample_times, part.live, part.dim
-        records = {
-            name: np.empty((grid.size, n) + a.shape[2:], a.dtype)
-            for name in ("weights", "expectations", "states")
-            for a in [getattr(part, name)]
-        }
+        grid, live, dim, table = part.sample_times, part.live, part.dim, part.table
+        states = np.empty((grid.size, n) + part.states.shape[2:], part.states.dtype)
         events = {
             name: np.empty((0,) + a.shape[1:], a.dtype)
             for name in ("times", "centres", "stream_ids")
@@ -137,11 +153,11 @@ class Ensemble:
         offsets = np.zeros(n + 1, dtype=np.intp)
         row = 0
         while part is not None:
-            if part.dim != dim or not np.array_equal(part.live, live):
+            if (part.dim != dim or not np.array_equal(part.live, live)
+                    or not np.array_equal(part.table, table)):
                 raise ValueError("the parts do not share their live coordinates")
             rows = slice(row, row + len(part))
-            for name, out in records.items():
-                out[:, rows] = getattr(part, name)
+            states[:, rows] = part.states
             seeds[rows] = part.seeds
             start = offsets[row]
             offsets[rows.start + 1 : rows.stop + 1] = part.offsets[1:] + start
@@ -156,12 +172,12 @@ class Ensemble:
         if row != n:
             raise ValueError(f"the parts hold {row} trajectories, not {n}")
         return cls(
-            seeds=seeds, sample_times=grid, offsets=offsets, live=live, dim=dim,
-            **records, **events,
+            seeds=seeds, sample_times=grid, states=states, table=table, offsets=offsets,
+            live=live, dim=dim, **events,
         )
 
     def __len__(self) -> int:
-        return self.weights.shape[1]
+        return self.states.shape[1]
 
     def sample_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.sample_times - t)))
@@ -219,8 +235,8 @@ def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamilto
     per trajectory, or one row that every trajectory starts from, which
     ``run`` then spreads over its batch. The kernel gets the pieces of
     :func:`live_block`, and the returned ensemble keeps the kernel's
-    (S, n, L) weights and states with their coordinates in ``live``. The
-    random draws do not depend on the dimension.
+    (S, n, L) states and (L, K) table with their coordinates in ``live``.
+    The random draws do not depend on the dimension.
     """
     block = live_block(coeffs, quantities, hamiltonian)
     ens = run(block.coeffs, block.quantities, block.h_joint, block.hbar)
@@ -240,6 +256,20 @@ def record_count(t_end: float, record_interval: float) -> int:
     if record_interval > t_end:
         raise ValueError("record_interval must not exceed t_end")
     return int(np.floor(t_end / record_interval + 1e-9)) + 1
+
+
+def whole_steps(interval: float, dt: float) -> int | None:
+    """``interval / dt`` as a whole number of steps, or None if it is not one.
+
+    A ratio within 1e-6 of a whole number counts as that number, so a
+    ``dt`` of a decimal interval that rounds in its last bits still
+    divides it. A ratio that overflows to inf is not whole.
+    """
+    ratio = interval / dt
+    if not math.isfinite(ratio):
+        return None
+    steps = round(ratio)
+    return steps if abs(ratio - steps) <= 1e-6 else None
 
 
 def record_grid(t_end: float, record_interval: float) -> np.ndarray:

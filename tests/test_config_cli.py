@@ -5,13 +5,14 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsonschema
-from conftest import full_weights, traced_peak
+from conftest import SQ2, full_weights, traced_peak
 
 import qreduce
 from qreduce import cli
@@ -635,6 +636,20 @@ class TestCliRun:
         summary = json.loads((_run_cli(tmp_path, raw, "a2") / "summary.json").read_text())
         assert summary["engines"]["hitting"]["first_hitting_moments"] is not None
 
+    def test_one_trajectory_summary_is_strict_json(self, tmp_path):
+        # one first hit on the quantity: no sample variance, so no moments
+        raw = minimal_qubit_config(engine="hitting", n_trajectories=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _run_cli(tmp_path, raw, "one")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["engines"]["hitting"]["events_total"] > 0
+        assert summary["engines"]["hitting"]["first_hitting_moments"] is None
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         import subprocess
         import sys
@@ -812,36 +827,47 @@ class TestCliRun:
             assert flags == [0] + [3] * 10
 
     def test_csv_fields_are_float_reprs(self, tmp_path):
-        tiny = 5e-324
-        weights = np.array([[tiny, 1.0], [0.25, 0.75], [1 / 3, 2 / 3]])
-        expectations = np.array([[-1e-300, -0.1], [-0.0, 2.5e-17], [np.pi, -np.e]])
+        # amplitudes whose Born weights are 5e-324 and 1.0 (sqrt(5e-324)
+        # squares back to 5e-324), about 1/4 and 3/4, about 1/3 and 2/3, and
+        # exactly 1.0 and 0.0; the first and last records' expectations are
+        # then exactly table rows 1 and 0
+        states = np.array([
+            [math.sqrt(5e-324), 1.0],
+            [0.5, math.sqrt(0.75)],
+            [math.sqrt(1 / 3), math.sqrt(2 / 3)],
+            [1.0, 0.0],
+        ], dtype=complex)
+        table = np.array([[np.pi, -np.e], [-1e-300, 2.5e-17]])
         times = np.array([0.05, 0.1, 0.2])
         centres = np.array([[np.nan, -3.5], [1e-310, np.nan], [-7.0, 1 / 7]])
         # two identical trajectories
         ens = Ensemble(
             seeds=np.arange(2),
-            sample_times=np.array([0.0, 0.1, 0.30000000000000004]),
-            weights=np.stack([weights, weights], axis=1),
-            expectations=np.stack([expectations, expectations], axis=1),
+            sample_times=np.array([0.0, 0.1, 0.30000000000000004, 0.4]),
+            states=np.stack([states, states], axis=1),
+            table=table,
             offsets=np.array([0, 3, 6]),
             times=np.concatenate([times, times]),
             centres=np.concatenate([centres, centres]),
             live=np.arange(2),
             dim=2,
-            states=np.sqrt(np.stack([weights, weights], axis=1) + 0j),
         )
+        weights, expectations = ens.weights[:, 0], ens.expectations[:, 0]
+        assert weights[0].tolist() == [5e-324, 1.0]
+        assert weights[3].tolist() == [1.0, 0.0]
+        assert np.array_equal(expectations[[0, 3]], table[[1, 0]])
         engines = {"hitting": ens}
         _write_trajectories_csv(tmp_path / "t.csv", engines)
         _write_events_csv(tmp_path / "e.csv", engines)
         t_rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().splitlines()[1:]]
         e_rows = [r.split(",") for r in (tmp_path / "e.csv").read_text().splitlines()[1:]]
-        assert len(t_rows) == 6 and len(e_rows) == 6
+        assert len(t_rows) == 8 and len(e_rows) == 6
         for i, row in enumerate(t_rows):
-            s = i % 3
+            s = i % 4
             values = [ens.sample_times[s], *weights[s], *expectations[s]]
-            assert row[:2] == ["hitting", str(i // 3)]
+            assert row[:2] == ["hitting", str(i // 4)]
             assert row[2] == repr(float(values[0]))
-            assert row[3] == str([0, 2, 1][s])
+            assert row[3] == str([0, 2, 1, 0][s])
             assert row[4:] == [repr(float(x)) for x in values[1:]]
         for i, row in enumerate(e_rows):
             values = [times[i % 3], *centres[i % 3]]
@@ -916,25 +942,24 @@ def _reference_trajectories_csv(path: Path, ensembles: dict[str, Ensemble]):
 
 def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=None) -> Ensemble:
     """An ensemble of n trajectories, 3 records and K = 2 on the ``live``
-    columns of d, whose (3, n, len(live)) weights are passed to ``edit``
-    and then normalized; events at random times."""
-    weights = rng.random((3, n, len(live))) + 0.01
+    columns of d, whose (3, n, len(live)) real amplitudes are passed to
+    ``edit`` and then normalized; events at random times."""
+    amplitudes = rng.random((3, n, len(live))) + 0.1
     if edit is not None:
-        edit(weights)
-    weights /= weights.sum(axis=2, keepdims=True)
+        edit(amplitudes)
+    amplitudes /= np.sqrt((amplitudes**2).sum(axis=2, keepdims=True))
     counts = rng.integers(0, 4, n)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return Ensemble(
         seeds=np.arange(n),
         sample_times=np.array([0.0, 0.5, 1.0]),
-        weights=weights,
-        expectations=rng.normal(size=(3, n, 2)),
+        states=amplitudes + 0j,
+        table=rng.normal(size=(len(live), 2)),
         offsets=offsets,
         times=rng.random(offsets[-1]),
         centres=rng.normal(size=(offsets[-1], 2)),
         live=np.array(live),
         dim=d,
-        states=np.sqrt(weights + 0j),
     )
 
 
@@ -959,30 +984,31 @@ class TestTrajectoriesWriterOracle:
     def test_column_zero_in_all_records_but_one(self, tmp_path):
         rng = np.random.default_rng(3)
 
-        def edit(weights):
+        def edit(amplitudes):
             # live column 1 is 0 in every record but one
-            weights[:, :, 1] = 0.0
-            weights[1, 2, :] = [0.5, 0.25, 0.25]
+            amplitudes[:, :, 1] = 0.0
+            amplitudes[1, 2, :] = [SQ2, 0.5, 0.5]
 
         ens = _ensemble_with_columns(rng, [0, 1, 2], edit=edit)
         self._assert_same_bytes(tmp_path, {"hitting": ens})
         text = (tmp_path / "new.csv").read_text()
         assert ",0.25,0.25,0.0,0.0,0.0," in text
+        assert np.count_nonzero(ens.weights[:, :, 1]) == 1
 
     def test_negative_zero_keeps_its_column(self, tmp_path):
         rng = np.random.default_rng(4)
 
-        def edit(weights):
-            # live columns 4 and 5
-            weights[:, :, 2] = 0.0
-            weights[2, 1, 2] = -0.0  # one -0.0 in an otherwise +0.0 column
-            weights[:, :, 3] = -0.0  # a column of -0.0 only
+        def edit(amplitudes):
+            # live columns 4 and 5; |c|^2 is never -0.0, so both zeros are +0.0
+            amplitudes[:, :, 2] = 0.0
+            amplitudes[2, 1, 2] = 0.5  # one nonzero entry in an otherwise zero column
+            amplitudes[:, :, 3] = -0.0  # a column of zeros only
 
         ens = _ensemble_with_columns(rng, [0, 1, 4, 5], edit=edit)
         self._assert_same_bytes(tmp_path, {"hitting": ens})
         rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
-        assert all(r.split(",")[9] == "-0.0" for r in rows)
-        assert sum(r.split(",")[8] == "-0.0" for r in rows) == 1
+        assert all(r.split(",")[9] == "0.0" for r in rows)
+        assert sum(r.split(",")[8] != "0.0" for r in rows) == 1
 
     def test_two_engines_with_different_dead_sets(self, tmp_path):
         rng = np.random.default_rng(5)

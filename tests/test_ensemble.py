@@ -346,13 +346,27 @@ class TestEnsembleArrays:
         assert ensemble.weights.shape == (5, 30, 2)
         assert ensemble.expectations.shape == (5, 30, 1)
         assert ensemble.states.shape == (5, 30, 2)
+        assert ensemble.table.shape == (2, 1)
         assert ensemble.offsets.shape == (31,)
         assert ensemble.centres.shape == (ensemble.times.size, 1)
         for name in ("seeds", "sample_times", "weights", "expectations", "states",
-                     "offsets", "times", "centres"):
+                     "table", "offsets", "times", "centres"):
             assert not getattr(ensemble, name).flags.writeable
         # each sample's rows are one contiguous block
         assert all(block.flags.c_contiguous for block in ensemble.states)
+
+    def test_states_are_the_only_stored_record(self, ensemble):
+        assert {"weights", "expectations"}.isdisjoint(f.name for f in fields(Ensemble))
+        # derived once, from the states, with the hitting kernel's formulas
+        assert ensemble.weights is ensemble.weights
+        assert ensemble.expectations is ensemble.expectations
+        weights = np.abs(ensemble.states) ** 2
+        weights /= weights.sum(axis=2)[:, :, np.newaxis]
+        assert np.array_equal(ensemble.weights, weights)
+        means = np.einsum("rbd,dk->rbk", weights, ensemble.table)
+        assert np.array_equal(ensemble.expectations, means)
+        with pytest.raises(AttributeError):
+            ensemble.weights = weights
 
     def test_concat_of_parts_is_the_whole(self, ensemble, sigma_z_set, equal_qubit):
         seeds = trajectory_seeds(2, HITTING_STREAM, 30)
@@ -364,44 +378,64 @@ class TestEnsembleArrays:
             for a, b in ((0, 7), (7, 8), (8, 30))
         ]
         joined = Ensemble.concat(parts, 30)
-        for name in ("seeds", "weights", "expectations", "states", "offsets",
+        for name in ("seeds", "weights", "expectations", "states", "table", "offsets",
                      "times", "centres", "stream_ids"):
             assert np.array_equal(getattr(joined, name), getattr(ensemble, name))
 
-    def test_weight_rows_must_sum_to_one(self):
+    def test_concat_parts_must_share_their_table(self, sigma_z_set, equal_qubit):
+        seeds = trajectory_seeds(2, HITTING_STREAM, 4)
+        parts = [
+            simulate_hitting_batch(
+                equal_qubit, None, quantities, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
+                seeds[a:b],
+            )
+            for quantities, (a, b) in zip(
+                (sigma_z_set, QuantitySet(2.0 * sigma_z_set.eigenvalue_table)),
+                ((0, 2), (2, 4)),
+            )
+        ]
+        with pytest.raises(ValueError, match="live coordinates"):
+            Ensemble.concat(parts, 4)
+
+    def test_state_rows_must_have_unit_norm(self):
         fields = dict(
             seeds=np.zeros(1, dtype=np.uint64), sample_times=np.array([0.0, 1.0]),
-            expectations=np.zeros((2, 1, 1)), offsets=np.array([0, 0]),
+            table=np.array([[1.0], [-1.0]]), offsets=np.array([0, 0]),
             times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(2), dim=2,
-            states=np.full((2, 1, 2), SQ2, dtype=complex),
         )
-        Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), **fields)
-        with pytest.raises(ValueError):
-            Ensemble(weights=np.array([[[0.5, 0.5]], [[1.0, 1e-9]]]), **fields)
+        Ensemble(states=np.array([[[SQ2, SQ2]], [[1.0, 0.0]]], dtype=complex), **fields)
+        # a squared norm of 1 + 1e-9 in the second record
+        with pytest.raises(ValueError, match="norm"):
+            Ensemble(states=np.array([[[SQ2, SQ2]], [[1.0, math.sqrt(1e-9)]]], dtype=complex),
+                     **fields)
 
     def test_seeds_must_hold_one_seed_per_row(self):
         fields = dict(
-            sample_times=np.array([0.0]), weights=np.ones((1, 2, 1)),
-            expectations=np.zeros((1, 2, 1)), offsets=np.zeros(3, dtype=int),
-            times=np.empty(0), centres=np.empty((0, 1)), live=np.arange(1), dim=1,
-            states=np.ones((1, 2, 1), dtype=complex),
+            sample_times=np.array([0.0]), table=np.zeros((1, 1)),
+            offsets=np.zeros(3, dtype=int), times=np.empty(0), centres=np.empty((0, 1)),
+            live=np.arange(1), dim=1, states=np.ones((1, 2, 1), dtype=complex),
         )
         Ensemble(seeds=np.arange(2), **fields)
         for seeds in (None, np.arange(1), np.arange(3)):
             with pytest.raises(ValueError, match="seed"):
                 Ensemble(seeds=seeds, **fields)
 
-    def test_states_must_have_the_shape_of_the_weights(self):
+    def test_states_must_fit_the_grid_seeds_and_live_coordinates(self):
         fields = dict(
-            seeds=np.arange(2), sample_times=np.array([0.0]), weights=np.full((1, 2, 2), 0.5),
-            expectations=np.zeros((1, 2, 1)), offsets=np.zeros(3, dtype=int),
-            times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
+            seeds=np.arange(2), sample_times=np.array([0.0]), table=np.zeros((2, 1)),
+            offsets=np.zeros(3, dtype=int), times=np.empty(0), centres=np.empty((0, 1)),
+            live=np.array([1, 3]), dim=4,
         )
         Ensemble(states=np.full((1, 2, 2), SQ2, dtype=complex), **fields)
         # the states written out over all d, or with a sample or a row too few
         for shape in ((1, 2, 4), (0, 2, 2), (1, 1, 2)):
             with pytest.raises(ValueError, match="states"):
-                Ensemble(states=np.zeros(shape, dtype=complex), **fields)
+                Ensemble(states=np.full(shape, 0.5, dtype=complex), **fields)
+        # a table row too few or too many
+        for rows in (1, 3):
+            with pytest.raises(ValueError, match="table"):
+                Ensemble(states=np.full((1, 2, 2), SQ2, dtype=complex),
+                         **{**fields, "table": np.zeros((rows, 1))})
 
 
 # -- the live joint coordinates ---------------------------------------------------

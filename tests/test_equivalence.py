@@ -27,6 +27,7 @@ from qreduce.equivalence import (
     DensityMatrix,
     _bootstrap_distance,
     _pairwise_sq_distances,
+    _rows_distance,
     collapse_statistics,
     convergence_sweep,
     engine_comparison,
@@ -493,10 +494,10 @@ class TestCollapseStatistics:
         terminal = np.array([[0.0, 1.0], [1.0, 0.0], [0.9995, 0.0005], [0.5, 0.5]])
         weights = np.stack([np.full((4, 2), 0.5), terminal])
         ens = Ensemble(
-            seeds=np.arange(4), sample_times=np.array([0.0, 1.0]), weights=weights,
-            expectations=np.zeros((2, 4, 1)), offsets=np.zeros(5, dtype=int),
-            times=np.empty(0), centres=np.empty((0, 1)), live=np.array([1, 3]), dim=4,
-            states=np.sqrt(weights + 0j),
+            seeds=np.arange(4), sample_times=np.array([0.0, 1.0]),
+            states=np.sqrt(weights + 0j), table=quantities.eigenvalue_table[[1, 3]],
+            offsets=np.zeros(5, dtype=int), times=np.empty(0), centres=np.empty((0, 1)),
+            live=np.array([1, 3]), dim=4,
         )
         report = collapse_statistics(ens, quantities)
         assert [o.eigenvalues for o in report.outcomes] == [(0.0,), (1.0,), (3.0,)]
@@ -504,7 +505,9 @@ class TestCollapseStatistics:
         assert report.unresolved_count == 1
         stats = ensemble_stats(ens)
         expected = np.zeros(4)
-        expected[[1, 3]] = terminal.mean(axis=0)
+        # the weights derived from the square roots of ``weights``
+        assert np.allclose(ens.weights, weights, rtol=0, atol=1e-15)
+        expected[[1, 3]] = ens.weights[1].mean(axis=0)
         assert np.array_equal(stats.mean_weights[1], expected)
         assert np.array_equal(stats.mean_weight_se[:, [0, 2]], np.zeros((2, 2)))
         assert np.all(stats.mean_weight_se[1, [1, 3]] > 0)
@@ -714,8 +717,14 @@ class TestConvergenceSweep:
             2000, 1.0, 4,
         )
         assert rows[0].mu == 10.0 and rows[1].mu == 100.0
+        # the noise floor: half the distance between the halves of the
+        # sweep's diffusive ensemble, rebuilt from the runner
+        step = snapped_dt(sigma_z_set, 0.5, 1.0)
+        cfg = ContinuousConfig(gamma=0.5, dt=step, t_end=1.0, record_interval=1.0)
+        cont = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 2000, 4)
+        floor = _rows_distance(cont.states[-1][:1000], cont.states[-1][1000:]) / 2.0
         for row in rows:
-            allowance = 3 * row.mc_error + 2 * row.noise_floor
+            allowance = 3 * row.mc_error + 2 * floor
             assert abs(row.mc_distance - row.channel_distance) <= allowance
 
     def test_ensembles_come_from_the_ensemble_runners(self, three_level_set):

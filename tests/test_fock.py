@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
-from conftest import SQ2
+from conftest import SQ2, traced_peak
 from qreduce.config import ScenarioConfig, load_preset
 from qreduce.errors import ConfigError, DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
@@ -32,7 +32,6 @@ from qreduce.fock import (
     build_fock_lattice,
     build_mass_density,
     build_number_density,
-    profile_decoherence_rate,
     smearing_kernel,
 )
 from qreduce.scenarios import build_scenario
@@ -262,6 +261,26 @@ class TestSmearingKernel:
         kernel = smearing_kernel(lat.positions, lat.dx, 1e8)
         assert np.allclose(kernel, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("alpha_dx2", [2.0, 0.01])
+    def test_band_is_the_dense_kernel(self, alpha_dx2):
+        sites, dx = 400, 0.5
+        alpha = alpha_dx2 / dx**2
+        x = (np.arange(sites) + 0.5) * dx
+        # the dense expression, every entry evaluated: the oracle
+        scaled = math.sqrt(alpha / 2.0)
+        upper = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] + dx / 2.0))
+        lower = _erf(scaled * (x[np.newaxis, :] - x[:, np.newaxis] - dx / 2.0))
+        dense = 0.5 * (upper - lower)
+        assert smearing_kernel(x, dx, alpha).tobytes() == dense.tobytes()
+        # most entries lie outside the band
+        assert np.count_nonzero(dense) < dense.size / 2
+
+    def test_traced_peak_is_about_the_kernel(self):
+        sites, dx = 2000, 0.5
+        x = (np.arange(sites) + 0.5) * dx
+        kernel, peak = traced_peak(smearing_kernel, x, dx, 2.0 / dx**2)
+        assert peak < 1.3 * kernel.nbytes
+
 
 class TestCephesErf:
     def test_bit_identical_to_scipy(self):
@@ -470,7 +489,9 @@ class TestScenarios:
         qs = scenario.quantities
         ka = lat.index_of(np.array([[1, 0], [0, 1]]))
         kb = lat.index_of(np.array([[0, 1], [1, 0]]))
-        rate = profile_decoherence_rate(qs, ka, kb, scenario.gamma)
+        # the closed-form rate: gamma / 2 times the squared profile difference
+        table = qs.eigenvalue_table
+        rate = 0.5 * scenario.gamma * np.sum((table[ka] - table[kb]) ** 2)
         n = 1500
         cfg = ContinuousConfig(gamma=scenario.gamma, dt=2.5e-3, t_end=1.0, record_interval=0.5)
         records = run_continuous_ensemble(scenario.psi0, None, qs, cfg, n, 43)
@@ -530,5 +551,8 @@ class TestScenarios:
             ka = lat.index_of(occ_a[np.newaxis, :])
             kb = lat.index_of(occ_b[np.newaxis, :])
             assert alpha * dx**2 <= 0.1
-            rates.append(profile_decoherence_rate(qs, ka, kb, gamma / dx))
+            # the decay rate of the (ka, kb) coherence over t = 1
+            psi = lat.state_from_amplitudes([(occ_a, SQ2), (occ_b, SQ2)])
+            _, series = lindblad_evolution(DensityMatrix.from_state(psi), qs, gamma / dx, 1.0)
+            rates.append(-math.log(2.0 * abs(series[-1].rho[ka, kb])))
         assert abs(rates[1] - rates[0]) / rates[0] < 0.05
