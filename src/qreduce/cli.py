@@ -26,13 +26,13 @@ from .equivalence import (
 
 import numpy as np
 
-from .config import ScenarioConfig, check_expected_hits, load_config
+from .config import ScenarioConfig, check_expected_hits, checked_seed, load_config
 from .continuous import noise_block_steps
 from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .errors import ConfigError, QReduceError
-from .hilbert import COMMUTATOR_TOL, live_coordinates
+from .hilbert import COMMUTATOR_TOL
 from .scenarios import BuiltScenario, build_scenario
-from .trajectory import Ensemble, record_count
+from .trajectory import Ensemble, live_block, record_count
 
 
 # The most bytes that a run's records, hit arrays, noise block and L x L
@@ -141,11 +141,18 @@ def _collapse_json(report) -> dict:
 
 
 def _martingale_json(ens: Ensemble) -> dict:
+    """The largest drift of a mean Born weight from time 0, in standard errors.
+
+    The z-score is null with fewer than two trajectories, whose standard
+    error is undefined.
+    """
     stats = ensemble_stats(ens)
-    base = stats.mean_weights[0]
-    drift = np.abs(stats.mean_weights - base[np.newaxis, :])
-    se = np.maximum(stats.mean_weight_se, 1e-300)
-    z = float(np.max(drift[1:] / se[1:])) if stats.times.size > 1 else 0.0
+    z = None
+    if len(ens) > 1:
+        base = stats.mean_weights[0]
+        drift = np.abs(stats.mean_weights - base[np.newaxis, :])
+        se = np.maximum(stats.mean_weight_se, 1e-300)
+        z = float(np.max(drift[1:] / se[1:])) if stats.times.size > 1 else 0.0
     return {"times": stats.times.tolist(), "max_abs_zscore": z}
 
 
@@ -248,7 +255,7 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
     """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
 
     Estimated at the live width L that psi0 and the Hamiltonian leave the
-    engines and the oracles (``hilbert.live_coordinates``), per engine: the
+    engines and the oracles (``trajectory.live_block``), per engine: the
     records, S x n x (L + K) x 8 B of weights and expectations and
     S x n x L x 16 B of states; the hitting engine's
     expected hit arrays at ``total_rate``, n x rate x t_end x (17 + 16 K)
@@ -262,11 +269,7 @@ def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
     """
     config, quantities = built.config, built.quantities
     n, k = config.n_trajectories, quantities.num_quantities
-    h_joint = None
-    if built.hamiltonian is not None:
-        h_joint = quantities.joint_hamiltonian(built.hamiltonian)
-    width = live_coordinates(quantities.to_joint(built.psi0), h_joint).size
-    del h_joint
+    width = live_block(quantities.to_joint(built.psi0), quantities, built.hamiltonian).live.size
     both = config.engine == "both"
     engines = ("hitting", "continuous") if both else (config.engine,)
     record = samples * n * ((width + k) * 8 + width * 16)
@@ -296,11 +299,17 @@ def _check_workers(workers: int) -> None:
         raise ConfigError("workers", f"--workers must be >= 1, got {workers}")
 
 
-def cmd_run(args) -> int:
+def _load_config(args) -> ScenarioConfig:
+    """The config of ``args``, with its ``--seed`` override checked as the key is."""
     _check_workers(args.workers)
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = checked_seed(args.seed)
+    return config
+
+
+def cmd_run(args) -> int:
+    config = _load_config(args)
     built = build_scenario(config)
     samples = record_count(config.t_end, config.record_interval)
     # the oracles of engine both hold two series of all the records
@@ -361,10 +370,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_workers(args.workers)
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    config = _load_config(args)
     if config.engine != "both":
         raise ConfigError("engine", "sweep requires engine=both")
     if args.param != "mu":

@@ -98,6 +98,17 @@ def check_expected_hits(key: str, rate: float, t_end: float) -> None:
         )
 
 
+def checked_seed(value) -> int:
+    """``value`` as a master seed: an integer >= 0, else ``ConfigError("seed")``."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError("seed", "seed must be an integer") from None
+    if seed < 0:
+        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _positive(raw: dict, key: str, *, required: bool) -> float | None:
     if key not in raw or raw[key] is None:
         if required:
@@ -168,10 +179,7 @@ class ScenarioConfig:
             raise ConfigError("n_trajectories", "n_trajectories must be an integer") from None
         if n_trajectories < 1:
             raise ConfigError("n_trajectories", "n_trajectories must be >= 1")
-        try:
-            seed = int(raw.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ConfigError("seed", "seed must be an integer") from None
+        seed = checked_seed(raw.get("seed", 0))
 
         # a distinguishable-particle model carries its rates and accuracy
         # per particle, so top-level strengths would mean nothing

@@ -1,23 +1,23 @@
 """The continuous diffusive reduction process.
 
 An Ito stochastic differential equation drives the state toward joint
-eigenvectors of the quantity set:
+eigenvectors of the quantity set, in natural units (hbar = 1):
 
-    d|psi> = [ -(i/hbar) H dt
+    d|psi> = [ -i H dt
                + sum_p sqrt(g_p) (A_p - <A_p>) dB_p
                - 1/2 sum_p g_p (A_p - <A_p>)^2 dt ] |psi>
 
 integrated by Euler-Maruyama with per-step renormalization. The
 expectation <A_p> is always evaluated at the pre-step state (Ito
 convention; a midpoint reading would change the drift). The strength is
-a scalar or one value per quantity, and equals beta*mu/2 of the parent
-hitting process in the infinite-frequency limit.
+a scalar or one value per quantity (:func:`gamma_vector`), and equals
+beta*mu/2 of the parent hitting process in the infinite-frequency limit.
 
 In the joint eigenbasis a step multiplies each amplitude by its own
 real factor and adds the Hamiltonian term, so an amplitude that is 0 on
 a coordinate the Hamiltonian couples to no other stays exactly 0
 (``0 * factor + h_ii * 0``). The engine integrates only the other, live
-coordinates (:func:`~qreduce.trajectory.run_on_live_block`): a
+coordinates (:func:`~qreduce.trajectory.live_block`): a
 superposition of a few Fock states costs a kernel of their count, not
 of d.
 
@@ -39,17 +39,17 @@ pairwise but a wider one row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, record_grid, run_on_live_block, whole_steps
+from .trajectory import Ensemble, live_block, record_grid, whole_steps
 
 __all__ = [
     "ContinuousConfig",
+    "gamma_vector",
     "strength_from_hitting",
     "suggested_dt",
     "snapped_dt",
@@ -64,7 +64,7 @@ __all__ = [
 NOISE_BLOCK_BYTES = 2 << 20
 
 
-# The most bytes of -i dt H / hbar that _DiffusionKernel forms at a time
+# The most bytes of -i dt H that _DiffusionKernel forms at a time
 # while it writes the real form of that matrix. Each entry is one
 # elementwise product, so the block moves no bit.
 HAMILTONIAN_BLOCK_BYTES = 1 << 20
@@ -88,9 +88,26 @@ def strength_from_hitting(beta: float, mu: float) -> float:
     return beta * mu / 2.0
 
 
+def gamma_vector(gamma, num_quantities: int) -> np.ndarray:
+    """The strength ``gamma`` as one value per quantity.
+
+    A number (or a 0-d array) is broadcast to every quantity and a (K,)
+    sequence is taken as it is; anything else raises
+    :class:`DimensionMismatchError`.
+    """
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim == 0:
+        return np.full(num_quantities, g)
+    if g.shape != (num_quantities,):
+        raise DimensionMismatchError(
+            f"gamma of shape {g.shape} does not fit {num_quantities} quantities"
+        )
+    return g
+
+
 def suggested_dt(quantities: QuantitySet, gamma) -> float:
     """Step size keeping gamma * (spectral spread) * dt at or below 0.01."""
-    g = float(np.max(np.asarray(gamma, dtype=float)))
+    g = float(np.max(gamma_vector(gamma, quantities.num_quantities)))
     spread = quantities.spectral_spread()
     if g * spread <= 0:
         return 1e-2
@@ -148,16 +165,6 @@ class ContinuousConfig:
         if whole_steps(self.record_interval, self.dt) is None:
             raise ValueError("record_interval must be an integer multiple of dt")
 
-    def gamma_vector(self, num_quantities: int) -> np.ndarray:
-        g = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if g.size == 1:
-            return np.full(num_quantities, g[0])
-        if g.size != num_quantities:
-            raise DimensionMismatchError(
-                f"gamma has {g.size} components for {num_quantities} quantities"
-            )
-        return g
-
     @property
     def steps_per_record(self) -> int:
         return whole_steps(self.record_interval, self.dt)
@@ -184,10 +191,7 @@ def sde_step(
         raise DimensionMismatchError(
             f"dB must have shape ({quantities.num_quantities},), got {increments.shape}"
         )
-    g = np.full(quantities.num_quantities, gamma, dtype=float) if np.isscalar(gamma) \
-        else np.asarray(gamma, dtype=float)
-    if g.shape != (quantities.num_quantities,):
-        raise DimensionMismatchError("gamma vector length must match the quantity set")
+    g = gamma_vector(gamma, quantities.num_quantities)
 
     coeffs = quantities.to_joint(psi)
     delta = np.zeros_like(coeffs)
@@ -200,7 +204,7 @@ def sde_step(
         delta -= 0.5 * g[p] * dt * centred2
     if hamiltonian is not None:
         h_joint = quantities.joint_hamiltonian(hamiltonian)
-        delta += (-1j * dt / hamiltonian.hbar) * (h_joint @ coeffs)
+        delta += (-1j * dt) * (h_joint @ coeffs)
     out = quantities.from_joint(coeffs + delta)
     if renormalize:
         return StateVector(out, normalize=True)
@@ -225,20 +229,19 @@ class _DiffusionKernel:
     column at its midrange first: the offsets A_dk - m_k do not change,
     and the rounding of the expansion then scales with the spectral
     spread, not with the size of the eigenvalues. The Hamiltonian term is
-    a per-column product with the real 2d x 2d form of -i dt H / hbar,
-    for the Hermitian joint-basis matrix ``h_joint`` of H.
+    a per-column product with the real 2d x 2d form of -i dt H, for the
+    Hermitian joint-basis matrix ``h_joint`` of H.
     """
 
     def __init__(
         self,
         quantities: QuantitySet,
         h_joint: np.ndarray | None,
-        hbar: float,
         config: ContinuousConfig,
     ):
         table = quantities.eigenvalue_table
         centred = table - 0.5 * (table.max(axis=0) + table.min(axis=0))
-        gamma = config.gamma_vector(quantities.num_quantities)
+        gamma = gamma_vector(config.gamma, quantities.num_quantities)
         # one (K, 1) column of the table per coordinate and one (d, 1)
         # column per quantity, each to multiply a batch row
         self.by_coordinate = list(centred[:, :, np.newaxis])
@@ -250,9 +253,9 @@ class _DiffusionKernel:
         self.base_factor = (1.0 - (centred**2) @ half_dt_gamma)[:, np.newaxis]
         self.h_real = None
         if h_joint is not None:
-            # [[Re h, -Im h], [Im h, Re h]] for h = -i dt H / hbar, filled a
-            # block of rows of h at a time: no d x d complex copy is formed
-            scale, dim = -1j * config.dt / hbar, h_joint.shape[0]
+            # [[Re h, -Im h], [Im h, Re h]] for h = -i dt H, filled a block
+            # of rows of h at a time: no d x d complex copy is formed
+            scale, dim = -1j * config.dt, h_joint.shape[0]
             self.h_real = np.empty((2 * dim, 2 * dim))
             rows = max(1, HAMILTONIAN_BLOCK_BYTES // (16 * dim))
             for lo in range(0, dim, rows):
@@ -332,23 +335,23 @@ def simulate_continuous_batch(
     block, so a row depends only on its own seed, never on the batch it
     runs in. The seeds are stored on the ensemble and reported by a
     :class:`StepRejectedError`, raised if any single step changes a norm
-    by more than 50%. The live set is the union over the rows.
+    by more than 50%. The live set is the union over the rows; the kernel
+    runs on the block of :func:`~qreduce.trajectory.live_block`.
     """
     rows = np.asarray(psi0_rows)
     if rows.shape[0] != len(seeds):
         raise DimensionMismatchError(f"{rows.shape[0]} initial rows for {len(seeds)} seeds")
     if rows.strides[0] == 0:
         rows = rows[:1]
-    run = partial(_integrate, config=config, seeds=seeds)
-    return run_on_live_block(run, quantities.to_joint(rows), quantities, hamiltonian)
+    block = live_block(quantities.to_joint(rows), quantities, hamiltonian)
+    ens = _integrate(block.coeffs, block.quantities, block.h_joint, config, seeds)
+    return replace(ens, live=block.live, dim=quantities.dim)
 
 
 def _integrate(
     coeffs: np.ndarray,
     quantities: QuantitySet,
     h_joint: np.ndarray | None,
-    hbar: float,
-    *,
     config: ContinuousConfig,
     seeds,
 ) -> Ensemble:
@@ -357,7 +360,7 @@ def _integrate(
     The kernel steps (2, d, batch) columns, one per seed; the rows are
     rebuilt, as the ensemble's states, only at record times.
     """
-    kernel = _DiffusionKernel(quantities, h_joint, hbar, config)
+    kernel = _DiffusionKernel(quantities, h_joint, config)
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record

@@ -26,7 +26,7 @@ chunk then runs as one lockstep kernel call, so a trajectory also does
 not depend on the chunk it lands in.
 
 Both kernels run on the live joint coordinates only
-(``hilbert.live_coordinates``): psi0's support plus every coordinate the
+(``trajectory.live_block``): psi0's support plus every coordinate the
 joint-basis Hamiltonian couples to another. Both the hitting map and the
 diffusion step multiply each joint amplitude by its own real factor, so
 an amplitude outside that set stays exactly 0, and so does its weight;

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .hilbert import _SPREAD_BLOCK_ELEMENTS, Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream
-from .continuous import ContinuousConfig, snapped_dt
+from .continuous import ContinuousConfig, gamma_vector, snapped_dt
 from .ensemble import (
     SWEEP_STREAM,
     derive_seed,
@@ -225,13 +225,12 @@ def _deterministic_series(
         return times, series
 
     h_joint = quantities.joint_hamiltonian(hamiltonian)
-    hbar = hamiltonian.hbar
 
     def rhs(m: np.ndarray) -> np.ndarray:
         comm = h_joint @ m - m @ h_joint
-        return (-1j / hbar) * comm - rate_matrix * m
+        return -1j * comm - rate_matrix * m
 
-    h_scale = float(np.max(np.abs(np.linalg.eigvalsh(h_joint)))) * 2 / hbar
+    h_scale = float(np.max(np.abs(np.linalg.eigvalsh(h_joint)))) * 2
     fastest = max(float(np.max(rate_matrix)), h_scale, 1e-12)
     step = dt if dt is not None else 0.01 / fastest
     out = _rk4(rho_joint, rhs, times, step)
@@ -284,12 +283,9 @@ def lindblad_evolution(
     decays at rate 1/2 * sum_p gamma_p (alpha_kp - alpha_lp)^2. ``gamma``
     may be scalar or per-quantity.
     """
-    table = quantities.eigenvalue_table
-    g = np.full(table.shape[1], gamma, dtype=float) if np.isscalar(gamma) \
-        else np.asarray(gamma, dtype=float)
-    if g.shape != (table.shape[1],):
-        raise DimensionMismatchError("gamma vector length must match the quantity set")
-    rates = 0.5 * _pairwise_sq_distances(table, g)
+    rates = 0.5 * _pairwise_sq_distances(
+        quantities.eigenvalue_table, gamma_vector(gamma, quantities.num_quantities)
+    )
     return _deterministic_series(
         rho0, quantities, rates, hamiltonian, t_end, sample_times, dt
     )
@@ -698,7 +694,7 @@ def _live_oracle_inputs(psi0: StateVector, quantities: QuantitySet,
     """
     block = live_block(quantities.to_joint(psi0), quantities, hamiltonian)
     rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
-    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint, hbar=block.hbar)
+    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
     return block.live, rho0, block.quantities, h_block
 
 
@@ -744,7 +740,7 @@ def convergence_sweep(
     from ``default_rng(derive_seed(master_seed, 1000 + i))``.
     """
     rates = sorted(float(m) for m in rates)
-    gamma_p = np.broadcast_to(np.asarray(gamma, dtype=float), (quantities.num_quantities,))
+    gamma_p = gamma_vector(gamma, quantities.num_quantities)
     step = snapped_dt(quantities, gamma, t_probe, dt)
     config = ContinuousConfig(gamma=gamma, dt=step, t_end=t_probe, record_interval=t_probe)
     cont_rows = run_continuous_ensemble(

@@ -108,55 +108,41 @@ class StateVector:
 
 
 class Hamiltonian:
-    """Hermitian generator of the unitary part of the dynamics.
+    """Hermitian generator of the unitary part of the dynamics, in natural
+    units (hbar = 1): a state evolves by exp(-i H t).
 
-    ``hbar`` defaults to 1 (natural units). The eigendecomposition is
-    cached on first use so exact propagators for arbitrary time steps
-    cost two matrix-vector products each.
+    ``matrix`` is the read-only, exactly Hermitian (re-symmetrized) copy of
+    the input.
     """
 
-    __slots__ = ("matrix", "hbar", "_eig")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, hbar: float = 1.0, tol: float = HERMITIAN_TOL):
+    def __init__(self, matrix):
         m = _as_square_complex(matrix, "hamiltonian")
         defect = _hermiticity_defect(m)
-        if defect > tol:
+        if defect > HERMITIAN_TOL:
             raise NonHermitianError(
-                f"hamiltonian deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})"
+                f"hamiltonian deviates from Hermiticity by {defect:.3e} "
+                f"(tol {HERMITIAN_TOL:.1e})"
             )
-        if hbar <= 0:
-            raise ValueError("hbar must be > 0")
         m = (m + m.conj().T) / 2.0
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "hbar", float(hbar))
-        object.__setattr__(self, "_eig", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hamiltonian is immutable")
 
     def __reduce__(self):
-        return (_rebuild_hamiltonian, (np.array(self.matrix), self.hbar))
+        return (Hamiltonian, (np.array(self.matrix),))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigensystem(self):
-        if self._eig is None:
-            w, u = np.linalg.eigh(self.matrix)
-            object.__setattr__(self, "_eig", (w, u))
-        return self._eig
-
     def propagator(self, dt: float) -> np.ndarray:
-        """exp(-i H dt / hbar), exact via the eigendecomposition."""
-        w, u = self.eigensystem()
-        phases = np.exp(-1j * w * dt / self.hbar)
-        return (u * phases) @ u.conj().T
-
-
-def _rebuild_hamiltonian(matrix, hbar):
-    return Hamiltonian(matrix, hbar=hbar)
+        """exp(-i H dt), exact via the eigendecomposition."""
+        w, u = np.linalg.eigh(self.matrix)
+        return (u * np.exp(-1j * w * dt)) @ u.conj().T
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> list[np.ndarray]:

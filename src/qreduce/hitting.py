@@ -32,9 +32,10 @@ seed, in three steps:
 
 3. **One kernel call.** :func:`run_hitting_chain_batch` advances every
    trajectory hit by hit in lockstep and returns the ensemble itself.
-   The call sees only the live joint coordinates
-   (:func:`~qreduce.trajectory.run_on_live_block`): elsewhere psi0 is 0,
-   a hit multiplies 0 by a Gaussian factor, and the Hamiltonian couples
+   The call sees only the live joint coordinates, whose block
+   :func:`~qreduce.trajectory.live_block` cuts and whose indices the
+   runner then sets on the ensemble: elsewhere psi0 is 0, a hit
+   multiplies 0 by a Gaussian factor, and the Hamiltonian couples
    nothing in, so the amplitude stays exactly 0. The draws do not depend
    on d, so the events are those of a full-d run.
 
@@ -47,13 +48,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, record_counts, record_grid, run_on_live_block
+from .trajectory import Ensemble, live_block, record_counts, record_grid
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -232,7 +233,7 @@ class _StreamKernel:
         self.pref2 = (self.beta / math.pi) ** (self.cols.size / 2.0)
 
 
-def _propagator(h_joint: np.ndarray, hbar: float):
+def _propagator(h_joint: np.ndarray):
     """Exact unitary evolution of joint-basis rows, each over its own dt.
 
     ``h_joint`` is the Hermitian Hamiltonian matrix in the joint basis of
@@ -242,11 +243,10 @@ def _propagator(h_joint: np.ndarray, hbar: float):
     """
     energies, vecs = np.linalg.eigh(h_joint)
     vecs_conj = vecs.conj()
-    rate = -1j / hbar
 
     def evolve(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
         eig = np.einsum("bj,jk->bk", rows, vecs_conj)
-        eig *= np.exp(rate * dt[:, np.newaxis] * energies[np.newaxis, :])
+        eig *= np.exp(-1j * dt[:, np.newaxis] * energies[np.newaxis, :])
         return np.einsum("bk,jk->bj", eig, vecs)
 
     return evolve
@@ -265,7 +265,6 @@ def run_hitting_chain_batch(
     seeds,
     *,
     h_joint: np.ndarray | None = None,
-    hbar: float = 1.0,
 ) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
 
@@ -276,7 +275,7 @@ def run_hitting_chain_batch(
     picks an eigenvector with ``uniforms[e]`` and offsets the centre by
     ``sigma * noise[e, cols]`` (sigma = 1/sqrt(2 beta)). A Hamiltonian,
     given as its Hermitian matrix ``h_joint`` in the joint basis of
-    ``quantities`` with its ``hbar``, evolves each row exactly over its
+    ``quantities``, evolves each row exactly over its
     own interval between hits. Record slot r of row b is the state after
     the last hit at or before ``record_times[r]`` (on the clock of
     :func:`~qreduce.trajectory.record_counts`), evolved to that time.
@@ -299,7 +298,7 @@ def run_hitting_chain_batch(
     counts = np.diff(offsets)
     max_hits = int(counts.max()) if batch else 0
     kernels = [_StreamKernel(stream, table) for stream in streams]
-    evolve = None if h_joint is None else _propagator(h_joint, hbar)
+    evolve = None if h_joint is None else _propagator(h_joint)
     last = np.zeros(batch)  # time of each row's latest hit
     centres_out = np.full((times.size, table.shape[1]), np.nan)
     slot_hits = record_counts(offsets, times, record_times)
@@ -409,13 +408,10 @@ def simulate_hitting_batch(
         seeds, streams, t_end, quantities.num_quantities
     )
 
-    def run(row, block, h_block, hbar):
-        coeffs = np.broadcast_to(row, (len(seeds), row.shape[1]))
-        return run_hitting_chain_batch(
-            coeffs, block, streams, offsets, times, ids, uniforms, noise, grid, seeds,
-            h_joint=h_block, hbar=hbar,
-        )
-
     # psi0 as one joint row; the kernel copies only its live block per trajectory
-    row = quantities.to_joint(psi0)[np.newaxis]
-    return run_on_live_block(run, row, quantities, hamiltonian)
+    block = live_block(quantities.to_joint(psi0)[np.newaxis], quantities, hamiltonian)
+    ens = run_hitting_chain_batch(
+        np.broadcast_to(block.coeffs, (len(seeds), block.live.size)), block.quantities,
+        streams, offsets, times, ids, uniforms, noise, grid, seeds, h_joint=block.h_joint,
+    )
+    return replace(ens, live=block.live, dim=quantities.dim)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -58,7 +58,7 @@ class Ensemble:
     """n trajectories on one sample grid of S times, as read-only arrays.
 
     Both engines run on the live joint coordinates only (see
-    :func:`run_on_live_block`): ``live`` holds their L ascending indices
+    :func:`live_block`): ``live`` holds their L ascending indices
     out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
     coordinate is live. ``states`` (S, n, L) holds the joint-basis
     amplitudes on those coordinates, each sample's rows one contiguous
@@ -198,7 +198,6 @@ class LiveBlock(NamedTuple):
     coeffs: np.ndarray
     quantities: QuantitySet
     h_joint: np.ndarray | None
-    hbar: float
 
 
 def live_block(coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None) -> LiveBlock:
@@ -208,39 +207,20 @@ def live_block(coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None)
     every amplitude stays exactly 0 under both processes, and so does
     every entry of a statistical operator built from those rows: the
     decay of either master equation is elementwise in the joint basis,
-    and the Hamiltonian couples nothing into that region. So both the
-    engines and the closed-form oracles run on the block alone: the L
-    ascending ``live`` indices, the (..., L) live columns of ``coeffs``, a
-    basis-free set of the live table rows and the L x L block of the
-    joint-basis Hamiltonian (exactly Hermitian, as the whole is; None
-    without a Hamiltonian) with its ``hbar``.
+    and the Hamiltonian couples nothing into that region. So the engine
+    kernels, the closed-form oracles and the pre-flight all take the
+    block from here: the L ascending ``live`` indices, the (..., L) live
+    columns of ``coeffs``, a basis-free set of the live table rows and the
+    L x L block of the joint-basis Hamiltonian (exactly Hermitian, as the
+    whole is; None without a Hamiltonian). A kernel's ensemble is on the
+    block's coordinates; its runner sets ``live`` and ``dim`` from here.
     """
-    h_joint, hbar = None, 1.0
-    if hamiltonian is not None:
-        h_joint, hbar = quantities.joint_hamiltonian(hamiltonian), hamiltonian.hbar
+    h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
     live = live_coordinates(coeffs, h_joint)
     if h_joint is not None:
         h_joint = h_joint[np.ix_(live, live)]
     table = QuantitySet(quantities.eigenvalue_table[live])
-    return LiveBlock(live, coeffs[..., live], table, h_joint, hbar)
-
-
-def run_on_live_block(run, coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None):
-    """``run(coeffs, quantities, h_joint, hbar)`` on the live joint coordinates.
-
-    ``run`` is an engine kernel: it takes joint-basis rows, a quantity set,
-    the Hamiltonian as its Hermitian matrix in the joint basis of that set
-    (or None) and its hbar, and returns an :class:`Ensemble` on the
-    coordinates of that set. ``coeffs`` holds (m, d) joint-basis rows: one
-    per trajectory, or one row that every trajectory starts from, which
-    ``run`` then spreads over its batch. The kernel gets the pieces of
-    :func:`live_block`, and the returned ensemble keeps the kernel's
-    (S, n, L) states and (L, K) table with their coordinates in ``live``.
-    The random draws do not depend on the dimension.
-    """
-    block = live_block(coeffs, quantities, hamiltonian)
-    ens = run(block.coeffs, block.quantities, block.h_joint, block.hbar)
-    return replace(ens, live=block.live, dim=quantities.dim)
+    return LiveBlock(live, coeffs[..., live], table, h_joint)
 
 
 def record_count(t_end: float, record_interval: float) -> int:

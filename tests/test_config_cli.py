@@ -430,6 +430,8 @@ MALFORMED = {
     "dt-not-dividing-the-record-interval": ({**load_preset("qubit-equal"), "dt": 0.0007}, "dt"),
     "dt-above-the-record-interval": ({**load_preset("qubit-equal"), "dt": 2.0}, "dt"),
     "dt-of-one-and-a-half-steps": ({**load_preset("qubit-equal"), "dt": 0.5}, "dt"),
+    # numpy's SeedSequence takes no negative seed
+    "negative-seed": (minimal_qubit_config(seed=-3), "seed"),
 }
 
 
@@ -541,12 +543,17 @@ class TestCliRun:
 
     def test_worker_counts_bit_identical_across_a_chunk_boundary(self, tmp_path):
         # two workers split 600 trajectories into two chunks of 300 and run
-        # a process pool, on a host with at least two CPUs
-        raw = minimal_qubit_config(n_trajectories=600, t_end=0.5, record_interval=0.25)
-        out1 = _run_cli(tmp_path, raw, "serial", ("--workers", "1"))
-        out2 = _run_cli(tmp_path, raw, "pool", ("--workers", "2"))
-        for name in ("trajectories.csv", "events.csv", "summary.json", "compare.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # a process pool, on a host with at least two CPUs; the pool's
+        # workers get the Hamiltonian by pickling it
+        h = {"dim": 2, "re": [0.3, 1.0, 1.0, -0.3], "im": [0.0, -0.5, 0.5, 0.0]}
+        for label, hamiltonian in (("free", None), ("driven", h)):
+            raw = minimal_qubit_config(
+                n_trajectories=600, t_end=0.5, record_interval=0.25, hamiltonian=hamiltonian,
+            )
+            out1 = _run_cli(tmp_path, raw, f"{label}-serial", ("--workers", "1"))
+            out2 = _run_cli(tmp_path, raw, f"{label}-pool", ("--workers", "2"))
+            for name in ("trajectories.csv", "events.csv", "summary.json", "compare.json"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_workers_below_one_exit_1_before_any_artifact(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -649,6 +656,36 @@ class TestCliRun:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["engines"]["hitting"]["events_total"] > 0
         assert summary["engines"]["hitting"]["first_hitting_moments"] is None
+
+    @pytest.mark.parametrize("engine", ["hitting", "continuous"])
+    def test_one_trajectory_has_no_martingale_zscore(self, tmp_path, artifact_schema, engine):
+        # one row has no standard error, so its weight drift has no z-score;
+        # the continuous engine runs at gamma = beta * mu / 2 = 2
+        for n, label in ((1, "one"), (2, "two")):
+            raw = minimal_qubit_config(engine=engine, n_trajectories=n)
+            summary = json.loads((_run_cli(tmp_path, raw, label) / "summary.json").read_text())
+            jsonschema.validate(summary, {**artifact_schema, "$ref": "#/$defs/summary"})
+            z = summary["engines"][engine]["martingale"]["max_abs_zscore"]
+            assert z is None if n == 1 else math.isfinite(z)
+
+    @pytest.mark.parametrize("command, given_by", [
+        ("run", "--seed"), ("sweep", "--seed"), ("sweep", "config"),
+    ])
+    def test_negative_seed_exits_1_before_any_artifact(self, tmp_path, capsys, command,
+                                                       given_by):
+        raw = minimal_qubit_config(seed=-3 if given_by == "config" else 5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "o"
+        argv = [command, str(cfg_path), "--out", str(out_dir)]
+        if command == "sweep":
+            argv += ["--param", "mu", "--values", "4"]
+        if given_by == "--seed":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error [seed]" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         import subprocess

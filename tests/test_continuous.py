@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from conftest import (
     SQ2, full_states, full_weights, random_block_basis, random_state, traced_peak, within_z,
 )
-from qreduce.errors import StepRejectedError
+from qreduce.errors import DimensionMismatchError, StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
 from qreduce.continuous import (
     ContinuousConfig,
     _DiffusionKernel,
+    gamma_vector,
     sde_step,
     simulate_continuous_batch,
     strength_from_hitting,
     suggested_dt,
 )
 from qreduce.ensemble import run_continuous_ensemble
+from qreduce.equivalence import DensityMatrix, convergence_sweep, lindblad_evolution
+from qreduce.hitting import HitStream
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -84,11 +87,11 @@ def _rows(columns: np.ndarray) -> np.ndarray:
 def _check_step_against_sde_step(quantities, hamiltonian, gamma, dt, rng):
     cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=dt, record_interval=dt)
     num_q = quantities.num_quantities
-    gammas = cfg.gamma_vector(num_q)
+    gammas = gamma_vector(cfg.gamma, num_q)
     rows = np.stack([random_state(rng, quantities.dim).amplitudes for _ in range(5)])
     dB = rng.standard_normal((5, num_q)) * math.sqrt(dt)
     h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
-    kernel = _DiffusionKernel(quantities, h_joint, 1.0, cfg)
+    kernel = _DiffusionKernel(quantities, h_joint, cfg)
     columns = _columns(rows)
     ratios2 = kernel.step_batch(columns, (dB * np.sqrt(gammas)).T)
     for row, db, got, ratio2 in zip(rows, dB, _rows(columns), ratios2):
@@ -124,7 +127,7 @@ class TestDiffusionKernel:
         rng = np.random.default_rng(12)
         dim, num_q, batch = 4368, 12, 64
         cfg = ContinuousConfig(gamma=1.0, dt=1e-4, t_end=1e-4, record_interval=1e-4)
-        kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, 1.0, cfg)
+        kernel = _DiffusionKernel(QuantitySet(rng.random((dim, num_q))), None, cfg)
         coeffs = rng.standard_normal((2, dim, batch))
         increments = rng.standard_normal((num_q, batch)) * kernel.noise_scale[:, np.newaxis]
         _, peak = traced_peak(kernel.step_batch, coeffs, increments)
@@ -276,3 +279,55 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
     rho = np.stack([r.rho for r in oracle])
     assert within_z(outer.real, rho.real)
     assert within_z(outer.imag, rho.imag)
+
+
+class TestGammaVector:
+    def test_a_number_broadcasts_and_a_vector_of_k_passes(self):
+        assert gamma_vector(0.5, 3).tolist() == [0.5, 0.5, 0.5]
+        assert gamma_vector(np.array(0.5), 3).tolist() == [0.5, 0.5, 0.5]
+        assert gamma_vector((0.1, 0.2), 2).tolist() == [0.1, 0.2]
+        assert gamma_vector([0.5], 1).tolist() == [0.5]
+        for bad in ((0.1, 0.2), [0.5], [[0.1, 0.2, 0.3]]):
+            with pytest.raises(DimensionMismatchError):
+                gamma_vector(bad, 3)
+
+
+def _gamma_callers():
+    """Each reader of a strength, as gamma -> its result (K = 2, d = 3)."""
+    quantities = QuantitySet(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]))
+    psi0 = StateVector(np.array([0.6, 0.64, 0.48]))
+    streams = [HitStream((0, 1), 0.5, 4.0)]
+
+    def kernel(gamma):
+        cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=0.01, record_interval=0.01)
+        return _DiffusionKernel(quantities, None, cfg).base_factor
+
+    def step(gamma):
+        return sde_step(psi0, quantities, None, gamma, 0.01, [0.05, -0.1]).amplitudes
+
+    def lindblad(gamma):
+        _, series = lindblad_evolution(DensityMatrix.from_state(psi0), quantities, gamma, 0.5)
+        return np.stack([r.rho for r in series])
+
+    def sweep(gamma):
+        rows = convergence_sweep(psi0, quantities, streams, gamma, [4.0], 4, 0.1, 1,
+                                 n_bootstrap=2)
+        return np.array([(r.channel_distance, r.mc_distance, r.mc_error) for r in rows])
+
+    def step_size(gamma):
+        return np.array(suggested_dt(quantities, gamma))
+
+    return {"kernel": kernel, "sde_step": step, "lindblad_evolution": lindblad,
+            "convergence_sweep": sweep, "suggested_dt": step_size}
+
+
+@pytest.mark.parametrize("caller", list(_gamma_callers()))
+def test_every_gamma_reader_takes_a_number_or_one_value_per_quantity(caller):
+    # a number, a numpy scalar, a 0-d array and a (K,) vector of it are one
+    # strength, bit for bit; a vector of another length is refused by name
+    call = _gamma_callers()[caller]
+    expected = call(0.7).tobytes()
+    for gamma in (np.float64(0.7), np.array(0.7), (0.7, 0.7), np.array([0.7, 0.7])):
+        assert call(gamma).tobytes() == expected
+    with pytest.raises(DimensionMismatchError):
+        call((0.7, 0.7, 0.7))

@@ -243,10 +243,22 @@ class TestHamiltonian:
     def test_propagator_is_unitary_and_matches_expm(self):
         from scipy.linalg import expm
 
-        h = Hamiltonian(SX, hbar=2.0)
+        h = Hamiltonian(SX / 2.0)
         u = h.propagator(0.7)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         assert np.allclose(u, expm(-1j * SX * 0.7 / 2.0), atol=1e-12)
+
+    def test_holds_only_its_matrix_and_pickles_to_the_same_bits(self):
+        import pickle
+
+        # natural units: no hbar, and no cached eigensystem beside the matrix
+        m = np.array([[0.3, 1 - 0.5j], [1 + 0.5j, -0.3]])
+        h = Hamiltonian(m)
+        assert Hamiltonian.__slots__ == ("matrix",)
+        assert not hasattr(h, "hbar") and not hasattr(h, "eigensystem")
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy.matrix.tobytes() == h.matrix.tobytes() and not copy.matrix.flags.writeable
+        assert copy.propagator(0.3).tobytes() == h.propagator(0.3).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 17, 300])
     def test_joint_hamiltonian_without_joint_basis_is_the_matrix(self, dim):

@@ -48,6 +48,7 @@ REMOVED = {
     "expectation": "hilbert",
     "quantum_covariance": "hilbert",
     "MissingSnapshotError": "errors",
+    "run_on_live_block": "trajectory",
 }
 
 
@@ -58,8 +59,9 @@ def test_one_hitting_process_model(name):
     # single-trajectory wrappers and the window-increment harnesses built on
     # them are gone from every surface, as are the second lattice scenario
     # type (scenarios builds every kind), the module-level spellings of
-    # the QuantitySet queries and the error of an ensemble without states,
-    # which every ensemble now records
+    # the QuantitySet queries, the error of an ensemble without states,
+    # which every ensemble now records, and the wrapper that ran a kernel
+    # on the live block, which the runners now cut with live_block
     assert name not in qreduce.__all__ and not hasattr(qreduce, name)
     module = importlib.import_module(f"qreduce.{REMOVED[name]}")
     assert name not in getattr(module, "__all__", []) and not hasattr(module, name)
@@ -94,4 +96,17 @@ def test_no_function_takes_store_states():
                 names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
                 if "store_states" in names:
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_natural_units_throughout():
+    # hbar = 1: no parameter, attribute or name anywhere is called hbar
+    found = []
+    for path in sorted(Path(qreduce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.arg if isinstance(node, ast.arg)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "hbar":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
