@@ -26,13 +26,13 @@ from .equivalence import (
 
 import numpy as np
 
-from .config import ScenarioConfig, check_expected_hits, checked_seed, load_config
-from .continuous import noise_block_steps
+from .config import ScenarioConfig, check_expected_hits, checked_int, load_config
+from .continuous import noise_block_steps, snapped_dt
 from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .errors import ConfigError, QReduceError
 from .hilbert import COMMUTATOR_TOL
 from .scenarios import BuiltScenario, build_scenario
-from .trajectory import Ensemble, live_block, record_count
+from .trajectory import Ensemble, LiveBlock, live_block, record_count
 
 
 # The most bytes that a run's records, hit arrays, noise block and L x L
@@ -228,48 +228,40 @@ def _stream_parameters(built: BuiltScenario) -> dict:
     return {key: _scalar([getattr(s, key) for s in built.streams]) for key in ("beta", "mu")}
 
 
-def _run_engines(built: BuiltScenario, workers: int):
+def _run_engines(built: BuiltScenario, block: LiveBlock, workers: int):
     config = built.config
     ensembles: dict[str, Ensemble] = {}
     if config.engine in ("hitting", "both"):
         ensembles["hitting"] = run_hitting_ensemble(
-            built.psi0, built.hamiltonian, built.quantities, built.streams, config.t_end,
-            config.record_interval, config.n_trajectories, config.seed,
-            workers=workers,
+            block, built.streams, config.t_end, config.record_interval,
+            config.n_trajectories, config.seed, workers=workers,
         )
     if config.engine in ("continuous", "both"):
         ensembles["continuous"] = run_continuous_ensemble(
-            built.psi0,
-            built.hamiltonian,
-            built.quantities,
-            built.continuous_config(),
-            config.n_trajectories,
-            config.seed,
+            block, built.continuous_config(), config.n_trajectories, config.seed,
             workers=workers,
         )
     return ensembles
 
 
-def _check_footprint(built: BuiltScenario, samples: int, rate_key: str,
+def _check_footprint(built: BuiltScenario, block: LiveBlock, samples: int, rate_key: str,
                      total_rate: float, oracle_matrices: int) -> None:
     """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
 
-    Estimated at the live width L that psi0 and the Hamiltonian leave the
-    engines and the oracles (``trajectory.live_block``), per engine: the
-    records, S x n x (L + K) x 8 B of weights and expectations and
-    S x n x L x 16 B of states; the hitting engine's
-    expected hit arrays at ``total_rate``, n x rate x t_end x (17 + 16 K)
-    B, which is also the engine's peak: its event clock and its per-row
-    generators take a block of fixed size beside them; the diffusion
-    engine's noise block; and with a Hamiltonian, each kernel's
+    Estimated at the live width L of the ``block`` that the engines and
+    the oracles run on, per engine: the records, S x n x (L + K) x 8 B of
+    weights and expectations and S x n x L x 16 B of states; the hitting
+    engine's expected hit arrays at ``total_rate``,
+    n x rate x t_end x (17 + 16 K) B, which is also the engine's peak: its
+    event clock and its per-row generators take a block of fixed size
+    beside them; the diffusion engine's noise block; and with a Hamiltonian, each kernel's
     ``KERNEL_HAMILTONIAN_MATRICES`` complex L x L forms of it. With engine
     ``both`` the oracles hold ``oracle_matrices`` complex L x L matrices of
     their series beside ``ORACLE_WORK_MATRICES`` working ones. The error
     names the key of the largest part. Nothing is allocated.
     """
-    config, quantities = built.config, built.quantities
-    n, k = config.n_trajectories, quantities.num_quantities
-    width = live_block(quantities.to_joint(built.psi0), quantities, built.hamiltonian).live.size
+    config = built.config
+    n, k, width = config.n_trajectories, block.quantities.num_quantities, block.live.size
     both = config.engine == "both"
     engines = ("hitting", "continuous") if both else (config.engine,)
     record = samples * n * ((width + k) * 8 + width * 16)
@@ -304,19 +296,21 @@ def _load_config(args) -> ScenarioConfig:
     _check_workers(args.workers)
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = checked_seed(args.seed)
+        config.seed = checked_int("seed", args.seed, 0)
     return config
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
     built = build_scenario(config)
+    block = live_block(built.psi0, built.quantities, built.hamiltonian)
     samples = record_count(config.t_end, config.record_interval)
     # the oracles of engine both hold two series of all the records
-    _check_footprint(built, samples, "mu", sum(s.mu for s in built.streams), 2 * samples)
+    _check_footprint(built, block, samples, "mu", sum(s.mu for s in built.streams),
+                     2 * samples)
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensembles = _run_engines(built, args.workers)
+    ensembles = _run_engines(built, block, args.workers)
 
     _write_trajectories_csv(out_dir / "trajectories.csv", ensembles)
     _write_events_csv(out_dir / "events.csv", ensembles)
@@ -344,14 +338,8 @@ def cmd_run(args) -> int:
     written = ["trajectories.csv", "events.csv", "summary.json"]
     if config.engine == "both":
         comparison = engine_comparison(
-            ensembles["hitting"],
-            ensembles["continuous"],
-            built.quantities,
-            built.streams,
-            _scalar(built.gamma),
-            hamiltonian=built.hamiltonian,
-            psi0=built.psi0,
-            seed=config.seed,
+            ensembles["hitting"], ensembles["continuous"], block, built.streams,
+            _scalar(built.gamma), seed=config.seed,
         )
         compare = {
             "probe_times": comparison.times.tolist(),
@@ -375,7 +363,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("engine", "sweep requires engine=both")
     if args.param != "mu":
         raise ConfigError("param", f"sweep supports param=mu, got {args.param!r}")
-    values = [float(v) for v in args.values]
+    try:
+        values = [float(v) for v in args.values]
+    except ValueError:
+        raise ConfigError("values", f"sweep values must be numbers, got {args.values}") from None
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise ConfigError("values", "sweep values must be finite and > 0")
     for v in values:
@@ -385,13 +376,16 @@ def cmd_sweep(args) -> int:
         print(f"values sorted ascending before execution: {ordered}")
 
     built = build_scenario(config)
+    block = live_block(built.psi0, built.quantities, built.hamiltonian)
     # each swept ensemble records at 0 and t_end; the oracles
     # hold the Lindblad series and two hitting series of 2 matrices each
-    _check_footprint(built, 2, "values", ordered[-1], 6)
+    _check_footprint(built, block, 2, "values", ordered[-1], 6)
+    gamma = _scalar(built.gamma)
+    # the diffusion steps as run's does: on the spread of the whole quantity set
+    step = snapped_dt(built.quantities, gamma, config.t_end, config.dt)
     rows = convergence_sweep(
-        built.psi0, built.quantities, built.streams, _scalar(built.gamma), ordered,
-        config.n_trajectories, config.t_end, config.seed,
-        hamiltonian=built.hamiltonian, dt=config.dt, workers=args.workers,
+        block, built.streams, gamma, ordered, config.n_trajectories, config.t_end,
+        config.seed, dt=step, workers=args.workers,
     )
     out_dir = Path(args.out or config.output_dir or "qreduce-out")
     out_dir.mkdir(parents=True, exist_ok=True)

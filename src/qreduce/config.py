@@ -40,7 +40,7 @@ def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise ConfigError(key, f"{key} must be an object with dim/re/im")
     try:
-        dim = int(obj["dim"])
+        dim = checked_int(key, obj["dim"], name=f"{key} dim")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros(dim * dim)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -98,15 +98,23 @@ def check_expected_hits(key: str, rate: float, t_end: float) -> None:
         )
 
 
-def checked_seed(value) -> int:
-    """``value`` as a master seed: an integer >= 0, else ``ConfigError("seed")``."""
+def checked_int(key: str, value, minimum: int | None = None, *, name: str | None = None) -> int:
+    """``value`` as an integer of at least ``minimum``, else ``ConfigError(key)``.
+
+    The one rule of every integer key: a boolean, or a number with a
+    fractional part, is refused rather than truncated. ``name`` is what
+    the message calls the value, ``key`` unless given.
+    """
+    name = name or key
     try:
-        seed = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError("seed", "seed must be an integer") from None
-    if seed < 0:
-        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
-    return seed
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(key, f"{name} must be an integer") from None
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ConfigError(key, f"{name} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(key, f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def _positive(raw: dict, key: str, *, required: bool) -> float | None:
@@ -173,13 +181,8 @@ class ScenarioConfig:
             raise ConfigError(
                 "record_interval", "record_interval must not exceed t_end"
             )
-        try:
-            n_trajectories = int(raw.get("n_trajectories", 1))
-        except (TypeError, ValueError):
-            raise ConfigError("n_trajectories", "n_trajectories must be an integer") from None
-        if n_trajectories < 1:
-            raise ConfigError("n_trajectories", "n_trajectories must be >= 1")
-        seed = checked_seed(raw.get("seed", 0))
+        n_trajectories = checked_int("n_trajectories", raw.get("n_trajectories", 1), 1)
+        seed = checked_int("seed", raw.get("seed", 0), 0)
 
         # a distinguishable-particle model carries its rates and accuracy
         # per particle, so top-level strengths would mean nothing

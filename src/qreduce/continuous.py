@@ -17,9 +17,9 @@ In the joint eigenbasis a step multiplies each amplitude by its own
 real factor and adds the Hamiltonian term, so an amplitude that is 0 on
 a coordinate the Hamiltonian couples to no other stays exactly 0
 (``0 * factor + h_ii * 0``). The engine integrates only the other, live
-coordinates (:func:`~qreduce.trajectory.live_block`): a
-superposition of a few Fock states costs a kernel of their count, not
-of d.
+coordinates, on the block that :func:`~qreduce.trajectory.live_block`
+cuts once per command: a superposition of a few Fock states costs a
+kernel of their count, not of d.
 
 A batch runs one trajectory per seed, its only random input: row b
 draws its Wiener increments from ``default_rng`` of its own seed.
@@ -39,13 +39,13 @@ pairwise but a wider one row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StepRejectedError
 from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, live_block, record_grid, whole_steps
+from .trajectory import Ensemble, LiveBlock, record_grid, whole_steps
 
 __all__ = [
     "ContinuousConfig",
@@ -58,9 +58,10 @@ __all__ = [
 
 
 # The most bytes of the (rows, steps, K) float64 noise block that
-# _integrate draws at a time: a block spans 256 steps, or fewer where its
-# rows and quantities would pass this. A generator's normals come out in
-# the same order however they are split, so the block length moves no bit.
+# simulate_continuous_batch draws at a time: a block spans 256 steps, or
+# fewer where its rows and quantities would pass this. A generator's
+# normals come out in the same order however they are split, so the block
+# length moves no bit.
 NOISE_BLOCK_BYTES = 2 << 20
 
 
@@ -320,47 +321,23 @@ def _sum_rows(rows) -> np.ndarray:
 
 
 def simulate_continuous_batch(
-    psi0_rows: np.ndarray,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
+    block: LiveBlock,
     config: ContinuousConfig,
     seeds,
 ) -> Ensemble:
-    """Integrate a batch of trajectories in lockstep.
+    """Integrate one trajectory per seed from psi0's live ``block``, in lockstep.
 
-    ``psi0_rows`` is (batch, d) in the computational basis, one row per
-    seed; a broadcast view of one row (``np.broadcast_to``), as the
-    runners pass, is converted to joint coordinates once. Row b draws its
-    (steps, K) standard normals from ``default_rng(seeds[b])``, block by
-    block, so a row depends only on its own seed, never on the batch it
-    runs in. The seeds are stored on the ensemble and reported by a
+    The kernel steps (2, L, batch) columns, one per seed, each starting
+    from ``block.coeffs``; the rows are rebuilt, as the ensemble's
+    states, only at record times. Row b draws its (steps, K) standard
+    normals from ``default_rng(seeds[b])``, block by block, so a row
+    depends only on its own seed, never on the batch it runs in. The
+    seeds are stored on the ensemble and reported by a
     :class:`StepRejectedError`, raised if any single step changes a norm
-    by more than 50%. The live set is the union over the rows; the kernel
-    runs on the block of :func:`~qreduce.trajectory.live_block`.
+    by more than 50%.
     """
-    rows = np.asarray(psi0_rows)
-    if rows.shape[0] != len(seeds):
-        raise DimensionMismatchError(f"{rows.shape[0]} initial rows for {len(seeds)} seeds")
-    if rows.strides[0] == 0:
-        rows = rows[:1]
-    block = live_block(quantities.to_joint(rows), quantities, hamiltonian)
-    ens = _integrate(block.coeffs, block.quantities, block.h_joint, config, seeds)
-    return replace(ens, live=block.live, dim=quantities.dim)
-
-
-def _integrate(
-    coeffs: np.ndarray,
-    quantities: QuantitySet,
-    h_joint: np.ndarray | None,
-    config: ContinuousConfig,
-    seeds,
-) -> Ensemble:
-    """The lockstep Euler-Maruyama loop from (batch, d) or (1, d) joint-basis rows.
-
-    The kernel steps (2, d, batch) columns, one per seed; the rows are
-    rebuilt, as the ensemble's states, only at record times.
-    """
-    kernel = _DiffusionKernel(quantities, h_joint, config)
+    quantities = block.quantities
+    kernel = _DiffusionKernel(quantities, block.h_joint, config)
     rec_times = record_grid(config.t_end, config.record_interval)
     steps_per_record = config.steps_per_record
     total_steps = (rec_times.size - 1) * steps_per_record
@@ -369,18 +346,19 @@ def _integrate(
     batch = len(generators)
     states_out = np.empty((rec_times.size, batch, quantities.dim), dtype=np.complex128)
     columns = np.empty((2, quantities.dim, batch))  # C order: each row a whole batch
-    columns[0], columns[1] = coeffs.real.T, coeffs.imag.T
+    columns[0] = block.coeffs.real[:, np.newaxis]
+    columns[1] = block.coeffs.imag[:, np.newaxis]
 
     def record(slot: int):
         amplitudes = states_out[slot]
         amplitudes.real, amplitudes.imag = columns[0].T, columns[1].T
 
     record(0)
-    block = noise_block_steps(batch, quantities.num_quantities)
-    noise = np.empty((batch, min(block, total_steps), quantities.num_quantities))
+    noise_steps = noise_block_steps(batch, quantities.num_quantities)
+    noise = np.empty((batch, min(noise_steps, total_steps), quantities.num_quantities))
     step = 0
     while step < total_steps:
-        n = min(block, total_steps - step)
+        n = min(noise_steps, total_steps - step)
         for g, rows in zip(generators, noise[:, :n], strict=True):
             g.standard_normal(out=rows)
         noise[:, :n] *= kernel.noise_scale
@@ -407,6 +385,6 @@ def _integrate(
         offsets=np.zeros(batch + 1, dtype=np.intp),
         times=np.empty(0),
         centres=np.empty((0, quantities.num_quantities)),
-        live=np.arange(quantities.dim),
-        dim=quantities.dim,
+        live=block.live,
+        dim=block.dim,
     )

@@ -25,15 +25,15 @@ standard normals block by block, as the integration reaches them. A
 chunk then runs as one lockstep kernel call, so a trajectory also does
 not depend on the chunk it lands in.
 
-Both kernels run on the live joint coordinates only
-(``trajectory.live_block``): psi0's support plus every coordinate the
-joint-basis Hamiltonian couples to another. Both the hitting map and the
-diffusion step multiply each joint amplitude by its own real factor, so
-an amplitude outside that set stays exactly 0, and so does its weight;
-the returned ensemble therefore stores neither. The set depends
-on psi0 and the Hamiltonian alone, so every chunk uses the same one. A
-runner converts psi0 to joint coordinates once, as one row, and the
-kernels spread only its live block over the chunk's trajectories: no
+Both kernels run on the live joint coordinates only: psi0's support
+plus every coordinate the joint-basis Hamiltonian couples to another.
+Both the hitting map and the diffusion step multiply each joint
+amplitude by its own real factor, so an amplitude outside that set
+stays exactly 0, and so does its weight; the returned ensemble therefore
+stores neither. The set depends on psi0 and the Hamiltonian alone, so a
+command cuts it once (``trajectory.live_block``) and hands the one
+``LiveBlock`` to both runners, which pass it to every chunk. A kernel
+spreads only psi0's live coefficients over its chunk's trajectories: no
 (n, d) array is formed on the way to the states.
 
 ``equivalence.convergence_sweep`` runs its ensembles through the same
@@ -51,9 +51,8 @@ from functools import partial
 import numpy as np
 
 from .continuous import ContinuousConfig, simulate_continuous_batch
-from .hilbert import Hamiltonian, QuantitySet, StateVector
 from .hitting import HitStream, simulate_hitting_batch
-from .trajectory import Ensemble
+from .trajectory import Ensemble, LiveBlock
 
 # The most rows one lockstep chunk holds. A kernel step is mostly
 # per-call overhead at small d, so wider batches pay less per row: a
@@ -126,9 +125,7 @@ def _run_chunked(worker, seeds: np.ndarray, workers: int) -> Ensemble:
 
 
 def run_hitting_ensemble(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
+    block: LiveBlock,
     streams: list[HitStream],
     t_end: float,
     record_interval: float,
@@ -139,39 +136,29 @@ def run_hitting_ensemble(
 ) -> Ensemble:
     """Independent trajectories of the hitting process of ``streams``.
 
-    Every trajectory runs the same list of streams over the window
-    (0, ``t_end``], recorded every ``record_interval``, from its own
-    derived seed. Returns one ensemble with its states and the stream id
-    of every event.
+    Every trajectory starts from psi0's live ``block`` and runs the same
+    list of streams over the window (0, ``t_end``], recorded every
+    ``record_interval``, from its own derived seed. Returns one ensemble
+    with its states and the stream id of every event.
     """
-    worker = partial(
-        simulate_hitting_batch, psi0, hamiltonian, quantities, streams, t_end,
-        record_interval,
-    )
+    worker = partial(simulate_hitting_batch, block, streams, t_end, record_interval)
     seeds = trajectory_seeds(master_seed, HITTING_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)
 
 
-def _continuous_chunk(psi0, hamiltonian, quantities, config, seeds):
-    # one psi0 row broadcast over the chunk: no (n, d) copy is made
-    rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
-    return simulate_continuous_batch(rows, hamiltonian, quantities, config, seeds)
-
-
 def run_continuous_ensemble(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
+    block: LiveBlock,
     config: ContinuousConfig,
     n_trajectories: int,
     master_seed: int,
     *,
     workers: int = 1,
 ) -> Ensemble:
-    """Diffusive ensemble, integrated in balanced vectorized chunks.
+    """Diffusive ensemble from psi0's live ``block``, integrated in balanced
+    vectorized chunks.
 
     Returns one ensemble with its states and without events.
     """
-    worker = partial(_continuous_chunk, psi0, hamiltonian, quantities, config)
+    worker = partial(simulate_continuous_batch, block, config)
     seeds = trajectory_seeds(master_seed, CONTINUOUS_STREAM, n_trajectories)
     return _run_chunked(worker, seeds, workers)

@@ -11,12 +11,13 @@ beta * mu = 2 * gamma.
 
 The oracle functions take a statistical operator of any dimension d.
 The harnesses (:func:`engine_comparison`, :func:`convergence_sweep`)
-call them on the live block of ``trajectory.live_block``, where the
-engines also run: an L x L ``rho0`` from psi0's live joint
-coefficients, the basis-free set of the live table rows and the L x L
-block of the joint-basis Hamiltonian. Outside that block rho0 is 0 and
-neither master equation couples anything into it, so every entry there
-stays exactly 0 and each trace distance is the block's.
+take the one ``trajectory.LiveBlock`` that a command cuts, and call
+them on it, where the engines also run: the L x L ``rho0`` is the outer
+product of psi0's live joint coefficients, the quantities are the
+basis-free set of the live table rows and the Hamiltonian is the L x L
+block of the joint-basis one. Outside that block rho0 is 0 and neither
+master equation couples anything into it, so every entry there stays
+exactly 0 and each trace distance is the block's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .ensemble import (
     run_continuous_ensemble,
     run_hitting_ensemble,
 )
-from .trajectory import Ensemble, live_block
+from .trajectory import Ensemble, LiveBlock
 
 __all__ = [
     "DensityMatrix",
@@ -683,24 +684,8 @@ def _bootstrap_distance(
     return float(dists.std(ddof=1))
 
 
-def _live_oracle_inputs(psi0: StateVector, quantities: QuantitySet,
-                        hamiltonian: Hamiltonian | None):
-    """The live indices and the oracles' inputs on the live block.
-
-    Returns ``live``, the L x L pure ``rho0`` of psi0's live joint
-    coefficients, the basis-free live quantity set and the L x L
-    Hamiltonian (or None), all from ``trajectory.live_block``, as the
-    engines get them.
-    """
-    block = live_block(quantities.to_joint(psi0), quantities, hamiltonian)
-    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
-    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
-    return block.live, rho0, block.quantities, h_block
-
-
 def convergence_sweep(
-    psi0: StateVector,
-    quantities: QuantitySet,
+    block: LiveBlock,
     streams: list[HitStream],
     gamma,
     rates,
@@ -708,7 +693,6 @@ def convergence_sweep(
     t_probe: float,
     master_seed: int,
     *,
-    hamiltonian: Hamiltonian | None = None,
     dt: float | None = None,
     n_bootstrap: int = 100,
     workers: int = 1,
@@ -722,48 +706,48 @@ def convergence_sweep(
     quantity). A single stream runs at mu = value and
     beta = 2 * gamma / value. Reports the deterministic channel distance
     (hitting master equation vs Lindblad at the probe time, both under
-    ``hamiltonian``) and the trace-norm distance between the Monte Carlo
-    ensembles at the probe time, with a bootstrap error. Every distance,
-    oracle and Monte Carlo, is taken on the live joint coordinates, where
-    both ensembles run and every operator lives: both oracles get the
-    live block of :func:`_live_oracle_inputs`, so they cost O(L^2), not
-    O(d^2).
+    the block's Hamiltonian) and the trace-norm distance between the
+    Monte Carlo ensembles at the probe time, with a bootstrap error.
+    Every distance, oracle and Monte Carlo, is taken on psi0's live
+    ``block``, where both ensembles run and every operator lives, so the
+    oracles cost O(L^2), not O(d^2).
 
     The ensembles come from the ensemble runners with ``workers``
     processes, so the table is the same for any worker count. The
     diffusive ensemble is ``run_continuous_ensemble`` with
     ``master_seed``, stepped at ``continuous.snapped_dt``: the longest
-    step at or below ``dt`` (``suggested_dt`` without it) that divides
-    ``t_probe`` into whole steps. The hitting ensemble of the i-th value
-    (i = 1, 2, ...) is ``run_hitting_ensemble`` with master seed
-    ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its bootstrap draws
-    from ``default_rng(derive_seed(master_seed, 1000 + i))``.
+    step at or below ``dt`` (``suggested_dt`` of the block's quantities
+    without it) that divides ``t_probe`` into whole steps; a step that
+    already divides it is kept bit for bit, so ``qreduce sweep`` passes
+    the step it snapped on the whole quantity set. The hitting ensemble
+    of the i-th value (i = 1, 2, ...) is ``run_hitting_ensemble`` with
+    master seed ``derive_seed(master_seed, SWEEP_STREAM, i)``, and its
+    bootstrap draws from ``default_rng(derive_seed(master_seed, 1000 + i))``.
     """
     rates = sorted(float(m) for m in rates)
-    gamma_p = gamma_vector(gamma, quantities.num_quantities)
-    step = snapped_dt(quantities, gamma, t_probe, dt)
+    gamma_p = gamma_vector(gamma, block.quantities.num_quantities)
+    step = snapped_dt(block.quantities, gamma, t_probe, dt)
     config = ContinuousConfig(gamma=gamma, dt=step, t_end=t_probe, record_interval=t_probe)
     cont_rows = run_continuous_ensemble(
-        psi0, hamiltonian, quantities, config, n_trajectories, master_seed,
-        workers=workers,
+        block, config, n_trajectories, master_seed, workers=workers
     ).states[-1]
 
-    _, rho0, block, h_block = _live_oracle_inputs(psi0, quantities, hamiltonian)
-    _, lind = lindblad_evolution(rho0, block, gamma, t_probe, hamiltonian=h_block)
+    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
+    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
+    _, lind = lindblad_evolution(rho0, block.quantities, gamma, t_probe, hamiltonian=h_block)
     rho_lind = lind[-1]
 
     rows = []
     for i, total in enumerate(rates, start=1):
         swept = _streams_at_rate(streams, gamma_p, total)
         _, master = hitting_master_evolution(
-            rho0, block, swept, t_probe, hamiltonian=h_block
+            rho0, block.quantities, swept, t_probe, hamiltonian=h_block
         )
         channel = trace_norm_distance(master[-1], rho_lind)
 
         hit_rows = run_hitting_ensemble(
-            psi0, hamiltonian, quantities, swept, t_probe, t_probe,
-            n_trajectories, derive_seed(master_seed, SWEEP_STREAM, i),
-            workers=workers,
+            block, swept, t_probe, t_probe, n_trajectories,
+            derive_seed(master_seed, SWEEP_STREAM, i), workers=workers,
         ).states[-1]
         mc = _rows_distance(hit_rows, cont_rows)
         boot_rng = np.random.default_rng(derive_seed(master_seed, 1000 + i))
@@ -785,12 +769,10 @@ class EngineComparison:
 def engine_comparison(
     hitting: Ensemble,
     continuous: Ensemble,
-    quantities: QuantitySet,
+    block: LiveBlock,
     streams: list[HitStream],
     gamma,
     *,
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None = None,
     n_bootstrap: int = 50,
     seed: int = 0,
 ) -> EngineComparison:
@@ -799,37 +781,39 @@ def engine_comparison(
     ``streams`` is the hitting process and ``gamma`` (scalar or per
     quantity) the diffusive strength. The oracle distance of a probe time
     is that between the hitting master equation of the streams and the
-    Lindblad equation, both from ``psi0`` and under ``hamiltonian``. The
-    Monte Carlo distances of a probe time are taken between the mixtures
-    of the two ensembles' states on their live joint coordinates, where
-    both mixtures live. The oracles run on that same live block
-    (:func:`_live_oracle_inputs`), as L x L series: outside it every
-    entry of both is exactly 0, so their distance is the block's. Raises
-    ``ValueError`` when the two ensembles' sample grids differ, or when
-    either ensemble's live coordinates are not those of ``psi0`` and
-    ``hamiltonian``.
+    Lindblad equation, both from psi0 and under the Hamiltonian of its
+    live ``block``. The Monte Carlo distances of a probe time are taken
+    between the mixtures of the two ensembles' states on the block's
+    live coordinates, where both mixtures live. The oracles run on that
+    same block, as L x L series: outside it every entry of both is
+    exactly 0, so their distance is the block's. Raises ``ValueError``
+    when the two ensembles' sample grids differ, or when either
+    ensemble's live coordinates are not the block's.
     """
     times = hitting.sample_times
     other = continuous.sample_times
     if other.shape != times.shape or not np.allclose(other, times):
         raise ValueError("the two ensembles do not share a sample grid")
-    live, rho0, block, h_block = _live_oracle_inputs(psi0, quantities, hamiltonian)
     for ens in (hitting, continuous):
-        if ens.dim != quantities.dim or not np.array_equal(ens.live, live):
-            raise ValueError("the ensembles' live coordinates are not those of psi0")
+        if ens.dim != block.dim or not np.array_equal(ens.live, block.live):
+            raise ValueError("the ensembles' live coordinates are not those of psi0's block")
     rng = np.random.default_rng(seed)
     mc = np.empty(times.size)
     err = np.empty(times.size)
     for i, (rows_h, rows_c) in enumerate(zip(hitting.states, continuous.states)):
         mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
+    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
+    h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
     inner = times.copy()
     inner[0] = 0.0
     _, master = hitting_master_evolution(
-        rho0, block, streams, float(times[-1]), hamiltonian=h_block, sample_times=inner,
+        rho0, block.quantities, streams, float(times[-1]), hamiltonian=h_block,
+        sample_times=inner,
     )
     _, lind = lindblad_evolution(
-        rho0, block, gamma, float(times[-1]), hamiltonian=h_block, sample_times=inner,
+        rho0, block.quantities, gamma, float(times[-1]), hamiltonian=h_block,
+        sample_times=inner,
     )
     oracle = np.array([trace_norm_distance(m, l) for m, l in zip(master, lind)])
     return EngineComparison(times=times, mc_distance=mc, mc_error=err, oracle_distance=oracle)

@@ -32,12 +32,12 @@ seed, in three steps:
 
 3. **One kernel call.** :func:`run_hitting_chain_batch` advances every
    trajectory hit by hit in lockstep and returns the ensemble itself.
-   The call sees only the live joint coordinates, whose block
-   :func:`~qreduce.trajectory.live_block` cuts and whose indices the
-   runner then sets on the ensemble: elsewhere psi0 is 0, a hit
-   multiplies 0 by a Gaussian factor, and the Hamiltonian couples
-   nothing in, so the amplitude stays exactly 0. The draws do not depend
-   on d, so the events are those of a full-d run.
+   The call sees only the live joint coordinates, on the block that
+   :func:`~qreduce.trajectory.live_block` cut once for the whole command
+   and that sets the ensemble's ``live`` and ``dim``: elsewhere psi0 is
+   0, a hit multiplies 0 by a Gaussian factor, and the Hamiltonian
+   couples nothing in, so the amplitude stays exactly 0. The draws do
+   not depend on d, so the events are those of a full-d run.
 
 A trajectory therefore depends only on its seed, never on the batch
 it runs in. :func:`apply_hitting` and :func:`sample_hitting_centre` are
@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, VanishingNormError
-from .hilbert import Hamiltonian, QuantitySet, StateVector
-from .trajectory import Ensemble, live_block, record_counts, record_grid
+from .hilbert import QuantitySet, StateVector
+from .trajectory import Ensemble, LiveBlock, record_counts, record_grid
 
 VANISHING_NORM_THRESHOLD = 1e-300
 
@@ -253,8 +253,7 @@ def _propagator(h_joint: np.ndarray):
 
 
 def run_hitting_chain_batch(
-    coeffs: np.ndarray,
-    quantities: QuantitySet,
+    block: LiveBlock,
     streams: list[HitStream],
     offsets: np.ndarray,
     times: np.ndarray,
@@ -263,26 +262,25 @@ def run_hitting_chain_batch(
     noise: np.ndarray,
     record_times: np.ndarray,
     seeds,
-    *,
-    h_joint: np.ndarray | None = None,
 ) -> Ensemble:
     """Advance a batch of hitting trajectories hit by hit in lockstep.
 
-    ``coeffs`` holds one joint-basis row per trajectory. The hits come in
-    the :class:`~qreduce.trajectory.Ensemble`'s CSR layout: row b owns
+    Every trajectory, one per seed, starts from psi0's live coefficients
+    ``block.coeffs``. The hits come in the
+    :class:`~qreduce.trajectory.Ensemble`'s CSR layout: row b owns
     hits ``offsets[b]:offsets[b + 1]``, and hit e, at ``times[e]``, is
     made by stream ``stream_ids[e]`` with quantity columns ``cols``. It
     picks an eigenvector with ``uniforms[e]`` and offsets the centre by
     ``sigma * noise[e, cols]`` (sigma = 1/sqrt(2 beta)). A Hamiltonian,
-    given as its Hermitian matrix ``h_joint`` in the joint basis of
-    ``quantities``, evolves each row exactly over its
-    own interval between hits. Record slot r of row b is the state after
-    the last hit at or before ``record_times[r]`` (on the clock of
-    :func:`~qreduce.trajectory.record_counts`), evolved to that time.
+    given as the block's Hermitian ``h_joint``, evolves each row exactly
+    over its own interval between hits. Record slot r of row b is the
+    state after the last hit at or before ``record_times[r]`` (on the
+    clock of :func:`~qreduce.trajectory.record_counts`), evolved to that
+    time.
 
     Returns the ensemble of the batch: ``seeds`` (one per row), the (E, K)
     centres, NaN outside each hit's stream, the (E,) stream ids, and the
-    (R, batch, d) states with the table of ``quantities``; the ensemble
+    (R, batch, L) states on the block's live coordinates; the ensemble
     derives the Born weights and expectations from them.
 
     Raises
@@ -291,18 +289,19 @@ def run_hitting_chain_batch(
         If a hit leaves a squared norm below 1e-300, prefactor included as
         in :func:`apply_hitting`. It carries ``seeds[b]`` of the row.
     """
-    coeffs = np.array(coeffs, dtype=np.complex128)
-    table = quantities.eigenvalue_table
+    table = block.quantities.eigenvalue_table
     record_times = np.asarray(record_times, dtype=float)
-    batch, num_r = coeffs.shape[0], record_times.size
+    batch, num_r, width = len(seeds), record_times.size, block.live.size
+    coeffs = np.empty((batch, width), dtype=np.complex128)
+    coeffs[:] = block.coeffs
     counts = np.diff(offsets)
     max_hits = int(counts.max()) if batch else 0
     kernels = [_StreamKernel(stream, table) for stream in streams]
-    evolve = None if h_joint is None else _propagator(h_joint)
+    evolve = None if block.h_joint is None else _propagator(block.h_joint)
     last = np.zeros(batch)  # time of each row's latest hit
     centres_out = np.full((times.size, table.shape[1]), np.nan)
     slot_hits = record_counts(offsets, times, record_times)
-    snaps = np.empty((num_r, batch, quantities.dim), dtype=np.complex128)
+    snaps = np.empty((num_r, batch, width), dtype=np.complex128)
     snap_last = np.zeros((num_r, batch))
 
     for h in range(max_hits + 1):
@@ -344,7 +343,7 @@ def run_hitting_chain_batch(
 
     if evolve is not None:
         dt = (record_times[:, np.newaxis] - snap_last).reshape(-1)
-        snaps = evolve(snaps.reshape(-1, quantities.dim), dt).reshape(snaps.shape)
+        snaps = evolve(snaps.reshape(-1, width), dt).reshape(snaps.shape)
     return Ensemble(
         seeds=seeds,
         sample_times=record_times,
@@ -353,8 +352,8 @@ def run_hitting_chain_batch(
         offsets=offsets,
         times=times,
         centres=centres_out,
-        live=np.arange(quantities.dim),
-        dim=quantities.dim,
+        live=block.live,
+        dim=block.dim,
         stream_ids=stream_ids,
     )
 
@@ -389,15 +388,14 @@ def _draw_hits(seeds, streams: list[HitStream], t_end: float, num_quantities: in
 
 
 def simulate_hitting_batch(
-    psi0: StateVector,
-    hamiltonian: Hamiltonian | None,
-    quantities: QuantitySet,
+    block: LiveBlock,
     streams: list[HitStream],
     t_end: float,
     record_interval: float,
     seeds,
 ) -> Ensemble:
-    """One trajectory per seed, all advanced by one kernel call.
+    """One trajectory per seed from psi0's live ``block``, all advanced by
+    one kernel call.
 
     Each trajectory takes its draws from ``default_rng`` of its own seed
     in the order given in the module docstring; the seeds are stored on
@@ -405,13 +403,8 @@ def simulate_hitting_batch(
     """
     grid = record_grid(t_end, record_interval)
     offsets, times, ids, uniforms, noise = _draw_hits(
-        seeds, streams, t_end, quantities.num_quantities
+        seeds, streams, t_end, block.quantities.num_quantities
     )
-
-    # psi0 as one joint row; the kernel copies only its live block per trajectory
-    block = live_block(quantities.to_joint(psi0)[np.newaxis], quantities, hamiltonian)
-    ens = run_hitting_chain_batch(
-        np.broadcast_to(block.coeffs, (len(seeds), block.live.size)), block.quantities,
-        streams, offsets, times, ids, uniforms, noise, grid, seeds, h_joint=block.h_joint,
+    return run_hitting_chain_batch(
+        block, streams, offsets, times, ids, uniforms, noise, grid, seeds
     )
-    return replace(ens, live=block.live, dim=quantities.dim)

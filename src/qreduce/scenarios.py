@@ -11,6 +11,7 @@ from . import fock
 from .config import (
     ScenarioConfig,
     check_expected_hits,
+    checked_int,
     hamiltonian_matrix_from_spec,
     matrix_from_json,
 )
@@ -124,12 +125,7 @@ def _build_explicit(config: ScenarioConfig) -> BuiltScenario:
 
 def _lattice_from_payload(config: ScenarioConfig) -> tuple:
     payload = config.payload
-    try:
-        sites = int(payload["sites"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("sites", "sites must be an integer") from None
-    if sites < 2:
-        raise ConfigError("sites", "sites must be >= 2")
+    sites = checked_int("sites", payload.get("sites"), 2)
     try:
         dx = float(payload["dx"])
     except (KeyError, TypeError, ValueError):
@@ -172,13 +168,16 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
     species = []
     for i, sp in enumerate(species_spec):
         try:
+            cap = sp.get("max_occupation")
+            if cap is not None:
+                cap = checked_int("species", cap, name=f"species[{i}].max_occupation")
             species.append(
                 Species(
                     name=str(sp.get("name", f"species{i}")),
                     mass=float(sp.get("mass", 1.0)),
                     statistics=str(sp.get("statistics", "boson")),
-                    count=int(sp["count"]),
-                    max_occupation=sp.get("max_occupation"),
+                    count=checked_int("species", sp["count"], name=f"species[{i}].count"),
+                    max_occupation=cap,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -268,7 +267,8 @@ def _build_distinguishable(config: ScenarioConfig) -> BuiltScenario:
     amps = np.zeros(dim, dtype=complex)
     for i, entry in enumerate(entries):
         try:
-            where = [int(s) for s in entry["sites"]]
+            where = [checked_int("initial_state", s, name=f"initial_state[{i}].sites")
+                     for s in entry["sites"]]
             amp = complex(float(entry["re"]), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(

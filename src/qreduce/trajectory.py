@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import Hamiltonian, QuantitySet, live_coordinates
+from .hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 
 # Relative slack of the event clock. Hit times (k / mu) and sample times
 # (r * record_interval) come from different grids, so a hit and a record
@@ -57,19 +57,19 @@ def record_counts(offsets, event_times, sample_times) -> np.ndarray:
 class Ensemble:
     """n trajectories on one sample grid of S times, as read-only arrays.
 
-    Both engines run on the live joint coordinates only (see
-    :func:`live_block`): ``live`` holds their L ascending indices
-    out of the ``dim`` joint coordinates, and ``arange(dim)`` when every
-    coordinate is live. ``states`` (S, n, L) holds the joint-basis
-    amplitudes on those coordinates, each sample's rows one contiguous
-    block, and ``table`` (L, K) their eigenvalue rows; outside ``live``
-    every amplitude is exactly 0 and is not stored. The states are the
-    whole record: the Born weights and the quantity means are derived
-    from them here (:attr:`weights`, :attr:`expectations`). Events are in
-    CSR form: trajectory i owns ``times[offsets[i]:offsets[i + 1]]`` and
-    the matching ``centres`` rows and, for the hitting engine,
-    ``stream_ids`` (the index of the stream that made each hit).
-    ``seeds`` (n,) are the per-trajectory seeds.
+    Both engines run on the live joint coordinates only, on the block
+    that :func:`live_block` cuts once per command: ``live`` holds their L
+    ascending indices out of the ``dim`` joint coordinates, and
+    ``arange(dim)`` when every coordinate is live. ``states`` (S, n, L)
+    holds the joint-basis amplitudes on those coordinates, each sample's
+    rows one contiguous block, and ``table`` (L, K) their eigenvalue rows;
+    outside ``live`` every amplitude is exactly 0 and is not stored. The
+    states are the whole record: the Born weights and the quantity means
+    are derived from them here (:attr:`weights`, :attr:`expectations`).
+    Events are in CSR form: trajectory i owns
+    ``times[offsets[i]:offsets[i + 1]]`` and the matching ``centres`` rows
+    and, for the hitting engine, ``stream_ids`` (the index of the stream
+    that made each hit). ``seeds`` (n,) are the per-trajectory seeds.
     """
 
     seeds: np.ndarray
@@ -192,35 +192,39 @@ class Ensemble:
 
 
 class LiveBlock(NamedTuple):
-    """The dynamics restricted to the live joint coordinates (:func:`live_block`)."""
+    """One command's dynamics on its live joint coordinates (:func:`live_block`)."""
 
     live: np.ndarray
+    dim: int
     coeffs: np.ndarray
     quantities: QuantitySet
     h_joint: np.ndarray | None
 
 
-def live_block(coeffs, quantities: QuantitySet, hamiltonian: Hamiltonian | None) -> LiveBlock:
-    """The live block of joint-basis rows ``coeffs`` (..., d) under ``hamiltonian``.
+def live_block(psi0: StateVector, quantities: QuantitySet,
+               hamiltonian: Hamiltonian | None) -> LiveBlock:
+    """The live block of ``psi0`` under ``hamiltonian``: the one cut of a command.
 
     Outside the live set of :func:`~qreduce.hilbert.live_coordinates`
     every amplitude stays exactly 0 under both processes, and so does
-    every entry of a statistical operator built from those rows: the
-    decay of either master equation is elementwise in the joint basis,
-    and the Hamiltonian couples nothing into that region. So the engine
-    kernels, the closed-form oracles and the pre-flight all take the
-    block from here: the L ascending ``live`` indices, the (..., L) live
-    columns of ``coeffs``, a basis-free set of the live table rows and the
-    L x L block of the joint-basis Hamiltonian (exactly Hermitian, as the
-    whole is; None without a Hamiltonian). A kernel's ensemble is on the
-    block's coordinates; its runner sets ``live`` and ``dim`` from here.
+    every entry of a statistical operator built from psi0: the decay of
+    either master equation is elementwise in the joint basis, and the
+    Hamiltonian couples nothing into that region. So a command cuts the
+    block here once and hands it to the pre-flight, the runners, their
+    kernels and the closed-form oracles: the L ascending ``live`` indices
+    out of the ``dim`` joint coordinates, psi0's (L,) live joint
+    coefficients ``coeffs``, a basis-free set of the live table rows and
+    the L x L block of the joint-basis Hamiltonian (exactly Hermitian, as
+    the whole is; None without a Hamiltonian). Every kernel's ensemble
+    takes its ``live`` and ``dim`` from the block.
     """
     h_joint = None if hamiltonian is None else quantities.joint_hamiltonian(hamiltonian)
+    coeffs = quantities.to_joint(psi0)
     live = live_coordinates(coeffs, h_joint)
     if h_joint is not None:
         h_joint = h_joint[np.ix_(live, live)]
     table = QuantitySet(quantities.eigenvalue_table[live])
-    return LiveBlock(live, coeffs[..., live], table, h_joint)
+    return LiveBlock(live, quantities.dim, coeffs[live], table, h_joint)
 
 
 def record_count(t_end: float, record_interval: float) -> int:

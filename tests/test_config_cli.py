@@ -15,7 +15,7 @@ import jsonschema
 from conftest import SQ2, full_weights, traced_peak
 
 import qreduce
-from qreduce import cli
+from qreduce import cli, trajectory
 from qreduce.cli import _first_hit_moments, _write_events_csv, _write_trajectories_csv, main
 from qreduce.continuous import ContinuousConfig
 from qreduce.hitting import HitStream, simulate_hitting_batch
@@ -28,7 +28,7 @@ from qreduce.config import (
 )
 from qreduce.errors import ConfigError
 from qreduce.fock import Species, build_fock_lattice
-from qreduce.ensemble import run_hitting_ensemble
+from qreduce.ensemble import CHUNK_SIZE, run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
     ensemble_density_matrix,
@@ -37,7 +37,7 @@ from qreduce.equivalence import (
     trace_norm_distance,
 )
 from qreduce.scenarios import BuiltScenario, build_scenario
-from qreduce.trajectory import Ensemble
+from qreduce.trajectory import Ensemble, live_block
 
 
 def _child_env() -> dict:
@@ -63,6 +63,11 @@ def minimal_qubit_config(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def _block(built):
+    """The live block that ``qreduce run`` cuts for ``built``."""
+    return live_block(built.psi0, built.quantities, built.hamiltonian)
 
 
 def _cap_address_space():
@@ -207,7 +212,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             stream = HitStream((0,), args["beta"], args["mu"])
             simulate_hitting_batch(
-                equal_qubit, None, sigma_z_set, [stream], args["t_end"],
+                live_block(equal_qubit, sigma_z_set, None), [stream], args["t_end"],
                 args["record_interval"], [0],
             )
 
@@ -432,6 +437,28 @@ MALFORMED = {
     "dt-of-one-and-a-half-steps": ({**load_preset("qubit-equal"), "dt": 0.5}, "dt"),
     # numpy's SeedSequence takes no negative seed
     "negative-seed": (minimal_qubit_config(seed=-3), "seed"),
+    # an integer key takes no boolean and no fractional part: each of these
+    # once ran truncated, as seed 1, seed 1, 2 trajectories, 8 sites, 3
+    # bosons, a 2 x 2 matrix and site 1
+    "fractional-seed": (minimal_qubit_config(seed=1.9), "seed"),
+    "boolean-seed": (minimal_qubit_config(seed=True), "seed"),
+    "fractional-n-trajectories": (minimal_qubit_config(n_trajectories=2.7), "n_trajectories"),
+    "fractional-lattice-sites": (
+        two_site_boson_config(sites=8.7, initial_state=[{"occupations": [[1] + [0] * 7],
+                                                         "re": 1.0}]),
+        "sites",
+    ),
+    "fractional-species-count": (
+        two_site_boson_config(species=[{"name": "b", "count": 3.5}],
+                              initial_state=[{"occupations": [[3, 0]], "re": 1.0}]),
+        "species",
+    ),
+    "fractional-matrix-dim": (
+        minimal_qubit_config(operators=[{"dim": 2.5, "re": [1, 0, 0, -1]}]), "operators[0]"
+    ),
+    "fractional-particle-site": (
+        distinguishable_config(initial_state=[{"sites": [0, 1.5], "re": 1.0}]), "initial_state"
+    ),
 }
 
 
@@ -794,7 +821,7 @@ class TestCliRun:
         # without the oracles, or on 2 live coordinates, the config fits
         for fits in ({**raw, "engine": "continuous"}, _explicit_d40()):
             built = build_scenario(ScenarioConfig.from_dict(fits))
-            cli._check_footprint(built, 3, "mu", 4.0, 6)
+            cli._check_footprint(built, _block(built), 3, "mu", 4.0, 6)
 
     def test_kernel_hamiltonian_alone_exceeds_the_budget(self, tmp_path, monkeypatch):
         # a Hamiltonian coupling all 40 coordinates: the diffusion kernel's
@@ -806,7 +833,7 @@ class TestCliRun:
         monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10)
         _assert_refused_in_process(tmp_path, raw, ["run"], "hamiltonian")
         built = build_scenario(ScenarioConfig.from_dict({**raw, "hamiltonian": None}))
-        cli._check_footprint(built, 3, "mu", 4.0, 6)
+        cli._check_footprint(built, _block(built), 3, "mu", 4.0, 6)
 
     def test_states_alone_exceed_the_budget(self, tmp_path, monkeypatch, capsys):
         # hitting alone, 100 trajectories, 21 records of a qubit: weights and
@@ -823,16 +850,18 @@ class TestCliRun:
         assert not out_dir.exists()
         # with the budget raised by the states' bytes, the config fits
         monkeypatch.setattr(cli, "PREFLIGHT_BYTES", 64 * 2**10 + 21 * 100 * 16 * 2)
-        cli._check_footprint(build_scenario(ScenarioConfig.from_dict(raw)), 21, "mu", 1.0, 42)
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        cli._check_footprint(built, _block(built), 21, "mu", 1.0, 42)
 
     def test_single_engine_states_are_those_of_both(self):
         # the same seeds give each engine the same states, bit for bit, alone
         # (here in 2 chunks on 2 workers) and beside the other engine
         raw = minimal_qubit_config(n_trajectories=30)
-        both = cli._run_engines(build_scenario(ScenarioConfig.from_dict(raw)), 1)
+        built = build_scenario(ScenarioConfig.from_dict(raw))
+        both = cli._run_engines(built, _block(built), 1)
         for engine in ("hitting", "continuous"):
             built = build_scenario(ScenarioConfig.from_dict({**raw, "engine": engine}))
-            alone = cli._run_engines(built, 2)
+            alone = cli._run_engines(built, _block(built), 2)
             assert list(alone) == [engine]
             assert alone[engine].states.shape == both[engine].states.shape == (5, 30, 2)
             assert alone[engine].states.tobytes() == both[engine].states.tobytes()
@@ -843,7 +872,7 @@ class TestCliRun:
             engine="continuous", t_end=1.0, n_trajectories=n, beta=None, mu=None, gamma=2.0,
         )
         built = build_scenario(ScenarioConfig.from_dict(raw))
-        ens = cli._run_engines(built, 1)["continuous"]
+        ens = cli._run_engines(built, _block(built), 1)["continuous"]
         rho = ensemble_density_matrix(ens, 1.0, built.quantities)
         _, oracle = lindblad_evolution(
             DensityMatrix.from_state(built.psi0), built.quantities, 2.0, 1.0
@@ -916,7 +945,9 @@ def test_first_hitting_moments_of_overlapping_streams(correlated_pair_set, equal
     # column 0 is hit by both streams, column 1 by the second alone
     streams = [HitStream((0,), 0.5, 8.0), HitStream((0, 1), 2.0, 2.0)]
     n = 4000
-    ens = run_hitting_ensemble(equal_qubit, None, correlated_pair_set, streams, 2.0, 1.0, n, 9)
+    ens = run_hitting_ensemble(
+        live_block(equal_qubit, correlated_pair_set, None), streams, 2.0, 1.0, n, 9,
+    )
     built = BuiltScenario(None, equal_qubit, correlated_pair_set, None, streams, None)
     moments = _first_hit_moments(built, ens)
     used = set()
@@ -998,6 +1029,39 @@ def _ensemble_with_columns(rng, live: list[int], d: int = 6, n: int = 4, edit=No
         live=np.array(live),
         dim=d,
     )
+
+
+def _count_live_block_calls(monkeypatch) -> list:
+    """Record every call of ``trajectory.live_block``, under any name a module gave it."""
+    calls, cut = [], trajectory.live_block
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cut(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qreduce" or name.startswith("qreduce."):
+            for attr in [a for a, value in vars(module).items() if value is cut]:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--param", "mu", "--values", "4", "8", "16"]]
+)
+def test_each_command_cuts_the_live_block_once(tmp_path, monkeypatch, command):
+    # engine both under a Hamiltonian, with one trajectory more than a chunk
+    # holds, at one worker: the pre-flight, both runners, every chunk and
+    # the oracles take the one block the command cut
+    h = {"dim": 2, "re": [0.3, 1.0, 1.0, -0.3], "im": [0.0, -0.5, 0.5, 0.0]}
+    raw = minimal_qubit_config(n_trajectories=CHUNK_SIZE + 1, t_end=0.5, record_interval=0.25,
+                               hamiltonian=h)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    calls = _count_live_block_calls(monkeypatch)
+    argv = [command[0], str(cfg_path), *command[1:], "--workers", "1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 class TestTrajectoriesWriterOracle:
@@ -1117,6 +1181,15 @@ class TestCliSweep:
         rc = main(["sweep", str(cfg_path), "--param", "mu", "--values", "10", value])
         assert rc == 1
         assert "config error [values]" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_value_that_is_no_number(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        rc = main(["sweep", "qubit-equal", "--param", "mu", "--values", "4", "abc",
+                   "--out", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error [values]" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_sweep_rejects_workers_below_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -22,6 +22,7 @@ from qreduce.continuous import (
 from qreduce.ensemble import run_continuous_ensemble
 from qreduce.equivalence import DensityMatrix, convergence_sweep, lindblad_evolution
 from qreduce.hitting import HitStream
+from qreduce.trajectory import live_block
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -138,23 +139,21 @@ class TestSimulateContinuous:
     def test_eigenvector_constant(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
         cfg = ContinuousConfig(gamma=2.0, dt=1e-3, t_end=1.0, record_interval=0.25)
-        ens = simulate_continuous_batch(psi.amplitudes[np.newaxis], None, sigma_z_set, cfg, [4])
+        ens = simulate_continuous_batch(live_block(psi, sigma_z_set, None), cfg, [4])
         weights = full_weights(ens)[:, 0]
         assert np.allclose(weights, weights[0], atol=1e-10)
         assert ens.times.size == 0
 
     def test_unit_norm_records(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=1.0, dt=1e-3, t_end=1.0, record_interval=0.25)
-        ens = simulate_continuous_batch(
-            equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [8]
-        )
+        ens = simulate_continuous_batch(live_block(equal_qubit, sigma_z_set, None), cfg, [8])
         for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_collapse_fractions_match_born_weights(self, three_level_set):
         psi = StateVector([0.5, 0.5, SQ2])
         cfg = ContinuousConfig(gamma=1.0, dt=2e-3, t_end=12.0, record_interval=12.0)
-        records = run_continuous_ensemble(psi, None, three_level_set, cfg, 1200, 17)
+        records = run_continuous_ensemble(live_block(psi, three_level_set, None), cfg, 1200, 17)
         terminal = full_weights(records)[-1]
         winners = terminal.argmax(axis=1)
         resolved = terminal.max(axis=1) > 0.999
@@ -164,12 +163,24 @@ class TestSimulateContinuous:
             se = math.sqrt(weight * (1 - weight) / resolved.sum())
             assert abs(frac - weight) < 4 * se
 
-    def test_step_rejected_for_huge_dt(self, sigma_z_set, equal_qubit):
+    def test_step_rejected_for_huge_dt(self, sigma_z_set, equal_qubit, monkeypatch):
         cfg = ContinuousConfig(gamma=200.0, dt=0.5, t_end=1.0, record_interval=0.5)
-        # row 0 is an eigenvector, which no step moves; only row 1 is rejected
-        rows = np.array([[1.0, 0.0], equal_qubit.amplitudes])
+        block = live_block(equal_qubit, sigma_z_set, None)
         with pytest.raises(StepRejectedError) as err:
-            simulate_continuous_batch(rows, None, sigma_z_set, cfg, [7, 1])
+            simulate_continuous_batch(block, cfg, [1])
+        assert err.value.seed == 1
+        # columns 0 and 2 kept in bounds, as an eigenvector's would be: only
+        # column 1's own huge step is rejected, and the error names its seed
+        step = _DiffusionKernel.step_batch
+
+        def only_column_1(self, coeffs, increments):
+            ratios = step(self, coeffs, increments)
+            ratios[[0, 2]] = 1.0
+            return ratios
+
+        monkeypatch.setattr(_DiffusionKernel, "step_batch", only_column_1)
+        with pytest.raises(StepRejectedError) as err:
+            simulate_continuous_batch(block, cfg, [7, 1, 3])
         assert err.value.seed == 1
 
     def test_step_with_nan_norm_ratio_rejected(self, sigma_z_set, equal_qubit, monkeypatch):
@@ -182,9 +193,7 @@ class TestSimulateContinuous:
         monkeypatch.setattr(_DiffusionKernel, "step_batch", nan_step)
         cfg = ContinuousConfig(gamma=0.5, dt=0.01, t_end=0.1, record_interval=0.05)
         with pytest.raises(StepRejectedError, match="nan"):
-            simulate_continuous_batch(
-                equal_qubit.amplitudes[np.newaxis], None, sigma_z_set, cfg, [1]
-            )
+            simulate_continuous_batch(live_block(equal_qubit, sigma_z_set, None), cfg, [1])
 
     def test_suggested_dt_bound(self, sigma_z_set):
         dt = suggested_dt(sigma_z_set, 0.5)
@@ -194,7 +203,7 @@ class TestSimulateContinuous:
 class TestEnsembleProperties:
     def test_martingale_mean_weights(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=0.5, dt=2e-3, t_end=2.0, record_interval=0.25)
-        records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 2000, 23)
+        records = run_continuous_ensemble(live_block(equal_qubit, sigma_z_set, None), cfg, 2000, 23)
         weights = full_weights(records).swapaxes(0, 1)  # (n, s, d)
         mean = weights.mean(axis=0)
         se = weights.std(axis=0, ddof=1) / math.sqrt(weights.shape[0])
@@ -205,7 +214,9 @@ class TestEnsembleProperties:
         # Var[<A>] grows like 4 * gamma * (quantum variance)^2 * t at short times
         gamma = 0.5
         cfg = ContinuousConfig(gamma=gamma, dt=5e-4, t_end=0.05, record_interval=0.005)
-        records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 20000, 29)
+        records = run_continuous_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), cfg, 20000, 29,
+        )
         expectations = records.expectations[:, :, 0].T  # (n, s)
         variances = expectations.var(axis=0, ddof=1)
         times = records.sample_times
@@ -224,7 +235,9 @@ class TestEnsembleProperties:
         errors = {}
         for dt in (0.1, 0.05):
             cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=t_end, record_interval=t_end)
-            records = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, n, 31)
+            records = run_continuous_ensemble(
+                live_block(equal_qubit, sigma_z_set, None), cfg, n, 31,
+            )
             rows = records.states[-1]
             rho = DensityMatrix.from_state_rows(rows)
             errors[dt] = abs(rho.rho[0, 1].real - oracle[-1].rho[0, 1].real)
@@ -264,7 +277,7 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
     # records at 0.5 and 1 lie on the step grid
     dt = 2.0 ** min(-7, math.floor(math.log2(suggested_dt(quantities, gamma))))
     cfg = ContinuousConfig(gamma=gamma, dt=dt, t_end=1.0, record_interval=0.5)
-    ens = run_continuous_ensemble(psi0, None, quantities, cfg, 500, seed)
+    ens = run_continuous_ensemble(live_block(psi0, quantities, None), cfg, 500, seed)
 
     # E[w(t)] = w(0): the Born weights are a martingale
     assert within_z(full_weights(ens), quantities.born_weights(psi0))
@@ -310,8 +323,8 @@ def _gamma_callers():
         return np.stack([r.rho for r in series])
 
     def sweep(gamma):
-        rows = convergence_sweep(psi0, quantities, streams, gamma, [4.0], 4, 0.1, 1,
-                                 n_bootstrap=2)
+        rows = convergence_sweep(live_block(psi0, quantities, None), streams, gamma, [4.0], 4,
+                                 0.1, 1, n_bootstrap=2)
         return np.array([(r.channel_distance, r.mc_distance, r.mc_error) for r in rows])
 
     def step_size(gamma):

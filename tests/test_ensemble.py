@@ -18,7 +18,6 @@ from qreduce.cli import main
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, live_coordinates
 from qreduce.hitting import HitStream, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig, simulate_continuous_batch
-from qreduce.errors import DimensionMismatchError
 from qreduce import continuous, ensemble, trajectory
 from qreduce.ensemble import (
     CHUNK_SIZE,
@@ -29,7 +28,7 @@ from qreduce.ensemble import (
     run_hitting_ensemble,
     trajectory_seeds,
 )
-from qreduce.trajectory import CLOCK_TOL, Ensemble, record_counts, record_grid
+from qreduce.trajectory import CLOCK_TOL, Ensemble, live_block, record_counts, record_grid
 
 
 class TestSeedDerivation:
@@ -57,7 +56,8 @@ class TestWorkerIndependence:
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
         serial, parallel = (
             run_hitting_ensemble(
-                equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, 600, 7, workers=workers
+                live_block(equal_qubit, sigma_z_set, None), streams, 1.0, 0.5, 600, 7,
+                workers=workers,
             )
             for workers in (1, 4)
         )
@@ -67,12 +67,9 @@ class TestWorkerIndependence:
 
     def test_continuous_identical_across_worker_counts(self, sigma_z_set, equal_qubit):
         cfg = ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.5)
-        serial = run_continuous_ensemble(
-            equal_qubit, None, sigma_z_set, cfg, 600, 7, workers=1
-        )
-        parallel = run_continuous_ensemble(
-            equal_qubit, None, sigma_z_set, cfg, 600, 7, workers=4
-        )
+        block = live_block(equal_qubit, sigma_z_set, None)
+        serial = run_continuous_ensemble(block, cfg, 600, 7, workers=1)
+        parallel = run_continuous_ensemble(block, cfg, 600, 7, workers=4)
         assert np.array_equal(_weights_matrix(serial), _weights_matrix(parallel))
 
     @pytest.mark.parametrize("engine", ["hitting", "continuous"])
@@ -93,7 +90,7 @@ class TestWorkerIndependence:
             run_ensemble = run_continuous_ensemble
 
         def run():
-            return run_ensemble(psi0, hamiltonian, quantities, *process, 40, 7)
+            return run_ensemble(live_block(psi0, quantities, hamiltonian), *process, 40, 7)
 
         whole = run()
         monkeypatch.setattr(ensemble, "CHUNK_SIZE", 7)
@@ -106,8 +103,9 @@ class TestWorkerIndependence:
     def test_trajectory_depends_only_on_its_seed(self, sigma_z_set, equal_qubit):
         # growing the ensemble must not change earlier trajectories
         cfg = ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.5)
-        small = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 100, 7)
-        large = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 700, 7)
+        block = live_block(equal_qubit, sigma_z_set, None)
+        small = run_continuous_ensemble(block, cfg, 100, 7)
+        large = run_continuous_ensemble(block, cfg, 700, 7)
         assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
 
 
@@ -163,12 +161,11 @@ def test_pool_is_capped_by_the_chunks_and_the_cpus(
             return map(fn, chunks)
 
     streams = [HitStream((0,), beta=0.5, mu=5.0)]
-    serial = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 7)
+    block = live_block(equal_qubit, sigma_z_set, None)
+    serial = run_hitting_ensemble(block, streams, 1.0, 0.5, n, 7)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ensemble, "_available_cpus", lambda: cpus)
-    pooled = run_hitting_ensemble(
-        equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 7, workers=10**6
-    )
+    pooled = run_hitting_ensemble(block, streams, 1.0, 0.5, n, 7, workers=10**6)
     assert made == ([] if pool_size is None else [pool_size])
     assert multiprocessing.active_children() == []
     assert np.array_equal(serial.weights, pooled.weights)
@@ -192,9 +189,9 @@ def test_hitting_trajectory_depends_only_on_its_seed(
     matrix, streams = HITTING_LAYOUTS[layout]
     quantities = sigma_z_set if len(streams) == 1 else correlated_pair_set
     hamiltonian = None if matrix is None else Hamiltonian(matrix)
+    block = live_block(equal_qubit, quantities, hamiltonian)
     small, large = (
-        run_hitting_ensemble(equal_qubit, hamiltonian, quantities, streams, 1.0, 0.25, n, 7)
-        for n in (100, 700)
+        run_hitting_ensemble(block, streams, 1.0, 0.25, n, 7) for n in (100, 700)
     )
     assert np.array_equal(_weights_matrix(small), _weights_matrix(large)[:100])
     # the first 100 trajectories' events are the first offsets[100] of the 700
@@ -216,7 +213,7 @@ def _d16_continuous(layout: str, n: int):
     m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     hamiltonian = None if layout == "no-hamiltonian" else Hamiltonian(m + m.conj().T)
     cfg = ContinuousConfig(gamma=0.5, dt=5e-3, t_end=0.1, record_interval=0.05)
-    records = run_continuous_ensemble(psi0, hamiltonian, quantities, cfg, n, 7)
+    records = run_continuous_ensemble(live_block(psi0, quantities, hamiltonian), cfg, n, 7)
     return _weights_matrix(records), records.expectations.swapaxes(0, 1)
 
 
@@ -236,16 +233,12 @@ def test_continuous_trajectory_depends_only_on_its_seed(layout, n):
 class TestRecordShape:
     def test_records_share_the_grid(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.25, 20, 3)
+        records = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 2.0, 0.25, 20, 3
+        )
         times = records.sample_times
         assert times[0] == 0.0 and times[-1] == pytest.approx(2.0)
         assert records.weights.shape[:2] == (times.size, 20)
-
-
-def _simulate_continuous_rows(psi0, hamiltonian, quantities, config, seeds, **kwargs):
-    """simulate_continuous_batch with psi0 as every row."""
-    rows = np.broadcast_to(psi0.amplitudes, (len(seeds), psi0.dim))
-    return simulate_continuous_batch(rows, hamiltonian, quantities, config, seeds, **kwargs)
 
 
 # engine -> (process arguments, ensemble runner, batch kernel on seeds, stream tag)
@@ -259,7 +252,7 @@ ENGINES = {
     "continuous": (
         (ContinuousConfig(gamma=0.5, dt=1e-2, t_end=1.0, record_interval=0.25),),
         run_continuous_ensemble,
-        _simulate_continuous_rows,
+        simulate_continuous_batch,
         CONTINUOUS_STREAM,
     ),
 }
@@ -270,10 +263,11 @@ def test_single_trajectory_is_the_ensemble_record(engine, sigma_z_set, equal_qub
     # a one-row batch equals row i of the runner
     process, run_ensemble, simulate, stream_tag = ENGINES[engine]
     hamiltonian = Hamiltonian(np.array([[0, 1], [1, 0]], dtype=complex))
-    records = run_ensemble(equal_qubit, hamiltonian, sigma_z_set, *process, 6, 11)
+    block = live_block(equal_qubit, sigma_z_set, hamiltonian)
+    records = run_ensemble(block, *process, 6, 11)
     seeds = trajectory_seeds(11, stream_tag, 6)
     for i in (0, 3, 5):
-        single = simulate(equal_qubit, hamiltonian, sigma_z_set, *process, [int(seeds[i])])
+        single = simulate(block, *process, [int(seeds[i])])
         a, b = records.offsets[i], records.offsets[i + 1]
         assert single.seeds.tolist() == [int(records.seeds[i])] == [int(seeds[i])]
         assert np.array_equal(full_weights(single)[:, 0], full_weights(records)[:, i])
@@ -289,7 +283,8 @@ def test_snapshots_are_one_read_only_array(engine, workers, sigma_z_set, equal_q
     # two workers split 600 trajectories into two chunks of 300 and run
     # a process pool, on a host with at least two CPUs
     process, run_ensemble, _, _ = ENGINES[engine]
-    records = run_ensemble(equal_qubit, None, sigma_z_set, *process, 600, 5, workers=workers)
+    block = live_block(equal_qubit, sigma_z_set, None)
+    records = run_ensemble(block, *process, 600, 5, workers=workers)
     assert isinstance(records.states, np.ndarray)
     assert records.states.shape == (records.sample_times.size, 600, records.dim)
     assert not records.states.flags.writeable
@@ -340,7 +335,9 @@ class TestEnsembleArrays:
     @pytest.fixture(scope="class")
     def ensemble(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
-        return run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 30, 2)
+        return run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 1.0, 0.25, 30, 2
+        )
 
     def test_layout_and_read_only(self, ensemble):
         assert ensemble.weights.shape == (5, 30, 2)
@@ -372,8 +369,8 @@ class TestEnsembleArrays:
         seeds = trajectory_seeds(2, HITTING_STREAM, 30)
         parts = [
             simulate_hitting_batch(
-                equal_qubit, None, sigma_z_set, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
-                seeds[a:b],
+                live_block(equal_qubit, sigma_z_set, None), [HitStream((0,), 0.5, 5.0)],
+                1.0, 0.25, seeds[a:b],
             )
             for a, b in ((0, 7), (7, 8), (8, 30))
         ]
@@ -386,8 +383,8 @@ class TestEnsembleArrays:
         seeds = trajectory_seeds(2, HITTING_STREAM, 4)
         parts = [
             simulate_hitting_batch(
-                equal_qubit, None, quantities, [HitStream((0,), 0.5, 5.0)], 1.0, 0.25,
-                seeds[a:b],
+                live_block(equal_qubit, quantities, None), [HitStream((0,), 0.5, 5.0)],
+                1.0, 0.25, seeds[a:b],
             )
             for quantities, (a, b) in zip(
                 (sigma_z_set, QuantitySet(2.0 * sigma_z_set.eigenvalue_table)),
@@ -466,9 +463,9 @@ def _assert_live_block_is_the_full_table(psi0, hamiltonian, quantities, n, seed)
     dead = np.setdiff1d(np.arange(quantities.dim), expected_live)
     for run, process in LIVE_ENGINES:
         args = process(quantities)
-        live = run(psi0, hamiltonian, quantities, *args, n, seed)
+        live = run(live_block(psi0, quantities, hamiltonian), *args, n, seed)
         with mock.patch("qreduce.trajectory.live_coordinates", _all_coordinates):
-            full = run(psi0, hamiltonian, quantities, *args, n, seed)
+            full = run(live_block(psi0, quantities, hamiltonian), *args, n, seed)
         assert np.array_equal(live.live, expected_live)
         assert np.array_equal(full.live, np.arange(quantities.dim))
         assert live.dim == full.dim == quantities.dim
@@ -535,7 +532,7 @@ def test_single_joint_eigenvector_stays_put(with_hamiltonian, three_level_set):
     dead = _assert_live_block_is_the_full_table(psi0, hamiltonian, three_level_set, 20, 4)
     assert dead.tolist() == [2]
     for run, process in LIVE_ENGINES:
-        ens = run(psi0, hamiltonian, three_level_set, *process(three_level_set), 20, 4)
+        ens = run(live_block(psi0, three_level_set, hamiltonian), *process(three_level_set), 20, 4)
         assert np.all(full_weights(ens) == [0.0, 1.0, 0.0])
 
 
@@ -562,7 +559,7 @@ def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
     expected_live = [0, 1, 2, 3, 4, 5] if with_hamiltonian else [1, 4]
     assert live_coordinates(quantities.to_joint(psi0), h_joint).tolist() == expected_live
     for run, process in LIVE_ENGINES:
-        ens = run(psi0, hamiltonian, quantities, *process(quantities), 30, 8)
+        ens = run(live_block(psi0, quantities, hamiltonian), *process(quantities), 30, 8)
         assert ens.live.tolist() == expected_live and ens.dim == 6
         assert ens.weights.shape[2] == len(expected_live)
         # the reference: the Born weights of the stored states, written out at full d
@@ -573,10 +570,10 @@ def test_weights_on_the_live_coordinates_are_the_full_ones(with_hamiltonian):
 
 def test_concat_requires_shared_live_coordinates(three_level_set):
     process = ([HitStream((0,), 0.8, 4.0)], 1.0, 0.5)
-    on_two = run_hitting_ensemble(StateVector([0.6, 0.8, 0.0]), None, three_level_set,
-                                  *process, 3, 1)
-    on_three = run_hitting_ensemble(StateVector([0.6, 0.0, 0.8]), None, three_level_set,
-                                    *process, 3, 1)
+    on_two, on_three = (
+        run_hitting_ensemble(live_block(StateVector(amps), three_level_set, None), *process, 3, 1)
+        for amps in ([0.6, 0.8, 0.0], [0.6, 0.0, 0.8])
+    )
     assert on_two.live.tolist() == [0, 1] and on_three.live.tolist() == [0, 2]
     assert len(Ensemble.concat([on_two, on_two], 6)) == 6
     with pytest.raises(ValueError):
@@ -593,7 +590,7 @@ def test_noise_block_length_moves_no_bit(n, monkeypatch):
     config = ContinuousConfig(gamma=0.4, dt=0.02, t_end=0.9, record_interval=0.3)
 
     def run():
-        return run_continuous_ensemble(psi0, None, quantities, config, n, 3)
+        return run_continuous_ensemble(live_block(psi0, quantities, None), config, n, 3)
 
     default = run()
     assert continuous.noise_block_steps(n, 3) == 256
@@ -604,27 +601,6 @@ def test_noise_block_length_moves_no_bit(n, monkeypatch):
         for f in fields(Ensemble):
             a, b = getattr(default, f.name), getattr(blocked, f.name)
             assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), f.name
-
-
-def test_broadcast_initial_rows_equal_their_copies():
-    # a rotated quantity set: the one broadcast row goes through the joint basis once
-    rng = np.random.default_rng(5)
-    basis, _ = random_block_basis(rng, [4])
-    quantities = QuantitySet(rng.standard_normal((4, 2)), basis)
-    psi0 = random_state(rng, 4)
-    config = ContinuousConfig(gamma=0.4, dt=0.02, t_end=0.2, record_interval=0.1)
-    seeds = trajectory_seeds(4, CONTINUOUS_STREAM, 9)
-
-    def run(rows):
-        return simulate_continuous_batch(rows, None, quantities, config, seeds)
-
-    broadcast = run(np.broadcast_to(psi0.amplitudes, (9, 4)))
-    copied = run(np.tile(psi0.amplitudes, (9, 1)))
-    for f in fields(Ensemble):
-        a, b = getattr(broadcast, f.name), getattr(copied, f.name)
-        assert (a is None and b is None) or np.array_equal(a, b), f.name
-    with pytest.raises(DimensionMismatchError):
-        run(psi0.amplitudes[np.newaxis])
 
 
 @pytest.mark.parametrize("num_quantities", [1, 3])
@@ -638,9 +614,10 @@ def test_hitting_memory_is_the_preflight_hit_bytes(num_quantities):
     psi0 = StateVector([SQ2, SQ2])
     streams = [HitStream(tuple(range(num_quantities)), 0.05, mu)]
     # a first small run keeps one-time imports out of the traced peak
-    run_hitting_ensemble(psi0, None, quantities, streams, 1.0, 1.0, 2, 1)
+    run_hitting_ensemble(live_block(psi0, quantities, None), streams, 1.0, 1.0, 2, 1)
     ens, peak = traced_peak(
-        run_hitting_ensemble, psi0, None, quantities, streams, t_end, t_end, n, 3
+        lambda: run_hitting_ensemble(live_block(psi0, quantities, None), streams, t_end, t_end,
+                                     n, 3)
     )
     assert 290_000 < ens.times.size < 310_000
     assert peak <= 1.15 * n * mu * t_end * (17 + 16 * num_quantities)
@@ -649,10 +626,11 @@ def test_hitting_memory_is_the_preflight_hit_bytes(num_quantities):
 @pytest.mark.parametrize("runner", ["hitting", "continuous"])
 def test_hamiltonian_block_is_held_once(runner):
     # every one of d = 700 coordinates live under a nearest-neighbour
-    # Hamiltonian: the runner slices the L x L joint-basis block and the
+    # Hamiltonian: live_block slices the L x L joint-basis block and the
     # kernel builds its own form from it (eigenvectors, or the 2L x 2L real
     # form), with no further copy of the block; one more copy held beside
-    # them would take the peak to 4 (hitting) or 4.5 (diffusion) such matrices
+    # them would take the peak to 4 (hitting) or 4.5 (diffusion) such
+    # matrices. The cut is traced with the run, as a command makes it
     d, n = 700, 20
     rng = np.random.default_rng(7)
     quantities = QuantitySet(np.linspace(0.0, 1.0, d)[:, np.newaxis])
@@ -666,7 +644,9 @@ def test_hamiltonian_block_is_held_once(runner):
         args = (run_continuous_ensemble,
                 ContinuousConfig(gamma=1.0, dt=0.05, t_end=1.0, record_interval=0.5))
     run, *process = args
-    ens, peak = traced_peak(run, psi0, hamiltonian, quantities, *process, n, 5)
+    ens, peak = traced_peak(
+        lambda: run(live_block(psi0, quantities, hamiltonian), *process, n, 5)
+    )
     assert ens.weights.shape == (3, n, d)
     assert peak < 3.5 * 16 * d * d
 
@@ -686,7 +666,7 @@ def test_runner_memory_follows_the_live_coordinates(runner):
         args = (run_continuous_ensemble,
                 ContinuousConfig(gamma=1.0, dt=0.01, t_end=0.3, record_interval=0.1))
     run, *process = args
-    ens, peak = traced_peak(run, psi0, None, quantities, *process, n, 11)
+    ens, peak = traced_peak(lambda: run(live_block(psi0, quantities, None), *process, n, 11))
     assert ens.weights.shape == (4, n, 2) and ens.live.tolist() == [10, 4000]
     assert peak < 4 * n * d * 8 / 4
 
@@ -706,8 +686,8 @@ def test_join_holds_one_chunk_beside_the_joined_arrays(runner, monkeypatch):
         args = (run_continuous_ensemble,
                 ContinuousConfig(gamma=0.5, dt=0.01, t_end=2.0, record_interval=0.01))
     run, *process = args
-    _, one_chunk = traced_peak(run, psi0, None, quantities, *process, 40, 3)
-    ens, peak = traced_peak(run, psi0, None, quantities, *process, 240, 3)
+    _, one_chunk = traced_peak(lambda: run(live_block(psi0, quantities, None), *process, 40, 3))
+    ens, peak = traced_peak(lambda: run(live_block(psi0, quantities, None), *process, 240, 3))
     arrays = [getattr(ens, f.name) for f in fields(ens)]
     joined = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
     assert peak < joined + one_chunk + 64 * 2**10

@@ -22,7 +22,7 @@ from qreduce.ensemble import (
     run_hitting_ensemble,
 )
 from qreduce import equivalence
-from qreduce.trajectory import Ensemble
+from qreduce.trajectory import Ensemble, live_block
 from qreduce.equivalence import (
     DensityMatrix,
     _bootstrap_distance,
@@ -47,7 +47,9 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def hitting_batch(psi, quantities, streams, t_end, interval, seeds):
     """One ensemble whose trajectory i runs from ``default_rng(seeds[i])``."""
-    return simulate_hitting_batch(psi, None, quantities, streams, t_end, interval, seeds)
+    return simulate_hitting_batch(
+        live_block(psi, quantities, None), streams, t_end, interval, seeds,
+    )
 
 
 def rotated_six_level():
@@ -295,16 +297,13 @@ class TestEngineComparison:
     def test_snapshot_stack_matches_state_at_loop(self, three_level_set):
         psi = StateVector([0.5, 0.5, SQ2])
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        hitting = run_hitting_ensemble(psi, None, three_level_set, streams, 1.0, 0.25, 150, 3)
+        block = live_block(psi, three_level_set, None)
+        hitting = run_hitting_ensemble(block, streams, 1.0, 0.25, 150, 3)
         continuous = run_continuous_ensemble(
-            psi, None, three_level_set,
-            ContinuousConfig(gamma=1.0, dt=5e-3, t_end=1.0, record_interval=0.25),
+            block, ContinuousConfig(gamma=1.0, dt=5e-3, t_end=1.0, record_interval=0.25),
             120, 3,
         )
-        got = engine_comparison(
-            hitting, continuous, three_level_set, streams, 1.0, psi0=psi, n_bootstrap=10,
-            seed=4,
-        )
+        got = engine_comparison(hitting, continuous, block, streams, 1.0, n_bootstrap=10, seed=4)
         rng = np.random.default_rng(4)
         for i, t in enumerate(hitting.sample_times):
             # each trajectory's snapshot at t, one row at a time
@@ -322,15 +321,14 @@ class TestEngineComparison:
         # qubit-equal's shape: 1000 + 1000 rows, 50 replicates a record; all
         # 50 in one block would take 2.5 MiB beside the rows
         n, streams = 1000, [HitStream((0,), beta=0.2, mu=10.0)]
-        hitting = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.5, 0.75, n, 1)
+        block = live_block(equal_qubit, sigma_z_set, None)
+        hitting = run_hitting_ensemble(block, streams, 1.5, 0.75, n, 1)
         continuous = run_continuous_ensemble(
-            equal_qubit, None, sigma_z_set,
-            ContinuousConfig(gamma=1.0, dt=0.01, t_end=1.5, record_interval=0.75),
-            n, 2,
+            block, ContinuousConfig(gamma=1.0, dt=0.01, t_end=1.5, record_interval=0.75), n, 2,
         )
-        _, peak = traced_peak(
-            engine_comparison, hitting, continuous, sigma_z_set, streams, 1.0, psi0=equal_qubit
-        )
+        _, peak = traced_peak(lambda: engine_comparison(
+            hitting, continuous, live_block(equal_qubit, sigma_z_set, None), streams, 1.0
+        ))
         # the two ensembles' rows, a block of at most 1 MiB and a fixed slack
         rows = 16 * hitting.live.size * 2 * n
         assert equivalence._BOOTSTRAP_BLOCK_BYTES <= 2**20
@@ -394,32 +392,28 @@ class TestEngineComparison:
         # the hitting grid is 0, 0.25, ..., 1: first fewer samples, then
         # as many samples at other times
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        hitting = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.25, 20, 3)
+        block = live_block(equal_qubit, sigma_z_set, None)
+        hitting = run_hitting_ensemble(block, streams, 1.0, 0.25, 20, 3)
         continuous = run_continuous_ensemble(
-            equal_qubit, None, sigma_z_set,
+            block,
             ContinuousConfig(gamma=1.0, dt=5e-3, t_end=t_end, record_interval=record_interval),
             20, 3,
         )
         with pytest.raises(ValueError):
-            engine_comparison(
-                hitting, continuous, sigma_z_set, streams, 1.0, psi0=equal_qubit,
-                n_bootstrap=5,
-            )
+            engine_comparison(hitting, continuous, block, streams, 1.0, n_bootstrap=5)
 
     def test_different_live_coordinates_raise(self, three_level_set):
         # psi0 on coordinates {0, 1} for one engine and {0, 2} for the other
         streams = [HitStream((0,), beta=0.8, mu=4.0)]
-        psi0 = StateVector([0.6, 0.8, 0.0])
-        hitting = run_hitting_ensemble(psi0, None, three_level_set, streams, 1.0, 0.5, 3, 1)
+        block = live_block(StateVector([0.6, 0.8, 0.0]), three_level_set, None)
+        hitting = run_hitting_ensemble(block, streams, 1.0, 0.5, 3, 1)
         continuous = run_continuous_ensemble(
-            StateVector([0.6, 0.0, 0.8]), None, three_level_set,
+            live_block(StateVector([0.6, 0.0, 0.8]), three_level_set, None),
             ContinuousConfig(gamma=1.6, dt=5e-3, t_end=1.0, record_interval=0.5), 3, 1,
         )
         assert hitting.live.tolist() == [0, 1] and continuous.live.tolist() == [0, 2]
         with pytest.raises(ValueError, match="live"):
-            engine_comparison(
-                hitting, continuous, three_level_set, streams, 1.6, psi0=psi0, n_bootstrap=5
-            )
+            engine_comparison(hitting, continuous, block, streams, 1.6, n_bootstrap=5)
 
     def test_rotated_set_distances_are_the_full_ones(self):
         # the engines run on the 5 live coordinates of the rotated 6-level
@@ -427,19 +421,16 @@ class TestEngineComparison:
         # d x d computational-basis matrices
         quantities, psi0, hamiltonian, blocks = rotated_six_level()
         streams = [HitStream((0, 1), beta=0.4, mu=5.0)]
-        hitting = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 1.0, 0.25, 40, 6)
+        block = live_block(psi0, quantities, hamiltonian)
+        hitting = run_hitting_ensemble(block, streams, 1.0, 0.25, 40, 6)
         continuous = run_continuous_ensemble(
-            psi0, hamiltonian, quantities,
-            ContinuousConfig(gamma=1.0, dt=2.0**-8, t_end=1.0, record_interval=0.25),
+            block, ContinuousConfig(gamma=1.0, dt=2.0**-8, t_end=1.0, record_interval=0.25),
             30, 6,
         )
         expected_live = np.sort(np.concatenate([blocks[0][1], blocks[1][1]]))
         assert np.array_equal(hitting.live, expected_live)
         assert np.array_equal(continuous.live, expected_live)
-        got = engine_comparison(
-            hitting, continuous, quantities, streams, 1.0, psi0=psi0,
-            hamiltonian=hamiltonian, n_bootstrap=5, seed=2,
-        )
+        got = engine_comparison(hitting, continuous, block, streams, 1.0, n_bootstrap=5, seed=2)
         rows_h, rows_c = full_states(hitting, quantities), full_states(continuous, quantities)
         for i, t in enumerate(hitting.sample_times):
             rho_h = ensemble_density_matrix(hitting, float(t), quantities)
@@ -468,7 +459,9 @@ class TestEnsembleDensityMatrix:
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
         streams = [HitStream((0,), beta=0.4, mu=5.0)]
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, n, 77)
+        records = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 1.0, 0.5, n, 77,
+        )
         rho_mc = ensemble_density_matrix(records, 1.0, sigma_z_set)
         _, oracle = hitting_master_evolution(
             DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, 1.0
@@ -515,7 +508,7 @@ class TestCollapseStatistics:
     def test_weighted_qubit_frequencies(self, sigma_z_set):
         psi = StateVector([0.5, math.sqrt(0.75)])
         streams = [HitStream((0,), beta=1.0, mu=10.0)]
-        recs = run_hitting_ensemble(psi, None, sigma_z_set, streams, 6.0, 3.0, 2000, 13)
+        recs = run_hitting_ensemble(live_block(psi, sigma_z_set, None), streams, 6.0, 3.0, 2000, 13)
         report = collapse_statistics(recs, sigma_z_set)
         se = math.sqrt(0.25 * 0.75 / report.n_resolved)
         assert abs(report.outcomes[0].frequency - 0.25) < 4 * se
@@ -527,7 +520,9 @@ class TestCollapseStatistics:
         # mu * t_end = 1 with huge beta: any hit resolves, so the unresolved
         # fraction estimates the Poisson zero-count probability exp(-1)
         streams = [HitStream((0,), beta=60.0, mu=1.0)]
-        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.0, 0.5, 3000, 15)
+        recs = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 1.0, 0.5, 3000, 15,
+        )
         report = collapse_statistics(recs, sigma_z_set)
         target = math.exp(-1.0)
         se = math.sqrt(target * (1 - target) / len(recs))
@@ -687,7 +682,9 @@ class TestDbStatistics:
         # Wiener increments of the limit: mean 0 and variance the window
         beta, mu, window = 1e-3, 3000.0, 0.02
         streams = [HitStream((0,), beta=beta, mu=mu, schedule=Schedule.EVENLY_SPACED)]
-        recs = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.02, 50, 5)
+        recs = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 2.0, 0.02, 50, 5,
+        )
         db, counts = _window_increments(recs, beta, mu, window, 100)
         assert counts.mean() == pytest.approx(60.0)
         n = db.shape[0]
@@ -701,7 +698,7 @@ class TestDbStatistics:
 class TestConvergenceSweep:
     def test_channel_distances_decrease_with_slope_one(self, sigma_z_set, equal_qubit):
         rows = convergence_sweep(
-            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5,
+            live_block(equal_qubit, sigma_z_set, None), [HitStream((0,), 0.1, 10.0)], 0.5,
             [10.0, 100.0, 1000.0], 500, 1.0, 3,
         )
         channel = [r.channel_distance for r in rows]
@@ -713,7 +710,8 @@ class TestConvergenceSweep:
 
     def test_sorted_ascending_and_mc_error_bars(self, sigma_z_set, equal_qubit):
         rows = convergence_sweep(
-            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [100.0, 10.0],
+            live_block(equal_qubit, sigma_z_set, None), [HitStream((0,), 0.1, 10.0)], 0.5,
+            [100.0, 10.0],
             2000, 1.0, 4,
         )
         assert rows[0].mu == 10.0 and rows[1].mu == 100.0
@@ -721,7 +719,7 @@ class TestConvergenceSweep:
         # sweep's diffusive ensemble, rebuilt from the runner
         step = snapped_dt(sigma_z_set, 0.5, 1.0)
         cfg = ContinuousConfig(gamma=0.5, dt=step, t_end=1.0, record_interval=1.0)
-        cont = run_continuous_ensemble(equal_qubit, None, sigma_z_set, cfg, 2000, 4)
+        cont = run_continuous_ensemble(live_block(equal_qubit, sigma_z_set, None), cfg, 2000, 4)
         floor = _rows_distance(cont.states[-1][:1000], cont.states[-1][1000:]) / 2.0
         for row in rows:
             allowance = 3 * row.mc_error + 2 * floor
@@ -731,16 +729,17 @@ class TestConvergenceSweep:
         psi0 = StateVector([0.5, 0.5, SQ2])
         gamma, t_probe, n, master = 0.5, 1.0, 300, 8
         rows = convergence_sweep(
-            psi0, three_level_set, [HitStream((0,), 0.25, 4.0)], gamma, [40.0, 4.0], n,
+            live_block(psi0, three_level_set, None), [HitStream((0,), 0.25, 4.0)], gamma,
+            [40.0, 4.0], n,
             t_probe, master, dt=0.01,
         )
         cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=t_probe, record_interval=t_probe)
-        cont = run_continuous_ensemble(psi0, None, three_level_set, cfg, n, master)
+        cont = run_continuous_ensemble(live_block(psi0, three_level_set, None), cfg, n, master)
         rho_cont = DensityMatrix.from_state_rows(cont.states[-1])
         for i, row in enumerate(rows, start=1):
             assert row.streams == [HitStream((0,), 2 * gamma / row.mu, row.mu)]
             hitting = run_hitting_ensemble(
-                psi0, None, three_level_set, row.streams, t_probe, t_probe,
+                live_block(psi0, three_level_set, None), row.streams, t_probe, t_probe,
                 n, derive_seed(master, SWEEP_STREAM, i),
             )
             rho_hit = DensityMatrix.from_state_rows(hitting.states[-1])
@@ -755,13 +754,14 @@ class TestConvergenceSweep:
         assert suggested_dt(sigma_z_set, 0.5) == 0.005
         seen, run = [], equivalence.run_continuous_ensemble
 
-        def recording(psi0, hamiltonian, quantities, config, *args, **kwargs):
+        def recording(block, config, *args, **kwargs):
             seen.append(config.dt)
-            return run(psi0, hamiltonian, quantities, config, *args, **kwargs)
+            return run(block, config, *args, **kwargs)
 
         monkeypatch.setattr(equivalence, "run_continuous_ensemble", recording)
         convergence_sweep(
-            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [10.0], 4, 0.007, 1,
+            live_block(equal_qubit, sigma_z_set, None), [HitStream((0,), 0.1, 10.0)], 0.5, [10.0],
+            4, 0.007, 1,
             n_bootstrap=2,
         )
         assert seen == [0.007 / 2] == [snapped_dt(sigma_z_set, 0.5, 0.007)]
@@ -779,13 +779,14 @@ class TestConvergenceSweep:
         assert ScenarioConfig.from_dict(raw).dt == 0.3
         seen, run = [], equivalence.run_continuous_ensemble
 
-        def recording(psi0, hamiltonian, quantities, config, *args, **kwargs):
+        def recording(block, config, *args, **kwargs):
             seen.append(config.dt)
-            return run(psi0, hamiltonian, quantities, config, *args, **kwargs)
+            return run(block, config, *args, **kwargs)
 
         monkeypatch.setattr(equivalence, "run_continuous_ensemble", recording)
         convergence_sweep(
-            equal_qubit, sigma_z_set, [HitStream((0,), 0.1, 10.0)], 0.5, [10.0], 4, 1.0, 1,
+            live_block(equal_qubit, sigma_z_set, None), [HitStream((0,), 0.1, 10.0)], 0.5, [10.0],
+            4, 1.0, 1,
             dt=0.3, n_bootstrap=2,
         )
         assert seen == [0.25]
@@ -837,12 +838,11 @@ def lattice_config(sites, count, occupations, **overrides) -> ScenarioConfig:
     return ScenarioConfig.from_dict({**raw, **overrides})
 
 
-def engine_pair(psi0, hamiltonian, quantities, streams, gamma, n, *, dt=0.005):
-    """Both engines over (0, 0.5], recorded every 0.25, with states."""
-    hitting = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 0.5, 0.25, n, 3)
+def engine_pair(block, streams, gamma, n, *, dt=0.005):
+    """Both engines from ``block`` over (0, 0.5], recorded every 0.25, with states."""
+    hitting = run_hitting_ensemble(block, streams, 0.5, 0.25, n, 3)
     continuous = run_continuous_ensemble(
-        psi0, hamiltonian, quantities,
-        ContinuousConfig(gamma=gamma, dt=dt, t_end=0.5, record_interval=0.25), n, 3,
+        block, ContinuousConfig(gamma=gamma, dt=dt, t_end=0.5, record_interval=0.25), n, 3,
     )
     return hitting, continuous
 
@@ -888,18 +888,15 @@ class TestOraclesOnTheLiveBlock:
         built = build_scenario(lattice_config(6, 2, occupations))
         quantities, psi0, streams, gamma = built.quantities, built.psi0, built.streams, built.gamma
         assert quantities.dim == 21
-        hitting, continuous = engine_pair(psi0, None, quantities, streams, gamma, 4)
+        block = live_block(psi0, quantities, None)
+        hitting, continuous = engine_pair(block, streams, gamma, 4)
         assert hitting.live.size == 3
-        got = engine_comparison(
-            hitting, continuous, quantities, streams, gamma, psi0=psi0, n_bootstrap=2
-        )
+        got = engine_comparison(hitting, continuous, block, streams, gamma, n_bootstrap=2)
         times = np.array([0.0, 0.25, 0.5])
         full = full_oracle_distances(psi0, quantities, streams, gamma, times)
         assert full[-1] > 1e-3
         assert np.max(np.abs(got.oracle_distance - full)) <= 1e-12
-        rows = convergence_sweep(
-            psi0, quantities, streams, gamma, [4.0, 40.0], 4, 0.5, 3, n_bootstrap=2
-        )
+        rows = convergence_sweep(block, streams, gamma, [4.0, 40.0], 4, 0.5, 3, n_bootstrap=2)
         for row in rows:
             full = full_oracle_distances(psi0, quantities, row.streams, gamma, times[[0, 2]])
             assert abs(row.channel_distance - full[-1]) <= 1e-12
@@ -914,18 +911,13 @@ class TestOraclesOnTheLiveBlock:
         if not with_hamiltonian:
             hamiltonian = None
         streams, gamma = [HitStream((0, 1), beta=0.4, mu=5.0)], 1.0
-        hitting, continuous = engine_pair(
-            psi0, hamiltonian, quantities, streams, gamma, 4, dt=2.0**-8
-        )
+        block = live_block(psi0, quantities, hamiltonian)
+        hitting, continuous = engine_pair(block, streams, gamma, 4, dt=2.0**-8)
         assert hitting.live.size == 5
         steps = record_rk4_steps(monkeypatch)
-        got = engine_comparison(
-            hitting, continuous, quantities, streams, gamma, psi0=psi0,
-            hamiltonian=hamiltonian, n_bootstrap=2,
-        )
+        got = engine_comparison(hitting, continuous, block, streams, gamma, n_bootstrap=2)
         rows = convergence_sweep(
-            psi0, quantities, streams, gamma, [5.0, 50.0], 4, 0.5, 3,
-            hamiltonian=hamiltonian, dt=2.0**-8, n_bootstrap=2,
+            block, streams, gamma, [5.0, 50.0], 4, 0.5, 3, dt=2.0**-8, n_bootstrap=2
         )
         monkeypatch.undo()
         # engine_comparison integrates the master equation, then Lindblad; the
@@ -949,12 +941,13 @@ class TestOraclesOnTheLiveBlock:
         # both ensembles run from psi0 on {0, 1}; the comparison is told {0, 2}
         streams = [HitStream((0,), beta=0.8, mu=4.0)]
         hitting, continuous = engine_pair(
-            StateVector([0.6, 0.8, 0.0]), None, three_level_set, streams, 1.6, 3
+            live_block(StateVector([0.6, 0.8, 0.0]), three_level_set, None), streams, 1.6, 3
         )
         with pytest.raises(ValueError, match="psi0"):
             engine_comparison(
-                hitting, continuous, three_level_set, streams, 1.6,
-                psi0=StateVector([0.6, 0.0, 0.8]), n_bootstrap=2,
+                hitting, continuous,
+                live_block(StateVector([0.6, 0.0, 0.8]), three_level_set, None), streams, 1.6,
+                n_bootstrap=2,
             )
 
     def test_engine_comparison_memory_at_d715(self):
@@ -964,10 +957,10 @@ class TestOraclesOnTheLiveBlock:
         built = build_scenario(lattice_config(10, 4, occupations))
         quantities, psi0, streams, gamma = built.quantities, built.psi0, built.streams, built.gamma
         assert quantities.dim == 715
-        hitting, continuous = engine_pair(psi0, None, quantities, streams, gamma, 20)
-        got, peak = traced_peak(
-            engine_comparison, hitting, continuous, quantities, streams, gamma, psi0=psi0,
-        )
+        hitting, continuous = engine_pair(live_block(psi0, quantities, None), streams, gamma, 20)
+        got, peak = traced_peak(lambda: engine_comparison(
+            hitting, continuous, live_block(psi0, quantities, None), streams, gamma
+        ))
         assert got.oracle_distance[-1] > 1e-3
         # a block of bootstrap replicates and a fixed slack
         assert peak <= 2**20 + 256 * 2**10
@@ -977,7 +970,7 @@ class TestMartingaleHitting:
     def test_ensemble_mean_weights_constant(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5.0)]
         records = run_hitting_ensemble(
-            equal_qubit, None, sigma_z_set, streams, 2.0, 0.25, 2000, 19
+            live_block(equal_qubit, sigma_z_set, None), streams, 2.0, 0.25, 2000, 19
         )
         stats = ensemble_stats(records)
         drift = np.abs(stats.mean_weights[1:] - stats.mean_weights[0])
@@ -987,7 +980,9 @@ class TestMartingaleHitting:
     def test_offdiagonal_decay_against_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
-        records = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 1.5, 0.25, n, 21)
+        records = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 1.5, 0.25, n, 21,
+        )
         rho0 = DensityMatrix.from_state(equal_qubit)
         times = records.sample_times
         _, oracle = hitting_master_evolution(

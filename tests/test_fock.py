@@ -35,6 +35,7 @@ from qreduce.fock import (
     smearing_kernel,
 )
 from qreduce.scenarios import build_scenario
+from qreduce.trajectory import live_block
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
@@ -424,7 +425,8 @@ class TestScenarios:
             lat, 2.0, [(np.array([[1, 0]]), SQ2), (np.array([[0, 1]]), SQ2)], beta=2.0, mu=10.0
         )
         records = run_hitting_ensemble(
-            scenario.psi0, None, scenario.quantities, scenario.streams, 15.0, 7.5, 1500, 41
+            live_block(scenario.psi0, scenario.quantities, None), scenario.streams,
+            15.0, 7.5, 1500, 41
         )
         report = collapse_statistics(records, scenario.quantities)
         assert report.unresolved_fraction < 0.02
@@ -494,7 +496,7 @@ class TestScenarios:
         rate = 0.5 * scenario.gamma * np.sum((table[ka] - table[kb]) ** 2)
         n = 1500
         cfg = ContinuousConfig(gamma=scenario.gamma, dt=2.5e-3, t_end=1.0, record_interval=0.5)
-        records = run_continuous_ensemble(scenario.psi0, None, qs, cfg, n, 43)
+        records = run_continuous_ensemble(live_block(scenario.psi0, qs, None), cfg, n, 43)
         rho_mc = ensemble_density_matrix(records, 1.0, qs)
         _, oracle = lindblad_evolution(
             DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma, 1.0
@@ -515,8 +517,8 @@ class TestScenarios:
         from qreduce.hilbert import Hamiltonian
 
         ens = simulate_hitting_batch(
-            scenario.psi0, Hamiltonian(hop), scenario.quantities, scenario.streams, 2.0, 0.25,
-            [3],
+            live_block(scenario.psi0, scenario.quantities, Hamiltonian(hop)), scenario.streams,
+            2.0, 0.25, [3],
         )
         for state in ens.states[:, 0]:
             total = sum(

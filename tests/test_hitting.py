@@ -26,7 +26,7 @@ from qreduce.hitting import (
     sharpening_operator,
     simulate_hitting_batch,
 )
-from qreduce.trajectory import record_counts
+from qreduce.trajectory import live_block, record_counts
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -172,7 +172,9 @@ class TestSimulateHittingTrajectory:
     def test_eigenvector_constant(self, three_level_set):
         psi = StateVector([0.0, 0.0, 1.0])
         streams = [HitStream((0,), beta=0.5, mu=20)]
-        ens = simulate_hitting_batch(psi, None, three_level_set, streams, 2.0, 0.25, [5])
+        ens = simulate_hitting_batch(
+            live_block(psi, three_level_set, None), streams, 2.0, 0.25, [5],
+        )
         weights = full_weights(ens)[:, 0]
         assert np.allclose(weights, weights[0], atol=1e-10)
         assert np.allclose(weights[0], [0, 0, 1], atol=1e-10)
@@ -180,7 +182,7 @@ class TestSimulateHittingTrajectory:
     def test_born_rule_collapse_fractions(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=1.0, mu=10)]
         ens = simulate_hitting_batch(
-            equal_qubit, None, sigma_z_set, streams, 6.0, 6.0, np.arange(600)
+            live_block(equal_qubit, sigma_z_set, None), streams, 6.0, 6.0, np.arange(600)
         )
         outcomes = full_weights(ens)[-1, :, 0] > 0.5
         frac = np.mean(outcomes)
@@ -190,21 +192,24 @@ class TestSimulateHittingTrajectory:
         psi = StateVector([1.0, 0.0])
         ham = Hamiltonian(SX)
         streams = [HitStream((0,), beta=1.0, mu=1e-6, schedule=Schedule.EVENLY_SPACED)]
-        ens = simulate_hitting_batch(psi, ham, sigma_z_set, streams, 1.5, 0.25, [1])
+        ens = simulate_hitting_batch(live_block(psi, sigma_z_set, ham), streams, 1.5, 0.25, [1])
         for t, w in zip(ens.sample_times, full_weights(ens)[:, 0]):
             assert w[0] == pytest.approx(math.cos(t) ** 2, abs=1e-10)
 
     def test_unit_norm_snapshots_and_seed(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5)]
-        ens = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [42])
+        ens = simulate_hitting_batch(
+            live_block(equal_qubit, sigma_z_set, None), streams, 2.0, 0.5, [42],
+        )
         assert ens.seeds.tolist() == [42]
         for state in ens.states[:, 0]:
             assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_seed_reproduces(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=5)]
-        a = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [9])
-        b = simulate_hitting_batch(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, [9])
+        block = live_block(equal_qubit, sigma_z_set, None)
+        a = simulate_hitting_batch(block, streams, 2.0, 0.5, [9])
+        b = simulate_hitting_batch(block, streams, 2.0, 0.5, [9])
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.centres, b.centres)
@@ -217,7 +222,7 @@ class TestMultistream:
             HitStream(quantity_indices=(1,), beta=2.0, mu=3.0),
         ]
         ens = simulate_hitting_batch(
-            equal_qubit, None, correlated_pair_set, streams, 4.0, 1.0, [77]
+            live_block(equal_qubit, correlated_pair_set, None), streams, 4.0, 1.0, [77]
         )
         centres = ens.centres
         assert centres.shape[1] == 2
@@ -232,13 +237,13 @@ class TestMultistream:
             HitStream(quantity_indices=(1,), beta=2.0, mu=10.0),
         ]
         ens = simulate_hitting_batch(
-            equal_qubit, None, correlated_pair_set, streams, 8.0, 2.0, [5]
+            live_block(equal_qubit, correlated_pair_set, None), streams, 8.0, 2.0, [5]
         )
         assert full_weights(ens)[-1, 0].max() > 0.999
 
 
-def _chain(coeffs, quantities, stream, counts, uniforms, noise, seeds=None, **kwargs):
-    """The kernel on one stream, ``counts[b]`` hits in row b, all at t = 1.
+def _chain(block, stream, counts, uniforms, noise, seeds=None):
+    """The kernel on one stream from ``block``, ``counts[b]`` hits in row b, all at t = 1.
 
     Records are taken at t = 0 and t = 1: before any hit and after all.
     Row b's seed is ``seeds[b]``, b itself unless given.
@@ -246,10 +251,10 @@ def _chain(coeffs, quantities, stream, counts, uniforms, noise, seeds=None, **kw
     offsets = np.concatenate([[0], np.cumsum(counts)])
     hits = int(offsets[-1])
     if seeds is None:
-        seeds = np.arange(len(coeffs))
+        seeds = np.arange(len(counts))
     return run_hitting_chain_batch(
-        coeffs, quantities, [stream], offsets, np.ones(hits), np.zeros(hits, dtype=int),
-        uniforms, noise, np.array([0.0, 1.0]), seeds, **kwargs,
+        block, [stream], offsets, np.ones(hits), np.zeros(hits, dtype=int),
+        uniforms, noise, np.array([0.0, 1.0]), seeds,
     )
 
 
@@ -257,9 +262,9 @@ class TestBatchedChain:
     def test_matches_single_hit_distribution(self, sigma_z_set, equal_qubit):
         rng = np.random.default_rng(31)
         n = 40000
-        coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (n, 1))
         out = _chain(
-            coeffs, sigma_z_set, HitStream((0,), 0.5, 1.0), np.ones(n, dtype=int),
+            live_block(equal_qubit, sigma_z_set, None), HitStream((0,), 0.5, 1.0),
+            np.ones(n, dtype=int),
             rng.random(n), rng.standard_normal((n, 1)),
         )
         centres = out.centres[:, 0]
@@ -269,19 +274,21 @@ class TestBatchedChain:
 
     def test_per_row_hit_counts_respected(self, sigma_z_set, equal_qubit):
         rng = np.random.default_rng(32)
-        coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
+        block = live_block(equal_qubit, sigma_z_set, None)
         out = _chain(
-            coeffs, sigma_z_set, HitStream((0,), 1.0, 1.0), np.array([0, 2, 5]),
+            block, HitStream((0,), 1.0, 1.0), np.array([0, 2, 5]),
             rng.random(7), rng.standard_normal((7, 1)),
         )
         # a row with 0 hits keeps the initial weights at every record
-        assert np.allclose(out.weights[:, 0], np.abs(coeffs[0]) ** 2)
+        assert np.allclose(out.weights[:, 0], np.abs(block.coeffs) ** 2)
         assert np.diff(out.offsets).tolist() == [0, 2, 5]
         assert not np.isnan(out.centres[:, 0]).any()
 
     def test_evenly_spaced_ensemble_records(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=10.0, schedule=Schedule.EVENLY_SPACED)]
-        ens = run_hitting_ensemble(equal_qubit, None, sigma_z_set, streams, 2.0, 0.5, 7, 3)
+        ens = run_hitting_ensemble(
+            live_block(equal_qubit, sigma_z_set, None), streams, 2.0, 0.5, 7, 3,
+        )
         assert len(ens) == 7
         assert ens.sample_times.size == 5
         first = ens.times[ens.offsets[0]:ens.offsets[1]]
@@ -358,7 +365,7 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
     t_end, interval = 2.0, 0.5
     for seed in range(5):
         ens = simulate_hitting_batch(
-            psi0, hamiltonian, quantities, streams, t_end, interval, [seed]
+            live_block(psi0, quantities, hamiltonian), streams, t_end, interval, [seed]
         )
         # the documented draw order: hit times stream by stream, then the
         # uniforms as one block, then the (hits, K) noise as one block
@@ -383,13 +390,12 @@ def test_kernel_matches_per_hit_oracle(case, sigma_z_set, correlated_pair_set):
 
 class TestKernelNorm:
     def test_vanishing_row_reports_its_seed(self, sigma_z_set, equal_qubit):
-        coeffs = np.tile(sigma_z_set.to_joint(equal_qubit), (3, 1))
         noise = np.zeros((6, 1))
         noise[3, 0] = 1e6  # row 1's second centre lies absurdly far out
         with pytest.raises(VanishingNormError) as err:
             _chain(
-                coeffs, sigma_z_set, HitStream((0,), 1.0, 1.0), np.full(3, 2),
-                np.full(6, 0.5), noise, seeds=[11, 22, 33],
+                live_block(equal_qubit, sigma_z_set, None), HitStream((0,), 1.0, 1.0),
+                np.full(3, 2), np.full(6, 0.5), noise, seeds=[11, 22, 33],
             )
         assert err.value.seed == 22
 
@@ -404,8 +410,8 @@ class TestKernelNorm:
         sigma = math.sqrt(1 / (2 * beta))
         with pytest.raises(VanishingNormError):
             _chain(
-                sigma_z_set.to_joint(psi)[np.newaxis, :], sigma_z_set,
-                HitStream((0,), beta, 1.0), [1], np.full(1, 0.5), np.full((1, 1), offset / sigma),
+                live_block(psi, sigma_z_set, None), HitStream((0,), beta, 1.0), [1],
+                np.full(1, 0.5), np.full((1, 1), offset / sigma),
             )
 
 
@@ -414,7 +420,9 @@ class TestEventClock:
         # records at 0.3 r are stored as 0.8999999999999999 and so on; each
         # must still reflect the evenly spaced hit at 0.9, 1.8, 2.7
         stream = HitStream((0,), beta=0.2, mu=10.0, schedule=Schedule.EVENLY_SPACED)
-        ens = simulate_hitting_batch(equal_qubit, None, sigma_z_set, [stream], 3.0, 0.3, [4])
+        ens = simulate_hitting_batch(
+            live_block(equal_qubit, sigma_z_set, None), [stream], 3.0, 0.3, [4],
+        )
         assert ens.sample_times[3] < 0.9
         assert ens.times[8] == 0.9
         assert list(ens.event_flags()[0]) == [0] + [3] * 10
@@ -424,8 +432,9 @@ class TestEventClock:
         rng = np.random.default_rng(4)
         uniforms = rng.random(30)[:9]
         noise = rng.standard_normal((30, 1))[:9]
-        coeffs = sigma_z_set.to_joint(equal_qubit)[np.newaxis, :]
-        after_nine = _chain(coeffs, sigma_z_set, stream, [9], uniforms, noise)
+        after_nine = _chain(
+            live_block(equal_qubit, sigma_z_set, None), stream, [9], uniforms, noise,
+        )
         expected = after_nine.weights[-1, 0]
         assert np.allclose(full_weights(ens)[3, 0], expected, rtol=0, atol=1e-14)
 
@@ -434,7 +443,9 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     n = 2000
     ham = Hamiltonian(SX)
     streams = [HitStream((0,), beta=0.5, mu=4.0)]
-    records = run_hitting_ensemble(equal_qubit, ham, sigma_z_set, streams, 1.5, 0.25, n, 23)
+    records = run_hitting_ensemble(
+        live_block(equal_qubit, sigma_z_set, ham), streams, 1.5, 0.25, n, 23,
+    )
     times = records.sample_times
     _, oracle = hitting_master_evolution(
         DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, float(times[-1]),
@@ -477,7 +488,9 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
         # a mask with no bit below num_q hits every column
         cols = tuple(p for p in range(num_q) if mask >> p & 1) or tuple(range(num_q))
         streams.append(HitStream(cols, beta, mu))
-    ens = run_hitting_ensemble(psi0, hamiltonian, quantities, streams, 1.0, 0.5, 500, seed)
+    ens = run_hitting_ensemble(
+        live_block(psi0, quantities, hamiltonian), streams, 1.0, 0.5, 500, seed,
+    )
 
     if hamiltonian is None:
         # E[w(t)] = w(0): the Born weights are a martingale

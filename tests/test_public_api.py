@@ -61,7 +61,7 @@ def test_one_hitting_process_model(name):
     # type (scenarios builds every kind), the module-level spellings of
     # the QuantitySet queries, the error of an ensemble without states,
     # which every ensemble now records, and the wrapper that ran a kernel
-    # on the live block, which the runners now cut with live_block
+    # on the live block, which each command now cuts once with live_block
     assert name not in qreduce.__all__ and not hasattr(qreduce, name)
     module = importlib.import_module(f"qreduce.{REMOVED[name]}")
     assert name not in getattr(module, "__all__", []) and not hasattr(module, name)
