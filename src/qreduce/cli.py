@@ -26,7 +26,13 @@ from .equivalence import (
 
 import numpy as np
 
-from .config import ScenarioConfig, check_expected_hits, checked_int, load_config
+from .config import (
+    PREFLIGHT_BYTES,
+    ScenarioConfig,
+    check_expected_hits,
+    checked_int,
+    load_config,
+)
 from .continuous import noise_block_steps, snapped_dt
 from .ensemble import CHUNK_SIZE, run_continuous_ensemble, run_hitting_ensemble
 from .errors import ConfigError, QReduceError
@@ -34,11 +40,6 @@ from .hilbert import COMMUTATOR_TOL
 from .scenarios import BuiltScenario, build_scenario
 from .trajectory import Ensemble, LiveBlock, live_block, record_count
 
-
-# The most bytes that a run's records, hit arrays, noise block and L x L
-# matrices may be estimated to take. ``run`` and ``sweep`` refuse a larger
-# config before they create the output directory.
-PREFLIGHT_BYTES = 1 << 30
 
 # Complex L x L matrices that one engine kernel holds with a Hamiltonian:
 # its block and its propagator or real step form. tracemalloc peaks of
@@ -129,6 +130,7 @@ def _collapse_json(report) -> dict:
             }
             for o in report.outcomes
         ],
+        "unlisted_outcomes": report.unlisted_outcomes,
         "n_trajectories": report.n_trajectories,
         "n_resolved": report.n_resolved,
         "unresolved_count": report.unresolved_count,
@@ -156,20 +158,19 @@ def _martingale_json(ens: Ensemble) -> dict:
     return {"times": stats.times.tolist(), "max_abs_zscore": z}
 
 
-def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
+def _first_hit_moments(built: BuiltScenario, block: LiveBlock, ens: Ensemble) -> dict | None:
     """Moments of each quantity's first hitting centre against psi0's.
 
     Column p takes each trajectory's first event whose stream hits p; its
     law has psi0's mean and variance cov_pp plus the mean of 1/(2 beta_s)
-    over those events, if no Hamiltonian couples joint coordinates with
-    different eigenvalue rows. Otherwise, or if a column has fewer than
-    two such events (its sample variance is then undefined), the moments
-    are None.
+    over those events, if no Hamiltonian couples live joint coordinates
+    with different eigenvalue rows: the ``block``'s Hamiltonian couples
+    nothing outside it. Otherwise, or if a column has fewer than two such
+    events (its sample variance is then undefined), the moments are None.
     """
     psi0, quantities = built.psi0, built.quantities
-    table = quantities.eigenvalue_table
-    if built.hamiltonian is not None:
-        h_joint = np.abs(quantities.joint_hamiltonian(built.hamiltonian))
+    if block.h_joint is not None:
+        h_joint, table = np.abs(block.h_joint), block.quantities.eigenvalue_table
         # the rotation to the joint basis leaves rounding-level entries
         k, l = np.nonzero(h_joint > COMMUTATOR_TOL * max(float(h_joint.max()), 1.0))
         if np.any(table[k] != table[l]):
@@ -203,7 +204,7 @@ def _first_hit_moments(built: BuiltScenario, ens: Ensemble) -> dict | None:
     }
 
 
-def _engine_summary(built: BuiltScenario, engine: str, ens: Ensemble) -> dict:
+def _engine_summary(built: BuiltScenario, block: LiveBlock, engine: str, ens: Ensemble) -> dict:
     summary = {
         "collapse": _collapse_json(collapse_statistics(ens, built.quantities)),
         "martingale": _martingale_json(ens),
@@ -212,7 +213,7 @@ def _engine_summary(built: BuiltScenario, engine: str, ens: Ensemble) -> dict:
         counts = np.diff(ens.offsets)
         summary["events_total"] = int(counts.sum())
         summary["mean_events_per_trajectory"] = float(np.mean(counts))
-        summary["first_hitting_moments"] = _first_hit_moments(built, ens)
+        summary["first_hitting_moments"] = _first_hit_moments(built, block, ens)
     return summary
 
 
@@ -245,8 +246,9 @@ def _run_engines(built: BuiltScenario, block: LiveBlock, workers: int):
 
 
 def _check_footprint(built: BuiltScenario, block: LiveBlock, samples: int, rate_key: str,
-                     total_rate: float, oracle_matrices: int) -> None:
-    """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``.
+                     total_rate: float, oracle_matrices: int) -> dict[str, float]:
+    """ConfigError when a run's largest arrays would pass ``PREFLIGHT_BYTES``;
+    else their estimated bytes, by the key each is named by.
 
     Estimated at the live width L of the ``block`` that the engines and
     the oracles run on, per engine: the records, S x n x (L + K) x 8 B of
@@ -254,11 +256,13 @@ def _check_footprint(built: BuiltScenario, block: LiveBlock, samples: int, rate_
     engine's expected hit arrays at ``total_rate``,
     n x rate x t_end x (17 + 16 K) B, which is also the engine's peak: its
     event clock and its per-row generators take a block of fixed size
-    beside them; the diffusion engine's noise block; and with a Hamiltonian, each kernel's
-    ``KERNEL_HAMILTONIAN_MATRICES`` complex L x L forms of it. With engine
-    ``both`` the oracles hold ``oracle_matrices`` complex L x L matrices of
-    their series beside ``ORACLE_WORK_MATRICES`` working ones. The error
-    names the key of the largest part. Nothing is allocated.
+    beside them; the noise block of the diffusion's largest chunk at one
+    worker, which a run of fewer steps than a block draws shorter; and
+    with a Hamiltonian, each kernel's ``KERNEL_HAMILTONIAN_MATRICES``
+    complex L x L forms of it. With engine ``both`` the oracles hold
+    ``oracle_matrices`` complex L x L matrices of their series beside
+    ``ORACLE_WORK_MATRICES`` working ones. The error names the key of the
+    largest part. Nothing is allocated.
     """
     config = built.config
     n, k, width = config.n_trajectories, block.quantities.num_quantities, block.live.size
@@ -269,7 +273,8 @@ def _check_footprint(built: BuiltScenario, block: LiveBlock, samples: int, rate_
     if "hitting" in engines:
         sizes[rate_key] = n * total_rate * config.t_end * (17 + 16 * k)
     if "continuous" in engines:
-        rows = min(n, CHUNK_SIZE)
+        # the largest of the balanced chunks that one worker runs
+        rows = -(-n // math.ceil(n / CHUNK_SIZE))
         sizes["n_trajectories"] = rows * noise_block_steps(rows, k) * k * 8
     square = 16 * width**2
     with_h = built.hamiltonian is not None
@@ -284,6 +289,7 @@ def _check_footprint(built: BuiltScenario, block: LiveBlock, samples: int, rate_
             f"records, hits, noise and L x L matrices would take about "
             f"{total / 2**30:.3g} GiB; at most {PREFLIGHT_BYTES / 2**30:g} GiB is allowed",
         )
+    return sizes
 
 
 def _check_workers(workers: int) -> None:
@@ -329,7 +335,7 @@ def cmd_run(args) -> int:
             "record_interval": config.record_interval,
         },
         "engines": {
-            engine: _engine_summary(built, engine, ens)
+            engine: _engine_summary(built, block, engine, ens)
             for engine, ens in ensembles.items()
         },
     }
@@ -341,10 +347,12 @@ def cmd_run(args) -> int:
             ensembles["hitting"], ensembles["continuous"], block, built.streams,
             _scalar(built.gamma), seed=config.seed,
         )
+        # one row resamples only itself: its bootstrap error reads about 0
+        resampled = min(map(len, ensembles.values())) > 1
         compare = {
             "probe_times": comparison.times.tolist(),
             "mc_trace_distance": comparison.mc_distance.tolist(),
-            "mc_error": comparison.mc_error.tolist(),
+            "mc_error": comparison.mc_error.tolist() if resampled else None,
             "oracle_trace_distance": comparison.oracle_distance.tolist(),
             **_stream_parameters(built),
             "gamma": _scalar(built.gamma),

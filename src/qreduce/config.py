@@ -27,6 +27,12 @@ SCHEDULES = ("poisson", "evenly-spaced")
 # evenly spaced count must fit an int64): no hit count beyond this is drawn
 MAX_EXPECTED_HITS = 9.2e18
 
+# The most bytes that a run's records, hit arrays, noise block and L x L
+# matrices, or a lattice's smearing kernel, may be estimated to take.
+# ``run`` and ``sweep`` refuse a larger config before they allocate it or
+# create the output directory.
+PREFLIGHT_BYTES = 1 << 30
+
 PRESET_NAMES = (
     "qubit-equal",
     "three-level-weighted",

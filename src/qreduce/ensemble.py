@@ -58,10 +58,10 @@ from .trajectory import Ensemble, LiveBlock
 # per-call overhead at small d, so wider batches pay less per row: a
 # d = 2, K = 1 diffusion step costs about 51-63 us at 512 rows, 67-73 us
 # at 1000 and 121-131 us at 2000 on a 2-core x86_64 host, so the cost per
-# row flattens between 1000 and 2000 rows. A chunk's noise block stays
-# within ``continuous.NOISE_BLOCK_BYTES`` whatever its rows. Chunk
-# boundaries never change a bit, so the constant trades speed against
-# memory only.
+# row flattens between 1000 and 2000 rows. A chunk's noise block holds
+# about ``continuous.NOISE_ROW_NORMALS`` normals a row, and stays within
+# ``continuous.NOISE_BLOCK_BYTES`` whatever its rows. Chunk boundaries
+# never change a bit, so the constant trades speed against memory only.
 CHUNK_SIZE = 1024
 
 HITTING_STREAM = 0

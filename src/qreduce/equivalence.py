@@ -477,6 +477,9 @@ class OutcomeStat:
 class CollapseReport:
     """Terminal-outcome frequencies with Wilson intervals.
 
+    ``outcomes`` lists the eigenvalue-row labels that hold a live
+    coordinate of the ensemble; ``unlisted_outcomes`` counts the other
+    labels, whose Born weight is exactly 0 on every trajectory.
     ``unresolved`` counts trajectories whose largest aggregated Born
     weight never reached the threshold; they are reported, not errors
     (with few hittings there is a genuine probability that no reduction
@@ -484,6 +487,7 @@ class CollapseReport:
     """
 
     outcomes: list[OutcomeStat]
+    unlisted_outcomes: int
     n_trajectories: int
     n_resolved: int
     unresolved_count: int
@@ -506,18 +510,20 @@ def collapse_statistics(ens: Ensemble, quantities: QuantitySet) -> CollapseRepor
     Terminal Born weights are summed per label of
     :func:`group_eigenvalue_rows` over the ensemble's live columns
     (:func:`_sum_by_label`) and the winners counted with one
-    ``bincount``: O(n L) past the grouping. A label with no live column
-    has weight 0, so it never wins a resolved trajectory; it is still
-    listed among the outcomes.
+    ``bincount``: O(n L) past the grouping. The labels are those of the
+    whole table, and each outcome is named by its label's first row. A
+    label with no live column has weight 0, so it never wins a resolved
+    trajectory; it is counted in ``unlisted_outcomes``, not listed.
     """
     labels = group_eigenvalue_rows(quantities)
     live_labels = labels[ens.live]
     grouped, firsts = _sum_by_label(ens.weights[-1], live_labels)
     _, group_firsts = np.unique(labels, return_index=True)
-    n_groups = group_firsts.size
-    group_rows = [tuple(row) for row in quantities.eigenvalue_table[group_firsts].tolist()]
+    # the labels with a live column, ascending, and the first row of each
+    listed = live_labels[firsts]
+    group_rows = quantities.eigenvalue_table[group_firsts[listed]].tolist()
     best = grouped.max(axis=1)
-    winner = live_labels[firsts][grouped.argmax(axis=1)]
+    winner = grouped.argmax(axis=1)
 
     sensitivity = {
         th: float(np.mean(best < th))
@@ -525,15 +531,16 @@ def collapse_statistics(ens: Ensemble, quantities: QuantitySet) -> CollapseRepor
     }
     resolved = best >= _COLLAPSE_THRESHOLD
     n_resolved = int(resolved.sum())
-    counts = np.bincount(winner[resolved], minlength=n_groups).tolist()
+    counts = np.bincount(winner[resolved], minlength=listed.size).tolist()
     outcomes = []
-    for g, count in enumerate(counts):
+    for row, count in zip(group_rows, counts):
         freq = count / n_resolved if n_resolved else 0.0
         lo, hi = wilson_interval(count, n_resolved, _COLLAPSE_Z)
-        outcomes.append(OutcomeStat(group_rows[g], count, freq, lo, hi))
+        outcomes.append(OutcomeStat(tuple(row), count, freq, lo, hi))
     n = len(ens)
     return CollapseReport(
         outcomes=outcomes,
+        unlisted_outcomes=group_firsts.size - listed.size,
         n_trajectories=n,
         n_resolved=n_resolved,
         unresolved_count=n - n_resolved,

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import fock
 from .config import (
+    PREFLIGHT_BYTES,
     ScenarioConfig,
     check_expected_hits,
     checked_int,
@@ -157,6 +158,12 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
             "hamiltonian", "lattice scenarios run the pure reduction process"
         )
     sites, dx, alpha = _lattice_from_payload(config)
+    # refused before the lattice or its dense sites x sites kernel of floats is built
+    if 8 * sites**2 > PREFLIGHT_BYTES:
+        raise ConfigError(
+            "sites", f"the smearing kernel of {sites} sites would take 8 x {sites}^2 B; "
+            f"at most {PREFLIGHT_BYTES / 2**30:g} GiB is allowed"
+        )
     species_spec = config.payload.get("species")
     if not species_spec:
         raise ConfigError("species", "species list is required for lattice scenarios")
@@ -198,7 +205,11 @@ def _build_lattice_scenario(config: ScenarioConfig, use_mass: bool) -> BuiltScen
     entries = []
     for i, entry in enumerate(entries_spec):
         try:
-            occ = np.asarray(entry["occupations"], dtype=int)
+            occ = np.asarray(entry["occupations"], dtype=object)
+            occ = np.array(
+                [checked_int("initial_state", n, name=f"initial_state[{i}].occupations")
+                 for n in occ.reshape(-1)], dtype=int,
+            ).reshape(occ.shape)
             amp = complex(float(entry["re"]), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(

@@ -28,13 +28,18 @@ from qreduce.config import (
 )
 from qreduce.errors import ConfigError
 from qreduce.fock import Species, build_fock_lattice
+from qreduce.hilbert import QuantitySet
 from qreduce.ensemble import CHUNK_SIZE, run_hitting_ensemble
 from qreduce.equivalence import (
     DensityMatrix,
+    OutcomeStat,
+    collapse_statistics,
     ensemble_density_matrix,
+    group_eigenvalue_rows,
     hitting_master_evolution,
     lindblad_evolution,
     trace_norm_distance,
+    wilson_interval,
 )
 from qreduce.scenarios import BuiltScenario, build_scenario
 from qreduce.trajectory import Ensemble, live_block
@@ -459,6 +464,11 @@ MALFORMED = {
     "fractional-particle-site": (
         distinguishable_config(initial_state=[{"sites": [0, 1.5], "re": 1.0}]), "initial_state"
     ),
+    # once ran as the Fock state [[1, 0]]
+    "fractional-occupation": (
+        two_site_boson_config(initial_state=[{"occupations": [[1.7, 0.2]], "re": 1.0}]),
+        "initial_state",
+    ),
 }
 
 
@@ -695,6 +705,32 @@ class TestCliRun:
             z = summary["engines"][engine]["martingale"]["max_abs_zscore"]
             assert z is None if n == 1 else math.isfinite(z)
 
+    def test_one_trajectory_has_no_bootstrap_error(self, tmp_path, artifact_schema):
+        # a bootstrap of one row resamples only that row: its error read
+        # about 1e-17 beside a distance of 1.2 and an oracle's of 0.07
+        for n, label in ((1, "one"), (2, "two")):
+            out = _run_cli(tmp_path, minimal_qubit_config(n_trajectories=n), label)
+            compare = json.loads((out / "compare.json").read_text())
+            jsonschema.validate(compare, {**artifact_schema, "$ref": "#/$defs/compare"})
+            if n == 1:
+                assert compare["mc_error"] is None
+            else:
+                # every row starts at psi0, so the error at time 0 is 0
+                assert len(compare["mc_error"]) == 5
+                assert all(math.isfinite(e) and e > 0.1 for e in compare["mc_error"][1:])
+
+    def test_a_hitting_run_rotates_the_hamiltonian_once(self, tmp_path, monkeypatch):
+        # the first-hit moments read the block's joint-basis Hamiltonian
+        # rather than rotating the whole one again
+        calls = []
+        rotate = QuantitySet.joint_hamiltonian
+        monkeypatch.setattr(QuantitySet, "joint_hamiltonian",
+                            lambda qs, h: calls.append(qs.dim) or rotate(qs, h))
+        raw = minimal_qubit_config(engine="hitting", hamiltonian={"name": "sigma_x", "scale": 0.7})
+        summary = json.loads((_run_cli(tmp_path, raw, "h") / "summary.json").read_text())
+        assert calls == [2]
+        assert summary["engines"]["hitting"]["first_hitting_moments"] is None
+
     @pytest.mark.parametrize("command, given_by", [
         ("run", "--seed"), ("sweep", "--seed"), ("sweep", "config"),
     ])
@@ -778,6 +814,15 @@ class TestCliRun:
     def test_oversized_config_fails_before_any_output(self, tmp_path, command, overrides, key):
         raw = {**load_preset("qubit-equal"), **overrides}
         _assert_refused_before_any_output(tmp_path, raw, command, key)
+
+    def test_smearing_kernel_beyond_the_budget_fails_before_any_output(self, tmp_path):
+        # one boson on 12000 sites: its dense 12000 x 12000 smearing kernel
+        # would take 1.07 GiB, so the sites are refused before the lattice
+        # is enumerated
+        raw = two_site_boson_config(
+            sites=12000, initial_state=[{"occupations": [[1] + [0] * 11999], "re": 1.0}],
+        )
+        _assert_refused_before_any_output(tmp_path, raw, ["run"], "sites")
 
     def test_full_support_oracles_fail_before_any_output(self, tmp_path):
         # d = 4368 with psi0 on every Fock state and 2 records: records, hits
@@ -949,7 +994,7 @@ def test_first_hitting_moments_of_overlapping_streams(correlated_pair_set, equal
         live_block(equal_qubit, correlated_pair_set, None), streams, 2.0, 1.0, n, 9,
     )
     built = BuiltScenario(None, equal_qubit, correlated_pair_set, None, streams, None)
-    moments = _first_hit_moments(built, ens)
+    moments = _first_hit_moments(built, live_block(equal_qubit, correlated_pair_set, None), ens)
     used = set()
     for p in (0, 1):
         # reference: each trajectory's first event with a centre in column p;
@@ -1259,3 +1304,78 @@ class TestCliSweep:
             _, free_master = hitting_master_evolution(rho0, built.quantities, stream, 1.0)
             _, free_lind = lindblad_evolution(rho0, built.quantities, built.gamma, 1.0)
             assert abs(channel - trace_norm_distance(free_master[-1], free_lind[-1])) > 1e-3
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+def _workload(name: str) -> dict:
+    return json.loads((WORKLOADS / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("raw", [
+    # one chunk of 200 rows, K = 10: blocks of 26 steps
+    _workload("lattice-d715"),
+    # CHUNK_SIZE + 1 rows run as two chunks of 513 and 512
+    minimal_qubit_config(engine="continuous", n_trajectories=CHUNK_SIZE + 1),
+], ids=["d715", "two-chunks"])
+def test_preflight_noise_term_is_the_block_the_kernel_draws(tmp_path, monkeypatch, raw):
+    sizes, blocks = [], set()
+    check = cli._check_footprint
+    monkeypatch.setattr(cli, "_check_footprint", lambda *args: sizes.append(check(*args)))
+    default_rng = np.random.default_rng
+
+    class Recording:
+        """A generator that records the block its normals are drawn into."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *, out):
+            blocks.add(out.base.nbytes)
+            return self.rng.standard_normal(out=out)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    _run_cli(tmp_path, raw, "out")
+    assert [size["n_trajectories"] for size in sizes] == [max(blocks)]
+
+
+def _every_outcome(ens: Ensemble, quantities: QuantitySet) -> list[OutcomeStat]:
+    """The entry of every label of the whole table, as the report once listed them."""
+    labels = group_eigenvalue_rows(quantities)
+    live_labels = labels[ens.live]
+    terminal = ens.weights[-1]
+    groups = np.unique(labels)
+    grouped = np.stack([terminal[:, live_labels == g].sum(axis=1) for g in groups], axis=1)
+    resolved = grouped.max(axis=1) >= 0.999
+    n_resolved = int(resolved.sum())
+    counts = np.bincount(grouped.argmax(axis=1)[resolved], minlength=groups.size).tolist()
+    firsts = [int(np.flatnonzero(labels == g)[0]) for g in groups]
+    return [
+        OutcomeStat(tuple(quantities.eigenvalue_table[first].tolist()), count,
+                    count / n_resolved if n_resolved else 0.0,
+                    *wilson_interval(count, n_resolved, 3.0))
+        for first, count in zip(firsts, counts)
+    ]
+
+
+@pytest.mark.parametrize("raw", [
+    *(load_preset(name) for name in sorted(qreduce.config.PRESET_NAMES)),
+    _workload("lattice-d120"),
+    _workload("lattice-d715"),
+], ids=[*sorted(qreduce.config.PRESET_NAMES), "lattice-d120", "lattice-d715"])
+def test_collapse_lists_the_outcomes_with_a_live_coordinate(raw):
+    built = build_scenario(ScenarioConfig.from_dict({**raw, "n_trajectories": 40}))
+    block = _block(built)
+    labels = group_eigenvalue_rows(built.quantities)
+    for ens in cli._run_engines(built, block, 1).values():
+        report = collapse_statistics(ens, built.quantities)
+        every = _every_outcome(ens, built.quantities)
+        listed = sorted(set(labels[block.live].tolist()))
+        assert report.outcomes == [every[g] for g in listed]
+        assert all(every[g].count == 0 for g in set(range(len(every))) - set(listed))
+        assert report.unlisted_outcomes + len(report.outcomes) == len(every)
+        assert cli._collapse_json(report)["unlisted_outcomes"] == report.unlisted_outcomes

@@ -593,7 +593,7 @@ def test_noise_block_length_moves_no_bit(n, monkeypatch):
         return run_continuous_ensemble(live_block(psi0, quantities, None), config, n, 3)
 
     default = run()
-    assert continuous.noise_block_steps(n, 3) == 256
+    assert continuous.noise_block_steps(n, 3) == 86
     for steps in (1, 7):
         monkeypatch.setattr(continuous, "NOISE_BLOCK_BYTES", steps * 8 * n * 3)
         assert continuous.noise_block_steps(n, 3) == steps
@@ -601,6 +601,29 @@ def test_noise_block_length_moves_no_bit(n, monkeypatch):
         for f in fields(Ensemble):
             a, b = getattr(default, f.name), getattr(blocked, f.name)
             assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), f.name
+
+
+def test_noise_block_holds_about_256_normals_a_row(monkeypatch):
+    # the shape of a d = 715 lattice run: 200 rows, K = 10 quantities, psi0
+    # on L = 2 coordinates, 300 steps and 3 records. Beside what a run of
+    # one-step blocks holds (its records, generators and step temporaries),
+    # the block adds ceil(256 / K) steps of K normals a row; a block sized
+    # by its 2 MB budget alone took 131 steps
+    rows, k = 200, 10
+    rng = np.random.default_rng(715)
+    amps = np.zeros(715)
+    amps[[3, 700]] = SQ2
+    block = live_block(StateVector(amps), QuantitySet(rng.standard_normal((715, k))), None)
+    config = ContinuousConfig(gamma=1.0, dt=0.0008, t_end=0.24, record_interval=0.12)
+    seeds = trajectory_seeds(715, CONTINUOUS_STREAM, rows)
+    # a first small run keeps one-time imports out of the traced peak
+    simulate_continuous_batch(block, config, seeds[:2])
+    ens, peak = traced_peak(simulate_continuous_batch, block, config, seeds)
+    assert continuous.noise_block_steps(rows, k) == 26
+    monkeypatch.setattr(continuous, "NOISE_BLOCK_BYTES", rows * k * 8)
+    one_step, base = traced_peak(simulate_continuous_batch, block, config, seeds)
+    assert one_step.states.tobytes() == ens.states.tobytes()
+    assert peak - base <= rows * (continuous.NOISE_ROW_NORMALS + k) * 8
 
 
 @pytest.mark.parametrize("num_quantities", [1, 3])

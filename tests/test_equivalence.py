@@ -493,8 +493,10 @@ class TestCollapseStatistics:
             live=np.array([1, 3]), dim=4,
         )
         report = collapse_statistics(ens, quantities)
-        assert [o.eigenvalues for o in report.outcomes] == [(0.0,), (1.0,), (3.0,)]
-        assert [o.count for o in report.outcomes] == [0, 2, 1]
+        # the label of row 0 holds no live coordinate: counted, not listed
+        assert [o.eigenvalues for o in report.outcomes] == [(1.0,), (3.0,)]
+        assert [o.count for o in report.outcomes] == [2, 1]
+        assert report.unlisted_outcomes == 1
         assert report.unresolved_count == 1
         stats = ensemble_stats(ens)
         expected = np.zeros(4)
