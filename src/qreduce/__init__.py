@@ -50,7 +50,6 @@ _EXPORTS = {
         "suggested_dt",
     ),
     "equivalence": (
-        "DensityMatrix",
         "EnsembleStats",
         "collapse_statistics",
         "convergence_sweep",
@@ -60,6 +59,7 @@ _EXPORTS = {
         "factorization_check",
         "hitting_master_evolution",
         "lindblad_evolution",
+        "state_mixture",
         "trace_norm_distance",
         "wilson_interval",
     ),

@@ -145,16 +145,18 @@ def _collapse_json(report) -> dict:
 def _martingale_json(ens: Ensemble) -> dict:
     """The largest drift of a mean Born weight from time 0, in standard errors.
 
-    The z-score is null with fewer than two trajectories, whose standard
-    error is undefined.
+    The drifts and errors are those of the live coordinates; every other
+    coordinate has drift 0 and standard error 0. The z-score is null with
+    fewer than two trajectories, whose standard error is undefined, and
+    when a mean weight moves while its standard error is 0 (every
+    trajectory alike), where it is infinite.
     """
     stats = ensemble_stats(ens)
+    drift = np.abs(stats.mean_weights[1:] - stats.mean_weights[0])
+    se = stats.mean_weight_se[1:]
     z = None
-    if len(ens) > 1:
-        base = stats.mean_weights[0]
-        drift = np.abs(stats.mean_weights - base[np.newaxis, :])
-        se = np.maximum(stats.mean_weight_se, 1e-300)
-        z = float(np.max(drift[1:] / se[1:])) if stats.times.size > 1 else 0.0
+    if len(ens) > 1 and not np.any(drift[se == 0]):
+        z = float(np.max(drift / np.where(se > 0, se, 1.0), initial=0.0))
     return {"times": stats.times.tolist(), "max_abs_zscore": z}
 
 

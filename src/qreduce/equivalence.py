@@ -9,13 +9,15 @@ cross-checks, calibrate the Monte Carlo engines and quantify how fast
 the hitting process approaches its continuous limit under
 beta * mu = 2 * gamma.
 
-The oracle functions take a statistical operator of any dimension d.
-The harnesses (:func:`engine_comparison`, :func:`convergence_sweep`)
-take the one ``trajectory.LiveBlock`` that a command cuts, and call
-them on it, where the engines also run: the L x L ``rho0`` is the outer
-product of psi0's live joint coefficients, the quantities are the
-basis-free set of the live table rows and the Hamiltonian is the L x L
-block of the joint-basis one. Outside that block rho0 is 0 and neither
+Every operator is a plain (d, d) complex array: the oracle functions
+take and return them at any dimension d, and the statistical operator
+of a set of state rows is their :func:`state_mixture`. The harnesses
+(:func:`engine_comparison`, :func:`convergence_sweep`) take the one
+``trajectory.LiveBlock`` that a command cuts, and call the oracles on
+it, where the engines also run: the L x L ``rho0`` is the outer product
+of psi0's live joint coefficients, the quantities are the basis-free
+set of the live table rows and the Hamiltonian is the L x L block of
+the joint-basis one. Outside that block rho0 is 0 and neither
 master equation couples anything into it, so every entry there stays
 exactly 0 and each trace distance is the block's.
 """
@@ -39,8 +41,8 @@ from .ensemble import (
 from .trajectory import Ensemble, LiveBlock
 
 __all__ = [
-    "DensityMatrix",
     "EnsembleStats",
+    "state_mixture",
     "trace_norm_distance",
     "exact_hitting_map",
     "hitting_master_evolution",
@@ -54,80 +56,37 @@ __all__ = [
 ]
 
 
-class DensityMatrix:
-    """Statistical operator: Hermitian, unit trace, positive semidefinite."""
+def state_mixture(rows: np.ndarray) -> np.ndarray:
+    """Equal-weight mixture of the (n, d) state rows, as a (d, d) matrix.
 
-    __slots__ = ("rho",)
-
-    TRACE_TOL = 1e-10
-    HERMITIAN_TOL = 1e-10
-    EIGEN_TOL = 1e-8
-
-    def __init__(self, rho, *, validate: bool = True):
-        m = np.array(rho, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
-        if validate:
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > 100 * self.TRACE_TOL:
-                raise ValueError(f"trace is {tr!r}, expected 1")
-            defect = float(np.max(np.abs(m - m.conj().T)))
-            if defect > 100 * self.HERMITIAN_TOL:
-                raise ValueError(f"deviates from Hermiticity by {defect:.3e}")
-            lowest = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-            if lowest < -self.EIGEN_TOL:
-                raise ValueError(f"negative eigenvalue {lowest:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "rho", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        amps = psi.amplitudes
-        return cls(np.outer(amps, amps.conj()), validate=False)
-
-    @classmethod
-    def from_state_rows(cls, rows: np.ndarray) -> "DensityMatrix":
-        """Equal-weight mixture of the (n, d) state rows."""
-        rows = np.asarray(rows, dtype=np.complex128)
-        norms2 = np.sum(np.abs(rows) ** 2, axis=1)
-        rho = (rows.T @ rows.conj()) / norms2.sum()
-        return cls(rho, validate=False)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.rho)))
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
-
-def trace_norm_distance(a, b) -> float:
-    """Trace norm of the difference of two Hermitian operators.
-
-    Both arguments must be Hermitian (density matrices are): the norm is
-    then the sum of the absolute eigenvalues of the difference, which is
-    the sum of its singular values at the cost of a Hermitian
-    eigensolver. ``eigvalsh`` reads only the lower triangle.
+    sum_i |psi_i><psi_i| / sum_i <psi_i|psi_i>: unnormalized rows count
+    in proportion to their squared norms.
     """
-    am = a.rho if isinstance(a, DensityMatrix) else np.asarray(a)
-    bm = b.rho if isinstance(b, DensityMatrix) else np.asarray(b)
-    return float(np.abs(np.linalg.eigvalsh(am - bm)).sum())
+    rows = np.asarray(rows, dtype=np.complex128)
+    norms2 = np.sum(np.abs(rows) ** 2, axis=1)
+    return (rows.T @ rows.conj()) / norms2.sum()
+
+
+class DensityMatrix:
+    """Retired: every operator is a plain (d, d) array. The name stays
+    importable only for ``bench/spans.py``, whose traced run looks up a
+    ``from_state_rows`` classmethod here and reports its span as 0."""
+
+
+def trace_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of the difference of two Hermitian (d, d) arrays.
+
+    Both must be Hermitian (statistical operators are): the norm is then
+    the sum of the absolute eigenvalues of the difference, which is the
+    sum of its singular values at the cost of a Hermitian eigensolver.
+    ``eigvalsh`` reads only the lower triangle.
+    """
+    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def _rows_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
     """Trace distance between the equal-weight mixtures of two state-row sets."""
-    return trace_norm_distance(
-        DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
-    )
+    return trace_norm_distance(state_mixture(rows_a), state_mixture(rows_b))
 
 
 def _pairwise_sq_distances(table: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -151,7 +110,7 @@ def _pairwise_sq_distances(table: np.ndarray, weights: np.ndarray | None = None)
     return out
 
 
-def exact_hitting_map(rho: DensityMatrix, quantities: QuantitySet, beta: float) -> DensityMatrix:
+def exact_hitting_map(rho: np.ndarray, quantities: QuantitySet, beta: float) -> np.ndarray:
     """Average effect of a single hitting on the statistical operator.
 
     Integrating S_a rho S_a over all centres leaves the joint-basis
@@ -159,9 +118,9 @@ def exact_hitting_map(rho: DensityMatrix, quantities: QuantitySet, beta: float) 
     exp(-beta/4 * |alpha_k - alpha_l|^2). The limit beta -> 0 is the
     identity map.
     """
-    rho_joint = quantities.operator_to_joint(rho.rho)
+    rho_joint = quantities.operator_to_joint(rho)
     damping = np.exp(-0.25 * beta * _pairwise_sq_distances(quantities.eigenvalue_table))
-    return DensityMatrix(quantities.operator_from_joint(damping * rho_joint), validate=False)
+    return quantities.operator_from_joint(damping * rho_joint)
 
 
 def _rk4(rho: np.ndarray, rhs, times: np.ndarray, step: float) -> list[np.ndarray]:
@@ -199,14 +158,14 @@ def _evolution_grid(t_end: float, sample_times) -> np.ndarray:
 
 
 def _deterministic_series(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     quantities: QuantitySet,
     rate_matrix: np.ndarray,
     hamiltonian: Hamiltonian | None,
     t_end: float,
     sample_times,
     dt: float | None,
-) -> tuple[np.ndarray, list[DensityMatrix]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Shared driver for both master equations.
 
     ``rate_matrix`` holds the elementwise decay rates of joint-basis
@@ -215,15 +174,12 @@ def _deterministic_series(
     Runge-Kutta with the step bounded so (fastest rate) * dt <= 0.01, or
     by ``dt`` when given, in whole steps between consecutive sample times.
     """
-    rho_joint = quantities.operator_to_joint(rho0.rho)
+    rho_joint = quantities.operator_to_joint(rho0)
     times = _evolution_grid(t_end, sample_times)
-
-    def back(m: np.ndarray) -> DensityMatrix:
-        return DensityMatrix(quantities.operator_from_joint(m), validate=False)
+    back = quantities.operator_from_joint
 
     if hamiltonian is None:
-        series = [back(np.exp(-rate_matrix * t) * rho_joint) for t in times]
-        return times, series
+        return times, [back(np.exp(-rate_matrix * t) * rho_joint) for t in times]
 
     h_joint = quantities.joint_hamiltonian(hamiltonian)
 
@@ -239,7 +195,7 @@ def _deterministic_series(
 
 
 def hitting_master_evolution(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     quantities: QuantitySet,
     streams: list[HitStream],
     t_end: float,
@@ -247,7 +203,7 @@ def hitting_master_evolution(
     hamiltonian: Hamiltonian | None = None,
     sample_times=None,
     dt: float | None = None,
-) -> tuple[np.ndarray, list[DensityMatrix]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Ensemble evolution under independent Poisson streams of hittings.
 
     Stream s adds mu_s * (T_s[rho] - rho), with T_s the exact hitting map
@@ -269,7 +225,7 @@ def hitting_master_evolution(
 
 
 def lindblad_evolution(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     quantities: QuantitySet,
     gamma,
     t_end: float,
@@ -277,7 +233,7 @@ def lindblad_evolution(
     hamiltonian: Hamiltonian | None = None,
     sample_times=None,
     dt: float | None = None,
-) -> tuple[np.ndarray, list[DensityMatrix]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Ensemble evolution of the diffusive process.
 
     Double-commutator generator; in the joint eigenbasis element (k, l)
@@ -292,27 +248,30 @@ def lindblad_evolution(
     )
 
 
-def ensemble_density_matrix(ens: Ensemble, t: float, quantities: QuantitySet) -> DensityMatrix:
+def ensemble_density_matrix(ens: Ensemble, t: float, quantities: QuantitySet) -> np.ndarray:
     """Monte Carlo statistical operator at ``t``, in the computational basis.
 
     The L x L mixture of the live joint-basis snapshots is written into
     d x d and rotated back through ``quantities``, the set the ensemble
     ran on.
     """
-    block = DensityMatrix.from_state_rows(ens.states[ens.sample_index(t)]).rho
     rho = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-    rho[np.ix_(ens.live, ens.live)] = block
-    return DensityMatrix(quantities.operator_from_joint(rho), validate=False)
+    rho[np.ix_(ens.live, ens.live)] = state_mixture(ens.states[ens.sample_index(t)])
+    return quantities.operator_from_joint(rho)
 
 
 @dataclass
 class EnsembleStats:
-    """Per-time ensemble summaries of a trajectory collection."""
+    """Per-time mean Born weights of an ensemble, with standard errors.
+
+    Column j of both arrays is the ensemble's live coordinate
+    ``ens.live[j]``; every other coordinate has weight 0 on every
+    trajectory, so its mean and standard error are 0.
+    """
 
     times: np.ndarray
-    mean_weights: np.ndarray      # (samples, d)
-    mean_weight_se: np.ndarray    # (samples, d)
-    trajectory_count: int
+    mean_weights: np.ndarray      # (samples, L)
+    mean_weight_se: np.ndarray    # (samples, L)
 
     def __post_init__(self):
         sums = self.mean_weights.sum(axis=1)
@@ -324,20 +283,17 @@ class EnsembleStats:
 def ensemble_stats(ens: Ensemble) -> EnsembleStats:
     """Mean Born weights with standard errors on the ensemble's sample grid.
 
-    Both are reduced over the ensemble's live coordinates and are 0
-    elsewhere, as every weight there is.
+    Both are reduced over the trajectories on the ensemble's L live
+    coordinates, as (S, L) arrays; the standard error is 0 below two
+    trajectories.
     """
     n = len(ens)
-    mean = np.zeros((ens.sample_times.size, ens.dim))
-    se = np.zeros_like(mean)
-    mean[:, ens.live] = ens.weights.mean(axis=1)
-    if n > 1:
-        se[:, ens.live] = ens.weights.std(axis=1, ddof=1) / math.sqrt(n)
+    mean = ens.weights.mean(axis=1)
+    se = ens.weights.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return EnsembleStats(
         times=ens.sample_times,
         mean_weights=mean,
         mean_weight_se=se,
-        trajectory_count=n,
     )
 
 
@@ -630,7 +586,7 @@ def _resampled_mixtures(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(blk, d, d) mixtures of the n state rows held as the (d, n) ``cols``.
 
     Row i is weighted by ``counts[:, i]``, so each mixture is
-    ``DensityMatrix.from_state_rows`` of the rows drawn ``counts`` times,
+    :func:`state_mixture` of the rows drawn ``counts`` times,
     up to rounding.
     """
     rho = (cols * counts[:, np.newaxis, :]) @ cols.T.conj()
@@ -739,7 +695,7 @@ def convergence_sweep(
         block, config, n_trajectories, master_seed, workers=workers
     ).states[-1]
 
-    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
+    rho0 = np.outer(block.coeffs, block.coeffs.conj())
     h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
     _, lind = lindblad_evolution(rho0, block.quantities, gamma, t_probe, hamiltonian=h_block)
     rho_lind = lind[-1]
@@ -810,7 +766,7 @@ def engine_comparison(
     for i, (rows_h, rows_c) in enumerate(zip(hitting.states, continuous.states)):
         mc[i] = _rows_distance(rows_h, rows_c)
         err[i] = _bootstrap_distance(rows_h, rows_c, n_bootstrap, rng)
-    rho0 = DensityMatrix(np.outer(block.coeffs, block.coeffs.conj()), validate=False)
+    rho0 = np.outer(block.coeffs, block.coeffs.conj())
     h_block = None if block.h_joint is None else Hamiltonian(block.h_joint)
     inner = times.copy()
     inner[0] = 0.0

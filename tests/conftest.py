@@ -62,6 +62,11 @@ def full_states(ens, quantities) -> np.ndarray:
     return quantities.from_joint(full)
 
 
+def pure(psi: StateVector) -> np.ndarray:
+    """The projector |psi><psi| of a state, as a (d, d) array."""
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
 def traced_peak(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the peak bytes tracemalloc traced during the call."""
     tracemalloc.start()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import jsonschema
-from conftest import SQ2, full_weights, traced_peak
+from conftest import SQ2, full_weights, pure, traced_peak
 
 import qreduce
 from qreduce import cli, trajectory
@@ -31,7 +31,6 @@ from qreduce.fock import Species, build_fock_lattice
 from qreduce.hilbert import QuantitySet
 from qreduce.ensemble import CHUNK_SIZE, run_hitting_ensemble
 from qreduce.equivalence import (
-    DensityMatrix,
     OutcomeStat,
     collapse_statistics,
     ensemble_density_matrix,
@@ -705,6 +704,21 @@ class TestCliRun:
             z = summary["engines"][engine]["martingale"]["max_abs_zscore"]
             assert z is None if n == 1 else math.isfinite(z)
 
+    def test_unhit_trajectories_under_a_hamiltonian_have_no_martingale_zscore(
+        self, tmp_path, artifact_schema
+    ):
+        # at mu = 0.001 no trajectory is hit, so all three rotate alike under
+        # sigma_x: the mean weight moves while its standard error is 0
+        raw = minimal_qubit_config(
+            engine="hitting", mu=0.001, t_end=1.0, n_trajectories=3,
+            hamiltonian={"name": "sigma_x"}, initial_state={"re": [1.0, 0.0]},
+        )
+        summary = json.loads((_run_cli(tmp_path, raw, "h") / "summary.json").read_text())
+        jsonschema.validate(summary, {**artifact_schema, "$ref": "#/$defs/summary"})
+        hitting = summary["engines"]["hitting"]
+        assert hitting["events_total"] == 0
+        assert hitting["martingale"]["max_abs_zscore"] is None
+
     def test_one_trajectory_has_no_bootstrap_error(self, tmp_path, artifact_schema):
         # a bootstrap of one row resamples only that row: its error read
         # about 1e-17 beside a distance of 1.2 and an oracle's of 0.07
@@ -920,7 +934,7 @@ class TestCliRun:
         ens = cli._run_engines(built, _block(built), 1)["continuous"]
         rho = ensemble_density_matrix(ens, 1.0, built.quantities)
         _, oracle = lindblad_evolution(
-            DensityMatrix.from_state(built.psi0), built.quantities, 2.0, 1.0
+            pure(built.psi0), built.quantities, 2.0, 1.0
         )
         assert trace_norm_distance(rho, oracle[-1]) < 5.0 / math.sqrt(n)
 
@@ -1294,7 +1308,7 @@ class TestCliSweep:
         assert rc == 0
         channel = float((out_dir / "sweep.csv").read_text().splitlines()[1].split(",")[2])
         built = build_scenario(ScenarioConfig.from_dict(raw))
-        rho0 = DensityMatrix.from_state(built.psi0)
+        rho0 = pure(built.psi0)
         h = built.hamiltonian
         stream = [HitStream((0,), 2 * built.gamma / 10.0, 10.0)]
         _, master = hitting_master_evolution(rho0, built.quantities, stream, 1.0, hamiltonian=h)
@@ -1379,3 +1393,24 @@ def test_collapse_lists_the_outcomes_with_a_live_coordinate(raw):
         assert all(every[g].count == 0 for g in set(range(len(every))) - set(listed))
         assert report.unlisted_outcomes + len(report.outcomes) == len(every)
         assert cli._collapse_json(report)["unlisted_outcomes"] == report.unlisted_outcomes
+
+
+def test_martingale_summary_holds_only_the_live_columns():
+    # 12 sites and 4 bosons: d = 1365, psi0 on L = 2 Fock states, S = 4001
+    # records; one (S, d) array of means would take 44 MB
+    raw = {
+        "scenario": "identical-particles", "engine": "continuous", "gamma": 1.0,
+        "dt": 0.001, "t_end": 4.0, "record_interval": 0.001, "n_trajectories": 2, "seed": 3,
+        "sites": 12, "dx": 1.0, "alpha": 2.0,
+        "species": [{"name": "boson", "mass": 1.0, "statistics": "boson", "count": 4}],
+        "initial_state": [
+            {"occupations": [[2, 2] + [0] * 10], "re": 0.7071067811865476},
+            {"occupations": [[0] * 10 + [2, 2]], "re": 0.7071067811865476},
+        ],
+    }
+    built = build_scenario(ScenarioConfig.from_dict(raw))
+    ens = cli._run_engines(built, _block(built), 1)["continuous"]
+    assert (ens.dim, ens.live.size, ens.sample_times.size) == (1365, 2, 4001)
+    martingale, peak = traced_peak(cli._martingale_json, ens)
+    assert math.isfinite(martingale["max_abs_zscore"])
+    assert peak <= 2e6

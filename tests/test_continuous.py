@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    SQ2, full_states, full_weights, random_block_basis, random_state, traced_peak, within_z,
+    SQ2, full_states, full_weights, pure, random_block_basis, random_state, traced_peak,
+    within_z,
 )
 from qreduce.errors import DimensionMismatchError, StepRejectedError
 from qreduce.hilbert import Hamiltonian, QuantitySet, StateVector, validate_quantity_set
@@ -20,7 +21,7 @@ from qreduce.continuous import (
     suggested_dt,
 )
 from qreduce.ensemble import run_continuous_ensemble
-from qreduce.equivalence import DensityMatrix, convergence_sweep, lindblad_evolution
+from qreduce.equivalence import convergence_sweep, lindblad_evolution
 from qreduce.hitting import HitStream
 from qreduce.trajectory import live_block
 
@@ -226,11 +227,11 @@ class TestEnsembleProperties:
     def test_weak_order_one_halving(self, sigma_z_set, equal_qubit):
         # terminal off-diagonal of the ensemble statistical operator vs the
         # closed form; halving dt should roughly halve the bias
-        from qreduce.equivalence import DensityMatrix, lindblad_evolution, trace_norm_distance
+        from qreduce.equivalence import lindblad_evolution, state_mixture, trace_norm_distance
 
         gamma, t_end, n = 0.5, 1.0, 60000
         _, oracle = lindblad_evolution(
-            DensityMatrix.from_state(equal_qubit), sigma_z_set, gamma, t_end
+            pure(equal_qubit), sigma_z_set, gamma, t_end
         )
         errors = {}
         for dt in (0.1, 0.05):
@@ -239,8 +240,8 @@ class TestEnsembleProperties:
                 live_block(equal_qubit, sigma_z_set, None), cfg, n, 31,
             )
             rows = records.states[-1]
-            rho = DensityMatrix.from_state_rows(rows)
-            errors[dt] = abs(rho.rho[0, 1].real - oracle[-1].rho[0, 1].real)
+            rho = state_mixture(rows)
+            errors[dt] = abs(rho[0, 1].real - oracle[-1][0, 1].real)
         noise = 1.0 / (2 * math.sqrt(n))
         assert errors[0.05] <= 0.65 * errors[0.1] + 3 * noise
 
@@ -258,7 +259,7 @@ class TestEnsembleProperties:
 def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
     sizes, num_q, levels, dead_blocks, gamma, seed
 ):
-    from qreduce.equivalence import DensityMatrix, lindblad_evolution
+    from qreduce.equivalence import lindblad_evolution
 
     rng = np.random.default_rng(seed)
     dim = sum(sizes)
@@ -284,12 +285,12 @@ def test_random_tables_keep_the_martingale_and_the_lindblad_equation(
 
     # without a Hamiltonian the oracle is its closed form at each record time
     _, oracle = lindblad_evolution(
-        DensityMatrix.from_state(psi0), quantities, gamma, cfg.t_end,
+        pure(psi0), quantities, gamma, cfg.t_end,
         sample_times=ens.sample_times,
     )
     states = full_states(ens, quantities)
     outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
-    rho = np.stack([r.rho for r in oracle])
+    rho = np.stack(oracle)
     assert within_z(outer.real, rho.real)
     assert within_z(outer.imag, rho.imag)
 
@@ -319,8 +320,8 @@ def _gamma_callers():
         return sde_step(psi0, quantities, None, gamma, 0.01, [0.05, -0.1]).amplitudes
 
     def lindblad(gamma):
-        _, series = lindblad_evolution(DensityMatrix.from_state(psi0), quantities, gamma, 0.5)
-        return np.stack([r.rho for r in series])
+        _, series = lindblad_evolution(pure(psi0), quantities, gamma, 0.5)
+        return np.stack(series)
 
     def sweep(gamma):
         rows = convergence_sweep(live_block(psi0, quantities, None), streams, gamma, [4.0], 4,

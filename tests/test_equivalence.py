@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from conftest import (
-    SQ2, full_states, random_block_basis, random_state, random_unitary, traced_peak,
+    SQ2, full_states, pure, random_block_basis, random_state, random_unitary, traced_peak,
 )
 from qreduce.config import ScenarioConfig
 from qreduce.scenarios import build_scenario
@@ -24,7 +24,6 @@ from qreduce.ensemble import (
 from qreduce import equivalence
 from qreduce.trajectory import Ensemble, live_block
 from qreduce.equivalence import (
-    DensityMatrix,
     _bootstrap_distance,
     _pairwise_sq_distances,
     _rows_distance,
@@ -38,6 +37,7 @@ from qreduce.equivalence import (
     group_eigenvalue_rows,
     hitting_master_evolution,
     lindblad_evolution,
+    state_mixture,
     trace_norm_distance,
     wilson_interval,
 )
@@ -76,32 +76,26 @@ def rotated_six_level():
 
 @pytest.fixture(scope="module")
 def plus_rho(equal_qubit):
-    return DensityMatrix.from_state(equal_qubit)
+    return pure(equal_qubit)
 
 
 class TestDensityMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([0.9, 0.3]))
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
-
     def test_from_rows_trace_one(self):
         rows = np.array([[1.0, 0.0], [SQ2, SQ2]], dtype=complex)
-        rho = DensityMatrix.from_state_rows(rows)
-        assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-12)
+        rho = state_mixture(rows)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_matches_einsum_for_unnormalized_rows(self):
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((150, 120)) + 1j * rng.standard_normal((150, 120))
         rows *= rng.uniform(0.1, 10.0, size=(150, 1))
         reference = np.einsum("ni,nj->ij", rows, rows.conj()) / np.sum(np.abs(rows) ** 2)
-        rho = DensityMatrix.from_state_rows(rows).rho
+        rho = state_mixture(rows)
         assert np.linalg.norm(rho - reference) <= 1e-14 * np.linalg.norm(reference)
 
     def test_trace_norm_distance_offdiagonal(self):
-        a = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]))
-        b = DensityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+        a = np.array([[0.5, 0.2], [0.2, 0.5]])
+        b = np.array([[0.5, 0.1], [0.1, 0.5]])
         assert trace_norm_distance(a, b) == pytest.approx(0.2)
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 30, 120])
@@ -109,28 +103,28 @@ class TestDensityMatrix:
         rng = np.random.default_rng(dim)
         for _ in range(10):
             a, b = (
-                DensityMatrix.from_state_rows(
+                state_mixture(
                     rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
                 )
                 for _ in range(2)
             )
-            svd_sum = np.sum(np.linalg.svd(a.rho - b.rho, compute_uv=False))
+            svd_sum = np.sum(np.linalg.svd(a - b, compute_uv=False))
             assert abs(trace_norm_distance(a, b) - svd_sum) <= 1e-12
 
 
 class TestExactHittingMap:
     def test_diagonal_invariant(self, sigma_z_set):
-        rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+        rho = np.diag([0.3, 0.7]).astype(complex)
         out = exact_hitting_map(rho, sigma_z_set, 0.5)
-        assert np.allclose(out.rho, rho.rho, atol=1e-14)
+        assert np.allclose(out, rho, atol=1e-14)
 
     def test_qubit_damping_factor(self, sigma_z_set, plus_rho):
         out = exact_hitting_map(plus_rho, sigma_z_set, 0.1)
-        assert out.rho[0, 1].real == pytest.approx(0.5 * 0.9048374180359595, abs=1e-12)
+        assert out[0, 1].real == pytest.approx(0.5 * 0.9048374180359595, abs=1e-12)
 
     def test_small_beta_is_identity(self, sigma_z_set, plus_rho):
         out = exact_hitting_map(plus_rho, sigma_z_set, 1e-14)
-        assert np.allclose(out.rho, plus_rho.rho, atol=1e-12)
+        assert np.allclose(out, plus_rho, atol=1e-12)
 
     def test_brute_force_quadrature_agreement(self, sigma_z_set, plus_rho):
         # independent oracle: trapezoid quadrature of the centre integral
@@ -140,18 +134,18 @@ class TestExactHittingMap:
         acc = np.zeros((2, 2), dtype=complex)
         for a in grid:
             s = sharpening_operator(sigma_z_set, [a], beta)
-            acc += s @ plus_rho.rho @ s * da
+            acc += s @ plus_rho @ s * da
         mapped = exact_hitting_map(plus_rho, sigma_z_set, beta)
-        assert np.max(np.abs(acc - mapped.rho)) < 1e-6
+        assert np.max(np.abs(acc - mapped)) < 1e-6
 
     def test_rotated_basis(self):
         rng = np.random.default_rng(5)
         u = random_unitary(rng, 2)
         qs = validate_quantity_set([u @ np.diag([1.0, -1.0]) @ u.conj().T])
         psi = StateVector(u @ np.array([SQ2, SQ2]))
-        rho = DensityMatrix.from_state(psi)
+        rho = pure(psi)
         out = exact_hitting_map(rho, qs, 0.1)
-        joint = qs.joint_basis.conj().T @ out.rho @ qs.joint_basis
+        joint = qs.joint_basis.conj().T @ out @ qs.joint_basis
         assert abs(joint[0, 1]) == pytest.approx(0.5 * math.exp(-0.1), abs=1e-10)
 
 
@@ -159,13 +153,13 @@ class TestHittingMasterEvolution:
     def test_closed_form_value(self, sigma_z_set, plus_rho):
         streams = [HitStream((0,), 0.1, 10.0)]
         _, series = hitting_master_evolution(plus_rho, sigma_z_set, streams, 1.0)
-        factor = series[-1].rho[0, 1].real * 2
+        factor = series[-1][0, 1].real * 2
         assert factor == pytest.approx(math.exp(-10 * (1 - math.exp(-0.1))), abs=1e-12)
 
     def test_zero_frequency_constant(self, sigma_z_set, plus_rho):
         # no stream at all: the process never hits
         _, series = hitting_master_evolution(plus_rho, sigma_z_set, [], 3.0)
-        assert np.allclose(series[-1].rho, plus_rho.rho, atol=1e-14)
+        assert np.allclose(series[-1], plus_rho, atol=1e-14)
 
     def test_poisson_mixture_of_map_powers(self, sigma_z_set, plus_rho):
         # independent oracle: average the n-fold exact map over the Poisson
@@ -174,10 +168,10 @@ class TestHittingMasterEvolution:
         acc = np.zeros((2, 2), dtype=complex)
         rho_n = plus_rho
         for n in range(200):
-            acc += poisson.pmf(n, mu * t) * rho_n.rho
+            acc += poisson.pmf(n, mu * t) * rho_n
             rho_n = exact_hitting_map(rho_n, sigma_z_set, beta)
         _, series = hitting_master_evolution(plus_rho, sigma_z_set, [HitStream((0,), beta, mu)], t)
-        assert np.max(np.abs(acc - series[-1].rho)) < 1e-8
+        assert np.max(np.abs(acc - series[-1])) < 1e-8
 
     def test_rate_approaches_continuous_limit(self, sigma_z_set):
         # mu * (1 - exp(-beta)) -> gamma * delta^2 / 2 = 2 gamma under beta*mu = 2 gamma
@@ -199,7 +193,7 @@ class TestHittingMasterEvolution:
         _, closed = hitting_master_evolution(
             plus_rho, sigma_z_set, [HitStream((0,), 0.3, 5.0)], 1.0
         )
-        assert np.max(np.abs(with_h[-1].rho - closed[-1].rho)) < 1e-8
+        assert np.max(np.abs(with_h[-1] - closed[-1])) < 1e-8
 
 
 @pytest.mark.parametrize("oracle", ["lindblad", "hitting-master"])
@@ -212,7 +206,7 @@ def test_oracle_records_land_on_their_times(oracle):
     h = m + m.conj().T
     hamiltonian = Hamiltonian(h * (8.7025 / np.max(np.abs(np.linalg.eigvalsh(h)))))
     quantities = QuantitySet(rng.standard_normal((4, 1)))
-    rho0 = DensityMatrix.from_state(random_state(rng, 4))
+    rho0 = pure(random_state(rng, 4))
     times = np.array([0.0, 0.5, 1.0])
 
     def series(dt):
@@ -226,27 +220,27 @@ def test_oracle_records_land_on_their_times(oracle):
         )[1]
 
     for coarse, fine in zip(series(None), series(2.0**-10)):
-        assert np.max(np.abs(coarse.rho - fine.rho)) < 1e-8
+        assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
 class TestLindbladEvolution:
     def test_closed_form_value(self, sigma_z_set, plus_rho):
         _, series = lindblad_evolution(plus_rho, sigma_z_set, 0.5, 1.0)
-        assert series[-1].rho[0, 1].real * 2 == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert series[-1][0, 1].real * 2 == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_zero_strength_is_von_neumann(self, sigma_z_set):
         psi = StateVector([1.0, 0.0])
-        rho0 = DensityMatrix.from_state(psi)
+        rho0 = pure(psi)
         ham = Hamiltonian(SX)
         _, series = lindblad_evolution(rho0, sigma_z_set, 0.0, 1.2, hamiltonian=ham)
         u = expm(-1j * SX * 1.2)
-        oracle = u @ rho0.rho @ u.conj().T
-        assert np.max(np.abs(series[-1].rho - oracle)) < 1e-8
+        oracle = u @ rho0 @ u.conj().T
+        assert np.max(np.abs(series[-1] - oracle)) < 1e-8
 
     def test_diagonal_constant(self, sigma_z_set):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+        rho = np.diag([0.25, 0.75]).astype(complex)
         _, series = lindblad_evolution(rho, sigma_z_set, 2.0, 5.0)
-        assert np.allclose(series[-1].rho, rho.rho, atol=1e-14)
+        assert np.allclose(series[-1], rho, atol=1e-14)
 
     def test_trace_and_positivity_over_horizon(self, sigma_z_set, plus_rho):
         ham = Hamiltonian(SX)
@@ -255,14 +249,54 @@ class TestLindbladEvolution:
             plus_rho, sigma_z_set, 0.7, 3.0, hamiltonian=ham, sample_times=times
         )
         for rho in series:
-            assert abs(np.trace(rho.rho) - 1.0) < 1e-9
-            assert rho.min_eigenvalue() > -1e-8
+            assert abs(np.trace(rho) - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(rho).min() > -1e-8
 
     def test_vector_gamma(self, correlated_pair_set, equal_qubit):
-        rho0 = DensityMatrix.from_state(equal_qubit)
+        rho0 = pure(equal_qubit)
         _, series = lindblad_evolution(rho0, correlated_pair_set, (0.5, 0.25), 1.0)
         # rate = (0.5 * 1 + 0.25 * 4) / 2 = 0.75
-        assert series[-1].rho[0, 1].real * 2 == pytest.approx(math.exp(-0.75), abs=1e-12)
+        assert series[-1][0, 1].real * 2 == pytest.approx(math.exp(-0.75), abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 4),
+    num_q=st.integers(1, 2),
+    # a few distinct eigenvalues, so rows of the table often coincide
+    levels=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=8, max_size=8),
+    beta=st.floats(0.05, 3.0),
+    mu=st.floats(0.5, 6.0),
+    gamma=st.floats(0.0, 2.0),
+    mixed=st.booleans(),
+    with_hamiltonian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracles_return_statistical_operators(
+    dim, num_q, levels, beta, mu, gamma, mixed, with_hamiltonian, seed
+):
+    # each oracle maps a statistical operator to one: Hermitian, unit trace
+    # and positive semidefinite, on a rotated table, from a pure or a mixed
+    # rho0, with or without a Hamiltonian
+    rng = np.random.default_rng(seed)
+    table = np.array(levels[: dim * num_q]).reshape(dim, num_q)
+    quantities = QuantitySet(table, random_unitary(rng, dim))
+    shape = (3 if mixed else 1, dim)
+    rho0 = state_mixture(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    hamiltonian = None
+    if with_hamiltonian:
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        hamiltonian = Hamiltonian(0.5 * (m + m.conj().T))
+    times = np.array([0.0, 0.3, 1.0])
+    streams = [HitStream(tuple(range(num_q)), beta, mu)]
+    out = [exact_hitting_map(rho0, quantities, beta)]
+    for oracle, rate in ((hitting_master_evolution, streams), (lindblad_evolution, gamma)):
+        out += oracle(rho0, quantities, rate, 1.0, hamiltonian=hamiltonian, sample_times=times)[1]
+    for rho in out:
+        assert rho.shape == (dim, dim)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+        assert abs(np.trace(rho) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 class TestPairwiseSeparations:
@@ -283,7 +317,7 @@ class TestPairwiseSeparations:
         # a (d, d, K) difference array alone is 41 MB here
         rng = np.random.default_rng(10)
         quantities = QuantitySet(rng.standard_normal((715, 10)))
-        rho0 = DensityMatrix.from_state(random_state(rng, 715))
+        rho0 = pure(random_state(rng, 715))
         if oracle == "lindblad":
             _, peak = traced_peak(lindblad_evolution, rho0, quantities, 0.5, 1.0)
         else:
@@ -312,7 +346,7 @@ class TestEngineComparison:
                 for ens in (hitting, continuous)
             )
             mc = trace_norm_distance(
-                DensityMatrix.from_state_rows(rows_h), DensityMatrix.from_state_rows(rows_c)
+                state_mixture(rows_h), state_mixture(rows_c)
             )
             assert got.mc_distance[i] == mc
             assert got.mc_error[i] == _bootstrap_distance(rows_h, rows_c, 10, rng)
@@ -343,7 +377,7 @@ class TestEngineComparison:
         rows_a[:, [3, 17, 30]] = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
         rows_b[:, [3, 8, 39]] = rng.standard_normal((50, 3))
         full = trace_norm_distance(
-            DensityMatrix.from_state_rows(rows_a), DensityMatrix.from_state_rows(rows_b)
+            state_mixture(rows_a), state_mixture(rows_b)
         )
         assert abs(equivalence._rows_distance(rows_a, rows_b) - full) <= 1e-12
         # one live column, padded by 39 zero ones
@@ -362,7 +396,7 @@ class TestEngineComparison:
                 ra = rows_a[loop_rng.integers(0, n_a, n_a)]
                 rb = rows_b[loop_rng.integers(0, n_b, n_b)]
                 dists.append(trace_norm_distance(
-                    DensityMatrix.from_state_rows(ra), DensityMatrix.from_state_rows(rb)
+                    state_mixture(ra), state_mixture(rb)
                 ))
             boot = _bootstrap_distance(rows_a, rows_b, n_boot, rng)
             assert abs(boot - np.std(dists, ddof=1)) <= 1e-12
@@ -437,7 +471,7 @@ class TestEngineComparison:
             rho_c = ensemble_density_matrix(continuous, float(t), quantities)
             # the mixtures of the computational-basis rows at full d
             for rho, rows in ((rho_h, rows_h[i]), (rho_c, rows_c[i])):
-                assert np.max(np.abs(rho.rho - DensityMatrix.from_state_rows(rows).rho)) <= 1e-12
+                assert np.max(np.abs(rho - state_mixture(rows))) <= 1e-12
             assert abs(got.mc_distance[i] - trace_norm_distance(rho_h, rho_c)) <= 1e-12
         # the ensembles have separated by the last record
         assert got.mc_distance[-1] > 0.01
@@ -448,13 +482,13 @@ class TestEnsembleDensityMatrix:
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
         ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3])
         rho = ensemble_density_matrix(ens, 1.0, sigma_z_set)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_trajectories_stay_pure(self, sigma_z_set, equal_qubit):
         streams = [HitStream((0,), beta=0.5, mu=4.0)]
         ens = hitting_batch(equal_qubit, sigma_z_set, streams, 1.0, 0.5, [3] * 4)
         rho = ensemble_density_matrix(ens, 0.5, sigma_z_set)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_hitting_ensemble_near_master_oracle(self, sigma_z_set, equal_qubit):
         n = 2000
@@ -464,7 +498,7 @@ class TestEnsembleDensityMatrix:
         )
         rho_mc = ensemble_density_matrix(records, 1.0, sigma_z_set)
         _, oracle = hitting_master_evolution(
-            DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, 1.0
+            pure(equal_qubit), sigma_z_set, streams, 1.0
         )
         assert trace_norm_distance(rho_mc, oracle[-1]) < 5.0 / math.sqrt(n)
 
@@ -499,13 +533,12 @@ class TestCollapseStatistics:
         assert report.unlisted_outcomes == 1
         assert report.unresolved_count == 1
         stats = ensemble_stats(ens)
-        expected = np.zeros(4)
         # the weights derived from the square roots of ``weights``
         assert np.allclose(ens.weights, weights, rtol=0, atol=1e-15)
-        expected[[1, 3]] = ens.weights[1].mean(axis=0)
-        assert np.array_equal(stats.mean_weights[1], expected)
-        assert np.array_equal(stats.mean_weight_se[:, [0, 2]], np.zeros((2, 2)))
-        assert np.all(stats.mean_weight_se[1, [1, 3]] > 0)
+        # one column per live coordinate, 1 and 3; the dead ones are not formed
+        assert np.array_equal(stats.mean_weights, ens.weights.mean(axis=1))
+        assert stats.mean_weight_se.shape == (2, 2)
+        assert np.all(stats.mean_weight_se[1] > 0)
 
     def test_weighted_qubit_frequencies(self, sigma_z_set):
         psi = StateVector([0.5, math.sqrt(0.75)])
@@ -737,14 +770,14 @@ class TestConvergenceSweep:
         )
         cfg = ContinuousConfig(gamma=gamma, dt=0.01, t_end=t_probe, record_interval=t_probe)
         cont = run_continuous_ensemble(live_block(psi0, three_level_set, None), cfg, n, master)
-        rho_cont = DensityMatrix.from_state_rows(cont.states[-1])
+        rho_cont = state_mixture(cont.states[-1])
         for i, row in enumerate(rows, start=1):
             assert row.streams == [HitStream((0,), 2 * gamma / row.mu, row.mu)]
             hitting = run_hitting_ensemble(
                 live_block(psi0, three_level_set, None), row.streams, t_probe, t_probe,
                 n, derive_seed(master, SWEEP_STREAM, i),
             )
-            rho_hit = DensityMatrix.from_state_rows(hitting.states[-1])
+            rho_hit = state_mixture(hitting.states[-1])
             assert row.mc_distance == trace_norm_distance(rho_hit, rho_cont)
 
 
@@ -856,7 +889,7 @@ def full_oracle_distances(psi0, quantities, streams, gamma, times, hamiltonian=N
     ``steps`` holds the Runge-Kutta step of the hitting master equation and
     of the Lindblad equation, or None for each oracle's own.
     """
-    rho0 = DensityMatrix.from_state(psi0)
+    rho0 = pure(psi0)
     t_end = float(times[-1])
     _, master = hitting_master_evolution(
         rho0, quantities, streams, t_end, hamiltonian=hamiltonian, sample_times=times,
@@ -866,7 +899,7 @@ def full_oracle_distances(psi0, quantities, streams, gamma, times, hamiltonian=N
         rho0, quantities, gamma, t_end, hamiltonian=hamiltonian, sample_times=times,
         dt=steps[1],
     )
-    assert master[0].dim == quantities.dim
+    assert master[0].shape == (quantities.dim,) * 2
     return np.array([trace_norm_distance(m, l) for m, l in zip(master, lind)])
 
 
@@ -985,7 +1018,7 @@ class TestMartingaleHitting:
         records = run_hitting_ensemble(
             live_block(equal_qubit, sigma_z_set, None), streams, 1.5, 0.25, n, 21,
         )
-        rho0 = DensityMatrix.from_state(equal_qubit)
+        rho0 = pure(equal_qubit)
         times = records.sample_times
         _, oracle = hitting_master_evolution(
             rho0, sigma_z_set, streams, float(times[-1]), sample_times=times

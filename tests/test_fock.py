@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
-from conftest import SQ2, traced_peak
+from conftest import SQ2, pure, traced_peak
 from qreduce.config import ScenarioConfig, load_preset
 from qreduce.errors import ConfigError, DimensionMismatchError
 from qreduce.hilbert import QuantitySet, StateVector, validate_quantity_set
@@ -17,7 +17,6 @@ from qreduce.hitting import hitting_density, simulate_hitting_batch
 from qreduce.continuous import ContinuousConfig
 from qreduce.ensemble import run_continuous_ensemble, run_hitting_ensemble
 from qreduce.equivalence import (
-    DensityMatrix,
     collapse_statistics,
     ensemble_density_matrix,
     lindblad_evolution,
@@ -499,9 +498,9 @@ class TestScenarios:
         records = run_continuous_ensemble(live_block(scenario.psi0, qs, None), cfg, n, 43)
         rho_mc = ensemble_density_matrix(records, 1.0, qs)
         _, oracle = lindblad_evolution(
-            DensityMatrix.from_state(scenario.psi0), qs, scenario.gamma, 1.0
+            pure(scenario.psi0), qs, scenario.gamma, 1.0
         )
-        coherence = abs(oracle[-1].rho[ka, kb])
+        coherence = abs(oracle[-1][ka, kb])
         assert coherence == pytest.approx(0.5 * math.exp(-rate), abs=1e-10)
         assert trace_norm_distance(rho_mc, oracle[-1]) < 5.0 / math.sqrt(n)
 
@@ -555,6 +554,6 @@ class TestScenarios:
             assert alpha * dx**2 <= 0.1
             # the decay rate of the (ka, kb) coherence over t = 1
             psi = lat.state_from_amplitudes([(occ_a, SQ2), (occ_b, SQ2)])
-            _, series = lindblad_evolution(DensityMatrix.from_state(psi), qs, gamma / dx, 1.0)
-            rates.append(-math.log(2.0 * abs(series[-1].rho[ka, kb])))
+            _, series = lindblad_evolution(pure(psi), qs, gamma / dx, 1.0)
+            rates.append(-math.log(2.0 * abs(series[-1][ka, kb])))
         assert abs(rates[1] - rates[0]) / rates[0] < 0.05

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ2, full_states, full_weights, random_state, random_unitary, within_z
+from conftest import (
+    SQ2, full_states, full_weights, pure, random_state, random_unitary, within_z,
+)
 from qreduce.ensemble import run_hitting_ensemble
 from qreduce.equivalence import (
-    DensityMatrix,
     ensemble_density_matrix,
     hitting_master_evolution,
     trace_norm_distance,
@@ -448,7 +449,7 @@ def test_hamiltonian_ensemble_follows_master_equation(sigma_z_set, equal_qubit):
     )
     times = records.sample_times
     _, oracle = hitting_master_evolution(
-        DensityMatrix.from_state(equal_qubit), sigma_z_set, streams, float(times[-1]),
+        pure(equal_qubit), sigma_z_set, streams, float(times[-1]),
         hamiltonian=ham, sample_times=times,
     )
     for t, rho_det in zip(times, oracle):
@@ -498,11 +499,11 @@ def test_random_tables_keep_the_martingale_and_the_master_equation(
 
     # a step of 2^-9 puts every record time on the oracle's step grid
     _, oracle = hitting_master_evolution(
-        DensityMatrix.from_state(psi0), quantities, streams, 1.0,
+        pure(psi0), quantities, streams, 1.0,
         hamiltonian=hamiltonian, sample_times=ens.sample_times, dt=2.0**-9,
     )
     states = full_states(ens, quantities)
     outer = states[:, :, :, np.newaxis] * states[:, :, np.newaxis, :].conj()
-    rho = np.stack([r.rho for r in oracle])
+    rho = np.stack(oracle)
     assert within_z(outer.real, rho.real)
     assert within_z(outer.imag, rho.imag)
